@@ -238,7 +238,10 @@ mod tests {
         assert_eq!(classify("crates/core/src/lib.rs"), FileKind::LibRoot);
         assert_eq!(classify("crates/core/src/sim/engine.rs"), FileKind::Lib);
         assert_eq!(classify("crates/bench/src/bin/sweep.rs"), FileKind::Bin);
-        assert_eq!(classify("crates/bench/tests/soa_parity.rs"), FileKind::Test);
+        assert_eq!(
+            classify("crates/bench/tests/thread_parity.rs"),
+            FileKind::Test
+        );
         assert_eq!(classify("crates/bench/benches/kernels.rs"), FileKind::Test);
         assert_eq!(classify("examples/quickstart.rs"), FileKind::Test);
         assert_eq!(classify("src/lib.rs"), FileKind::LibRoot);

@@ -12,12 +12,12 @@
 //!   statistics **byte-identical** to the first response's.
 //!
 //! Any violation prints one line and exits 1 — this is the binary CI
-//! drives against a background server. On success it records a
-//! `sweep_server` section (throughput, cache-hit rate, bit-identity)
-//! into `BENCH_sim.json`, merging with whatever `perf_sweep` wrote.
+//! drives against a background server. On success it prints one summary
+//! line (requests, distinct specs, cache hits, hit rate, req/s) and
+//! exits 0; a bad command line exits 2.
 //!
 //! ```text
-//! sweep-load [--addr HOST:PORT] [--requests N] [--out PATH] [--shutdown]
+//! sweep-load [--addr HOST:PORT] [--requests N] [--shutdown]
 //! ```
 //!
 //! `--requests` defaults to 15 (3 passes over the 5-spec mix);
@@ -25,11 +25,11 @@
 //! tear the background server down deterministically.
 
 use nplus_server::client;
-use nplus_server::json::{self, Json};
+use nplus_server::json::Json;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "usage: sweep-load [--addr HOST:PORT] [--requests N] [--out PATH] [--shutdown]";
+const USAGE: &str = "usage: sweep-load [--addr HOST:PORT] [--requests N] [--shutdown]";
 
 /// The request mix: small, fast specs spanning scenario families,
 /// environments, policy sets, seed-list spellings and the sparse
@@ -55,7 +55,6 @@ fn arg_error(msg: &str) -> ExitCode {
 fn main() -> ExitCode {
     let mut addr = "127.0.0.1:4011".to_string();
     let mut requests: usize = 15;
-    let mut out_path = "BENCH_sim.json".to_string();
     let mut shutdown = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -67,10 +66,6 @@ fn main() -> ExitCode {
             "--requests" => match args.next().and_then(|s| s.parse().ok()) {
                 Some(n) => requests = n,
                 None => return arg_error("--requests needs a number"),
-            },
-            "--out" => match args.next() {
-                Some(p) => out_path = p,
-                None => return arg_error("--out needs a path"),
             },
             "--shutdown" => shutdown = true,
             "--help" | "-h" => {
@@ -165,52 +160,5 @@ fn main() -> ExitCode {
         println!("sweep-load: server shutdown requested");
     }
 
-    let section = Json::Obj(vec![
-        ("requests".to_string(), Json::Int(requests as i64)),
-        ("distinct_specs".to_string(), Json::Int(distinct as i64)),
-        ("cache_hits".to_string(), Json::Int(cache_hits as i64)),
-        ("cache_hit_rate".to_string(), json::json_f64(hit_rate)),
-        ("seconds".to_string(), json::json_f64(seconds)),
-        ("requests_per_sec".to_string(), json::json_f64(rps)),
-        ("repeat_bit_identical".to_string(), Json::Bool(true)),
-    ]);
-    match merge_section(&out_path, section) {
-        Ok(()) => {
-            println!("sweep-load: recorded sweep_server section in {out_path}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(&format!("cannot record results in {out_path}: {e}")),
-    }
-}
-
-/// Replaces (or appends) the top-level `"sweep_server"` member of the
-/// bench JSON file, preserving every other member. A missing file
-/// starts a fresh document; an unparseable one is an error, not a
-/// silent overwrite.
-fn merge_section(path: &str, section: Json) -> Result<(), String> {
-    let mut members = match std::fs::read_to_string(path) {
-        Ok(text) => match json::parse(&text)? {
-            Json::Obj(members) => members,
-            _ => return Err("existing file is not a JSON object".to_string()),
-        },
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e.to_string()),
-    };
-    members.retain(|(k, _)| k != "sweep_server");
-    members.push(("sweep_server".to_string(), section));
-    // One top-level member per line (compact values) — the same
-    // diff-friendly shape perf_sweep writes.
-    let mut out = String::from("{\n");
-    for (i, (k, v)) in members.iter().enumerate() {
-        out.push_str("  ");
-        out.push_str(&Json::Str(k.clone()).to_string_compact());
-        out.push_str(": ");
-        out.push_str(&v.to_string_compact());
-        if i + 1 < members.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("}\n");
-    std::fs::write(path, out).map_err(|e| e.to_string())
+    ExitCode::SUCCESS
 }

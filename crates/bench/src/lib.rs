@@ -1,5 +1,4 @@
 //! Shared helpers for the figure-regeneration binaries.
 #![forbid(unsafe_code)]
 #![allow(missing_docs)]
-pub mod legacy;
 pub mod support;

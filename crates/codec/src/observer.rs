@@ -6,8 +6,8 @@
 //! the stream [`Recording::decode`](crate::Recording::decode) reads
 //! back. Frames are serialized into a reused scratch buffer and handed
 //! to the sink in one `write_all` per event, so a pre-sized `Vec<u8>`
-//! sink stays allocation-quiet after the first few rounds (perf_sweep
-//! §7 measures the overhead).
+//! sink stays allocation-quiet after the first few rounds (perfbench's
+//! `codec.record_overhead_pct` measures the overhead).
 
 use crate::recording::{
     encode_contention, encode_end, encode_header, encode_join, encode_round_parts, FrameCounts,

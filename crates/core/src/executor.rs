@@ -20,7 +20,7 @@
 //!
 //! Determinism contract: for a pure `job` function, the returned vector
 //! is identical for every `threads` value (including 1). The sweep
-//! proptests assert this end-to-end through `sim::sweep_parallel`.
+//! proptests assert this end-to-end through `SweepSpec::threads`.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -82,9 +82,9 @@ pub use precoder::{
     OwnReceiver, OwnReceiverRef, PrecoderError, Precoding, ProtectedReceiver, ProtectedReceiverRef,
 };
 pub use sim::{
-    aggregate_results, simulate, simulate_policy, sweep, sweep_parallel, CanonicalSpec, Flow,
-    MobilityModel, Protocol, RunResult, Scenario, SeedResults, SimConfig, SimEngine, SweepError,
-    SweepJob, SweepSpec, SweepStats, TrafficModel,
+    aggregate_results, simulate, simulate_policy, CanonicalSpec, Flow, MobilityModel, Protocol,
+    RunResult, Scenario, SeedResults, SimConfig, SimEngine, SweepError, SweepJob, SweepSpec,
+    SweepStats, TrafficModel,
 };
 
 /// One-import surface for simulation users: the builder facade, the
@@ -111,9 +111,9 @@ pub mod prelude {
         BUILTIN_POLICY_NAMES,
     };
     pub use crate::sim::{
-        aggregate_results, simulate, simulate_policy, sweep, sweep_parallel, CanonicalSpec, Flow,
-        MobilityModel, Protocol, RunResult, Scenario, SeedResults, SimConfig, SimEngine,
-        SweepError, SweepJob, SweepSpec, SweepStats, TrafficModel,
+        aggregate_results, simulate, simulate_policy, CanonicalSpec, Flow, MobilityModel, Protocol,
+        RunResult, Scenario, SeedResults, SimConfig, SimEngine, SweepError, SweepJob, SweepSpec,
+        SweepStats, TrafficModel,
     };
     pub use nplus_channel::environment::{
         environment_from_name, ChannelEnvironment, DegradedHardware, EnvironmentError, MultiCell,

@@ -5,13 +5,13 @@
 //! delegates every protocol decision to a
 //! [`MacPolicy`](crate::policy::MacPolicy). Construction precomputes
 //! the round-invariant context (occupied subcarriers, transmitter list,
-//! per-transmitter flow lists) and — unless disabled via
-//! [`SimConfig::cache_channels`] — a [`ChannelCache`] holding every
+//! per-transmitter flow lists) and a [`ChannelCache`] holding every
 //! link's per-subcarrier frequency response, evaluated once instead of
 //! inside the round × stream × subcarrier × interferer loop nest. Only
-//! the **pure true channels** are cached; believed channels keep
-//! drawing hardware error from the RNG in the exact same order, so
-//! seeded runs are bit-for-bit identical with and without the cache.
+//! the **pure true channels** are cached; believed channels draw
+//! hardware error from the RNG on every call. The cached tables equal
+//! the medium's direct evaluation bit for bit (pinned by the
+//! `nplus-medium` chancache tests).
 //!
 //! Every run is narrated through a
 //! [`RoundObserver`](crate::observer::RoundObserver); the goodput/DoF
@@ -49,7 +49,6 @@ use nplus_phy::rates::{RateIndex, BASE_RATE, RATE_TABLE};
 use nplus_phy::RATE_ESNR_THRESHOLDS_DB;
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::borrow::Cow;
 
 /// One planned concurrent stream. Pooled: the slot (and each precoder's
 /// heap buffer) is retained across rounds by the run's [`RoundBufs`].
@@ -384,8 +383,8 @@ pub struct SimEngine<'a> {
     transmitters: Vec<usize>,
     /// Flow indices per scenario node (empty for non-transmitters).
     flows_of: Vec<Vec<usize>>,
-    /// Pure true-channel cache; `None` when disabled for perf baselines.
-    cache: Option<ChannelCache>,
+    /// Pure true-channel cache.
+    cache: ChannelCache,
 }
 
 impl<'a> SimEngine<'a> {
@@ -396,11 +395,7 @@ impl<'a> SimEngine<'a> {
             SinrGrid::Full => (0..occ.len()).collect(),
             SinrGrid::Decimated(k) => (0..occ.len()).step_by(k.max(1)).collect(),
         };
-        let cache = if cfg.cache_channels {
-            Some(ChannelCache::build(topo, &occ, cfg.ofdm.fft_len))
-        } else {
-            None
-        };
+        let cache = ChannelCache::build(topo, &occ, cfg.ofdm.fft_len);
         SimEngine {
             topo,
             scenario,
@@ -439,10 +434,9 @@ impl<'a> SimEngine<'a> {
         PolicyView::new(self.scenario, &self.flows_of)
     }
 
-    /// True per-subcarrier channel matrix between two scenario nodes —
-    /// served from `cache` when one is active (the engine's own, or a
-    /// run's mobility-rescaled copy), recomputed from the medium
-    /// otherwise (the two are bitwise identical).
+    /// True per-subcarrier channel matrix between two scenario nodes,
+    /// served from `cache` (the engine's own, or a run's
+    /// mobility-rescaled copy).
     ///
     /// `None` is the typed "no such link" answer: in sparse worlds it
     /// means the link sits below the environment's received-power floor,
@@ -450,24 +444,13 @@ impl<'a> SimEngine<'a> {
     /// contribution, no nulling constraint, no flow service — instead of
     /// panicking on a missing cache entry.
     fn true_channel<'c>(
-        &'c self,
-        cache: Option<&'c ChannelCache>,
+        &self,
+        cache: &'c ChannelCache,
         from: usize,
         to: usize,
         k_occ: usize,
-    ) -> Option<Cow<'c, CMatrixSoA>> {
-        match cache {
-            Some(cache) => cache.matrix(from, to, k_occ).map(Cow::Borrowed),
-            None => {
-                let link = self
-                    .topo
-                    .medium
-                    .link(self.topo.nodes[from], self.topo.nodes[to])?;
-                Some(Cow::Owned(CMatrixSoA::from_aos(
-                    &link.channel_matrix(self.occ[k_occ], self.cfg.ofdm.fft_len),
-                )))
-            }
-        }
+    ) -> Option<&'c CMatrixSoA> {
+        cache.matrix(from, to, k_occ)
     }
 
     /// What a transmitter believes the channel is: reciprocity plus
@@ -482,7 +465,7 @@ impl<'a> SimEngine<'a> {
     fn believed_channel_into(
         &self,
         policy: &dyn MacPolicy,
-        cache: Option<&ChannelCache>,
+        cache: &ChannelCache,
         from: usize,
         to: usize,
         k_occ: usize,
@@ -493,11 +476,11 @@ impl<'a> SimEngine<'a> {
             return false;
         };
         if policy.perfect_knowledge() {
-            out.assign_from(&h);
+            out.assign_from(h);
         } else {
             self.cfg
                 .hardware
-                .reciprocal_channel_knowledge_into(&h, rng, out);
+                .reciprocal_channel_knowledge_into(h, rng, out);
         }
         true
     }
@@ -517,7 +500,7 @@ impl<'a> SimEngine<'a> {
     fn plan_opening_single(
         &self,
         policy: &dyn MacPolicy,
-        cache: Option<&ChannelCache>,
+        cache: &ChannelCache,
         tx: usize,
         f: usize,
         n_streams: usize,
@@ -548,7 +531,7 @@ impl<'a> SimEngine<'a> {
         for (e, &k) in self.eval_pos.iter().enumerate() {
             let h = self.true_channel(cache, tx, rx, k)?;
             let own = [OwnReceiverSoARef {
-                channel: &h,
+                channel: h,
                 n_streams,
                 unwanted: &unwanted[e],
             }];
@@ -600,7 +583,7 @@ impl<'a> SimEngine<'a> {
     fn plan_winner(
         &self,
         policy: &dyn MacPolicy,
-        cache: Option<&ChannelCache>,
+        cache: &ChannelCache,
         tx: usize,
         allocation: &[(usize, usize)],
         protected: &mut VecPool<ReceiverState>,
@@ -933,7 +916,7 @@ impl<'a> SimEngine<'a> {
     /// cancel, and returns delivered bits per flow.
     fn settle_round_into(
         &self,
-        cache: Option<&ChannelCache>,
+        cache: &ChannelCache,
         protected: &[ReceiverState],
         streams: &[PlannedStream],
         scratch: &mut Scratch,
@@ -1072,17 +1055,16 @@ impl<'a> SimEngine<'a> {
         let mut active: Vec<usize> = Vec::with_capacity(self.transmitters.len());
         for round in 0..self.cfg.rounds {
             if let Some(m) = mobility.as_mut() {
-                if m.advance(round, rng) {
+                if m.advance(&self.cache, round, rng) {
                     // Channels moved: memoized opening plans are stale.
                     scratch.first_plans.clear();
                 }
             }
             // The mobility-rescaled per-run cache shadows the engine's
-            // pristine one; both are absent only in the no-cache,
-            // no-mobility perf baseline.
+            // as-built one.
             let cache = match &mobility {
-                Some(m) => Some(&m.cache),
-                None => self.cache.as_ref(),
+                Some(m) => &m.cache,
+                None => &self.cache,
             };
             // Arrivals land before access: who contends this round is
             // decided by the queues as of now. Saturated traffic keeps
@@ -1220,7 +1202,7 @@ impl<'a> SimEngine<'a> {
         &self,
         policy: &dyn MacPolicy,
         round: usize,
-        cache: Option<&ChannelCache>,
+        cache: &ChannelCache,
         active: &[usize],
         traffic: &mut TrafficState,
         scratch: &mut Scratch,
@@ -1416,7 +1398,7 @@ impl<'a> SimEngine<'a> {
         &self,
         policy: &dyn MacPolicy,
         round: usize,
-        cache: Option<&ChannelCache>,
+        cache: &ChannelCache,
         active: &[usize],
         traffic: &mut TrafficState,
         scratch: &mut Scratch,
@@ -1494,7 +1476,7 @@ impl<'a> SimEngine<'a> {
         policy: &dyn MacPolicy,
         primary: usize,
         round: usize,
-        cache: Option<&ChannelCache>,
+        cache: &ChannelCache,
         active: &[usize],
         traffic: &TrafficState,
         scratch: &mut Scratch,
@@ -1747,12 +1729,10 @@ fn poisson_draw(mean: f64, rng: &mut StdRng) -> u64 {
 /// per epoch and incrementally re-derives only the cached links
 /// incident to the mover — the city-scale point of the sparse cache.
 struct MobilityState {
-    /// The run's working cache: pristine tables rescaled to the current
-    /// positions. The engine reads every channel from here.
+    /// The run's working cache: the engine's as-built tables rescaled
+    /// to the current positions. The engine reads every channel from
+    /// here.
     cache: ChannelCache,
-    /// The as-built tables the rescaling is always anchored to, so
-    /// factors never compound across epochs.
-    pristine: ChannelCache,
     /// As-built node positions (the factor's `d0` anchor).
     origin: Vec<Point>,
     /// Current node positions.
@@ -1779,18 +1759,11 @@ impl MobilityState {
         else {
             return None;
         };
-        let pristine = match &engine.cache {
-            Some(c) => c.clone(),
-            // Mobility rescales tables, so it needs tables: build them
-            // even when `cache_channels` is off for perf baselines.
-            None => ChannelCache::build(engine.topo, &engine.occ, engine.cfg.ofdm.fft_len),
-        };
         let origin: Vec<Point> = engine.topo.placements.iter().map(|l| l.pos).collect();
         Some(MobilityState {
-            cache: pristine.clone(),
+            cache: engine.cache.clone(),
             positions: origin.clone(),
             origin,
-            pristine,
             step_m,
             epoch_rounds,
         })
@@ -1803,9 +1776,11 @@ impl MobilityState {
     /// `(d0/d)^{exp/2}`. The link set is frozen at t=0: below-floor
     /// links never spring to life and installed links fade rather than
     /// vanish, so mobility changes link *strength*, never link
-    /// *existence*. Returns whether anything moved (exactly one uniform
-    /// is drawn when it did, zero otherwise).
-    fn advance(&mut self, round: usize, rng: &mut StdRng) -> bool {
+    /// *existence*. The rescaling is always anchored to `as_built`, the
+    /// engine's own tables, so factors never compound across epochs.
+    /// Returns whether anything moved (exactly one uniform is drawn when
+    /// it did, zero otherwise).
+    fn advance(&mut self, as_built: &ChannelCache, round: usize, rng: &mut StdRng) -> bool {
         if round == 0 || !round.is_multiple_of(self.epoch_rounds) || self.positions.is_empty() {
             return false;
         }
@@ -1813,12 +1788,7 @@ impl MobilityState {
         let ang = rng.gen::<f64>() * std::f64::consts::TAU;
         self.positions[mover].x += self.step_m * ang.cos();
         self.positions[mover].y += self.step_m * ang.sin();
-        let touched: Vec<(usize, usize)> = self
-            .pristine
-            .links()
-            .filter(|&(f, t)| f == mover || t == mover)
-            .collect();
-        for (f, t) in touched {
+        for (f, t) in as_built.links().filter(|&(f, t)| f == mover || t == mover) {
             let d0 = self.origin[f]
                 .distance(&self.origin[t])
                 .max(Self::MIN_DISTANCE_M);
@@ -1828,10 +1798,9 @@ impl MobilityState {
             // Pure per-link arithmetic (no RNG), so the HashMap's
             // iteration order cannot affect results.
             let factor = (d0 / d).powf(0.5 * Self::PATH_LOSS_EXP);
-            let table = self
-                .pristine
+            let table = as_built
                 .table(f, t)
-                .expect("key came from pristine iteration")
+                .expect("key came from as-built iteration")
                 .scaled(factor);
             self.cache.set_table(f, t, table);
         }
@@ -2306,12 +2275,10 @@ mod tests {
         );
     }
 
-    /// Waypoint mobility perturbs results (channels really change), is
-    /// deterministic in the run seed, and is bitwise independent of the
-    /// engine-level cache toggle — the mobility path builds its own
-    /// tables when the engine has none.
+    /// Waypoint mobility perturbs results (channels really change) and
+    /// is deterministic in the run seed.
     #[test]
-    fn waypoint_mobility_changes_results_and_ignores_cache_toggle() {
+    fn waypoint_mobility_changes_results_deterministically() {
         let scenario = Scenario::three_pairs();
         let topo = three_pairs_topo(13);
         let rounds = 10;
@@ -2338,14 +2305,7 @@ mod tests {
         let moved_again = SimEngine::new(&topo, &scenario, &move_cfg)
             .run_policy(&NPlus, &mut StdRng::seed_from_u64(6));
         assert_eq!(moved.per_flow_mbps, moved_again.per_flow_mbps);
-        let uncached_cfg = SimConfig {
-            cache_channels: false,
-            ..move_cfg.clone()
-        };
-        let uncached = SimEngine::new(&topo, &scenario, &uncached_cfg)
-            .run_policy(&NPlus, &mut StdRng::seed_from_u64(6));
-        assert_eq!(moved.per_flow_mbps, uncached.per_flow_mbps);
-        assert_eq!(moved.total_mbps.to_bits(), uncached.total_mbps.to_bits());
+        assert_eq!(moved.total_mbps.to_bits(), moved_again.total_mbps.to_bits());
     }
 
     /// In a sparse city world an absent link is a typed miss, not a

@@ -42,16 +42,16 @@
 //!   point: it builds seeded topologies in the chosen environment,
 //!   shares one channel-cached engine per seed across all policies, and
 //!   aggregates mean/CI statistics — serially or on a scoped-thread
-//!   pool with bit-for-bit identical results. [`simulate`], [`sweep()`]
-//!   and [`sweep_parallel`] remain as thin wrappers.
+//!   pool with bit-for-bit identical results. [`simulate`] remains as a
+//!   thin one-run wrapper.
 
 mod engine;
 mod sweep;
 
 pub use engine::{simulate, simulate_policy, SimEngine, TYPICAL_BLOB_BYTES};
 pub use sweep::{
-    aggregate_results, sweep, sweep_parallel, CanonicalSpec, SeedResults, SweepError, SweepJob,
-    SweepSpec, SweepStats, DEFAULT_POLICIES,
+    aggregate_results, CanonicalSpec, SeedResults, SweepError, SweepJob, SweepSpec, SweepStats,
+    DEFAULT_POLICIES,
 };
 
 use crate::policy::MacPolicy;
@@ -575,11 +575,6 @@ pub struct SimConfig {
     pub packet_bytes: usize,
     /// Rounds to simulate.
     pub rounds: usize,
-    /// Precompute every link's per-subcarrier frequency responses once
-    /// per topology instead of re-evaluating taps inside the round loop.
-    /// Results are bit-for-bit identical either way (only pure true
-    /// channels are cached); `false` exists for the perf baseline.
-    pub cache_channels: bool,
     /// Per-flow offered load ([`TrafficModel::Saturated`] by default —
     /// the paper's always-backlogged assumption, zero RNG).
     pub traffic: TrafficModel,
@@ -599,7 +594,6 @@ impl Default for SimConfig {
             l_db: crate::power_control::DEFAULT_L_DB,
             packet_bytes: 1500,
             rounds: 40,
-            cache_channels: true,
             traffic: TrafficModel::Saturated,
             mobility: MobilityModel::Static,
             sinr_grid: SinrGrid::Full,

@@ -4,8 +4,7 @@
 //! seed, shares one channel-cached [`SimEngine`] per topology across all
 //! requested policies, and aggregates mean/CI statistics — serially or
 //! on the scoped-thread executor with **bit-for-bit identical** results
-//! at every thread count. [`sweep()`] and [`sweep_parallel`] remain as
-//! protocol-enum wrappers for backward compatibility.
+//! at every thread count.
 //!
 //! [`CanonicalSpec`] is the spec's content-addressable identity: a
 //! normalized (scenario, environment, policies, seeds, rounds) record
@@ -127,7 +126,7 @@ impl From<EnvironmentError> for SweepError {
 ///
 /// * the sweep engine is a pure function of (scenario, environment,
 ///   policies, seeds, rounds) — proven bit-for-bit across thread counts
-///   by the `sweep_parallel` suites — and
+///   by the [`SweepSpec::threads`] suites — and
 /// * two specs with equal canonical bytes run exactly that function on
 ///   exactly those inputs.
 ///
@@ -141,7 +140,7 @@ impl From<EnvironmentError> for SweepError {
 /// trio named explicitly" share a key.
 ///
 /// **What is deliberately not:** the thread count (results are
-/// bit-identical at every value) and the channel-cache toggle (same).
+/// bit-identical at every value).
 /// Everything else in [`SimConfig`] must sit at the environment's
 /// defaults — [`SweepSpec::canonical`] refuses otherwise rather than
 /// hash fields it does not encode.
@@ -455,8 +454,8 @@ fn ci95_half_width(samples: &[f64], mean: f64) -> f64 {
 /// placement stream is seeded by the seed itself, and each policy's
 /// run stream by `seed ^ 0x5EED_CAFE` — both fixed functions of the
 /// job's seed alone, never of execution order. That is what lets
-/// [`sweep_parallel`] run jobs on any number of threads and still merge
-/// results bit-for-bit identical to the serial [`sweep()`].
+/// [`SweepSpec`] run jobs on any number of threads and still merge
+/// results bit-for-bit identical to the serial run.
 pub struct SweepJob<'a> {
     environment: &'a dyn ChannelEnvironment,
     testbed: &'a Testbed,
@@ -604,7 +603,7 @@ impl<'a> SweepJob<'a> {
     }
 }
 
-// `sweep_parallel` shares the scenario/config/testbed/policies across
+// A threaded sweep shares the scenario/config/testbed/policies across
 // scoped worker threads and sends per-seed results back; all of it must
 // be thread-safe by construction (`MacPolicy` has `Send + Sync`
 // supertraits, and the medium-side types carry their own assertions
@@ -707,61 +706,10 @@ fn sweep_policies(
     aggregate_sweep(scenario, policies, &results)
 }
 
-/// Runs `scenario` on one freshly drawn topology per seed and aggregates
-/// mean/CI statistics per protocol.
-///
-/// Enum-era wrapper over the policy sweep — see [`SweepSpec`] for the
-/// builder that also accepts non-enum policies. For each seed the
-/// topology is drawn once (placement + fading, seeded by the seed
-/// itself) and a single [`SimEngine`] — with its channel cache — is
-/// shared by every protocol; the simulation RNG is decorrelated from
-/// the placement stream. Use [`sweep_parallel`] for the multi-threaded
-/// variant (bit-for-bit identical results).
-pub fn sweep(
-    testbed: &Testbed,
-    scenario: &Scenario,
-    cfg: &SimConfig,
-    protocols: &[Protocol],
-    seeds: &[u64],
-) -> Vec<SweepStats> {
-    sweep_parallel(testbed, scenario, cfg, protocols, seeds, 1)
-}
-
-/// [`sweep()`] on up to `threads` worker threads (`0` = available
-/// parallelism).
-///
-/// Seeds become independent [`SweepJob`]s executed by
-/// [`executor::run_indexed`](crate::executor::run_indexed): workers pull
-/// jobs from an atomic cursor, every job derives its RNGs from its seed
-/// exactly as the serial path does, and results are merged in seed order
-/// — so the returned statistics are **bit-for-bit identical** for every
-/// thread count (asserted by the protocol-invariant proptests and the
-/// `perf_sweep` CI smoke run).
-pub fn sweep_parallel(
-    testbed: &Testbed,
-    scenario: &Scenario,
-    cfg: &SimConfig,
-    protocols: &[Protocol],
-    seeds: &[u64],
-    threads: usize,
-) -> Vec<SweepStats> {
-    let policies: Vec<&dyn MacPolicy> = protocols.iter().map(|&p| p.policy()).collect();
-    sweep_policies(
-        &SIGCOMM11_INDOOR,
-        testbed,
-        scenario,
-        cfg,
-        &policies,
-        seeds,
-        threads,
-    )
-}
-
 /// Builder facade over the whole simulation surface: scenario in,
-/// statistics out. One entry point replaces the
-/// `simulate`/`sweep`/`sweep_parallel` trio — a single seed *is* a
-/// sweep of one — and it is the only place policies, seeds, testbed,
-/// config and thread count meet.
+/// statistics out. It is the one sweep API — a single seed *is* a
+/// sweep of one — and the only place policies, seeds, testbed, config
+/// and thread count meet.
 ///
 /// ```
 /// use nplus::prelude::*;
@@ -1117,8 +1065,9 @@ impl SweepSpec {
     /// registries don't — a collision would alias someone else's cache
     /// entries), there must be no [`testbed`](SweepSpec::testbed)
     /// override, and the config may deviate from the environment's
-    /// defaults only in [`rounds`](SweepSpec::rounds) and the
-    /// result-neutral channel-cache toggle.
+    /// defaults only in [`rounds`](SweepSpec::rounds),
+    /// [`traffic`](SweepSpec::traffic), [`mobility`](SweepSpec::mobility)
+    /// and the [`sinr_grid`](SweepSpec::sinr_grid).
     ///
     /// # Errors
     /// [`SweepError::NotCanonical`] describing the offending part;
@@ -1142,12 +1091,10 @@ impl SweepSpec {
         }
         // Everything the engine reads from the config besides the round
         // count must sit at the environment's defaults — otherwise the
-        // canonical bytes would not determine the results. The channel
-        // cache is exempt: on/off is proven bit-identical.
+        // canonical bytes would not determine the results.
         let mut base = SimConfig::default();
         apply_environment_config(&mut base, env);
         base.rounds = self.cfg.rounds;
-        base.cache_channels = self.cfg.cache_channels;
         base.traffic = self.cfg.traffic;
         base.mobility = self.cfg.mobility;
         base.sinr_grid = self.cfg.sinr_grid;
@@ -1264,21 +1211,22 @@ mod tests {
         assert!((hw_huge / (1.96 * (hvar / 1000.0).sqrt()) - 1.0).abs() < 2e-3);
     }
 
-    /// The tentpole contract: `sweep_parallel` is bit-for-bit identical
-    /// to the serial `sweep` for every thread count.
+    /// The tentpole contract: a threaded sweep is bit-for-bit identical
+    /// to the serial one for every thread count.
     #[test]
-    fn sweep_parallel_matches_serial_bitwise() {
-        let scenario = Scenario::ap_downlink();
-        let cfg = SimConfig {
-            rounds: 5,
-            ..SimConfig::default()
+    fn sweep_threads_match_serial_bitwise() {
+        let spec = |threads: usize| {
+            SweepSpec::new(Scenario::ap_downlink())
+                .testbed(Testbed::sigcomm11())
+                .rounds(5)
+                .protocols(&[Protocol::NPlus, Protocol::Dot11n, Protocol::Beamforming])
+                .seed_count(5)
+                .threads(threads)
+                .run()
         };
-        let protocols = [Protocol::NPlus, Protocol::Dot11n, Protocol::Beamforming];
-        let seeds: Vec<u64> = (0..5).collect();
-        let tb = Testbed::sigcomm11();
-        let serial = sweep(&tb, &scenario, &cfg, &protocols, &seeds);
+        let serial = spec(1);
         for threads in [2usize, 4, 0] {
-            let par = sweep_parallel(&tb, &scenario, &cfg, &protocols, &seeds, threads);
+            let par = spec(threads);
             assert_eq!(serial.len(), par.len());
             for (s, p) in serial.iter().zip(&par) {
                 assert_eq!(s.policy, p.policy, "{threads} threads");
@@ -1342,14 +1290,12 @@ mod tests {
             rounds: 8,
             ..SimConfig::default()
         };
-        let seeds: Vec<u64> = (0..4).collect();
-        let stats = sweep(
-            &Testbed::sigcomm11(),
-            &scenario,
-            &cfg,
-            &[Protocol::NPlus, Protocol::Dot11n],
-            &seeds,
-        );
+        let stats = SweepSpec::new(scenario)
+            .testbed(Testbed::sigcomm11())
+            .config(cfg)
+            .protocols(&[Protocol::NPlus, Protocol::Dot11n])
+            .seed_count(4)
+            .run();
         for s in &stats {
             assert!(
                 s.mean_total_mbps.is_finite() && s.mean_total_mbps > 0.0,
@@ -1366,13 +1312,12 @@ mod tests {
             rounds: 6,
             ..SimConfig::default()
         };
-        let stats = sweep(
-            &Testbed::sigcomm11(),
-            &scenario,
-            &cfg,
-            &[Protocol::NPlus, Protocol::Dot11n],
-            &[1, 2, 3],
-        );
+        let stats = SweepSpec::new(scenario)
+            .testbed(Testbed::sigcomm11())
+            .config(cfg)
+            .protocols(&[Protocol::NPlus, Protocol::Dot11n])
+            .seeds([1, 2, 3])
+            .run();
         assert_eq!(stats.len(), 2);
         assert_eq!(stats[0].policy, "nplus");
         assert_eq!(stats[1].policy, "dot11n");
@@ -1391,9 +1336,9 @@ mod tests {
         }
     }
 
-    /// The builder facade is a pure re-packaging: a `SweepSpec` run must
-    /// equal the equivalent `sweep_parallel` call bit-for-bit, at every
-    /// thread count, with defaults filled in as documented.
+    /// The builder facade is a pure re-packaging: a threaded `SweepSpec`
+    /// run must equal the raw per-seed `SweepJob`s folded by the sweep
+    /// aggregation bit-for-bit, with defaults filled in as documented.
     #[test]
     fn sweep_spec_matches_the_raw_entry_points() {
         let scenario = Scenario::ap_downlink();
@@ -1402,9 +1347,12 @@ mod tests {
             ..SimConfig::default()
         };
         let protocols = [Protocol::Dot11n, Protocol::NPlus];
-        let seeds: Vec<u64> = (0..3).collect();
+        let policies: Vec<&dyn MacPolicy> = protocols.iter().map(|p| p.policy()).collect();
         let tb = Testbed::fitting(scenario.antennas.len());
-        let raw = sweep_parallel(&tb, &scenario, &cfg, &protocols, &seeds, 2);
+        let jobs: Vec<SeedResults> = (0..3)
+            .map(|seed| SweepJob::new(&tb, &scenario, &cfg, &policies, seed).run())
+            .collect();
+        let raw = aggregate_sweep(&scenario, &policies, &jobs);
         let spec = SweepSpec::new(scenario)
             .rounds(4)
             .protocols(&protocols)

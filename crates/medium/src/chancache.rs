@@ -146,34 +146,72 @@ mod tests {
         build_topology(&tb, &TopologyConfig::new(vec![1, 2, 3]), 10e6, 5, &mut rng)
     }
 
+    /// Every cached matrix equals the medium's direct evaluation bit
+    /// for bit, and the cache holds a link exactly when the medium does.
+    fn assert_cache_matches_medium(topo: &Topology, cache: &ChannelCache, bins: &[usize]) {
+        let n = topo.nodes.len();
+        for from in 0..n {
+            for to in 0..n {
+                let link = if from == to {
+                    None
+                } else {
+                    topo.medium.link(topo.nodes[from], topo.nodes[to])
+                };
+                assert_eq!(
+                    cache.table(from, to).is_some(),
+                    link.is_some(),
+                    "link {from}->{to}: cache and medium disagree on presence"
+                );
+                for (pos, &k) in bins.iter().enumerate() {
+                    let cached = cache.matrix(from, to, pos);
+                    assert_eq!(
+                        cached.is_some(),
+                        link.is_some(),
+                        "link {from}->{to} bin {k}"
+                    );
+                    let (Some(cached), Some(link)) = (cached, link) else {
+                        continue;
+                    };
+                    let direct = link.channel_matrix(k, 64);
+                    assert_eq!(cached.shape(), (direct.rows(), direct.cols()));
+                    for i in 0..direct.rows() {
+                        for j in 0..direct.cols() {
+                            let (c, d) = (cached.get(i, j), direct[(i, j)]);
+                            assert!(
+                                c.re.to_bits() == d.re.to_bits()
+                                    && c.im.to_bits() == d.im.to_bits(),
+                                "link {from}->{to} bin {k} entry ({i},{j}): {c:?} vs {d:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn matches_direct_channel_matrix() {
         let topo = built();
         let bins: Vec<usize> = (1..60).step_by(7).collect();
         let cache = ChannelCache::build(&topo, &bins, 64);
-        for from in 0..3 {
-            for to in 0..3 {
-                if from == to {
-                    assert!(cache.table(from, to).is_none());
-                    assert!(cache.matrix(from, to, 0).is_none());
-                    continue;
-                }
-                let link = topo.medium.link(topo.nodes[from], topo.nodes[to]).unwrap();
-                for (pos, &k) in bins.iter().enumerate() {
-                    let direct = link.channel_matrix(k, 64);
-                    assert!(
-                        cache
-                            .matrix(from, to, pos)
-                            .expect("dense world: every off-diagonal link cached")
-                            .to_aos()
-                            .approx_eq(&direct, 0.0),
-                        "link {from}->{to} bin {k}"
-                    );
-                }
-            }
-        }
+        assert_cache_matches_medium(&topo, &cache, &bins);
         // Dense world: all n(n-1) directed links cached.
         assert_eq!(cache.n_links(), 6);
+
+        // Sparse world: the floored multi-cell city caches exactly the
+        // installed links, each bit for bit.
+        let n = 32;
+        let antennas: Vec<usize> = (0..n).map(|i| if i % 8 == 0 { 2 } else { 1 }).collect();
+        let tb = MULTI_CELL.testbed(n).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let topo =
+            build_environment_topology(&MULTI_CELL, &tb, &antennas, 10e6, 3, &mut rng).unwrap();
+        let cache = ChannelCache::build(&topo, &bins, 64);
+        assert!(
+            cache.n_links() < n * (n - 1),
+            "city world unexpectedly dense"
+        );
+        assert_cache_matches_medium(&topo, &cache, &bins);
     }
 
     #[test]

@@ -30,9 +30,10 @@
 //! the default comparison trio, `threads` to `0` (all cores — an
 //! execution detail, never part of the cache key), and the seed list
 //! may be given as `"seeds": [..]` or `"seed_count": n` (meaning seeds
-//! `0..n`), defaulting to `seed_count = 20`. Optional `"traffic"`
-//! (`"saturated"`, `"poisson:<mean>"`, `"bursty:<on>x<off>"`) and
-//! `"mobility"` (`"static"`, `"waypoint:<step>x<epoch>"`) members set
+//! `0..n`, with `n` at most `MAX_FRAME / 2`), defaulting to
+//! `seed_count = 20`. Optional `"traffic"` (`"saturated"`,
+//! `"poisson:<mean>"`, `"bursty:<on>x<off>"`) and `"mobility"`
+//! (`"static"`, `"waypoint:<step>x<epoch>"`) members set
 //! the traffic and mobility models, and an optional `"sinr_grid"`
 //! (`"full"`, `"decimated:<k>"`) member selects the SINR evaluation
 //! tier — all three are canonical cache-key fields, so a decimated run
@@ -262,6 +263,15 @@ fn parse_sweep(doc: &Json) -> Result<SweepRequest, String> {
             let n = v
                 .as_u64()
                 .ok_or_else(|| "\"seed_count\" must be a non-negative integer".to_string())?;
+            // No frame can list more `"seeds"` entries than this (each
+            // takes at least a digit and a comma), so both spellings
+            // reach the same seed sets.
+            if n > (MAX_FRAME / 2) as u64 {
+                return Err(format!(
+                    "\"seed_count\" {n} exceeds the limit of {}",
+                    MAX_FRAME / 2
+                ));
+            }
             (0..n).collect()
         }
         (None, None) => (0..20).collect(),
@@ -494,6 +504,10 @@ mod tests {
 
     #[test]
     fn malformed_requests_are_one_line_errors() {
+        let over_seed_cap = format!(
+            "{{\"cmd\":\"sweep\",\"scenario\":\"pairs:2\",\"rounds\":2,\"seed_count\":{}}}",
+            MAX_FRAME / 2 + 1
+        );
         for bad in [
             &b"not json"[..],
             b"[]",
@@ -506,6 +520,8 @@ mod tests {
             b"{\"cmd\":\"sweep\",\"scenario\":\"three_pairs\",\"rounds\":-1}",
             b"{\"cmd\":\"sweep\",\"scenario\":\"three_pairs\",\"rounds\":3,\"seeds\":[1.5]}",
             b"{\"cmd\":\"sweep\",\"scenario\":\"three_pairs\",\"rounds\":3,\"seeds\":[1],\"seed_count\":2}",
+            b"{\"cmd\":\"sweep\",\"scenario\":\"pairs:2\",\"rounds\":2,\"seed_count\":4611686018427387904}",
+            over_seed_cap.as_bytes(),
             b"{\"cmd\":\"sweep\",\"scenario\":\"three_pairs\",\"rounds\":3,\"policies\":[7]}",
             b"{\"cmd\":\"sweep\",\"scenario\":\"three_pairs\",\"rounds\":3,\"threads\":\"many\"}",
             b"{\"cmd\":\"sweep\",\"scenario\":\"three_pairs\",\"rounds\":3,\"traffic\":7}",

@@ -296,20 +296,14 @@ fn sigcomm11_sweep_statistics_survive_the_environment_redesign_bitwise() {
 }
 
 /// Every shipped environment is selectable by name and satisfies the
-/// engine's two determinism contracts there: the channel cache is
-/// invisible (on/off bit-identity) and `sweep_parallel` at 2 threads
-/// equals the serial sweep exactly.
+/// engine's determinism contract there: a sweep at 2 threads equals
+/// the serial sweep exactly.
 #[test]
-fn every_environment_passes_cache_identity_and_parallel_determinism() {
+fn every_environment_passes_parallel_determinism() {
     for name in BUILTIN_ENVIRONMENT_NAMES {
-        let spec_with = |cache: bool, threads: usize| {
-            let cfg = SimConfig {
-                rounds: 4,
-                cache_channels: cache,
-                ..SimConfig::default()
-            };
+        let spec_with = |threads: usize| {
             SweepSpec::new(Scenario::three_pairs())
-                .config(cfg)
+                .rounds(4)
                 .environment_named(name)
                 .expect("builtin environment")
                 .seed_count(3)
@@ -317,7 +311,7 @@ fn every_environment_passes_cache_identity_and_parallel_determinism() {
                 .threads(threads)
                 .run()
         };
-        let base = spec_with(true, 1);
+        let base = spec_with(1);
         assert_eq!(base.len(), 2, "{name}");
         for s in &base {
             assert!(
@@ -326,39 +320,35 @@ fn every_environment_passes_cache_identity_and_parallel_determinism() {
                 s.policy
             );
         }
-        for (context, other) in [
-            ("cache off", spec_with(false, 1)),
-            ("2 threads", spec_with(true, 2)),
-        ] {
-            for (a, b) in base.iter().zip(&other) {
-                assert_eq!(a.policy, b.policy, "{name} ({context})");
-                assert_eq!(
-                    a.mean_total_mbps, b.mean_total_mbps,
-                    "{name}/{} mean total ({context})",
-                    a.policy
-                );
-                assert_eq!(
-                    a.ci95_total_mbps, b.ci95_total_mbps,
-                    "{name}/{} CI ({context})",
-                    a.policy
-                );
-                assert_eq!(
-                    a.mean_per_flow_mbps, b.mean_per_flow_mbps,
-                    "{name}/{} per-flow ({context})",
-                    a.policy
-                );
-                assert_eq!(
-                    a.mean_dof, b.mean_dof,
-                    "{name}/{} DoF ({context})",
-                    a.policy
-                );
-                assert_eq!(
-                    a.mean_fairness.to_bits(),
-                    b.mean_fairness.to_bits(),
-                    "{name}/{} fairness ({context})",
-                    a.policy
-                );
-            }
+        let threaded = spec_with(2);
+        for (a, b) in base.iter().zip(&threaded) {
+            assert_eq!(a.policy, b.policy, "{name} (2 threads)");
+            assert_eq!(
+                a.mean_total_mbps, b.mean_total_mbps,
+                "{name}/{} mean total (2 threads)",
+                a.policy
+            );
+            assert_eq!(
+                a.ci95_total_mbps, b.ci95_total_mbps,
+                "{name}/{} CI (2 threads)",
+                a.policy
+            );
+            assert_eq!(
+                a.mean_per_flow_mbps, b.mean_per_flow_mbps,
+                "{name}/{} per-flow (2 threads)",
+                a.policy
+            );
+            assert_eq!(
+                a.mean_dof, b.mean_dof,
+                "{name}/{} DoF (2 threads)",
+                a.policy
+            );
+            assert_eq!(
+                a.mean_fairness.to_bits(),
+                b.mean_fairness.to_bits(),
+                "{name}/{} fairness (2 threads)",
+                a.policy
+            );
         }
     }
 }

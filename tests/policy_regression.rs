@@ -20,9 +20,10 @@ use rand::SeedableRng;
 
 /// Golden sweep statistics from the enum-era engine: scenario label,
 /// policy name, mean total Mb/s, 95% CI half-width, mean DoF, mean
-/// per-flow Mb/s. Recorded with `sweep(testbed=fitting, rounds=6,
-/// seeds=0..4, protocols=[NPlus, Dot11n, Beamforming])` — and verified
-/// at recording time to equal `sweep_parallel(.., threads=2)` exactly.
+/// per-flow Mb/s. Recorded with a serial sweep (testbed=fitting,
+/// rounds=6, seeds=0..4, protocols=[NPlus, Dot11n, Beamforming]) — and
+/// verified at recording time to equal the same sweep at 2 threads
+/// exactly.
 #[allow(clippy::type_complexity)]
 const SWEEP_GOLDENS: [(&str, &str, f64, f64, f64, &[f64]); 15] = [
     (

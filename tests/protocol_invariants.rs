@@ -2,7 +2,7 @@
 //! random topologies.
 
 use nplus::policy::{GreedyJoin, NPlus, Oracle};
-use nplus::sim::{sweep, sweep_parallel, Protocol, Scenario, SimConfig, SweepSpec};
+use nplus::sim::{Protocol, Scenario, SimConfig, SweepSpec};
 use nplus_channel::environment::BUILTIN_ENVIRONMENT_NAMES;
 use nplus_channel::impairments::{HardwareProfile, IDEAL_HARDWARE};
 use nplus_channel::placement::Testbed;
@@ -212,38 +212,6 @@ fn oracle_upper_bounds_nplus_on_generated_scenarios() {
     }
 }
 
-/// The channel cache is purely an evaluation-order optimization: for any
-/// fixed seed, `simulate` must return bit-for-bit identical `RunResult`s
-/// with caching enabled and disabled, for every protocol. (Only pure
-/// true channels are cached; believed channels draw hardware error from
-/// the RNG in the same order either way.)
-#[test]
-fn caching_preserves_results_bit_for_bit() {
-    for scenario in [Scenario::three_pairs(), Scenario::ap_downlink()] {
-        for seed in [3u64, 17] {
-            let built = build_scenario(scenario.clone(), seed);
-            for protocol in [Protocol::NPlus, Protocol::Dot11n, Protocol::Beamforming] {
-                let cached_cfg = SimConfig {
-                    rounds: 8,
-                    ..SimConfig::default()
-                };
-                let uncached_cfg = SimConfig {
-                    cache_channels: false,
-                    ..cached_cfg.clone()
-                };
-                let cached = built.run_with(protocol, &cached_cfg, seed ^ 0x5EED);
-                let uncached = built.run_with(protocol, &uncached_cfg, seed ^ 0x5EED);
-                assert_eq!(
-                    cached.per_flow_mbps, uncached.per_flow_mbps,
-                    "{protocol:?} seed {seed}: caching changed per-flow goodput"
-                );
-                assert_eq!(cached.total_mbps, uncached.total_mbps);
-                assert_eq!(cached.mean_dof, uncached.mean_dof);
-            }
-        }
-    }
-}
-
 /// Determinism: identical seeds produce identical results.
 #[test]
 fn simulation_is_deterministic() {
@@ -301,12 +269,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The parallel sweep engine's determinism contract (DESIGN.md §4):
-    /// for any generated scenario, `sweep_parallel` at 1, 2 and 4
-    /// threads produces statistics **bit-for-bit identical** to the
-    /// serial `sweep` — same seed-derived RNG streams per job, results
-    /// merged in seed order, no tolerance anywhere.
+    /// for any generated scenario, a `SweepSpec` at 1, 2 and 4 threads
+    /// produces statistics **bit-for-bit identical** to the serial
+    /// sweep — same seed-derived RNG streams per job, results merged in
+    /// seed order, no tolerance anywhere.
     #[test]
-    fn sweep_parallel_is_bitwise_deterministic(gen_seed in 0u64..1000, family in 0u8..3) {
+    fn sweep_threads_are_bitwise_deterministic(gen_seed in 0u64..1000, family in 0u8..3) {
         let mut generator = ScenarioGenerator::new(gen_seed);
         // Small instances of three families — the proptest runs on every
         // `cargo test`, so keep each case to a few simulated rounds.
@@ -317,11 +285,18 @@ proptest! {
         };
         let testbed = Testbed::fitting(scenario.antennas.len());
         let cfg = SimConfig { rounds: 2, ..SimConfig::default() };
-        let protocols = [Protocol::NPlus, Protocol::Dot11n];
-        let seeds: Vec<u64> = (gen_seed..gen_seed + 2).collect();
-        let serial = sweep(&testbed, &scenario, &cfg, &protocols, &seeds);
+        let spec = |threads: usize| {
+            SweepSpec::new(scenario.clone())
+                .testbed(testbed.clone())
+                .config(cfg.clone())
+                .protocols(&[Protocol::NPlus, Protocol::Dot11n])
+                .seeds(gen_seed..gen_seed + 2)
+                .threads(threads)
+                .run()
+        };
+        let serial = spec(1);
         for threads in [1usize, 2, 4] {
-            let par = sweep_parallel(&testbed, &scenario, &cfg, &protocols, &seeds, threads);
+            let par = spec(threads);
             proptest::prop_assert_eq!(serial.len(), par.len());
             for (s, p) in serial.iter().zip(&par) {
                 proptest::prop_assert_eq!(&s.policy, &p.policy);
@@ -340,16 +315,14 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The engine's two determinism contracts hold in **every**
-    /// registered propagation environment, not just the paper's world:
-    /// for any generated scenario, (a) the channel cache is invisible —
-    /// sweep statistics are bit-for-bit identical with `cache_channels`
-    /// on and off — and (b) `sweep_parallel` at 2 threads equals the
-    /// serial sweep exactly. Worlds whose believed-channel draws differ
-    /// (degraded hardware) or whose fading is deeper (rich scatter)
-    /// must not perturb either contract.
+    /// The engine's thread-count determinism contract holds in
+    /// **every** registered propagation environment, not just the
+    /// paper's world: for any generated scenario, a sweep at 2 threads
+    /// equals the serial sweep exactly. Worlds whose believed-channel
+    /// draws differ (degraded hardware) or whose fading is deeper (rich
+    /// scatter) must not perturb the contract.
     #[test]
-    fn environments_preserve_cache_and_thread_determinism(gen_seed in 0u64..1000, family in 0u8..3) {
+    fn environments_preserve_thread_determinism(gen_seed in 0u64..1000, family in 0u8..3) {
         let mut generator = ScenarioGenerator::new(gen_seed);
         let scenario = match family {
             0 => generator.n_pairs(2),
@@ -357,10 +330,9 @@ proptest! {
             _ => generator.asymmetric_antenna(2),
         };
         for name in BUILTIN_ENVIRONMENT_NAMES {
-            let run = |cache: bool, threads: usize| {
-                let cfg = SimConfig { rounds: 2, cache_channels: cache, ..SimConfig::default() };
+            let run = |threads: usize| {
                 SweepSpec::new(scenario.clone())
-                    .config(cfg)
+                    .rounds(2)
                     .environment_named(name)
                     .expect("builtin environment")
                     .seeds(gen_seed..gen_seed + 2)
@@ -368,15 +340,13 @@ proptest! {
                     .threads(threads)
                     .run()
             };
-            let base = run(true, 1);
-            for (context, other) in [("cache off", run(false, 1)), ("2 threads", run(true, 2))] {
-                for (a, b) in base.iter().zip(&other) {
-                    proptest::prop_assert_eq!(a.mean_total_mbps, b.mean_total_mbps, "{} ({})", name, context);
-                    proptest::prop_assert_eq!(&a.mean_per_flow_mbps, &b.mean_per_flow_mbps, "{} ({})", name, context);
-                    proptest::prop_assert_eq!(a.mean_dof, b.mean_dof, "{} ({})", name, context);
-                    proptest::prop_assert_eq!(a.ci95_total_mbps, b.ci95_total_mbps, "{} ({})", name, context);
-                    proptest::prop_assert_eq!(a.mean_fairness.to_bits(), b.mean_fairness.to_bits(), "{} ({})", name, context);
-                }
+            let (base, threaded) = (run(1), run(2));
+            for (a, b) in base.iter().zip(&threaded) {
+                proptest::prop_assert_eq!(a.mean_total_mbps, b.mean_total_mbps, "{}", name);
+                proptest::prop_assert_eq!(&a.mean_per_flow_mbps, &b.mean_per_flow_mbps, "{}", name);
+                proptest::prop_assert_eq!(a.mean_dof, b.mean_dof, "{}", name);
+                proptest::prop_assert_eq!(a.ci95_total_mbps, b.ci95_total_mbps, "{}", name);
+                proptest::prop_assert_eq!(a.mean_fairness.to_bits(), b.mean_fairness.to_bits(), "{}", name);
             }
         }
     }
