@@ -1,11 +1,16 @@
-//! The per-run arena contract: after the warm-up rounds have grown the
-//! `Scratch` pools and the round buffers to their high-water marks, a
-//! steady-state round performs **zero** heap allocations. Verified with
-//! a counting global allocator and a round observer that snapshots the
-//! allocation counter at every round boundary.
+//! Allocation contracts of an engine run, verified with a counting
+//! global allocator and round observers that snapshot the allocation
+//! counter at run start and at every round boundary:
 //!
-//! This file holds exactly one `#[test]` so no concurrent test can
-//! pollute the global counter.
+//! * the per-run arena: after the warm-up rounds have grown the
+//!   `Scratch` pools and the round buffers to their high-water marks, a
+//!   steady-state round performs **zero** heap allocations;
+//! * copy-on-write channel tables: a waypoint-mobility run's set-up
+//!   shares the engine's tables instead of copying them, so it
+//!   allocates per *moved* link, not per link.
+//!
+//! The counter is per thread and each run stays on its test's thread,
+//! so tests running concurrently cannot pollute each other's counts.
 //!
 //! This is the **only** file in the workspace allowed to use `unsafe`
 //! (a `GlobalAlloc` impl cannot be written without it): the workspace
@@ -13,32 +18,55 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use nplus::observer::{RoundObserver, RoundRecord};
-use nplus::sim::{Protocol, SimConfig, SimEngine};
+use nplus::observer::{RoundObserver, RoundRecord, RunMeta};
+use nplus::sim::{MobilityModel, Protocol, SimConfig, SimEngine};
+use nplus_channel::environment::{ChannelEnvironment, MULTI_CELL};
 use nplus_channel::placement::Testbed;
-use nplus_medium::topology::{build_topology, TopologyConfig};
+use nplus_medium::topology::{build_environment_topology, build_topology, TopologyConfig};
+use nplus_medium::ChannelCache;
+use nplus_phy::params::occupied_subcarrier_indices;
 use nplus_testkit::generator::ScenarioGenerator;
+use nplus_testkit::parse_spec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Counts every `alloc`/`realloc` call (deallocations are free to
-/// remain — the arena claim is about *acquiring* memory per round).
+/// Counts every `alloc`/`realloc` call of the calling thread
+/// (deallocations are free to remain — the contracts are about
+/// *acquiring* memory).
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and drop-free, so touching it never allocates.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_call() {
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocation calls made so far by the current thread.
+fn alloc_calls() -> u64 {
+    ALLOC_CALLS.with(Cell::get)
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// so `System`'s guarantees carry over; counting touches only a
+// thread-local integer and never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
+        // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -46,16 +74,29 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Snapshots the global allocation counter at every round end, into
-/// storage preallocated before the run (so the ledger itself never
-/// allocates mid-run).
+/// Snapshots the allocation counter at run start and at every round
+/// end, into storage preallocated before the run (so the ledger itself
+/// never allocates mid-run).
 struct AllocLedger {
+    start: u64,
     counts: Vec<u64>,
 }
 
+impl AllocLedger {
+    fn with_rounds(rounds: usize) -> Self {
+        AllocLedger {
+            start: 0,
+            counts: Vec::with_capacity(rounds + 1),
+        }
+    }
+}
+
 impl RoundObserver for AllocLedger {
+    fn on_run_start(&mut self, _meta: &RunMeta) {
+        self.start = alloc_calls();
+    }
     fn on_round_end(&mut self, _ev: &RoundRecord) {
-        self.counts.push(ALLOC_CALLS.load(Ordering::Relaxed));
+        self.counts.push(alloc_calls());
     }
 }
 
@@ -86,9 +127,7 @@ fn steady_state_rounds_allocate_nothing() {
     );
     let engine = SimEngine::new(&topo, &scenario, &cfg);
 
-    let mut ledger = AllocLedger {
-        counts: Vec::with_capacity(ROUNDS + 1),
-    };
+    let mut ledger = AllocLedger::with_rounds(ROUNDS);
     let mut rng = StdRng::seed_from_u64(11);
     let result = engine.run_observed(Protocol::NPlus.policy(), &mut rng, &mut ledger);
     assert!(result.total_mbps.is_finite());
@@ -106,4 +145,67 @@ fn steady_state_rounds_allocate_nothing() {
             round,
         );
     }
+}
+
+/// A waypoint-mobility run starts from a copy-on-write clone of the
+/// engine's channel cache, so its set-up allocates per moved link, not
+/// per link (a deep copy of the tables costs ~100 allocations per
+/// link). No node moves in round 0 and the walk draws nothing there, so
+/// up to the first round end a mobility run does exactly the work of
+/// the same run without mobility, plus the mobility set-up. Round 0
+/// itself allocates while the pools grow, so the bound applies to the
+/// mobility run's excess over the static run: below a quarter of an
+/// allocation per cached link.
+#[test]
+fn mobility_setup_allocates_per_moved_link_not_per_link() {
+    const NODES: usize = 256;
+    let parsed = parse_spec(
+        &format!("load:poisson:1.5/city:{NODES}"),
+        MULTI_CELL.capacity(),
+    )
+    .expect("city spec parses");
+    let scenario = parsed.scenario;
+    let still = SimConfig {
+        rounds: 4,
+        traffic: parsed.traffic.expect("load prefix carries a traffic model"),
+        ..SimConfig::default()
+    };
+    let moving = SimConfig {
+        mobility: MobilityModel::Waypoint {
+            step_m: 2.0,
+            epoch_rounds: 3,
+        },
+        ..still.clone()
+    };
+    let testbed = MULTI_CELL.testbed(NODES).expect("city fits the map");
+    let mut rng = StdRng::seed_from_u64(1);
+    let topo = build_environment_topology(
+        &MULTI_CELL,
+        &testbed,
+        &scenario.antennas,
+        still.ofdm.bandwidth_hz,
+        1,
+        &mut rng,
+    )
+    .expect("city topology builds");
+    let n_links =
+        ChannelCache::build(&topo, &occupied_subcarrier_indices(), still.ofdm.fft_len).n_links();
+    assert!(n_links >= 1000, "city world too sparse: {n_links} links");
+
+    // Allocations from run start to the first round end.
+    let first_round = |cfg: &SimConfig| {
+        let engine = SimEngine::new(&topo, &scenario, cfg);
+        let mut ledger = AllocLedger::with_rounds(cfg.rounds);
+        let mut rng = StdRng::seed_from_u64(11);
+        let result = engine.run_observed(Protocol::NPlus.policy(), &mut rng, &mut ledger);
+        assert!(result.total_mbps.is_finite());
+        ledger.counts[0] - ledger.start
+    };
+    let (static_allocs, mobility_allocs) = (first_round(&still), first_round(&moving));
+    let setup = mobility_allocs.saturating_sub(static_allocs);
+    assert!(
+        setup < (n_links / 4) as u64,
+        "mobility set-up allocated {setup} times for {n_links} cached links \
+         ({mobility_allocs} vs {static_allocs} without mobility)"
+    );
 }

@@ -111,6 +111,15 @@ impl MimoLink {
         &self.fading[rx][tx]
     }
 
+    /// The longest FIR among the antenna pairs (at least 1).
+    pub fn max_taps(&self) -> usize {
+        self.fading
+            .iter()
+            .flat_map(|row| row.iter().map(|f| f.taps.len()))
+            .max()
+            .unwrap_or(1)
+    }
+
     /// The `N_rx × M_tx` channel matrix at FFT bin `k` of an `n_fft` grid
     /// (the `H` of the paper's Eqs. 5–7), including large-scale amplitude.
     pub fn channel_matrix(&self, k: usize, n_fft: usize) -> CMatrix {
@@ -138,12 +147,7 @@ impl MimoLink {
     pub fn apply(&self, tx_streams: &[Vec<Complex64>]) -> Vec<Vec<Complex64>> {
         assert_eq!(tx_streams.len(), self.n_tx, "apply: stream count mismatch");
         let in_len = tx_streams.first().map_or(0, |s| s.len());
-        let max_taps = self
-            .fading
-            .iter()
-            .flat_map(|row| row.iter().map(|f| f.taps.len()))
-            .max()
-            .unwrap_or(1);
+        let max_taps = self.max_taps();
         let out_len = if in_len == 0 {
             0
         } else {

@@ -1731,7 +1731,8 @@ fn poisson_draw(mean: f64, rng: &mut StdRng) -> u64 {
 struct MobilityState {
     /// The run's working cache: the engine's as-built tables rescaled
     /// to the current positions. The engine reads every channel from
-    /// here.
+    /// here. A copy-on-write clone: it shares the engine's tables and
+    /// owns only those of links incident to a node that has moved.
     cache: ChannelCache,
     /// As-built node positions (the factor's `d0` anchor).
     origin: Vec<Point>,
@@ -2306,6 +2307,51 @@ mod tests {
             .run_policy(&NPlus, &mut StdRng::seed_from_u64(6));
         assert_eq!(moved.per_flow_mbps, moved_again.per_flow_mbps);
         assert_eq!(moved.total_mbps.to_bits(), moved_again.total_mbps.to_bits());
+    }
+
+    /// A mobility run rescales a copy-on-write clone of the engine's
+    /// cache: afterwards the engine's own tables still equal a fresh
+    /// build bit for bit, and a second run on the same engine
+    /// reproduces the first.
+    #[test]
+    fn mobility_runs_leave_the_engine_cache_untouched() {
+        let scenario = Scenario::three_pairs();
+        let topo = three_pairs_topo(13);
+        let cfg = SimConfig {
+            rounds: 10,
+            mobility: MobilityModel::Waypoint {
+                step_m: 8.0,
+                epoch_rounds: 2,
+            },
+            ..SimConfig::default()
+        };
+        let engine = SimEngine::new(&topo, &scenario, &cfg);
+        let first = engine.run_policy(&NPlus, &mut StdRng::seed_from_u64(6));
+        let fresh = ChannelCache::build(&topo, &engine.occ, cfg.ofdm.fft_len);
+        let keys: Vec<_> = fresh.links().collect();
+        assert_eq!(engine.cache.links().collect::<Vec<_>>(), keys);
+        for (f, t) in keys {
+            let (a, b) = (
+                engine.cache.table(f, t).unwrap(),
+                fresh.table(f, t).unwrap(),
+            );
+            for (ma, mb) in a.matrices().iter().zip(b.matrices()) {
+                assert_eq!(ma.shape(), mb.shape());
+                for i in 0..ma.rows() {
+                    let bits = |m: &CMatrixSoA| {
+                        m.row_re(i)
+                            .iter()
+                            .chain(m.row_im(i))
+                            .map(|x| x.to_bits())
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(ma), bits(mb), "link {f}->{t} row {i}");
+                }
+            }
+        }
+        let second = engine.run_policy(&NPlus, &mut StdRng::seed_from_u64(6));
+        assert_eq!(first.per_flow_mbps, second.per_flow_mbps);
+        assert_eq!(first.total_mbps.to_bits(), second.total_mbps.to_bits());
     }
 
     /// In a sparse city world an absent link is a typed miss, not a

@@ -177,19 +177,6 @@ impl CMatrixSoA {
         self.im.extend_from_slice(&src.im);
     }
 
-    /// Reuses `self`'s buffers to become a split-storage copy of the
-    /// interleaved `src` (exact value copy).
-    pub fn assign_from_aos(&mut self, src: &CMatrix) {
-        self.rows = src.rows();
-        self.cols = src.cols();
-        self.re.clear();
-        self.im.clear();
-        for z in src.as_slice() {
-            self.re.push(z.re);
-            self.im.push(z.im);
-        }
-    }
-
     /// Appends the rows of `other` below `self` (in-place `vstack`).
     /// An empty `self` (zero rows) adopts `other`'s column count.
     pub fn append_rows(&mut self, other: &CMatrixSoA) {

@@ -12,24 +12,33 @@
 //! from the caller's RNG on every lookup, so seeded simulations stay
 //! bit-for-bit identical with and without the cache.
 //!
+//! A build evaluates the DFT twiddles once ([`Twiddles`], sized to the
+//! longest FIR in the topology) and every link reads the prefix it
+//! needs. Tables are held behind [`Arc`] and are copy-on-write: a
+//! [`Clone`] of the cache shares every table, and
+//! [`ChannelCache::set_table`] swaps in a fresh one for its link without
+//! touching the table other clones still share — so a mobility run's
+//! working copy costs one pointer per link plus the links it rescales.
+//!
 //! Lookups are fallible by design: [`ChannelCache::matrix`] returns
 //! `None` for an absent link instead of panicking, and the engine
 //! treats that as "below the floor" (nothing sensed, nothing
 //! delivered).
 
 use crate::topology::Topology;
-use nplus_channel::freq_table::FreqResponseTable;
+use nplus_channel::freq_table::{FreqResponseTable, Twiddles};
 use nplus_linalg::CMatrixSoA;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Cached per-subcarrier channel matrices for every installed directed
-/// link of a topology.
+/// link of a topology. Cloning shares the tables (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ChannelCache {
     /// One table per installed directed link, keyed by `(from, to)`
     /// node positions. Absent key = link below the environment's floor
-    /// (or the diagonal).
-    tables: HashMap<(usize, usize), FreqResponseTable>,
+    /// (or the diagonal). Shared between clones; never written through.
+    tables: HashMap<(usize, usize), Arc<FreqResponseTable>>,
     /// The table keys in ascending order — [`ChannelCache::links`]
     /// iterates this, never the map, so link walks are deterministic
     /// while lookups stay O(1) on the hash map.
@@ -40,9 +49,10 @@ pub struct ChannelCache {
 
 impl ChannelCache {
     /// Evaluates every installed directed link of `topo` on the given
-    /// FFT `bins` of an `n_fft` grid (one pass over each link's taps).
-    /// Visits the medium's sparse link set directly — cost scales with
-    /// links installed, not nodes squared.
+    /// FFT `bins` of an `n_fft` grid (one pass over each link's taps,
+    /// against one twiddle table shared by all links). Visits the
+    /// medium's sparse link set directly — cost scales with links
+    /// installed, not nodes squared.
     pub fn build(topo: &Topology, bins: &[usize], n_fft: usize) -> Self {
         let n = topo.nodes.len();
         let index: HashMap<_, _> = topo
@@ -51,13 +61,21 @@ impl ChannelCache {
             .enumerate()
             .map(|(i, &id)| (id, i))
             .collect();
+        let n_taps = topo
+            .medium
+            .links()
+            .map(|(_, link)| link.max_taps())
+            .max()
+            .unwrap_or(1);
+        let twiddles = Twiddles::new(bins, n_fft, n_taps);
         let mut tables = HashMap::with_capacity(topo.medium.n_links());
         let mut keys = Vec::with_capacity(topo.medium.n_links());
         for ((from, to), link) in topo.medium.links() {
             let (Some(&fi), Some(&ti)) = (index.get(&from), index.get(&to)) else {
                 continue; // link between nodes outside this topology's list
             };
-            tables.insert((fi, ti), FreqResponseTable::new(link, bins, n_fft));
+            let table = FreqResponseTable::with_twiddles(link, &twiddles);
+            tables.insert((fi, ti), Arc::new(table));
             keys.push((fi, ti));
         }
         // The medium iterates in NodeId order; positions may permute
@@ -74,7 +92,7 @@ impl ChannelCache {
     /// The cached table of the directed link `from → to` (node positions
     /// in the topology's node list), if that link is modeled.
     pub fn table(&self, from: usize, to: usize) -> Option<&FreqResponseTable> {
-        self.tables.get(&(from, to))
+        self.tables.get(&(from, to)).map(|t| &**t)
     }
 
     /// The cached channel matrix of link `from → to` at bin position
@@ -115,9 +133,11 @@ impl ChannelCache {
     /// Replaces (or installs) the table of the directed link
     /// `from → to`. Mobility rescales moved links through this; a
     /// genuinely new key binary-search-inserts into the sorted key
-    /// list, so [`ChannelCache::links`] order survives installs.
+    /// list, so [`ChannelCache::links`] order survives installs. The
+    /// new table goes in behind a fresh [`Arc`]: clones that shared the
+    /// old one keep it unchanged.
     pub fn set_table(&mut self, from: usize, to: usize, table: FreqResponseTable) {
-        if self.tables.insert((from, to), table).is_none() {
+        if self.tables.insert((from, to), Arc::new(table)).is_none() {
             let at = self.keys.partition_point(|&k| k < (from, to));
             self.keys.insert(at, (from, to));
         }
@@ -250,6 +270,38 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         assert_eq!(keys, sorted, "set_table must keep keys sorted");
+    }
+
+    /// Copy-on-write: a clone shares every table, and `set_table` on
+    /// the clone replaces only that link's pointer — the original keeps
+    /// its table bit for bit, and every other link stays shared.
+    #[test]
+    fn set_table_on_a_clone_never_reaches_the_original() {
+        let topo = built();
+        let bins: Vec<usize> = (1..60).step_by(7).collect();
+        let original = ChannelCache::build(&topo, &bins, 64);
+        let mut clone = original.clone();
+        for key in original.links() {
+            assert!(Arc::ptr_eq(&original.tables[&key], &clone.tables[&key]));
+        }
+        let before = original.table(0, 1).unwrap().clone();
+        clone.set_table(0, 1, before.scaled(0.25));
+        assert!(!Arc::ptr_eq(
+            &original.tables[&(0, 1)],
+            &clone.tables[&(0, 1)]
+        ));
+        for key in original.links().filter(|&k| k != (0, 1)) {
+            assert!(
+                Arc::ptr_eq(&original.tables[&key], &clone.tables[&key]),
+                "link {key:?} no longer shared"
+            );
+        }
+        // The original still equals direct evaluation bit for bit.
+        assert_cache_matches_medium(&topo, &original, &bins);
+        assert_ne!(
+            clone.matrix(0, 1, 0).unwrap().get(0, 0),
+            original.matrix(0, 1, 0).unwrap().get(0, 0)
+        );
     }
 
     /// In a floored world the cache stores only what the medium
