@@ -6,8 +6,9 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use nplus::carrier_sense::MultiDimCarrierSense;
+use nplus::policy::NPlus;
 use nplus::precoder::{compute_precoders, OwnReceiver, ProtectedReceiver};
-use nplus::sim::{Protocol, SimConfig, SinrGrid};
+use nplus::sim::{SimConfig, SinrGrid};
 use nplus_linalg::{null_space, CMatrix, CMatrixSoA, CVector, Complex64, Subspace};
 use nplus_phy::convolutional::{encode, viterbi_decode};
 use nplus_phy::fft::{fft_in_place, ifft};
@@ -125,7 +126,7 @@ fn bench_sim_round(c: &mut Criterion) {
         ..SimConfig::default()
     };
     c.bench_function("nplus_round_three_pairs", |b| {
-        b.iter(|| built.run_with(Protocol::NPlus, &cfg, 7))
+        b.iter(|| built.run(&NPlus, &cfg, 7))
     });
     // The decimated SINR tier on the same round (the opt-in fast path).
     let dec_cfg = SimConfig {
@@ -134,7 +135,7 @@ fn bench_sim_round(c: &mut Criterion) {
         ..SimConfig::default()
     };
     c.bench_function("nplus_round_three_pairs_decimated4", |b| {
-        b.iter(|| built.run_with(Protocol::NPlus, &dec_cfg, 7))
+        b.iter(|| built.run(&NPlus, &dec_cfg, 7))
     });
 }
 

@@ -118,7 +118,7 @@ fn ablate_threshold() {
                 l_db,
                 ..SimConfig::default()
             };
-            let r = built.run_policy(policy, &cfg, seed ^ 0xA11);
+            let r = built.run(policy, &cfg, seed ^ 0xA11);
             totals.push(r.total_mbps);
             flow0.push(r.per_flow_mbps[0]);
             dof.push(r.mean_dof);

@@ -10,7 +10,8 @@
 //!
 //! Run with: `cargo run --release --bin fig12_throughput`
 
-use nplus::sim::{Protocol, SimConfig};
+use nplus::policy::{Dot11n, MacPolicy, NPlus};
+use nplus::sim::SimConfig;
 use nplus_bench::support::{mean, print_cdf};
 use nplus_testkit::scenario::three_pairs;
 
@@ -33,8 +34,8 @@ fn main() {
 
     for seed in 0..n_placements {
         let built = three_pairs(seed);
-        for (p, protocol) in [Protocol::Dot11n, Protocol::NPlus].into_iter().enumerate() {
-            let r = built.run_with(protocol, &cfg, seed ^ 0xC0FFEE);
+        for (p, policy) in [&Dot11n as &dyn MacPolicy, &NPlus].into_iter().enumerate() {
+            let r = built.run(policy, &cfg, seed ^ 0xC0FFEE);
             totals[p].push(r.total_mbps);
             for f in 0..3 {
                 flows[p][f].push(r.per_flow_mbps[f]);

@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release --bin fig13_hetero`
 
-use nplus::sim::{Protocol, SimConfig};
+use nplus::sim::{SimConfig, DEFAULT_POLICIES};
 use nplus_bench::support::{mean, print_cdf};
 use nplus_testkit::scenario::ap_downlink;
 
@@ -24,15 +24,15 @@ fn main() {
         rounds: 25,
         ..SimConfig::default()
     };
-    let protocols = [Protocol::Dot11n, Protocol::Beamforming, Protocol::NPlus];
 
     println!("== Fig. 13: AP scenario, {n_placements} random placements ==");
-    // results[protocol][flow or 3=total] -> per-placement Mb/s.
+    // results[policy][flow or 3=total] -> per-placement Mb/s, policies
+    // in DEFAULT_POLICIES order: 802.11n, beamforming, n+.
     let mut results = vec![vec![Vec::new(); 4]; 3];
     for seed in 0..n_placements {
         let built = ap_downlink(seed);
-        for (p, &protocol) in protocols.iter().enumerate() {
-            let r = built.run_with(protocol, &cfg, seed ^ 0xBEEF);
+        for (p, &policy) in DEFAULT_POLICIES.iter().enumerate() {
+            let r = built.run(policy, &cfg, seed ^ 0xBEEF);
             for f in 0..3 {
                 results[p][f].push(r.per_flow_mbps[f]);
             }

@@ -21,7 +21,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use nplus::observer::{RoundObserver, RoundRecord, RunMeta};
-use nplus::sim::{MobilityModel, Protocol, SimConfig, SimEngine};
+use nplus::policy::NPlus;
+use nplus::sim::{MobilityModel, SimConfig, SimEngine};
 use nplus_channel::environment::{ChannelEnvironment, MULTI_CELL};
 use nplus_channel::placement::Testbed;
 use nplus_medium::topology::{build_environment_topology, build_topology, TopologyConfig};
@@ -129,7 +130,7 @@ fn steady_state_rounds_allocate_nothing() {
 
     let mut ledger = AllocLedger::with_rounds(ROUNDS);
     let mut rng = StdRng::seed_from_u64(11);
-    let result = engine.run_observed(Protocol::NPlus.policy(), &mut rng, &mut ledger);
+    let result = engine.run(&NPlus, &mut rng, &mut ledger, None);
     assert!(result.total_mbps.is_finite());
     assert_eq!(ledger.counts.len(), ROUNDS);
 
@@ -197,7 +198,7 @@ fn mobility_setup_allocates_per_moved_link_not_per_link() {
         let engine = SimEngine::new(&topo, &scenario, cfg);
         let mut ledger = AllocLedger::with_rounds(cfg.rounds);
         let mut rng = StdRng::seed_from_u64(11);
-        let result = engine.run_observed(Protocol::NPlus.policy(), &mut rng, &mut ledger);
+        let result = engine.run(&NPlus, &mut rng, &mut ledger, None);
         assert!(result.total_mbps.is_finite());
         ledger.counts[0] - ledger.start
     };

@@ -18,8 +18,8 @@
 //! `replay <inputs>` takes any mix of `.rec` files and directories
 //! (a directory contributes its `*.rec` entries, sorted by name); the
 //! set must form a complete (policy × seed) grid from one sweep.
-//! Prints the sweep table, or the fixed-layout JSON report with
-//! `--json [path]`.
+//! Prints the sweep table, or with `--json [path]` the JSON report the
+//! live `sweep` writes.
 //!
 //! `replay diff a b` exits 0 when the recordings are
 //! bitwise-equivalent, 1 with a one-line first-divergence report

@@ -4,22 +4,49 @@
 //! [`sweep_report_json`] is *the* report layout — the `sweep` bin and
 //! the `replay` bin both call it, which is what makes "replayed stats
 //! are byte-identical to the live `--json` output" checkable with a
-//! plain `diff`. The metrics and time-series forms are derived views
-//! for dashboards: replayed per-run results and per-round series,
-//! labeled with the header's run identity.
+//! plain `diff` — and [`stats_to_json`] is the one statistics
+//! serializer it shares with the `sweep-server` responses. The metrics
+//! and time-series forms are derived views for dashboards: replayed
+//! per-run results and per-round series, labeled with the header's run
+//! identity.
 
-use crate::json::{fmt_f64, json_f64, Json};
+use crate::json::{json_f64, Json};
 use crate::recording::Recording;
 use crate::replay::replay_run;
 use nplus::SweepStats;
 
-/// Renders sweep statistics as the fixed-layout JSON report
-/// (handwritten — the workspace carries no serialization dependency).
-/// Field order and float precision are fixed so serial/parallel and
-/// live/replayed runs can be compared with a plain `diff`; every float
-/// goes through [`fmt_f64`], so no `NaN`/`inf` token can reach the
-/// output. `traffic` and `mobility` take the models' canonical spec
-/// strings (what recordings store verbatim).
+/// Serializes sweep statistics, one object per policy in comparison
+/// order; every undefined float becomes `null`. The `sweep-server`
+/// response and [`sweep_report_json`] both embed this form.
+pub fn stats_to_json(stats: &[SweepStats]) -> Json {
+    Json::Arr(
+        stats
+            .iter()
+            .map(|s| {
+                Json::Obj(vec![
+                    ("policy".to_string(), Json::Str(s.policy.clone())),
+                    ("n_runs".to_string(), Json::Int(s.n_runs as i64)),
+                    ("mean_total_mbps".to_string(), json_f64(s.mean_total_mbps)),
+                    ("ci95_total_mbps".to_string(), json_f64(s.ci95_total_mbps)),
+                    (
+                        "mean_per_flow_mbps".to_string(),
+                        Json::Arr(s.mean_per_flow_mbps.iter().map(|&v| json_f64(v)).collect()),
+                    ),
+                    ("mean_dof".to_string(), json_f64(s.mean_dof)),
+                    ("mean_fairness".to_string(), json_f64(s.mean_fairness)),
+                ])
+            })
+            .collect(),
+    )
+}
+
+/// Renders a sweep's labels and statistics as the JSON report: one
+/// compact line plus a newline. Floats print shortest-round-trip and
+/// strings are escaped, so serial/parallel and live/replayed runs
+/// compare bit for bit with a plain `diff`, and labels read back from
+/// recording headers (any UTF-8) cannot break the document. `traffic`
+/// and `mobility` take the models' canonical spec strings (what
+/// recordings store verbatim).
 pub fn sweep_report_json(
     scenario: &str,
     environment: &str,
@@ -29,30 +56,20 @@ pub fn sweep_report_json(
     rounds: usize,
     stats: &[SweepStats],
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"scenario\": \"{scenario}\",\n"));
-    out.push_str(&format!("  \"environment\": \"{environment}\",\n"));
-    out.push_str(&format!("  \"traffic\": \"{traffic}\",\n"));
-    out.push_str(&format!("  \"mobility\": \"{mobility}\",\n"));
-    out.push_str(&format!("  \"seeds\": {n_seeds},\n"));
-    out.push_str(&format!("  \"rounds\": {rounds},\n"));
-    out.push_str("  \"protocols\": [\n");
-    for (i, s) in stats.iter().enumerate() {
-        let flows: Vec<String> = s.mean_per_flow_mbps.iter().map(|&v| fmt_f64(v)).collect();
-        out.push_str(&format!(
-            "    {{\"protocol\": \"{}\", \"runs\": {}, \"mean_total_mbps\": {}, \"ci95_total_mbps\": {}, \"mean_dof\": {}, \"mean_fairness\": {}, \"mean_per_flow_mbps\": [{}]}}{}\n",
-            s.policy,
-            s.n_runs,
-            fmt_f64(s.mean_total_mbps),
-            fmt_f64(s.ci95_total_mbps),
-            fmt_f64(s.mean_dof),
-            fmt_f64(s.mean_fairness),
-            flows.join(", "),
-            if i + 1 < stats.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
+    let report = Json::Obj(vec![
+        ("scenario".to_string(), Json::Str(scenario.to_string())),
+        (
+            "environment".to_string(),
+            Json::Str(environment.to_string()),
+        ),
+        ("traffic".to_string(), Json::Str(traffic.to_string())),
+        ("mobility".to_string(), Json::Str(mobility.to_string())),
+        ("seeds".to_string(), json_u64(n_seeds)),
+        ("rounds".to_string(), json_u64(rounds as u64)),
+        ("stats".to_string(), stats_to_json(stats)),
+    ]);
+    let mut out = report.to_string_compact();
+    out.push('\n');
     out
 }
 
@@ -246,4 +263,40 @@ pub fn time_series_json(recordings: &[Recording]) -> Json {
         })
         .collect();
     Json::Obj(vec![("series".to_string(), Json::Arr(series))])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::json;
+
+    /// Labels come from recording headers, which accept any UTF-8:
+    /// quotes, backslashes and newlines must be escaped, not pasted
+    /// into the document.
+    #[test]
+    fn sweep_report_escapes_labels() {
+        let stats = [SweepStats {
+            policy: "x\"y".to_string(),
+            n_runs: 2,
+            mean_total_mbps: 12.5,
+            ci95_total_mbps: 0.1,
+            mean_per_flow_mbps: vec![12.5, 0.0],
+            mean_dof: 1.5,
+            mean_fairness: f64::NAN,
+        }];
+        let scenario = "a\"b\\c\n";
+        let text = sweep_report_json(scenario, "sigcomm11", "saturated", "static", 2, 4, &stats);
+        assert!(text.ends_with('\n') && !text[..text.len() - 1].contains('\n'));
+        let doc = json::parse(&text).expect("the report is valid JSON");
+        assert_eq!(doc.get("scenario").and_then(Json::as_str), Some(scenario));
+        assert_eq!(doc.get("seeds").and_then(Json::as_u64), Some(2));
+        assert_eq!(doc.get("rounds").and_then(Json::as_u64), Some(4));
+        let row = &doc.get("stats").and_then(Json::as_array).unwrap()[0];
+        assert_eq!(row.get("policy").and_then(Json::as_str), Some("x\"y"));
+        assert_eq!(
+            row.get("mean_total_mbps").and_then(Json::as_f64),
+            Some(12.5)
+        );
+        assert_eq!(row.get("mean_fairness"), Some(&Json::Null));
+    }
 }

@@ -163,19 +163,6 @@ pub fn json_f64(v: f64) -> Json {
     }
 }
 
-/// One float in the fixed `{:.9}` report layout the sweep/replay JSON
-/// reports use; undefined values (`NaN`/`Inf` — e.g. fairness when no
-/// run had it defined) become `null`, JSON's only honest spelling of
-/// them. The fixed precision is what makes serial/parallel (and
-/// live/replayed) reports comparable with a plain `diff`.
-pub fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.9}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {

@@ -24,8 +24,9 @@
 //!   where two recordings diverge — the determinism-debugging view the
 //!   bit-identity suites lack (`replay diff a.rec b.rec`).
 //! * [`export`] renders Prometheus-style metrics and per-run
-//!   time-series JSON, and owns the fixed-layout sweep report the
-//!   `sweep` and `replay` bins share.
+//!   time-series JSON, and owns the sweep JSON report the `sweep` and
+//!   `replay` bins share (and its statistics serializer, shared with
+//!   `nplus-server`).
 //!
 //! Recordings are untrusted input: every decode path returns a typed
 //! [`DecodeError`] — truncation, corruption, bad magic, a future

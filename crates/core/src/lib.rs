@@ -82,9 +82,8 @@ pub use precoder::{
     OwnReceiver, OwnReceiverRef, PrecoderError, Precoding, ProtectedReceiver, ProtectedReceiverRef,
 };
 pub use sim::{
-    aggregate_results, simulate, simulate_policy, CanonicalSpec, Flow, MobilityModel, Protocol,
-    RunResult, Scenario, SeedResults, SimConfig, SimEngine, SweepError, SweepJob, SweepSpec,
-    SweepStats, TrafficModel,
+    aggregate_results, CanonicalSpec, Flow, MobilityModel, RunResult, Scenario, SeedResults,
+    SimConfig, SimEngine, SweepError, SweepSpec, SweepStats, TrafficModel,
 };
 
 /// One-import surface for simulation users: the builder facade, the
@@ -97,7 +96,8 @@ pub use sim::{
 /// let stats = SweepSpec::new(Scenario::three_pairs())
 ///     .rounds(3)
 ///     .seed_count(2)
-///     .protocols(&[Protocol::Dot11n, Protocol::NPlus])
+///     .policy(Dot11n)
+///     .policy(NPlus)
 ///     .run();
 /// assert!(stats[1].mean_total_mbps > 0.0);
 /// ```
@@ -111,9 +111,8 @@ pub mod prelude {
         BUILTIN_POLICY_NAMES,
     };
     pub use crate::sim::{
-        aggregate_results, simulate, simulate_policy, CanonicalSpec, Flow, MobilityModel, Protocol,
-        RunResult, Scenario, SeedResults, SimConfig, SimEngine, SweepError, SweepJob, SweepSpec,
-        SweepStats, TrafficModel,
+        aggregate_results, CanonicalSpec, Flow, MobilityModel, RunResult, Scenario, SeedResults,
+        SimConfig, SimEngine, SweepError, SweepSpec, SweepStats, TrafficModel,
     };
     pub use nplus_channel::environment::{
         environment_from_name, ChannelEnvironment, DegradedHardware, EnvironmentError, MultiCell,

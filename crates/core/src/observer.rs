@@ -19,9 +19,10 @@ use nplus_phy::rates::RateIndex;
 /// file the stream it is watching (the recording codec above all).
 ///
 /// Delivered through [`RunMeta::identity`] by the sweep layer
-/// ([`SweepJob::run_observed`](crate::sim::SweepJob::run_observed));
-/// plain engine calls carry `None` because a bare engine has no sweep
-/// context.
+/// ([`SweepSpec::try_run_seed_observed`](
+/// crate::sim::SweepSpec::try_run_seed_observed)); a hand-built
+/// [`SimEngine::run`](crate::sim::SimEngine::run) usually passes `None`
+/// because a bare engine has no sweep context.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunIdentity {
     /// The job's topology/run seed.
@@ -49,7 +50,7 @@ pub struct RunMeta<'a> {
     /// into seconds (and hence bits into Mb/s).
     pub bandwidth_hz: f64,
     /// Which sweep job this run belongs to, when the caller supplied
-    /// one (`None` for plain `run`/`run_observed` engine calls).
+    /// one (usually `None` for hand-built engine runs).
     pub identity: Option<RunIdentity>,
 }
 
@@ -148,9 +149,9 @@ pub struct NullObserver;
 impl RoundObserver for NullObserver {}
 
 /// The engine's goodput/DoF accounting as an observer: folds
-/// [`RoundRecord`]s into a [`RunResult`] exactly as the enum-era
-/// accumulators did (same operations in the same order, so results are
-/// bit-for-bit identical).
+/// [`RoundRecord`]s into a [`RunResult`] exactly as the engine's
+/// original inline accumulators did (same operations in the same order,
+/// so results are bit-for-bit identical).
 #[derive(Debug, Clone, Default)]
 pub struct GoodputAccumulator {
     bits: Vec<f64>,

@@ -1,10 +1,10 @@
-//! The three enum-era protocols and the greedy-join ablation as
+//! The paper's three protocols and the greedy-join ablation as
 //! [`MacPolicy`] implementations.
 //!
 //! `NPlus`, `Dot11n` and `Beamforming` are the exact behaviours the
-//! former `Protocol` match arms hard-coded into the engine; the
-//! `policy_regression` integration suite pins their results bit-for-bit
-//! against values recorded from the enum-era implementation.
+//! engine once hard-coded per protocol; the `policy_regression`
+//! integration suite pins their results bit-for-bit against values
+//! recorded from that implementation.
 
 use super::{AllocScratch, MacPolicy, PolicyView};
 

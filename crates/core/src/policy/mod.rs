@@ -8,14 +8,13 @@
 //! winners may join mid-round, whether joiners run §4 power control, how
 //! per-stream rates are picked, and whether the medium is accessed by
 //! random contention at all (the omniscient scheduler flips that last
-//! switch). The former `Protocol` enum's three match arms live on as the
-//! [`NPlus`], [`Dot11n`] and [`Beamforming`] implementations — bit-for-
-//! bit identical to the enum-era results at every seed — and the enum
-//! itself survives as a thin constructor
-//! ([`Protocol::policy`](crate::sim::Protocol::policy)).
+//! switch). The paper's three protocols are the [`NPlus`], [`Dot11n`]
+//! and [`Beamforming`] implementations, bit-for-bit identical to the
+//! engine's original hard-coded behaviour at every seed. A policy is
+//! named either as a `&dyn MacPolicy` or by its registry name
+//! ([`policy_from_name`]).
 //!
-//! Two policies the closed enum could not express ship alongside the
-//! baselines:
+//! Two more policies ship alongside the baselines:
 //!
 //! * [`Oracle`] — the paper's §6.3 upper bound: a central scheduler with
 //!   perfect channel knowledge that exhaustively tries every primary

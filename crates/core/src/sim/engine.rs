@@ -21,13 +21,12 @@
 //! from.
 
 use super::{
-    MobilityModel, Protocol, RunResult, Scenario, SimConfig, SinrGrid, TrafficModel,
-    BURST_ARRIVALS_PER_ROUND,
+    MobilityModel, RunResult, Scenario, SimConfig, SinrGrid, TrafficModel, BURST_ARRIVALS_PER_ROUND,
 };
 use crate::link::{zf_sinr_slices, zf_sinr_slices_into, ZfWorkspace};
 use crate::observer::{
-    ContentionKind, ContentionRecord, GoodputAccumulator, JoinRecord, NullObserver, RoundObserver,
-    RoundRecord, RunIdentity, RunMeta, StreamRecord, Tee,
+    ContentionKind, ContentionRecord, GoodputAccumulator, JoinRecord, RoundObserver, RoundRecord,
+    RunIdentity, RunMeta, StreamRecord, Tee,
 };
 use crate::policy::{AllocScratch, MacPolicy, PolicyView};
 use crate::power_control::{
@@ -179,9 +178,9 @@ struct Scratch {
     zf_ws: ZfWorkspace,
 }
 
-/// Round-lifetime pools owned by [`SimEngine::run_observed`]: the stream
-/// and receiver-state lists the enum-era engine allocated fresh each
-/// round, plus the contention, allocation and settlement buffers.
+/// Round-lifetime pools owned by [`SimEngine::run`]: the stream and
+/// receiver-state lists plus the contention, allocation and settlement
+/// buffers, reused across rounds instead of allocated fresh each round.
 #[derive(Default)]
 struct RoundBufs {
     protected: VecPool<ReceiverState>,
@@ -363,12 +362,10 @@ fn handshake_symbols(cfg: &SimConfig, streams_per_rx: &[usize], blob_bytes: usiz
 ///
 /// Construction precomputes everything that is invariant across rounds
 /// and policies: occupied subcarriers, the transmitter list, per-node
-/// flow lists, and (by default) the [`ChannelCache`] of every link's
-/// per-subcarrier frequency responses. One engine can then
-/// [`run_policy`](SimEngine::run_policy) any number of policies/seeds
-/// against the same topology without re-evaluating channel taps;
-/// [`run`](SimEngine::run) is the enum-era entry point kept for
-/// backward compatibility.
+/// flow lists, and the [`ChannelCache`] of every link's per-subcarrier
+/// frequency responses. One engine can then [`run`](SimEngine::run) any
+/// number of policies/seeds against the same topology without
+/// re-evaluating channel taps.
 pub struct SimEngine<'a> {
     topo: &'a Topology,
     scenario: &'a Scenario,
@@ -993,42 +990,20 @@ impl<'a> SimEngine<'a> {
         }
     }
 
-    /// Simulates `cfg.rounds` rounds of the given protocol and returns
-    /// the per-flow goodput. Engines are reusable: each call starts a
-    /// fresh accounting with the caller's RNG. Thin wrapper over
-    /// [`run_policy`](SimEngine::run_policy) via [`Protocol::policy`],
-    /// bit-for-bit identical to the enum-era engine.
-    pub fn run(&self, protocol: Protocol, rng: &mut StdRng) -> RunResult {
-        self.run_policy(protocol.policy(), rng)
-    }
-
-    /// Simulates `cfg.rounds` rounds of the given policy and returns the
-    /// per-flow goodput.
-    pub fn run_policy(&self, policy: &dyn MacPolicy, rng: &mut StdRng) -> RunResult {
-        self.run_observed(policy, rng, &mut NullObserver)
-    }
-
-    /// [`run_policy`](SimEngine::run_policy) with an event tap: every
-    /// contention outcome, join attempt and end-of-round settlement is
-    /// narrated to `observer` — the exact stream the returned
-    /// [`RunResult`] is accumulated from (the `observer_contract` suite
-    /// asserts the reconstruction is bitwise exact).
-    pub fn run_observed(
-        &self,
-        policy: &dyn MacPolicy,
-        rng: &mut StdRng,
-        observer: &mut dyn RoundObserver,
-    ) -> RunResult {
-        self.run_identified(policy, rng, observer, None)
-    }
-
-    /// [`run_observed`](SimEngine::run_observed) with a caller-supplied
-    /// [`RunIdentity`] delivered through [`RunMeta`] — how the sweep
-    /// layer labels each job's stream (seed, environment name,
-    /// canonical key) for observers that persist what they watch. The
-    /// identity rides along unread by the engine; results are
-    /// bit-for-bit those of [`run_observed`](SimEngine::run_observed).
-    pub fn run_identified(
+    /// Simulates `cfg.rounds` rounds of `policy` and returns the per-flow
+    /// goodput. Engines are reusable: each call starts a fresh
+    /// accounting with the caller's RNG.
+    ///
+    /// Every contention outcome, join attempt and end-of-round
+    /// settlement is narrated to `observer` — the exact stream the
+    /// returned [`RunResult`] is accumulated from (the
+    /// `observer_contract` suite asserts the reconstruction is bitwise
+    /// exact); pass [`NullObserver`](crate::observer::NullObserver) when
+    /// nobody listens. `identity` is delivered unread through
+    /// [`RunMeta`] — how the sweep layer labels each run's stream (seed,
+    /// environment name, canonical key) for observers that persist what
+    /// they watch.
+    pub fn run(
         &self,
         policy: &dyn MacPolicy,
         rng: &mut StdRng,
@@ -1193,10 +1168,10 @@ impl<'a> SimEngine<'a> {
 
     /// One random-access round: primary CSMA contention, the winner's
     /// policy-chosen allocation, optional secondary-contention joins,
-    /// settlement and airtime accounting. This is the enum-era round
-    /// loop verbatim, with the protocol decisions delegated. `active`
-    /// is the round's backlogged-transmitter set (every transmitter
-    /// under saturated traffic).
+    /// settlement and airtime accounting, with the protocol decisions
+    /// delegated to the policy. `active` is the round's
+    /// backlogged-transmitter set (every transmitter under saturated
+    /// traffic).
     #[allow(clippy::too_many_arguments)]
     fn contended_round(
         &self,
@@ -1809,43 +1784,27 @@ impl MobilityState {
     }
 }
 
-/// Simulates `cfg.rounds` rounds of the given protocol and returns the
-/// per-flow goodput. One-shot wrapper around [`SimEngine`]; batch callers
-/// should build the engine once per topology (or use
-/// [`SweepSpec`](crate::sim::SweepSpec)) so the channel cache is shared
-/// across runs.
-pub fn simulate(
-    topo: &Topology,
-    scenario: &Scenario,
-    protocol: Protocol,
-    cfg: &SimConfig,
-    rng: &mut StdRng,
-) -> RunResult {
-    SimEngine::new(topo, scenario, cfg).run(protocol, rng)
-}
-
-/// [`simulate`] for an arbitrary [`MacPolicy`] — the policy-first entry
-/// point ([`Protocol`] covers only the three enum-era protocols).
-pub fn simulate_policy(
-    topo: &Topology,
-    scenario: &Scenario,
-    policy: &dyn MacPolicy,
-    cfg: &SimConfig,
-    rng: &mut StdRng,
-) -> RunResult {
-    SimEngine::new(topo, scenario, cfg).run_policy(policy, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{GreedyJoin, NPlus, Oracle};
+    use crate::observer::NullObserver;
+    use crate::policy::{Beamforming, Dot11n, GreedyJoin, NPlus, Oracle};
     use nplus_channel::placement::Testbed;
     use nplus_mac::frames::ReceiverEntry;
     use nplus_medium::topology::{build_topology, TopologyConfig};
     use rand::SeedableRng;
 
-    fn run(protocol: Protocol, seed: u64) -> RunResult {
+    /// One unobserved run of `policy` with a fresh RNG seeded by `seed`.
+    fn run_seeded(engine: &SimEngine<'_>, policy: &dyn MacPolicy, seed: u64) -> RunResult {
+        engine.run(
+            policy,
+            &mut StdRng::seed_from_u64(seed),
+            &mut NullObserver,
+            None,
+        )
+    }
+
+    fn run(policy: &dyn MacPolicy, seed: u64) -> RunResult {
         let scenario = Scenario::three_pairs();
         let tb = Testbed::sigcomm11();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1860,7 +1819,7 @@ mod tests {
             rounds: 12,
             ..SimConfig::default()
         };
-        simulate(&topo, &scenario, protocol, &cfg, &mut rng)
+        SimEngine::new(&topo, &scenario, &cfg).run(policy, &mut rng, &mut NullObserver, None)
     }
 
     #[test]
@@ -1868,8 +1827,8 @@ mod tests {
         let mut n_total = 0.0;
         let mut d_total = 0.0;
         for seed in 0..6 {
-            n_total += run(Protocol::NPlus, seed).total_mbps;
-            d_total += run(Protocol::Dot11n, seed).total_mbps;
+            n_total += run(&NPlus, seed).total_mbps;
+            d_total += run(&Dot11n, seed).total_mbps;
         }
         assert!(
             n_total > 1.3 * d_total,
@@ -1884,8 +1843,8 @@ mod tests {
         let mut n_dof = 0.0;
         let mut d_dof = 0.0;
         for seed in 0..4 {
-            n_dof += run(Protocol::NPlus, seed).mean_dof;
-            d_dof += run(Protocol::Dot11n, seed).mean_dof;
+            n_dof += run(&NPlus, seed).mean_dof;
+            d_dof += run(&Dot11n, seed).mean_dof;
         }
         assert!(
             n_dof > d_dof + 0.3 * 4.0,
@@ -1895,10 +1854,14 @@ mod tests {
 
     #[test]
     fn throughput_is_positive_and_finite() {
-        for protocol in [Protocol::NPlus, Protocol::Dot11n] {
-            let r = run(protocol, 42);
+        for policy in [&NPlus as &dyn MacPolicy, &Dot11n] {
+            let r = run(policy, 42);
             assert!(r.total_mbps.is_finite());
-            assert!(r.total_mbps > 0.0, "{protocol:?} produced zero throughput");
+            assert!(
+                r.total_mbps > 0.0,
+                "{} produced zero throughput",
+                policy.name()
+            );
             assert_eq!(r.per_flow_mbps.len(), 3);
         }
     }
@@ -1907,7 +1870,7 @@ mod tests {
     fn ap_downlink_scenario_runs_all_protocols() {
         let scenario = Scenario::ap_downlink();
         let tb = Testbed::sigcomm11();
-        for protocol in [Protocol::NPlus, Protocol::Dot11n, Protocol::Beamforming] {
+        for policy in [&NPlus as &dyn MacPolicy, &Dot11n, &Beamforming] {
             let mut rng = StdRng::seed_from_u64(9);
             let topo = build_topology(
                 &tb,
@@ -1920,8 +1883,13 @@ mod tests {
                 rounds: 8,
                 ..SimConfig::default()
             };
-            let r = simulate(&topo, &scenario, protocol, &cfg, &mut rng);
-            assert!(r.total_mbps > 0.0, "{protocol:?} zero throughput");
+            let r = SimEngine::new(&topo, &scenario, &cfg).run(
+                policy,
+                &mut rng,
+                &mut NullObserver,
+                None,
+            );
+            assert!(r.total_mbps > 0.0, "{} zero throughput", policy.name());
         }
     }
 
@@ -1945,8 +1913,12 @@ mod tests {
                 rounds: 10,
                 ..SimConfig::default()
             };
-            bf += simulate(&topo, &scenario, Protocol::Beamforming, &cfg, &mut rng).total_mbps;
-            dn += simulate(&topo, &scenario, Protocol::Dot11n, &cfg, &mut rng).total_mbps;
+            bf += SimEngine::new(&topo, &scenario, &cfg)
+                .run(&Beamforming, &mut rng, &mut NullObserver, None)
+                .total_mbps;
+            dn += SimEngine::new(&topo, &scenario, &cfg)
+                .run(&Dot11n, &mut rng, &mut NullObserver, None)
+                .total_mbps;
         }
         assert!(bf > dn, "beamforming {bf:.1} vs 802.11n {dn:.1}");
     }
@@ -2058,8 +2030,8 @@ mod tests {
     }
 
     /// The engine is reusable: running twice with identically seeded RNGs
-    /// must reproduce the result, and `simulate` must match `SimEngine`.
-    /// The enum entry point and its policy must agree exactly.
+    /// must reproduce the result, and a fresh engine must match a reused
+    /// one; an observer and an identity only listen.
     #[test]
     fn engine_reuse_is_deterministic() {
         let scenario = Scenario::three_pairs();
@@ -2077,21 +2049,19 @@ mod tests {
             ..SimConfig::default()
         };
         let engine = SimEngine::new(&topo, &scenario, &cfg);
-        let a = engine.run(Protocol::NPlus, &mut StdRng::seed_from_u64(5));
-        let b = engine.run_policy(&NPlus, &mut StdRng::seed_from_u64(5));
-        let c = simulate(
-            &topo,
-            &scenario,
-            Protocol::NPlus,
-            &cfg,
-            &mut StdRng::seed_from_u64(5),
-        );
-        let d = simulate_policy(
-            &topo,
-            &scenario,
+        let a = run_seeded(&engine, &NPlus, 5);
+        let b = run_seeded(&engine, &NPlus, 5);
+        let c = run_seeded(&SimEngine::new(&topo, &scenario, &cfg), &NPlus, 5);
+        let identity = RunIdentity {
+            seed: 21,
+            environment: "sigcomm11".to_string(),
+            canonical_key: None,
+        };
+        let d = engine.run(
             &NPlus,
-            &cfg,
             &mut StdRng::seed_from_u64(5),
+            &mut GoodputAccumulator::new(),
+            Some(identity),
         );
         assert_eq!(a.per_flow_mbps, b.per_flow_mbps);
         assert_eq!(a.per_flow_mbps, c.per_flow_mbps);
@@ -2118,12 +2088,12 @@ mod tests {
             ..SimConfig::default()
         };
         let engine = SimEngine::new(&topo, &scenario, &cfg);
-        let a = engine.run_policy(&Oracle, &mut StdRng::seed_from_u64(1));
-        let b = engine.run_policy(&Oracle, &mut StdRng::seed_from_u64(999));
+        let a = run_seeded(&engine, &Oracle, 1);
+        let b = run_seeded(&engine, &Oracle, 999);
         // Different RNG seeds, identical results: no RNG consumed.
         assert_eq!(a.per_flow_mbps, b.per_flow_mbps);
         assert_eq!(a.mean_dof, b.mean_dof);
-        let np = engine.run_policy(&NPlus, &mut StdRng::seed_from_u64(1));
+        let np = run_seeded(&engine, &NPlus, 1);
         assert!(
             a.total_mbps >= np.total_mbps,
             "oracle {:.2} below n+ {:.2}",
@@ -2151,8 +2121,8 @@ mod tests {
             ..SimConfig::default()
         };
         let engine = SimEngine::new(&topo, &scenario, &cfg);
-        let g = engine.run_policy(&GreedyJoin, &mut StdRng::seed_from_u64(4));
-        let d = engine.run(Protocol::Dot11n, &mut StdRng::seed_from_u64(4));
+        let g = run_seeded(&engine, &GreedyJoin, 4);
+        let d = run_seeded(&engine, &Dot11n, 4);
         assert!(g.total_mbps.is_finite() && g.total_mbps > 0.0);
         assert!(g.mean_dof > d.mean_dof, "greedy join must still join");
     }
@@ -2208,16 +2178,18 @@ mod tests {
             ..SimConfig::default()
         };
         let mut sat = BitsTally::default();
-        SimEngine::new(&topo, &scenario, &sat_cfg).run_observed(
+        SimEngine::new(&topo, &scenario, &sat_cfg).run(
             &NPlus,
             &mut StdRng::seed_from_u64(2),
             &mut sat,
+            None,
         );
         let mut poi = BitsTally::default();
-        let a = SimEngine::new(&topo, &scenario, &poi_cfg).run_observed(
+        let a = SimEngine::new(&topo, &scenario, &poi_cfg).run(
             &NPlus,
             &mut StdRng::seed_from_u64(2),
             &mut poi,
+            None,
         );
         assert!(
             poi.total < sat.total,
@@ -2230,8 +2202,12 @@ mod tests {
             "low load must idle rounds"
         );
         // Same seed, same arrivals, same result — bit-for-bit.
-        let b = SimEngine::new(&topo, &scenario, &poi_cfg)
-            .run_policy(&NPlus, &mut StdRng::seed_from_u64(2));
+        let b = SimEngine::new(&topo, &scenario, &poi_cfg).run(
+            &NPlus,
+            &mut StdRng::seed_from_u64(2),
+            &mut NullObserver,
+            None,
+        );
         assert_eq!(a.per_flow_mbps, b.per_flow_mbps);
         assert_eq!(a.total_mbps.to_bits(), b.total_mbps.to_bits());
     }
@@ -2256,16 +2232,18 @@ mod tests {
             ..SimConfig::default()
         };
         let mut sat = BitsTally::default();
-        SimEngine::new(&topo, &scenario, &sat_cfg).run_observed(
+        SimEngine::new(&topo, &scenario, &sat_cfg).run(
             &NPlus,
             &mut StdRng::seed_from_u64(9),
             &mut sat,
+            None,
         );
         let mut bur = BitsTally::default();
-        let r = SimEngine::new(&topo, &scenario, &bur_cfg).run_observed(
+        let r = SimEngine::new(&topo, &scenario, &bur_cfg).run(
             &NPlus,
             &mut StdRng::seed_from_u64(9),
             &mut bur,
+            None,
         );
         assert!(r.total_mbps.is_finite());
         assert!(
@@ -2295,16 +2273,28 @@ mod tests {
             },
             ..SimConfig::default()
         };
-        let still = SimEngine::new(&topo, &scenario, &still_cfg)
-            .run_policy(&NPlus, &mut StdRng::seed_from_u64(6));
-        let moved = SimEngine::new(&topo, &scenario, &move_cfg)
-            .run_policy(&NPlus, &mut StdRng::seed_from_u64(6));
+        let still = SimEngine::new(&topo, &scenario, &still_cfg).run(
+            &NPlus,
+            &mut StdRng::seed_from_u64(6),
+            &mut NullObserver,
+            None,
+        );
+        let moved = SimEngine::new(&topo, &scenario, &move_cfg).run(
+            &NPlus,
+            &mut StdRng::seed_from_u64(6),
+            &mut NullObserver,
+            None,
+        );
         assert_ne!(
             still.per_flow_mbps, moved.per_flow_mbps,
             "8 m steps every 2 rounds left every flow untouched"
         );
-        let moved_again = SimEngine::new(&topo, &scenario, &move_cfg)
-            .run_policy(&NPlus, &mut StdRng::seed_from_u64(6));
+        let moved_again = SimEngine::new(&topo, &scenario, &move_cfg).run(
+            &NPlus,
+            &mut StdRng::seed_from_u64(6),
+            &mut NullObserver,
+            None,
+        );
         assert_eq!(moved.per_flow_mbps, moved_again.per_flow_mbps);
         assert_eq!(moved.total_mbps.to_bits(), moved_again.total_mbps.to_bits());
     }
@@ -2326,7 +2316,7 @@ mod tests {
             ..SimConfig::default()
         };
         let engine = SimEngine::new(&topo, &scenario, &cfg);
-        let first = engine.run_policy(&NPlus, &mut StdRng::seed_from_u64(6));
+        let first = run_seeded(&engine, &NPlus, 6);
         let fresh = ChannelCache::build(&topo, &engine.occ, cfg.ofdm.fft_len);
         let keys: Vec<_> = fresh.links().collect();
         assert_eq!(engine.cache.links().collect::<Vec<_>>(), keys);
@@ -2349,7 +2339,7 @@ mod tests {
                 }
             }
         }
-        let second = engine.run_policy(&NPlus, &mut StdRng::seed_from_u64(6));
+        let second = run_seeded(&engine, &NPlus, 6);
         assert_eq!(first.per_flow_mbps, second.per_flow_mbps);
         assert_eq!(first.total_mbps.to_bits(), second.total_mbps.to_bits());
     }
@@ -2388,8 +2378,8 @@ mod tests {
             ..SimConfig::default()
         };
         let engine = SimEngine::new(&topo, &scenario, &cfg);
-        for policy in [&NPlus as &dyn MacPolicy, &crate::policy::Dot11n, &Oracle] {
-            let r = engine.run_policy(policy, &mut StdRng::seed_from_u64(3));
+        for policy in [&NPlus as &dyn MacPolicy, &Dot11n, &Oracle] {
+            let r = run_seeded(&engine, policy, 3);
             assert!(
                 r.per_flow_mbps[0] > 0.0,
                 "{}: in-cell flow starved",
@@ -2443,10 +2433,18 @@ mod tests {
             sinr_grid: SinrGrid::Decimated(4),
             ..full_cfg.clone()
         };
-        let full = SimEngine::new(&topo, &scenario, &full_cfg)
-            .run_policy(&NPlus, &mut StdRng::seed_from_u64(8));
-        let dec = SimEngine::new(&topo, &scenario, &dec_cfg)
-            .run_policy(&NPlus, &mut StdRng::seed_from_u64(8));
+        let full = SimEngine::new(&topo, &scenario, &full_cfg).run(
+            &NPlus,
+            &mut StdRng::seed_from_u64(8),
+            &mut NullObserver,
+            None,
+        );
+        let dec = SimEngine::new(&topo, &scenario, &dec_cfg).run(
+            &NPlus,
+            &mut StdRng::seed_from_u64(8),
+            &mut NullObserver,
+            None,
+        );
         assert!(dec.total_mbps.is_finite() && dec.total_mbps > 0.0);
         let rel = (dec.total_mbps - full.total_mbps).abs() / full.total_mbps;
         assert!(
@@ -2457,8 +2455,12 @@ mod tests {
             rel * 100.0
         );
         // Decimated runs are themselves deterministic.
-        let again = SimEngine::new(&topo, &scenario, &dec_cfg)
-            .run_policy(&NPlus, &mut StdRng::seed_from_u64(8));
+        let again = SimEngine::new(&topo, &scenario, &dec_cfg).run(
+            &NPlus,
+            &mut StdRng::seed_from_u64(8),
+            &mut NullObserver,
+            None,
+        );
         assert_eq!(dec.total_mbps.to_bits(), again.total_mbps.to_bits());
     }
 }

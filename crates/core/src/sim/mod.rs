@@ -19,14 +19,14 @@
 //! * [`SimEngine`] owns the physics and the round
 //!   machinery: channels (cached via `ChannelCache`), precoding, SINR
 //!   settlement, handshake and airtime accounting.
-//! * [`MacPolicy`] implementations make every
+//! * [`MacPolicy`](crate::policy::MacPolicy) implementations make every
 //!   protocol decision. The built-ins — [`NPlus`](crate::policy::NPlus),
 //!   [`Dot11n`](crate::policy::Dot11n),
 //!   [`Beamforming`](crate::policy::Beamforming),
 //!   [`Oracle`](crate::policy::Oracle),
 //!   [`GreedyJoin`](crate::policy::GreedyJoin) — live in
-//!   [`crate::policy`]; [`Protocol`] survives as a thin constructor
-//!   over the first three.
+//!   [`crate::policy`], resolvable by name through
+//!   [`policy_from_name`](crate::policy::policy_from_name).
 //! * [`RoundObserver`](crate::observer::RoundObserver) taps the round
 //!   event stream; the engine's own accounting is the
 //!   [`GoodputAccumulator`](crate::observer::GoodputAccumulator)
@@ -42,19 +42,18 @@
 //!   point: it builds seeded topologies in the chosen environment,
 //!   shares one channel-cached engine per seed across all policies, and
 //!   aggregates mean/CI statistics — serially or on a scoped-thread
-//!   pool with bit-for-bit identical results. [`simulate`] remains as a
-//!   thin one-run wrapper.
+//!   pool with bit-for-bit identical results. A single hand-built run
+//!   is [`SimEngine::new`] plus [`SimEngine::run`].
 
 mod engine;
 mod sweep;
 
-pub use engine::{simulate, simulate_policy, SimEngine, TYPICAL_BLOB_BYTES};
+pub use engine::{SimEngine, TYPICAL_BLOB_BYTES};
 pub use sweep::{
-    aggregate_results, CanonicalSpec, SeedResults, SweepError, SweepJob, SweepSpec, SweepStats,
+    aggregate_results, CanonicalSpec, SeedResults, SweepError, SweepSpec, SweepStats,
     DEFAULT_POLICIES,
 };
 
-use crate::policy::MacPolicy;
 use nplus_channel::impairments::HardwareProfile;
 use nplus_mac::timing::SampleTiming;
 use nplus_phy::params::OfdmConfig;
@@ -174,89 +173,6 @@ impl Scenario {
 /// headroom for synthetic arrays while bounding the matrix sizes a
 /// served request can demand.
 pub const MAX_NODE_ANTENNAS: usize = 8;
-
-/// The three protocols the paper compares head to head.
-///
-/// Since the [`MacPolicy`] redesign this enum
-/// is a thin constructor kept for backward compatibility: each variant
-/// maps to its trait implementation via [`Protocol::policy`], and the
-/// results are bit-for-bit identical to the enum-era engine at every
-/// seed (pinned by the `policy_regression` suite). New policies —
-/// [`Oracle`](crate::policy::Oracle),
-/// [`GreedyJoin`](crate::policy::GreedyJoin), or your own — skip the
-/// enum entirely and plug into [`simulate_policy`], [`SweepSpec`] or
-/// [`SimEngine::run_policy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Protocol {
-    /// The paper's contribution.
-    NPlus,
-    /// Baseline: stock 802.11n behaviour.
-    Dot11n,
-    /// Baseline: multi-user beamforming (single winner, multi-client).
-    Beamforming,
-}
-
-impl Protocol {
-    /// The policy implementation this protocol names.
-    pub fn policy(self) -> &'static dyn MacPolicy {
-        match self {
-            Protocol::NPlus => &crate::policy::NPlus,
-            Protocol::Dot11n => &crate::policy::Dot11n,
-            Protocol::Beamforming => &crate::policy::Beamforming,
-        }
-    }
-
-    /// The protocol's stable lower-case name (`"nplus"`, `"dot11n"`,
-    /// `"beamforming"`) — identical to its policy's
-    /// [`name`](crate::policy::MacPolicy::name) and what [`FromStr`]
-    /// parses back.
-    pub fn name(self) -> &'static str {
-        match self {
-            Protocol::NPlus => "nplus",
-            Protocol::Dot11n => "dot11n",
-            Protocol::Beamforming => "beamforming",
-        }
-    }
-}
-
-impl fmt::Display for Protocol {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Error parsing a [`Protocol`] name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseProtocolError {
-    name: String,
-}
-
-impl fmt::Display for ParseProtocolError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown protocol {:?} (expected nplus, dot11n or beamforming)",
-            self.name
-        )
-    }
-}
-
-impl std::error::Error for ParseProtocolError {}
-
-impl FromStr for Protocol {
-    type Err = ParseProtocolError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "nplus" => Ok(Protocol::NPlus),
-            "dot11n" => Ok(Protocol::Dot11n),
-            "beamforming" => Ok(Protocol::Beamforming),
-            other => Err(ParseProtocolError {
-                name: other.to_string(),
-            }),
-        }
-    }
-}
 
 /// Per-flow offered-load model.
 ///
@@ -690,18 +606,6 @@ mod tests {
             mean_dof: 1.0,
         };
         assert!((solo.jain_fairness() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn protocol_names_round_trip() {
-        for p in [Protocol::NPlus, Protocol::Dot11n, Protocol::Beamforming] {
-            assert_eq!(p.to_string().parse::<Protocol>(), Ok(p));
-            // The enum name, its Display and its policy's name agree.
-            assert_eq!(p.to_string(), p.name());
-            assert_eq!(p.policy().name(), p.name());
-        }
-        let err = "802.11ax".parse::<Protocol>().unwrap_err();
-        assert!(err.to_string().contains("802.11ax"));
     }
 
     #[test]

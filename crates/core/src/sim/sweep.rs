@@ -14,10 +14,9 @@
 //! panic from a bad spec.
 
 use super::{
-    Flow, MobilityModel, Protocol, RunResult, Scenario, SimConfig, SimEngine, SinrGrid,
-    TrafficModel,
+    Flow, MobilityModel, RunResult, Scenario, SimConfig, SimEngine, SinrGrid, TrafficModel,
 };
-use crate::observer::{RoundObserver, RunIdentity};
+use crate::observer::{NullObserver, RoundObserver, RunIdentity};
 use crate::policy::{policy_from_name, MacPolicy, BUILTIN_POLICY_NAMES};
 use nplus_channel::environment::{
     environment_from_name, ChannelEnvironment, EnvironmentError, BUILTIN_ENVIRONMENT_NAMES,
@@ -33,7 +32,7 @@ use std::fmt;
 #[derive(Debug, Clone)]
 pub struct SweepStats {
     /// Name of the policy these statistics describe (see
-    /// [`MacPolicy::name`]; the enum-era protocols report `"nplus"`,
+    /// [`MacPolicy::name`]; the paper's protocols report `"nplus"`,
     /// `"dot11n"`, `"beamforming"`).
     pub policy: String,
     /// Number of seeded topologies simulated.
@@ -61,7 +60,8 @@ pub struct SweepStats {
 /// Every way a spec can be malformed — a structurally invalid scenario,
 /// a name the registries don't know, a scenario that outsizes its
 /// environment's maps, a spec that cannot be content-addressed — is one
-/// of these variants. Nothing on the [`SweepSpec::try_run`] /
+/// of these variants, and so is a wrong observer count. Nothing on the
+/// [`SweepSpec::try_run`] / [`SweepSpec::try_run_seed_observed`] /
 /// [`CanonicalSpec`] path panics on bad input: front-ends map this type
 /// to a one-line exit-2 (CLI) or an error response (`sweep-server`).
 #[derive(Debug, Clone, PartialEq)]
@@ -446,161 +446,14 @@ fn ci95_half_width(samples: &[f64], mean: f64) -> f64 {
     crit * (var / n as f64).sqrt()
 }
 
-/// One seed-indexed unit of Monte-Carlo sweep work: draw the topology
-/// for `seed`, build one channel-cached [`SimEngine`], and run every
-/// policy against it.
-///
-/// The RNG derivations are the sweep's determinism contract: the
-/// placement stream is seeded by the seed itself, and each policy's
-/// run stream by `seed ^ 0x5EED_CAFE` — both fixed functions of the
-/// job's seed alone, never of execution order. That is what lets
-/// [`SweepSpec`] run jobs on any number of threads and still merge
-/// results bit-for-bit identical to the serial run.
-pub struct SweepJob<'a> {
-    environment: &'a dyn ChannelEnvironment,
-    testbed: &'a Testbed,
-    scenario: &'a Scenario,
-    cfg: &'a SimConfig,
-    policies: &'a [&'a dyn MacPolicy],
-    /// The topology/run seed this job covers.
-    pub seed: u64,
-}
-
-/// The per-seed output of one [`SweepJob`]: one [`RunResult`] per
-/// requested policy, in policy order.
+/// The raw per-seed output of a sweep: one [`RunResult`] per requested
+/// policy, in policy order.
 #[derive(Debug, Clone)]
 pub struct SeedResults {
     /// The seed that produced these results.
     pub seed: u64,
-    /// One result per policy, in the order the job was given.
+    /// One result per policy, in [`SweepSpec::policy_names`] order.
     pub per_policy: Vec<RunResult>,
-}
-
-impl<'a> SweepJob<'a> {
-    /// Builds the job for one seed of a sweep in the paper's default
-    /// indoor world ([`SIGCOMM11_INDOOR`]).
-    pub fn new(
-        testbed: &'a Testbed,
-        scenario: &'a Scenario,
-        cfg: &'a SimConfig,
-        policies: &'a [&'a dyn MacPolicy],
-        seed: u64,
-    ) -> Self {
-        Self::in_environment(&SIGCOMM11_INDOOR, testbed, scenario, cfg, policies, seed)
-    }
-
-    /// Builds the job for one seed of a sweep in an arbitrary
-    /// propagation environment.
-    ///
-    /// The environment's hooks drive only the *topology* draw — the
-    /// engine reads the hardware profile and §4 threshold `L` from
-    /// `cfg`, so callers must mirror
-    /// [`ChannelEnvironment::hardware`]/[`join_power_l_db`](
-    /// ChannelEnvironment::join_power_l_db) into `cfg` themselves (as
-    /// [`SweepSpec::environment`] does); a default `cfg` silently runs
-    /// any world on the paper's pristine radios.
-    pub fn in_environment(
-        environment: &'a dyn ChannelEnvironment,
-        testbed: &'a Testbed,
-        scenario: &'a Scenario,
-        cfg: &'a SimConfig,
-        policies: &'a [&'a dyn MacPolicy],
-        seed: u64,
-    ) -> Self {
-        SweepJob {
-            environment,
-            testbed,
-            scenario,
-            cfg,
-            policies,
-            seed,
-        }
-    }
-
-    /// Runs the job: topology draw, engine construction, one simulation
-    /// per policy. Pure in the seed — no shared mutable state. Panics
-    /// when the testbed is too small for the scenario (`SweepSpec`
-    /// validates capacity before any job is spawned, so the panic is
-    /// unreachable through the builder).
-    pub fn run(&self) -> SeedResults {
-        let mut placement_rng = StdRng::seed_from_u64(self.seed);
-        let topo = build_environment_topology(
-            self.environment,
-            self.testbed,
-            &self.scenario.antennas,
-            self.cfg.ofdm.bandwidth_hz,
-            self.seed,
-            &mut placement_rng,
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        let engine = SimEngine::new(&topo, self.scenario, self.cfg);
-        let per_policy = self
-            .policies
-            .iter()
-            .map(|&policy| {
-                let mut run_rng = StdRng::seed_from_u64(self.seed ^ 0x5EED_CAFE);
-                engine.run_policy(policy, &mut run_rng)
-            })
-            .collect();
-        SeedResults {
-            seed: self.seed,
-            per_policy,
-        }
-    }
-
-    /// [`run`](SweepJob::run) with one caller observer per policy:
-    /// `observers[i]` receives the full event stream of policy `i`'s
-    /// run, labeled (via [`RunMeta::identity`](
-    /// crate::observer::RunMeta)) with a [`RunIdentity`] carrying the
-    /// job's seed, the environment's registry name, and the sweep's
-    /// canonical key when the caller knows one. Observers only listen:
-    /// the returned results are bit-for-bit those of
-    /// [`run`](SweepJob::run).
-    ///
-    /// # Panics
-    /// When `observers.len() != policies.len()`, and — like
-    /// [`run`](SweepJob::run) — when the testbed cannot fit the
-    /// scenario.
-    pub fn run_observed(
-        &self,
-        canonical_key: Option<u128>,
-        observers: &mut [&mut dyn RoundObserver],
-    ) -> SeedResults {
-        assert_eq!(
-            observers.len(),
-            self.policies.len(),
-            "one observer per policy"
-        );
-        let mut placement_rng = StdRng::seed_from_u64(self.seed);
-        let topo = build_environment_topology(
-            self.environment,
-            self.testbed,
-            &self.scenario.antennas,
-            self.cfg.ofdm.bandwidth_hz,
-            self.seed,
-            &mut placement_rng,
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        let engine = SimEngine::new(&topo, self.scenario, self.cfg);
-        let per_policy = self
-            .policies
-            .iter()
-            .zip(observers.iter_mut())
-            .map(|(&policy, observer)| {
-                let mut run_rng = StdRng::seed_from_u64(self.seed ^ 0x5EED_CAFE);
-                let identity = RunIdentity {
-                    seed: self.seed,
-                    environment: self.environment.name().to_string(),
-                    canonical_key,
-                };
-                engine.run_identified(policy, &mut run_rng, &mut **observer, Some(identity))
-            })
-            .collect();
-        SeedResults {
-            seed: self.seed,
-            per_policy,
-        }
-    }
 }
 
 // A threaded sweep shares the scenario/config/testbed/policies across
@@ -612,7 +465,6 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Scenario>();
     assert_send_sync::<SimConfig>();
-    assert_send_sync::<Protocol>();
     assert_send_sync::<RunResult>();
     assert_send_sync::<SeedResults>();
     assert_send_sync::<&dyn MacPolicy>();
@@ -677,35 +529,6 @@ pub fn aggregate_results(
         .collect()
 }
 
-/// [`aggregate_results`] with names resolved from live policy refs —
-/// the internal shape the sweep paths use.
-fn aggregate_sweep(
-    scenario: &Scenario,
-    policies: &[&dyn MacPolicy],
-    results: &[SeedResults],
-) -> Vec<SweepStats> {
-    let names: Vec<String> = policies.iter().map(|p| p.name().to_string()).collect();
-    aggregate_results(scenario.flows.len(), &names, results)
-}
-
-/// The policy-level sweep core: one [`SweepJob`] per seed on up to
-/// `threads` workers (`0` = available parallelism, `1` = serial),
-/// merged in seed order.
-fn sweep_policies(
-    environment: &dyn ChannelEnvironment,
-    testbed: &Testbed,
-    scenario: &Scenario,
-    cfg: &SimConfig,
-    policies: &[&dyn MacPolicy],
-    seeds: &[u64],
-    threads: usize,
-) -> Vec<SweepStats> {
-    let results = crate::executor::run_indexed(seeds.len(), threads, |i| {
-        SweepJob::in_environment(environment, testbed, scenario, cfg, policies, seeds[i]).run()
-    });
-    aggregate_sweep(scenario, policies, &results)
-}
-
 /// Builder facade over the whole simulation surface: scenario in,
 /// statistics out. It is the one sweep API — a single seed *is* a
 /// sweep of one — and the only place policies, seeds, testbed, config
@@ -717,7 +540,8 @@ fn sweep_policies(
 /// let stats = SweepSpec::new(Scenario::three_pairs())
 ///     .rounds(4)
 ///     .seed_count(3)
-///     .protocols(&[Protocol::Dot11n, Protocol::NPlus])
+///     .policy(Dot11n)
+///     .policy(NPlus)
 ///     .policy(Oracle)
 ///     .threads(2)
 ///     .run();
@@ -895,20 +719,6 @@ impl SweepSpec {
         self
     }
 
-    /// Adds one enum-era protocol to the comparison.
-    pub fn protocol(mut self, protocol: Protocol) -> Self {
-        self.policies.push(PolicyEntry::Static(protocol.policy()));
-        self
-    }
-
-    /// Adds several enum-era protocols, in order.
-    pub fn protocols(mut self, protocols: &[Protocol]) -> Self {
-        for &p in protocols {
-            self = self.protocol(p);
-        }
-        self
-    }
-
     /// Adds a built-in policy by name, resolved through the one
     /// registry ([`policy_from_name`](crate::policy::policy_from_name);
     /// see [`BUILTIN_POLICY_NAMES`](crate::policy::BUILTIN_POLICY_NAMES)).
@@ -943,7 +753,9 @@ impl SweepSpec {
         self
     }
 
-    /// Runs the sweep and aggregates statistics per policy.
+    /// Runs the sweep and aggregates statistics per policy: one job per
+    /// seed on up to [`threads`](SweepSpec::threads) workers, merged in
+    /// seed order and folded by [`aggregate_results`].
     ///
     /// # Errors
     /// [`SweepError::InvalidSpec`] for a structurally invalid scenario
@@ -953,18 +765,21 @@ impl SweepSpec {
     /// override) offers — both detected before any job runs, so a
     /// malformed spec can never panic inside the engine.
     pub fn try_run(&self) -> Result<Vec<SweepStats>, SweepError> {
-        self.scenario.validate().map_err(SweepError::InvalidSpec)?;
-        self.validate_models()?;
-        let testbed = self.resolved_testbed()?;
-        let policy_refs = self.policy_refs();
-        Ok(sweep_policies(
-            self.environment.as_dyn(),
-            &testbed,
-            &self.scenario,
-            &self.cfg,
-            &policy_refs,
-            &self.seeds,
-            self.threads,
+        let (testbed, policies) = self.prepare()?;
+        let results = crate::executor::run_indexed(self.seeds.len(), self.threads, |i| {
+            let mut nulls = vec![NullObserver; policies.len()];
+            let mut observers: Vec<&mut dyn RoundObserver> = nulls
+                .iter_mut()
+                .map(|o| o as &mut dyn RoundObserver)
+                .collect();
+            self.run_one_seed(&testbed, &policies, self.seeds[i], None, &mut observers)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+        Ok(aggregate_results(
+            self.scenario.flows.len(),
+            &self.policy_names(),
+            &results,
         ))
     }
 
@@ -974,69 +789,35 @@ impl SweepSpec {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Runs a single seed and returns its raw per-policy results — the
-    /// replacement for hand-rolling `build_topology` +
-    /// [`simulate`](crate::sim::simulate)
-    /// when per-run (rather than aggregate) output is wanted.
-    ///
-    /// # Errors
-    /// As [`try_run`](SweepSpec::try_run).
-    pub fn try_run_seed(&self, seed: u64) -> Result<SeedResults, SweepError> {
-        self.scenario.validate().map_err(SweepError::InvalidSpec)?;
-        self.validate_models()?;
-        let testbed = self.resolved_testbed()?;
-        let policy_refs = self.policy_refs();
-        Ok(SweepJob::in_environment(
-            self.environment.as_dyn(),
-            &testbed,
-            &self.scenario,
-            &self.cfg,
-            &policy_refs,
-            seed,
-        )
-        .run())
-    }
-
-    /// Panicking convenience over
-    /// [`try_run_seed`](SweepSpec::try_run_seed).
-    pub fn run_seed(&self, seed: u64) -> SeedResults {
-        self.try_run_seed(seed).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`try_run_seed`](SweepSpec::try_run_seed) with one caller
-    /// observer per resolved policy (see
+    /// Runs a single seed and returns its raw per-policy results, with
+    /// one caller observer per resolved policy (see
     /// [`policy_names`](SweepSpec::policy_names) for the order):
     /// `observers[i]` receives policy `i`'s full event stream, labeled
     /// with the job's [`RunIdentity`] — seed, environment registry
     /// name, and the spec's canonical key when
     /// [`canonical`](SweepSpec::canonical) succeeds (`None` for ad-hoc
-    /// specs). Observers only listen; results are bit-for-bit those of
-    /// [`try_run_seed`](SweepSpec::try_run_seed).
+    /// specs). Observers only listen: the results are bit-for-bit the
+    /// ones [`try_run`](SweepSpec::try_run) folds for that seed.
     ///
     /// # Errors
-    /// As [`try_run`](SweepSpec::try_run).
-    ///
-    /// # Panics
-    /// When `observers.len()` differs from the resolved policy count.
+    /// As [`try_run`](SweepSpec::try_run), plus
+    /// [`SweepError::InvalidSpec`] when `observers.len()` differs from
+    /// the resolved policy count.
     pub fn try_run_seed_observed(
         &self,
         seed: u64,
         observers: &mut [&mut dyn RoundObserver],
     ) -> Result<SeedResults, SweepError> {
-        self.scenario.validate().map_err(SweepError::InvalidSpec)?;
-        self.validate_models()?;
-        let testbed = self.resolved_testbed()?;
-        let policy_refs = self.policy_refs();
+        let (testbed, policies) = self.prepare()?;
+        if observers.len() != policies.len() {
+            return Err(SweepError::InvalidSpec(format!(
+                "{} observers for {} policies (want one per policy)",
+                observers.len(),
+                policies.len()
+            )));
+        }
         let canonical_key = self.canonical().ok().map(|c| c.key());
-        Ok(SweepJob::in_environment(
-            self.environment.as_dyn(),
-            &testbed,
-            &self.scenario,
-            &self.cfg,
-            &policy_refs,
-            seed,
-        )
-        .run_observed(canonical_key, observers))
+        self.run_one_seed(&testbed, &policies, seed, canonical_key, observers)
     }
 
     /// The resolved policy names, in job order — the paper's default
@@ -1147,6 +928,60 @@ impl SweepSpec {
             .map_err(SweepError::InvalidSpec)
     }
 
+    /// The checks every run path shares, then what a job needs: the
+    /// resolved testbed and the policies in job order.
+    fn prepare(&self) -> Result<(Testbed, Vec<&dyn MacPolicy>), SweepError> {
+        self.scenario.validate().map_err(SweepError::InvalidSpec)?;
+        self.validate_models()?;
+        Ok((self.resolved_testbed()?, self.policy_refs()))
+    }
+
+    /// One seed-indexed unit of sweep work: draw the topology for
+    /// `seed`, build one channel-cached [`SimEngine`], and run every
+    /// policy against it, narrating policy `i`'s run to `observers[i]`.
+    ///
+    /// The RNG derivations are the sweep's determinism contract: the
+    /// placement stream is seeded by the seed itself, and each policy's
+    /// run stream by `seed ^ 0x5EED_CAFE` — both fixed functions of the
+    /// seed alone, never of execution order. That is what lets
+    /// [`try_run`](SweepSpec::try_run) run seeds on any number of
+    /// threads and still merge results bit-for-bit identical to the
+    /// serial run.
+    fn run_one_seed(
+        &self,
+        testbed: &Testbed,
+        policies: &[&dyn MacPolicy],
+        seed: u64,
+        canonical_key: Option<u128>,
+        observers: &mut [&mut dyn RoundObserver],
+    ) -> Result<SeedResults, SweepError> {
+        let environment = self.environment.as_dyn();
+        let mut placement_rng = StdRng::seed_from_u64(seed);
+        let topo = build_environment_topology(
+            environment,
+            testbed,
+            &self.scenario.antennas,
+            self.cfg.ofdm.bandwidth_hz,
+            seed,
+            &mut placement_rng,
+        )?;
+        let engine = SimEngine::new(&topo, &self.scenario, &self.cfg);
+        let per_policy = policies
+            .iter()
+            .zip(observers.iter_mut())
+            .map(|(&policy, observer)| {
+                let mut run_rng = StdRng::seed_from_u64(seed ^ 0x5EED_CAFE);
+                let identity = RunIdentity {
+                    seed,
+                    environment: environment.name().to_string(),
+                    canonical_key,
+                };
+                engine.run(policy, &mut run_rng, &mut **observer, Some(identity))
+            })
+            .collect();
+        Ok(SeedResults { seed, per_policy })
+    }
+
     fn resolved_testbed(&self) -> Result<Testbed, EnvironmentError> {
         let n = self.scenario.antennas.len();
         match &self.testbed {
@@ -1170,7 +1005,7 @@ impl SweepSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::Oracle;
+    use crate::policy::{Beamforming, Dot11n, NPlus, Oracle};
     use nplus_channel::placement::Testbed;
 
     /// Regression: `ci95_total_mbps` used the z = 1.96 normal
@@ -1219,7 +1054,9 @@ mod tests {
             SweepSpec::new(Scenario::ap_downlink())
                 .testbed(Testbed::sigcomm11())
                 .rounds(5)
-                .protocols(&[Protocol::NPlus, Protocol::Dot11n, Protocol::Beamforming])
+                .policy(NPlus)
+                .policy(Dot11n)
+                .policy(Beamforming)
                 .seed_count(5)
                 .threads(threads)
                 .run()
@@ -1247,20 +1084,26 @@ mod tests {
         }
     }
 
-    /// A `SweepJob` is a pure function of its seed: running it twice —
-    /// or via the engine by hand — reproduces the result exactly.
+    /// Raw per-seed results with a do-nothing observer per policy.
+    fn seed_results(spec: &SweepSpec, seed: u64) -> Result<SeedResults, SweepError> {
+        let mut nulls = vec![NullObserver; spec.policy_names().len()];
+        let mut observers: Vec<&mut dyn RoundObserver> = nulls
+            .iter_mut()
+            .map(|o| o as &mut dyn RoundObserver)
+            .collect();
+        spec.try_run_seed_observed(seed, &mut observers)
+    }
+
+    /// A seed's job is a pure function of its seed: running it twice
+    /// reproduces the result exactly.
     #[test]
     fn sweep_job_is_pure_in_its_seed() {
-        let scenario = Scenario::three_pairs();
-        let cfg = SimConfig {
-            rounds: 4,
-            ..SimConfig::default()
-        };
-        let tb = Testbed::sigcomm11();
-        let policies: [&dyn MacPolicy; 1] = [&crate::policy::NPlus];
-        let job = SweepJob::new(&tb, &scenario, &cfg, &policies, 7);
-        let a = job.run();
-        let b = job.run();
+        let spec = SweepSpec::new(Scenario::three_pairs())
+            .testbed(Testbed::sigcomm11())
+            .rounds(4)
+            .policy(NPlus);
+        let a = seed_results(&spec, 7).unwrap();
+        let b = seed_results(&spec, 7).unwrap();
         assert_eq!(a.seed, 7);
         assert_eq!(a.per_policy[0].per_flow_mbps, b.per_policy[0].per_flow_mbps);
         assert_eq!(a.per_policy[0].total_mbps, b.per_policy[0].total_mbps);
@@ -1293,7 +1136,8 @@ mod tests {
         let stats = SweepSpec::new(scenario)
             .testbed(Testbed::sigcomm11())
             .config(cfg)
-            .protocols(&[Protocol::NPlus, Protocol::Dot11n])
+            .policy(NPlus)
+            .policy(Dot11n)
             .seed_count(4)
             .run();
         for s in &stats {
@@ -1315,7 +1159,8 @@ mod tests {
         let stats = SweepSpec::new(scenario)
             .testbed(Testbed::sigcomm11())
             .config(cfg)
-            .protocols(&[Protocol::NPlus, Protocol::Dot11n])
+            .policy(NPlus)
+            .policy(Dot11n)
             .seeds([1, 2, 3])
             .run();
         assert_eq!(stats.len(), 2);
@@ -1337,30 +1182,22 @@ mod tests {
     }
 
     /// The builder facade is a pure re-packaging: a threaded `SweepSpec`
-    /// run must equal the raw per-seed `SweepJob`s folded by the sweep
-    /// aggregation bit-for-bit, with defaults filled in as documented.
+    /// run must equal the raw per-seed results folded by
+    /// `aggregate_results` bit-for-bit.
     #[test]
     fn sweep_spec_matches_the_raw_entry_points() {
-        let scenario = Scenario::ap_downlink();
-        let cfg = SimConfig {
-            rounds: 4,
-            ..SimConfig::default()
-        };
-        let protocols = [Protocol::Dot11n, Protocol::NPlus];
-        let policies: Vec<&dyn MacPolicy> = protocols.iter().map(|p| p.policy()).collect();
-        let tb = Testbed::fitting(scenario.antennas.len());
-        let jobs: Vec<SeedResults> = (0..3)
-            .map(|seed| SweepJob::new(&tb, &scenario, &cfg, &policies, seed).run())
-            .collect();
-        let raw = aggregate_sweep(&scenario, &policies, &jobs);
-        let spec = SweepSpec::new(scenario)
+        let spec = SweepSpec::new(Scenario::ap_downlink())
             .rounds(4)
-            .protocols(&protocols)
-            .seed_count(3)
-            .threads(2)
-            .run();
-        assert_eq!(raw.len(), spec.len());
-        for (r, s) in raw.iter().zip(&spec) {
+            .policy(Dot11n)
+            .policy(NPlus)
+            .seed_count(3);
+        let jobs: Vec<SeedResults> = (0..3)
+            .map(|seed| seed_results(&spec, seed).unwrap())
+            .collect();
+        let raw = aggregate_results(3, &spec.policy_names(), &jobs);
+        let swept = spec.threads(2).run();
+        assert_eq!(raw.len(), swept.len());
+        for (r, s) in raw.iter().zip(&swept) {
             assert_eq!(r.policy, s.policy);
             assert_eq!(r.mean_total_mbps, s.mean_total_mbps);
             assert_eq!(r.ci95_total_mbps, s.ci95_total_mbps);
@@ -1371,7 +1208,8 @@ mod tests {
     }
 
     /// The spec's default policy set is the paper's comparison trio, and
-    /// `run_seed` exposes raw per-run results in policy order.
+    /// `try_run_seed_observed` exposes raw per-run results in policy
+    /// order.
     #[test]
     fn sweep_spec_defaults_and_run_seed() {
         let spec = SweepSpec::new(Scenario::three_pairs())
@@ -1380,10 +1218,10 @@ mod tests {
         let stats = spec.run();
         let names: Vec<&str> = stats.iter().map(|s| s.policy.as_str()).collect();
         assert_eq!(names, ["dot11n", "beamforming", "nplus"]);
-        let seed_results = spec.run_seed(0);
+        let seed_results = seed_results(&spec, 0).unwrap();
         assert_eq!(seed_results.seed, 0);
         assert_eq!(seed_results.per_policy.len(), 3);
-        // run_seed(0) is exactly the sweep's first job.
+        // Seed 0 alone is exactly the sweep's first job.
         let one = SweepSpec::new(Scenario::three_pairs())
             .rounds(3)
             .seeds([0u64])
@@ -1402,18 +1240,18 @@ mod tests {
         let base = SweepSpec::new(Scenario::three_pairs())
             .rounds(3)
             .seed_count(2)
-            .protocol(Protocol::NPlus)
+            .policy(NPlus)
             .run();
         let by_value = SweepSpec::new(Scenario::three_pairs())
             .rounds(3)
             .seed_count(2)
-            .protocol(Protocol::NPlus)
+            .policy(NPlus)
             .environment(Sigcomm11Indoor::default())
             .run();
         let by_name = SweepSpec::new(Scenario::three_pairs())
             .rounds(3)
             .seed_count(2)
-            .protocol(Protocol::NPlus)
+            .policy(NPlus)
             .environment_named("sigcomm11")
             .expect("registry name")
             .run();
@@ -1435,7 +1273,7 @@ mod tests {
             SweepSpec::new(Scenario::three_pairs())
                 .rounds(8)
                 .seed_count(3)
-                .protocol(Protocol::NPlus)
+                .policy(NPlus)
                 .environment_named(name)
                 .expect("registry name")
                 .run()
@@ -1480,7 +1318,7 @@ mod tests {
         let small = Testbed::from_locations(Testbed::sigcomm11().locations()[..2].to_vec());
         let spec = SweepSpec::new(Scenario::three_pairs()).testbed(small);
         assert!(spec.try_run().is_err());
-        assert!(spec.try_run_seed(0).is_err());
+        assert!(seed_results(&spec, 0).is_err());
     }
 
     /// A structurally invalid scenario — out-of-range flow endpoints,
@@ -1522,7 +1360,7 @@ mod tests {
             let spec = SweepSpec::new(scenario.clone());
             for err in [
                 spec.try_run().unwrap_err(),
-                spec.try_run_seed(0).unwrap_err(),
+                seed_results(&spec, 0).unwrap_err(),
             ] {
                 match &err {
                     SweepError::InvalidSpec(msg) => {
@@ -1530,6 +1368,22 @@ mod tests {
                     }
                     other => panic!("expected InvalidSpec, got {other:?}"),
                 }
+            }
+        }
+        // A well-formed spec handed the wrong number of observers (the
+        // default trio wants three) is the same typed error.
+        let spec = SweepSpec::new(Scenario::three_pairs()).rounds(2);
+        let mut nulls = [NullObserver; 4];
+        for n in [0, 4] {
+            let mut observers: Vec<&mut dyn RoundObserver> = nulls[..n]
+                .iter_mut()
+                .map(|o| o as &mut dyn RoundObserver)
+                .collect();
+            match spec.try_run_seed_observed(0, &mut observers) {
+                Err(SweepError::InvalidSpec(msg)) => {
+                    assert!(msg.contains("observers"), "{n} observers: {msg:?}")
+                }
+                other => panic!("{n} observers: expected InvalidSpec, got {other:?}"),
             }
         }
     }
@@ -1542,12 +1396,14 @@ mod tests {
         let base = SweepSpec::new(Scenario::three_pairs())
             .rounds(7)
             .seed_count(4)
-            .protocols(&[Protocol::Dot11n, Protocol::NPlus]);
+            .policy(Dot11n)
+            .policy(NPlus);
         let key = base.canonical().expect("canonicalizable").key();
 
         // Same spec, different builder-call orders and thread counts.
         let reordered = SweepSpec::new(Scenario::three_pairs())
-            .protocols(&[Protocol::Dot11n, Protocol::NPlus])
+            .policy(Dot11n)
+            .policy(NPlus)
             .seed_count(4)
             .threads(2)
             .rounds(7);
@@ -1570,7 +1426,9 @@ mod tests {
         let explicit = SweepSpec::new(Scenario::three_pairs())
             .rounds(7)
             .seed_count(4)
-            .protocols(&[Protocol::Dot11n, Protocol::Beamforming, Protocol::NPlus]);
+            .policy(Dot11n)
+            .policy(Beamforming)
+            .policy(NPlus);
         assert_eq!(
             implicit.canonical().unwrap().key(),
             explicit.canonical().unwrap().key()
@@ -1581,27 +1439,33 @@ mod tests {
             SweepSpec::new(Scenario::ap_downlink())
                 .rounds(7)
                 .seed_count(4)
-                .protocols(&[Protocol::Dot11n, Protocol::NPlus]),
+                .policy(Dot11n)
+                .policy(NPlus),
             SweepSpec::new(Scenario::three_pairs())
                 .rounds(8)
                 .seed_count(4)
-                .protocols(&[Protocol::Dot11n, Protocol::NPlus]),
+                .policy(Dot11n)
+                .policy(NPlus),
             SweepSpec::new(Scenario::three_pairs())
                 .rounds(7)
                 .seed_count(5)
-                .protocols(&[Protocol::Dot11n, Protocol::NPlus]),
+                .policy(Dot11n)
+                .policy(NPlus),
             SweepSpec::new(Scenario::three_pairs())
                 .rounds(7)
                 .seeds([1u64, 0, 2, 3])
-                .protocols(&[Protocol::Dot11n, Protocol::NPlus]),
+                .policy(Dot11n)
+                .policy(NPlus),
             SweepSpec::new(Scenario::three_pairs())
                 .rounds(7)
                 .seed_count(4)
-                .protocols(&[Protocol::NPlus, Protocol::Dot11n]),
+                .policy(NPlus)
+                .policy(Dot11n),
             SweepSpec::new(Scenario::three_pairs())
                 .rounds(7)
                 .seed_count(4)
-                .protocols(&[Protocol::Dot11n, Protocol::NPlus])
+                .policy(Dot11n)
+                .policy(NPlus)
                 .environment_named("outdoor")
                 .unwrap(),
         ];
@@ -1618,7 +1482,8 @@ mod tests {
         let spec = SweepSpec::new(Scenario::ap_downlink())
             .rounds(4)
             .seed_count(3)
-            .protocols(&[Protocol::NPlus, Protocol::Dot11n])
+            .policy(NPlus)
+            .policy(Dot11n)
             .environment_named("rich_scatter")
             .unwrap();
         let canon = spec.canonical().expect("canonicalizable");
@@ -1650,7 +1515,7 @@ mod tests {
             SweepSpec::new(Scenario::three_pairs())
                 .rounds(5)
                 .seed_count(2)
-                .protocol(Protocol::NPlus)
+                .policy(NPlus)
         };
         let key = fresh().canonical().unwrap().key();
         let poisson = TrafficModel::Poisson {
@@ -1721,7 +1586,7 @@ mod tests {
             SweepSpec::new(Scenario::three_pairs())
                 .rounds(5)
                 .seed_count(2)
-                .protocol(Protocol::NPlus)
+                .policy(NPlus)
         };
         let full_key = fresh().canonical().unwrap().key();
         let dec = fresh().sinr_grid(SinrGrid::Decimated(4));
@@ -1836,19 +1701,25 @@ mod tests {
             policy_pick in 0usize..3,
             env_pick in 0usize..4,
         ) {
-            let policies: &[Protocol] = match policy_pick {
-                0 => &[Protocol::NPlus],
-                1 => &[Protocol::Dot11n, Protocol::NPlus],
-                _ => &[Protocol::Beamforming],
+            let policies: &[&str] = match policy_pick {
+                0 => &["nplus"],
+                1 => &["dot11n", "nplus"],
+                _ => &["beamforming"],
+            };
+            let with_policies = |mut spec: SweepSpec| {
+                for name in policies {
+                    spec = spec.policy_named(name).unwrap();
+                }
+                spec
             };
             let env = BUILTIN_ENVIRONMENT_NAMES[env_pick];
-            let forward = SweepSpec::new(Scenario::three_pairs())
-                .environment_named(env).unwrap()
-                .rounds(rounds)
-                .seeds(seed_lo..seed_lo + n_seeds)
-                .protocols(policies);
-            let backward = SweepSpec::new(Scenario::three_pairs())
-                .protocols(policies)
+            let forward = with_policies(
+                SweepSpec::new(Scenario::three_pairs())
+                    .environment_named(env).unwrap()
+                    .rounds(rounds)
+                    .seeds(seed_lo..seed_lo + n_seeds)
+            );
+            let backward = with_policies(SweepSpec::new(Scenario::three_pairs()))
                 .seeds(seed_lo..seed_lo + n_seeds)
                 .threads(4)
                 .rounds(rounds)
@@ -1857,31 +1728,35 @@ mod tests {
             proptest::prop_assert_eq!(backward.canonical().unwrap().key(), key);
 
             // Single-field flips all move the key.
-            let more_rounds = SweepSpec::new(Scenario::three_pairs())
-                .environment_named(env).unwrap()
-                .rounds(rounds + 1)
-                .seeds(seed_lo..seed_lo + n_seeds)
-                .protocols(policies);
+            let more_rounds = with_policies(
+                SweepSpec::new(Scenario::three_pairs())
+                    .environment_named(env).unwrap()
+                    .rounds(rounds + 1)
+                    .seeds(seed_lo..seed_lo + n_seeds)
+            );
             proptest::prop_assert_ne!(more_rounds.canonical().unwrap().key(), key);
-            let shifted_seeds = SweepSpec::new(Scenario::three_pairs())
-                .environment_named(env).unwrap()
-                .rounds(rounds)
-                .seeds(seed_lo + 1..seed_lo + n_seeds + 1)
-                .protocols(policies);
+            let shifted_seeds = with_policies(
+                SweepSpec::new(Scenario::three_pairs())
+                    .environment_named(env).unwrap()
+                    .rounds(rounds)
+                    .seeds(seed_lo + 1..seed_lo + n_seeds + 1)
+            );
             proptest::prop_assert_ne!(shifted_seeds.canonical().unwrap().key(), key);
-            let extra_policy = SweepSpec::new(Scenario::three_pairs())
-                .environment_named(env).unwrap()
-                .rounds(rounds)
-                .seeds(seed_lo..seed_lo + n_seeds)
-                .protocols(policies)
-                .policy(Oracle);
+            let extra_policy = with_policies(
+                SweepSpec::new(Scenario::three_pairs())
+                    .environment_named(env).unwrap()
+                    .rounds(rounds)
+                    .seeds(seed_lo..seed_lo + n_seeds)
+            )
+            .policy(Oracle);
             proptest::prop_assert_ne!(extra_policy.canonical().unwrap().key(), key);
             let other_env = BUILTIN_ENVIRONMENT_NAMES[(env_pick + 1) % 4];
-            let moved_env = SweepSpec::new(Scenario::three_pairs())
-                .environment_named(other_env).unwrap()
-                .rounds(rounds)
-                .seeds(seed_lo..seed_lo + n_seeds)
-                .protocols(policies);
+            let moved_env = with_policies(
+                SweepSpec::new(Scenario::three_pairs())
+                    .environment_named(other_env).unwrap()
+                    .rounds(rounds)
+                    .seeds(seed_lo..seed_lo + n_seeds)
+            );
             proptest::prop_assert_ne!(moved_env.canonical().unwrap().key(), key);
         }
     }

@@ -13,7 +13,7 @@
 //! * **Multi-dimensional carrier sense** projects received samples onto the
 //!   complement of the occupied signal space ([`Subspace::coordinates`]).
 //! * **Zero-forcing decoding** solves the effective channel equations
-//!   ([`solve()`], [`lstsq`]).
+//!   ([`solve()`], [`pinv`]).
 //!
 //! No external linear-algebra crate is available in this build environment,
 //! so the substrate is implemented here from first principles, sized and
@@ -33,18 +33,15 @@ pub mod vector;
 
 pub use complex::{c64, Complex64};
 pub use matrix::CMatrix;
-pub use nullspace::{is_null_space_of, null_space, nullity};
+pub use nullspace::{is_null_space_of, null_space};
 pub use pool::VecPool;
-pub use qr::{
-    column_space, is_orthonormal, orthonormalize, orthonormalize_into, qr, row_space, Qr,
-};
+pub use qr::{is_orthonormal, orthonormalize, orthonormalize_into};
 pub use soa::{
-    hermitian_into, mul_into, null_space_into, pinv_into, qr_soa, row_echelon_into,
-    soa_default_tolerance, CMatrixSoA, NullspaceWorkspace, PinvWorkspace,
+    hermitian_into, mul_into, null_space_into, pinv_into, row_echelon_into, soa_default_tolerance,
+    CMatrixSoA, NullspaceWorkspace, PinvWorkspace,
 };
 pub use solve::{
-    default_tolerance, determinant, inverse, lstsq, pinv, rank, row_echelon, solve, solve_many,
-    LinalgError,
+    default_tolerance, inverse, pinv, rank, row_echelon, solve, solve_many, LinalgError,
 };
 pub use subspace::{principal_angle, residual_power_db, sin_angle, Subspace, SubspaceWorkspace};
 pub use vector::CVector;

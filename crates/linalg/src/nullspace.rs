@@ -75,13 +75,6 @@ pub fn null_space(a: &CMatrix) -> Vec<CVector> {
     out
 }
 
-/// Dimension of the null space of `a` (`cols − rank`).
-pub fn nullity(a: &CMatrix) -> usize {
-    let tol = default_tolerance(a);
-    let (rank, _) = row_echelon(a, tol);
-    a.cols() - rank
-}
-
 /// Verifies `A v ≈ 0` for every vector, within `tol` relative to the
 /// matrix scale. Used by tests and by debug assertions in the precoder.
 pub fn is_null_space_of(a: &CMatrix, vectors: &[CVector], tol: f64) -> bool {
@@ -100,7 +93,6 @@ mod tests {
     fn null_space_of_full_rank_square_is_empty() {
         let a = CMatrix::from_reals(2, 2, &[1.0, 2.0, 3.0, 4.0]);
         assert!(null_space(&a).is_empty());
-        assert_eq!(nullity(&a), 0);
     }
 
     #[test]

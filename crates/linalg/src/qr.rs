@@ -1,4 +1,4 @@
-//! Orthonormalization and QR decomposition.
+//! Orthonormalization by modified Gram–Schmidt.
 //!
 //! Subspace manipulation in n+ (projection for multi-dimensional carrier
 //! sense, unwanted-space bases `U` and complements `U^⊥`) needs
@@ -7,21 +7,7 @@
 //! works with, MGS with one re-orthogonalization pass is as stable as
 //! Householder and considerably simpler.
 
-use crate::matrix::CMatrix;
 use crate::vector::CVector;
-
-/// Result of a (thin) QR decomposition: `A = Q R` with `Q` having
-/// orthonormal columns and `R` upper triangular.
-#[derive(Debug, Clone)]
-pub struct Qr {
-    /// Orthonormal columns spanning the column space of `A`
-    /// (`rows × rank`).
-    pub q: CMatrix,
-    /// Upper-triangular factor (`rank × cols`).
-    pub r: CMatrix,
-    /// Numerical rank detected during the decomposition.
-    pub rank: usize,
-}
 
 /// Orthonormalizes the given vectors with modified Gram–Schmidt plus one
 /// re-orthogonalization pass, dropping vectors that are linearly dependent
@@ -83,36 +69,6 @@ pub fn orthonormalize_into(
     dim
 }
 
-/// Thin, rank-revealing QR of `a` via modified Gram–Schmidt on the columns.
-pub fn qr(a: &CMatrix) -> Qr {
-    let cols = a.columns();
-    let scale = a.max_abs().max(1e-300);
-    let tol = scale * (a.rows().max(a.cols()) as f64) * f64::EPSILON;
-    let q_cols = orthonormalize(&cols, tol);
-    let rank = q_cols.len();
-    let q = if rank == 0 {
-        CMatrix::zeros(a.rows(), 0)
-    } else {
-        CMatrix::from_cols(&q_cols)
-    };
-    // R = Q^H A.
-    let r = &q.hermitian() * a;
-    Qr { q, r, rank }
-}
-
-/// Orthonormal basis of the column space of `a`.
-pub fn column_space(a: &CMatrix) -> Vec<CVector> {
-    let scale = a.max_abs().max(1e-300);
-    let tol = scale * (a.rows().max(a.cols()) as f64) * f64::EPSILON;
-    orthonormalize(&a.columns(), tol)
-}
-
-/// Orthonormal basis of the row space of `a` (as column vectors of
-/// dimension `a.cols()`), i.e. the column space of `A^H`.
-pub fn row_space(a: &CMatrix) -> Vec<CVector> {
-    column_space(&a.hermitian())
-}
-
 /// Verifies that the columns of `q` are orthonormal within `tol`.
 /// Intended for tests and debug assertions.
 pub fn is_orthonormal(vectors: &[CVector], tol: f64) -> bool {
@@ -132,8 +88,18 @@ pub fn is_orthonormal(vectors: &[CVector], tol: f64) -> bool {
 mod tests {
     use super::*;
     use crate::complex::c64;
+    use crate::matrix::CMatrix;
 
     const TOL: f64 = 1e-10;
+
+    /// Thin QR of `a` by [`orthonormalize`] on its columns: `Q` spans
+    /// the column space and `R = Q^H A`.
+    fn qr(a: &CMatrix) -> (CMatrix, CMatrix) {
+        let tol = a.max_abs() * (a.rows().max(a.cols()) as f64) * f64::EPSILON;
+        let q = CMatrix::from_cols(&orthonormalize(&a.columns(), tol));
+        let r = &q.hermitian() * a;
+        (q, r)
+    }
 
     #[test]
     fn orthonormalize_independent_set() {
@@ -185,26 +151,26 @@ mod tests {
                 c64(1.0, 1.0),
             ],
         );
-        let d = qr(&a);
-        assert_eq!(d.rank, 3);
-        assert!((&d.q * &d.r).approx_eq(&a, TOL));
+        let (q, r) = qr(&a);
+        assert_eq!(q.cols(), 3);
+        assert!((&q * &r).approx_eq(&a, TOL));
         // Q^H Q = I
-        assert!((&d.q.hermitian() * &d.q).approx_eq(&CMatrix::identity(3), TOL));
+        assert!((&q.hermitian() * &q).approx_eq(&CMatrix::identity(3), TOL));
     }
 
     #[test]
     fn qr_rank_deficient() {
         // Column 2 = 2 * column 0.
         let a = CMatrix::from_reals(3, 3, &[1.0, 0.0, 2.0, 2.0, 1.0, 4.0, 0.0, 1.0, 0.0]);
-        let d = qr(&a);
-        assert_eq!(d.rank, 2);
-        assert!((&d.q * &d.r).approx_eq(&a, TOL));
+        let (q, r) = qr(&a);
+        assert_eq!(q.cols(), 2);
+        assert!((&q * &r).approx_eq(&a, TOL));
     }
 
     #[test]
     fn column_space_dimension() {
         let a = CMatrix::from_reals(4, 2, &[1.0, 2.0, 0.0, 0.0, 1.0, 2.0, 1.0, 0.0]);
-        let cs = column_space(&a);
+        let cs = orthonormalize(&a.columns(), 1e-12);
         assert_eq!(cs.len(), 2);
         assert!(is_orthonormal(&cs, TOL));
     }
@@ -213,7 +179,7 @@ mod tests {
     fn row_space_dimension() {
         let a = CMatrix::from_reals(2, 4, &[1.0, 0.0, 1.0, 0.0, 2.0, 0.0, 2.0, 0.0]);
         // Rows are dependent -> row space has dimension 1, vectors live in C^4.
-        let rs = row_space(&a);
+        let rs = orthonormalize(&a.hermitian().columns(), 1e-12);
         assert_eq!(rs.len(), 1);
         assert_eq!(rs[0].len(), 4);
     }
@@ -221,10 +187,10 @@ mod tests {
     #[test]
     fn r_is_upper_triangular() {
         let a = CMatrix::from_reals(3, 3, &[2.0, 1.0, 0.0, 1.0, 3.0, 1.0, 0.0, 1.0, 4.0]);
-        let d = qr(&a);
-        for i in 0..d.r.rows() {
-            for j in 0..i.min(d.r.cols()) {
-                assert!(d.r[(i, j)].abs() < TOL, "R[{i},{j}] not zero");
+        let (_, r) = qr(&a);
+        for i in 0..r.rows() {
+            for j in 0..i.min(r.cols()) {
+                assert!(r[(i, j)].abs() < TOL, "R[{i},{j}] not zero");
             }
         }
     }

@@ -561,26 +561,6 @@ pub fn null_space_into(
     dim
 }
 
-/// Thin QR of a split-storage matrix: `(Q, R)` with the identical
-/// Gram–Schmidt pass and `R = Q^H A` product as `qr::qr`, for the kernel
-/// benchmarks. Allocates its outputs (cold-path API).
-pub fn qr_soa(a: &CMatrixSoA) -> (CMatrixSoA, CMatrixSoA) {
-    let cols: Vec<CVector> = (0..a.cols()).map(|j| a.col(j)).collect();
-    let scale = a.max_abs().max(1e-300);
-    let tol = scale * (a.rows().max(a.cols()) as f64) * f64::EPSILON;
-    let q_cols = crate::qr::orthonormalize(&cols, tol);
-    let q = if q_cols.is_empty() {
-        CMatrixSoA::zeros(a.rows(), 0)
-    } else {
-        CMatrixSoA::from_cols(&q_cols)
-    };
-    let mut qh = CMatrixSoA::default();
-    hermitian_into(&q, &mut qh);
-    let mut r = CMatrixSoA::default();
-    mul_into(&qh, a, &mut r);
-    (q, r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -776,18 +756,6 @@ mod tests {
         assert_eq!(dim, expect.len());
         for (got, want) in basis[..dim].iter().zip(&expect) {
             assert_vec_bitwise_eq(got, want, "reused-pool basis vector");
-        }
-    }
-
-    #[test]
-    fn qr_is_bit_identical() {
-        let mut seed = 0x5EED_0009u64;
-        for (r, c) in [(3usize, 3usize), (4, 2), (2, 4)] {
-            let a = gen_matrix(r, c, &mut seed);
-            let d = crate::qr::qr(&a);
-            let (q, rr) = qr_soa(&CMatrixSoA::from_aos(&a));
-            assert_bitwise_eq(&q, &d.q, "qr Q");
-            assert_bitwise_eq(&rr, &d.r, "qr R");
         }
     }
 

@@ -1,4 +1,4 @@
-//! Linear system solving, inversion, determinants and rank.
+//! Linear system solving, inversion, pseudo-inverse and rank.
 //!
 //! Everything is built on Gaussian elimination with partial pivoting, which
 //! is numerically adequate for the small, generically well-conditioned
@@ -118,53 +118,6 @@ pub fn inverse(a: &CMatrix) -> Result<CMatrix, LinalgError> {
     solve_many(a, &CMatrix::identity(a.rows()))
 }
 
-/// Determinant via LU-style elimination (partial pivoting).
-pub fn determinant(a: &CMatrix) -> Result<Complex64, LinalgError> {
-    let n = a.rows();
-    if a.cols() != n {
-        return Err(LinalgError::ShapeMismatch {
-            what: "determinant requires a square matrix",
-        });
-    }
-    if n == 0 {
-        return Ok(Complex64::ONE);
-    }
-    let mut m = a.clone();
-    let mut det = Complex64::ONE;
-    for k in 0..n {
-        let mut pivot_row = k;
-        let mut pivot_mag = m[(k, k)].abs();
-        for i in (k + 1)..n {
-            let mag = m[(i, k)].abs();
-            if mag > pivot_mag {
-                pivot_mag = mag;
-                pivot_row = i;
-            }
-        }
-        if pivot_mag == 0.0 {
-            return Ok(Complex64::ZERO);
-        }
-        if pivot_row != k {
-            m.swap_rows(k, pivot_row);
-            det = -det;
-        }
-        let pivot = m[(k, k)];
-        det *= pivot;
-        let pinv = pivot.inv();
-        for i in (k + 1)..n {
-            let factor = m[(i, k)] * pinv;
-            if factor == Complex64::ZERO {
-                continue;
-            }
-            for j in k..n {
-                let sub = factor * m[(k, j)];
-                m[(i, j)] -= sub;
-            }
-        }
-    }
-    Ok(det)
-}
-
 /// Numerical rank via row echelon reduction with the given tolerance
 /// (pass `None` for [`default_tolerance`]).
 pub fn rank(a: &CMatrix, tol: Option<f64>) -> usize {
@@ -230,26 +183,9 @@ pub fn row_echelon(a: &CMatrix, tol: f64) -> (usize, CMatrix) {
     (pivot_row, m)
 }
 
-/// Least-squares solve of possibly non-square `A x = b` via the normal
-/// equations `A^H A x = A^H b`.
-///
-/// This is the zero-forcing receiver's core operation: with more receive
-/// antennas than streams, it projects out interference and inverts the
-/// effective channel in one step.
-pub fn lstsq(a: &CMatrix, b: &CVector) -> Result<CVector, LinalgError> {
-    if a.rows() != b.len() {
-        return Err(LinalgError::ShapeMismatch {
-            what: "lstsq: rhs length must equal matrix rows",
-        });
-    }
-    let ah = a.hermitian();
-    let gram = &ah * a;
-    let rhs = ah.mul_vec(b);
-    solve(&gram, &rhs)
-}
-
 /// Moore–Penrose style pseudo-inverse for full-column-rank matrices:
-/// `(A^H A)^{-1} A^H`.
+/// `(A^H A)^{-1} A^H`. `pinv(A) b` is the least-squares solution of
+/// `A x = b` — the zero-forcing receiver's core operation.
 pub fn pinv(a: &CMatrix) -> Result<CMatrix, LinalgError> {
     let ah = a.hermitian();
     let gram = &ah * a;
@@ -308,39 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn determinant_known_values() {
-        let a = CMatrix::from_reals(2, 2, &[1.0, 2.0, 3.0, 4.0]);
-        assert!(determinant(&a).unwrap().approx_eq(c64(-2.0, 0.0), TOL));
-        let i = CMatrix::identity(4);
-        assert!(determinant(&i).unwrap().approx_eq(c64(1.0, 0.0), TOL));
-        let s = CMatrix::from_reals(2, 2, &[1.0, 2.0, 2.0, 4.0]);
-        assert!(determinant(&s).unwrap().approx_eq(c64(0.0, 0.0), TOL));
-    }
-
-    #[test]
-    fn determinant_of_product() {
-        let a = well_conditioned_3x3();
-        let b = CMatrix::from_vec(
-            3,
-            3,
-            vec![
-                c64(1.0, 0.0),
-                c64(0.5, 0.5),
-                c64(0.0, 0.0),
-                c64(0.0, 1.0),
-                c64(2.0, 0.0),
-                c64(1.0, 1.0),
-                c64(1.0, -1.0),
-                c64(0.0, 0.0),
-                c64(3.0, 0.0),
-            ],
-        );
-        let lhs = determinant(&(&a * &b)).unwrap();
-        let rhs = determinant(&a).unwrap() * determinant(&b).unwrap();
-        assert!(lhs.approx_eq(rhs, 1e-8));
-    }
-
-    #[test]
     fn rank_detects_deficiency() {
         let full = well_conditioned_3x3();
         assert_eq!(rank(&full, None), 3);
@@ -362,7 +265,7 @@ mod tests {
         let a = well_conditioned_3x3();
         let x_true = CVector::from_vec(vec![c64(1.0, 0.0), c64(0.0, 1.0), c64(2.0, -2.0)]);
         let b = a.mul_vec(&x_true);
-        let x = lstsq(&a, &b).unwrap();
+        let x = pinv(&a).unwrap().mul_vec(&b);
         assert!(x.approx_eq(&x_true, TOL));
     }
 
@@ -372,7 +275,7 @@ mod tests {
         let a = CMatrix::from_reals(4, 2, &[1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, -1.0]);
         let x_true = CVector::from_reals(&[2.0, -1.0]);
         let b = a.mul_vec(&x_true);
-        let x = lstsq(&a, &b).unwrap();
+        let x = pinv(&a).unwrap().mul_vec(&b);
         assert!(x.approx_eq(&x_true, TOL));
     }
 

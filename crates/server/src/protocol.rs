@@ -52,9 +52,12 @@
 //! fairness when no run had defined fairness) serialize as `null`,
 //! never as an invalid JSON token.
 
-use crate::json::{self, json_f64, Json};
+use crate::json::{self, Json};
 use nplus::sim::{CanonicalSpec, MobilityModel, SinrGrid, SweepStats, TrafficModel};
 use nplus_channel::environment::environment_from_name;
+/// The statistics serializer, shared with the sweep report; re-exported
+/// here so response consumers keep one import path.
+pub use nplus_codec::export::stats_to_json;
 use nplus_testkit::parse_spec;
 use std::io::{self, Read, Write};
 
@@ -317,29 +320,6 @@ fn parse_sweep(doc: &Json) -> Result<SweepRequest, String> {
         sinr_grid,
         threads,
     })
-}
-
-/// Serializes sweep statistics; every undefined float becomes `null`.
-pub fn stats_to_json(stats: &[SweepStats]) -> Json {
-    Json::Arr(
-        stats
-            .iter()
-            .map(|s| {
-                Json::Obj(vec![
-                    ("policy".to_string(), Json::Str(s.policy.clone())),
-                    ("n_runs".to_string(), Json::Int(s.n_runs as i64)),
-                    ("mean_total_mbps".to_string(), json_f64(s.mean_total_mbps)),
-                    ("ci95_total_mbps".to_string(), json_f64(s.ci95_total_mbps)),
-                    (
-                        "mean_per_flow_mbps".to_string(),
-                        Json::Arr(s.mean_per_flow_mbps.iter().map(|&v| json_f64(v)).collect()),
-                    ),
-                    ("mean_dof".to_string(), json_f64(s.mean_dof)),
-                    ("mean_fairness".to_string(), json_f64(s.mean_fairness)),
-                ])
-            })
-            .collect(),
-    )
 }
 
 /// The success response to a sweep request.

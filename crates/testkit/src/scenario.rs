@@ -1,8 +1,9 @@
 //! Seeded builders for the paper's canonical scenarios.
 
 use nplus::carrier_sense::MultiDimCarrierSense;
+use nplus::observer::NullObserver;
 use nplus::policy::MacPolicy;
-use nplus::sim::{simulate, simulate_policy, Protocol, RunResult, Scenario, SimConfig};
+use nplus::sim::{RunResult, Scenario, SimConfig, SimEngine};
 use nplus_channel::environment::{ChannelEnvironment, EnvironmentError};
 use nplus_channel::fading::DelayProfile;
 use nplus_channel::mimo::MimoLink;
@@ -32,17 +33,16 @@ pub struct BuiltScenario {
 }
 
 impl BuiltScenario {
-    /// Simulate with full control over the config.
-    pub fn run_with(&self, protocol: Protocol, cfg: &SimConfig, sim_seed: u64) -> RunResult {
+    /// Simulates `policy` (a built-in such as `&NPlus`, or a custom
+    /// one) under `cfg`, with the run RNG seeded by `sim_seed`.
+    pub fn run(&self, policy: &dyn MacPolicy, cfg: &SimConfig, sim_seed: u64) -> RunResult {
         let mut rng = StdRng::seed_from_u64(sim_seed);
-        simulate(&self.topology, &self.scenario, protocol, cfg, &mut rng)
-    }
-
-    /// [`run_with`](BuiltScenario::run_with) for an arbitrary
-    /// [`MacPolicy`] (oracle, greedy-join, or a custom one).
-    pub fn run_policy(&self, policy: &dyn MacPolicy, cfg: &SimConfig, sim_seed: u64) -> RunResult {
-        let mut rng = StdRng::seed_from_u64(sim_seed);
-        simulate_policy(&self.topology, &self.scenario, policy, cfg, &mut rng)
+        SimEngine::new(&self.topology, &self.scenario, cfg).run(
+            policy,
+            &mut rng,
+            &mut NullObserver,
+            None,
+        )
     }
 }
 

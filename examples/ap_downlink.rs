@@ -30,7 +30,9 @@ fn main() {
     let stats = SweepSpec::new(scenario)
         .rounds(30)
         .seed_count(n_placements)
-        .protocols(&[Protocol::Dot11n, Protocol::Beamforming, Protocol::NPlus])
+        .policy(Dot11n)
+        .policy(Beamforming)
+        .policy(NPlus)
         .policy(Oracle)
         .run();
 

@@ -25,7 +25,8 @@ fn main() {
         let stats = SweepSpec::new(Scenario::three_pairs())
             .rounds(12)
             .seed_count(10)
-            .protocols(&[Protocol::Dot11n, Protocol::NPlus])
+            .policy(Dot11n)
+            .policy(NPlus)
             .policy(Oracle)
             .environment_named(name)
             .expect("builtin environment")
@@ -50,7 +51,8 @@ fn main() {
     let stats = SweepSpec::new(Scenario::three_pairs())
         .rounds(12)
         .seed_count(10)
-        .protocols(&[Protocol::Dot11n, Protocol::NPlus])
+        .policy(Dot11n)
+        .policy(NPlus)
         .environment(custom)
         .run();
     println!(

@@ -48,12 +48,13 @@ fn main() {
 
     println!("\nsimulating {} rounds per protocol...\n", cfg.rounds);
     let mut results = Vec::new();
-    for protocol in [Protocol::Dot11n, Protocol::NPlus] {
+    let engine = SimEngine::new(&topo, &scenario, &cfg);
+    for policy in [&Dot11n as &dyn MacPolicy, &NPlus] {
         let mut rng = StdRng::seed_from_u64(seed);
-        let r = simulate(&topo, &scenario, protocol, &cfg, &mut rng);
+        let r = engine.run(policy, &mut rng, &mut NullObserver, None);
         println!(
             "{:12} total {:5.1} Mb/s | tx1-rx1 {:5.2} | tx2-rx2 {:5.2} | tx3-rx3 {:5.2} | mean DoF {:.2}",
-            protocol.to_string(),
+            policy.name(),
             r.total_mbps,
             r.per_flow_mbps[0],
             r.per_flow_mbps[1],

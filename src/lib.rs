@@ -13,8 +13,9 @@
 //! let stats = SweepSpec::new(Scenario::three_pairs())
 //!     .rounds(3)
 //!     .seed_count(2)
-//!     .protocols(&[Protocol::Dot11n, Protocol::NPlus])
-//!     .policy(Oracle) // the omniscient upper bound — not in the enum
+//!     .policy(Dot11n)
+//!     .policy(NPlus)
+//!     .policy(Oracle) // the omniscient upper bound
 //!     .run();
 //! assert_eq!(stats.last().unwrap().policy, "oracle");
 //! ```

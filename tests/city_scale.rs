@@ -146,7 +146,8 @@ fn nplus_matches_or_beats_dot11n_under_load() {
             .rounds(12)
             .seed_count(4)
             .traffic(traffic)
-            .protocols(&[Protocol::Dot11n, Protocol::NPlus])
+            .policy(Dot11n)
+            .policy(NPlus)
             .run();
         assert_eq!(stats[0].policy, "dot11n");
         assert_eq!(stats[1].policy, "nplus");
@@ -170,7 +171,8 @@ fn thousand_node_city_is_deterministic_across_threads() {
         SweepSpec::new(scenario.clone())
             .rounds(3)
             .seed_count(2)
-            .protocols(&[Protocol::Dot11n, Protocol::NPlus])
+            .policy(Dot11n)
+            .policy(NPlus)
             .environment_named("multi_cell")
             .unwrap()
     };

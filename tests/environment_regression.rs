@@ -228,40 +228,31 @@ fn golden_scenario(label: &str) -> Scenario {
 /// sweep statistics bit-for-bit, serially and at 2 worker threads.
 #[test]
 fn sigcomm11_sweep_statistics_survive_the_environment_redesign_bitwise() {
-    let protocols = [Protocol::NPlus, Protocol::Dot11n, Protocol::Beamforming];
     for label in ["three_pairs", "ap_downlink"] {
         let expected: Vec<_> = SWEEP_GOLDENS.iter().filter(|g| g.0 == label).collect();
+        let golden_spec = || {
+            SweepSpec::new(golden_scenario(label))
+                .rounds(6)
+                .seed_count(4)
+                .policy(NPlus)
+                .policy(Dot11n)
+                .policy(Beamforming)
+        };
         let variants: [(&str, SweepSpec); 4] = [
-            (
-                "default env, serial",
-                SweepSpec::new(golden_scenario(label))
-                    .rounds(6)
-                    .seed_count(4)
-                    .protocols(&protocols),
-            ),
+            ("default env, serial", golden_spec()),
             (
                 "explicit value, serial",
-                SweepSpec::new(golden_scenario(label))
-                    .rounds(6)
-                    .seed_count(4)
-                    .protocols(&protocols)
-                    .environment(Sigcomm11Indoor::default()),
+                golden_spec().environment(Sigcomm11Indoor::default()),
             ),
             (
                 "registry name, serial",
-                SweepSpec::new(golden_scenario(label))
-                    .rounds(6)
-                    .seed_count(4)
-                    .protocols(&protocols)
+                golden_spec()
                     .environment_named("sigcomm11")
                     .expect("builtin"),
             ),
             (
                 "registry name, 2 threads",
-                SweepSpec::new(golden_scenario(label))
-                    .rounds(6)
-                    .seed_count(4)
-                    .protocols(&protocols)
+                golden_spec()
                     .environment_named("sigcomm11")
                     .expect("builtin")
                     .threads(2),
@@ -307,7 +298,8 @@ fn every_environment_passes_parallel_determinism() {
                 .environment_named(name)
                 .expect("builtin environment")
                 .seed_count(3)
-                .protocols(&[Protocol::NPlus, Protocol::Dot11n])
+                .policy(NPlus)
+                .policy(Dot11n)
                 .threads(threads)
                 .run()
         };
@@ -362,7 +354,7 @@ fn shipped_environments_are_distinct_worlds() {
         let stats = SweepSpec::new(Scenario::three_pairs())
             .rounds(8)
             .seed_count(3)
-            .protocol(Protocol::NPlus)
+            .policy(NPlus)
             .environment_named(name)
             .expect("builtin environment")
             .run();

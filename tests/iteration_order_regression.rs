@@ -49,7 +49,8 @@ fn city_sweep_statistics_are_pinned() {
     let stats = SweepSpec::new(city_scenario(256))
         .rounds(2)
         .seed_count(2)
-        .protocols(&[Protocol::Dot11n, Protocol::NPlus])
+        .policy(Dot11n)
+        .policy(NPlus)
         .environment_named("multi_cell")
         .unwrap()
         .threads(1)
@@ -70,7 +71,8 @@ fn mobility_sweep_statistics_are_pinned() {
     let stats = SweepSpec::new(Scenario::three_pairs())
         .rounds(8)
         .seed_count(3)
-        .protocols(&[Protocol::Dot11n, Protocol::NPlus])
+        .policy(Dot11n)
+        .policy(NPlus)
         .mobility(MobilityModel::Waypoint {
             step_m: 2.0,
             epoch_rounds: 2,

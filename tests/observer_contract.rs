@@ -9,7 +9,9 @@
 //! asserts **exact** equality with the returned `RunResult`, for every
 //! built-in policy over generated scenarios.
 
-use nplus::observer::{ContentionRecord, JoinRecord, RoundObserver, RoundRecord, RunMeta};
+use nplus::observer::{
+    ContentionRecord, JoinRecord, NullObserver, RoundObserver, RoundRecord, RunMeta,
+};
 use nplus::policy::{policy_from_name, BUILTIN_POLICY_NAMES};
 use nplus::sim::{RunResult, SimConfig, SimEngine};
 use nplus_testkit::generator::ScenarioGenerator;
@@ -109,14 +111,20 @@ proptest! {
         for name in BUILTIN_POLICY_NAMES {
             let policy = policy_from_name(name).expect("builtin");
             let mut recorder = Recorder::default();
-            let observed = engine.run_observed(
+            let observed = engine.run(
                 policy,
                 &mut StdRng::seed_from_u64(gen_seed ^ 0x0B5E),
                 &mut recorder,
+                None,
             );
             // Observation is passive: same seed without a tap gives the
             // identical result.
-            let plain = engine.run_policy(policy, &mut StdRng::seed_from_u64(gen_seed ^ 0x0B5E));
+            let plain = engine.run(
+                policy,
+                &mut StdRng::seed_from_u64(gen_seed ^ 0x0B5E),
+                &mut NullObserver,
+                None,
+            );
             proptest::prop_assert_eq!(&observed.per_flow_mbps, &plain.per_flow_mbps, "{} tap changed run", name);
             proptest::prop_assert_eq!(observed.total_mbps, plain.total_mbps, "{} tap changed run", name);
             proptest::prop_assert_eq!(observed.mean_dof, plain.mean_dof, "{} tap changed run", name);

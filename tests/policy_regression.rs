@@ -10,8 +10,9 @@
 //! anywhere. If a change to the policy/engine layering perturbs even
 //! the last mantissa bit of any protocol's results, this suite fails.
 
-use nplus::policy::GreedyJoin;
-use nplus::sim::{Protocol, Scenario, SimConfig, SweepSpec, SweepStats};
+use nplus::observer::NullObserver;
+use nplus::policy::{Beamforming, Dot11n, GreedyJoin, MacPolicy, NPlus};
+use nplus::sim::{Scenario, SimConfig, SimEngine, SweepSpec, SweepStats};
 use nplus_medium::topology::{build_topology, TopologyConfig};
 use nplus_testkit::generator::ScenarioGenerator;
 use nplus_testkit::scenario::build_scenario;
@@ -185,13 +186,12 @@ fn assert_stats_match_goldens(label: &str, stats: &[SweepStats], context: &str) 
     }
 }
 
-/// The tentpole acceptance criterion: `Protocol::{NPlus, Dot11n,
-/// Beamforming}` as `MacPolicy` implementations reproduce the enum-era
+/// The policy redesign's acceptance criterion: `NPlus`, `Dot11n` and
+/// `Beamforming` as `MacPolicy` implementations reproduce the enum-era
 /// sweep statistics bit-for-bit at every recorded seed — serially and
 /// at 2 worker threads.
 #[test]
 fn enum_era_results_survive_the_policy_redesign_bitwise() {
-    let protocols = [Protocol::NPlus, Protocol::Dot11n, Protocol::Beamforming];
     for label in [
         "three_pairs",
         "ap_downlink",
@@ -202,14 +202,11 @@ fn enum_era_results_survive_the_policy_redesign_bitwise() {
         let spec = SweepSpec::new(golden_scenario(label))
             .rounds(6)
             .seed_count(4)
-            .protocols(&protocols);
+            .policy(NPlus)
+            .policy(Dot11n)
+            .policy(Beamforming);
         assert_stats_match_goldens(label, &spec.run(), "serial");
-        let spec2 = SweepSpec::new(golden_scenario(label))
-            .rounds(6)
-            .seed_count(4)
-            .protocols(&protocols)
-            .threads(2);
-        assert_stats_match_goldens(label, &spec2.run(), "threads 2");
+        assert_stats_match_goldens(label, &spec.threads(2).run(), "threads 2");
     }
 }
 
@@ -260,7 +257,7 @@ fn greedy_join_reproduces_the_power_control_ablation_bitwise() {
             rounds: 10,
             ..SimConfig::default()
         };
-        let r = built.run_policy(&GreedyJoin, &cfg, seed ^ 0x55);
+        let r = built.run(&GreedyJoin, &cfg, seed ^ 0x55);
         assert_eq!(r.total_mbps, total, "seed {seed} total");
         assert_eq!(r.mean_dof, dof, "seed {seed} DoF");
         assert_eq!(r.per_flow_mbps.as_slice(), per_flow, "seed {seed} per-flow");
@@ -268,25 +265,25 @@ fn greedy_join_reproduces_the_power_control_ablation_bitwise() {
 }
 
 /// Golden single-run results (three_pairs on placement 11, rounds = 8,
-/// run RNG seed 5) straight through `simulate` — the enum entry point
-/// itself, not just the sweep wrappers.
+/// run RNG seed 5) straight through `SimEngine::run` — the one-run
+/// entry point itself, not just the sweep wrappers.
 #[test]
 fn simulate_entry_point_matches_enum_era_bitwise() {
-    let goldens: [(Protocol, f64, f64, &[f64]); 3] = [
+    let goldens: [(&dyn MacPolicy, f64, f64, &[f64]); 3] = [
         (
-            Protocol::NPlus,
+            &NPlus,
             17.30373001776199,
             2.339578454332553,
             &[3.580817051509769, 5.371225577264654, 8.351687388987566],
         ),
         (
-            Protocol::Dot11n,
+            &Dot11n,
             13.64467005076142,
             2.1379310344827585,
             &[3.411167512690355, 3.411167512690355, 6.82233502538071],
         ),
         (
-            Protocol::Beamforming,
+            &Beamforming,
             13.64467005076142,
             2.1379310344827585,
             &[3.411167512690355, 3.411167512690355, 6.82233502538071],
@@ -306,16 +303,17 @@ fn simulate_entry_point_matches_enum_era_bitwise() {
         rounds: 8,
         ..SimConfig::default()
     };
-    for (protocol, total, dof, per_flow) in goldens {
-        let r = nplus::sim::simulate(
-            &topo,
-            &scenario,
-            protocol,
-            &cfg,
+    let engine = SimEngine::new(&topo, &scenario, &cfg);
+    for (policy, total, dof, per_flow) in goldens {
+        let r = engine.run(
+            policy,
             &mut StdRng::seed_from_u64(5),
+            &mut NullObserver,
+            None,
         );
-        assert_eq!(r.total_mbps, total, "{protocol} total");
-        assert_eq!(r.mean_dof, dof, "{protocol} DoF");
-        assert_eq!(r.per_flow_mbps.as_slice(), per_flow, "{protocol} per-flow");
+        let name = policy.name();
+        assert_eq!(r.total_mbps, total, "{name} total");
+        assert_eq!(r.mean_dof, dof, "{name} DoF");
+        assert_eq!(r.per_flow_mbps.as_slice(), per_flow, "{name} per-flow");
     }
 }
