@@ -7,9 +7,13 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use nplus::carrier_sense::MultiDimCarrierSense;
 use nplus::policy::NPlus;
-use nplus::precoder::{compute_precoders, OwnReceiver, ProtectedReceiver};
+use nplus::precoder::{
+    compute_precoders_into, OwnReceiverSoARef, PrecoderWorkspace, ProtectedReceiverSoARef,
+};
 use nplus::sim::{SimConfig, SinrGrid};
-use nplus_linalg::{null_space, CMatrix, CMatrixSoA, CVector, Complex64, Subspace};
+use nplus_linalg::{
+    null_space_into, CMatrix, CMatrixSoA, CVector, Complex64, NullspaceWorkspace, Subspace,
+};
 use nplus_phy::convolutional::{encode, viterbi_decode};
 use nplus_phy::fft::{fft_in_place, ifft};
 use nplus_phy::params::OfdmConfig;
@@ -30,34 +34,43 @@ fn bench_fft(c: &mut Criterion) {
 
 fn bench_null_space(c: &mut Criterion) {
     let mut rng = nplus_testkit::rng(2);
-    let a = random_matrix(2, 4, &mut rng);
-    c.bench_function("null_space_2x4", |b| b.iter(|| null_space(&a)));
+    let a = CMatrixSoA::from_aos(&random_matrix(2, 4, &mut rng));
+    let mut ws = NullspaceWorkspace::default();
+    let mut basis = Vec::new();
+    c.bench_function("null_space_2x4", |b| {
+        b.iter(|| null_space_into(&a, &mut ws, &mut basis))
+    });
 }
 
 fn bench_precoder(c: &mut Criterion) {
     // The Fig. 3 join: null at 1-antenna rx, align at 2-antenna rx —
-    // the exact computation a 3-antenna joiner performs per subcarrier.
+    // the exact computation a 3-antenna joiner performs per subcarrier,
+    // through the pooled kernel the engine runs.
     let mut rng = nplus_testkit::rng(3);
-    let h1 = random_matrix(1, 3, &mut rng);
-    let h2 = random_matrix(2, 3, &mut rng);
-    let h3 = random_matrix(3, 3, &mut rng);
+    let h1 = CMatrixSoA::from_aos(&random_matrix(1, 3, &mut rng));
+    let h2 = CMatrixSoA::from_aos(&random_matrix(2, 3, &mut rng));
+    let h3 = CMatrixSoA::from_aos(&random_matrix(3, 3, &mut rng));
     let u2 = Subspace::span(2, &[random_matrix(2, 1, &mut rng).col(0)]);
+    let u1 = Subspace::zero(1);
+    let u3 = Subspace::zero(3);
+    let protected = [
+        ProtectedReceiverSoARef {
+            channel: &h1,
+            unwanted: &u1,
+        },
+        ProtectedReceiverSoARef {
+            channel: &h2,
+            unwanted: &u2,
+        },
+    ];
+    let own = [OwnReceiverSoARef {
+        channel: &h3,
+        n_streams: 1,
+        unwanted: &u3,
+    }];
+    let mut ws = PrecoderWorkspace::default();
     c.bench_function("precoder_fig3_join", |b| {
-        b.iter(|| {
-            compute_precoders(
-                3,
-                &[
-                    ProtectedReceiver::nulling(h1.clone()),
-                    ProtectedReceiver::aligning(h2.clone(), u2.clone()),
-                ],
-                &[OwnReceiver {
-                    channel: h3.clone(),
-                    n_streams: 1,
-                    unwanted: Subspace::zero(3),
-                }],
-            )
-            .unwrap()
-        })
+        b.iter(|| compute_precoders_into(3, &protected, &own, &mut ws).unwrap())
     });
 }
 

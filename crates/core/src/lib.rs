@@ -78,8 +78,8 @@ pub use policy::{
 };
 pub use power_control::{join_power_decision, JoinPowerDecision, DEFAULT_L_DB};
 pub use precoder::{
-    compute_precoders, compute_precoders_ref, max_joinable_streams, residual_interference,
-    OwnReceiver, OwnReceiverRef, PrecoderError, Precoding, ProtectedReceiver, ProtectedReceiverRef,
+    compute_precoders, max_joinable_streams, residual_interference, OwnReceiver, PrecoderError,
+    Precoding, ProtectedReceiver,
 };
 pub use sim::{
     aggregate_results, CanonicalSpec, Flow, MobilityModel, RunResult, Scenario, SeedResults,

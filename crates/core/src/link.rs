@@ -18,9 +18,7 @@
 //! (hardware error) is *not* known to the receiver and degrades the SINR
 //! — exactly the 0.8/1.3 dB effect of Fig. 11.
 
-use nplus_linalg::{
-    pinv, pinv_into, CMatrix, CMatrixSoA, CVector, Complex64, PinvWorkspace, Subspace,
-};
+use nplus_linalg::{pinv_into, CMatrixSoA, CVector, Complex64, PinvWorkspace};
 use nplus_phy::esnr::effective_snr;
 use nplus_phy::modulation::Modulation;
 use nplus_phy::rates::{RateIndex, RATE_TABLE};
@@ -47,63 +45,22 @@ pub struct SubcarrierObservation {
 ///
 /// Returns one SINR per wanted stream; zero when the ZF matrix is
 /// singular (wanted + known interference exceed the antenna budget or are
-/// degenerate).
+/// degenerate). Allocating wrapper over [`zf_sinr_slices_into`].
+///
+/// # Panics
+/// When the wanted and known-interference vectors do not all have the
+/// same length (ragged columns).
 pub fn zf_sinr(obs: &SubcarrierObservation) -> Vec<f64> {
-    zf_sinr_slices(
+    let mut out = Vec::new();
+    zf_sinr_slices_into(
         &obs.wanted,
         &obs.known_interference,
         &obs.residual_interference,
         obs.noise_power,
-    )
-}
-
-/// Slice form of [`zf_sinr`]: identical arithmetic without requiring the
-/// caller to assemble an owned [`SubcarrierObservation`]. The simulator's
-/// hot path passes its per-round scratch buffers and cached subspace
-/// bases here directly.
-pub fn zf_sinr_slices(
-    wanted: &[CVector],
-    known_interference: &[CVector],
-    residual_interference: &[CVector],
-    noise_power: f64,
-) -> Vec<f64> {
-    let n_wanted = wanted.len();
-    if n_wanted == 0 {
-        return Vec::new();
-    }
-    let n_ant = wanted[0].len();
-    let n_cols = n_wanted + known_interference.len();
-    if n_cols > n_ant {
-        // Over-subscribed receive space: undecodable.
-        return vec![0.0; n_wanted];
-    }
-    // Assemble the ZF matrix from the borrowed columns without cloning
-    // each vector first.
-    let col_refs: Vec<&CVector> = wanted.iter().chain(known_interference).collect();
-    let a = CMatrix::from_col_refs(&col_refs);
-    let w = match pinv(&a) {
-        Ok(w) => w,
-        Err(_) => return vec![0.0; n_wanted],
-    };
-    (0..n_wanted)
-        .map(|i| {
-            // ZF: row · wanted_i = 1 by construction; noise and residual
-            // interference pass through the filter. Work directly on the
-            // i-th row of W — `row_i · conj(conj(r)) = Σ_j w_ij · r_j` —
-            // so no per-row or per-residual vectors are materialized.
-            let noise: f64 = (0..n_ant).map(|j| w[(i, j)].norm_sqr()).sum::<f64>() * noise_power;
-            let resid: f64 = residual_interference
-                .iter()
-                .map(|r| {
-                    (0..n_ant)
-                        .map(|j| w[(i, j)] * r[j])
-                        .sum::<Complex64>()
-                        .norm_sqr()
-                })
-                .sum();
-            1.0 / (noise + resid).max(1e-300)
-        })
-        .collect()
+        &mut ZfWorkspace::default(),
+        &mut out,
+    );
+    out
 }
 
 /// Reusable buffers for [`zf_sinr_slices_into`] — one per engine, reused
@@ -114,11 +71,14 @@ pub struct ZfWorkspace {
     pinv: PinvWorkspace,
 }
 
-/// Pooled sibling of [`zf_sinr_slices`]: identical arithmetic through the
-/// split-storage pseudo-inverse kernel (`pinv_into` replicates `pinv`
-/// operation for operation), with the ZF matrix assembled into a reusable
-/// buffer and the SINRs written into `out`. Seeded results are bit-for-bit
-/// the allocating path's.
+/// Slice form of [`zf_sinr`] into pooled buffers: the ZF matrix is
+/// assembled into `ws`, inverted by the split-storage pseudo-inverse
+/// kernel, and the SINRs are written into `out`. The simulator's hot path
+/// passes its per-round scratch buffers and cached subspace bases here
+/// directly.
+///
+/// # Panics
+/// As [`zf_sinr`].
 pub fn zf_sinr_slices_into(
     wanted: &[CVector],
     known_interference: &[CVector],
@@ -140,9 +100,10 @@ pub fn zf_sinr_slices_into(
         return;
     }
     // Assemble the ZF matrix column by column (wanted, then known
-    // interference) — the same values `from_col_refs` lays out.
+    // interference).
     ws.a.reset(n_ant, n_cols);
     for (j, v) in wanted.iter().chain(known_interference).enumerate() {
+        assert_eq!(v.len(), n_ant, "ragged column lengths");
         for (i, z) in v.iter().enumerate() {
             ws.a.set(i, j, *z);
         }
@@ -154,8 +115,9 @@ pub fn zf_sinr_slices_into(
     let w = &ws.pinv.out;
     for i in 0..n_wanted {
         // ZF: row · wanted_i = 1 by construction; noise and residual
-        // interference pass through the filter (same row-walk as
-        // `zf_sinr_slices`).
+        // interference pass through the filter. Work directly on the
+        // i-th row of W — `row_i · conj(conj(r)) = Σ_j w_ij · r_j` — so
+        // no per-row or per-residual vectors are materialized.
         let noise: f64 = (0..n_ant).map(|j| w.get(i, j).norm_sqr()).sum::<f64>() * noise_power;
         let mut resid = 0.0f64;
         for r in residual_interference {
@@ -203,13 +165,6 @@ pub fn stream_esnr_db(per_subcarrier_sinr: &[f64]) -> f64 {
     10.0 * effective_snr(Modulation::Qpsk, per_subcarrier_sinr)
         .max(1e-300)
         .log10()
-}
-
-/// Convenience: builds the known-interference list for a receiver that
-/// advertised unwanted space `u` — its basis vectors are the directions
-/// aligned interference arrives from.
-pub fn known_interference_from_unwanted(u: &Subspace) -> Vec<CVector> {
-    u.basis().to_vec()
 }
 
 #[cfg(test)]
@@ -328,46 +283,18 @@ mod tests {
         assert_eq!(select_stream_rate(&dead), None);
     }
 
-    /// The pooled split-storage ZF path is bit-for-bit the allocating
-    /// path, including the degenerate (empty / oversubscribed / singular)
-    /// branches.
+    /// A known-interference vector shorter than the wanted vectors is a
+    /// caller bug, not a zero-padded column.
     #[test]
-    fn pooled_zf_matches_allocating_bitwise() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut ws = ZfWorkspace::default();
-        let mut out = Vec::new();
-        let rv = |n: usize, rng: &mut StdRng| {
-            CVector::from_vec(
-                (0..n)
-                    .map(|_| c64(rng.gen::<f64>() - 0.5, rng.gen()))
-                    .collect(),
-            )
+    #[should_panic(expected = "ragged column lengths")]
+    fn ragged_columns_panic() {
+        let obs = SubcarrierObservation {
+            wanted: vec![v(&[(1.0, 0.0), (0.5, 0.0)])],
+            known_interference: vec![v(&[(0.3, 0.0)])],
+            residual_interference: vec![],
+            noise_power: 1.0,
         };
-        for _ in 0..200 {
-            let n_ant = rng.gen_range(1..=4usize);
-            let n_wanted = rng.gen_range(0..=n_ant + 1);
-            let n_known = rng.gen_range(0..=2usize);
-            let n_resid = rng.gen_range(0..=2usize);
-            let wanted: Vec<CVector> = (0..n_wanted).map(|_| rv(n_ant, &mut rng)).collect();
-            let known: Vec<CVector> = (0..n_known).map(|_| rv(n_ant, &mut rng)).collect();
-            let resid: Vec<CVector> = (0..n_resid).map(|_| rv(n_ant, &mut rng)).collect();
-            let reference = zf_sinr_slices(&wanted, &known, &resid, 1.0);
-            zf_sinr_slices_into(&wanted, &known, &resid, 1.0, &mut ws, &mut out);
-            assert_eq!(reference.len(), out.len());
-            for (a, b) in reference.iter().zip(&out) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-        // A duplicated column makes the Gram matrix singular: both paths
-        // must agree on the zero fallback.
-        let v = rv(3, &mut rng);
-        let dup = [v.clone(), v.clone()];
-        let reference = zf_sinr_slices(&dup, &[], &[], 1.0);
-        zf_sinr_slices_into(&dup, &[], &[], 1.0, &mut ws, &mut out);
-        assert_eq!(reference, out);
-        assert_eq!(out, vec![0.0, 0.0]);
+        zf_sinr(&obs);
     }
 
     #[test]

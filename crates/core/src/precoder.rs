@@ -18,8 +18,8 @@
 //! of `H`), which keeps the implementation unified.
 
 use nplus_linalg::{
-    mul_into, null_space, null_space_into, CMatrix, CMatrixSoA, CVector, NullspaceWorkspace,
-    Subspace, SubspaceWorkspace, VecPool,
+    mul_into, null_space_into, CMatrix, CMatrixSoA, CVector, NullspaceWorkspace, Subspace,
+    SubspaceWorkspace, VecPool,
 };
 
 /// A receiver of an *ongoing* transmission that must be protected.
@@ -54,56 +54,6 @@ impl ProtectedReceiver {
         );
         ProtectedReceiver { channel, unwanted }
     }
-
-    /// Borrowed view of this receiver.
-    pub fn as_ref(&self) -> ProtectedReceiverRef<'_> {
-        ProtectedReceiverRef {
-            channel: &self.channel,
-            unwanted: &self.unwanted,
-        }
-    }
-
-    /// The number of independent linear constraints this receiver imposes
-    /// (its wanted-stream count `n = N − dim U`).
-    pub fn n_constraints(&self) -> usize {
-        self.as_ref().n_constraints()
-    }
-
-    /// The constraint rows `U^⊥ H` of Eq. 6 (or `H` itself for nulling —
-    /// Eq. 5 — since `U^⊥ = I` when `U` is empty).
-    pub fn constraint_rows(&self) -> CMatrix {
-        self.as_ref().constraint_rows()
-    }
-}
-
-/// Borrowed view of a protected receiver — the hot simulation path
-/// builds these per subcarrier without cloning channel matrices or
-/// subspaces.
-#[derive(Debug, Clone, Copy)]
-pub struct ProtectedReceiverRef<'a> {
-    /// The believed forward channel (`N × M`).
-    pub channel: &'a CMatrix,
-    /// The receiver's unwanted space `U` (ambient `N`).
-    pub unwanted: &'a Subspace,
-}
-
-impl ProtectedReceiverRef<'_> {
-    /// The number of independent linear constraints this receiver imposes
-    /// (its wanted-stream count `n = N − dim U`).
-    pub fn n_constraints(&self) -> usize {
-        self.channel.rows() - self.unwanted.dim()
-    }
-
-    /// The constraint rows `U^⊥ H` of Eq. 6 (or `H` itself for nulling —
-    /// Eq. 5 — since `U^⊥ = I` when `U` is empty).
-    pub fn constraint_rows(&self) -> CMatrix {
-        if self.unwanted.is_zero() {
-            self.channel.clone()
-        } else {
-            let u_perp = self.unwanted.complement();
-            &u_perp.row_operator() * self.channel
-        }
-    }
 }
 
 /// One of the joining transmitter's *own* receivers and the streams
@@ -117,28 +67,6 @@ pub struct OwnReceiver {
     /// The receiver's unwanted space, used to protect it from the
     /// transmitter's streams destined to *other* receivers.
     pub unwanted: Subspace,
-}
-
-impl OwnReceiver {
-    /// Borrowed view of this receiver.
-    pub fn as_ref(&self) -> OwnReceiverRef<'_> {
-        OwnReceiverRef {
-            channel: &self.channel,
-            n_streams: self.n_streams,
-            unwanted: &self.unwanted,
-        }
-    }
-}
-
-/// Borrowed view of an own receiver (see [`ProtectedReceiverRef`]).
-#[derive(Debug, Clone, Copy)]
-pub struct OwnReceiverRef<'a> {
-    /// Forward channel to this receiver (`N × M`).
-    pub channel: &'a CMatrix,
-    /// Streams destined to this receiver.
-    pub n_streams: usize,
-    /// The receiver's unwanted space.
-    pub unwanted: &'a Subspace,
 }
 
 /// Errors from precoding computation.
@@ -198,92 +126,44 @@ pub fn max_joinable_streams(m_antennas: usize, k_ongoing: usize) -> usize {
 /// `m_antennas` is the joining transmitter's antenna count; `protected`
 /// are the receivers of ongoing transmissions; `own` are the joiner's
 /// receivers with their stream counts. Returns an error if the constraint
-/// set leaves fewer dimensions than requested.
+/// set leaves fewer dimensions than requested. Allocating wrapper over
+/// [`compute_precoders_into_with`].
 pub fn compute_precoders(
     m_antennas: usize,
     protected: &[ProtectedReceiver],
     own: &[OwnReceiver],
 ) -> Result<Precoding, PrecoderError> {
-    let protected_refs: Vec<ProtectedReceiverRef> = protected.iter().map(|p| p.as_ref()).collect();
-    let own_refs: Vec<OwnReceiverRef> = own.iter().map(|r| r.as_ref()).collect();
-    compute_precoders_ref(m_antennas, &protected_refs, &own_refs)
-}
-
-/// Borrowed-input form of [`compute_precoders`] — identical arithmetic,
-/// no cloning of the callers' channel matrices and subspaces. The
-/// simulator's hot path builds the views per subcarrier directly against
-/// its cached channels.
-pub fn compute_precoders_ref(
-    m_antennas: usize,
-    protected: &[ProtectedReceiverRef],
-    own: &[OwnReceiverRef],
-) -> Result<Precoding, PrecoderError> {
-    // Shared constraints: every ongoing receiver constrains every stream.
-    let mut shared = CMatrix::zeros(0, m_antennas);
-    for p in protected {
-        assert_eq!(
-            p.channel.cols(),
-            m_antennas,
-            "protected channel columns must equal tx antennas"
-        );
-        shared = shared.vstack(&p.constraint_rows());
-    }
-    let k: usize = protected.iter().map(|p| p.n_constraints()).sum();
-    if k >= m_antennas {
-        return Err(PrecoderError::NoDegreesOfFreedom);
-    }
-
-    let total_streams: usize = own.iter().map(|r| r.n_streams).sum();
-    let mut vectors = Vec::with_capacity(total_streams);
-    let mut stream_owner = Vec::with_capacity(total_streams);
-
-    for (r_idx, r) in own.iter().enumerate() {
-        if r.n_streams == 0 {
-            continue;
-        }
-        assert_eq!(
-            r.channel.cols(),
-            m_antennas,
-            "own channel columns must equal tx antennas"
-        );
-        // Per-stream constraints: the shared rows plus alignment into the
-        // unwanted space of every *other* own receiver (Claim 3.5's lower
-        // block).
-        let mut rows = shared.clone();
-        for (o_idx, other) in own.iter().enumerate() {
-            if o_idx == r_idx {
-                continue;
-            }
-            let pr = ProtectedReceiverRef {
-                channel: other.channel,
-                unwanted: other.unwanted,
-            };
-            rows = rows.vstack(&pr.constraint_rows());
-        }
-        let basis = null_space(&rows);
-        if basis.len() < r.n_streams {
-            return Err(PrecoderError::TooManyStreams {
-                requested: r.n_streams,
-                available: basis.len(),
-            });
-        }
-        for i in 0..r.n_streams {
-            vectors.push(basis[i].clone());
-            stream_owner.push(r_idx);
-        }
-    }
-
-    // Power normalization: unit total transmit power split evenly across
-    // streams (each basis vector is already unit-norm).
-    if !vectors.is_empty() {
-        let scale = 1.0 / (vectors.len() as f64).sqrt();
-        for v in vectors.iter_mut() {
-            *v = v.scale_re(scale);
-        }
-    }
-
+    let protected_ch: Vec<CMatrixSoA> = protected
+        .iter()
+        .map(|p| CMatrixSoA::from_aos(&p.channel))
+        .collect();
+    let own_ch: Vec<CMatrixSoA> = own
+        .iter()
+        .map(|r| CMatrixSoA::from_aos(&r.channel))
+        .collect();
+    let mut ws = PrecoderWorkspace::default();
+    compute_precoders_into_with(
+        m_antennas,
+        protected.len(),
+        |i| ProtectedReceiverSoARef {
+            channel: &protected_ch[i],
+            unwanted: &protected[i].unwanted,
+        },
+        own.len(),
+        |i| OwnReceiverSoARef {
+            channel: &own_ch[i],
+            n_streams: own[i].n_streams,
+            unwanted: &own[i].unwanted,
+        },
+        &mut ws,
+    )?;
+    let stream_owner = own
+        .iter()
+        .enumerate()
+        .flat_map(|(r_idx, r)| std::iter::repeat_n(r_idx, r.n_streams))
+        .collect();
     Ok(Precoding {
-        vectors,
+        vectors: ws.out.as_slice().to_vec(),
         stream_owner,
     })
 }
@@ -336,11 +216,8 @@ pub struct PrecoderWorkspace {
     pub out: VecPool<CVector>,
 }
 
-/// The constraint rows `U^⊥ H` (or `H` for nulling) into a pooled buffer,
-/// through the split-storage kernels: `complement_into`, the conjugated
-/// row operator and `mul_into` each replicate their interleaved sibling
-/// operation for operation, so the rows are bit-identical to
-/// [`ProtectedReceiverRef::constraint_rows`].
+/// The constraint rows `U^⊥ H` of Eq. 6 into a pooled buffer — or `H`
+/// itself for nulling (Eq. 5), since `U^⊥ = I` when `U` is empty.
 fn constraint_rows_into_soa(
     channel: &CMatrixSoA,
     unwanted: &Subspace,
@@ -358,15 +235,17 @@ fn constraint_rows_into_soa(
     }
 }
 
-/// Pooled split-storage form of [`compute_precoders_ref`]: the identical
-/// constraint assembly, null-space solve and power normalization, with
-/// every intermediate written into reusable `ws` buffers and the vectors
-/// left in `ws.out`. Seeded results are bit-for-bit the allocating
-/// path's. (`stream_owner` bookkeeping is omitted — the engine's hot path
-/// tracks ownership through its allocation list.)
+/// Pooled split-storage form of [`compute_precoders`]: the constraint
+/// assembly, null-space solve and power normalization, with every
+/// intermediate written into reusable `ws` buffers and the vectors left
+/// in `ws.out`. (`stream_owner` bookkeeping is omitted — the engine's hot
+/// path tracks ownership through its allocation list.)
 ///
 /// # Errors
-/// Exactly as [`compute_precoders_ref`].
+/// [`PrecoderError::NoDegreesOfFreedom`] when the protected receivers'
+/// constraints use up all `m_antennas` dimensions, and
+/// [`PrecoderError::TooManyStreams`] when an own receiver asks for more
+/// streams than its null space holds.
 pub fn compute_precoders_into(
     m_antennas: usize,
     protected: &[ProtectedReceiverSoARef],
@@ -387,12 +266,12 @@ pub fn compute_precoders_into(
 /// index→view closures instead of slices, so the engine can feed its
 /// flat pooled storage (believed channels in `[receiver × bin]` arrays,
 /// unwanted spaces in pooled round state) without materializing a
-/// `Vec` of views per solve. Identical constraint assembly and solve
-/// order — views are fetched by ascending index exactly as the slice
-/// form iterates — so results stay bit-for-bit.
+/// `Vec` of views per solve. Views are fetched by ascending index exactly
+/// as the slice form iterates, so results are the same bit for bit. This
+/// is the one implementation of Claim 3.5.
 ///
 /// # Errors
-/// Exactly as [`compute_precoders_ref`].
+/// As [`compute_precoders_into`].
 pub fn compute_precoders_into_with<'a>(
     m_antennas: usize,
     n_protected: usize,
@@ -720,87 +599,6 @@ mod tests {
         // Total power across streams is 1.
         let total: f64 = p.vectors.iter().map(|v| v.norm_sqr()).sum();
         assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    /// The pooled split-storage precoder is bit-for-bit the allocating
-    /// path across random constraint mixes, including both error kinds.
-    #[test]
-    fn pooled_precoder_matches_allocating_bitwise() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut ws = PrecoderWorkspace::default();
-        for trial in 0..150 {
-            let m_ant = rng.gen_range(1..=4usize);
-            let n_protected = rng.gen_range(0..=2usize);
-            let n_own = rng.gen_range(1..=2usize);
-            let protected: Vec<ProtectedReceiver> = (0..n_protected)
-                .map(|_| {
-                    let n_rx = rng.gen_range(1..=3usize);
-                    let ch = random_channel(n_rx, m_ant, &mut rng);
-                    if rng.gen_bool(0.5) && n_rx > 1 {
-                        let dir = random_channel(n_rx, 1, &mut rng).col(0);
-                        ProtectedReceiver::aligning(ch, Subspace::span(n_rx, &[dir]))
-                    } else {
-                        ProtectedReceiver::nulling(ch)
-                    }
-                })
-                .collect();
-            let own: Vec<OwnReceiver> = (0..n_own)
-                .map(|_| {
-                    let n_rx = rng.gen_range(1..=3usize);
-                    OwnReceiver {
-                        channel: random_channel(n_rx, m_ant, &mut rng),
-                        n_streams: rng.gen_range(0..=2usize),
-                        unwanted: Subspace::zero(n_rx),
-                    }
-                })
-                .collect();
-            let reference = compute_precoders(m_ant, &protected, &own);
-
-            let soa_prot: Vec<(CMatrixSoA, Subspace)> = protected
-                .iter()
-                .map(|p| (CMatrixSoA::from_aos(&p.channel), p.unwanted.clone()))
-                .collect();
-            let soa_own: Vec<(CMatrixSoA, usize, Subspace)> = own
-                .iter()
-                .map(|r| {
-                    (
-                        CMatrixSoA::from_aos(&r.channel),
-                        r.n_streams,
-                        r.unwanted.clone(),
-                    )
-                })
-                .collect();
-            let prot_refs: Vec<ProtectedReceiverSoARef> = soa_prot
-                .iter()
-                .map(|(c, u)| ProtectedReceiverSoARef {
-                    channel: c,
-                    unwanted: u,
-                })
-                .collect();
-            let own_refs: Vec<OwnReceiverSoARef> = soa_own
-                .iter()
-                .map(|(c, n, u)| OwnReceiverSoARef {
-                    channel: c,
-                    n_streams: *n,
-                    unwanted: u,
-                })
-                .collect();
-            let pooled = compute_precoders_into(m_ant, &prot_refs, &own_refs, &mut ws);
-            match (&reference, &pooled) {
-                (Ok(p), Ok(())) => {
-                    assert_eq!(p.vectors.len(), ws.out.len(), "trial {trial}");
-                    for (a, b) in p.vectors.iter().zip(ws.out.iter()) {
-                        assert_eq!(a.len(), b.len());
-                        for (x, y) in a.iter().zip(b.iter()) {
-                            assert_eq!(x.re.to_bits(), y.re.to_bits(), "trial {trial}");
-                            assert_eq!(x.im.to_bits(), y.im.to_bits(), "trial {trial}");
-                        }
-                    }
-                }
-                (Err(e), Err(f)) => assert_eq!(e, f, "trial {trial}"),
-                other => panic!("trial {trial}: outcome mismatch {other:?}"),
-            }
-        }
     }
 
     /// Residual metric is monotone in channel-knowledge error.

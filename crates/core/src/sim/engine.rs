@@ -23,7 +23,7 @@
 use super::{
     MobilityModel, RunResult, Scenario, SimConfig, SinrGrid, TrafficModel, BURST_ARRIVALS_PER_ROUND,
 };
-use crate::link::{zf_sinr_slices, zf_sinr_slices_into, ZfWorkspace};
+use crate::link::{zf_sinr_slices_into, ZfWorkspace};
 use crate::observer::{
     ContentionKind, ContentionRecord, GoodputAccumulator, JoinRecord, RoundObserver, RoundRecord,
     RunIdentity, RunMeta, StreamRecord, Tee,
@@ -38,7 +38,7 @@ use crate::precoder::{
 };
 use nplus_channel::placement::Point;
 use nplus_linalg::{CMatrixSoA, CVector, Subspace, SubspaceWorkspace, VecPool};
-use nplus_mac::backoff::{resolve_contention_in, LeanResolution};
+use nplus_mac::backoff::{resolve_contention_in, ContentionOutcome};
 use nplus_mac::frames::{AckHeader, DataHeader};
 use nplus_mac::timing::SampleTiming;
 use nplus_medium::chancache::ChannelCache;
@@ -302,10 +302,10 @@ fn contend(
     let mut slots_total: u64 = 0;
     for _ in 0..32 {
         match resolve_contention_in(cws, rng, draws) {
-            LeanResolution::Winner { index, slots } => {
+            ContentionOutcome::Winner { index, slots } => {
                 return (contenders[index], slots_total + slots as u64);
             }
-            LeanResolution::Collision { slots } => {
+            ContentionOutcome::Collision { slots } => {
                 slots_total += slots as u64 + 20; // collided headers waste air
                 for (cw, &d) in cws.iter_mut().zip(draws.iter()) {
                     if d == slots {
@@ -313,7 +313,7 @@ fn contend(
                     }
                 }
             }
-            LeanResolution::Idle => unreachable!("contenders nonempty"),
+            ContentionOutcome::Idle => unreachable!("contenders nonempty"),
         }
     }
     // Window exhausted without a unique winner: pick uniformly. A
@@ -513,6 +513,8 @@ impl<'a> SimEngine<'a> {
         // hot path only ever copies out of the memoized plan.
         let mut unw_ws = UnwantedWorkspace::default();
         let mut prec_ws = PrecoderWorkspace::default();
+        let mut zf_ws = ZfWorkspace::default();
+        let mut sinrs = Vec::new();
 
         // No ongoing arrivals: the advertised unwanted space is the same
         // construction on every bin.
@@ -550,7 +552,7 @@ impl<'a> SimEngine<'a> {
         for (e, &k) in self.eval_pos.iter().enumerate() {
             let h = self.true_channel(cache, tx, rx, k)?;
             let cols: Vec<CVector> = precoders.iter().map(|pc| h.mul_vec(&pc[e])).collect();
-            let sinrs = zf_sinr_slices(&cols, unwanted[e].basis(), &[], 1.0);
+            zf_sinr_slices_into(&cols, unwanted[e].basis(), &[], 1.0, &mut zf_ws, &mut sinrs);
             for (s, &v) in sinrs.iter().enumerate() {
                 per_stream_sinrs[s].push(v);
             }

@@ -12,12 +12,17 @@
 //!   complement of a receiver's unwanted space ([`Subspace::complement`]).
 //! * **Multi-dimensional carrier sense** projects received samples onto the
 //!   complement of the occupied signal space ([`Subspace::coordinates`]).
-//! * **Zero-forcing decoding** solves the effective channel equations
-//!   ([`solve()`], [`pinv`]).
+//! * **Zero-forcing decoding** inverts the effective channel through its
+//!   pseudo-inverse ([`pinv`]).
 //!
 //! No external linear-algebra crate is available in this build environment,
 //! so the substrate is implemented here from first principles, sized and
 //! tested for the small (≤ 4×4 per subcarrier) matrices MIMO LANs use.
+//!
+//! Each kernel has one implementation: the pooled split-storage
+//! [`null_space_into`], [`pinv_into`] and [`row_echelon_into`] in [`soa`].
+//! The allocating [`null_space`], [`pinv`], [`rank`] and
+//! [`Subspace::complement`] are thin wrappers over them.
 
 #![forbid(unsafe_code)]
 
@@ -40,9 +45,7 @@ pub use soa::{
     hermitian_into, mul_into, null_space_into, pinv_into, row_echelon_into, soa_default_tolerance,
     CMatrixSoA, NullspaceWorkspace, PinvWorkspace,
 };
-pub use solve::{
-    default_tolerance, inverse, pinv, rank, row_echelon, solve, solve_many, LinalgError,
-};
+pub use solve::{pinv, rank, LinalgError};
 pub use subspace::{principal_angle, residual_power_db, sin_angle, Subspace, SubspaceWorkspace};
 pub use vector::CVector;
 

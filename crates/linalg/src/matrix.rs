@@ -86,24 +86,6 @@ impl CMatrix {
         m
     }
 
-    /// Borrow-based sibling of [`CMatrix::from_cols`]: builds the same
-    /// matrix from column references, so hot paths can assemble from
-    /// several slices without cloning each vector first.
-    pub fn from_col_refs(cols: &[&CVector]) -> Self {
-        if cols.is_empty() {
-            return Self::zeros(0, 0);
-        }
-        let rows = cols[0].len();
-        let mut m = Self::zeros(rows, cols.len());
-        for (j, c) in cols.iter().enumerate() {
-            assert_eq!(c.len(), rows, "from_col_refs: ragged column lengths");
-            for i in 0..rows {
-                m[(i, j)] = c[i];
-            }
-        }
-        m
-    }
-
     /// Creates a matrix from real entries in row-major order.
     pub fn from_reals(rows: usize, cols: usize, re: &[f64]) -> Self {
         Self::from_vec(rows, cols, re.iter().map(|&r| c64(r, 0.0)).collect())
@@ -260,46 +242,6 @@ impl CMatrix {
             cols: self.cols,
             data: self.data.iter().map(|z| z.scale(k)).collect(),
         }
-    }
-
-    /// Stacks `self` on top of `other` (row concatenation). Either side may
-    /// be empty (zero rows), which is common when a constraint set is empty.
-    pub fn vstack(&self, other: &CMatrix) -> CMatrix {
-        if self.rows == 0 {
-            return other.clone();
-        }
-        if other.rows == 0 {
-            return self.clone();
-        }
-        assert_eq!(self.cols, other.cols, "vstack: column count mismatch");
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        CMatrix {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// Concatenates `self` and `other` side by side (column concatenation).
-    pub fn hstack(&self, other: &CMatrix) -> CMatrix {
-        if self.cols == 0 {
-            return other.clone();
-        }
-        if other.cols == 0 {
-            return self.clone();
-        }
-        assert_eq!(self.rows, other.rows, "hstack: row count mismatch");
-        let mut m = CMatrix::zeros(self.rows, self.cols + other.cols);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                m[(i, j)] = self[(i, j)];
-            }
-            for j in 0..other.cols {
-                m[(i, self.cols + j)] = other[(i, j)];
-            }
-        }
-        m
     }
 
     /// Extracts the submatrix of rows `r0..r1` and columns `c0..c1`.
@@ -535,25 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn stack_shapes() {
-        let a = sample(); // 2x3
-        let v = a.vstack(&a);
-        assert_eq!(v.shape(), (4, 3));
-        let h = a.hstack(&a);
-        assert_eq!(h.shape(), (2, 6));
-        assert!(v.submatrix(2, 4, 0, 3).approx_eq(&a, TOL));
-        assert!(h.submatrix(0, 2, 3, 6).approx_eq(&a, TOL));
-    }
-
-    #[test]
-    fn vstack_with_empty() {
-        let a = sample();
-        let e = CMatrix::zeros(0, 3);
-        assert!(a.vstack(&e).approx_eq(&a, TOL));
-        assert!(e.vstack(&a).approx_eq(&a, TOL));
-    }
-
-    #[test]
     fn row_col_round_trip() {
         let a = sample();
         let mut b = CMatrix::zeros(2, 3);
@@ -575,16 +498,6 @@ mod tests {
         let m = CMatrix::from_rows(&[r0.clone(), r1.clone()]);
         let t = CMatrix::from_cols(&[r0, r1]);
         assert!(m.transpose().approx_eq(&t, TOL));
-    }
-
-    #[test]
-    fn from_col_refs_matches_from_cols() {
-        let c0 = CVector::from_reals(&[1.0, -2.0, 0.5]);
-        let c1 = CVector::from_reals(&[0.0, 3.0, 4.0]);
-        let owned = CMatrix::from_cols(&[c0.clone(), c1.clone()]);
-        let borrowed = CMatrix::from_col_refs(&[&c0, &c1]);
-        assert!(owned.approx_eq(&borrowed, 0.0));
-        assert_eq!(CMatrix::from_col_refs(&[]).shape(), (0, 0));
     }
 
     #[test]

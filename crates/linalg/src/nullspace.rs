@@ -6,10 +6,8 @@
 //! transmitter facing `K` independent constraints gets an `(M − K)`-
 //! dimensional null space — exactly the `m = M − K` streams of Claim 3.2.
 
-use crate::complex::Complex64;
 use crate::matrix::CMatrix;
-use crate::qr::orthonormalize;
-use crate::solve::{default_tolerance, row_echelon};
+use crate::soa::{null_space_into, CMatrixSoA, NullspaceWorkspace};
 use crate::vector::CVector;
 
 /// Computes an orthonormal basis of the (right) null space of `a`, i.e.
@@ -17,62 +15,16 @@ use crate::vector::CVector;
 ///
 /// Returns `a.cols() - rank(a)` vectors. For an empty constraint set
 /// (zero rows), the whole space is returned (the standard basis,
-/// trivially orthonormal).
+/// trivially orthonormal). Allocating wrapper over [`null_space_into`].
 pub fn null_space(a: &CMatrix) -> Vec<CVector> {
-    let n = a.cols();
-    if a.rows() == 0 || n == 0 {
-        return (0..n).map(|i| CVector::unit(n, i)).collect();
-    }
-    let tol = default_tolerance(a);
-    let (rank, ech) = row_echelon(a, tol);
-    if rank == 0 {
-        return (0..n).map(|i| CVector::unit(n, i)).collect();
-    }
-
-    // Identify pivot columns: in the reduced echelon form produced by
-    // `row_echelon`, each pivot row has a leading 1 in its pivot column.
-    let mut pivot_cols = Vec::with_capacity(rank);
-    for i in 0..rank {
-        let mut j = if let Some(&last) = pivot_cols.last() {
-            last + 1
-        } else {
-            0
-        };
-        while j < n && ech[(i, j)].abs() <= tol {
-            j += 1;
-        }
-        debug_assert!(j < n, "pivot row without pivot column");
-        pivot_cols.push(j);
-    }
-    let is_pivot = {
-        let mut mask = vec![false; n];
-        for &j in &pivot_cols {
-            mask[j] = true;
-        }
-        mask
-    };
-
-    // Each free column yields one basis vector: set that free variable to 1,
-    // all other free variables to 0, and back-substitute the pivots.
-    let mut basis = Vec::with_capacity(n - rank);
-    for free in 0..n {
-        if is_pivot[free] {
-            continue;
-        }
-        let mut v = CVector::zeros(n);
-        v[free] = Complex64::ONE;
-        for (row, &pc) in pivot_cols.iter().enumerate() {
-            // Pivot variable = -(coefficient of the free variable in this row).
-            v[pc] = -ech[(row, free)];
-        }
-        basis.push(v);
-    }
-
-    // Orthonormalize for numerical hygiene; dimension is preserved because
-    // the raw basis vectors are independent by construction.
-    let out = orthonormalize(&basis, tol);
-    debug_assert_eq!(out.len(), n - rank, "null space dimension mismatch");
-    out
+    let mut basis = Vec::new();
+    let dim = null_space_into(
+        &CMatrixSoA::from_aos(a),
+        &mut NullspaceWorkspace::default(),
+        &mut basis,
+    );
+    basis.truncate(dim);
+    basis
 }
 
 /// Verifies `A v ≈ 0` for every vector, within `tol` relative to the
@@ -84,7 +36,7 @@ pub fn is_null_space_of(a: &CMatrix, vectors: &[CVector], tol: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::complex::c64;
+    use crate::complex::{c64, Complex64};
     use crate::qr::is_orthonormal;
 
     const TOL: f64 = 1e-10;

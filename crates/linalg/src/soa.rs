@@ -8,16 +8,20 @@
 //! layout is FMA-friendly: each partial product is a chain of independent
 //! mul/adds on separate lanes rather than interleaved re/im pairs.
 //!
-//! **Bit-identity contract.** Every kernel in this module executes the
-//! *exact same floating-point operation sequence* as its interleaved
-//! (`CMatrix`) sibling: the same complex-multiply expansion
-//! `(ar·br − ai·bi, ar·bi + ai·br)`, the same accumulation order, the
-//! same `hypot`-based magnitudes, tolerances and pivot scans, and the
+//! **One implementation per kernel.** Rank, pseudo-inverse and null space
+//! exist only here (`row_echelon_into`, [`pinv_into`],
+//! [`null_space_into`]); the allocating `rank`, `pinv` and `null_space`
+//! are thin wrappers that convert with [`CMatrixSoA::from_aos`] and call
+//! these with a fresh workspace. The products ([`mul_into`],
+//! [`CMatrixSoA::mul_vec_into`], [`hermitian_into`]) execute the *exact
+//! same floating-point operation sequence* as the `CMatrix` arithmetic the
+//! sample-level PHY uses: the same complex-multiply expansion
+//! `(ar·br − ai·bi, ar·bi + ai·br)`, the same accumulation order and the
 //! same zero-skip tests. No operations are fused or re-associated — the
 //! speedup comes from layout and allocation discipline, not from changed
-//! arithmetic — so results are bit-for-bit identical to the scalar path.
-//! The tests at the bottom pin this with `to_bits` comparisons, and the
-//! simulation-level golden suites pin it end to end.
+//! arithmetic. The tests at the bottom pin the products with `to_bits`
+//! comparisons; the kernel digest suite and the simulation-level golden
+//! suites pin the rest end to end.
 
 use crate::complex::{c64, Complex64};
 use crate::matrix::CMatrix;
@@ -177,7 +181,7 @@ impl CMatrixSoA {
         self.im.extend_from_slice(&src.im);
     }
 
-    /// Appends the rows of `other` below `self` (in-place `vstack`).
+    /// Appends the rows of `other` below `self` (in-place row concatenation).
     /// An empty `self` (zero rows) adopts `other`'s column count.
     pub fn append_rows(&mut self, other: &CMatrixSoA) {
         if other.rows == 0 {
@@ -335,8 +339,8 @@ pub fn hermitian_into(a: &CMatrixSoA, out: &mut CMatrixSoA) {
     }
 }
 
-/// Rank tolerance `eps * max(rows, cols) * max|a|`, the same formula (and
-/// the same `hypot`-based `max_abs`) as `solve::default_tolerance`.
+/// Rank tolerance `eps * max(rows, cols) * max|a|`, with the
+/// `hypot`-based [`CMatrixSoA::max_abs`].
 pub fn soa_default_tolerance(a: &CMatrixSoA) -> f64 {
     let scale = a.max_abs();
     let dim = a.rows().max(a.cols()) as f64;
@@ -344,10 +348,10 @@ pub fn soa_default_tolerance(a: &CMatrixSoA) -> f64 {
 }
 
 /// Reduces `a` to row echelon form into the pooled `out`, returning the
-/// rank. Replicates `solve::row_echelon` operation for operation: the
-/// same pivot scans (strictly-greater `hypot` magnitudes), the same
-/// `inv()` pivot reciprocal, the same elimination order and the same
-/// below-tolerance zeroing.
+/// rank. Pivot rows come first, each normalized to a leading one (the
+/// backbone of the null-space computation). Pivots are the largest
+/// `hypot` magnitude in their column (first wins on ties); entries at or
+/// below `tol` are zeroed.
 pub fn row_echelon_into(a: &CMatrixSoA, tol: f64, out: &mut CMatrixSoA) -> usize {
     out.assign_from(a);
     let rows = out.rows();
@@ -411,21 +415,20 @@ pub struct PinvWorkspace {
     pub out: CMatrixSoA,
 }
 
-/// Moore–Penrose style pseudo-inverse into `ws.out`, replicating
-/// `solve::pinv` exactly: Gram matrix via the zero-skipping product,
-/// inversion by augmented Gaussian elimination against the identity
-/// (partial pivoting, `solve_many`'s loop), then the final product.
+/// Moore–Penrose style pseudo-inverse `(A^H A)^{-1} A^H` into `ws.out`:
+/// Gram matrix via the zero-skipping product, inversion by augmented
+/// Gaussian elimination against the identity (partial pivoting), then
+/// the final product.
 ///
 /// # Errors
 /// [`LinalgError::Singular`] when a pivot magnitude falls below the
-/// Gram matrix's default tolerance — the same rejection as the
-/// interleaved path.
+/// Gram matrix's default tolerance.
 pub fn pinv_into(a: &CMatrixSoA, ws: &mut PinvWorkspace) -> Result<(), LinalgError> {
     hermitian_into(a, &mut ws.ah);
     mul_into(&ws.ah, a, &mut ws.gram);
     let n = ws.gram.rows();
     let tol = soa_default_tolerance(&ws.gram);
-    // Augmented elimination [gram | I], as `solve_many(gram, identity)`.
+    // Augmented elimination [gram | I].
     ws.aug.reset(n, 2 * n);
     for i in 0..n {
         for j in 0..n {
@@ -501,10 +504,10 @@ fn assign_units(n: usize, basis: &mut Vec<CVector>) -> usize {
 
 /// Orthonormal null-space basis of `a` into reusable slots of `basis`
 /// (same slot semantics as `qr::orthonormalize_into`); returns the
-/// dimension. Replicates `nullspace::null_space` exactly: echelon
-/// reduction, pivot-column scan, free-variable back-substitution and the
-/// final Gram–Schmidt pass all run the same operation sequence, so the
-/// basis vectors are bit-identical to the interleaved path's.
+/// dimension `a.cols() - rank(a)`. Echelon reduction, then one candidate
+/// per free column (free variable 1, pivots back-substituted), then a
+/// Gram–Schmidt pass. A matrix with no rows or rank 0 yields the
+/// standard basis.
 pub fn null_space_into(
     a: &CMatrixSoA,
     ws: &mut NullspaceWorkspace,
@@ -564,8 +567,6 @@ pub fn null_space_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nullspace::null_space;
-    use crate::solve::{default_tolerance, pinv, row_echelon};
 
     /// Deterministic pseudo-random matrix with some exact zeros (to
     /// exercise the zero-skip branches).
@@ -673,87 +674,24 @@ mod tests {
             a.frobenius_norm().to_bits(),
             "frobenius"
         );
-        assert_eq!(
-            soa_default_tolerance(&s).to_bits(),
-            default_tolerance(&a).to_bits(),
-            "tolerance"
-        );
-    }
-
-    #[test]
-    fn row_echelon_is_bit_identical() {
-        let mut seed = 0x5EED_0005u64;
-        for (r, c) in [(2usize, 4usize), (3, 3), (4, 2), (1, 5), (4, 6)] {
-            let a = gen_matrix(r, c, &mut seed);
-            let tol = default_tolerance(&a);
-            let (rank, ech) = row_echelon(&a, tol);
-            let mut out = CMatrixSoA::default();
-            let soa_rank = row_echelon_into(&CMatrixSoA::from_aos(&a), tol, &mut out);
-            assert_eq!(rank, soa_rank, "rank");
-            assert_bitwise_eq(&out, &ech, "row_echelon");
-        }
-    }
-
-    #[test]
-    fn pinv_is_bit_identical() {
-        let mut seed = 0x5EED_0006u64;
-        let mut ws = PinvWorkspace::default();
-        for (r, c) in [(3usize, 2usize), (4, 3), (2, 2), (4, 4)] {
-            let a = gen_matrix(r, c, &mut seed);
-            match pinv(&a) {
-                Ok(expect) => {
-                    pinv_into(&CMatrixSoA::from_aos(&a), &mut ws).expect("soa pinv");
-                    assert_bitwise_eq(&ws.out, &expect, "pinv");
-                }
-                Err(e) => {
-                    assert_eq!(
-                        pinv_into(&CMatrixSoA::from_aos(&a), &mut ws).unwrap_err(),
-                        e,
-                        "error parity"
-                    );
-                }
-            }
-        }
-        // Rank-deficient: both paths must agree on Singular.
-        let s = CMatrix::from_reals(3, 2, &[1.0, 2.0, 2.0, 4.0, 3.0, 6.0]);
-        assert!(pinv(&s).is_err());
-        assert!(pinv_into(&CMatrixSoA::from_aos(&s), &mut ws).is_err());
-    }
-
-    #[test]
-    fn null_space_is_bit_identical() {
-        let mut seed = 0x5EED_0007u64;
-        let mut ws = NullspaceWorkspace::default();
-        let mut basis = Vec::new();
-        for (r, c) in [(1usize, 3usize), (2, 4), (3, 3), (0, 3), (2, 2)] {
-            let a = if r == 0 {
-                CMatrix::zeros(0, c)
-            } else {
-                gen_matrix(r, c, &mut seed)
-            };
-            let expect = null_space(&a);
-            let dim = null_space_into(&CMatrixSoA::from_aos(&a), &mut ws, &mut basis);
-            assert_eq!(dim, expect.len(), "nullity for {r}x{c}");
-            for (got, want) in basis[..dim].iter().zip(&expect) {
-                assert_vec_bitwise_eq(got, want, "null_space basis vector");
-            }
-        }
     }
 
     #[test]
     fn null_space_pool_reuse_is_stable() {
-        // Re-running on the same matrix after the pools are warm must
-        // give the same answer (stale slot contents must not leak in).
+        // Re-running on a smaller matrix after the pools are warm must
+        // give the fresh-workspace answer (stale slot contents must not
+        // leak in).
         let mut seed = 0x5EED_0008u64;
-        let big = gen_matrix(3, 6, &mut seed);
-        let small = gen_matrix(1, 3, &mut seed);
+        let big = CMatrixSoA::from_aos(&gen_matrix(3, 6, &mut seed));
+        let small = CMatrixSoA::from_aos(&gen_matrix(1, 3, &mut seed));
+        let mut expect = Vec::new();
+        let dim_expect = null_space_into(&small, &mut NullspaceWorkspace::default(), &mut expect);
         let mut ws = NullspaceWorkspace::default();
         let mut basis = Vec::new();
-        let dim_big = null_space_into(&CMatrixSoA::from_aos(&big), &mut ws, &mut basis);
+        let dim_big = null_space_into(&big, &mut ws, &mut basis);
         assert!(dim_big >= 3);
-        let expect = null_space(&small);
-        let dim = null_space_into(&CMatrixSoA::from_aos(&small), &mut ws, &mut basis);
-        assert_eq!(dim, expect.len());
+        let dim = null_space_into(&small, &mut ws, &mut basis);
+        assert_eq!(dim, dim_expect);
         for (got, want) in basis[..dim].iter().zip(&expect) {
             assert_vec_bitwise_eq(got, want, "reused-pool basis vector");
         }
@@ -768,7 +706,8 @@ mod tests {
         s.reset(0, 3);
         s.append_rows(&CMatrixSoA::from_aos(&a));
         s.append_rows(&CMatrixSoA::from_aos(&b));
-        assert_bitwise_eq(&s, &a.vstack(&b), "vstack");
+        let stacked = CMatrix::from_rows(&[a.rows_vec(), b.rows_vec()].concat());
+        assert_bitwise_eq(&s, &stacked, "stacked rows");
         // Empty other is a no-op.
         s.append_rows(&CMatrixSoA::zeros(0, 3));
         assert_eq!(s.rows(), 5);

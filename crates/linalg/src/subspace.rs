@@ -8,7 +8,6 @@
 //! the operations both call sites need.
 
 use crate::matrix::CMatrix;
-use crate::nullspace::null_space;
 use crate::qr::{is_orthonormal, orthonormalize, orthonormalize_into};
 use crate::soa::{null_space_into, CMatrixSoA, NullspaceWorkspace};
 use crate::vector::CVector;
@@ -195,24 +194,16 @@ impl Subspace {
     /// Orthogonal complement within the ambient space.
     ///
     /// Computed as the null space of the row operator, so
-    /// `dim + complement.dim == ambient` always holds.
+    /// `dim + complement.dim == ambient` always holds. Allocating wrapper
+    /// over [`Subspace::complement_into`].
     pub fn complement(&self) -> Subspace {
-        if self.is_zero() {
-            return Subspace::full(self.ambient);
-        }
-        let ns = null_space(&self.row_operator());
-        let dim = ns.len();
-        Subspace {
-            ambient: self.ambient,
-            basis: ns,
-            dim,
-        }
+        let mut out = Subspace::default();
+        self.complement_into(&mut out, &mut SubspaceWorkspace::default());
+        out
     }
 
-    /// Pooled sibling of [`Subspace::complement`], writing into reusable
-    /// slots of `out`. Runs the identical null-space operation sequence
-    /// (via the split-storage kernels), so the complement basis is
-    /// bit-for-bit the same as the allocating path's.
+    /// [`Subspace::complement`] into reusable slots of `out`, through the
+    /// split-storage null-space kernel.
     pub fn complement_into(&self, out: &mut Subspace, ws: &mut SubspaceWorkspace) {
         if self.is_zero() {
             out.assign_full(self.ambient);
@@ -236,18 +227,14 @@ impl Subspace {
 
     /// Removes the component of `v` inside the subspace, i.e. projects `v`
     /// onto the orthogonal complement without materializing it.
+    /// Allocating wrapper over [`Subspace::reject_into`].
     pub fn reject(&self, v: &CVector) -> CVector {
-        assert_eq!(v.len(), self.ambient, "reject: dimension mismatch");
-        let mut out = v.clone();
-        for b in self.basis() {
-            let k = out.dot(b);
-            out.axpy(-k, b);
-        }
+        let mut out = CVector::default();
+        self.reject_into(v, &mut out);
         out
     }
 
-    /// Pooled sibling of [`Subspace::reject`]: identical arithmetic, with
-    /// the output written into a reusable buffer instead of a fresh clone.
+    /// [`Subspace::reject`] into a reusable buffer.
     pub fn reject_into(&self, v: &CVector, out: &mut CVector) {
         assert_eq!(v.len(), self.ambient, "reject: dimension mismatch");
         out.copy_from(v);
@@ -490,24 +477,6 @@ mod tests {
                 assert_eq!(a[i].im.to_bits(), b[i].im.to_bits());
             }
         }
-        // Pooled complement vs allocating complement.
-        let cexpect = expect.complement();
-        let mut c = Subspace::default();
-        let mut ws = SubspaceWorkspace::default();
-        s.complement_into(&mut c, &mut ws);
-        assert_eq!(c.dim(), cexpect.dim());
-        for (a, b) in c.basis().iter().zip(cexpect.basis()) {
-            for i in 0..a.len() {
-                assert_eq!(a[i].re.to_bits(), b[i].re.to_bits());
-                assert_eq!(a[i].im.to_bits(), b[i].im.to_bits());
-            }
-        }
-        // Pooled reject vs allocating reject.
-        let v = v3((0.3, -0.4), (1.2, 0.0), (0.0, 0.9));
-        let rexpect = s.reject(&v);
-        let mut r = CVector::default();
-        s.reject_into(&v, &mut r);
-        assert_eq!(r, rexpect);
         // Reuse after a larger assignment must not leak stale slots.
         let mut reused = Subspace::default();
         reused.assign_full(3);

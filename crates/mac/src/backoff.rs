@@ -70,63 +70,11 @@ impl Backoff {
     }
 }
 
-/// Outcome of one slotted contention round.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ContentionOutcome {
-    /// Exactly one contender reached zero first; it wins the medium.
-    Winner {
-        /// Index (into the contenders slice) of the winner.
-        index: usize,
-        /// Number of idle slots that elapsed before the win.
-        slots: u32,
-    },
-    /// Two or more contenders reached zero in the same slot.
-    Collision {
-        /// Indices of the colliding contenders.
-        indices: Vec<usize>,
-        /// Slot at which they collided.
-        slots: u32,
-    },
-    /// No contenders.
-    Idle,
-}
-
-/// Resolves one contention round among freshly drawn counters: every
-/// contender draws uniform `0..=cw` and the minimum wins; ties collide.
-///
-/// This is the slot-accurate equivalent of running [`Backoff::tick`] in
-/// lockstep; benches use it to avoid simulating every idle slot.
-pub fn resolve_contention<R: Rng>(cws: &[u32], rng: &mut R) -> ContentionOutcome {
-    if cws.is_empty() {
-        return ContentionOutcome::Idle;
-    }
-    let draws: Vec<u32> = cws.iter().map(|&cw| rng.gen_range(0..=cw)).collect();
-    let min = *draws.iter().min().unwrap();
-    let indices: Vec<usize> = draws
-        .iter()
-        .enumerate()
-        .filter(|(_, &d)| d == min)
-        .map(|(i, _)| i)
-        .collect();
-    if indices.len() == 1 {
-        ContentionOutcome::Winner {
-            index: indices[0],
-            slots: min,
-        }
-    } else {
-        ContentionOutcome::Collision {
-            indices,
-            slots: min,
-        }
-    }
-}
-
-/// Allocation-free outcome of one slotted contention round: like
-/// [`ContentionOutcome`], but a collision reports only the winning slot —
-/// callers that need the colliding set scan the `draws` buffer they
-/// passed to [`resolve_contention_in`] for entries equal to `slots`.
+/// Outcome of one slotted contention round. A collision reports only the
+/// slot — callers that need the colliding set scan the `draws` buffer
+/// they passed to [`resolve_contention_in`] for entries equal to `slots`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeanResolution {
+pub enum ContentionOutcome {
     /// Exactly one contender reached zero first; it wins the medium.
     Winner {
         /// Index (into the contenders slice) of the winner.
@@ -144,18 +92,20 @@ pub enum LeanResolution {
     Idle,
 }
 
-/// Pooled sibling of [`resolve_contention`]: identical RNG draw order
-/// (one uniform `0..=cw` per contender, in slice order) and identical
-/// winner/collision decision, with the draws written into a reusable
-/// buffer instead of a fresh `Vec`. Seeded outcomes match
-/// [`resolve_contention`] exactly.
+/// Resolves one contention round among freshly drawn counters: every
+/// contender draws uniform `0..=cw` (one draw per contender, in slice
+/// order, written into the reusable `draws` buffer) and the minimum
+/// wins; ties collide.
+///
+/// This is the slot-accurate equivalent of running [`Backoff::tick`] in
+/// lockstep, without simulating every idle slot.
 pub fn resolve_contention_in<R: Rng>(
     cws: &[u32],
     rng: &mut R,
     draws: &mut Vec<u32>,
-) -> LeanResolution {
+) -> ContentionOutcome {
     if cws.is_empty() {
-        return LeanResolution::Idle;
+        return ContentionOutcome::Idle;
     }
     draws.clear();
     draws.extend(cws.iter().map(|&cw| rng.gen_range(0..=cw)));
@@ -171,12 +121,12 @@ pub fn resolve_contention_in<R: Rng>(
         }
     }
     if ties == 1 {
-        LeanResolution::Winner {
+        ContentionOutcome::Winner {
             index: winner.unwrap(),
             slots: min,
         }
     } else {
-        LeanResolution::Collision { slots: min }
+        ContentionOutcome::Collision { slots: min }
     }
 }
 
@@ -185,49 +135,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn lean_resolution_matches_allocating_resolution() {
-        let mut r1 = StdRng::seed_from_u64(42);
-        let mut r2 = StdRng::seed_from_u64(42);
-        let mut draws = Vec::new();
-        for round in 0..2000 {
-            let n = 1 + (round % 5);
-            let cws: Vec<u32> = (0..n).map(|i| 15 + (i as u32 % 3) * 16).collect();
-            let full = resolve_contention(&cws, &mut r1);
-            let lean = resolve_contention_in(&cws, &mut r2, &mut draws);
-            match (&full, lean) {
-                (
-                    ContentionOutcome::Winner { index, slots },
-                    LeanResolution::Winner {
-                        index: li,
-                        slots: ls,
-                    },
-                ) => {
-                    assert_eq!((*index, *slots), (li, ls));
-                }
-                (
-                    ContentionOutcome::Collision { indices, slots },
-                    LeanResolution::Collision { slots: ls },
-                ) => {
-                    assert_eq!(*slots, ls);
-                    // Colliders are recoverable from the draws buffer.
-                    let scanned: Vec<usize> = draws
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &d)| d == ls)
-                        .map(|(i, _)| i)
-                        .collect();
-                    assert_eq!(&scanned, indices);
-                }
-                other => panic!("outcome mismatch: {other:?}"),
-            }
-        }
-        assert_eq!(
-            resolve_contention_in(&[], &mut r2, &mut draws),
-            LeanResolution::Idle
-        );
-    }
 
     #[test]
     fn counter_counts_down_to_zero() {
@@ -274,10 +181,11 @@ mod tests {
         // Over many rounds, three identical contenders win roughly
         // equally often.
         let mut rng = StdRng::seed_from_u64(4);
+        let mut draws = Vec::new();
         let mut wins = [0usize; 3];
         let mut rounds = 0;
         while rounds < 30_000 {
-            match resolve_contention(&[15, 15, 15], &mut rng) {
+            match resolve_contention_in(&[15, 15, 15], &mut rng, &mut draws) {
                 ContentionOutcome::Winner { index, .. } => {
                     wins[index] += 1;
                     rounds += 1;
@@ -303,11 +211,12 @@ mod tests {
         // With CW=15 and 3 nodes, collisions should happen but be the
         // minority outcome.
         let mut rng = StdRng::seed_from_u64(5);
+        let mut draws = Vec::new();
         let n = 20_000;
         let collisions = (0..n)
             .filter(|_| {
                 matches!(
-                    resolve_contention(&[15, 15, 15], &mut rng),
+                    resolve_contention_in(&[15, 15, 15], &mut rng, &mut draws),
                     ContentionOutcome::Collision { .. }
                 )
             })
@@ -319,14 +228,18 @@ mod tests {
     #[test]
     fn idle_with_no_contenders() {
         let mut rng = StdRng::seed_from_u64(6);
-        assert_eq!(resolve_contention(&[], &mut rng), ContentionOutcome::Idle);
+        assert_eq!(
+            resolve_contention_in(&[], &mut rng, &mut Vec::new()),
+            ContentionOutcome::Idle
+        );
     }
 
     #[test]
     fn single_contender_always_wins() {
         let mut rng = StdRng::seed_from_u64(7);
+        let mut draws = Vec::new();
         for _ in 0..100 {
-            match resolve_contention(&[15], &mut rng) {
+            match resolve_contention_in(&[15], &mut rng, &mut draws) {
                 ContentionOutcome::Winner { index: 0, .. } => {}
                 other => panic!("unexpected outcome {other:?}"),
             }

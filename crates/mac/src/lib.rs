@@ -29,7 +29,7 @@ pub mod frames;
 pub mod retransmit;
 pub mod timing;
 
-pub use backoff::{resolve_contention, Backoff, ContentionOutcome};
+pub use backoff::{resolve_contention_in, Backoff, ContentionOutcome};
 pub use fragment::{pack_for_budget, Mpdu, QueuedPacket, Reassembler, MPDU_OVERHEAD_BYTES};
 pub use frames::{AckHeader, Addr, DataHeader, FrameError, ReceiverEntry};
 pub use retransmit::RetransmitQueue;
