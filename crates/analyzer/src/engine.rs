@@ -29,12 +29,19 @@ pub enum FileKind {
 
 /// One parsed `// nplus:allow(RULE): reason` annotation.
 #[derive(Debug, Clone)]
-struct Allow {
+pub(crate) struct Allow {
     rule: RuleId,
     /// The comment's own line; the suppression covers this line and
     /// the next (so the annotation can trail the finding or sit just
     /// above it).
     line: u32,
+}
+
+impl Allow {
+    /// Whether this annotation suppresses `rule` at `line`.
+    pub(crate) fn covers(&self, rule: RuleId, line: u32) -> bool {
+        self.rule == rule && (self.line == line || self.line + 1 == line)
+    }
 }
 
 /// Analyzes one file's source text under the given rules. `path` is
@@ -45,53 +52,7 @@ pub fn analyze_source(path: &str, src: &str, kind: FileKind, rules: RuleSet) -> 
     let mut diags = Vec::new();
 
     // --- The suppression layer -----------------------------------
-    let mut allows: Vec<Allow> = Vec::new();
-    for t in toks.iter().filter(|t| t.kind == TokKind::LineComment) {
-        let body = t.text(src).trim_start_matches('/').trim();
-        let Some(rest) = body.strip_prefix("nplus:allow(") else {
-            continue;
-        };
-        let Some(close) = rest.find(')') else {
-            diags.push(Diagnostic::new(
-                RuleId::Alw001,
-                path,
-                t.line,
-                "unterminated nplus:allow annotation".to_string(),
-            ));
-            continue;
-        };
-        let code = rest[..close].trim();
-        let tail = rest[close + 1..].trim_start();
-        let Some(rule) = RuleId::from_code(code) else {
-            diags.push(Diagnostic::new(
-                RuleId::Alw002,
-                path,
-                t.line,
-                format!("nplus:allow names unknown rule {code:?}"),
-            ));
-            continue;
-        };
-        let reason = tail.strip_prefix(':').map(str::trim).unwrap_or("");
-        if reason.is_empty() {
-            diags.push(Diagnostic::new(
-                RuleId::Alw001,
-                path,
-                t.line,
-                format!("nplus:allow({code}) needs a reason: `// nplus:allow({code}): <why>`"),
-            ));
-            continue;
-        }
-        if !rule.suppressible() {
-            diags.push(Diagnostic::new(
-                RuleId::Alw002,
-                path,
-                t.line,
-                format!("rule {code} cannot be suppressed"),
-            ));
-            continue;
-        }
-        allows.push(Allow { rule, line: t.line });
-    }
+    let allows = parse_allows(path, &toks, src, &mut diags);
 
     // --- Crate-root header (HYG001) -------------------------------
     if rules.crate_root_header && !has_forbid_unsafe_header(&toks, src) {
@@ -304,10 +265,7 @@ pub fn analyze_source(path: &str, src: &str, kind: FileKind, rules: RuleSet) -> 
     // --- Apply suppressions ---------------------------------------
     let mut out = Vec::new();
     for d in diags {
-        let suppressed = d.rule.suppressible()
-            && allows
-                .iter()
-                .any(|a| a.rule == d.rule && (a.line == d.line || a.line + 1 == d.line));
+        let suppressed = d.rule.suppressible() && allows.iter().any(|a| a.covers(d.rule, d.line));
         if !suppressed {
             out.push(d);
         }
@@ -316,9 +274,68 @@ pub fn analyze_source(path: &str, src: &str, kind: FileKind, rules: RuleSet) -> 
     out
 }
 
+/// Parses every `// nplus:allow(RULE): reason` annotation in a file.
+/// Malformed annotations become `ALW001`/`ALW002` findings in `diags`
+/// and suppress nothing.
+pub(crate) fn parse_allows(
+    path: &str,
+    toks: &[Token],
+    src: &str,
+    diags: &mut Vec<Diagnostic>,
+) -> Vec<Allow> {
+    let mut allows: Vec<Allow> = Vec::new();
+    for t in toks.iter().filter(|t| t.kind == TokKind::LineComment) {
+        let body = t.text(src).trim_start_matches('/').trim();
+        let Some(rest) = body.strip_prefix("nplus:allow(") else {
+            continue;
+        };
+        let Some(close) = rest.find(')') else {
+            diags.push(Diagnostic::new(
+                RuleId::Alw001,
+                path,
+                t.line,
+                "unterminated nplus:allow annotation".to_string(),
+            ));
+            continue;
+        };
+        let code = rest[..close].trim();
+        let tail = rest[close + 1..].trim_start();
+        let Some(rule) = RuleId::from_code(code) else {
+            diags.push(Diagnostic::new(
+                RuleId::Alw002,
+                path,
+                t.line,
+                format!("nplus:allow names unknown rule {code:?}"),
+            ));
+            continue;
+        };
+        let reason = tail.strip_prefix(':').map(str::trim).unwrap_or("");
+        if reason.is_empty() {
+            diags.push(Diagnostic::new(
+                RuleId::Alw001,
+                path,
+                t.line,
+                format!("nplus:allow({code}) needs a reason: `// nplus:allow({code}): <why>`"),
+            ));
+            continue;
+        }
+        if !rule.suppressible() {
+            diags.push(Diagnostic::new(
+                RuleId::Alw002,
+                path,
+                t.line,
+                format!("rule {code} cannot be suppressed"),
+            ));
+            continue;
+        }
+        allows.push(Allow { rule, line: t.line });
+    }
+    allows
+}
+
 /// Byte ranges covered by `#[cfg(test)]`- or `#[test]`-attributed
 /// items (the attribute through the item's closing `}` or `;`).
-fn cfg_test_mask(toks: &[Token], src: &str) -> Vec<(usize, usize)> {
+pub(crate) fn cfg_test_mask(toks: &[Token], src: &str) -> Vec<(usize, usize)> {
     let code: Vec<&Token> = toks
         .iter()
         .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))

@@ -12,6 +12,7 @@
 //! | `HYG001` | crate roots | missing `#![forbid(unsafe_code)]` header |
 //! | `HYG002` | everywhere | the `unsafe` keyword outside the whitelist |
 //! | `HYG003` | library code | `println!`, `print!` or `dbg!` in a library |
+//! | `DEAD001` | library `src/` of `crates/*` (testkit excepted) | a bare `pub` `fn`/`struct`/`enum`/`union`/`trait`/`type`/`const`/`static` whose name no caller mentions. Callers are the non-test identifiers of every other file and of the rest of its own file: `crates/*/src` (bins included), `benches/`, `examples/`, the root `src/`, and `perfbench/src` (read as callers only). Not callers: `use` declarations (a `pub use` re-export alone keeps nothing alive; the original behind a `use … as` alias does count), definitions, `#[cfg(test)]` regions, `tests/` directories, testkit, the item's own body and, for a type, its own `impl` blocks in its file. Matching is by bare name: a same-named item anywhere hides a dead one, so the rule can only over-count liveness |
 //! | `ALW001` | everywhere | a `nplus:allow` annotation without a reason |
 //! | `ALW002` | everywhere | a `nplus:allow` naming an unknown rule ID |
 //!
@@ -23,6 +24,11 @@
 //!
 //! `ALW001`/`ALW002` police the suppression mechanism itself and are
 //! deliberately **not** suppressible.
+//!
+//! `DEAD001` is the one cross-file rule: the per-file engine cannot
+//! see callers in other files, so [`dead`](crate::dead) runs it as a
+//! second pass over the whole workspace, always on. Narrowing a live
+//! item's visibility is out of its scope.
 
 /// A stable rule identifier. The numbering is append-only: IDs are
 /// written in `nplus:allow(…)` annotations across the tree, so a
@@ -51,11 +57,13 @@ pub enum RuleId {
     Alw001,
     /// `nplus:allow` naming an unknown rule.
     Alw002,
+    /// A library `pub` item that no non-test code names.
+    Dead001,
 }
 
 impl RuleId {
     /// Every rule, in report order.
-    pub const ALL: [RuleId; 11] = [
+    pub const ALL: [RuleId; 12] = [
         RuleId::Det001,
         RuleId::Det002,
         RuleId::Det003,
@@ -67,6 +75,7 @@ impl RuleId {
         RuleId::Hyg003,
         RuleId::Alw001,
         RuleId::Alw002,
+        RuleId::Dead001,
     ];
 
     /// The stable textual ID (`"DET001"`, …) used in reports and
@@ -84,6 +93,7 @@ impl RuleId {
             RuleId::Hyg003 => "HYG003",
             RuleId::Alw001 => "ALW001",
             RuleId::Alw002 => "ALW002",
+            RuleId::Dead001 => "DEAD001",
         }
     }
 
@@ -106,6 +116,7 @@ impl RuleId {
             RuleId::Hyg003 => "library code must not print to stdout or dbg!",
             RuleId::Alw001 => "every nplus:allow must carry a reason",
             RuleId::Alw002 => "nplus:allow must name a real rule",
+            RuleId::Dead001 => "every library pub item has a non-test caller",
         }
     }
 
@@ -138,6 +149,7 @@ pub struct RuleSet {
 
 impl RuleSet {
     /// Everything on — the strictest profile, used by fixtures.
+    #[cfg(test)]
     pub fn strict() -> RuleSet {
         RuleSet {
             wall_clock_and_entropy: true,

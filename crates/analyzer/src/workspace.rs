@@ -17,8 +17,11 @@
 //! The walk itself is deterministic (directory entries sorted by
 //! name), skips `vendor/` and `target/` entirely, and skips any
 //! directory named `fixtures` — the analyzer's own test corpus is
-//! *intentionally* full of violations.
+//! *intentionally* full of violations. After the per-file rules, the
+//! cross-file `DEAD001` pass ([`crate::dead`]) runs over every file
+//! read plus `perfbench/src`.
 
+use crate::dead::find_dead;
 use crate::engine::{analyze_source, FileKind};
 use crate::report::{sort_diagnostics, Diagnostic};
 use crate::rules::{RuleId, RuleSet};
@@ -124,13 +127,12 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
 
     let mut diagnostics = Vec::new();
     let mut suppressed_total = 0usize;
-    let mut scanned = 0usize;
+    let mut sources: Vec<(String, String)> = Vec::new();
     for (path, profile) in &files {
         let rel = relative_label(root, path);
         let Ok(src) = std::fs::read_to_string(path) else {
             continue;
         };
-        scanned += 1;
         let kind = classify(&rel);
         let rules = rules_for(*profile, kind);
         let mut diags = analyze_source(&rel, &src, kind, rules);
@@ -144,7 +146,25 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
         // findings, so the delta is recomputed cheaply here.
         suppressed_total += count_allows(&src);
         diagnostics.append(&mut diags);
+        sources.push((rel, src));
     }
+    let scanned = sources.len();
+
+    // Second pass, DEAD001: the benchmark harness is its own workspace
+    // and is read only for its calls into the library crates.
+    let mut perfbench = Vec::new();
+    collect_rs_files(
+        &root.join("perfbench/src"),
+        &mut perfbench,
+        Profile::Hygiene,
+    );
+    for (path, _) in &perfbench {
+        if let Ok(src) = std::fs::read_to_string(path) {
+            sources.push((relative_label(root, path), src));
+        }
+    }
+    diagnostics.append(&mut find_dead(&sources));
+
     sort_diagnostics(&mut diagnostics);
     Ok(WorkspaceReport {
         diagnostics,

@@ -7,9 +7,10 @@
 //! negative case for every rule, so both over- and under-reporting
 //! regress loudly. The workspace walker skips directories named
 //! `fixtures`, so the deliberate violations here never pollute the
-//! real `analyze` run.
+//! real `analyze` run. The `dead_ws` directory is a mini-workspace for
+//! the cross-file `DEAD001` pass, with its golden in `dead_ws.golden`.
 
-use nplus_analyzer::workspace::{rules_for, Profile};
+use nplus_analyzer::workspace::{analyze_workspace, rules_for, Profile};
 use nplus_analyzer::{analyze_source, FileKind};
 use std::path::{Path, PathBuf};
 
@@ -101,4 +102,22 @@ fn missing_allow_reason_is_rejected_and_does_not_suppress() {
         "malformed allow still suppressed its target:\n{out}"
     );
     assert!(out.contains("ALW002"), "unknown rule not flagged:\n{out}");
+}
+
+/// `DEAD001` over the `dead_ws` mini-workspace: every caller and
+/// non-caller kind the rule documents, plus its suppression.
+#[test]
+fn dead_workspace_matches_its_golden() {
+    let dir = fixtures_dir();
+    let report = analyze_workspace(&dir.join("dead_ws")).expect("fixture workspace walks");
+    let actual: String = report
+        .diagnostics
+        .iter()
+        .map(|d| d.render() + "\n")
+        .collect();
+    let golden = std::fs::read_to_string(dir.join("dead_ws.golden")).unwrap_or_default();
+    assert_eq!(
+        actual, golden,
+        "dead_ws diverged; actual findings were:\n{actual}"
+    );
 }

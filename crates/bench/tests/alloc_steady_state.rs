@@ -113,7 +113,7 @@ fn steady_state_rounds_allocate_nothing() {
     // contention at least once (coupon collector over 16 contenders)
     // before the last first-win stops populating it.
     let scenario = ScenarioGenerator::new(7).dense(32);
-    let testbed = Testbed::fitting(scenario.antennas.len());
+    let testbed = Testbed::try_fitting(scenario.antennas.len()).unwrap_or_else(|e| panic!("{e}"));
     let cfg = SimConfig {
         rounds: ROUNDS,
         ..SimConfig::default()

@@ -5,7 +5,9 @@
 //! Offset") has joining transmitters estimate their offset to the *first*
 //! contention winner while decoding its RTS and pre-compensate by rotating
 //! their baseband samples with `e^{j2πΔf t}` — aligning all concurrent
-//! transmitters in frequency without explicit coordination.
+//! transmitters in frequency without explicit coordination. The medium
+//! applies the net offset of each pair with [`apply_cfo`];
+//! pre-compensation is the same rotation with the offset negated.
 
 use nplus_linalg::Complex64;
 
@@ -29,46 +31,10 @@ pub fn apply_cfo(
     }
 }
 
-/// Pre-compensates a transmit stream for a known offset (the inverse
-/// rotation of [`apply_cfo`]).
-pub fn precompensate_cfo(
-    samples: &mut [Complex64],
-    delta_f_hz: f64,
-    sample_rate_hz: f64,
-    start_index: u64,
-) {
-    apply_cfo(samples, -delta_f_hz, sample_rate_hz, start_index);
-}
-
-/// Estimates the frequency offset of a received stream from the phase
-/// drift between two repetitions of a known periodic sequence
-/// (`period` samples apart) — the standard 802.11 STF/LTF method, and the
-/// same computation a joiner runs on the first winner's RTS preamble.
-pub fn estimate_cfo(rx: &[Complex64], period: usize, sample_rate_hz: f64) -> f64 {
-    assert!(
-        rx.len() >= 2 * period,
-        "need two repetitions to estimate CFO"
-    );
-    let mut acc = Complex64::ZERO;
-    for i in 0..rx.len() - period {
-        acc += rx[i + period] * rx[i].conj();
-    }
-    let phase = acc.arg();
-    phase * sample_rate_hz / (2.0 * std::f64::consts::PI * period as f64)
-}
-
-/// The maximum unambiguous offset estimable from repetitions `period`
-/// samples apart (half a cycle of rotation between repetitions).
-pub fn max_estimable_cfo(period: usize, sample_rate_hz: f64) -> f64 {
-    sample_rate_hz / (2.0 * period as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nplus_linalg::c64;
-    use nplus_phy::params::OfdmConfig;
-    use nplus_phy::preamble::stf_time;
 
     const FS: f64 = 10e6;
 
@@ -79,7 +45,7 @@ mod tests {
             .collect();
         let orig = s.clone();
         apply_cfo(&mut s, 3_500.0, FS, 1000);
-        precompensate_cfo(&mut s, 3_500.0, FS, 1000);
+        apply_cfo(&mut s, -3_500.0, FS, 1000);
         for (a, b) in s.iter().zip(&orig) {
             assert!(a.approx_eq(*b, 1e-9));
         }
@@ -92,48 +58,6 @@ mod tests {
         apply_cfo(&mut s, 7000.0, FS, 0);
         let p1: f64 = s.iter().map(|z| z.norm_sqr()).sum();
         assert!((p0 - p1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn estimate_recovers_offset_from_stf() {
-        let cfg = OfdmConfig::usrp2();
-        for &true_cfo in &[-8_000.0, -1_234.0, 0.0, 2_000.0, 11_000.0] {
-            let mut stf = stf_time(&cfg);
-            apply_cfo(&mut stf, true_cfo, FS, 0);
-            let est = estimate_cfo(&stf, 16, FS);
-            assert!(
-                (est - true_cfo).abs() < 1.0,
-                "true {true_cfo} Hz, estimated {est} Hz"
-            );
-        }
-    }
-
-    #[test]
-    fn estimate_with_noise_is_close() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let cfg = OfdmConfig::usrp2();
-        let mut rng = StdRng::seed_from_u64(6);
-        let true_cfo = 5_000.0;
-        let mut stf = stf_time(&cfg);
-        apply_cfo(&mut stf, true_cfo, FS, 0);
-        // 20 dB SNR noise.
-        for z in stf.iter_mut() {
-            let n = c64(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5).scale(0.2);
-            *z += n;
-        }
-        let est = estimate_cfo(&stf, 16, FS);
-        assert!(
-            (est - true_cfo).abs() < 200.0,
-            "true {true_cfo} Hz, estimated {est} Hz"
-        );
-    }
-
-    #[test]
-    fn ambiguity_limit() {
-        // With 16-sample repetitions at 10 MHz the unambiguous range is
-        // ±312.5 kHz — far beyond real oscillator offsets.
-        assert!((max_estimable_cfo(16, FS) - 312_500.0).abs() < 1e-6);
     }
 
     #[test]

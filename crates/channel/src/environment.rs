@@ -40,7 +40,7 @@ use std::fmt;
 
 /// Errors constructing a scenario's world: today, only a scenario too
 /// large for any of the environment's placement maps. (These used to be
-/// `assert!` panics inside `Testbed::fitting`/`random_assignment`; they
+/// `assert!` panics inside the testbed placement helpers; they
 /// surface as `Result`s through `SweepSpec::try_run` so a bad
 /// `--env`/scenario combination reports cleanly.)
 #[derive(Debug, Clone, PartialEq, Eq)]

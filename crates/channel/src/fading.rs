@@ -95,11 +95,6 @@ impl FadingChannel {
         }
     }
 
-    /// Total tap energy of this realization.
-    pub fn energy(&self) -> f64 {
-        self.taps.iter().map(|t| t.norm_sqr()).sum()
-    }
-
     /// Frequency response at FFT bin `k` of an `n_fft`-point grid.
     pub fn freq_response_at(&self, k: usize, n_fft: usize) -> Complex64 {
         let mut acc = Complex64::ZERO;
@@ -108,13 +103,6 @@ impl FadingChannel {
             acc += t * Complex64::cis(ang);
         }
         acc
-    }
-
-    /// Full frequency response over an `n_fft`-point grid.
-    pub fn freq_response(&self, n_fft: usize) -> Vec<Complex64> {
-        (0..n_fft)
-            .map(|k| self.freq_response_at(k, n_fft))
-            .collect()
     }
 
     /// Convolves a transmit sample stream with the channel (linear
@@ -166,7 +154,10 @@ mod tests {
         for profile in [DelayProfile::los(), DelayProfile::nlos()] {
             let n = 4000;
             let mean: f64 = (0..n)
-                .map(|_| FadingChannel::sample(&profile, &mut rng).energy())
+                .map(|_| {
+                    let taps = FadingChannel::sample(&profile, &mut rng).taps;
+                    taps.iter().map(|t| t.norm_sqr()).sum::<f64>()
+                })
                 .sum::<f64>()
                 / n as f64;
             assert!((mean - 1.0).abs() < 0.05, "mean energy {mean}");

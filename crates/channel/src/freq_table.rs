@@ -282,9 +282,11 @@ mod tests {
 
     #[test]
     fn respects_amplitude() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let link = MimoLink::sample(2, 2, 1.0, &DelayProfile::nlos(), &mut rng);
-        let half = link.with_amplitude(0.5);
+        let draw = |amplitude| {
+            let mut rng = StdRng::seed_from_u64(3);
+            MimoLink::sample(2, 2, amplitude, &DelayProfile::nlos(), &mut rng)
+        };
+        let (link, half) = (draw(1.0), draw(0.5));
         let bins = vec![10usize];
         let t1 = FreqResponseTable::new(&link, &bins, 64);
         let t2 = FreqResponseTable::new(&half, &bins, 64);

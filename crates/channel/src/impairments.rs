@@ -47,14 +47,6 @@ impl Default for HardwareProfile {
     }
 }
 
-/// An idealized profile with no impairments — useful for verifying that
-/// the precoder achieves numerically perfect nulls when given the truth.
-pub const IDEAL_HARDWARE: HardwareProfile = HardwareProfile {
-    tx_evm_db: -300.0,
-    calibration_error_std: 0.0,
-    estimation_snr_db: 300.0,
-};
-
 impl HardwareProfile {
     /// The paper's USRP2/WLAN-class radio quality (the crate-wide
     /// default): together with estimation error it yields the measured
@@ -86,22 +78,6 @@ impl HardwareProfile {
         10f64.powf(self.tx_evm_db / 20.0)
     }
 
-    /// Perturbs a true channel matrix into what a node *believes* after
-    /// estimating it from a preamble: adds complex Gaussian estimation
-    /// noise per entry, scaled to the entry's magnitude.
-    pub fn corrupt_estimate<R: Rng>(&self, h: &CMatrix, rng: &mut R) -> CMatrix {
-        let err_amp = 10f64.powf(-self.estimation_snr_db / 20.0);
-        let mut out = h.clone();
-        for i in 0..h.rows() {
-            for j in 0..h.cols() {
-                let scale = h[(i, j)].abs() * err_amp / 2f64.sqrt();
-                let e = c64(sample_normal(rng), sample_normal(rng)).scale(scale);
-                out[(i, j)] += e;
-            }
-        }
-        out
-    }
-
     /// Perturbs a reverse-channel-derived estimate with the calibration
     /// residual: a per-entry multiplicative complex error
     /// `(1 + ε)`, `ε ~ CN(0, calibration_error_std²)`.
@@ -111,36 +87,29 @@ impl HardwareProfile {
         out
     }
 
-    /// In-place form of [`HardwareProfile::apply_calibration_error`] —
-    /// identical arithmetic and RNG draws, no matrix allocation.
+    /// In-place form of [`HardwareProfile::apply_calibration_error`]:
+    /// a wrapper over
+    /// [`HardwareProfile::apply_calibration_error_soa_in_place`].
     pub fn apply_calibration_error_in_place<R: Rng>(&self, h: &mut CMatrix, rng: &mut R) {
-        if self.calibration_error_std == 0.0 {
-            return;
-        }
-        let s = self.calibration_error_std / 2f64.sqrt();
-        for i in 0..h.rows() {
-            for j in 0..h.cols() {
-                let eps = c64(sample_normal(rng), sample_normal(rng)).scale(s);
-                h[(i, j)] *= Complex64::ONE + eps;
-            }
-        }
+        let mut soa = CMatrixSoA::from_aos(h);
+        self.apply_calibration_error_soa_in_place(&mut soa, rng);
+        *h = soa.to_aos();
     }
 
     /// What a joining transmitter believes the *forward* channel to a
     /// receiver is, given the true forward matrix: reciprocity reading
     /// (estimation noise on the reverse direction) plus calibration
     /// residual. This composed error is what bounds nulling depth.
+    /// Allocating wrapper over
+    /// [`HardwareProfile::reciprocal_channel_knowledge_into`].
     pub fn reciprocal_channel_knowledge<R: Rng>(&self, h_true: &CMatrix, rng: &mut R) -> CMatrix {
-        let mut estimated = self.corrupt_estimate(h_true, rng);
-        self.apply_calibration_error_in_place(&mut estimated, rng);
-        estimated
+        let mut out = CMatrixSoA::default();
+        self.reciprocal_channel_knowledge_into(&CMatrixSoA::from_aos(h_true), rng, &mut out);
+        out.to_aos()
     }
 
-    /// Split-storage, pooled sibling of
-    /// [`HardwareProfile::corrupt_estimate`]: writes the corrupted
-    /// estimate into `out` (buffers reused). Identical entry arithmetic
-    /// and the identical row-major RNG draw order (two normals per
-    /// entry), so seeded results match the interleaved path bit for bit.
+    /// Writes the corrupted estimate of `h` into `out` (buffers reused),
+    /// drawing two normals per entry in row-major order.
     pub fn corrupt_estimate_into<R: Rng>(&self, h: &CMatrixSoA, rng: &mut R, out: &mut CMatrixSoA) {
         let err_amp = 10f64.powf(-self.estimation_snr_db / 20.0);
         out.assign_from(h);
@@ -153,10 +122,9 @@ impl HardwareProfile {
         }
     }
 
-    /// Split-storage sibling of
-    /// [`HardwareProfile::apply_calibration_error_in_place`] — identical
-    /// arithmetic and RNG draws (including the no-draw early return when
-    /// the calibration residual is zero).
+    /// Perturbs an estimate in place with the calibration residual: a
+    /// per-entry multiplicative complex error `(1 + ε)`,
+    /// `ε ~ CN(0, calibration_error_std²)`. A zero residual draws nothing.
     pub fn apply_calibration_error_soa_in_place<R: Rng>(&self, h: &mut CMatrixSoA, rng: &mut R) {
         if self.calibration_error_std == 0.0 {
             return;
@@ -170,10 +138,8 @@ impl HardwareProfile {
         }
     }
 
-    /// Split-storage, pooled sibling of
-    /// [`HardwareProfile::reciprocal_channel_knowledge`]: estimation
-    /// noise then calibration residual, into a reusable buffer, with the
-    /// same composed RNG stream as the interleaved path.
+    /// [`HardwareProfile::reciprocal_channel_knowledge`] into a reusable
+    /// buffer: estimation noise, then the calibration residual.
     pub fn reciprocal_channel_knowledge_into<R: Rng>(
         &self,
         h_true: &CMatrixSoA,
@@ -182,21 +148,6 @@ impl HardwareProfile {
     ) {
         self.corrupt_estimate_into(h_true, rng, out);
         self.apply_calibration_error_soa_in_place(out, rng);
-    }
-
-    /// Adds transmit-chain EVM noise to a per-antenna sample stream:
-    /// each sample is sent as `x + n`, `n ~ CN(0, |x_rms|² · evm²)`.
-    pub fn add_tx_evm<R: Rng>(&self, stream: &mut [Complex64], rng: &mut R) {
-        let evm = self.tx_evm_amplitude();
-        if evm <= 1e-12 || stream.is_empty() {
-            return;
-        }
-        let rms: f64 =
-            (stream.iter().map(|z| z.norm_sqr()).sum::<f64>() / stream.len() as f64).sqrt();
-        let s = rms * evm / 2f64.sqrt();
-        for z in stream.iter_mut() {
-            *z += c64(sample_normal(rng), sample_normal(rng)).scale(s);
-        }
     }
 
     /// The expected cancellation depth (dB) this profile can achieve:
@@ -218,6 +169,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn corrupt(p: &HardwareProfile, h: &CMatrix, rng: &mut StdRng) -> CMatrix {
+        let mut out = CMatrixSoA::default();
+        p.corrupt_estimate_into(&CMatrixSoA::from_aos(h), rng, &mut out);
+        out.to_aos()
+    }
+
     fn random_h(rng: &mut StdRng) -> CMatrix {
         let data: Vec<Complex64> = (0..6)
             .map(|_| c64(sample_normal(rng), sample_normal(rng)))
@@ -237,15 +194,15 @@ mod tests {
 
     #[test]
     fn ideal_hardware_is_transparent() {
+        let ideal = HardwareProfile {
+            tx_evm_db: -300.0,
+            calibration_error_std: 0.0,
+            estimation_snr_db: 300.0,
+        };
         let mut rng = StdRng::seed_from_u64(1);
         let h = random_h(&mut rng);
-        let est = IDEAL_HARDWARE.reciprocal_channel_knowledge(&h, &mut rng);
+        let est = ideal.reciprocal_channel_knowledge(&h, &mut rng);
         assert!(est.approx_eq(&h, 1e-12));
-        let mut stream = vec![c64(1.0, 0.0); 16];
-        IDEAL_HARDWARE.add_tx_evm(&mut stream, &mut rng);
-        for z in stream {
-            assert!(z.approx_eq(c64(1.0, 0.0), 1e-12));
-        }
     }
 
     #[test]
@@ -259,7 +216,7 @@ mod tests {
         let mut rel_err = 0.0;
         for _ in 0..n {
             let h = random_h(&mut rng);
-            let est = p.corrupt_estimate(&h, &mut rng);
+            let est = corrupt(&p, &h, &mut rng);
             rel_err += (&est - &h).frobenius_norm().powi(2) / h.frobenius_norm().powi(2);
         }
         rel_err /= n as f64;
@@ -267,28 +224,6 @@ mod tests {
         assert!(
             (rel_err / expect - 1.0).abs() < 0.15,
             "relative error power {rel_err:.5} vs {expect:.5}"
-        );
-    }
-
-    #[test]
-    fn evm_noise_scales_with_signal() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let p = HardwareProfile::default();
-        let clean = vec![c64(2.0, 0.0); 4000];
-        let mut noisy = clean.clone();
-        p.add_tx_evm(&mut noisy, &mut rng);
-        let err_pow: f64 = noisy
-            .iter()
-            .zip(&clean)
-            .map(|(a, b)| (*a - *b).norm_sqr())
-            .sum::<f64>()
-            / clean.len() as f64;
-        let sig_pow = 4.0;
-        let measured_evm_db = 10.0 * (err_pow / sig_pow).log10();
-        assert!(
-            (measured_evm_db - p.tx_evm_db).abs() < 1.0,
-            "measured EVM {measured_evm_db:.1} dB vs configured {}",
-            p.tx_evm_db
         );
     }
 
@@ -351,7 +286,7 @@ mod tests {
         let (mut est_only, mut composed) = (0.0, 0.0);
         for _ in 0..n {
             let h = random_h(&mut rng);
-            let e1 = p.corrupt_estimate(&h, &mut rng);
+            let e1 = corrupt(&p, &h, &mut rng);
             let e2 = p.reciprocal_channel_knowledge(&h, &mut rng);
             est_only += (&e1 - &h).frobenius_norm().powi(2);
             composed += (&e2 - &h).frobenius_norm().powi(2);

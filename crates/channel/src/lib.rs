@@ -39,7 +39,7 @@ pub mod noise;
 pub mod pathloss;
 pub mod placement;
 
-pub use cfo::{apply_cfo, estimate_cfo, precompensate_cfo};
+pub use cfo::apply_cfo;
 pub use environment::{
     environment_from_name, ChannelEnvironment, DegradedHardware, EnvironmentError, OscillatorDraw,
     OutdoorFreeSpace, RichScatter, Sigcomm11Indoor, BUILTIN_ENVIRONMENT_NAMES, DEGRADED_HARDWARE,
@@ -47,8 +47,8 @@ pub use environment::{
 };
 pub use fading::{DelayProfile, FadingChannel};
 pub use freq_table::FreqResponseTable;
-pub use impairments::{HardwareProfile, IDEAL_HARDWARE};
+pub use impairments::HardwareProfile;
 pub use mimo::MimoLink;
-pub use noise::{add_noise, measure_power, noise_sample, noise_stream, snr_db};
+pub use noise::{add_noise, noise_sample, snr_db};
 pub use pathloss::{sample_normal, LinkBudget, PathLossModel};
 pub use placement::{Location, Point, Testbed};

@@ -55,25 +55,12 @@ impl MimoLink {
         }
     }
 
-    /// An ideal flat link with the given amplitude (for tests).
+    /// An ideal flat link with the given amplitude.
+    #[cfg(test)]
     pub fn flat(n_tx: usize, n_rx: usize, amplitude: f64) -> Self {
         let fading = (0..n_rx)
             .map(|_| (0..n_tx).map(|_| FadingChannel::identity()).collect())
             .collect();
-        MimoLink {
-            fading,
-            amplitude,
-            n_tx,
-            n_rx,
-        }
-    }
-
-    /// Constructs a link from explicit per-pair channels.
-    pub fn from_parts(fading: Vec<Vec<FadingChannel>>, amplitude: f64) -> Self {
-        let n_rx = fading.len();
-        assert!(n_rx >= 1);
-        let n_tx = fading[0].len();
-        assert!(fading.iter().all(|row| row.len() == n_tx));
         MimoLink {
             fading,
             amplitude,
@@ -95,15 +82,6 @@ impl MimoLink {
     /// Large-scale amplitude.
     pub fn amplitude(&self) -> f64 {
         self.amplitude
-    }
-
-    /// Returns a copy with a different large-scale amplitude — the hook
-    /// n+'s join-power control uses (§4: a joiner lowers its transmit
-    /// power so residual interference lands below the noise floor).
-    pub fn with_amplitude(&self, amplitude: f64) -> Self {
-        let mut l = self.clone();
-        l.amplitude = amplitude;
-        l
     }
 
     /// The FIR channel of one antenna pair (including amplitude).
@@ -213,7 +191,7 @@ mod tests {
         for k in [0usize, 7, 31, 63] {
             let h = link.channel_matrix(k, 64);
             let hr = rev.channel_matrix(k, 64);
-            assert!(hr.approx_eq(&h.transpose(), 1e-12), "bin {k}");
+            assert!(hr.approx_eq(&h.hermitian().conj(), 1e-12), "bin {k}");
         }
         // Reciprocity is an involution.
         let back = rev.reverse();
@@ -263,9 +241,16 @@ mod tests {
 
     #[test]
     fn with_amplitude_scales_everything() {
-        let mut rng = StdRng::seed_from_u64(19);
-        let link = MimoLink::sample(2, 2, 1.0, &DelayProfile::nlos(), &mut rng);
-        let half = link.with_amplitude(0.5);
+        let draw = |amp| {
+            MimoLink::sample(
+                2,
+                2,
+                amp,
+                &DelayProfile::nlos(),
+                &mut StdRng::seed_from_u64(19),
+            )
+        };
+        let (link, half) = (draw(1.0), draw(0.5));
         let h1 = link.channel_matrix(10, 64);
         let h2 = half.channel_matrix(10, 64);
         assert!(h2.approx_eq(&h1.scale_re(0.5), 1e-12));

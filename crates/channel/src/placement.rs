@@ -129,12 +129,6 @@ impl Testbed {
         Ok(ext)
     }
 
-    /// Panicking convenience over [`try_fitting`](Testbed::try_fitting)
-    /// for contexts that statically know the scenario fits.
-    pub fn fitting(n: usize) -> Self {
-        Self::try_fitting(n).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// An open 100 m × 65 m outdoor field: an 8 × 5 grid of forty
     /// candidate locations, all line-of-sight — link ranges several
     /// times the indoor map's. The map of the `outdoor` environment.
@@ -204,13 +198,6 @@ impl Testbed {
         picks.shuffle(rng);
         picks.truncate(n);
         Ok(picks)
-    }
-
-    /// Panicking convenience over
-    /// [`try_random_assignment`](Testbed::try_random_assignment).
-    pub fn random_assignment<R: Rng>(&self, n: usize, rng: &mut R) -> Vec<Location> {
-        self.try_random_assignment(n, rng)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// True when the straight line between two locations crosses the
@@ -404,21 +391,21 @@ mod tests {
         }
         // A 32-node assignment fits the extension.
         let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(ext.random_assignment(32, &mut rng).len(), 32);
+        assert_eq!(ext.try_random_assignment(32, &mut rng).unwrap().len(), 32);
     }
 
     #[test]
     fn fitting_picks_the_smallest_map() {
-        assert_eq!(Testbed::fitting(6).len(), 20);
-        assert_eq!(Testbed::fitting(20).len(), 20);
-        assert_eq!(Testbed::fitting(21).len(), 40);
-        assert_eq!(Testbed::fitting(32).len(), 40);
+        assert_eq!(Testbed::try_fitting(6).unwrap().len(), 20);
+        assert_eq!(Testbed::try_fitting(20).unwrap().len(), 20);
+        assert_eq!(Testbed::try_fitting(21).unwrap().len(), 40);
+        assert_eq!(Testbed::try_fitting(32).unwrap().len(), 40);
     }
 
     #[test]
     #[should_panic(expected = "cannot place")]
     fn fitting_rejects_oversized_requests() {
-        let _ = Testbed::fitting(41);
+        let _ = Testbed::try_fitting(41).unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
@@ -444,7 +431,7 @@ mod tests {
         assert_eq!(tb.len(), 40);
         assert!(tb.locations().iter().all(|l| !l.nlos));
         let mut rng = StdRng::seed_from_u64(4);
-        assert_eq!(tb.random_assignment(32, &mut rng).len(), 32);
+        assert_eq!(tb.try_random_assignment(32, &mut rng).unwrap().len(), 32);
     }
 
     #[test]
@@ -459,7 +446,7 @@ mod tests {
         let tb = Testbed::sigcomm11();
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..50 {
-            let picks = tb.random_assignment(6, &mut rng);
+            let picks = tb.try_random_assignment(6, &mut rng).unwrap();
             assert_eq!(picks.len(), 6);
             for i in 0..picks.len() {
                 for j in (i + 1)..picks.len() {
@@ -475,8 +462,12 @@ mod tests {
     #[test]
     fn assignments_vary_with_seed() {
         let tb = Testbed::sigcomm11();
-        let a = tb.random_assignment(4, &mut StdRng::seed_from_u64(1));
-        let b = tb.random_assignment(4, &mut StdRng::seed_from_u64(2));
+        let a = tb
+            .try_random_assignment(4, &mut StdRng::seed_from_u64(1))
+            .unwrap();
+        let b = tb
+            .try_random_assignment(4, &mut StdRng::seed_from_u64(2))
+            .unwrap();
         let same = a
             .iter()
             .zip(&b)
@@ -498,7 +489,9 @@ mod tests {
     fn too_many_nodes_rejected() {
         let tb = Testbed::sigcomm11();
         let mut rng = StdRng::seed_from_u64(0);
-        let _ = tb.random_assignment(21, &mut rng);
+        let _ = tb
+            .try_random_assignment(21, &mut rng)
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]

@@ -31,6 +31,7 @@ pub struct MultiDimCarrierSense {
 impl MultiDimCarrierSense {
     /// Builds the sensor for a node with `n_antennas` antennas and no
     /// ongoing transmissions (complement = full space everywhere).
+    #[cfg(test)]
     pub fn idle(n_antennas: usize, cfg: OfdmConfig) -> Self {
         MultiDimCarrierSense {
             complements: vec![Subspace::full(n_antennas); cfg.fft_len],
@@ -167,60 +168,6 @@ impl MultiDimCarrierSense {
             .flat_map(|s| normalized_cross_correlation(s, template))
             .fold(0.0, f64::max)
     }
-}
-
-/// Carrier-sense decision thresholds.
-#[derive(Debug, Clone, Copy)]
-pub struct SenseThresholds {
-    /// Power threshold relative to the noise floor (linear). Projected
-    /// power above `noise * (1 + margin)` declares the DoF occupied.
-    pub power_margin: f64,
-    /// Correlation threshold for preamble detection.
-    pub correlation: f64,
-}
-
-impl Default for SenseThresholds {
-    fn default() -> Self {
-        SenseThresholds {
-            power_margin: 1.0, // 3 dB above the projected noise floor
-            correlation: 0.55,
-        }
-    }
-}
-
-/// Combined occupied/free decision: a degree of freedom is busy when the
-/// projected power exceeds the threshold *or* a preamble is detected in
-/// the projected signal (mirroring 802.11's dual carrier-sense, §6.1).
-pub fn dof_is_busy(
-    sensor: &MultiDimCarrierSense,
-    capture: &[Vec<Complex64>],
-    template: &[Complex64],
-    noise_power: f64,
-    thresholds: &SenseThresholds,
-) -> bool {
-    // A capture with no antennas, or too short for even one FFT block on
-    // any antenna, carries no evidence that the medium is idle — report
-    // busy (the fail-safe carrier-sense answer: a node that cannot sense
-    // must not transmit). The old code divided by `capture.len()` below,
-    // so an empty capture produced a NaN noise floor that silently
-    // compared as "not busy"; and since `project_capture` truncates to
-    // whole FFT blocks, a sub-block capture measured zero power and was
-    // equally silent no matter how loud the medium actually was.
-    let min_len = capture.iter().map(Vec::len).min().unwrap_or(0);
-    if capture.is_empty() || min_len < sensor.cfg.fft_len {
-        return true;
-    }
-    let power = sensor.sense_power(capture);
-    // The projected noise power scales with the complement dimension
-    // (projection removes part of the noise too). The denominator is the
-    // sensor's antenna count — the dimension of the space the noise
-    // lives in — not whatever length the capture slice happens to have.
-    let dof_frac = sensor.free_dof() as f64 / sensor.n_antennas().max(1) as f64;
-    let floor = noise_power * dof_frac.max(1e-9);
-    if power > floor * (1.0 + thresholds.power_margin) {
-        return true;
-    }
-    sensor.detect_preamble(capture, template) >= thresholds.correlation
 }
 
 #[cfg(test)]
@@ -443,85 +390,5 @@ mod tests {
         // The upper median over [1, 2, 2, …] was 2; the worst bin has 1.
         assert_eq!(sensor.free_dof(), 1);
         assert_eq!(sensor.n_antennas(), 3);
-    }
-
-    /// Regression: an empty capture used to produce a NaN noise floor
-    /// (division by `capture.len()`) that silently compared as "not
-    /// busy". No samples means no evidence of idleness: report busy.
-    #[test]
-    fn empty_capture_reports_busy() {
-        let c = cfg();
-        let sensor = MultiDimCarrierSense::idle(2, c);
-        let stf = stf_time(&c);
-        let thresholds = SenseThresholds::default();
-        // No antenna streams at all.
-        assert!(dof_is_busy(&sensor, &[], &stf[..64], 1.0, &thresholds));
-        // Antenna streams present but zero samples captured.
-        let empty: Vec<Vec<Complex64>> = vec![Vec::new(), Vec::new()];
-        assert!(dof_is_busy(&sensor, &empty, &stf[..64], 1.0, &thresholds));
-        // Shorter than one FFT block: projection would truncate to zero
-        // blocks and measure zero power however loud the medium is —
-        // also no evidence of idleness.
-        let sub_block: Vec<Vec<Complex64>> = vec![vec![c64(100.0, 0.0); 10]; 2];
-        assert!(dof_is_busy(
-            &sensor,
-            &sub_block,
-            &stf[..64],
-            1.0,
-            &thresholds
-        ));
-        // One ragged-short stream is enough to invalidate the capture.
-        let ragged: Vec<Vec<Complex64>> = vec![vec![c64(1.0, 0.0); 256], Vec::new()];
-        assert!(dof_is_busy(&sensor, &ragged, &stf[..64], 1.0, &thresholds));
-        // A zero-antenna sensor (degenerate but constructible) must not
-        // divide by zero either.
-        let none = MultiDimCarrierSense::idle(0, c);
-        assert!(dof_is_busy(&none, &[], &stf[..64], 1.0, &thresholds));
-    }
-
-    #[test]
-    fn busy_decision_tracks_power() {
-        let c = cfg();
-        let sensor = MultiDimCarrierSense::idle(2, c);
-        let stf = stf_time(&c);
-        let thresholds = SenseThresholds::default();
-        // Pure noise at unit power: not busy.
-        let mut rng = StdRng::seed_from_u64(6);
-        let noise: Vec<Vec<Complex64>> = (0..2)
-            .map(|_| {
-                (0..256)
-                    .map(|_| {
-                        c64(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5)
-                            .scale(2.0 / 3.0f64.sqrt())
-                    })
-                    .collect()
-            })
-            .collect();
-        // Noise power ≈ 2·(1/12)·4/3·... just measure it.
-        let noise_power = MultiDimCarrierSense::raw_power(&noise) / 2.0 * 2.0;
-        assert!(!dof_is_busy(
-            &sensor,
-            &noise,
-            &stf[..64],
-            noise_power,
-            &thresholds
-        ));
-        // Noise + strong signal: busy.
-        let busy: Vec<Vec<Complex64>> = noise
-            .iter()
-            .map(|s| {
-                s.iter()
-                    .enumerate()
-                    .map(|(i, &z)| z + Complex64::cis(0.3 * i as f64).scale(3.0))
-                    .collect()
-            })
-            .collect();
-        assert!(dof_is_busy(
-            &sensor,
-            &busy,
-            &stf[..64],
-            noise_power,
-            &thresholds
-        ));
     }
 }

@@ -29,8 +29,6 @@
 //! depth it needs to support.
 
 use nplus_linalg::{c64, CVector, Subspace};
-use nplus_phy::params::occupied_subcarrier_indices;
-use nplus_phy::rates::Mcs;
 
 /// Quantization scale: components live in [−1, 1] (orthonormal bases),
 /// mapped to i16 full-scale.
@@ -416,12 +414,6 @@ fn make_space(vals: &[f64], n_ant: usize, dim: usize) -> Subspace {
     Subspace::span(n_ant, &basis)
 }
 
-/// Size of the blob in OFDM symbols when sent at the given header MCS —
-/// the §3.5 overhead metric ("three OFDM symbols on average").
-pub fn blob_symbols(blob_len_bytes: usize, header_mcs: Mcs) -> usize {
-    (blob_len_bytes * 8).div_ceil(header_mcs.data_bits_per_symbol())
-}
-
 /// The worst-case subspace mismatch between two per-subcarrier space
 /// lists: `max_k sin θ_max(U_k, V_k)` measured via projector distance.
 pub fn max_space_error(a: &[Subspace], b: &[Subspace]) -> f64 {
@@ -432,11 +424,6 @@ pub fn max_space_error(a: &[Subspace], b: &[Subspace]) -> f64 {
             d.frobenius_norm()
         })
         .fold(0.0, f64::max)
-}
-
-/// Convenience: the number of occupied subcarriers the blob must cover.
-pub fn expected_subcarriers() -> usize {
-    occupied_subcarrier_indices().len()
 }
 
 #[cfg(test)]
@@ -493,7 +480,7 @@ mod tests {
             "blob {} bytes — differential coding ineffective",
             blob.len()
         );
-        let syms = blob_symbols(blob.len(), RATE_TABLE[7]);
+        let syms = (blob.len() * 8).div_ceil(RATE_TABLE[7].data_bits_per_symbol());
         assert!(
             syms <= 7,
             "{syms} OFDM symbols — paper reports ~3 at comparable rates"
@@ -608,7 +595,7 @@ mod tests {
                     .iter()
                     .map(|v| v.scale(Complex64::cis(2.399 * k as f64)))
                     .collect();
-                Subspace::from_orthonormal(2, basis)
+                Subspace::span(2, &basis)
             })
             .collect();
         let plain = encode_alignment_space(&spaces).len();
@@ -621,6 +608,10 @@ mod tests {
 
     #[test]
     fn expected_subcarrier_count() {
-        assert_eq!(expected_subcarriers(), 52);
+        // The blob carries one space per occupied subcarrier.
+        let n_sc = nplus_phy::params::occupied_subcarrier_indices().len();
+        assert_eq!(n_sc, 52);
+        let blob = encode_alignment_space(&vec![Subspace::zero(2); n_sc]);
+        assert_eq!(decode_alignment_space(&blob).unwrap().len(), n_sc);
     }
 }

@@ -63,9 +63,9 @@ pub mod power_control;
 pub mod precoder;
 pub mod sim;
 
-pub use carrier_sense::{dof_is_busy, MultiDimCarrierSense, SenseThresholds};
+pub use carrier_sense::MultiDimCarrierSense;
 pub use executor::{resolve_threads, run_indexed, run_indexed_chunked};
-pub use handshake::{blob_symbols, decode_alignment_space, encode_alignment_space};
+pub use handshake::{decode_alignment_space, encode_alignment_space};
 pub use link::{select_stream_rate, zf_sinr, SubcarrierObservation};
 pub use node::{learn_forward_channel, plan_join, JoinError, JoinPlan, LearnedReceiver};
 pub use observer::{
@@ -78,8 +78,8 @@ pub use policy::{
 };
 pub use power_control::{join_power_decision, JoinPowerDecision, DEFAULT_L_DB};
 pub use precoder::{
-    compute_precoders, max_joinable_streams, residual_interference, OwnReceiver, PrecoderError,
-    Precoding, ProtectedReceiver,
+    compute_precoders, residual_interference, OwnReceiver, PrecoderError, Precoding,
+    ProtectedReceiver,
 };
 pub use sim::{
     aggregate_results, CanonicalSpec, Flow, MobilityModel, RunResult, Scenario, SeedResults,

@@ -20,7 +20,6 @@
 
 use nplus_linalg::{pinv_into, CMatrixSoA, CVector, Complex64, PinvWorkspace};
 use nplus_phy::esnr::effective_snr;
-use nplus_phy::modulation::Modulation;
 use nplus_phy::rates::{RateIndex, RATE_TABLE};
 use nplus_phy::RATE_ESNR_THRESHOLDS_DB;
 
@@ -158,15 +157,6 @@ pub fn select_stream_rate(per_subcarrier_sinr: &[f64]) -> Option<RateIndex> {
     best
 }
 
-/// Effective SNR (dB) of a stream for reporting (uses the QPSK curve as a
-/// modulation-neutral middle ground, as the ESNR paper suggests for
-/// summarizing).
-pub fn stream_esnr_db(per_subcarrier_sinr: &[f64]) -> f64 {
-    10.0 * effective_snr(Modulation::Qpsk, per_subcarrier_sinr)
-        .max(1e-300)
-        .log10()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,7 +290,8 @@ mod tests {
     #[test]
     fn esnr_reporting_finite() {
         let sinrs = vec![10.0; 52];
-        let db = stream_esnr_db(&sinrs);
+        let esnr = effective_snr(nplus_phy::modulation::Modulation::Qpsk, &sinrs);
+        let db = 10.0 * esnr.log10();
         assert!((db - 10.0).abs() < 0.5, "esnr {db}");
     }
 }

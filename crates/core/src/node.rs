@@ -48,6 +48,7 @@ pub struct LearnedReceiver {
 /// of the receiver's `n_rx_antennas`-antenna preamble (the receiver sent
 /// it as part of its own past handshake). The hardware profile adds the
 /// calibration residual that real Tx/Rx chain asymmetry leaves.
+// nplus:allow(DEAD001): learns the joiner's channels in the sample-level join chain that node.rs's tests drive; the planned phy_check bin (ROADMAP.md) will call it
 pub fn learn_forward_channel(
     capture: &[Vec<Complex64>],
     n_rx_antennas: usize,
@@ -107,6 +108,7 @@ impl std::error::Error for JoinError {}
 /// Computes a join plan: power control plus per-subcarrier precoding
 /// against the learned protected receivers, delivering `n_streams` to a
 /// receiver with learned forward channels `own`.
+// nplus:allow(DEAD001): plans the precoders in the sample-level join chain that node.rs's tests drive; the planned phy_check bin (ROADMAP.md) will call it
 pub fn plan_join(
     m_antennas: usize,
     protected: &[LearnedReceiver],
@@ -155,6 +157,7 @@ pub fn plan_join(
 ///
 /// (The full coding chain lives in `nplus-phy::ofdm`; this helper maps
 /// raw constellation bits so tests can measure exact BER.)
+// nplus:allow(DEAD001): renders the precoded streams of the sample-level join chain that node.rs's tests drive; the planned phy_check bin (ROADMAP.md) will call it
 pub fn render_precoded_stream(
     bits: &[u8],
     plan_stream: &[CVector],
@@ -200,10 +203,10 @@ pub fn render_precoded_stream(
 mod tests {
     use super::*;
     use nplus_channel::fading::DelayProfile;
-    use nplus_channel::impairments::IDEAL_HARDWARE;
     use nplus_channel::mimo::MimoLink;
     use nplus_medium::medium::{Medium, Transmission};
     use nplus_phy::preamble::{mimo_preamble, preamble_len};
+    use nplus_testkit::fixtures::IDEAL_HARDWARE;
     use rand::SeedableRng;
 
     /// Builds a medium where rx1 (1 ant) has sent its preamble, and tx2
@@ -320,7 +323,12 @@ mod tests {
         let cfg = OfdmConfig::usrp2();
         let n_sc = occupied_subcarrier_indices().len();
         let plan_stream: Vec<CVector> = (0..n_sc)
-            .map(|_| CVector::from_reals(&[0.6, 0.8]))
+            .map(|_| {
+                CVector::from_vec(vec![
+                    nplus_linalg::c64(0.6, 0.0),
+                    nplus_linalg::c64(0.8, 0.0),
+                ])
+            })
             .collect();
         let bits = vec![1u8; 96 * 3]; // 3 QPSK OFDM symbols
         let streams = render_precoded_stream(&bits, &plan_stream, 2, &cfg);

@@ -23,16 +23,14 @@ pub use nplus_channel::environment::DEFAULT_L_DB;
 /// Interference power (linear, relative to noise) that a unit-total-power
 /// transmission from an `M`-antenna transmitter would create at a
 /// receiver with believed channel `h` (`N × M`), before any precoding:
-/// the average over transmit directions, `‖H‖_F² / M`.
+/// the average over transmit directions, `‖H‖_F² / M`. Allocating
+/// wrapper over [`expected_interference_power_soa`].
 pub fn expected_interference_power(h: &CMatrix) -> f64 {
-    let m = h.cols().max(1);
-    h.frobenius_norm().powi(2) / m as f64
+    expected_interference_power_soa(&CMatrixSoA::from_aos(h))
 }
 
-/// Split-storage sibling of [`expected_interference_power`] for channels
-/// served straight from the cache's structure-of-arrays tables. The
-/// Frobenius norm sums `re² + im²` in the same row-major entry order, so
-/// the value is bit-identical to the interleaved path's.
+/// [`expected_interference_power`] of a channel served straight from the
+/// cache's structure-of-arrays tables.
 pub fn expected_interference_power_soa(h: &CMatrixSoA) -> f64 {
     let m = h.cols().max(1);
     h.frobenius_norm().powi(2) / m as f64
@@ -90,15 +88,6 @@ pub fn join_power_decision_from_worst(worst: f64, l_db: f64) -> JoinPowerDecisio
     }
 }
 
-/// The residual interference power (relative to noise) left at a
-/// protected receiver after cancellation with depth `l_db`, for a joiner
-/// whose pre-cancellation power there is `pre_lin` and whose amplitude
-/// was scaled by `decision`.
-pub fn residual_after_cancellation(pre_lin: f64, decision: &JoinPowerDecision, l_db: f64) -> f64 {
-    let depth = 10f64.powf(-l_db / 10.0);
-    pre_lin * decision.amplitude().powi(2) * depth
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,7 +140,8 @@ mod tests {
             let h = channel_with_power(snr_db, 1, 1);
             let pre = expected_interference_power(&h);
             let d = join_power_decision(&[&h], DEFAULT_L_DB);
-            let resid = residual_after_cancellation(pre, &d, DEFAULT_L_DB);
+            // Post-cancellation residual: scaled power, suppressed by `L`.
+            let resid = pre * d.amplitude().powi(2) * 10f64.powf(-DEFAULT_L_DB / 10.0);
             assert!(
                 resid <= 1.0 + 1e-9,
                 "residual {resid} above noise at {snr_db} dB"

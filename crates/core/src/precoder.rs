@@ -115,12 +115,6 @@ pub struct Precoding {
     pub stream_owner: Vec<usize>,
 }
 
-/// Maximum number of streams an `m_antennas` transmitter can add on top
-/// of `k_ongoing` ongoing streams (Claim 3.2: `m = M − K`).
-pub fn max_joinable_streams(m_antennas: usize, k_ongoing: usize) -> usize {
-    m_antennas.saturating_sub(k_ongoing)
-}
-
 /// Computes pre-coding vectors per Claim 3.5 / Eq. 7 for one subcarrier.
 ///
 /// `m_antennas` is the joining transmitter's antenna count; `protected`
@@ -485,7 +479,6 @@ mod tests {
                 let protected: Vec<ProtectedReceiver> = (0..k)
                     .map(|_| ProtectedReceiver::nulling(random_channel(1, m_ant, &mut rng)))
                     .collect();
-                assert_eq!(max_joinable_streams(m_ant, k), m_ant - k);
                 let want = m_ant - k;
                 let result = compute_precoders(
                     m_ant,

@@ -1792,7 +1792,6 @@ mod tests {
     use crate::observer::NullObserver;
     use crate::policy::{Beamforming, Dot11n, GreedyJoin, NPlus, Oracle};
     use nplus_channel::placement::Testbed;
-    use nplus_mac::frames::ReceiverEntry;
     use nplus_medium::topology::{build_topology, TopologyConfig};
     use rand::SeedableRng;
 
@@ -1967,38 +1966,11 @@ mod tests {
         let cfg = SimConfig::default();
         let base = BASE_RATE.data_bits_per_symbol();
         let sifs_syms = (cfg.timing.sifs as usize).div_ceil(cfg.timing.symbol as usize);
-        let hdr_bits = |n_rx: usize| {
-            DataHeader {
-                src: 0,
-                receivers: vec![
-                    ReceiverEntry {
-                        dst: 0,
-                        n_streams: 1
-                    };
-                    n_rx
-                ],
-                n_antennas: 3,
-                duration_symbols: 0,
-                seq: 0,
-            }
-            .to_bytes()
-            .len()
-                * 8
-        };
-
-        // ACK frame sizes straight from the nplus-mac codec, so the
-        // accounting can never drift from what the wire format encodes.
-        let ack_bits = |n_streams: usize, blob: usize| {
-            AckHeader {
-                src: 0,
-                dst: 0,
-                rate_indices: vec![0; n_streams],
-                alignment_blob: vec![0; blob],
-            }
-            .to_bytes()
-            .len()
-                * 8
-        };
+        // Frame sizes from the nplus-mac layout arithmetic, which that
+        // crate pins against the byte layout, so the accounting can never
+        // drift from what the wire format encodes.
+        let hdr_bits = |n_rx: usize| DataHeader::encoded_len(n_rx) * 8;
+        let ack_bits = |n_streams: usize, blob: usize| AckHeader::encoded_len(n_streams, blob) * 8;
 
         // A blob size whose per-ACK rounding differs from rounding the
         // summed total — the case the old accounting got wrong.

@@ -49,12 +49,6 @@ impl Complex64 {
         c64(re, im)
     }
 
-    /// Creates a purely real complex number.
-    #[inline]
-    pub const fn from_re(re: f64) -> Self {
-        c64(re, 0.0)
-    }
-
     /// Creates a complex number from polar form `r * e^{i theta}`.
     #[inline]
     pub fn from_polar(r: f64, theta: f64) -> Self {

@@ -5,7 +5,7 @@
 //! implementation favours clarity and robustness over blocking/SIMD — the
 //! same trade-off smoltcp makes for its data path.
 
-use crate::complex::{c64, Complex64};
+use crate::complex::Complex64;
 use crate::vector::CVector;
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
@@ -53,6 +53,7 @@ impl CMatrix {
 
     /// Creates a matrix whose rows are the given vectors (all must share a
     /// dimension).
+    #[cfg(test)]
     pub fn from_rows(rows: &[CVector]) -> Self {
         if rows.is_empty() {
             return Self::zeros(0, 0);
@@ -87,18 +88,13 @@ impl CMatrix {
     }
 
     /// Creates a matrix from real entries in row-major order.
+    #[cfg(test)]
     pub fn from_reals(rows: usize, cols: usize, re: &[f64]) -> Self {
-        Self::from_vec(rows, cols, re.iter().map(|&r| c64(r, 0.0)).collect())
-    }
-
-    /// Creates a diagonal matrix from the given diagonal entries.
-    pub fn diag(entries: &[Complex64]) -> Self {
-        let n = entries.len();
-        let mut m = Self::zeros(n, n);
-        for (i, &e) in entries.iter().enumerate() {
-            m[(i, i)] = e;
-        }
-        m
+        Self::from_vec(
+            rows,
+            cols,
+            re.iter().map(|&r| Complex64::new(r, 0.0)).collect(),
+        )
     }
 
     /// Number of rows.
@@ -141,47 +137,6 @@ impl CMatrix {
     pub fn col(&self, j: usize) -> CVector {
         assert!(j < self.cols, "col {j} out of range ({} cols)", self.cols);
         (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
-    /// Borrowed view of row `i` — the zero-copy sibling of
-    /// [`CMatrix::row`] for hot paths that only need to read the entries.
-    #[inline]
-    pub fn row_ref(&self, i: usize) -> &[Complex64] {
-        assert!(i < self.rows, "row {i} out of range ({} rows)", self.rows);
-        &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Iterator over the entries of column `j` — the zero-copy sibling of
-    /// [`CMatrix::col`].
-    #[inline]
-    pub fn col_iter(&self, j: usize) -> impl Iterator<Item = &Complex64> + '_ {
-        assert!(j < self.cols, "col {j} out of range ({} cols)", self.cols);
-        self.data.iter().skip(j).step_by(self.cols.max(1))
-    }
-
-    /// Replaces row `i` with the given vector.
-    pub fn set_row(&mut self, i: usize, v: &CVector) {
-        assert_eq!(v.len(), self.cols, "set_row: dimension mismatch");
-        self.data[i * self.cols..(i + 1) * self.cols].copy_from_slice(v.as_slice());
-    }
-
-    /// Replaces column `j` with the given vector.
-    pub fn set_col(&mut self, j: usize, v: &CVector) {
-        assert_eq!(v.len(), self.rows, "set_col: dimension mismatch");
-        for i in 0..self.rows {
-            self[(i, j)] = v[i];
-        }
-    }
-
-    /// Plain transpose (no conjugation).
-    pub fn transpose(&self) -> CMatrix {
-        let mut t = CMatrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
     }
 
     /// Hermitian (conjugate) transpose, written `A^H` in the paper.
@@ -244,19 +199,6 @@ impl CMatrix {
         }
     }
 
-    /// Extracts the submatrix of rows `r0..r1` and columns `c0..c1`.
-    pub fn submatrix(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> CMatrix {
-        assert!(r0 <= r1 && r1 <= self.rows, "submatrix: bad row range");
-        assert!(c0 <= c1 && c1 <= self.cols, "submatrix: bad col range");
-        let mut m = CMatrix::zeros(r1 - r0, c1 - c0);
-        for i in r0..r1 {
-            for j in c0..c1 {
-                m[(i - r0, j - c0)] = self[(i, j)];
-            }
-        }
-        m
-    }
-
     /// Frobenius norm (square root of total entry power).
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
@@ -278,29 +220,9 @@ impl CMatrix {
     }
 
     /// Returns the columns as a list of vectors.
+    #[cfg(test)]
     pub fn columns(&self) -> Vec<CVector> {
         (0..self.cols).map(|j| self.col(j)).collect()
-    }
-
-    /// Returns the rows as a list of vectors.
-    pub fn rows_vec(&self) -> Vec<CVector> {
-        (0..self.rows).map(|i| self.row(i)).collect()
-    }
-
-    /// Swaps two rows in place.
-    pub fn swap_rows(&mut self, a: usize, b: usize) {
-        if a == b {
-            return;
-        }
-        for j in 0..self.cols {
-            self.data.swap(a * self.cols + j, b * self.cols + j);
-        }
-    }
-
-    /// Trace (sum of diagonal entries); defined for square matrices.
-    pub fn trace(&self) -> Complex64 {
-        assert_eq!(self.rows, self.cols, "trace of a non-square matrix");
-        (0..self.rows).map(|i| self[(i, i)]).sum()
     }
 }
 
@@ -408,6 +330,7 @@ impl fmt::Debug for CMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complex::c64;
 
     const TOL: f64 = 1e-12;
 
@@ -479,16 +402,10 @@ mod tests {
     #[test]
     fn row_col_round_trip() {
         let a = sample();
-        let mut b = CMatrix::zeros(2, 3);
-        for i in 0..2 {
-            b.set_row(i, &a.row(i));
-        }
-        assert!(b.approx_eq(&a, TOL));
-        let mut c = CMatrix::zeros(2, 3);
-        for j in 0..3 {
-            c.set_col(j, &a.col(j));
-        }
-        assert!(c.approx_eq(&a, TOL));
+        let rows: Vec<CVector> = (0..2).map(|i| a.row(i)).collect();
+        assert!(CMatrix::from_rows(&rows).approx_eq(&a, TOL));
+        let cols: Vec<CVector> = (0..3).map(|j| a.col(j)).collect();
+        assert!(CMatrix::from_cols(&cols).approx_eq(&a, TOL));
     }
 
     #[test]
@@ -497,43 +414,13 @@ mod tests {
         let r1 = CVector::from_reals(&[3.0, 4.0]);
         let m = CMatrix::from_rows(&[r0.clone(), r1.clone()]);
         let t = CMatrix::from_cols(&[r0, r1]);
-        assert!(m.transpose().approx_eq(&t, TOL));
-    }
-
-    #[test]
-    fn borrowed_views_match_copying_accessors() {
-        let a = sample();
-        for i in 0..2 {
-            assert_eq!(a.row_ref(i), a.row(i).as_slice());
-        }
-        for j in 0..3 {
-            let via_iter: Vec<Complex64> = a.col_iter(j).copied().collect();
-            assert_eq!(via_iter, a.col(j).into_vec());
-        }
-        let empty = CMatrix::zeros(0, 3);
-        assert_eq!(empty.col_iter(2).count(), 0);
-    }
-
-    #[test]
-    fn diag_and_trace() {
-        let d = CMatrix::diag(&[c64(1.0, 0.0), c64(2.0, 1.0), c64(0.0, -1.0)]);
-        assert!(d.trace().approx_eq(c64(3.0, 0.0), TOL));
-        assert_eq!(d[(0, 1)], Complex64::ZERO);
+        assert!(m.hermitian().conj().approx_eq(&t, TOL));
     }
 
     #[test]
     fn frobenius_norm_known() {
         let a = CMatrix::from_reals(2, 2, &[3.0, 0.0, 0.0, 4.0]);
         assert!((a.frobenius_norm() - 5.0).abs() < TOL);
-    }
-
-    #[test]
-    fn swap_rows_works() {
-        let mut a = sample();
-        let (r0, r1) = (a.row(0), a.row(1));
-        a.swap_rows(0, 1);
-        assert!(a.row(0).approx_eq(&r1, TOL));
-        assert!(a.row(1).approx_eq(&r0, TOL));
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! Null-space computation.
+//! Null-space checks (test-only).
 //!
 //! The heart of the n+ precoder (paper §3.3, Claim 3.5 / Eq. 7): the
 //! pre-coding vectors of a joining transmitter are a basis of the null
 //! space of the stacked nulling/alignment constraint matrix. An `M`-antenna
 //! transmitter facing `K` independent constraints gets an `(M − K)`-
 //! dimensional null space — exactly the `m = M − K` streams of Claim 3.2.
+//! The kernel is [`null_space_into`]; these tests drive it through an
+//! allocating form.
 
 use crate::matrix::CMatrix;
 use crate::soa::{null_space_into, CMatrixSoA, NullspaceWorkspace};
@@ -16,7 +18,7 @@ use crate::vector::CVector;
 /// Returns `a.cols() - rank(a)` vectors. For an empty constraint set
 /// (zero rows), the whole space is returned (the standard basis,
 /// trivially orthonormal). Allocating wrapper over [`null_space_into`].
-pub fn null_space(a: &CMatrix) -> Vec<CVector> {
+fn null_space(a: &CMatrix) -> Vec<CVector> {
     let mut basis = Vec::new();
     let dim = null_space_into(
         &CMatrixSoA::from_aos(a),
@@ -29,7 +31,7 @@ pub fn null_space(a: &CMatrix) -> Vec<CVector> {
 
 /// Verifies `A v ≈ 0` for every vector, within `tol` relative to the
 /// matrix scale. Used by tests and by debug assertions in the precoder.
-pub fn is_null_space_of(a: &CMatrix, vectors: &[CVector], tol: f64) -> bool {
+fn is_null_space_of(a: &CMatrix, vectors: &[CVector], tol: f64) -> bool {
     vectors.iter().all(|v| a.mul_vec(v).is_negligible(tol))
 }
 

@@ -81,16 +81,6 @@ impl<T: Default> VecPool<T> {
         &mut self.items[..self.len]
     }
 
-    /// The last live element, mutably (if any).
-    #[inline]
-    pub fn last_mut(&mut self) -> Option<&mut T> {
-        if self.len == 0 {
-            None
-        } else {
-            Some(&mut self.items[self.len - 1])
-        }
-    }
-
     /// Logically removes the last live element, retaining its slot.
     #[inline]
     pub fn pop_slot(&mut self) {

@@ -706,7 +706,7 @@ mod tests {
         s.reset(0, 3);
         s.append_rows(&CMatrixSoA::from_aos(&a));
         s.append_rows(&CMatrixSoA::from_aos(&b));
-        let stacked = CMatrix::from_rows(&[a.rows_vec(), b.rows_vec()].concat());
+        let stacked = CMatrix::from_vec(5, 3, [a.as_slice(), b.as_slice()].concat());
         assert_bitwise_eq(&s, &stacked, "stacked rows");
         // Empty other is a no-op.
         s.append_rows(&CMatrixSoA::zeros(0, 3));

@@ -8,7 +8,7 @@
 //! the operations both call sites need.
 
 use crate::matrix::CMatrix;
-use crate::qr::{is_orthonormal, orthonormalize, orthonormalize_into};
+use crate::qr::{orthonormalize, orthonormalize_into};
 use crate::soa::{null_space_into, CMatrixSoA, NullspaceWorkspace};
 use crate::vector::CVector;
 
@@ -61,36 +61,6 @@ impl Subspace {
             basis,
             dim,
         }
-    }
-
-    /// Subspace spanned by the columns of `a`.
-    pub fn from_columns(a: &CMatrix) -> Self {
-        Self::span(a.rows(), &a.columns())
-    }
-
-    /// Constructs a subspace directly from an already-orthonormal basis.
-    ///
-    /// Panics in debug builds if the basis is not orthonormal.
-    pub fn from_orthonormal(ambient: usize, basis: Vec<CVector>) -> Self {
-        debug_assert!(
-            is_orthonormal(&basis, 1e-8),
-            "from_orthonormal: basis is not orthonormal"
-        );
-        for v in &basis {
-            assert_eq!(v.len(), ambient);
-        }
-        let dim = basis.len();
-        Subspace {
-            ambient,
-            basis,
-            dim,
-        }
-    }
-
-    /// Pooled sibling of [`Subspace::zero`]: reuses `self`'s slots.
-    pub fn assign_zero(&mut self, ambient: usize) {
-        self.ambient = ambient;
-        self.dim = 0;
     }
 
     /// Pooled sibling of [`Subspace::full`]: reuses `self`'s slots.
@@ -149,12 +119,6 @@ impl Subspace {
         self.dim == 0
     }
 
-    /// True when the subspace is all of `C^ambient`.
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.dim == self.ambient
-    }
-
     /// The orthonormal basis vectors.
     #[inline]
     pub fn basis(&self) -> &[CVector] {
@@ -171,17 +135,10 @@ impl Subspace {
         }
     }
 
-    /// Basis as a matrix whose *rows* are the conjugated basis vectors
-    /// (`dim × ambient`) — the `U^⊥` row operator of the paper's Eq. 6:
-    /// applying it to a received vector extracts the coordinates along the
-    /// subspace.
-    pub fn row_operator(&self) -> CMatrix {
-        self.basis_matrix().hermitian()
-    }
-
-    /// Pooled split-storage sibling of [`Subspace::row_operator`]: writes
-    /// the `dim × ambient` conjugated-basis row operator into `out`.
-    /// Entry values are identical (conjugation is an exact sign flip).
+    /// Writes the basis as a matrix whose *rows* are the conjugated basis
+    /// vectors (`dim × ambient`) into `out` — the `U^⊥` row operator of
+    /// the paper's Eq. 6: applying it to a received vector extracts the
+    /// coordinates along the subspace.
     pub fn row_operator_into(&self, out: &mut CMatrixSoA) {
         out.reset(self.dim, self.ambient);
         for (i, b) in self.basis().iter().enumerate() {
@@ -247,6 +204,7 @@ impl Subspace {
     /// Coordinates of `v` in the subspace basis (a `dim`-vector). This is
     /// the "signal after projection" `y'` of §3.2: interference from the
     /// spanned directions is annihilated when applied to the complement.
+    #[cfg(test)]
     pub fn coordinates(&self, v: &CVector) -> CVector {
         assert_eq!(v.len(), self.ambient, "coordinates: dimension mismatch");
         self.basis().iter().map(|b| v.dot(b)).collect()
@@ -272,16 +230,6 @@ impl Subspace {
         all.extend(other.basis().iter().cloned());
         Subspace::span(self.ambient, &all)
     }
-
-    /// Fraction of the power of `v` that lies inside the subspace, in
-    /// `[0, 1]`. Convenient for expressing residual-interference checks.
-    pub fn power_fraction(&self, v: &CVector) -> f64 {
-        let total = v.norm_sqr();
-        if total <= 1e-300 {
-            return 0.0;
-        }
-        self.project(v).norm_sqr() / total
-    }
 }
 
 /// The span tolerance shared by [`Subspace::span`] and
@@ -301,33 +249,6 @@ fn span_tolerance(ambient: usize, vectors: &[CVector]) -> f64 {
 pub struct SubspaceWorkspace {
     rowop: CMatrixSoA,
     ns: NullspaceWorkspace,
-}
-
-/// Angle `θ` between two vectors (paper Fig. 7): the decode-SNR of
-/// zero-forcing scales with `sin θ` between the wanted signal and the
-/// interference subspace. Returns radians in `[0, π/2]`.
-pub fn principal_angle(a: &CVector, b: &CVector) -> f64 {
-    let na = a.norm();
-    let nb = b.norm();
-    if na <= 1e-300 || nb <= 1e-300 {
-        return 0.0;
-    }
-    let c = (a.dot(b).abs() / (na * nb)).clamp(0.0, 1.0);
-    c.acos()
-}
-
-/// Hermitian inner-product based "sin θ" factor: the fraction of `a`'s
-/// amplitude that survives projection orthogonal to `b`.
-pub fn sin_angle(a: &CVector, b: &CVector) -> f64 {
-    principal_angle(a, b).sin()
-}
-
-/// Convenience: `Complex64`-valued zero check used by callers when
-/// asserting nulling depth.
-pub fn residual_power_db(residual: &CVector, reference: &CVector) -> f64 {
-    let num = residual.norm_sqr().max(1e-300);
-    let den = reference.norm_sqr().max(1e-300);
-    10.0 * (num / den).log10()
 }
 
 #[cfg(test)]
@@ -396,6 +317,16 @@ mod tests {
     }
 
     #[test]
+    fn power_fraction_bounds() {
+        let s = Subspace::span(2, &[CVector::unit(2, 0)]);
+        let fraction = |v: &CVector| s.project(v).norm_sqr() / v.norm_sqr();
+        assert!((fraction(&CVector::unit(2, 0)) - 1.0).abs() < TOL);
+        assert!(fraction(&CVector::unit(2, 1)) < TOL);
+        let mixed = CVector::from_reals(&[1.0, 1.0]);
+        assert!((fraction(&mixed) - 0.5).abs() < TOL);
+    }
+
+    #[test]
     fn projector_matrix_matches_project() {
         let s = Subspace::span(3, &[v3((1.0, 1.0), (0.0, 0.0), (2.0, -1.0))]);
         let v = v3((0.5, 0.0), (0.0, 0.5), (1.0, 1.0));
@@ -418,9 +349,9 @@ mod tests {
     fn zero_and_full_subspace() {
         let z = Subspace::zero(4);
         assert!(z.is_zero());
-        assert!(z.complement().is_full());
+        assert_eq!(z.complement().dim(), 4);
         let f = Subspace::full(4);
-        assert!(f.is_full());
+        assert_eq!(f.dim(), 4);
         assert_eq!(f.complement().dim(), 0);
         let v = CVector::unit(4, 2);
         assert!(z.reject(&v).approx_eq(&v, TOL));
@@ -436,28 +367,6 @@ mod tests {
         // Sum with overlap doesn't over-count.
         let s2 = a.sum(&a);
         assert_eq!(s2.dim(), 1);
-    }
-
-    #[test]
-    fn principal_angle_extremes() {
-        let e0 = CVector::unit(2, 0);
-        let e1 = CVector::unit(2, 1);
-        assert!((principal_angle(&e0, &e1) - std::f64::consts::FRAC_PI_2).abs() < TOL);
-        assert!(principal_angle(&e0, &e0).abs() < TOL);
-        // Phase rotation does not change the angle (complex colinearity).
-        let rotated = e0.scale(c64(0.0, 1.0));
-        assert!(principal_angle(&e0, &rotated).abs() < 1e-7);
-    }
-
-    #[test]
-    fn power_fraction_bounds() {
-        let s = Subspace::span(2, &[CVector::unit(2, 0)]);
-        let inside = CVector::unit(2, 0);
-        let outside = CVector::unit(2, 1);
-        assert!((s.power_fraction(&inside) - 1.0).abs() < TOL);
-        assert!(s.power_fraction(&outside) < TOL);
-        let mixed = CVector::from_reals(&[1.0, 1.0]);
-        assert!((s.power_fraction(&mixed) - 0.5).abs() < TOL);
     }
 
     #[test]
@@ -483,7 +392,7 @@ mod tests {
         reused.assign_from(&expect);
         assert_eq!(reused.dim(), expect.dim());
         assert_eq!(reused.basis().len(), expect.dim());
-        reused.assign_zero(3);
+        reused.assign_from(&Subspace::zero(3));
         assert!(reused.is_zero());
         assert!(reused.basis().is_empty());
     }
@@ -492,7 +401,7 @@ mod tests {
     fn row_operator_into_matches_row_operator() {
         let vs = [v3((1.0, 0.0), (1.0, 1.0), (0.0, 0.0))];
         let s = Subspace::span(3, &vs);
-        let expect = s.row_operator();
+        let expect = s.basis_matrix().hermitian();
         let mut out = CMatrixSoA::default();
         s.row_operator_into(&mut out);
         assert_eq!(out.shape(), (expect.rows(), expect.cols()));
@@ -502,12 +411,5 @@ mod tests {
                 assert_eq!(out.get(i, j).im.to_bits(), expect[(i, j)].im.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn residual_power_db_scale() {
-        let r = CVector::from_reals(&[0.1, 0.0]);
-        let s = CVector::from_reals(&[1.0, 0.0]);
-        assert!((residual_power_db(&r, &s) + 20.0).abs() < 1e-9);
     }
 }

@@ -6,7 +6,7 @@
 //! the physically meaningful choice for signal spaces: projections computed
 //! with it preserve power accounting.
 
-use crate::complex::{c64, Complex64};
+use crate::complex::Complex64;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
 /// A dense complex column vector.
@@ -22,9 +22,10 @@ impl CVector {
     }
 
     /// Creates a vector from real entries (imaginary parts zero).
+    #[cfg(test)]
     pub fn from_reals(re: &[f64]) -> Self {
         CVector {
-            data: re.iter().map(|&r| c64(r, 0.0)).collect(),
+            data: re.iter().map(|&r| Complex64::new(r, 0.0)).collect(),
         }
     }
 
@@ -67,11 +68,6 @@ impl CVector {
         &mut self.data
     }
 
-    /// Consumes the vector, returning its entries.
-    pub fn into_vec(self) -> Vec<Complex64> {
-        self.data
-    }
-
     /// Iterator over entries.
     pub fn iter(&self) -> std::slice::Iter<'_, Complex64> {
         self.data.iter()
@@ -98,14 +94,6 @@ impl CVector {
     /// Euclidean norm.
     pub fn norm(&self) -> f64 {
         self.norm_sqr().sqrt()
-    }
-
-    /// Returns `self` scaled to unit norm. Panics if the vector is
-    /// numerically zero (norm below `1e-300`).
-    pub fn normalized(&self) -> CVector {
-        let n = self.norm();
-        assert!(n > 1e-300, "cannot normalize a zero vector");
-        self.scale_re(1.0 / n)
     }
 
     /// Scales every entry by a real factor.
@@ -135,26 +123,6 @@ impl CVector {
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += k * *b;
         }
-    }
-
-    /// Component of `self` along the (not necessarily unit) direction `dir`:
-    /// `(<self, dir> / <dir, dir>) * dir`.
-    pub fn projection_onto(&self, dir: &CVector) -> CVector {
-        let d = dir.norm_sqr();
-        assert!(d > 1e-300, "cannot project onto a zero direction");
-        let k = self.dot(dir) / d;
-        dir.scale(k)
-    }
-
-    /// Removes the component of `self` along `dir`, leaving the part
-    /// orthogonal to it.
-    pub fn reject_from(&self, dir: &CVector) -> CVector {
-        let mut out = self.clone();
-        let d = dir.norm_sqr();
-        assert!(d > 1e-300, "cannot reject from a zero direction");
-        let k = self.dot(dir) / d;
-        out.axpy(-k, dir);
-        out
     }
 
     /// Reuses `self`'s buffer to become a copy of `src` — the pooled
@@ -281,6 +249,7 @@ impl FromIterator<Complex64> for CVector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complex::c64;
 
     const TOL: f64 = 1e-12;
 
@@ -316,19 +285,14 @@ mod tests {
     }
 
     #[test]
-    fn normalized_has_unit_norm() {
-        let a = v(&[(3.0, 4.0), (0.0, 0.0)]);
-        assert!((a.normalized().norm() - 1.0).abs() < TOL);
-    }
-
-    #[test]
     fn rejection_is_orthogonal_to_direction() {
         let a = v(&[(1.0, 1.0), (2.0, -1.0), (0.5, 0.0)]);
         let d = v(&[(0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]);
-        let r = a.reject_from(&d);
+        let line = crate::Subspace::span(3, std::slice::from_ref(&d));
+        let r = line.reject(&a);
         assert!(r.dot(&d).abs() < TOL);
         // projection + rejection reassemble the original vector
-        let p = a.projection_onto(&d);
+        let p = line.project(&a);
         assert!((&p + &r).approx_eq(&a, TOL));
     }
 

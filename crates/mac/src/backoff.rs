@@ -1,74 +1,15 @@
-//! DCF random backoff and contention resolution.
+//! DCF contention resolution.
 //!
 //! n+ reuses 802.11's contention machinery unchanged (§3.1): nodes draw a
 //! uniform backoff from the contention window, count down idle slots, and
-//! transmit when they reach zero; collisions double the window. The same
+//! transmit when they reach zero; the first to reach zero wins and ties
+//! collide. The simulation resolves a round analytically, without
+//! stepping idle slots (the engine grows the window itself). The same
 //! machinery runs for the *secondary* contentions for unused degrees of
 //! freedom — the only difference is the carrier-sense input (projected
 //! instead of raw), which lives in the core crate.
 
 use rand::Rng;
-
-/// Per-node backoff state.
-#[derive(Debug, Clone)]
-pub struct Backoff {
-    cw_min: u32,
-    cw_max: u32,
-    cw: u32,
-    counter: u32,
-}
-
-impl Backoff {
-    /// Creates backoff state with the given window bounds and draws an
-    /// initial counter.
-    pub fn new<R: Rng>(cw_min: u32, cw_max: u32, rng: &mut R) -> Self {
-        assert!(cw_min >= 1 && cw_max >= cw_min);
-        let mut b = Backoff {
-            cw_min,
-            cw_max,
-            cw: cw_min,
-            counter: 0,
-        };
-        b.counter = b.draw(rng);
-        b
-    }
-
-    fn draw<R: Rng>(&self, rng: &mut R) -> u32 {
-        rng.gen_range(0..=self.cw)
-    }
-
-    /// Current countdown value (slots of idle medium remaining).
-    pub fn counter(&self) -> u32 {
-        self.counter
-    }
-
-    /// Current contention window.
-    pub fn cw(&self) -> u32 {
-        self.cw
-    }
-
-    /// One idle slot elapsed: decrement. Returns `true` when the counter
-    /// hit zero, i.e. the node transmits in this slot.
-    pub fn tick(&mut self) -> bool {
-        if self.counter == 0 {
-            return true;
-        }
-        self.counter -= 1;
-        self.counter == 0
-    }
-
-    /// Successful transmission: reset the window and redraw.
-    pub fn on_success<R: Rng>(&mut self, rng: &mut R) {
-        self.cw = self.cw_min;
-        self.counter = self.draw(rng);
-    }
-
-    /// Collision or loss: double the window (bounded) and redraw.
-    pub fn on_collision<R: Rng>(&mut self, rng: &mut R) {
-        self.cw = (self.cw * 2 + 1).min(self.cw_max);
-        self.counter = self.draw(rng);
-    }
-}
 
 /// Outcome of one slotted contention round. A collision reports only the
 /// slot — callers that need the colliding set scan the `draws` buffer
@@ -97,8 +38,8 @@ pub enum ContentionOutcome {
 /// order, written into the reusable `draws` buffer) and the minimum
 /// wins; ties collide.
 ///
-/// This is the slot-accurate equivalent of running [`Backoff::tick`] in
-/// lockstep, without simulating every idle slot.
+/// This is the slot-accurate equivalent of counting every contender's
+/// backoff down in lockstep, without simulating every idle slot.
 pub fn resolve_contention_in<R: Rng>(
     cws: &[u32],
     rng: &mut R,
@@ -135,46 +76,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn counter_counts_down_to_zero() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut b = Backoff::new(15, 1023, &mut rng);
-        let initial = b.counter();
-        let mut ticks = 0;
-        while !b.tick() {
-            ticks += 1;
-            assert!(ticks < 2000, "runaway countdown");
-        }
-        assert!(ticks <= initial.max(1));
-        assert_eq!(b.counter(), 0);
-        // Further ticks keep reporting "transmit".
-        assert!(b.tick());
-    }
-
-    #[test]
-    fn collision_doubles_window_bounded() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut b = Backoff::new(15, 63, &mut rng);
-        assert_eq!(b.cw(), 15);
-        b.on_collision(&mut rng);
-        assert_eq!(b.cw(), 31);
-        b.on_collision(&mut rng);
-        assert_eq!(b.cw(), 63);
-        b.on_collision(&mut rng);
-        assert_eq!(b.cw(), 63, "window must cap at cw_max");
-        b.on_success(&mut rng);
-        assert_eq!(b.cw(), 15);
-    }
-
-    #[test]
-    fn draws_stay_in_window() {
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..200 {
-            let b = Backoff::new(15, 1023, &mut rng);
-            assert!(b.counter() <= 15);
-        }
-    }
 
     #[test]
     fn contention_fairness() {

@@ -9,13 +9,9 @@
 //! protocol-agnostically:
 //!
 //! * [`timing`] — SIFS/DIFS/slot intervals on the medium's sample clock;
-//! * [`backoff`] — DCF contention windows, countdown, and slot-accurate
-//!   contention resolution;
+//! * [`backoff`] — slot-accurate DCF contention resolution;
 //! * [`frames`] — the light-weight handshake headers (§3.5): data header
-//!   as RTS, ACK header as CTS with bitrate + alignment space;
-//! * [`fragment`] — fragmentation/aggregation so joiners end exactly with
-//!   the first contention winner;
-//! * [`retransmit`] — unacked-packet bookkeeping (§4).
+//!   as RTS, ACK header as CTS with bitrate + alignment space.
 //!
 //! The n+ node state machine itself, and the 802.11n / beamforming
 //! baselines, live in the `nplus` core crate which composes this substrate
@@ -24,13 +20,9 @@
 #![forbid(unsafe_code)]
 
 pub mod backoff;
-pub mod fragment;
 pub mod frames;
-pub mod retransmit;
 pub mod timing;
 
-pub use backoff::{resolve_contention_in, Backoff, ContentionOutcome};
-pub use fragment::{pack_for_budget, Mpdu, QueuedPacket, Reassembler, MPDU_OVERHEAD_BYTES};
-pub use frames::{AckHeader, Addr, DataHeader, FrameError, ReceiverEntry};
-pub use retransmit::RetransmitQueue;
+pub use backoff::{resolve_contention_in, ContentionOutcome};
+pub use frames::{AckHeader, Addr, DataHeader, ReceiverEntry};
 pub use timing::SampleTiming;

@@ -74,7 +74,13 @@ mod tests {
 
     #[test]
     fn wifi20_sample_counts() {
-        let t = SampleTiming::from_phy(&MacTiming::dot11a(), &OfdmConfig::wifi20());
+        let t = SampleTiming::from_phy(
+            &MacTiming::dot11a(),
+            &OfdmConfig {
+                bandwidth_hz: 20e6,
+                ..OfdmConfig::usrp2()
+            },
+        );
         assert_eq!(t.sifs, 320);
         assert_eq!(t.slot, 180);
     }

@@ -23,6 +23,6 @@ pub mod node;
 pub mod topology;
 
 pub use chancache::ChannelCache;
-pub use medium::{any_transmission_overlaps, Medium, Transmission};
+pub use medium::{Medium, Transmission};
 pub use node::{NodeId, NodeInfo};
 pub use topology::{build_environment_topology, build_topology, Topology, TopologyConfig};

@@ -83,6 +83,7 @@ impl Medium {
 
     /// Overrides the receiver noise power (default 1.0). Setting 0
     /// disables noise — useful for isolating precoding residuals.
+    // nplus:allow(DEAD001): sets the SNR of the sample-level reference chain that tests/end_to_end.rs drives; the planned phy_check bin (ROADMAP.md) will call it
     pub fn set_noise_power(&mut self, power: f64) {
         self.noise_power = power;
     }
@@ -173,11 +174,6 @@ impl Medium {
         self.transmissions.push(tx);
     }
 
-    /// Removes all scheduled transmissions (keeps nodes and links).
-    pub fn clear_transmissions(&mut self) {
-        self.transmissions.clear();
-    }
-
     /// All scheduled transmissions.
     pub fn transmissions(&self) -> &[Transmission] {
         &self.transmissions
@@ -244,27 +240,6 @@ impl Medium {
         out
     }
 
-    /// Renders the noiseless signal only — used by tests and by benches
-    /// that measure residual interference below the noise floor.
-    pub fn capture_noiseless(&self, at: NodeId, start: u64, len: usize) -> Vec<Vec<Complex64>> {
-        let saved = self.noise_power;
-        // Cheap interior mutability avoidance: temporarily emulate by
-        // re-running the same loop without noise. Cleanest is to clone the
-        // config; the struct is small and transmissions are shared.
-        let mut no_noise = Medium {
-            nodes: self.nodes.clone(),
-            links: self.links.clone(),
-            transmissions: self.transmissions.clone(),
-            sample_rate_hz: self.sample_rate_hz,
-            noise_power: 0.0,
-            seed: self.seed,
-        };
-        no_noise.noise_power = 0.0;
-        let out = no_noise.capture(at, start, len);
-        let _ = saved;
-        out
-    }
-
     fn capture_rng(&self, at: NodeId, start: u64, len: usize) -> StdRng {
         // Mix the capture coordinates into a per-capture seed.
         let mut h = self.seed;
@@ -273,12 +248,6 @@ impl Medium {
             h = h.rotate_left(31).wrapping_mul(0x94D0_49BB_1331_11EB);
         }
         StdRng::seed_from_u64(h)
-    }
-
-    /// Convenience for experiments: draws a deterministic RNG derived from
-    /// the medium seed and a label, for placement/fading draws.
-    pub fn derived_rng(&self, label: u64) -> StdRng {
-        StdRng::seed_from_u64(self.seed.wrapping_mul(0x9E37_79B9).wrapping_add(label))
     }
 }
 
@@ -291,42 +260,45 @@ const _: () = {
     assert_send_sync::<Transmission>();
 };
 
-/// Returns true when any scheduled transmission overlaps the window
-/// `[start, start+len)` — a cheap "is the medium busy" oracle for tests
-/// (real nodes must carrier-sense, of course).
-pub fn any_transmission_overlaps(medium: &Medium, start: u64, len: usize) -> bool {
-    medium
-        .transmissions()
-        .iter()
-        .any(|t| t.start < start + len as u64 && start < t.end())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nplus_channel::fading::DelayProfile;
     use nplus_linalg::c64;
 
-    fn two_node_medium(amp: f64) -> (Medium, NodeId, NodeId) {
+    /// A single-tap (frequency-flat) 1×1 link and its complex gain.
+    fn flat_link(amp: f64, seed: u64) -> (MimoLink, Complex64) {
+        let one_tap = DelayProfile {
+            n_taps: 1,
+            decay_db_per_tap: 0.0,
+            rician_k: 0.0,
+        };
+        let link = MimoLink::sample(1, 1, amp, &one_tap, &mut StdRng::seed_from_u64(seed));
+        let gain = link.channel_matrix(0, 64)[(0, 0)];
+        (link, gain)
+    }
+
+    fn two_node_medium(amp: f64) -> (Medium, NodeId, NodeId, Complex64) {
         let mut m = Medium::new(10e6, 42);
         let a = m.add_node(1, 0.0);
         let b = m.add_node(1, 0.0);
-        m.set_link(a, b, MimoLink::flat(1, 1, amp));
-        (m, a, b)
+        let (link, gain) = flat_link(amp, 1);
+        m.set_link(a, b, link);
+        (m, a, b, gain)
     }
 
     #[test]
     fn silent_medium_is_noise_only() {
-        let (mut m, _, b) = two_node_medium(1.0);
+        let (mut m, _, b, _) = two_node_medium(1.0);
         m.set_noise_power(1.0);
         let cap = m.capture(b, 0, 4000);
-        let p = nplus_channel::noise::measure_power(&cap[0]);
+        let p = cap[0].iter().map(|z| z.norm_sqr()).sum::<f64>() / 4000.0;
         assert!((p - 1.0).abs() < 0.1, "noise power {p}");
     }
 
     #[test]
     fn transmission_arrives_scaled() {
-        let (mut m, a, b) = two_node_medium(3.0);
+        let (mut m, a, b, gain) = two_node_medium(3.0);
         m.set_noise_power(0.0);
         m.transmit(Transmission {
             from: a,
@@ -336,7 +308,7 @@ mod tests {
         });
         let cap = m.capture(b, 100, 50);
         for z in &cap[0] {
-            assert!(z.approx_eq(c64(3.0, 0.0), 1e-12));
+            assert!(z.approx_eq(gain, 1e-12));
         }
         // Before and after the transmission: silence.
         let before = m.capture(b, 0, 100);
@@ -351,8 +323,10 @@ mod tests {
         let a = m.add_node(1, 0.0);
         let b = m.add_node(1, 0.0);
         let c = m.add_node(1, 0.0);
-        m.set_link(a, c, MimoLink::flat(1, 1, 1.0));
-        m.set_link(b, c, MimoLink::flat(1, 1, 2.0));
+        let (ac, g1) = flat_link(1.0, 1);
+        let (bc, g2) = flat_link(2.0, 2);
+        m.set_link(a, c, ac);
+        m.set_link(b, c, bc);
         m.set_noise_power(0.0);
         m.transmit(Transmission {
             from: a,
@@ -367,20 +341,21 @@ mod tests {
             cfo_precompensation_hz: 0.0,
         });
         let cap = m.capture(c, 0, 15);
+        let (x1, x2) = (g1, g2 * c64(0.0, 1.0));
         for t in 0..5 {
-            assert!(cap[0][t].approx_eq(c64(1.0, 0.0), 1e-12));
+            assert!(cap[0][t].approx_eq(x1, 1e-12));
         }
         for t in 5..10 {
-            assert!(cap[0][t].approx_eq(c64(1.0, 2.0), 1e-12));
+            assert!(cap[0][t].approx_eq(x1 + x2, 1e-12));
         }
         for t in 10..15 {
-            assert!(cap[0][t].approx_eq(c64(0.0, 2.0), 1e-12));
+            assert!(cap[0][t].approx_eq(x2, 1e-12));
         }
     }
 
     #[test]
     fn half_duplex_own_transmission_invisible() {
-        let (mut m, a, _) = two_node_medium(1.0);
+        let (mut m, a, _, _) = two_node_medium(1.0);
         m.set_noise_power(0.0);
         m.transmit(Transmission {
             from: a,
@@ -394,7 +369,7 @@ mod tests {
 
     #[test]
     fn captures_are_deterministic() {
-        let (m, _, b) = two_node_medium(1.0);
+        let (m, _, b, _) = two_node_medium(1.0);
         let c1 = m.capture(b, 0, 64);
         let c2 = m.capture(b, 0, 64);
         for (x, y) in c1[0].iter().zip(&c2[0]) {
@@ -414,7 +389,7 @@ mod tests {
         let mut m = Medium::new(10e6, 7);
         let a = m.add_node(2, 0.0);
         let b = m.add_node(3, 0.0);
-        let mut rng = m.derived_rng(0);
+        let mut rng = StdRng::seed_from_u64(7);
         let link = MimoLink::sample(2, 3, 1.0, &DelayProfile::nlos(), &mut rng);
         m.set_link(a, b, link);
         let fwd = m.link(a, b).unwrap();
@@ -422,7 +397,7 @@ mod tests {
         for k in [0usize, 13, 50] {
             let h = fwd.channel_matrix(k, 64);
             let hr = rev.channel_matrix(k, 64);
-            assert!(hr.approx_eq(&h.transpose(), 1e-12));
+            assert!(hr.approx_eq(&h.hermitian().conj(), 1e-12));
         }
     }
 
@@ -431,7 +406,8 @@ mod tests {
         let mut m = Medium::new(10e6, 3);
         let a = m.add_node(1, 2_000.0); // +2 kHz oscillator
         let b = m.add_node(1, -1_000.0); // -1 kHz oscillator
-        m.set_link(a, b, MimoLink::flat(1, 1, 1.0));
+        let (link, gain) = flat_link(1.0, 3);
+        m.set_link(a, b, link.clone());
         m.set_noise_power(0.0);
         m.transmit(Transmission {
             from: a,
@@ -451,7 +427,7 @@ mod tests {
         let mut m2 = Medium::new(10e6, 3);
         let a2 = m2.add_node(1, 2_000.0);
         let b2 = m2.add_node(1, -1_000.0);
-        m2.set_link(a2, b2, MimoLink::flat(1, 1, 1.0));
+        m2.set_link(a2, b2, link);
         m2.set_noise_power(0.0);
         m2.transmit(Transmission {
             from: a2,
@@ -461,29 +437,33 @@ mod tests {
         });
         let cap2 = m2.capture(b2, 0, 100);
         for z in &cap2[0] {
-            assert!(z.approx_eq(c64(1.0, 0.0), 1e-9));
+            assert!(z.approx_eq(gain, 1e-9));
         }
     }
 
     #[test]
     fn overlap_oracle() {
-        let (mut m, a, _) = two_node_medium(1.0);
+        let (mut m, a, b, _) = two_node_medium(1.0);
+        m.set_noise_power(0.0);
         m.transmit(Transmission {
             from: a,
             start: 100,
             streams: vec![vec![c64(1.0, 0.0); 50]],
             cfo_precompensation_hz: 0.0,
         });
-        assert!(any_transmission_overlaps(&m, 120, 10));
-        assert!(any_transmission_overlaps(&m, 90, 20));
-        assert!(!any_transmission_overlaps(&m, 0, 100));
-        assert!(!any_transmission_overlaps(&m, 150, 10));
+        let hears = |m: &Medium, start: u64, len: usize| {
+            m.capture(b, start, len)[0].iter().any(|z| z.abs() > 1e-12)
+        };
+        assert!(hears(&m, 120, 10));
+        assert!(hears(&m, 90, 20));
+        assert!(!hears(&m, 0, 100));
+        assert!(!hears(&m, 150, 10));
     }
 
     #[test]
     #[should_panic(expected = "stream count")]
     fn wrong_stream_count_rejected() {
-        let (mut m, a, _) = two_node_medium(1.0);
+        let (mut m, a, _, _) = two_node_medium(1.0);
         m.transmit(Transmission {
             from: a,
             start: 0,

@@ -34,42 +34,6 @@ pub fn bits_to_bytes(bits: &[u8]) -> Vec<u8> {
         .collect()
 }
 
-/// Pads `bits` with zeros up to a multiple of `block`.
-pub fn pad_to_multiple(bits: &mut Vec<u8>, block: usize) {
-    let rem = bits.len() % block;
-    if rem != 0 {
-        bits.resize(bits.len() + (block - rem), 0);
-    }
-}
-
-/// Counts positions where the two bit slices differ (they are compared up
-/// to the shorter length).
-pub fn hamming_distance(a: &[u8], b: &[u8]) -> usize {
-    a.iter()
-        .zip(b)
-        .filter(|(x, y)| (**x & 1) != (**y & 1))
-        .count()
-}
-
-/// Writes an unsigned value into `bits` LSB-first using `width` bits.
-pub fn push_bits(bits: &mut Vec<u8>, value: u64, width: usize) {
-    assert!(width <= 64);
-    for k in 0..width {
-        bits.push(((value >> k) & 1) as u8);
-    }
-}
-
-/// Reads an unsigned value of `width` bits (LSB-first) starting at
-/// `offset`. Returns `(value, next_offset)`.
-pub fn read_bits(bits: &[u8], offset: usize, width: usize) -> (u64, usize) {
-    assert!(offset + width <= bits.len(), "read_bits out of range");
-    let mut value = 0u64;
-    for k in 0..width {
-        value |= ((bits[offset + k] & 1) as u64) << k;
-    }
-    (value, offset + width)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,36 +54,6 @@ mod tests {
         let bits = bytes_to_bits(&[0b1000_0000]);
         assert_eq!(bits[7], 1);
         assert_eq!(&bits[..7], &[0; 7]);
-    }
-
-    #[test]
-    fn padding() {
-        let mut bits = vec![1, 0, 1];
-        pad_to_multiple(&mut bits, 8);
-        assert_eq!(bits.len(), 8);
-        assert_eq!(&bits[3..], &[0; 5]);
-        // Already aligned: no change.
-        let mut aligned = vec![1; 16];
-        pad_to_multiple(&mut aligned, 8);
-        assert_eq!(aligned.len(), 16);
-    }
-
-    #[test]
-    fn hamming() {
-        assert_eq!(hamming_distance(&[0, 1, 1, 0], &[0, 1, 0, 1]), 2);
-        assert_eq!(hamming_distance(&[1, 1], &[1, 1]), 0);
-    }
-
-    #[test]
-    fn push_read_round_trip() {
-        let mut bits = Vec::new();
-        push_bits(&mut bits, 0xBEEF, 16);
-        push_bits(&mut bits, 5, 3);
-        let (v1, off) = read_bits(&bits, 0, 16);
-        assert_eq!(v1, 0xBEEF);
-        let (v2, off2) = read_bits(&bits, off, 3);
-        assert_eq!(v2, 5);
-        assert_eq!(off2, 19);
     }
 
     #[test]

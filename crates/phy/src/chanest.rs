@@ -8,7 +8,7 @@
 //! reciprocity, for nulling/alignment precoding.
 
 use crate::fft::fft;
-use crate::params::{occupied_subcarrier_indices, OfdmConfig};
+use crate::params::OfdmConfig;
 use crate::preamble::ltf_freq;
 use nplus_linalg::Complex64;
 
@@ -18,33 +18,6 @@ use nplus_linalg::Complex64;
 pub struct ChannelEstimate {
     /// Channel coefficients, one per FFT bin.
     pub h: Vec<Complex64>,
-}
-
-impl ChannelEstimate {
-    /// A flat unit channel (useful as a test stand-in).
-    pub fn flat(fft_len: usize) -> Self {
-        let occ = occupied_subcarrier_indices();
-        let mut h = vec![Complex64::ZERO; fft_len];
-        for &k in &occ {
-            h[k] = Complex64::ONE;
-        }
-        ChannelEstimate { h }
-    }
-
-    /// Average channel power over the occupied subcarriers.
-    pub fn mean_power(&self) -> f64 {
-        let occ = occupied_subcarrier_indices();
-        occ.iter().map(|&k| self.h[k].norm_sqr()).sum::<f64>() / occ.len() as f64
-    }
-
-    /// Mean squared error against another estimate, over occupied bins.
-    pub fn mse(&self, other: &ChannelEstimate) -> f64 {
-        let occ = occupied_subcarrier_indices();
-        occ.iter()
-            .map(|&k| (self.h[k] - other.h[k]).norm_sqr())
-            .sum::<f64>()
-            / occ.len() as f64
-    }
 }
 
 /// Estimates the channel from one received LTF (160 samples at the
@@ -109,6 +82,7 @@ pub fn estimate_mimo_from_preamble(
 mod tests {
     use super::*;
     use crate::fft::ifft;
+    use crate::params::occupied_subcarrier_indices;
     use crate::preamble::{ltf_time, mimo_preamble, preamble_len};
     use nplus_linalg::c64;
 
@@ -137,7 +111,8 @@ mod tests {
                 est.h[k]
             );
         }
-        assert!((est.mean_power() - 1.0).abs() < 1e-9);
+        let mean_power = occ.iter().map(|&k| est.h[k].norm_sqr()).sum::<f64>() / occ.len() as f64;
+        assert!((mean_power - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -208,12 +183,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn mse_of_identical_estimates_is_zero() {
-        let e = ChannelEstimate::flat(64);
-        assert_eq!(e.mse(&e), 0.0);
     }
 
     #[test]

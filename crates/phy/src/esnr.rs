@@ -15,8 +15,7 @@
 //! one deeply faded subcarrier dominates the average BER.
 
 use crate::modulation::Modulation;
-use crate::params::OfdmConfig;
-use crate::rates::{Mcs, RateIndex, RATE_TABLE};
+use crate::rates::{RateIndex, RATE_TABLE};
 
 /// Complementary error function, Abramowitz & Stegun 7.1.26-style rational
 /// approximation refined for double precision (max relative error < 1.2e-7,
@@ -146,26 +145,6 @@ pub fn select_rate(subcarrier_snrs: &[f64]) -> Option<RateIndex> {
     best
 }
 
-/// Convenience: the expected throughput (Mb/s) of a rate choice on the
-/// given channel, `bitrate * (1 - PER)`, using a crude PER model from the
-/// mean coded BER. Useful for benches comparing rate-selection policies.
-pub fn expected_throughput_mbps(
-    idx: RateIndex,
-    subcarrier_snrs: &[f64],
-    cfg: &OfdmConfig,
-    packet_bits: usize,
-) -> f64 {
-    let mcs: Mcs = RATE_TABLE[idx];
-    let esnr = effective_snr(mcs.modulation, subcarrier_snrs);
-    let raw_ber = ber_awgn(mcs.modulation, esnr);
-    // Effective post-Viterbi BER model: coding gain shifts the curve; a
-    // simple exponent model keeps orderings right without a full decoder
-    // Monte-Carlo (benches that need exact numbers run the real decoder).
-    let coded_ber = (raw_ber.powi(3) * 10.0).min(0.5);
-    let per = 1.0 - (1.0 - coded_ber).powi(packet_bits as i32);
-    mcs.bitrate_mbps(cfg) * (1.0 - per)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,20 +264,5 @@ mod tests {
         // Below -5 dB nothing decodes.
         let snrs = vec![10f64.powf(-0.8); 52];
         assert_eq!(select_rate(&snrs), None);
-    }
-
-    #[test]
-    fn expected_throughput_is_finite_and_ordered() {
-        let cfg = OfdmConfig::usrp2();
-        let snrs = vec![10f64.powf(2.5); 52]; // 25 dB: fast rates viable
-        let t_fast = expected_throughput_mbps(7, &snrs, &cfg, 12000);
-        let t_slow = expected_throughput_mbps(0, &snrs, &cfg, 12000);
-        assert!(t_fast.is_finite() && t_slow.is_finite());
-        assert!(t_fast > t_slow, "at high SNR the fast rate must win");
-        // At very low SNR the robust rate wins.
-        let snrs = vec![10f64.powf(0.3); 52]; // 3 dB
-        let t_fast = expected_throughput_mbps(7, &snrs, &cfg, 12000);
-        let t_slow = expected_throughput_mbps(0, &snrs, &cfg, 12000);
-        assert!(t_slow > t_fast);
     }
 }

@@ -43,12 +43,7 @@ impl Interleaver {
         Interleaver { forward, inverse }
     }
 
-    /// Block size in bits.
-    pub fn block_len(&self) -> usize {
-        self.forward.len()
-    }
-
-    /// Interleaves one block. `bits.len()` must equal [`Self::block_len`].
+    /// Interleaves one block. `bits.len()` must equal the block size.
     pub fn interleave(&self, bits: &[u8]) -> Vec<u8> {
         assert_eq!(
             bits.len(),

@@ -26,7 +26,6 @@
 pub mod bits;
 pub mod chanest;
 pub mod convolutional;
-pub mod crc;
 pub mod esnr;
 pub mod fft;
 pub mod interleaver;
@@ -37,7 +36,6 @@ pub mod preamble;
 pub mod puncture;
 pub mod rates;
 pub mod scrambler;
-pub mod signal_field;
 
 pub use chanest::{estimate_from_ltf, estimate_mimo_from_preamble, ChannelEstimate};
 pub use esnr::{ber_awgn, effective_snr, effective_snr_db, select_rate, RATE_ESNR_THRESHOLDS_DB};
@@ -45,4 +43,3 @@ pub use modulation::Modulation;
 pub use params::{MacTiming, OfdmConfig, NUM_DATA_SUBCARRIERS, NUM_SUBCARRIERS};
 pub use puncture::CodeRate;
 pub use rates::{Mcs, RateIndex, BASE_RATE, RATE_TABLE};
-pub use signal_field::{SignalError, SignalField};

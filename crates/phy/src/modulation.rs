@@ -173,20 +173,6 @@ pub fn demodulate(symbols: &[Complex64], m: Modulation) -> Vec<u8> {
     bits
 }
 
-/// Average symbol energy of the constellation (should be 1 by
-/// construction; exposed for tests and power accounting).
-pub fn average_energy(m: Modulation) -> f64 {
-    let bps = m.bits_per_symbol();
-    let n = 1usize << bps;
-    let mut e = 0.0;
-    for pattern in 0..n {
-        let bits: Vec<u8> = (0..bps).map(|k| ((pattern >> k) & 1) as u8).collect();
-        let s = modulate(&bits, m)[0];
-        e += s.norm_sqr();
-    }
-    e / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,6 +194,19 @@ mod tests {
                 (s & 1) as u8
             })
             .collect()
+    }
+
+    /// Average symbol energy of the constellation (1 by construction).
+    fn average_energy(m: Modulation) -> f64 {
+        let bps = m.bits_per_symbol();
+        let n = 1usize << bps;
+        let mut e = 0.0;
+        for pattern in 0..n {
+            let bits: Vec<u8> = (0..bps).map(|k| ((pattern >> k) & 1) as u8).collect();
+            let s = modulate(&bits, m)[0];
+            e += s.norm_sqr();
+        }
+        e / n as f64
     }
 
     #[test]

@@ -123,14 +123,6 @@ pub struct SymbolObservation {
 }
 
 impl SymbolObservation {
-    /// Data-subcarrier observations in transmit order.
-    pub fn data_carriers(&self) -> Vec<Complex64> {
-        data_subcarrier_indices()
-            .iter()
-            .map(|&bin| self.freq[bin])
-            .collect()
-    }
-
     /// Pilot observations in transmit order.
     pub fn pilots(&self) -> [Complex64; 4] {
         let idx = pilot_subcarrier_indices();
@@ -250,6 +242,7 @@ pub fn decode_carriers_to_payload(
 
 /// Full single-antenna transmit chain: payload bytes to time-domain
 /// samples (without preamble; see [`crate::preamble`]).
+// nplus:allow(DEAD001): the transmit half of the sample-level PHY chain that tests/phy_chain.rs drives; the planned phy_check bin (ROADMAP.md) will call it
 pub fn transmit_payload(payload: &[u8], mcs: Mcs, cfg: &OfdmConfig) -> Vec<Complex64> {
     let carriers = encode_payload_to_carriers(payload, mcs);
     let mut out = Vec::with_capacity(carriers.len() * cfg.symbol_len());
@@ -262,6 +255,7 @@ pub fn transmit_payload(payload: &[u8], mcs: Mcs, cfg: &OfdmConfig) -> Vec<Compl
 /// Full single-antenna receive chain: time-domain samples (aligned to the
 /// first data symbol) back to payload bytes, equalizing with the given
 /// per-subcarrier channel estimate.
+// nplus:allow(DEAD001): the receive half of the sample-level PHY chain that tests/phy_chain.rs drives; the planned phy_check bin (ROADMAP.md) will call it
 pub fn receive_payload(
     samples: &[Complex64],
     chan: &[Complex64],
@@ -279,18 +273,18 @@ pub fn receive_payload(
     decode_carriers_to_payload(&carriers, mcs, payload_len)
 }
 
-/// Number of OFDM symbols a payload of `n_bytes` occupies at the given
-/// MCS, including the convolutional tail.
-pub fn symbols_for_payload(n_bytes: usize, mcs: Mcs) -> usize {
-    let n_coded = coded_len(n_bytes * 8);
-    let n_air = punctured_len(n_coded, mcs.code_rate);
-    n_air.div_ceil(mcs.coded_bits_per_symbol())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rates::RATE_TABLE;
+
+    /// Number of OFDM symbols a payload of `n_bytes` occupies at the given
+    /// MCS, including the convolutional tail.
+    fn symbols_for_payload(n_bytes: usize, mcs: Mcs) -> usize {
+        let n_coded = coded_len(n_bytes * 8);
+        let n_air = punctured_len(n_coded, mcs.code_rate);
+        n_air.div_ceil(mcs.coded_bits_per_symbol())
+    }
 
     fn flat_channel(cfg: &OfdmConfig) -> Vec<Complex64> {
         vec![Complex64::ONE; cfg.fft_len]

@@ -78,15 +78,6 @@ impl OfdmConfig {
         }
     }
 
-    /// Standard 802.11 20 MHz profile.
-    pub const fn wifi20() -> Self {
-        OfdmConfig {
-            fft_len: NUM_SUBCARRIERS,
-            cp_len: CP_LEN,
-            bandwidth_hz: 20e6,
-        }
-    }
-
     /// Scales the FFT size and cyclic prefix by the same integer factor
     /// (§4 "Time Synchronization"): a longer CP gives joining transmitters
     /// more slack to align symbol boundaries, at constant relative
@@ -110,24 +101,6 @@ impl OfdmConfig {
     #[inline]
     pub fn symbol_duration(&self) -> f64 {
         self.symbol_len() as f64 / self.bandwidth_hz
-    }
-
-    /// Duration of one sample in seconds.
-    #[inline]
-    pub fn sample_duration(&self) -> f64 {
-        1.0 / self.bandwidth_hz
-    }
-
-    /// Subcarrier spacing in Hz.
-    #[inline]
-    pub fn subcarrier_spacing(&self) -> f64 {
-        self.bandwidth_hz / self.fft_len as f64
-    }
-
-    /// Relative cyclic-prefix overhead (CP / symbol length).
-    #[inline]
-    pub fn cp_overhead(&self) -> f64 {
-        self.cp_len as f64 / self.symbol_len() as f64
     }
 }
 
@@ -162,12 +135,6 @@ impl MacTiming {
             cw_min: 15,
             cw_max: 1023,
         }
-    }
-
-    /// DIFS = SIFS + 2 × slot.
-    #[inline]
-    pub fn difs_us(&self) -> f64 {
-        self.sifs_us + 2.0 * self.slot_us
     }
 }
 
@@ -210,7 +177,6 @@ mod tests {
         assert_eq!(cfg.symbol_len(), 80);
         // 80 samples at 10 MHz = 8 µs per symbol (double 802.11a's 4 µs).
         assert!((cfg.symbol_duration() - 8e-6).abs() < 1e-12);
-        assert!((cfg.subcarrier_spacing() - 156_250.0).abs() < 1e-6);
     }
 
     #[test]
@@ -219,12 +185,14 @@ mod tests {
         let big = cfg.scaled(2);
         assert_eq!(big.fft_len, 128);
         assert_eq!(big.cp_len, 32);
-        assert!((big.cp_overhead() - cfg.cp_overhead()).abs() < 1e-12);
+        let overhead = |c: &OfdmConfig| c.cp_len as f64 / c.symbol_len() as f64;
+        assert!((overhead(&big) - overhead(&cfg)).abs() < 1e-12);
     }
 
     #[test]
     fn difs_value() {
+        // DIFS = SIFS + 2 × slot = 34 µs in 802.11a.
         let t = MacTiming::dot11a();
-        assert!((t.difs_us() - 34.0).abs() < 1e-12);
+        assert!((t.sifs_us + 2.0 * t.slot_us - 34.0).abs() < 1e-12);
     }
 }

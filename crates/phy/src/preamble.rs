@@ -139,13 +139,9 @@ pub fn mimo_preamble(cfg: &OfdmConfig, n_antennas: usize) -> Vec<Vec<Complex64>>
 }
 
 /// Total preamble length in samples for an `n_antennas` transmitter.
+// nplus:allow(DEAD001): sizes captures in the sample-level chain that tests/end_to_end.rs drives; the planned phy_check bin (ROADMAP.md) will call it
 pub fn preamble_len(cfg: &OfdmConfig, n_antennas: usize) -> usize {
     stf_time(cfg).len() + n_antennas * ltf_time(cfg).len()
-}
-
-/// Offset (in samples) of antenna `i`'s LTF slot within the preamble.
-pub fn ltf_slot_offset(cfg: &OfdmConfig, antenna: usize) -> usize {
-    stf_time(cfg).len() + antenna * ltf_time(cfg).len()
 }
 
 #[cfg(test)]
@@ -232,7 +228,7 @@ mod tests {
         }
         // At any sample inside an LTF slot, only the owning antenna is live.
         for ant in 0..3 {
-            let start = ltf_slot_offset(&c, ant);
+            let start = stf_time(&c).len() + ant * ltf_time(&c).len();
             for t in start..start + 160 {
                 for (other, s) in streams.iter().enumerate() {
                     if other != ant {

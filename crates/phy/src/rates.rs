@@ -38,11 +38,6 @@ impl Mcs {
     pub fn bitrate_mbps(&self, cfg: &OfdmConfig) -> f64 {
         self.bitrate_bps(cfg) / 1e6
     }
-
-    /// Number of OFDM symbols needed to carry `n_bits` information bits.
-    pub fn symbols_for_bits(&self, n_bits: usize) -> usize {
-        n_bits.div_ceil(self.data_bits_per_symbol())
-    }
 }
 
 impl std::fmt::Display for Mcs {
@@ -109,11 +104,17 @@ mod tests {
         }
     }
 
+    /// The standard 802.11 20 MHz profile.
+    const WIFI20: OfdmConfig = OfdmConfig {
+        bandwidth_hz: 20e6,
+        ..OfdmConfig::usrp2()
+    };
+
     #[test]
     fn rates_match_80211a_at_20mhz() {
         // At 20 MHz with 4 µs symbols the menu is the canonical
         // 6/9/12/18/24/36/48/54 Mb/s.
-        let cfg = OfdmConfig::wifi20();
+        let cfg = WIFI20;
         let expect = [6.0, 9.0, 12.0, 18.0, 24.0, 36.0, 48.0, 54.0];
         for (mcs, e) in RATE_TABLE.iter().zip(expect) {
             assert!(
@@ -126,7 +127,7 @@ mod tests {
 
     #[test]
     fn rates_halve_at_10mhz() {
-        let c20 = OfdmConfig::wifi20();
+        let c20 = WIFI20;
         let c10 = OfdmConfig::usrp2();
         for mcs in RATE_TABLE {
             assert!((mcs.bitrate_mbps(&c10) * 2.0 - mcs.bitrate_mbps(&c20)).abs() < 1e-9);
@@ -138,14 +139,6 @@ mod tests {
         assert_eq!(RATE_TABLE[0].data_bits_per_symbol(), 24); // BPSK 1/2
         assert_eq!(RATE_TABLE[4].data_bits_per_symbol(), 96); // 16QAM 1/2
         assert_eq!(RATE_TABLE[7].data_bits_per_symbol(), 216); // 64QAM 3/4
-    }
-
-    #[test]
-    fn symbols_for_bits_rounds_up() {
-        let mcs = RATE_TABLE[0]; // 24 bits per symbol
-        assert_eq!(mcs.symbols_for_bits(24), 1);
-        assert_eq!(mcs.symbols_for_bits(25), 2);
-        assert_eq!(mcs.symbols_for_bits(0), 0);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use nplus_linalg::{c64, Complex64};
 use nplus_phy::bits::{bits_to_bytes, bytes_to_bits};
 use nplus_phy::convolutional::{coded_len, encode, viterbi_decode, ERASURE};
-use nplus_phy::crc::{append_crc, check_crc};
 use nplus_phy::fft::{fft, ifft};
 use nplus_phy::interleaver::Interleaver;
 use nplus_phy::modulation::{demodulate, modulate, Modulation};
@@ -107,17 +106,6 @@ proptest! {
         block.resize(n_cbps, 0);
         let il = Interleaver::new(n_cbps, m.bits_per_symbol());
         prop_assert_eq!(il.deinterleave(&il.interleave(&block)), block);
-    }
-
-    /// CRC framing detects any single flipped bit.
-    #[test]
-    fn crc_detects_any_flip(payload in byte_vec(128), pos in any::<prop::sample::Index>(), bit in 0u8..8) {
-        let framed = append_crc(&payload);
-        prop_assert_eq!(check_crc(&framed), Some(&payload[..]));
-        let mut corrupted = framed.clone();
-        let idx = pos.index(corrupted.len());
-        corrupted[idx] ^= 1 << bit;
-        prop_assert_eq!(check_crc(&corrupted), None);
     }
 
     /// FFT/IFFT round-trip and Parseval hold for random signals.

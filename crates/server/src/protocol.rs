@@ -354,7 +354,14 @@ pub fn pong_response() -> Json {
     ])
 }
 
-/// The `"stats"` (serving counters) response.
+/// How many cached keys a `"stats"` response lists. At ~35 bytes a key
+/// this keeps the reply far below [`MAX_FRAME`] however large the cache
+/// grows; `entries` still carries the total.
+const STATS_MAX_KEYS: usize = 1024;
+
+/// The `"stats"` (serving counters) response. `keys` must be sorted
+/// ascending; only the 1024 smallest are listed, so the reply always
+/// fits a frame.
 pub fn counters_response(entries: usize, hits: u64, misses: u64, keys: &[u128]) -> Json {
     Json::Obj(vec![
         ("status".to_string(), Json::Str("ok".to_string())),
@@ -368,6 +375,7 @@ pub fn counters_response(entries: usize, hits: u64, misses: u64, keys: &[u128]) 
             "keys".to_string(),
             Json::Arr(
                 keys.iter()
+                    .take(STATS_MAX_KEYS)
                     .map(|k| Json::Str(format!("{k:032x}")))
                     .collect(),
             ),
@@ -608,6 +616,18 @@ mod tests {
         ] {
             assert!(bad.to_canonical().is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn stats_response_fits_a_frame_on_a_large_cache() {
+        let keys: Vec<u128> = (0..40_000u128).map(|k| k << 64 | k).collect();
+        let text = counters_response(keys.len(), 7, 40_000, &keys).to_string_compact();
+        assert!(text.len() <= MAX_FRAME, "{} bytes", text.len());
+        let doc = json::parse(&text).unwrap();
+        assert_eq!(doc.get("entries").and_then(Json::as_u64), Some(40_000));
+        let listed = doc.get("keys").and_then(Json::as_array).unwrap();
+        assert_eq!(listed.len(), STATS_MAX_KEYS);
+        assert_eq!(listed[0].as_str(), Some("00000000000000000000000000000000"));
     }
 
     #[test]

@@ -84,16 +84,6 @@ impl SweepServer {
         }
         Ok(())
     }
-
-    /// Requests the serve loop to stop and wakes the blocked accept
-    /// with a throwaway self-connection.
-    pub fn request_shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Ok(addr) = self.local_addr() {
-            // Ignore failure: if nobody is accepting anymore, done.
-            let _ = TcpStream::connect(addr);
-        }
-    }
 }
 
 fn handle_connection(

@@ -1,7 +1,16 @@
 //! Small deterministic fixture constructors shared across suites.
 
+use nplus_channel::HardwareProfile;
 use nplus_linalg::{c64, CMatrix, CVector, Complex64, Subspace};
 use rand::Rng;
+
+/// An idealized radio with no impairments — for verifying that the
+/// precoder achieves numerically perfect nulls when given the truth.
+pub const IDEAL_HARDWARE: HardwareProfile = HardwareProfile {
+    tx_evm_db: -300.0,
+    calibration_error_std: 0.0,
+    estimation_snr_db: 300.0,
+};
 
 /// Random complex entries uniform in the unit square centred on 0.
 pub fn random_complex<R: Rng>(rng: &mut R) -> Complex64 {

@@ -53,7 +53,7 @@ impl BuiltScenario {
 /// the generator's dense family goes to 32 nodes — place on the
 /// two-wing extended map.
 pub fn build_scenario(scenario: Scenario, placement_seed: u64) -> BuiltScenario {
-    let testbed = Testbed::fitting(scenario.antennas.len());
+    let testbed = Testbed::try_fitting(scenario.antennas.len()).unwrap_or_else(|e| panic!("{e}"));
     let mut rng = StdRng::seed_from_u64(placement_seed);
     let topology = build_topology(
         &testbed,

@@ -9,7 +9,7 @@ use nplus_channel::fading::DelayProfile;
 use nplus_channel::freq_table::FreqResponseTable;
 use nplus_channel::mimo::MimoLink;
 use nplus_channel::placement::Testbed;
-use nplus_linalg::{rank, Subspace};
+use nplus_linalg::{rank, CMatrix, Subspace};
 use nplus_medium::chancache::ChannelCache;
 use nplus_medium::topology::{build_topology, TopologyConfig};
 use nplus_phy::params::occupied_subcarrier_indices;
@@ -17,6 +17,15 @@ use nplus_testkit::strategies::{complex_matrix, complex_vector};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The top-left `rows × cols` block of `a`.
+fn top_left(a: &CMatrix, rows: usize, cols: usize) -> CMatrix {
+    CMatrix::from_vec(
+        rows,
+        cols,
+        (0..rows * cols).map(|k| a[(k / cols, k % cols)]).collect(),
+    )
+}
 
 const NULL_TOL: f64 = 1e-16;
 
@@ -32,8 +41,8 @@ proptest! {
         seed_protected in complex_matrix(1, 4),
         seed_own in complex_matrix(4, 4),
     ) {
-        let h_protected = seed_protected.submatrix(0, 1, 0, m);
-        let h_own = seed_own.submatrix(0, m, 0, m);
+        let h_protected = top_left(&seed_protected, 1, m);
+        let h_own = top_left(&seed_own, m, m);
         prop_assume!(rank(&h_protected, Some(1e-6)) == 1);
         prop_assume!(rank(&h_own, Some(1e-6)) == m);
         let p = compute_precoders(

@@ -11,9 +11,12 @@
 //! folded in, so no tolerance can hide a divergence.
 
 use nplus::link::{zf_sinr, SubcarrierObservation};
+use nplus::power_control::expected_interference_power;
 use nplus::precoder::{compute_precoders, OwnReceiver, PrecoderError, ProtectedReceiver};
+use nplus_channel::HardwareProfile;
 use nplus_linalg::{
-    c64, null_space, pinv, rank, CMatrix, CVector, Complex64, LinalgError, Subspace,
+    c64, null_space_into, pinv, rank, CMatrix, CMatrixSoA, CVector, Complex64, LinalgError,
+    NullspaceWorkspace, Subspace,
 };
 use nplus_mac::backoff::resolve_contention_in;
 use rand::rngs::StdRng;
@@ -119,7 +122,13 @@ fn linalg_error_tag(e: &LinalgError) -> usize {
 fn null_space_is_pinned() {
     let mut h = Fnv::new();
     for a in matrix_corpus() {
-        h.vectors(&null_space(&a));
+        let mut basis = Vec::new();
+        let dim = null_space_into(
+            &CMatrixSoA::from_aos(&a),
+            &mut NullspaceWorkspace::default(),
+            &mut basis,
+        );
+        h.vectors(&basis[..dim]);
     }
     assert_eq!(h.0, 0x8421_5df2_4200_6f69, "null_space digest {:#x}", h.0);
 }
@@ -140,7 +149,7 @@ fn pinv_is_pinned() {
     let mut singular = 0;
     for a in matrix_corpus() {
         let a = if a.rows() < a.cols() {
-            a.transpose()
+            a.hermitian().conj()
         } else {
             a
         };
@@ -163,7 +172,8 @@ fn subspace_complement_and_reject_are_pinned() {
     let mut h = Fnv::new();
     let mut probes = Corpus(0x5EED_5B5B);
     for a in matrix_corpus() {
-        let s = Subspace::span(a.cols(), &a.rows_vec());
+        let rows: Vec<CVector> = (0..a.rows()).map(|i| a.row(i)).collect();
+        let s = Subspace::span(a.cols(), &rows);
         let c = s.complement();
         h.usize(c.ambient_dim());
         h.vectors(c.basis());
@@ -171,6 +181,44 @@ fn subspace_complement_and_reject_are_pinned() {
         h.vector(&s.reject(&probe));
     }
     assert_eq!(h.0, 0x01f5_61dd_8e51_a32c, "subspace digest {:#x}", h.0);
+}
+
+/// The believed-channel draw (estimation noise, then calibration
+/// residual) under every hardware profile, and the §4 interference power
+/// of the true and believed channels, over the matrix corpus. The two
+/// zero-calibration profiles take the no-draw early return.
+#[test]
+fn channel_knowledge_and_interference_power_are_pinned() {
+    let ideal = HardwareProfile {
+        tx_evm_db: -300.0,
+        calibration_error_std: 0.0,
+        estimation_snr_db: 300.0,
+    };
+    let uncalibrated = HardwareProfile {
+        calibration_error_std: 0.0,
+        ..HardwareProfile::wlan_class()
+    };
+    let profiles = [
+        HardwareProfile::wlan_class(),
+        HardwareProfile::degraded(),
+        ideal,
+        uncalibrated,
+    ];
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut h = Fnv::new();
+    for a in matrix_corpus() {
+        h.f64(expected_interference_power(&a));
+        for p in &profiles {
+            let believed = p.reciprocal_channel_knowledge(&a, &mut rng);
+            h.matrix(&believed);
+            h.f64(expected_interference_power(&believed));
+        }
+    }
+    assert_eq!(
+        h.0, 0xd7d8_8be9_cb6e_f82a,
+        "channel knowledge digest {:#x}",
+        h.0
+    );
 }
 
 fn random_channel(rows: usize, cols: usize, rng: &mut StdRng) -> CMatrix {

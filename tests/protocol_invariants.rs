@@ -4,8 +4,9 @@
 use nplus::policy::{Beamforming, Dot11n, GreedyJoin, MacPolicy, NPlus, Oracle};
 use nplus::sim::{Scenario, SimConfig, SweepSpec};
 use nplus_channel::environment::BUILTIN_ENVIRONMENT_NAMES;
-use nplus_channel::impairments::{HardwareProfile, IDEAL_HARDWARE};
+use nplus_channel::impairments::HardwareProfile;
 use nplus_channel::placement::Testbed;
+use nplus_testkit::fixtures::IDEAL_HARDWARE;
 use nplus_testkit::generator::ScenarioGenerator;
 use nplus_testkit::scenario::build_scenario;
 use proptest::{proptest, ProptestConfig};
@@ -239,7 +240,7 @@ proptest! {
             1 => generator.hidden_terminal(2),
             _ => generator.asymmetric_antenna(2),
         };
-        let testbed = Testbed::fitting(scenario.antennas.len());
+        let testbed = Testbed::try_fitting(scenario.antennas.len()).unwrap_or_else(|e| panic!("{e}"));
         let cfg = SimConfig { rounds: 2, ..SimConfig::default() };
         let spec = |threads: usize| {
             SweepSpec::new(scenario.clone())
