@@ -47,15 +47,18 @@
 //! ```
 //!
 //! Generated scenarios are seeded (generator seed 42 unless `random:`
-//! gives one), so every invocation is reproducible. A bad
-//! `--env`/`--policies`/`--mobility` name or a scenario too large for
-//! the chosen environment's maps reports cleanly and exits 2.
+//! gives one), so every invocation is reproducible. The operands fill a
+//! `SweepRequest` and go through the same resolver and validator as a
+//! `sweep-server` request: a bad `--env`/`--policies`/`--mobility` name,
+//! a malformed scenario, a scenario too large for the chosen
+//! environment's maps, zero placements or zero rounds report one
+//! `error:` line (the server's error text) and exit 2.
 
 use nplus::prelude::*;
-use nplus::run_indexed;
+use nplus::sim::CanonicalSpec;
 use nplus_codec::export::sweep_report_json;
 use nplus_codec::{RecordingContext, RecordingObserver};
-use nplus_testkit::{parse_spec, SCENARIO_SPEC_HELP};
+use nplus_server::SweepRequest;
 
 /// Reports an invalid operand the way every operator error is reported:
 /// one line on stderr, exit 2 — never a panic backtrace.
@@ -64,86 +67,68 @@ fn spec_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// One seed's worth of recorded runs: the per-policy results plus the
-/// encoded recording bytes, keyed by output file name.
-type RecordedSeed = (SeedResults, Vec<(String, Vec<u8>)>);
-
-/// Runs every seed as an indexed job on the scoped-thread pool — same
-/// executor, same merge order as `SweepSpec::try_run`, so the stats it
-/// yields are bit-identical to an unrecorded sweep at any thread count —
-/// while a [`RecordingObserver`] per (policy, seed) captures the event
-/// stream. Recordings are encoded to memory inside the job and written
-/// in deterministic (seed-major, policy-within-seed) order afterwards.
+/// Runs the sweep with a [`RecordingObserver`] per (policy, seed) on
+/// the spec's own executor loop, so the stats are bit-identical to an
+/// unrecorded sweep at any thread count. Recordings are encoded to
+/// memory inside the jobs and written in deterministic (seed-major,
+/// policy-within-seed) order afterwards.
 fn run_recorded(
-    sweep_spec: &SweepSpec,
-    spec: &str,
-    n_flows: usize,
-    traffic: TrafficModel,
-    mobility: MobilityModel,
-    threads: usize,
+    spec: &SweepSpec,
+    canon: &CanonicalSpec,
+    scenario: &str,
     dir: &str,
 ) -> Result<Vec<SweepStats>, String> {
-    let names = sweep_spec.policy_names();
-    let seeds = sweep_spec.seed_list().to_vec();
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
-    let jobs: Vec<Result<RecordedSeed, String>> = run_indexed(seeds.len(), threads, |i| {
-        let seed = seeds[i];
-        let mut recorders: Vec<RecordingObserver<Vec<u8>>> = (0..names.len())
-            .map(|p| {
-                RecordingObserver::new(
-                    Vec::new(),
-                    RecordingContext {
-                        scenario: spec.to_string(),
-                        traffic: traffic.spec_string(),
-                        mobility: mobility.spec_string(),
-                        seed_index: i,
-                        n_seeds: seeds.len(),
-                        policy_index: p,
-                        n_policies: names.len(),
-                    },
-                )
-            })
-            .collect();
-        let mut taps: Vec<&mut dyn RoundObserver> = recorders
-            .iter_mut()
-            .map(|r| r as &mut dyn RoundObserver)
-            .collect();
-        let results = sweep_spec
-            .try_run_seed_observed(seed, &mut taps)
-            .map_err(|e| e.to_string())?;
-        drop(taps);
-        let mut files = Vec::with_capacity(names.len());
+    let names = &canon.policies;
+    let runs = spec
+        .try_run_observed(|seed_index, policy_index| {
+            RecordingObserver::new(
+                Vec::new(),
+                RecordingContext {
+                    scenario: scenario.to_string(),
+                    traffic: canon.traffic.spec_string(),
+                    mobility: canon.mobility.spec_string(),
+                    seed_index,
+                    n_seeds: canon.seeds.len(),
+                    policy_index,
+                    n_policies: names.len(),
+                },
+            )
+        })
+        .map_err(|e| e.to_string())?;
+    let mut results = Vec::with_capacity(runs.len());
+    for (seed_results, recorders) in runs {
+        let seed = seed_results.seed;
         for (name, rec) in names.iter().zip(recorders) {
             let bytes = rec
                 .finish()
                 .map_err(|e| format!("encoding {name}-s{seed}: {e}"))?;
-            files.push((format!("{name}-s{seed}.rec"), bytes));
-        }
-        Ok((results, files))
-    });
-    let mut results = Vec::with_capacity(seeds.len());
-    for job in jobs {
-        let (seed_results, files) = job?;
-        for (file, bytes) in files {
-            let path = format!("{dir}/{file}");
+            let path = format!("{dir}/{name}-s{seed}.rec");
             std::fs::write(&path, bytes).map_err(|e| format!("cannot write {path}: {e}"))?;
         }
         results.push(seed_results);
     }
-    Ok(aggregate_results(n_flows, &names, &results))
+    Ok(aggregate_results(canon.flows.len(), names, &results))
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
 
-    // Split flags from positionals.
-    let mut positional: Vec<&str> = Vec::new();
-    let mut threads: usize = 0;
-    // Empty = the library default (`SweepSpec` applies the paper's
+    // Operands fill the request a `sweep-server` client would send. An
+    // empty policy list is the library default (the paper's
     // dot11n/beamforming/nplus trio); only `--policies` overrides it.
-    let mut policy_names: Vec<String> = Vec::new();
-    let mut env_name: String = "sigcomm11".to_string();
-    let mut mobility = MobilityModel::Static;
+    let mut request = SweepRequest {
+        scenario: "three_pairs".to_string(),
+        environment: "sigcomm11".to_string(),
+        policies: Vec::new(),
+        seeds: (0..20).collect(),
+        rounds: 25,
+        traffic: None,
+        mobility: None,
+        sinr_grid: None,
+        threads: 0,
+    };
+    let mut positional: Vec<&str> = Vec::new();
     let mut json_to: Option<Option<String>> = None;
     let mut record_to: Option<String> = None;
     let mut i = 1;
@@ -151,7 +136,7 @@ fn main() {
         match args[i].as_str() {
             "--threads" => {
                 i += 1;
-                threads = args
+                request.threads = args
                     .get(i)
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| spec_error("--threads needs a number"));
@@ -161,11 +146,11 @@ fn main() {
                 let list = args
                     .get(i)
                     .unwrap_or_else(|| spec_error("--policies needs a,b,.."));
-                policy_names = list.split(',').map(str::to_string).collect();
+                request.policies = list.split(',').map(str::to_string).collect();
             }
             "--env" => {
                 i += 1;
-                env_name = args
+                request.environment = args
                     .get(i)
                     .unwrap_or_else(|| spec_error("--env needs a name"))
                     .clone();
@@ -175,7 +160,7 @@ fn main() {
                 let s = args
                     .get(i)
                     .unwrap_or_else(|| spec_error("--mobility needs a spec"));
-                mobility = s.parse().unwrap_or_else(|e: String| spec_error(&e));
+                request.mobility = Some(s.parse().unwrap_or_else(|e: String| spec_error(&e)));
             }
             "--record" => {
                 i += 1;
@@ -201,86 +186,58 @@ fn main() {
         }
         i += 1;
     }
-    let spec = positional.first().copied().unwrap_or("three_pairs");
-    let n_seeds: u64 = match positional.get(1) {
-        None => 20,
-        Some(s) => s
-            .parse()
-            .unwrap_or_else(|_| spec_error(&format!("n_seeds needs a number, got {s:?}"))),
-    };
-    let rounds: usize = match positional.get(2) {
-        None => 25,
-        Some(s) => s
-            .parse()
-            .unwrap_or_else(|_| spec_error(&format!("rounds needs a number, got {s:?}"))),
-    };
-
-    // Resolve the environment first: `random:` sizes its draw to the
-    // chosen map's capacity.
-    let environment = environment_from_name(&env_name).unwrap_or_else(|| {
-        spec_error(&format!(
-            "unknown environment {env_name:?} (try {BUILTIN_ENVIRONMENT_NAMES:?})"
-        ))
-    });
-    let parsed = parse_spec(spec, environment.capacity())
-        .unwrap_or_else(|e| spec_error(&format!("{e}\nscenario forms:\n{SCENARIO_SPEC_HELP}")));
-    let scenario = parsed.scenario;
-    let traffic = parsed.traffic.unwrap_or_default();
-    let mut sweep_spec = SweepSpec::new(scenario.clone())
-        .rounds(rounds)
-        .seed_count(n_seeds)
-        .threads(threads)
-        .traffic(traffic)
-        .mobility(mobility);
-    sweep_spec = sweep_spec
-        .environment_named(&env_name)
-        .expect("environment name validated above");
-    for name in &policy_names {
-        sweep_spec = sweep_spec.policy_named(name).unwrap_or_else(|unknown| {
-            spec_error(&format!(
-                "unknown policy {unknown:?} (try {BUILTIN_POLICY_NAMES:?})"
-            ))
-        });
+    if let Some(spec) = positional.first() {
+        request.scenario = spec.to_string();
     }
+    if let Some(s) = positional.get(1) {
+        let n: u64 = s
+            .parse()
+            .unwrap_or_else(|_| spec_error(&format!("n_seeds needs a number, got {s:?}")));
+        request.seeds = (0..n).collect();
+    }
+    if let Some(s) = positional.get(2) {
+        request.rounds = s
+            .parse()
+            .unwrap_or_else(|_| spec_error(&format!("rounds needs a number, got {s:?}")));
+    }
+    let sweep_spec = request.to_spec().unwrap_or_else(|e| spec_error(&e));
+    let canon = sweep_spec
+        .canonical()
+        .unwrap_or_else(|e| spec_error(&e.to_string()));
+    let (spec, env_name, threads) = (&request.scenario, &request.environment, request.threads);
+    let (n_seeds, rounds) = (canon.seeds.len(), canon.rounds);
 
     eprintln!(
         "== sweep: {spec} in {env_name} ({} nodes, {} flows), {n_seeds} placements x {rounds} rounds, {} ==",
-        scenario.antennas.len(),
-        scenario.flows.len(),
+        canon.antennas.len(),
+        canon.flows.len(),
         if threads == 1 {
             "serial".to_string()
         } else {
             format!("{threads} threads (0 = all cores)")
         }
     );
-    eprintln!("antennas: {:?}", scenario.antennas);
+    eprintln!("antennas: {:?}", canon.antennas);
 
-    // A scenario/environment mismatch (too many nodes for the map) is
-    // an expected operator error, not a crash.
     let stats = match &record_to {
         Some(dir) => {
-            let n_flows = scenario.flows.len();
-            let stats = run_recorded(&sweep_spec, spec, n_flows, traffic, mobility, threads, dir)
-                .unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                });
+            let stats =
+                run_recorded(&sweep_spec, &canon, spec, dir).unwrap_or_else(|e| spec_error(&e));
             eprintln!("recordings in {dir}/");
             stats
         }
-        None => sweep_spec.try_run().unwrap_or_else(|e| {
-            eprintln!("error: {e} (scenario {spec:?} does not fit environment {env_name:?})");
-            std::process::exit(2);
-        }),
+        None => sweep_spec
+            .try_run()
+            .unwrap_or_else(|e| spec_error(&e.to_string())),
     };
 
     if let Some(path) = &json_to {
         let json = sweep_report_json(
             spec,
-            &env_name,
-            &traffic.spec_string(),
-            &mobility.spec_string(),
-            n_seeds,
+            env_name,
+            &canon.traffic.spec_string(),
+            &canon.mobility.spec_string(),
+            n_seeds as u64,
             rounds,
             &stats,
         );

@@ -14,8 +14,8 @@
 //!
 //! * [`RecordingObserver`] implements `RoundObserver` and streams
 //!   frames to any `io::Write` — wire it into a sweep with
-//!   `SweepSpec::try_run_seed_observed` (the `sweep` bin's
-//!   `--record <dir>` does exactly that, one file per (policy, seed)).
+//!   `SweepSpec::try_run_observed` (the `sweep` bin's `--record <dir>`
+//!   does exactly that, one file per (policy, seed)).
 //! * [`replay_run`] / [`replay_sweep`] fold recordings back through
 //!   `GoodputAccumulator` and `aggregate_results`, reproducing
 //!   `RunResult` / `SweepStats` **bit-for-bit** without re-simulating

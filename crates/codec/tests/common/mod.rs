@@ -14,8 +14,6 @@ use nplus_testkit::parse_spec;
 pub struct Recorded {
     /// The resolved spec (for canonical-key and re-run comparisons).
     pub spec: SweepSpec,
-    /// The spec string the sweep was built from.
-    pub spec_str: String,
     /// Encoded recordings, `bytes[seed_index * n_policies + policy_index]`.
     pub bytes: Vec<Vec<u8>>,
     /// The live per-seed results the observed runs produced.
@@ -24,8 +22,6 @@ pub struct Recorded {
     pub live_stats: Vec<SweepStats>,
     /// Resolved policy names, in job order.
     pub names: Vec<String>,
-    /// Flows in the scenario.
-    pub n_flows: usize,
 }
 
 /// Records `n_seeds` x `policies` runs of `spec_str` in `env` and
@@ -40,7 +36,6 @@ pub fn record_sweep(
     let environment = environment_from_name(env).expect("known environment");
     let parsed = parse_spec(spec_str, environment.capacity()).expect("valid spec");
     let traffic = parsed.traffic.unwrap_or_default();
-    let n_flows = parsed.scenario.flows.len();
     let mut spec = SweepSpec::new(parsed.scenario)
         .rounds(rounds)
         .seed_count(n_seeds)
@@ -51,35 +46,25 @@ pub fn record_sweep(
         spec = spec.policy_named(name).expect("known policy");
     }
     let names = spec.policy_names();
-    let seeds = spec.seed_list().to_vec();
-
+    let runs = spec
+        .try_run_observed(|seed_index, policy_index| {
+            RecordingObserver::new(
+                Vec::new(),
+                RecordingContext {
+                    scenario: spec_str.to_string(),
+                    traffic: traffic.spec_string(),
+                    mobility: MobilityModel::Static.spec_string(),
+                    seed_index,
+                    n_seeds: n_seeds as usize,
+                    policy_index,
+                    n_policies: names.len(),
+                },
+            )
+        })
+        .expect("sweep runs");
     let mut bytes = Vec::new();
     let mut live = Vec::new();
-    for (i, &seed) in seeds.iter().enumerate() {
-        let mut recorders: Vec<RecordingObserver<Vec<u8>>> = (0..names.len())
-            .map(|p| {
-                RecordingObserver::new(
-                    Vec::new(),
-                    RecordingContext {
-                        scenario: spec_str.to_string(),
-                        traffic: traffic.spec_string(),
-                        mobility: MobilityModel::Static.spec_string(),
-                        seed_index: i,
-                        n_seeds: seeds.len(),
-                        policy_index: p,
-                        n_policies: names.len(),
-                    },
-                )
-            })
-            .collect();
-        let mut taps: Vec<&mut dyn RoundObserver> = recorders
-            .iter_mut()
-            .map(|r| r as &mut dyn RoundObserver)
-            .collect();
-        let results = spec
-            .try_run_seed_observed(seed, &mut taps)
-            .expect("sweep runs");
-        drop(taps);
+    for (results, recorders) in runs {
         for rec in recorders {
             bytes.push(rec.finish().expect("in-memory sink never fails"));
         }
@@ -88,12 +73,10 @@ pub fn record_sweep(
     let live_stats = spec.try_run().expect("sweep runs");
     Recorded {
         spec,
-        spec_str: spec_str.to_string(),
         bytes,
         live,
         live_stats,
         names,
-        n_flows,
     }
 }
 

@@ -19,6 +19,18 @@ const GOLDEN_A: &str = "three_pairs-nplus-v1.rec";
 /// greedy join.
 const GOLDEN_B: &str = "poisson-pairs2-greedy_join-v1.rec";
 
+/// What each golden file records: (file, scenario spec, environment,
+/// policy), one seed of four rounds.
+const GOLDENS: [(&str, &str, &str, &str); 2] = [
+    (GOLDEN_A, "three_pairs", "sigcomm11", "nplus"),
+    (
+        GOLDEN_B,
+        "load:poisson:0.5/pairs:2",
+        "outdoor",
+        "greedy_join",
+    ),
+];
+
 fn testdata(name: &str) -> String {
     format!("{}/tests/testdata/{name}", env!("CARGO_MANIFEST_DIR"))
 }
@@ -51,15 +63,7 @@ fn tally(rec: &Recording) -> (usize, usize, usize) {
 #[ignore = "rewrites testdata; run explicitly after intentional changes"]
 fn regenerate_golden_files() {
     std::fs::create_dir_all(testdata("")).expect("testdata dir");
-    for (name, spec, env, policy) in [
-        (GOLDEN_A, "three_pairs", "sigcomm11", "nplus"),
-        (
-            GOLDEN_B,
-            "load:poisson:0.5/pairs:2",
-            "outdoor",
-            "greedy_join",
-        ),
-    ] {
+    for (name, spec, env, policy) in GOLDENS {
         let r = record_sweep(spec, env, &[policy], 1, 4);
         let bytes = &r.bytes[0];
         std::fs::write(testdata(name), bytes).expect("write golden");
@@ -90,6 +94,17 @@ fn regenerate_golden_files() {
             "  replayed mean_dof bits=0x{:016x}",
             replayed.mean_dof.to_bits()
         );
+    }
+}
+
+/// The engine and the recording path still produce the golden bytes:
+/// a fresh recording of each golden's spec equals the checked-in file.
+#[test]
+fn golden_files_regenerate_byte_for_byte() {
+    for (name, spec, env, policy) in GOLDENS {
+        let r = record_sweep(spec, env, &[policy], 1, 4);
+        let (bytes, _) = load(name);
+        assert_eq!(r.bytes, [bytes], "{name}");
     }
 }
 

@@ -6,8 +6,8 @@
 //! *results* — and therefore every downstream aggregate — bit-for-bit
 //! identical to a serial run:
 //!
-//! * **Work distribution is dynamic, result order is not.** Workers pull
-//!   chunks of job indices from a shared atomic cursor (fast workers
+//! * **Work distribution is dynamic, result order is not.** Workers claim
+//!   job indices one at a time from a shared atomic cursor (fast workers
 //!   take more jobs; no static striping that a slow seed could skew),
 //!   but every result is tagged with its job index and the final vector
 //!   is reassembled in index order.
@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Resolves a caller-supplied thread count: `0` means "use the machine's
 /// available parallelism", anything else is taken literally.
-pub fn resolve_threads(threads: usize) -> usize {
+fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism()
             .map(NonZeroUsize::get)
@@ -44,7 +44,7 @@ pub fn resolve_threads(threads: usize) -> usize {
 /// (or a single job) runs inline on the caller's thread with no worker
 /// spawns at all. Workers claim one job at a time from an atomic cursor
 /// — the right granularity for coarse jobs like whole-topology
-/// simulations; use [`run_indexed_chunked`] when jobs are tiny.
+/// simulations.
 ///
 /// Panics in a job are propagated to the caller after the scope joins.
 pub fn run_indexed<T, F>(n_jobs: usize, threads: usize, job: F) -> Vec<T>
@@ -52,19 +52,6 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_indexed_chunked(n_jobs, threads, 1, job)
-}
-
-/// [`run_indexed`] with an explicit claim granularity: each cursor fetch
-/// hands a worker `chunk` consecutive job indices, amortizing the atomic
-/// traffic when individual jobs are cheap. Results are still returned in
-/// job-index order regardless of which worker ran what.
-pub fn run_indexed_chunked<T, F>(n_jobs: usize, threads: usize, chunk: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let chunk = chunk.max(1);
     let threads = resolve_threads(threads).min(n_jobs);
     if threads <= 1 {
         return (0..n_jobs).map(job).collect();
@@ -79,13 +66,11 @@ where
                 s.spawn(move || {
                     let mut out: Vec<(usize, T)> = Vec::new();
                     loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n_jobs {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n_jobs {
                             break;
                         }
-                        for i in start..(start + chunk).min(n_jobs) {
-                            out.push((i, job(i)));
-                        }
+                        out.push((i, job(i)));
                     }
                     out
                 })
@@ -124,15 +109,17 @@ mod tests {
     }
 
     #[test]
-    fn chunked_claiming_covers_every_job_once() {
-        for chunk in [1usize, 2, 5, 64] {
-            let calls = AtomicUsize::new(0);
-            let out = run_indexed_chunked(23, 4, chunk, |i| {
-                calls.fetch_add(1, Ordering::Relaxed);
+    fn claiming_runs_every_job_exactly_once() {
+        for threads in [1usize, 2, 4, 8] {
+            let calls: Vec<AtomicUsize> = (0..23).map(|_| AtomicUsize::new(0)).collect();
+            let out = run_indexed(23, threads, |i| {
+                calls[i].fetch_add(1, Ordering::Relaxed);
                 i
             });
-            assert_eq!(out, (0..23).collect::<Vec<_>>(), "chunk {chunk}");
-            assert_eq!(calls.load(Ordering::Relaxed), 23, "chunk {chunk}");
+            assert_eq!(out, (0..23).collect::<Vec<_>>(), "{threads} threads");
+            for (i, c) in calls.iter().enumerate() {
+                assert_eq!(c.load(Ordering::Relaxed), 1, "job {i}, {threads} threads");
+            }
         }
     }
 

@@ -64,7 +64,6 @@ pub mod precoder;
 pub mod sim;
 
 pub use carrier_sense::MultiDimCarrierSense;
-pub use executor::{resolve_threads, run_indexed, run_indexed_chunked};
 pub use handshake::{decode_alignment_space, encode_alignment_space};
 pub use link::{select_stream_rate, zf_sinr, SubcarrierObservation};
 pub use node::{learn_forward_channel, plan_join, JoinError, JoinPlan, LearnedReceiver};

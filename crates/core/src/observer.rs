@@ -19,7 +19,8 @@ use nplus_phy::rates::RateIndex;
 /// file the stream it is watching (the recording codec above all).
 ///
 /// Delivered through [`RunMeta::identity`] by the sweep layer
-/// ([`SweepSpec::try_run_seed_observed`](
+/// ([`SweepSpec::try_run_observed`](crate::sim::SweepSpec::try_run_observed)
+/// and [`SweepSpec::try_run_seed_observed`](
 /// crate::sim::SweepSpec::try_run_seed_observed)); a hand-built
 /// [`SimEngine::run`](crate::sim::SimEngine::run) usually passes `None`
 /// because a bare engine has no sweep context.

@@ -7,20 +7,20 @@
 //! at every thread count.
 //!
 //! [`CanonicalSpec`] is the spec's content-addressable identity: a
-//! normalized (scenario, environment, policies, seeds, rounds) record
-//! whose [`key`](CanonicalSpec::key) the `sweep-server`'s result cache
-//! is addressed by. [`SweepError`] is the typed error surface every
-//! served entry point funnels malformed input through — no reachable
-//! panic from a bad spec.
+//! read-only record that only [`SweepSpec::canonical`] produces, holding
+//! the normalized (scenario, environment, policies, seeds, rounds,
+//! models) fields whose [`key`](CanonicalSpec::key) the `sweep-server`'s
+//! result cache is addressed by. One private validator guards every
+//! entry point — [`SweepSpec::try_run`], [`SweepSpec::try_run_observed`],
+//! [`SweepSpec::try_run_seed_observed`] and [`SweepSpec::canonical`] —
+//! and [`SweepError`] is the typed error surface it funnels malformed
+//! input through: no reachable panic from a bad spec.
 
-use super::{
-    Flow, MobilityModel, RunResult, Scenario, SimConfig, SimEngine, SinrGrid, TrafficModel,
-};
+use super::{MobilityModel, RunResult, Scenario, SimConfig, SimEngine, SinrGrid, TrafficModel};
 use crate::observer::{NullObserver, RoundObserver, RunIdentity};
-use crate::policy::{policy_from_name, MacPolicy, BUILTIN_POLICY_NAMES};
+use crate::policy::{policy_from_name, MacPolicy};
 use nplus_channel::environment::{
-    environment_from_name, ChannelEnvironment, EnvironmentError, BUILTIN_ENVIRONMENT_NAMES,
-    SIGCOMM11_INDOOR,
+    environment_from_name, ChannelEnvironment, EnvironmentError, SIGCOMM11_INDOOR,
 };
 use nplus_channel::placement::Testbed;
 use nplus_medium::topology::build_environment_topology;
@@ -57,22 +57,21 @@ pub struct SweepStats {
 
 /// The typed error surface of the sweep entry points.
 ///
-/// Every way a spec can be malformed — a structurally invalid scenario,
-/// a name the registries don't know, a scenario that outsizes its
-/// environment's maps, a spec that cannot be content-addressed — is one
-/// of these variants, and so is a wrong observer count. Nothing on the
-/// [`SweepSpec::try_run`] / [`SweepSpec::try_run_seed_observed`] /
-/// [`CanonicalSpec`] path panics on bad input: front-ends map this type
-/// to a one-line exit-2 (CLI) or an error response (`sweep-server`).
+/// Every way a built spec can be malformed — a structurally invalid
+/// scenario or model, a degenerate seed list or round count, a scenario
+/// that outsizes its environment's maps, a spec that cannot be
+/// content-addressed — is one of these variants, and so is a wrong
+/// observer count. (Unknown registry names never reach a spec: the
+/// by-name builder calls hand them back.) Nothing on the
+/// [`SweepSpec::try_run`] / [`SweepSpec::try_run_observed`] /
+/// [`SweepSpec::try_run_seed_observed`] / [`SweepSpec::canonical`] path
+/// panics on bad input: front-ends map this type to a one-line exit-2
+/// (CLI) or an error response (`sweep-server`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SweepError {
     /// The scenario needs more placement slots than the environment's
     /// maps (or an explicit testbed override) offer.
     Environment(EnvironmentError),
-    /// A policy name the registry does not know.
-    UnknownPolicy(String),
-    /// An environment name the registry does not know.
-    UnknownEnvironment(String),
     /// A structurally invalid spec: bad flow indices, zero antennas,
     /// an empty seed list, zero rounds — see [`Scenario::validate`].
     InvalidSpec(String),
@@ -86,13 +85,6 @@ impl fmt::Display for SweepError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SweepError::Environment(e) => e.fmt(f),
-            SweepError::UnknownPolicy(name) => {
-                write!(f, "unknown policy {name:?} (try {BUILTIN_POLICY_NAMES:?})")
-            }
-            SweepError::UnknownEnvironment(name) => write!(
-                f,
-                "unknown environment {name:?} (try {BUILTIN_ENVIRONMENT_NAMES:?})"
-            ),
             SweepError::InvalidSpec(msg) => write!(f, "invalid spec: {msg}"),
             SweepError::NotCanonical(msg) => write!(f, "spec is not canonicalizable: {msg}"),
         }
@@ -114,11 +106,13 @@ impl From<EnvironmentError> for SweepError {
     }
 }
 
-/// The canonical, content-addressable form of a sweep request: the
-/// exact fields that determine a sweep's results, normalized so that
-/// equivalent requests — however their builders were called, whatever
-/// thread count they run at — encode to identical bytes and hash to the
-/// same [`key`](CanonicalSpec::key).
+/// The canonical, content-addressable form of a sweep: the exact fields
+/// that determine a sweep's results, normalized so that equivalent
+/// specs — however their builders were called, whatever thread count
+/// they run at — encode to identical bytes and hash to the same
+/// [`key`](CanonicalSpec::key). It is a record, not a second spec type:
+/// the only way to get one is [`SweepSpec::canonical`], which validates
+/// the spec first, so every record names a runnable sweep.
 ///
 /// This is the cache contract of the `sweep-server`: a result computed
 /// once for a key may be returned for every later request with that key,
@@ -159,12 +153,11 @@ pub struct CanonicalSpec {
     pub seeds: Vec<u64>,
     /// Rounds per run.
     pub rounds: usize,
-    /// Per-flow offered load (defaults to the paper's saturated
-    /// assumption in [`CanonicalSpec::new`]).
+    /// Per-flow offered load.
     pub traffic: TrafficModel,
-    /// Node mobility (defaults to static).
+    /// Node mobility.
     pub mobility: MobilityModel,
-    /// SINR evaluation tier (defaults to the exact full grid). A
+    /// SINR evaluation tier. A
     /// decimated tier is a different approximation, so it is part of
     /// the spec's identity — the result cache must never serve a
     /// decimated run for a full-grid request or vice versa.
@@ -193,91 +186,6 @@ fn fnv1a_128(bytes: &[u8]) -> u128 {
 }
 
 impl CanonicalSpec {
-    /// Builds and fully validates a canonical spec from request parts —
-    /// the constructor the `sweep-server` protocol layer uses. An empty
-    /// `policies` list normalizes to the default comparison trio.
-    ///
-    /// # Errors
-    /// [`SweepError::InvalidSpec`] for structural problems (including an
-    /// empty seed list and zero rounds),
-    /// [`SweepError::UnknownPolicy`] / [`UnknownEnvironment`](
-    /// SweepError::UnknownEnvironment) for names outside the registries.
-    pub fn new(
-        scenario: &Scenario,
-        environment: &str,
-        policies: &[String],
-        seeds: Vec<u64>,
-        rounds: usize,
-    ) -> Result<Self, SweepError> {
-        scenario.validate().map_err(SweepError::InvalidSpec)?;
-        if environment_from_name(environment).is_none() {
-            return Err(SweepError::UnknownEnvironment(environment.to_string()));
-        }
-        let policies: Vec<String> = if policies.is_empty() {
-            DEFAULT_POLICIES
-                .iter()
-                .map(|p| p.name().to_string())
-                .collect()
-        } else {
-            for name in policies {
-                if policy_from_name(name).is_none() {
-                    return Err(SweepError::UnknownPolicy(name.clone()));
-                }
-            }
-            policies.to_vec()
-        };
-        if seeds.is_empty() {
-            return Err(SweepError::InvalidSpec("empty seed list".to_string()));
-        }
-        if rounds == 0 {
-            return Err(SweepError::InvalidSpec("zero rounds".to_string()));
-        }
-        Ok(CanonicalSpec {
-            antennas: scenario.antennas.clone(),
-            flows: scenario.flows.iter().map(|f| (f.tx, f.rx)).collect(),
-            environment: environment.to_string(),
-            policies,
-            seeds,
-            rounds,
-            traffic: TrafficModel::Saturated,
-            mobility: MobilityModel::Static,
-            sinr_grid: SinrGrid::Full,
-        })
-    }
-
-    /// Replaces the offered-load model (validated — invalid parameters
-    /// must not become cache keys).
-    ///
-    /// # Errors
-    /// [`SweepError::InvalidSpec`] with the model's own description.
-    pub fn with_traffic(mut self, traffic: TrafficModel) -> Result<Self, SweepError> {
-        traffic.validate().map_err(SweepError::InvalidSpec)?;
-        self.traffic = traffic;
-        Ok(self)
-    }
-
-    /// Replaces the mobility model (validated, as
-    /// [`with_traffic`](CanonicalSpec::with_traffic)).
-    ///
-    /// # Errors
-    /// [`SweepError::InvalidSpec`] with the model's own description.
-    pub fn with_mobility(mut self, mobility: MobilityModel) -> Result<Self, SweepError> {
-        mobility.validate().map_err(SweepError::InvalidSpec)?;
-        self.mobility = mobility;
-        Ok(self)
-    }
-
-    /// Replaces the SINR evaluation tier (validated, as
-    /// [`with_traffic`](CanonicalSpec::with_traffic)).
-    ///
-    /// # Errors
-    /// [`SweepError::InvalidSpec`] with the tier's own description.
-    pub fn with_sinr_grid(mut self, sinr_grid: SinrGrid) -> Result<Self, SweepError> {
-        sinr_grid.validate().map_err(SweepError::InvalidSpec)?;
-        self.sinr_grid = sinr_grid;
-        Ok(self)
-    }
-
     /// The unambiguous byte encoding the [`key`](CanonicalSpec::key) is
     /// hashed over: a version magic, then every field tagged and
     /// length-prefixed (all integers little-endian u64), so no two
@@ -372,43 +280,6 @@ impl CanonicalSpec {
     /// and logs print.
     pub fn key_hex(&self) -> String {
         format!("{:032x}", self.key())
-    }
-
-    /// Reconstructs the runnable [`SweepSpec`] this canonical form
-    /// names, at an arbitrary thread count (execution detail, not
-    /// identity: results are bit-identical for every value).
-    ///
-    /// # Errors
-    /// As [`CanonicalSpec::new`] — the fields are public, so they are
-    /// re-validated rather than trusted.
-    pub fn to_spec(&self, threads: usize) -> Result<SweepSpec, SweepError> {
-        let scenario = Scenario {
-            antennas: self.antennas.clone(),
-            flows: self.flows.iter().map(|&(tx, rx)| Flow { tx, rx }).collect(),
-        };
-        scenario.validate().map_err(SweepError::InvalidSpec)?;
-        if self.seeds.is_empty() {
-            return Err(SweepError::InvalidSpec("empty seed list".to_string()));
-        }
-        if self.rounds == 0 {
-            return Err(SweepError::InvalidSpec("zero rounds".to_string()));
-        }
-        self.traffic.validate().map_err(SweepError::InvalidSpec)?;
-        self.mobility.validate().map_err(SweepError::InvalidSpec)?;
-        self.sinr_grid.validate().map_err(SweepError::InvalidSpec)?;
-        let mut spec = SweepSpec::new(scenario)
-            .environment_named(&self.environment)
-            .map_err(SweepError::UnknownEnvironment)?
-            .rounds(self.rounds)
-            .traffic(self.traffic)
-            .mobility(self.mobility)
-            .sinr_grid(self.sinr_grid)
-            .seeds(self.seeds.iter().copied())
-            .threads(threads);
-        for name in &self.policies {
-            spec = spec.policy_named(name).map_err(SweepError::UnknownPolicy)?;
-        }
-        Ok(spec)
     }
 }
 
@@ -753,34 +624,63 @@ impl SweepSpec {
         self
     }
 
-    /// Runs the sweep and aggregates statistics per policy: one job per
-    /// seed on up to [`threads`](SweepSpec::threads) workers, merged in
-    /// seed order and folded by [`aggregate_results`].
+    /// Runs the sweep and aggregates statistics per policy:
+    /// [`try_run_observed`](SweepSpec::try_run_observed) with a
+    /// do-nothing observer per run, folded by [`aggregate_results`].
     ///
     /// # Errors
     /// [`SweepError::InvalidSpec`] for a structurally invalid scenario
-    /// ([`Scenario::validate`]), [`SweepError::Environment`] when the
-    /// scenario needs more placement slots than the environment's
-    /// largest map (or the explicit [`testbed`](SweepSpec::testbed)
-    /// override) offers — both detected before any job runs, so a
-    /// malformed spec can never panic inside the engine.
+    /// ([`Scenario::validate`]) or model, an empty seed list or zero
+    /// rounds; [`SweepError::Environment`] when the scenario needs more
+    /// placement slots than the environment's largest map (or the
+    /// explicit [`testbed`](SweepSpec::testbed) override) offers — all
+    /// detected before any job runs, so a malformed spec can never panic
+    /// inside the engine.
     pub fn try_run(&self) -> Result<Vec<SweepStats>, SweepError> {
-        let (testbed, policies) = self.prepare()?;
-        let results = crate::executor::run_indexed(self.seeds.len(), self.threads, |i| {
-            let mut nulls = vec![NullObserver; policies.len()];
-            let mut observers: Vec<&mut dyn RoundObserver> = nulls
-                .iter_mut()
-                .map(|o| o as &mut dyn RoundObserver)
-                .collect();
-            self.run_one_seed(&testbed, &policies, self.seeds[i], None, &mut observers)
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
+        let results: Vec<SeedResults> = self
+            .try_run_observed(|_, _| NullObserver)?
+            .into_iter()
+            .map(|(results, _)| results)
+            .collect();
         Ok(aggregate_results(
             self.scenario.flows.len(),
             &self.policy_names(),
             &results,
         ))
+    }
+
+    /// The one executor loop: runs every seed as an indexed job on up to
+    /// [`threads`](SweepSpec::threads) workers, with the observer
+    /// `make(seed_index, policy_index)` listening to each run, and
+    /// returns every seed's raw results together with its observers (in
+    /// [`policy_names`](SweepSpec::policy_names) order), merged in seed
+    /// order. Runs are labeled with their [`RunIdentity`], as in
+    /// [`try_run_seed_observed`](SweepSpec::try_run_seed_observed).
+    /// Observers only listen: the results are bit-for-bit the ones
+    /// [`try_run`](SweepSpec::try_run) folds, at every thread count.
+    ///
+    /// # Errors
+    /// As [`try_run`](SweepSpec::try_run).
+    pub fn try_run_observed<O, F>(&self, make: F) -> Result<Vec<(SeedResults, Vec<O>)>, SweepError>
+    where
+        O: RoundObserver + Send,
+        F: Fn(usize, usize) -> O + Sync,
+    {
+        let (testbed, policies) = self.prepare()?;
+        let canonical_key = self.canonical().ok().map(|c| c.key());
+        crate::executor::run_indexed(self.seeds.len(), self.threads, |i| {
+            let mut observers: Vec<O> = (0..policies.len()).map(|p| make(i, p)).collect();
+            let results = {
+                let mut taps: Vec<&mut dyn RoundObserver> = observers
+                    .iter_mut()
+                    .map(|o| o as &mut dyn RoundObserver)
+                    .collect();
+                self.run_one_seed(&testbed, &policies, self.seeds[i], canonical_key, &mut taps)?
+            };
+            Ok((results, observers))
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Panicking convenience over [`try_run`](SweepSpec::try_run) for
@@ -800,9 +700,10 @@ impl SweepSpec {
     /// ones [`try_run`](SweepSpec::try_run) folds for that seed.
     ///
     /// # Errors
-    /// As [`try_run`](SweepSpec::try_run), plus
-    /// [`SweepError::InvalidSpec`] when `observers.len()` differs from
-    /// the resolved policy count.
+    /// As [`try_run`](SweepSpec::try_run) (the whole spec is validated,
+    /// so an empty seed list is refused even though `seed` is given),
+    /// plus [`SweepError::InvalidSpec`] when `observers.len()` differs
+    /// from the resolved policy count.
     pub fn try_run_seed_observed(
         &self,
         seed: u64,
@@ -851,13 +752,14 @@ impl SweepSpec {
     /// and the [`sinr_grid`](SweepSpec::sinr_grid).
     ///
     /// # Errors
-    /// [`SweepError::NotCanonical`] describing the offending part;
-    /// [`SweepError::InvalidSpec`] for a structurally invalid scenario.
+    /// [`SweepError::InvalidSpec`] for any spec the runs would refuse
+    /// (checked first); [`SweepError::NotCanonical`] describing the
+    /// offending part.
     pub fn canonical(&self) -> Result<CanonicalSpec, SweepError> {
-        // Validate models first: a NaN parameter would otherwise trip
-        // the config-equality check below (NaN != NaN) and misreport an
+        // Validate first: a NaN model parameter would otherwise trip the
+        // config-equality check below (NaN != NaN) and misreport an
         // invalid spec as merely non-canonical.
-        self.validate_models()?;
+        self.validate()?;
         if self.testbed.is_some() {
             return Err(SweepError::NotCanonical(
                 "explicit testbed override".to_string(),
@@ -886,53 +788,54 @@ impl SweepSpec {
                     .to_string(),
             ));
         }
-        let policy_names: Vec<String> = self
-            .policies
-            .iter()
-            .map(|p| p.as_dyn().name().to_string())
-            .collect();
-        for name in &policy_names {
+        // An empty policy list resolves to the default trio here, so
+        // "no policies named" and the trio named explicitly share a key.
+        let policies = self.policy_names();
+        for name in &policies {
             if policy_from_name(name).is_none() {
                 return Err(SweepError::NotCanonical(format!(
                     "policy {name:?} is not in the registry"
                 )));
             }
         }
-        CanonicalSpec::new(
-            &self.scenario,
-            &env_name,
-            &policy_names,
-            self.seeds.clone(),
-            self.cfg.rounds,
-        )?
-        .with_traffic(self.cfg.traffic)?
-        .with_mobility(self.cfg.mobility)?
-        .with_sinr_grid(self.cfg.sinr_grid)
+        Ok(CanonicalSpec {
+            antennas: self.scenario.antennas.clone(),
+            flows: self.scenario.flows.iter().map(|f| (f.tx, f.rx)).collect(),
+            environment: env_name,
+            policies,
+            seeds: self.seeds.clone(),
+            rounds: self.cfg.rounds,
+            traffic: self.cfg.traffic,
+            mobility: self.cfg.mobility,
+            sinr_grid: self.cfg.sinr_grid,
+        })
     }
 
-    /// Rejects unvalidatable traffic/mobility parameters before any job
-    /// runs (a NaN Poisson mean would hang the arrival sampler; better a
+    /// The one spec validator every entry point runs before anything
+    /// else: a structurally sound scenario, a non-empty seed list, at
+    /// least one round, and valid traffic/mobility/SINR-grid parameters
+    /// (a NaN Poisson mean would hang the arrival sampler; better a
     /// typed error than an engine misbehaving).
-    fn validate_models(&self) -> Result<(), SweepError> {
-        self.cfg
-            .traffic
-            .validate()
-            .map_err(SweepError::InvalidSpec)?;
-        self.cfg
-            .mobility
-            .validate()
-            .map_err(SweepError::InvalidSpec)?;
-        self.cfg
-            .sinr_grid
-            .validate()
-            .map_err(SweepError::InvalidSpec)
+    fn validate(&self) -> Result<(), SweepError> {
+        let check = || {
+            self.scenario.validate()?;
+            if self.seeds.is_empty() {
+                return Err("empty seed list".to_string());
+            }
+            if self.cfg.rounds == 0 {
+                return Err("zero rounds".to_string());
+            }
+            self.cfg.traffic.validate()?;
+            self.cfg.mobility.validate()?;
+            self.cfg.sinr_grid.validate()
+        };
+        check().map_err(SweepError::InvalidSpec)
     }
 
-    /// The checks every run path shares, then what a job needs: the
-    /// resolved testbed and the policies in job order.
+    /// The validator, then what a job needs: the resolved testbed and
+    /// the policies in job order.
     fn prepare(&self) -> Result<(Testbed, Vec<&dyn MacPolicy>), SweepError> {
-        self.scenario.validate().map_err(SweepError::InvalidSpec)?;
-        self.validate_models()?;
+        self.validate()?;
         Ok((self.resolved_testbed()?, self.policy_refs()))
     }
 
@@ -944,9 +847,9 @@ impl SweepSpec {
     /// placement stream is seeded by the seed itself, and each policy's
     /// run stream by `seed ^ 0x5EED_CAFE` — both fixed functions of the
     /// seed alone, never of execution order. That is what lets
-    /// [`try_run`](SweepSpec::try_run) run seeds on any number of
-    /// threads and still merge results bit-for-bit identical to the
-    /// serial run.
+    /// [`try_run_observed`](SweepSpec::try_run_observed) run seeds on
+    /// any number of threads and still merge results bit-for-bit
+    /// identical to the serial run.
     fn run_one_seed(
         &self,
         testbed: &Testbed,
@@ -1006,6 +909,7 @@ impl SweepSpec {
 mod tests {
     use super::*;
     use crate::policy::{Beamforming, Dot11n, NPlus, Oracle};
+    use nplus_channel::environment::BUILTIN_ENVIRONMENT_NAMES;
     use nplus_channel::placement::Testbed;
 
     /// Regression: `ci95_total_mbps` used the z = 1.96 normal
@@ -1061,26 +965,11 @@ mod tests {
                 .threads(threads)
                 .run()
         };
-        let serial = spec(1);
+        // `{:?}` prints every float round-trip exactly: equal text is
+        // equal bits, over every field.
+        let serial = format!("{:?}", spec(1));
         for threads in [2usize, 4, 0] {
-            let par = spec(threads);
-            assert_eq!(serial.len(), par.len());
-            for (s, p) in serial.iter().zip(&par) {
-                assert_eq!(s.policy, p.policy, "{threads} threads");
-                assert_eq!(s.n_runs, p.n_runs, "{threads} threads");
-                assert_eq!(s.mean_total_mbps, p.mean_total_mbps, "{threads} threads");
-                assert_eq!(s.ci95_total_mbps, p.ci95_total_mbps, "{threads} threads");
-                assert_eq!(
-                    s.mean_per_flow_mbps, p.mean_per_flow_mbps,
-                    "{threads} threads"
-                );
-                assert_eq!(s.mean_dof, p.mean_dof, "{threads} threads");
-                assert_eq!(
-                    s.mean_fairness.to_bits(),
-                    p.mean_fairness.to_bits(),
-                    "{threads} threads"
-                );
-            }
+            assert_eq!(serial, format!("{:?}", spec(threads)), "{threads} threads");
         }
     }
 
@@ -1204,6 +1093,33 @@ mod tests {
             assert_eq!(r.mean_per_flow_mbps, s.mean_per_flow_mbps);
             assert_eq!(r.mean_dof, s.mean_dof);
             assert_eq!(r.mean_fairness.to_bits(), s.mean_fairness.to_bits());
+        }
+    }
+
+    /// `try_run_observed` hands back, in seed order, the observer built
+    /// for each (seed index, policy index), having heard that run
+    /// labeled with the spec's canonical key.
+    #[test]
+    fn try_run_observed_returns_each_runs_observer() {
+        struct Tap((usize, usize), Option<u128>);
+        impl RoundObserver for Tap {
+            fn on_run_start(&mut self, meta: &crate::observer::RunMeta) {
+                self.1 = meta.identity.as_ref().and_then(|id| id.canonical_key);
+            }
+        }
+        let spec = SweepSpec::new(Scenario::three_pairs())
+            .rounds(3)
+            .seeds([5u64, 2, 9])
+            .policy(NPlus)
+            .policy(Dot11n)
+            .threads(2);
+        let key = Some(spec.canonical().unwrap().key());
+        let runs = spec.try_run_observed(|i, p| Tap((i, p), None)).unwrap();
+        let seeds: Vec<u64> = runs.iter().map(|(r, _)| r.seed).collect();
+        assert_eq!(seeds, [5, 2, 9]);
+        for (i, (_, taps)) in runs.iter().enumerate() {
+            let heard: Vec<_> = taps.iter().map(|t| (t.0, t.1)).collect();
+            assert_eq!(heard, [((i, 0), key), ((i, 1), key)]);
         }
     }
 
@@ -1388,6 +1304,38 @@ mod tests {
         }
     }
 
+    /// Regression: zero rounds and an empty seed list ran to `NaN` /
+    /// `-0.00` statistics through `try_run` while the canonical form
+    /// rejected them. The one validator now refuses both on every
+    /// entry point, with the wire protocol's error text.
+    #[test]
+    fn degenerate_specs_are_invalid_everywhere() {
+        for (spec, want) in [
+            (
+                SweepSpec::new(Scenario::three_pairs())
+                    .rounds(0)
+                    .seed_count(3),
+                "invalid spec: zero rounds",
+            ),
+            (
+                SweepSpec::new(Scenario::three_pairs())
+                    .rounds(5)
+                    .seed_count(0),
+                "invalid spec: empty seed list",
+            ),
+        ] {
+            let errs = [
+                spec.try_run().unwrap_err(),
+                seed_results(&spec, 0).unwrap_err(),
+                spec.canonical().unwrap_err(),
+            ];
+            for err in errs {
+                assert!(matches!(err, SweepError::InvalidSpec(_)), "{err:?}");
+                assert_eq!(err.to_string(), want);
+            }
+        }
+    }
+
     /// The canonical key is a pure function of the spec's identity:
     /// builder-call order and the thread count don't move it, while any
     /// change to scenario/environment/policies/seeds/rounds does.
@@ -1474,9 +1422,11 @@ mod tests {
         }
     }
 
-    /// `CanonicalSpec::to_spec` reconstructs a spec whose results are
-    /// bit-identical to the original's, at 1 and 2 threads — the
-    /// cache-correctness contract end to end.
+    /// A spec rebuilt from nothing but its canonical record's fields
+    /// (different builder order, 1 and 2 threads) canonicalizes back to
+    /// the same record and runs to bit-identical statistics (`f64`'s
+    /// `Debug` form round-trips exactly) — the cache-correctness
+    /// contract end to end.
     #[test]
     fn canonical_roundtrip_reproduces_results_bitwise() {
         let spec = SweepSpec::new(Scenario::ap_downlink())
@@ -1487,28 +1437,35 @@ mod tests {
             .environment_named("rich_scatter")
             .unwrap();
         let canon = spec.canonical().expect("canonicalizable");
-        let direct = spec.try_run().expect("runs");
+        let direct = format!("{:?}", spec.try_run().expect("runs"));
+        let flows = canon
+            .flows
+            .iter()
+            .map(|&(tx, rx)| crate::sim::Flow { tx, rx });
         for threads in [1usize, 2] {
-            let rebuilt = canon.to_spec(threads).expect("reconstructs");
-            let stats = rebuilt.try_run().expect("runs");
-            assert_eq!(direct.len(), stats.len(), "{threads} threads");
-            for (a, b) in direct.iter().zip(&stats) {
-                assert_eq!(a.policy, b.policy, "{threads} threads");
-                assert_eq!(a.mean_total_mbps, b.mean_total_mbps, "{threads} threads");
-                assert_eq!(a.ci95_total_mbps, b.ci95_total_mbps, "{threads} threads");
-                assert_eq!(a.mean_per_flow_mbps, b.mean_per_flow_mbps);
-                assert_eq!(a.mean_dof, b.mean_dof);
-                assert_eq!(a.mean_fairness.to_bits(), b.mean_fairness.to_bits());
-            }
+            let scenario = Scenario {
+                antennas: canon.antennas.clone(),
+                flows: flows.clone().collect(),
+            };
+            let rebuilt = (canon.policies.iter())
+                .fold(SweepSpec::new(scenario), |s, p| s.policy_named(p).unwrap())
+                .environment_named(&canon.environment)
+                .unwrap()
+                .seeds(canon.seeds.clone())
+                .traffic(canon.traffic)
+                .mobility(canon.mobility)
+                .sinr_grid(canon.sinr_grid)
+                .threads(threads)
+                .rounds(canon.rounds);
+            assert_eq!(rebuilt.canonical().unwrap(), canon, "{threads} threads");
+            let stats = format!("{:?}", rebuilt.try_run().expect("runs"));
+            assert_eq!(direct, stats, "{threads} threads");
         }
-        // And the canonical form survives its own roundtrip.
-        assert_eq!(canon.to_spec(1).unwrap().canonical().unwrap(), canon);
     }
 
     /// Traffic and mobility are canonical (key-moving) fields, not
     /// canonicalization failures: non-default models encode into the
-    /// key, parameter changes move it, and the full round-trip through
-    /// `to_spec` reproduces results bitwise.
+    /// key and parameter changes move it.
     #[test]
     fn traffic_and_mobility_are_canonical_fields() {
         let fresh = || {
@@ -1547,15 +1504,6 @@ mod tests {
             .unwrap();
         assert_ne!(p2.key(), p_canon.key(), "poisson mean must move the key");
 
-        // Round-trip: the reconstructed spec reruns bitwise.
-        let direct = p_spec.try_run().expect("runs");
-        let rebuilt = p_canon.to_spec(2).expect("reconstructs").try_run().unwrap();
-        for (a, b) in direct.iter().zip(&rebuilt) {
-            assert_eq!(a.mean_total_mbps, b.mean_total_mbps);
-            assert_eq!(a.mean_per_flow_mbps, b.mean_per_flow_mbps);
-        }
-        assert_eq!(p_canon.to_spec(1).unwrap().canonical().unwrap(), p_canon);
-
         // Invalid model parameters are typed errors everywhere.
         let bad = TrafficModel::Poisson {
             mean_per_round: f64::NAN,
@@ -1568,18 +1516,11 @@ mod tests {
             fresh().traffic(bad).canonical(),
             Err(SweepError::InvalidSpec(_))
         ));
-        assert!(matches!(
-            CanonicalSpec::new(&Scenario::three_pairs(), "sigcomm11", &[], vec![0], 5)
-                .unwrap()
-                .with_traffic(bad),
-            Err(SweepError::InvalidSpec(_))
-        ));
     }
 
     /// The SINR grid tier is a canonical (key-moving) field: a decimated
-    /// run can never be served from a full-grid cache entry, the k
-    /// parameter is part of the identity, and the round-trip through
-    /// `to_spec` preserves the tier.
+    /// run can never be served from a full-grid cache entry, and the k
+    /// parameter is part of the identity.
     #[test]
     fn sinr_grid_is_a_canonical_field() {
         let fresh = || {
@@ -1598,15 +1539,6 @@ mod tests {
             .canonical()
             .unwrap();
         assert_ne!(dec8.key(), dec_canon.key(), "k must move the key");
-
-        // Round-trip: tier survives reconstruction and reruns bitwise.
-        let rebuilt = dec_canon.to_spec(1).expect("reconstructs");
-        assert_eq!(rebuilt.canonical().unwrap(), dec_canon);
-        let direct = dec.try_run().expect("runs");
-        let again = rebuilt.try_run().expect("runs");
-        for (a, b) in direct.iter().zip(&again) {
-            assert_eq!(a.mean_total_mbps.to_bits(), b.mean_total_mbps.to_bits());
-        }
 
         // Invalid tiers are typed errors everywhere.
         assert!(matches!(
@@ -1641,29 +1573,6 @@ mod tests {
             &SweepSpec::new(Scenario::three_pairs()).config(tweaked_cfg),
             "config deviates",
         );
-        // Invalid requests are typed errors from the constructor too.
-        assert!(matches!(
-            CanonicalSpec::new(&Scenario::three_pairs(), "vacuum", &[], vec![0], 5),
-            Err(SweepError::UnknownEnvironment(n)) if n == "vacuum"
-        ));
-        assert!(matches!(
-            CanonicalSpec::new(
-                &Scenario::three_pairs(),
-                "sigcomm11",
-                &["aloha".to_string()],
-                vec![0],
-                5
-            ),
-            Err(SweepError::UnknownPolicy(n)) if n == "aloha"
-        ));
-        assert!(matches!(
-            CanonicalSpec::new(&Scenario::three_pairs(), "sigcomm11", &[], vec![], 5),
-            Err(SweepError::InvalidSpec(m)) if m.contains("seed")
-        ));
-        assert!(matches!(
-            CanonicalSpec::new(&Scenario::three_pairs(), "sigcomm11", &[], vec![0], 0),
-            Err(SweepError::InvalidSpec(m)) if m.contains("rounds")
-        ));
     }
 
     /// Oracle plugs into sweeps like any other policy and reports under
@@ -1683,6 +1592,54 @@ mod tests {
         assert!(SweepSpec::new(Scenario::three_pairs())
             .policy_named("aloha")
             .is_err());
+    }
+
+    /// The v3 canonical encoding is a cache contract: these keys were
+    /// captured from the encoding as shipped, and every later build must
+    /// reproduce them exactly — the default trio, a non-saturated traffic
+    /// model (what a `load:poisson:0.5/` scenario prefix resolves to),
+    /// waypoint mobility, a decimated SINR grid, and a non-default
+    /// environment with explicit policies and an unsorted seed list.
+    #[test]
+    fn canonical_keys_are_pinned() {
+        let base = || {
+            SweepSpec::new(Scenario::three_pairs())
+                .rounds(5)
+                .seed_count(4)
+        };
+        let cases = [
+            (base(), "ee28e223ab46e181e298eee9e68031ab"),
+            (
+                base().traffic(TrafficModel::Poisson {
+                    mean_per_round: 0.5,
+                }),
+                "1b27d5f6aebefd61d747b5755a9730df",
+            ),
+            (
+                base().mobility(MobilityModel::Waypoint {
+                    step_m: 2.0,
+                    epoch_rounds: 3,
+                }),
+                "ee2827f11a838dce2729e724b04cb021",
+            ),
+            (
+                base().sinr_grid(SinrGrid::Decimated(4)),
+                "83e8d737c4b3b491d86e1ec4b8c6dc0e",
+            ),
+            (
+                SweepSpec::new(Scenario::ap_downlink())
+                    .rounds(5)
+                    .seeds([3u64, 1])
+                    .policy(NPlus)
+                    .policy(Oracle)
+                    .environment_named("outdoor")
+                    .unwrap(),
+                "7db1540c9222e3d2177f28b0bdaf4e06",
+            ),
+        ];
+        for (i, (spec, want)) in cases.iter().enumerate() {
+            assert_eq!(spec.canonical().unwrap().key_hex(), *want, "case {i}");
+        }
     }
 
     proptest::proptest! {

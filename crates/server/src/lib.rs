@@ -7,9 +7,12 @@
 //! [`SweepStats`](nplus::sim::SweepStats) as JSON.
 //!
 //! The load-bearing feature is the **content-addressed result cache**:
-//! every request is normalized into a
-//! [`CanonicalSpec`](nplus::sim::CanonicalSpec) and keyed by the
-//! 128-bit hash of its canonical bytes. Because the sweep engine is a
+//! every request is resolved once into a
+//! [`SweepSpec`](nplus::sim::SweepSpec) by
+//! [`SweepRequest::to_spec`] — the one resolver from text to a spec,
+//! which the `sweep` CLI shares — and keyed by the 128-bit hash of that
+//! spec's [`CanonicalSpec`](nplus::sim::CanonicalSpec); a miss runs the
+//! same resolved spec. Because the sweep engine is a
 //! pure function of those fields — bit-for-bit identical across thread
 //! counts and repeat runs — a repeated request is served from the cache
 //! instantly, marked `"cache_hit": true`, and is bit-identical to the

@@ -53,7 +53,8 @@
 //! never as an invalid JSON token.
 
 use crate::json::{self, Json};
-use nplus::sim::{CanonicalSpec, MobilityModel, SinrGrid, SweepStats, TrafficModel};
+use nplus::policy::BUILTIN_POLICY_NAMES;
+use nplus::sim::{CanonicalSpec, MobilityModel, SinrGrid, SweepSpec, SweepStats, TrafficModel};
 use nplus_channel::environment::environment_from_name;
 /// The statistics serializer, shared with the sweep report; re-exported
 /// here so response consumers keep one import path.
@@ -160,16 +161,21 @@ pub struct SweepRequest {
 }
 
 impl SweepRequest {
-    /// Resolves the textual request into the content-addressable
-    /// [`CanonicalSpec`] the cache and executor run on.
+    /// The one resolver from a textual sweep to a runnable [`SweepSpec`]
+    /// — shared by the server and the `sweep` CLI: looks up the
+    /// environment (whose capacity sizes `random:`/`city:` draws),
+    /// parses the scenario grammar, and resolves the policies by name.
+    /// Structural checks (empty seeds, zero rounds, invalid models) are
+    /// the spec's own validator's, run by [`SweepSpec::canonical`] and
+    /// every run entry point.
     ///
     /// # Errors
-    /// A one-line message for every malformed part: unknown
-    /// environment, unparseable scenario spec, unknown policy, empty
-    /// seeds, zero rounds.
-    pub fn to_canonical(&self) -> Result<CanonicalSpec, String> {
-        let env = environment_from_name(&self.environment)
-            .ok_or_else(|| format!("unknown environment {:?}", self.environment))?;
+    /// A one-line message for every part the resolver rejects: unknown
+    /// environment, unparseable scenario spec, a traffic model given
+    /// both as a `load:` prefix and as a member, unknown policy.
+    pub fn to_spec(&self) -> Result<SweepSpec, String> {
+        let unknown_env = || format!("unknown environment {:?}", self.environment);
+        let env = environment_from_name(&self.environment).ok_or_else(unknown_env)?;
         let parsed = parse_spec(&self.scenario, env.capacity())?;
         if parsed.traffic.is_some() && self.traffic.is_some() {
             return Err(
@@ -178,19 +184,32 @@ impl SweepRequest {
                     .to_string(),
             );
         }
-        let traffic = parsed.traffic.or(self.traffic).unwrap_or_default();
-        let mobility = self.mobility.unwrap_or_default();
-        CanonicalSpec::new(
-            &parsed.scenario,
-            &self.environment,
-            &self.policies,
-            self.seeds.clone(),
-            self.rounds,
-        )
-        .and_then(|c| c.with_traffic(traffic))
-        .and_then(|c| c.with_mobility(mobility))
-        .and_then(|c| c.with_sinr_grid(self.sinr_grid.unwrap_or_default()))
-        .map_err(|e| e.to_string())
+        let mut spec = SweepSpec::new(parsed.scenario)
+            .environment_named(&self.environment)
+            .map_err(|_| unknown_env())?
+            .rounds(self.rounds)
+            .traffic(parsed.traffic.or(self.traffic).unwrap_or_default())
+            .mobility(self.mobility.unwrap_or_default())
+            .sinr_grid(self.sinr_grid.unwrap_or_default())
+            .seeds(self.seeds.iter().copied())
+            .threads(self.threads);
+        for name in &self.policies {
+            spec = spec.policy_named(name).map_err(|unknown| {
+                format!("unknown policy {unknown:?} (try {BUILTIN_POLICY_NAMES:?})")
+            })?;
+        }
+        Ok(spec)
+    }
+
+    /// The request's content-addressable [`CanonicalSpec`]:
+    /// [`to_spec`](SweepRequest::to_spec), then
+    /// [`SweepSpec::canonical`].
+    ///
+    /// # Errors
+    /// As [`to_spec`](SweepRequest::to_spec), plus the spec validator's
+    /// `invalid spec: …` messages (empty seed list, zero rounds).
+    pub fn to_canonical(&self) -> Result<CanonicalSpec, String> {
+        self.to_spec()?.canonical().map_err(|e| e.to_string())
     }
 }
 
@@ -537,84 +556,156 @@ mod tests {
             sinr_grid: None,
             threads: 4,
         };
+        // `req` with one edit applied.
+        let with = |edit: &dyn Fn(&mut SweepRequest)| {
+            let mut r = req.clone();
+            edit(&mut r);
+            r
+        };
+        let key = |edit: &dyn Fn(&mut SweepRequest)| with(edit).to_canonical().unwrap().key();
+        let err = |edit: &dyn Fn(&mut SweepRequest)| with(edit).to_canonical().unwrap_err();
         let canon = req.to_canonical().unwrap();
         assert_eq!(canon.environment, "sigcomm11");
         assert_eq!(canon.policies, ["dot11n", "beamforming", "nplus"]);
         assert_eq!(canon.rounds, 3);
         // Threads never enter the canonical form.
-        let serial = SweepRequest {
-            threads: 1,
-            ..req.clone()
-        };
-        assert_eq!(serial.to_canonical().unwrap().key(), canon.key());
+        assert_eq!(key(&|r| r.threads = 1), canon.key());
         // Traffic and mobility ARE canonical: they move the key, and
         // the load: scenario prefix is the same key as the member form.
         let poisson = TrafficModel::Poisson {
             mean_per_round: 0.5,
         };
-        let member = SweepRequest {
-            traffic: Some(poisson),
-            ..req.clone()
-        };
-        let member_key = member.to_canonical().unwrap().key();
+        let member_key = key(&|r| r.traffic = Some(poisson));
         assert_ne!(member_key, canon.key());
-        let prefixed = SweepRequest {
-            scenario: "load:poisson:0.5/pairs:2".to_string(),
-            ..req.clone()
+        assert_eq!(
+            key(&|r| r.scenario = "load:poisson:0.5/pairs:2".to_string()),
+            member_key
+        );
+        let waypoint = MobilityModel::Waypoint {
+            step_m: 2.0,
+            epoch_rounds: 4,
         };
-        assert_eq!(prefixed.to_canonical().unwrap().key(), member_key);
-        let moving = SweepRequest {
-            mobility: Some(MobilityModel::Waypoint {
-                step_m: 2.0,
-                epoch_rounds: 4,
-            }),
-            ..req.clone()
-        };
-        assert_ne!(moving.to_canonical().unwrap().key(), canon.key());
+        assert_ne!(key(&|r| r.mobility = Some(waypoint)), canon.key());
         // The SINR grid tier is canonical too: a decimated request must
         // never alias the full-grid cache entry, and k is part of it.
-        let decimated = SweepRequest {
-            sinr_grid: Some(SinrGrid::Decimated(4)),
-            ..req.clone()
-        };
-        let dec_key = decimated.to_canonical().unwrap().key();
+        let dec_key = key(&|r| r.sinr_grid = Some(SinrGrid::Decimated(4)));
         assert_ne!(dec_key, canon.key());
-        let decimated8 = SweepRequest {
-            sinr_grid: Some(SinrGrid::Decimated(8)),
-            ..req.clone()
+        assert_ne!(
+            key(&|r| r.sinr_grid = Some(SinrGrid::Decimated(8))),
+            dec_key
+        );
+        // Every malformed part maps to its one-line wire error, verbatim
+        // — including both traffic spellings at once, which is ambiguous.
+        assert_eq!(
+            err(&|r| {
+                r.scenario = "load:saturated/pairs:2".to_string();
+                r.traffic = Some(poisson);
+            }),
+            "give the traffic model in the load: scenario prefix or the \"traffic\" member, \
+             not both"
+        );
+        assert_eq!(
+            err(&|r| r.environment = "vacuum".to_string()),
+            "unknown environment \"vacuum\""
+        );
+        assert_eq!(
+            err(&|r| r.scenario = "pairs:999".to_string()),
+            "pairs:<n> needs 1..=8"
+        );
+        assert_eq!(
+            err(&|r| r.policies = vec!["aloha".to_string()]),
+            "unknown policy \"aloha\" (try [\"dot11n\", \"beamforming\", \"nplus\", \
+             \"greedy_join\", \"oracle\"])"
+        );
+        assert_eq!(err(&|r| r.seeds.clear()), "invalid spec: empty seed list");
+        assert_eq!(err(&|r| r.rounds = 0), "invalid spec: zero rounds");
+    }
+
+    /// Equal canonical keys mean bitwise-equal statistics, however the
+    /// sweep was spelled: through the resolver or the builder, in any
+    /// builder-call order, at 1 or 2 threads, with no policies or the
+    /// default trio named, with the `load:` prefix or the `"traffic"`
+    /// member — for the defaults and with every keyed model set.
+    /// (`{:?}` prints every float round-trip exactly, so equal text is
+    /// equal bits.)
+    #[test]
+    fn equal_keys_run_to_bitwise_equal_stats() {
+        use nplus::sim::Scenario;
+        let poisson = TrafficModel::Poisson {
+            mean_per_round: 0.5,
         };
-        assert_ne!(decimated8.to_canonical().unwrap().key(), dec_key);
-        // Both spellings at once is ambiguous, hence an error.
-        let both = SweepRequest {
-            scenario: "load:saturated/pairs:2".to_string(),
+        let waypoint = MobilityModel::Waypoint {
+            step_m: 2.0,
+            epoch_rounds: 2,
+        };
+        let trio = ["dot11n", "beamforming", "nplus"];
+        let plain = SweepRequest {
+            scenario: "three_pairs".to_string(),
+            environment: "sigcomm11".to_string(),
+            policies: vec![],
+            seeds: vec![2, 0],
+            rounds: 4,
+            traffic: None,
+            mobility: None,
+            sinr_grid: None,
+            threads: 1,
+        };
+        let modeled = SweepRequest {
+            environment: "rich_scatter".to_string(),
             traffic: Some(poisson),
-            ..req.clone()
+            mobility: Some(waypoint),
+            sinr_grid: Some(SinrGrid::Decimated(4)),
+            ..plain.clone()
         };
-        assert!(both.to_canonical().is_err());
-        // Every malformed part maps to an error string.
-        for bad in [
-            SweepRequest {
-                environment: "vacuum".to_string(),
-                ..req.clone()
-            },
-            SweepRequest {
-                scenario: "pairs:999".to_string(),
-                ..req.clone()
-            },
-            SweepRequest {
-                policies: vec!["aloha".to_string()],
-                ..req.clone()
-            },
-            SweepRequest {
-                seeds: vec![],
-                ..req.clone()
-            },
-            SweepRequest {
-                rounds: 0,
-                ..req.clone()
-            },
-        ] {
-            assert!(bad.to_canonical().is_err(), "{bad:?}");
+        let mut builder = SweepSpec::new(Scenario::three_pairs()).threads(2);
+        for name in trio {
+            builder = builder.policy_named(name).unwrap();
+        }
+        let groups = [
+            [
+                plain.to_spec().unwrap(),
+                SweepRequest {
+                    policies: trio.map(str::to_string).to_vec(),
+                    threads: 2,
+                    ..plain.clone()
+                }
+                .to_spec()
+                .unwrap(),
+                SweepSpec::new(Scenario::three_pairs())
+                    .rounds(4)
+                    .seeds([2, 0]),
+            ],
+            [
+                modeled.to_spec().unwrap(),
+                SweepRequest {
+                    scenario: "load:poisson:0.5/three_pairs".to_string(),
+                    traffic: None,
+                    threads: 2,
+                    ..modeled.clone()
+                }
+                .to_spec()
+                .unwrap(),
+                builder
+                    .sinr_grid(SinrGrid::Decimated(4))
+                    .mobility(waypoint)
+                    .seeds([2, 0])
+                    .traffic(poisson)
+                    .rounds(4)
+                    .environment_named("rich_scatter")
+                    .unwrap(),
+            ],
+        ];
+        for (g, specs) in groups.iter().enumerate() {
+            let key = specs[0].canonical().unwrap().key();
+            let stats = format!("{:?}", specs[0].try_run().unwrap());
+            for (i, spec) in specs.iter().enumerate() {
+                assert_eq!(spec.canonical().unwrap().key(), key, "group {g} spec {i}");
+                assert_eq!(
+                    format!("{:?}", spec.try_run().unwrap()),
+                    stats,
+                    "group {g} spec {i}"
+                );
+            }
         }
     }
 

@@ -121,23 +121,23 @@ fn handle_connection(
     Ok(())
 }
 
-/// Resolves, caches and serves one sweep request. Every malformed part
-/// becomes an error response; the compute path is the same
-/// deterministic executor the CLI uses, so cached and cold responses
-/// are bit-identical.
+/// Resolves, caches and serves one sweep request: the request is
+/// resolved once into a [`SweepSpec`](nplus::sim::SweepSpec) (the same
+/// resolver the `sweep` CLI uses), keyed by its canonical form, and on a
+/// miss that same spec runs. Every malformed part becomes an error
+/// response; cached and cold responses are bit-identical.
 fn serve_sweep(req: &SweepRequest, cache: &ResultCache) -> crate::json::Json {
-    let canon = match req.to_canonical() {
-        Ok(c) => c,
+    let spec = match req.to_spec() {
+        Ok(spec) => spec,
         Err(msg) => return error_response(&msg),
+    };
+    let canon = match spec.canonical() {
+        Ok(canon) => canon,
+        Err(e) => return error_response(&e.to_string()),
     };
     // nplus:allow(DET001): elapsed_ms is honest serving latency — it never feeds the result.
     let started = Instant::now();
-    let served = cache.get_or_compute(canon.key(), || {
-        canon
-            .to_spec(req.threads)
-            .and_then(|spec| spec.try_run())
-            .map_err(|e| e.to_string())
-    });
+    let served = cache.get_or_compute(canon.key(), || spec.try_run().map_err(|e| e.to_string()));
     match served {
         Ok((stats, cache_hit)) => sweep_response(
             &canon.key_hex(),
