@@ -4,7 +4,8 @@
 //!
 //! * the per-run arena: after the warm-up rounds have grown the
 //!   `Scratch` pools and the round buffers to their high-water marks, a
-//!   steady-state round performs **zero** heap allocations;
+//!   steady-state round performs **zero** heap allocations — the
+//!   oracle's memoized schedules included;
 //! * copy-on-write channel tables: a waypoint-mobility run's set-up
 //!   shares the engine's tables instead of copying them, so it
 //!   allocates per *moved* link, not per link.
@@ -21,7 +22,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use nplus::observer::{RoundObserver, RoundRecord, RunMeta};
-use nplus::policy::NPlus;
+use nplus::policy::{NPlus, Oracle};
 use nplus::sim::{MobilityModel, SimConfig, SimEngine};
 use nplus_channel::environment::{ChannelEnvironment, MULTI_CELL};
 use nplus_channel::placement::Testbed;
@@ -144,6 +145,51 @@ fn steady_state_rounds_allocate_nothing() {
             count - steady,
             WARMUP - 1,
             round,
+        );
+    }
+}
+
+/// The oracle plans each distinct schedule state once per run; a round
+/// whose state it has met before replays the stored schedule, building
+/// its key in place and cloning nothing. Two 3-client downlink cells
+/// rotate their fair allocation with `round % 3`, so the schedule
+/// states repeat with period 3: once the warm-up has seen every phase,
+/// every round is a memo hit and must leave the counter untouched (a
+/// miss plans candidate rounds and allocates).
+#[test]
+fn oracle_memo_hit_rounds_allocate_nothing() {
+    const ROUNDS: usize = 40;
+    const WARMUP: usize = 10;
+
+    let scenario = ScenarioGenerator::new(42).multi_ap(2, 3);
+    let testbed = Testbed::try_fitting(scenario.antennas.len()).unwrap_or_else(|e| panic!("{e}"));
+    let cfg = SimConfig {
+        rounds: ROUNDS,
+        ..SimConfig::default()
+    };
+    let mut placement_rng = StdRng::seed_from_u64(3);
+    let topo = build_topology(
+        &testbed,
+        &TopologyConfig::new(scenario.antennas.clone()),
+        cfg.ofdm.bandwidth_hz,
+        3,
+        &mut placement_rng,
+    );
+    let engine = SimEngine::new(&topo, &scenario, &cfg);
+
+    let mut ledger = AllocLedger::with_rounds(ROUNDS);
+    let mut rng = StdRng::seed_from_u64(11);
+    let result = engine.run(&Oracle, &mut rng, &mut ledger, None);
+    assert!(result.total_mbps > 0.0);
+    assert_eq!(ledger.counts.len(), ROUNDS);
+
+    let steady = ledger.counts[WARMUP - 1];
+    for (round, &count) in ledger.counts.iter().enumerate().skip(WARMUP) {
+        assert_eq!(
+            count,
+            steady,
+            "oracle round {round} allocated {} time(s) after warm-up",
+            count - steady,
         );
     }
 }

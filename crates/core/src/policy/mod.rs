@@ -171,6 +171,13 @@ impl<'a> PolicyView<'a> {
 /// engine may re-plan a round while searching, and sweeps share one
 /// policy value across worker threads — hence `Send + Sync`).
 ///
+/// The allocation hooks must be pure functions of their arguments: the
+/// same view, transmitter, `k_used` and round always give the same
+/// pairs. The engine relies on it for a
+/// [`perfect_knowledge`](MacPolicy::perfect_knowledge) omniscient
+/// policy, whose schedule it plans once per distinct set of allocations
+/// and then replays.
+///
 /// Every hook has a default that matches n+ behaviour except
 /// [`primary_allocation`](MacPolicy::primary_allocation), which each
 /// policy must define.
@@ -181,7 +188,8 @@ pub trait MacPolicy: Send + Sync {
     fn name(&self) -> &str;
 
     /// Streams the round's primary winner transmits, as
-    /// `(flow, n_streams)` pairs. Empty means the winner declines.
+    /// `(flow, n_streams)` pairs. Empty means the winner declines. Must
+    /// be a pure function of its arguments (see the trait docs).
     fn primary_allocation(&self, view: &PolicyView, tx: usize, round: usize)
         -> Vec<(usize, usize)>;
 
@@ -211,7 +219,8 @@ pub trait MacPolicy: Send + Sync {
     }
 
     /// Streams a secondary winner adds with `k_used` degrees of freedom
-    /// already occupied. Defaults to the fair allocator.
+    /// already occupied. Defaults to the fair allocator. Must be a pure
+    /// function of its arguments (see the trait docs).
     fn join_allocation(
         &self,
         view: &PolicyView,

@@ -14,7 +14,13 @@ use super::{AllocScratch, MacPolicy, PolicyView};
 /// knowledge makes each evaluation deterministic and its nulls exact:
 /// no contention slots, no collisions, no hardware-error residuals, and
 /// every stream's realized ESNR equals its planned ESNR, so selected
-/// rates always deliver.
+/// rates always deliver (the `protocol_invariants` suite checks it on
+/// every round).
+///
+/// The search is a pure function of the round's schedule state — the
+/// backlogged transmitters and their allocations — and of the channels,
+/// so the engine evaluates each distinct schedule state once per run and
+/// replays the stored schedule when the state recurs.
 ///
 /// Join power control is off: §4 exists to bound the damage of
 /// *imperfect* cancellation, and the oracle's cancellation is exact.

@@ -156,6 +156,13 @@ struct Scratch {
     /// Memoized opening plans keyed by `(tx, flow, n_streams)`; `None`
     /// records a rate-selection failure (also a pure topology fact).
     first_plans: Vec<((usize, usize, usize), Option<FirstPlan>)>,
+    /// The omniscient schedule key of the round being planned (see
+    /// [`SimEngine::schedule_key_into`]), built in place every round.
+    schedule_key: Vec<usize>,
+    /// Memoized omniscient rounds keyed by schedule state, at most
+    /// [`MAX_SCHEDULES`] of them; `None` records a round no candidate
+    /// could transmit in.
+    schedules: Vec<(Vec<usize>, Option<CandidateRound>)>,
     /// Believed channels to protected receivers, flat `[p * n_eval + e]`.
     bp: Vec<CMatrixSoA>,
     /// Audibility per protected receiver (`false`: below the floor, no
@@ -194,6 +201,12 @@ struct RoundBufs {
     cws: Vec<u32>,
     draws: Vec<u32>,
 }
+
+/// Bound on the omniscient schedule memo: a run that meets more distinct
+/// schedule states than this starts the memo over. Steady workloads
+/// cycle through a handful (the allocation rotation period); the bound
+/// only caps memory and lookup time on a run whose queues keep changing.
+const MAX_SCHEDULES: usize = 64;
 
 /// One fully evaluated omniscient-scheduler candidate: the outcome of
 /// forcing a particular primary transmitter for the round.
@@ -1033,8 +1046,10 @@ impl<'a> SimEngine<'a> {
         for round in 0..self.cfg.rounds {
             if let Some(m) = mobility.as_mut() {
                 if m.advance(&self.cache, round, rng) {
-                    // Channels moved: memoized opening plans are stale.
+                    // Channels moved: memoized opening plans and
+                    // schedules are stale.
                     scratch.first_plans.clear();
+                    scratch.schedules.clear();
                 }
             }
             // The mobility-rescaled per-run cache shadows the engine's
@@ -1370,6 +1385,13 @@ impl<'a> SimEngine<'a> {
     /// consumed) and keep the schedule delivering the most bits per unit
     /// airtime. Ties keep the earlier transmitter, so the search is
     /// fully deterministic.
+    ///
+    /// Under [`perfect_knowledge`](MacPolicy::perfect_knowledge) the
+    /// winning schedule is a pure function of the round's schedule key
+    /// (see [`schedule_key_into`](SimEngine::schedule_key_into)) and the
+    /// run's channels, so it is planned once per distinct key and
+    /// replayed from `scratch.schedules` afterwards: a hit re-emits the
+    /// stored events under the current round and allocates nothing.
     #[allow(clippy::too_many_arguments)]
     fn omniscient_round(
         &self,
@@ -1383,7 +1405,29 @@ impl<'a> SimEngine<'a> {
         rng: &mut StdRng,
         obs: &mut dyn RoundObserver,
     ) {
-        let cfg = self.cfg;
+        let memo = policy.perfect_knowledge();
+        if memo {
+            self.schedule_key_into(
+                policy,
+                round,
+                active,
+                traffic,
+                bufs,
+                &mut scratch.schedule_key,
+            );
+            let key = scratch.schedule_key.as_slice();
+            if let Some((_, best)) = scratch.schedules.iter().find(|(k, _)| k == key) {
+                self.emit_schedule(
+                    round,
+                    active.len(),
+                    best.as_ref(),
+                    traffic,
+                    &mut bufs.round_bits,
+                    obs,
+                );
+                return;
+            }
+        }
         let mut best: Option<CandidateRound> = None;
         for &t in active {
             if let Some(cand) =
@@ -1404,41 +1448,104 @@ impl<'a> SimEngine<'a> {
                 }
             }
         }
-        match best {
-            Some(c) => {
-                traffic.note_serviced(c.streams.iter().map(|s| s.flow));
-                obs.on_contention(&ContentionRecord {
-                    round,
-                    kind: ContentionKind::Scheduled,
-                    n_contenders: active.len(),
-                    winner: c.primary,
-                    slots: 0,
-                });
-                for &(tx, n_streams) in &c.joins {
-                    obs.on_join(&JoinRecord {
-                        round,
-                        tx,
-                        n_streams,
-                        accepted: true,
-                    });
-                }
-                obs.on_round_end(&RoundRecord {
-                    round,
-                    body_symbols: c.body_symbols,
-                    duration_samples: c.duration_samples,
-                    flow_bits: &c.flow_bits,
-                    streams: &c.streams,
-                });
+        let best = if memo {
+            if scratch.schedules.len() >= MAX_SCHEDULES {
+                scratch.schedules.clear();
             }
-            // No candidate could transmit at all: an idle DIFS-bounded
-            // round, mirroring the contended path's failure charge.
-            None => self.emit_idle_round(
-                round,
-                cfg.timing.difs + cfg.timing.difs,
-                &mut bufs.round_bits,
-                obs,
-            ),
+            scratch.schedules.push((scratch.schedule_key.clone(), best));
+            scratch.schedules[scratch.schedules.len() - 1].1.as_ref()
+        } else {
+            best.as_ref()
+        };
+        self.emit_schedule(
+            round,
+            active.len(),
+            best,
+            traffic,
+            &mut bufs.round_bits,
+            obs,
+        );
+    }
+
+    /// Writes the omniscient schedule key of `round` into `key`: the
+    /// backlogged transmitters, then for each of them its primary
+    /// allocation and its join allocation at every `k_used < n_ant`,
+    /// each pruned to backlogged flows and prefixed by its length.
+    /// These are all the inputs [`forced_round`](SimEngine::forced_round)
+    /// reads besides the channels — a joiner always has `n_ant > k_used`
+    /// — so two rounds with equal keys plan the same schedule. Taking
+    /// the allocations themselves, not `round`, keys a rotating
+    /// allocator by its rotation period whatever the period is.
+    fn schedule_key_into(
+        &self,
+        policy: &dyn MacPolicy,
+        round: usize,
+        active: &[usize],
+        traffic: &TrafficState,
+        bufs: &mut RoundBufs,
+        key: &mut Vec<usize>,
+    ) {
+        let view = self.policy_view();
+        let alloc = &mut bufs.first_alloc;
+        key.clear();
+        key.push(active.len());
+        key.extend_from_slice(active);
+        for &t in active {
+            policy.primary_allocation_into(&view, t, round, &mut bufs.alloc_ws, alloc);
+            traffic.retain_backlogged(alloc);
+            key.push(alloc.len());
+            key.extend(alloc.iter().flat_map(|&(f, n)| [f, n]));
+            for k in 0..self.n_ant(t) {
+                policy.join_allocation_into(&view, t, k, round, &mut bufs.alloc_ws, alloc);
+                traffic.retain_backlogged(alloc);
+                key.push(alloc.len());
+                key.extend(alloc.iter().flat_map(|&(f, n)| [f, n]));
+            }
         }
+    }
+
+    /// Narrates the omniscient round's chosen schedule under `round`
+    /// and drains its flows' queues — or, when no candidate could
+    /// transmit at all, an idle DIFS-bounded round (settled into the
+    /// pooled `idle_bits`), mirroring the contended path's failure
+    /// charge.
+    fn emit_schedule(
+        &self,
+        round: usize,
+        n_contenders: usize,
+        best: Option<&CandidateRound>,
+        traffic: &mut TrafficState,
+        idle_bits: &mut Vec<f64>,
+        obs: &mut dyn RoundObserver,
+    ) {
+        let Some(c) = best else {
+            let difs = self.cfg.timing.difs;
+            self.emit_idle_round(round, difs + difs, idle_bits, obs);
+            return;
+        };
+        traffic.note_serviced(c.streams.iter().map(|s| s.flow));
+        obs.on_contention(&ContentionRecord {
+            round,
+            kind: ContentionKind::Scheduled,
+            n_contenders,
+            winner: c.primary,
+            slots: 0,
+        });
+        for &(tx, n_streams) in &c.joins {
+            obs.on_join(&JoinRecord {
+                round,
+                tx,
+                n_streams,
+                accepted: true,
+            });
+        }
+        obs.on_round_end(&RoundRecord {
+            round,
+            body_symbols: c.body_symbols,
+            duration_samples: c.duration_samples,
+            flow_bits: &c.flow_bits,
+            streams: &c.streams,
+        });
     }
 
     /// Evaluates one omniscient-scheduler candidate: `primary` opens the

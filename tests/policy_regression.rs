@@ -9,12 +9,20 @@
 //! bits exactly and every comparison below is `==`, no tolerance
 //! anywhere. If a change to the policy/engine layering perturbs even
 //! the last mantissa bit of any protocol's results, this suite fails.
+//!
+//! The oracle goldens at the end follow the same rule and were recorded
+//! before the engine began memoizing the oracle's schedule; they also
+//! pin each run's whole observer event stream through a digest.
 
-use nplus::observer::NullObserver;
-use nplus::policy::{Beamforming, Dot11n, GreedyJoin, MacPolicy, NPlus};
-use nplus::sim::{Scenario, SimConfig, SimEngine, SweepSpec, SweepStats};
+use nplus::observer::{
+    ContentionKind, ContentionRecord, JoinRecord, NullObserver, RoundObserver, RoundRecord, RunMeta,
+};
+use nplus::policy::{Beamforming, Dot11n, GreedyJoin, MacPolicy, NPlus, Oracle};
+use nplus::sim::{aggregate_results, Scenario, SimConfig, SimEngine, SweepSpec, SweepStats};
+use nplus_channel::environment::environment_from_name;
 use nplus_medium::topology::{build_topology, TopologyConfig};
 use nplus_testkit::generator::ScenarioGenerator;
+use nplus_testkit::parse_spec;
 use nplus_testkit::scenario::build_scenario;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -315,5 +323,298 @@ fn simulate_entry_point_matches_enum_era_bitwise() {
         assert_eq!(r.total_mbps, total, "{name} total");
         assert_eq!(r.mean_dof, dof, "{name} DoF");
         assert_eq!(r.per_flow_mbps.as_slice(), per_flow, "{name} per-flow");
+    }
+}
+
+/// FNV-1a over a run's whole observer event stream: every field of
+/// every event, every `f64` through its bits, each event behind a tag
+/// byte so no two streams can fold alike by shifting a boundary. The
+/// identity's canonical key is left out — it labels the run rather than
+/// describing it, and `canonical_keys_are_pinned` pins it on its own.
+struct StreamDigest(u64);
+
+impl StreamDigest {
+    fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn eat_u64(&mut self, v: u64) {
+        self.eat(&v.to_le_bytes());
+    }
+}
+
+impl RoundObserver for StreamDigest {
+    fn on_run_start(&mut self, meta: &RunMeta) {
+        self.eat(b"S");
+        self.eat(meta.policy.as_bytes());
+        self.eat_u64(meta.n_flows as u64);
+        self.eat_u64(meta.rounds as u64);
+        self.eat_u64(meta.bandwidth_hz.to_bits());
+        if let Some(id) = &meta.identity {
+            self.eat_u64(id.seed);
+            self.eat(id.environment.as_bytes());
+        }
+    }
+
+    fn on_contention(&mut self, ev: &ContentionRecord) {
+        self.eat(b"C");
+        self.eat_u64(ev.round as u64);
+        self.eat(match ev.kind {
+            ContentionKind::Primary => b"p",
+            ContentionKind::Join => b"j",
+            ContentionKind::Scheduled => b"s",
+        });
+        self.eat_u64(ev.n_contenders as u64);
+        self.eat_u64(ev.winner as u64);
+        self.eat_u64(ev.slots);
+    }
+
+    fn on_join(&mut self, ev: &JoinRecord) {
+        self.eat(b"J");
+        self.eat_u64(ev.round as u64);
+        self.eat_u64(ev.tx as u64);
+        self.eat_u64(ev.n_streams as u64);
+        self.eat(&[u8::from(ev.accepted)]);
+    }
+
+    fn on_round_end(&mut self, ev: &RoundRecord) {
+        self.eat(b"R");
+        self.eat_u64(ev.round as u64);
+        self.eat_u64(ev.body_symbols as u64);
+        self.eat_u64(ev.duration_samples);
+        for b in ev.flow_bits {
+            self.eat_u64(b.to_bits());
+        }
+        for s in ev.streams {
+            self.eat_u64(s.flow as u64);
+            self.eat_u64(s.tx as u64);
+            self.eat_u64(s.rate as u64);
+            self.eat_u64(s.active_symbols as u64);
+        }
+    }
+}
+
+/// The oracle golden inputs, one per line: scenario spec (the `sweep`
+/// CLI grammar), environment, mobility, SINR grid, rounds and seed
+/// count. Each input stresses one way a round's schedule state can
+/// change: a steady state (`three_pairs`), an allocation that rotates
+/// with the round (`ap_downlink`), queues that empty and refill (the
+/// `load:` specs), channels that move (`waypoint`), a decimated SINR
+/// grid, and a sparse multi-cell world.
+const ORACLE_CASES: [&str; 8] = [
+    "three_pairs sigcomm11 static full 12 3",
+    "ap_downlink sigcomm11 static full 12 3",
+    "load:poisson:0.5/three_pairs sigcomm11 static full 12 3",
+    "load:bursty:3x2/ap_downlink sigcomm11 static full 12 3",
+    "load:poisson:0.5/ap_downlink sigcomm11 static full 12 3",
+    "three_pairs sigcomm11 waypoint:2x4 full 12 3",
+    "random:7 sigcomm11 static decimated:4 12 3",
+    "load:poisson:1.5/city:64 multi_cell static full 4 2",
+];
+
+/// Runs one [`ORACLE_CASES`] line with the oracle alone on `threads`
+/// workers: its sweep statistics, and one [`StreamDigest`] per run in
+/// seed order.
+fn run_oracle_case(case: &str, threads: usize) -> (SweepStats, Vec<u64>) {
+    let f: Vec<&str> = case.split_whitespace().collect();
+    let [spec, env, mobility, grid, rounds, seeds] = f[..] else {
+        panic!("malformed golden case {case:?}");
+    };
+    let capacity = environment_from_name(env)
+        .expect("builtin environment")
+        .capacity();
+    let parsed = parse_spec(spec, capacity).expect("golden spec parses");
+    let mut sweep = SweepSpec::new(parsed.scenario)
+        .environment_named(env)
+        .expect("builtin environment")
+        .rounds(rounds.parse().expect("golden rounds parse"))
+        .mobility(mobility.parse().expect("golden mobility parses"))
+        .sinr_grid(grid.parse().expect("golden grid parses"))
+        .seed_count(seeds.parse().expect("golden seed count parses"))
+        .policy(Oracle)
+        .threads(threads);
+    if let Some(traffic) = parsed.traffic {
+        sweep = sweep.traffic(traffic);
+    }
+    let runs = sweep
+        .try_run_observed(|_, _| StreamDigest(0xcbf2_9ce4_8422_2325))
+        .expect("golden sweep runs");
+    let digests = runs.iter().map(|(_, obs)| obs[0].0).collect();
+    let results: Vec<_> = runs.into_iter().map(|(r, _)| r).collect();
+    let n_flows = results[0].per_policy[0].per_flow_mbps.len();
+    let mut stats = aggregate_results(n_flows, &sweep.policy_names(), &results);
+    (stats.remove(0), digests)
+}
+
+/// Oracle goldens, one per [`ORACLE_CASES`] entry in the same order:
+/// mean total Mb/s, 95% CI half-width, mean DoF, mean Jain fairness,
+/// mean per-flow Mb/s, and the per-run [`StreamDigest`]s in seed order.
+/// Recorded, like the goldens above, with shortest-round-trip float
+/// formatting before the engine memoized the oracle's schedule, so the
+/// memo is proven to change no bit of any event. The bursty case never
+/// drains a queue in 12 rounds (three arrivals per ON round outpace one
+/// departure), so it pins the same stream as saturated `ap_downlink`;
+/// the Poisson cases are the ones whose backlog moves the schedule.
+#[allow(clippy::type_complexity)]
+const ORACLE_GOLDENS: [(f64, f64, f64, f64, &[f64], &[u64]); 8] = [
+    // three_pairs
+    (
+        26.95861649007429,
+        21.4899796598746,
+        2.0946666666666665,
+        0.4503622071559204,
+        &[4.579222993545245, 13.092436974789917, 9.286956521739132],
+        &[0x15579b48ddd4b728, 0x7ca060c91b46aacf, 0x8f82b49b9936928e],
+    ),
+    // ap_downlink
+    (
+        14.342415896124336,
+        1.4268705662295875,
+        1.213768115942029,
+        0.4415104208074258,
+        &[11.064638118346558, 3.084967320261438, 0.19281045751633988],
+        &[0xcfdfd7afe6a0fb9c, 0x4a28778217cc12a7, 0xc8a31cf5670072f2],
+    ),
+    // load:poisson:0.5/three_pairs
+    (
+        21.091472102700696,
+        8.314052015023108,
+        2.010190737990119,
+        0.6315183909280536,
+        &[5.818053472897744, 8.865135861476082, 6.4082827683268695],
+        &[0x4eb7b4fd199da0f2, 0xb56c5a538cb54372, 0x6068917faa10abd1],
+    ),
+    // load:bursty:3x2/ap_downlink
+    (
+        14.342415896124336,
+        1.4268705662295875,
+        1.213768115942029,
+        0.4415104208074258,
+        &[11.064638118346558, 3.084967320261438, 0.19281045751633988],
+        &[0xcfdfd7afe6a0fb9c, 0x4a28778217cc12a7, 0xc8a31cf5670072f2],
+    ),
+    // load:poisson:0.5/ap_downlink
+    (
+        15.645606672704423,
+        3.290323305401395,
+        1.4051417161763748,
+        0.4253904501750969,
+        &[10.232238629293592, 4.638498552430996, 0.7748694909798323],
+        &[0x039bd5de9c51281a, 0xdda65cc47cff0590, 0xcf51fd1ef9ca49f0],
+    ),
+    // three_pairs waypoint:2x4
+    (
+        26.641446820650103,
+        21.858629407819016,
+        2.071333333333333,
+        0.4761286638768299,
+        &[5.233181074832234, 12.121309224078738, 9.286956521739132],
+        &[0x15579b48ddd4b728, 0x7ca060c91b46aacf, 0x868837ec4cdec5a6],
+    ),
+    // random:7 decimated:4
+    (
+        15.43457671594122,
+        14.790410171679103,
+        2.0,
+        0.5,
+        &[8.846341421823576, 6.588235294117648],
+        &[0x05e26d3a5ab48c9b, 0x84f7585a07baa2d0, 0xc9865e68f1e4ad15],
+    ),
+    // load:poisson:1.5/city:64 multi_cell
+    (
+        25.13410404624277,
+        4.245126011560675,
+        3.194531867139794,
+        0.09162890883558114,
+        &[
+            0.0,
+            0.0,
+            1.7433330067600663,
+            0.0,
+            5.020789654158909,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            1.445086705202312,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            2.8328793964926025,
+            4.77507592828451,
+            0.0,
+            3.3877926912902905,
+            5.081689036935436,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.847457627118644,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+        ],
+        &[0x6d4cb75409f1f1ee, 0xf39e3183ec20af36],
+    ),
+];
+
+/// The oracle reproduces its recorded statistics and event streams bit
+/// for bit on every [`ORACLE_CASES`] input, serially and at 2 threads.
+#[test]
+fn oracle_results_and_event_streams_are_pinned() {
+    for (&label, golden) in ORACLE_CASES.iter().zip(&ORACLE_GOLDENS) {
+        let &(total, ci, dof, fairness, per_flow, digests) = golden;
+        for threads in [1, 2] {
+            let (s, d) = run_oracle_case(label, threads);
+            assert_eq!(s.policy, "oracle", "{label}");
+            assert_eq!(s.n_runs, digests.len(), "{label}");
+            assert_eq!(s.mean_total_mbps, total, "{label}: mean total drifted");
+            assert_eq!(s.ci95_total_mbps, ci, "{label}: CI drifted");
+            assert_eq!(s.mean_dof, dof, "{label}: DoF drifted");
+            assert_eq!(s.mean_fairness, fairness, "{label}: fairness drifted");
+            assert_eq!(
+                s.mean_per_flow_mbps.as_slice(),
+                per_flow,
+                "{label}: per-flow drifted"
+            );
+            assert_eq!(
+                d.as_slice(),
+                digests,
+                "{label}: event stream drifted ({threads} threads)"
+            );
+        }
     }
 }

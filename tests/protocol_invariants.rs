@@ -1,11 +1,13 @@
 //! Protocol-level invariants of n+ (DESIGN.md §6), checked across many
 //! random topologies.
 
+use nplus::observer::{RoundObserver, RoundRecord};
 use nplus::policy::{Beamforming, Dot11n, GreedyJoin, MacPolicy, NPlus, Oracle};
 use nplus::sim::{Scenario, SimConfig, SweepSpec};
 use nplus_channel::environment::BUILTIN_ENVIRONMENT_NAMES;
 use nplus_channel::impairments::HardwareProfile;
 use nplus_channel::placement::Testbed;
+use nplus_phy::rates::RATE_TABLE;
 use nplus_testkit::fixtures::IDEAL_HARDWARE;
 use nplus_testkit::generator::ScenarioGenerator;
 use nplus_testkit::scenario::build_scenario;
@@ -179,6 +181,76 @@ fn oracle_upper_bounds_nplus_on_generated_scenarios() {
             np.mean_total_mbps
         );
     }
+}
+
+/// Counts settled rounds, those that carried streams, and those whose
+/// per-flow bits differ from what the streams carry at their rates.
+#[derive(Default)]
+struct DeliveryCheck {
+    rounds: usize,
+    busy: usize,
+    violations: Vec<String>,
+}
+
+impl RoundObserver for DeliveryCheck {
+    fn on_round_end(&mut self, ev: &RoundRecord) {
+        self.rounds += 1;
+        self.busy += usize::from(!ev.streams.is_empty());
+        let mut carried = vec![0.0f64; ev.flow_bits.len()];
+        for s in ev.streams {
+            carried[s.flow] +=
+                (s.active_symbols * RATE_TABLE[s.rate].data_bits_per_symbol()) as f64;
+        }
+        if carried != ev.flow_bits {
+            self.violations.push(format!(
+                "round {}: delivered {:?}, streams carry {carried:?}",
+                ev.round, ev.flow_bits
+            ));
+        }
+    }
+}
+
+/// The oracle's nulls are exact and it plans with the true channels, so
+/// every stream's realized ESNR equals its planned ESNR and its selected
+/// rate always delivers: on every round, each flow's delivered bits are
+/// exactly Σ `active_symbols × data_bits_per_symbol` over its streams
+/// (integer-valued sums, so `==` is exact). Checked on every oracle
+/// round over generated pairs, hidden-terminal and asymmetric-antenna
+/// scenarios.
+#[test]
+fn oracle_rates_always_deliver() {
+    let (mut checked, mut busy) = (0, 0);
+    for gen_seed in [7u64, 21] {
+        let mut generator = ScenarioGenerator::new(gen_seed);
+        for scenario in [
+            generator.n_pairs(3),
+            generator.hidden_terminal(2),
+            generator.asymmetric_antenna(2),
+        ] {
+            let runs = SweepSpec::new(scenario)
+                .rounds(10)
+                .seed_count(4)
+                .policy(Oracle)
+                .try_run_observed(|_, _| DeliveryCheck::default())
+                .expect("generated scenario fits sigcomm11");
+            for (results, checks) in runs {
+                let check = &checks[0];
+                assert!(
+                    check.violations.is_empty(),
+                    "gen seed {gen_seed}, run seed {}: {}",
+                    results.seed,
+                    check.violations.join("; ")
+                );
+                checked += check.rounds;
+                busy += check.busy;
+            }
+        }
+    }
+    assert_eq!(checked, 240);
+    assert!(
+        busy > checked / 2,
+        "only {busy}/{checked} rounds carried a stream"
+    );
 }
 
 /// Determinism: identical seeds produce identical results.
