@@ -139,7 +139,7 @@ fn bench_sim_round(c: &mut Criterion) {
         ..SimConfig::default()
     };
     c.bench_function("nplus_round_three_pairs", |b| {
-        b.iter(|| built.run(&NPlus, &cfg, 7))
+        b.iter(|| built.run(NPlus, &cfg, 7))
     });
     // The decimated SINR tier on the same round (the opt-in fast path).
     let dec_cfg = SimConfig {
@@ -148,7 +148,7 @@ fn bench_sim_round(c: &mut Criterion) {
         ..SimConfig::default()
     };
     c.bench_function("nplus_round_three_pairs_decimated4", |b| {
-        b.iter(|| built.run(&NPlus, &dec_cfg, 7))
+        b.iter(|| built.run(NPlus, &dec_cfg, 7))
     });
 }
 

@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release --bin ablate`
 
-use nplus::policy::{GreedyJoin, MacPolicy, NPlus};
+use nplus::policy::{GreedyJoin, NPlus, Policy};
 use nplus::precoder::{compute_precoders, OwnReceiver, PrecoderError, ProtectedReceiver};
 use nplus::sim::SimConfig;
 use nplus_bench::support::mean;
@@ -100,12 +100,12 @@ fn ablate_threshold() {
     // Turning power control off is a *policy* ablation now: `GreedyJoin`
     // is n+ with the §4 decision bypassed at the policy layer (the old
     // `SimConfig::power_control = false` knob, bit-for-bit).
-    let rows: [(&str, f64, &dyn MacPolicy); 5] = [
-        ("15", 15.0, &NPlus),
-        ("21", 21.0, &NPlus),
-        ("27 (paper)", 27.0, &NPlus),
-        ("33", 33.0, &NPlus),
-        ("off (greedy_join)", 27.0, &GreedyJoin),
+    let rows: [(&str, f64, Policy); 5] = [
+        ("15", 15.0, NPlus),
+        ("21", 21.0, NPlus),
+        ("27 (paper)", 27.0, NPlus),
+        ("33", 33.0, NPlus),
+        ("off (greedy_join)", 27.0, GreedyJoin),
     ];
     for (label, l_db, policy) in rows {
         let mut totals = Vec::new();

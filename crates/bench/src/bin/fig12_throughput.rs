@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --bin fig12_throughput`
 
-use nplus::policy::{Dot11n, MacPolicy, NPlus};
+use nplus::policy::{Dot11n, NPlus};
 use nplus::sim::SimConfig;
 use nplus_bench::support::{mean, print_cdf};
 use nplus_testkit::scenario::three_pairs;
@@ -34,7 +34,7 @@ fn main() {
 
     for seed in 0..n_placements {
         let built = three_pairs(seed);
-        for (p, policy) in [&Dot11n as &dyn MacPolicy, &NPlus].into_iter().enumerate() {
+        for (p, policy) in [Dot11n, NPlus].into_iter().enumerate() {
             let r = built.run(policy, &cfg, seed ^ 0xC0FFEE);
             totals[p].push(r.total_mbps);
             for f in 0..3 {

@@ -32,7 +32,7 @@
 //!   --threads N          worker threads (default 0 = all cores; 1 = serial)
 //!   --policies a,b,..    comma-separated policy names (default
 //!                        dot11n,beamforming,nplus; also oracle,
-//!                        greedy_join — anything policy_from_name knows)
+//!                        greedy_join; each at most once)
 //!   --env name           propagation environment (default sigcomm11 —
 //!                        the paper's indoor world; also outdoor,
 //!                        rich_scatter, degraded_hardware, multi_cell —
@@ -51,8 +51,8 @@
 //! `SweepRequest` and go through the same resolver and validator as a
 //! `sweep-server` request: a bad `--env`/`--policies`/`--mobility` name,
 //! a malformed scenario, a scenario too large for the chosen
-//! environment's maps, zero placements or zero rounds report one
-//! `error:` line (the server's error text) and exit 2.
+//! environment's maps, zero placements, zero rounds or a repeated policy
+//! report one `error:` line (the server's error text) and exit 2.
 
 use nplus::prelude::*;
 use nplus::sim::CanonicalSpec;

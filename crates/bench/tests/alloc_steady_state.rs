@@ -131,7 +131,7 @@ fn steady_state_rounds_allocate_nothing() {
 
     let mut ledger = AllocLedger::with_rounds(ROUNDS);
     let mut rng = StdRng::seed_from_u64(11);
-    let result = engine.run(&NPlus, &mut rng, &mut ledger, None);
+    let result = engine.run(NPlus, &mut rng, &mut ledger, None);
     assert!(result.total_mbps.is_finite());
     assert_eq!(ledger.counts.len(), ROUNDS);
 
@@ -179,7 +179,7 @@ fn oracle_memo_hit_rounds_allocate_nothing() {
 
     let mut ledger = AllocLedger::with_rounds(ROUNDS);
     let mut rng = StdRng::seed_from_u64(11);
-    let result = engine.run(&Oracle, &mut rng, &mut ledger, None);
+    let result = engine.run(Oracle, &mut rng, &mut ledger, None);
     assert!(result.total_mbps > 0.0);
     assert_eq!(ledger.counts.len(), ROUNDS);
 
@@ -244,7 +244,7 @@ fn mobility_setup_allocates_per_moved_link_not_per_link() {
         let engine = SimEngine::new(&topo, &scenario, cfg);
         let mut ledger = AllocLedger::with_rounds(cfg.rounds);
         let mut rng = StdRng::seed_from_u64(11);
-        let result = engine.run(&NPlus, &mut rng, &mut ledger, None);
+        let result = engine.run(NPlus, &mut rng, &mut ledger, None);
         assert!(result.total_mbps.is_finite());
         ledger.counts[0] - ledger.start
     };

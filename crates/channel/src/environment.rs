@@ -7,8 +7,8 @@
 //! hard-wired choices — the placement map, the per-link large-scale
 //! loss and delay-profile selection, the per-node oscillator-offset
 //! draw, the [`HardwareProfile`] and the §4 cancellation-depth
-//! assumption — behind one trait, so propagation worlds become as
-//! pluggable as MAC policies are behind `MacPolicy`.
+//! assumption — behind one trait, so a caller can supply its own
+//! propagation world.
 //!
 //! The paper's world is the [`Sigcomm11Indoor`] default implementation,
 //! pinned **bit-for-bit** against the pre-environment `build_topology`
@@ -27,8 +27,8 @@
 //!   ~17 dB, honestly reflected in the §4 power-control threshold `L`
 //!   ([`ChannelEnvironment::join_power_l_db`]).
 //!
-//! Environments resolve by name through [`environment_from_name`] — the
-//! same registry pattern as `policy_from_name` — and plug into
+//! Environments resolve by name through [`environment_from_name`] — as
+//! MAC policies resolve through `policy_from_name` — and plug into
 //! `SweepSpec::environment(..)` / `sweep --env` at the simulation layer.
 
 use crate::fading::DelayProfile;

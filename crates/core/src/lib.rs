@@ -19,7 +19,7 @@
 //! | [`handshake`] | §3.5 | differential alignment-space compression |
 //! | [`link`] | §3.4 | zero-forcing SINRs and per-packet rate selection |
 //! | [`power_control`] | §4 | the join-power threshold `L` |
-//! | [`policy`] | §6 | pluggable MAC policies: n+, 802.11n, beamforming, oracle, greedy-join |
+//! | [`policy`] | §6 | the closed set of MAC policies: n+, 802.11n, beamforming, oracle, greedy-join |
 //! | [`observer`] | §6 | round-level event tap over simulation runs |
 //! | [`sim`] | §6 | the round engine, sweeps and the [`sim::SweepSpec`] facade |
 //!
@@ -72,8 +72,7 @@ pub use observer::{
     RoundRecord, RunIdentity, RunMeta, StreamRecord,
 };
 pub use policy::{
-    policy_from_name, Beamforming, Dot11n, GreedyJoin, MacPolicy, NPlus, Oracle, PolicyView,
-    BUILTIN_POLICY_NAMES,
+    policy_from_name, Beamforming, Dot11n, GreedyJoin, NPlus, Oracle, Policy, BUILTIN_POLICY_NAMES,
 };
 pub use power_control::{join_power_decision, JoinPowerDecision, DEFAULT_L_DB};
 pub use precoder::{
@@ -106,7 +105,7 @@ pub mod prelude {
         RoundObserver, RoundRecord, RunIdentity, RunMeta, StreamRecord,
     };
     pub use crate::policy::{
-        policy_from_name, Beamforming, Dot11n, GreedyJoin, MacPolicy, NPlus, Oracle, PolicyView,
+        policy_from_name, Beamforming, Dot11n, GreedyJoin, NPlus, Oracle, Policy,
         BUILTIN_POLICY_NAMES,
     };
     pub use crate::sim::{

@@ -19,9 +19,7 @@
 //! — exactly the 0.8/1.3 dB effect of Fig. 11.
 
 use nplus_linalg::{pinv_into, CMatrixSoA, CVector, Complex64, PinvWorkspace};
-use nplus_phy::esnr::effective_snr;
-use nplus_phy::rates::{RateIndex, RATE_TABLE};
-use nplus_phy::RATE_ESNR_THRESHOLDS_DB;
+use nplus_phy::rates::RateIndex;
 
 /// The decode environment of one receiver on one subcarrier.
 #[derive(Debug, Clone)]
@@ -130,31 +128,15 @@ pub fn zf_sinr_slices_into(
     }
 }
 
-/// Reduces per-subcarrier SINRs of one stream to a rate choice.
+/// Reduces per-subcarrier SINRs of one stream to a rate choice: the
+/// §3.4 ESNR-threshold rule, [`nplus_phy::select_rate`], applied to the
+/// stream's SINR track.
 ///
 /// `per_subcarrier_sinr[k]` is the stream's SINR on occupied subcarrier
 /// `k`. Returns `None` when even the most robust rate cannot be
 /// sustained.
 pub fn select_stream_rate(per_subcarrier_sinr: &[f64]) -> Option<RateIndex> {
-    if per_subcarrier_sinr.is_empty() {
-        return None;
-    }
-    let mut best = None;
-    // The 8 rate entries share 4 modulations, and the ESNR is a pure
-    // function of (modulation, SINR track) — evaluate each modulation's
-    // BER fold and inversion once and reuse it for both coding rates.
-    let mut esnr_db_by_mod: [Option<f64>; 4] = [None; 4];
-    for (idx, mcs) in RATE_TABLE.iter().enumerate() {
-        let slot = &mut esnr_db_by_mod[mcs.modulation as usize];
-        let esnr_db = *slot.get_or_insert_with(|| {
-            let esnr = effective_snr(mcs.modulation, per_subcarrier_sinr);
-            10.0 * esnr.max(1e-300).log10()
-        });
-        if esnr_db >= RATE_ESNR_THRESHOLDS_DB[idx] {
-            best = Some(idx);
-        }
-    }
-    best
+    nplus_phy::select_rate(per_subcarrier_sinr)
 }
 
 #[cfg(test)]
@@ -290,7 +272,7 @@ mod tests {
     #[test]
     fn esnr_reporting_finite() {
         let sinrs = vec![10.0; 52];
-        let esnr = effective_snr(nplus_phy::modulation::Modulation::Qpsk, &sinrs);
+        let esnr = nplus_phy::effective_snr(nplus_phy::modulation::Modulation::Qpsk, &sinrs);
         let db = 10.0 * esnr.log10();
         assert!((db - 10.0).abs() < 0.5, "esnr {db}");
     }

@@ -2,8 +2,8 @@
 //!
 //! [`SimEngine`] owns the physics of a round — channel knowledge,
 //! precoding, SINR settlement, handshake and airtime accounting — and
-//! delegates every protocol decision to a
-//! [`MacPolicy`](crate::policy::MacPolicy). Construction precomputes
+//! delegates every protocol decision to its
+//! [`Policy`](crate::policy::Policy). Construction precomputes
 //! the round-invariant context (occupied subcarriers, transmitter list,
 //! per-transmitter flow lists) and a [`ChannelCache`] holding every
 //! link's per-subcarrier frequency response, evaluated once instead of
@@ -23,12 +23,12 @@
 use super::{
     MobilityModel, RunResult, Scenario, SimConfig, SinrGrid, TrafficModel, BURST_ARRIVALS_PER_ROUND,
 };
-use crate::link::{zf_sinr_slices_into, ZfWorkspace};
+use crate::link::{select_stream_rate, zf_sinr_slices_into, ZfWorkspace};
 use crate::observer::{
     ContentionKind, ContentionRecord, GoodputAccumulator, JoinRecord, RoundObserver, RoundRecord,
     RunIdentity, RunMeta, StreamRecord, Tee,
 };
-use crate::policy::{AllocScratch, MacPolicy, PolicyView};
+use crate::policy::Policy;
 use crate::power_control::{
     expected_interference_power_soa, join_power_decision_from_worst, JoinPowerDecision,
 };
@@ -194,7 +194,6 @@ struct RoundBufs {
     streams: VecPool<PlannedStream>,
     first_alloc: Vec<(usize, usize)>,
     join_alloc: Vec<(usize, usize)>,
-    alloc_ws: AllocScratch,
     round_bits: Vec<f64>,
     records: Vec<StreamRecord>,
     /// Contention windows / backoff draws for [`contend`].
@@ -439,11 +438,6 @@ impl<'a> SimEngine<'a> {
         }
     }
 
-    /// The policy-facing view of this engine's scenario context.
-    fn policy_view(&self) -> PolicyView<'_> {
-        PolicyView::new(self.scenario, &self.flows_of)
-    }
-
     /// True per-subcarrier channel matrix between two scenario nodes,
     /// served from `cache` (the engine's own, or a run's
     /// mobility-rescaled copy).
@@ -465,7 +459,7 @@ impl<'a> SimEngine<'a> {
 
     /// What a transmitter believes the channel is: reciprocity plus
     /// hardware error, per bin — or the exact true channel for a
-    /// [`perfect_knowledge`](MacPolicy::perfect_knowledge) policy.
+    /// perfect-knowledge policy ([`Oracle`](crate::policy::Oracle)).
     /// Imperfect knowledge is never cached: the hardware error draw must
     /// consume the RNG stream on every call; perfect knowledge consumes
     /// no RNG at all. An absent link returns `false` (and leaves `out`
@@ -474,7 +468,7 @@ impl<'a> SimEngine<'a> {
     #[allow(clippy::too_many_arguments)]
     fn believed_channel_into(
         &self,
-        policy: &dyn MacPolicy,
+        policy: Policy,
         cache: &ChannelCache,
         from: usize,
         to: usize,
@@ -509,7 +503,6 @@ impl<'a> SimEngine<'a> {
     /// topology facts, memoized as failures.
     fn plan_opening_single(
         &self,
-        policy: &dyn MacPolicy,
         cache: &ChannelCache,
         tx: usize,
         f: usize,
@@ -574,7 +567,7 @@ impl<'a> SimEngine<'a> {
         let mut interp = Vec::new();
         let mut rates = Vec::with_capacity(n_streams);
         for sinrs in &per_stream_sinrs {
-            rates.push(policy.select_rate(self.rate_sinrs(sinrs, &mut interp))?);
+            rates.push(select_stream_rate(self.rate_sinrs(sinrs, &mut interp))?);
         }
         Some(FirstPlan {
             precoders,
@@ -594,7 +587,7 @@ impl<'a> SimEngine<'a> {
     #[allow(clippy::too_many_arguments)]
     fn plan_winner(
         &self,
-        policy: &dyn MacPolicy,
+        policy: Policy,
         cache: &ChannelCache,
         tx: usize,
         allocation: &[(usize, usize)],
@@ -624,7 +617,7 @@ impl<'a> SimEngine<'a> {
             let idx = match scratch.first_plans.iter().position(|(k, _)| *k == key) {
                 Some(i) => i,
                 None => {
-                    let plan = self.plan_opening_single(policy, cache, tx, f, n_streams);
+                    let plan = self.plan_opening_single(cache, tx, f, n_streams);
                     scratch.first_plans.push((key, plan));
                     scratch.first_plans.len() - 1
                 }
@@ -905,7 +898,7 @@ impl<'a> SimEngine<'a> {
             }
             for s in 0..n_streams {
                 let rate =
-                    policy.select_rate(self.rate_sinrs(&scratch.sinr_acc[s], &mut scratch.interp));
+                    select_stream_rate(self.rate_sinrs(&scratch.sinr_acc[s], &mut scratch.interp));
                 match rate {
                     Some(r) => streams[stream_base + lo + s].rate = r,
                     None => {
@@ -1020,7 +1013,7 @@ impl<'a> SimEngine<'a> {
     /// they watch.
     pub fn run(
         &self,
-        policy: &dyn MacPolicy,
+        policy: Policy,
         rng: &mut StdRng,
         observer: &mut dyn RoundObserver,
         identity: Option<RunIdentity>,
@@ -1192,7 +1185,7 @@ impl<'a> SimEngine<'a> {
     #[allow(clippy::too_many_arguments)]
     fn contended_round(
         &self,
-        policy: &dyn MacPolicy,
+        policy: Policy,
         round: usize,
         cache: &ChannelCache,
         active: &[usize],
@@ -1203,7 +1196,6 @@ impl<'a> SimEngine<'a> {
         obs: &mut dyn RoundObserver,
     ) {
         let cfg = self.cfg;
-        let view = self.policy_view();
         bufs.protected.clear();
         bufs.streams.clear();
 
@@ -1221,10 +1213,10 @@ impl<'a> SimEngine<'a> {
         // First winner's allocation, pruned to flows with queued
         // packets (a no-op under saturated traffic).
         policy.primary_allocation_into(
-            &view,
+            self.scenario,
+            &self.flows_of,
             first,
             round,
-            &mut bufs.alloc_ws,
             &mut bufs.first_alloc,
         );
         traffic.retain_backlogged(&mut bufs.first_alloc);
@@ -1283,11 +1275,11 @@ impl<'a> SimEngine<'a> {
                     slots: join_slots,
                 });
                 policy.join_allocation_into(
-                    &view,
+                    self.scenario,
+                    &self.flows_of,
                     joiner,
                     k_used,
                     round,
-                    &mut bufs.alloc_ws,
                     &mut bufs.join_alloc,
                 );
                 traffic.retain_backlogged(&mut bufs.join_alloc);
@@ -1386,16 +1378,16 @@ impl<'a> SimEngine<'a> {
     /// airtime. Ties keep the earlier transmitter, so the search is
     /// fully deterministic.
     ///
-    /// Under [`perfect_knowledge`](MacPolicy::perfect_knowledge) the
-    /// winning schedule is a pure function of the round's schedule key
+    /// An omniscient policy plans with perfect knowledge, which makes
+    /// the winning schedule a pure function of the round's schedule key
     /// (see [`schedule_key_into`](SimEngine::schedule_key_into)) and the
-    /// run's channels, so it is planned once per distinct key and
+    /// run's channels: it is planned once per distinct key and
     /// replayed from `scratch.schedules` afterwards: a hit re-emits the
     /// stored events under the current round and allocates nothing.
     #[allow(clippy::too_many_arguments)]
     fn omniscient_round(
         &self,
-        policy: &dyn MacPolicy,
+        policy: Policy,
         round: usize,
         cache: &ChannelCache,
         active: &[usize],
@@ -1405,28 +1397,25 @@ impl<'a> SimEngine<'a> {
         rng: &mut StdRng,
         obs: &mut dyn RoundObserver,
     ) {
-        let memo = policy.perfect_knowledge();
-        if memo {
-            self.schedule_key_into(
-                policy,
+        self.schedule_key_into(
+            policy,
+            round,
+            active,
+            traffic,
+            bufs,
+            &mut scratch.schedule_key,
+        );
+        let key = scratch.schedule_key.as_slice();
+        if let Some((_, best)) = scratch.schedules.iter().find(|(k, _)| k == key) {
+            self.emit_schedule(
                 round,
-                active,
+                active.len(),
+                best.as_ref(),
                 traffic,
-                bufs,
-                &mut scratch.schedule_key,
+                &mut bufs.round_bits,
+                obs,
             );
-            let key = scratch.schedule_key.as_slice();
-            if let Some((_, best)) = scratch.schedules.iter().find(|(k, _)| k == key) {
-                self.emit_schedule(
-                    round,
-                    active.len(),
-                    best.as_ref(),
-                    traffic,
-                    &mut bufs.round_bits,
-                    obs,
-                );
-                return;
-            }
+            return;
         }
         let mut best: Option<CandidateRound> = None;
         for &t in active {
@@ -1448,19 +1437,14 @@ impl<'a> SimEngine<'a> {
                 }
             }
         }
-        let best = if memo {
-            if scratch.schedules.len() >= MAX_SCHEDULES {
-                scratch.schedules.clear();
-            }
-            scratch.schedules.push((scratch.schedule_key.clone(), best));
-            scratch.schedules[scratch.schedules.len() - 1].1.as_ref()
-        } else {
-            best.as_ref()
-        };
+        if scratch.schedules.len() >= MAX_SCHEDULES {
+            scratch.schedules.clear();
+        }
+        scratch.schedules.push((scratch.schedule_key.clone(), best));
         self.emit_schedule(
             round,
             active.len(),
-            best,
+            scratch.schedules[scratch.schedules.len() - 1].1.as_ref(),
             traffic,
             &mut bufs.round_bits,
             obs,
@@ -1478,25 +1462,24 @@ impl<'a> SimEngine<'a> {
     /// allocator by its rotation period whatever the period is.
     fn schedule_key_into(
         &self,
-        policy: &dyn MacPolicy,
+        policy: Policy,
         round: usize,
         active: &[usize],
         traffic: &TrafficState,
         bufs: &mut RoundBufs,
         key: &mut Vec<usize>,
     ) {
-        let view = self.policy_view();
         let alloc = &mut bufs.first_alloc;
         key.clear();
         key.push(active.len());
         key.extend_from_slice(active);
         for &t in active {
-            policy.primary_allocation_into(&view, t, round, &mut bufs.alloc_ws, alloc);
+            policy.primary_allocation_into(self.scenario, &self.flows_of, t, round, alloc);
             traffic.retain_backlogged(alloc);
             key.push(alloc.len());
             key.extend(alloc.iter().flat_map(|&(f, n)| [f, n]));
             for k in 0..self.n_ant(t) {
-                policy.join_allocation_into(&view, t, k, round, &mut bufs.alloc_ws, alloc);
+                policy.join_allocation_into(self.scenario, &self.flows_of, t, k, round, alloc);
                 traffic.retain_backlogged(alloc);
                 key.push(alloc.len());
                 key.extend(alloc.iter().flat_map(|&(f, n)| [f, n]));
@@ -1557,7 +1540,7 @@ impl<'a> SimEngine<'a> {
     #[allow(clippy::too_many_arguments)]
     fn forced_round(
         &self,
-        policy: &dyn MacPolicy,
+        policy: Policy,
         primary: usize,
         round: usize,
         cache: &ChannelCache,
@@ -1568,16 +1551,15 @@ impl<'a> SimEngine<'a> {
         rng: &mut StdRng,
     ) -> Option<CandidateRound> {
         let cfg = self.cfg;
-        let view = self.policy_view();
         bufs.protected.clear();
         bufs.streams.clear();
         let mut overhead = cfg.timing.difs; // scheduled: no backoff slots
 
         policy.primary_allocation_into(
-            &view,
+            self.scenario,
+            &self.flows_of,
             primary,
             round,
-            &mut bufs.alloc_ws,
             &mut bufs.first_alloc,
         );
         traffic.retain_backlogged(&mut bufs.first_alloc);
@@ -1616,11 +1598,11 @@ impl<'a> SimEngine<'a> {
                     break;
                 };
                 policy.join_allocation_into(
-                    &view,
+                    self.scenario,
+                    &self.flows_of,
                     joiner,
                     k_used,
                     round,
-                    &mut bufs.alloc_ws,
                     &mut bufs.join_alloc,
                 );
                 traffic.retain_backlogged(&mut bufs.join_alloc);
@@ -1903,7 +1885,7 @@ mod tests {
     use rand::SeedableRng;
 
     /// One unobserved run of `policy` with a fresh RNG seeded by `seed`.
-    fn run_seeded(engine: &SimEngine<'_>, policy: &dyn MacPolicy, seed: u64) -> RunResult {
+    fn run_seeded(engine: &SimEngine<'_>, policy: Policy, seed: u64) -> RunResult {
         engine.run(
             policy,
             &mut StdRng::seed_from_u64(seed),
@@ -1912,7 +1894,7 @@ mod tests {
         )
     }
 
-    fn run(policy: &dyn MacPolicy, seed: u64) -> RunResult {
+    fn run(policy: Policy, seed: u64) -> RunResult {
         let scenario = Scenario::three_pairs();
         let tb = Testbed::sigcomm11();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1935,8 +1917,8 @@ mod tests {
         let mut n_total = 0.0;
         let mut d_total = 0.0;
         for seed in 0..6 {
-            n_total += run(&NPlus, seed).total_mbps;
-            d_total += run(&Dot11n, seed).total_mbps;
+            n_total += run(NPlus, seed).total_mbps;
+            d_total += run(Dot11n, seed).total_mbps;
         }
         assert!(
             n_total > 1.3 * d_total,
@@ -1951,8 +1933,8 @@ mod tests {
         let mut n_dof = 0.0;
         let mut d_dof = 0.0;
         for seed in 0..4 {
-            n_dof += run(&NPlus, seed).mean_dof;
-            d_dof += run(&Dot11n, seed).mean_dof;
+            n_dof += run(NPlus, seed).mean_dof;
+            d_dof += run(Dot11n, seed).mean_dof;
         }
         assert!(
             n_dof > d_dof + 0.3 * 4.0,
@@ -1962,7 +1944,7 @@ mod tests {
 
     #[test]
     fn throughput_is_positive_and_finite() {
-        for policy in [&NPlus as &dyn MacPolicy, &Dot11n] {
+        for policy in [NPlus, Dot11n] {
             let r = run(policy, 42);
             assert!(r.total_mbps.is_finite());
             assert!(
@@ -1978,7 +1960,7 @@ mod tests {
     fn ap_downlink_scenario_runs_all_protocols() {
         let scenario = Scenario::ap_downlink();
         let tb = Testbed::sigcomm11();
-        for policy in [&NPlus as &dyn MacPolicy, &Dot11n, &Beamforming] {
+        for policy in [NPlus, Dot11n, Beamforming] {
             let mut rng = StdRng::seed_from_u64(9);
             let topo = build_topology(
                 &tb,
@@ -2022,10 +2004,10 @@ mod tests {
                 ..SimConfig::default()
             };
             bf += SimEngine::new(&topo, &scenario, &cfg)
-                .run(&Beamforming, &mut rng, &mut NullObserver, None)
+                .run(Beamforming, &mut rng, &mut NullObserver, None)
                 .total_mbps;
             dn += SimEngine::new(&topo, &scenario, &cfg)
-                .run(&Dot11n, &mut rng, &mut NullObserver, None)
+                .run(Dot11n, &mut rng, &mut NullObserver, None)
                 .total_mbps;
         }
         assert!(bf > dn, "beamforming {bf:.1} vs 802.11n {dn:.1}");
@@ -2130,16 +2112,16 @@ mod tests {
             ..SimConfig::default()
         };
         let engine = SimEngine::new(&topo, &scenario, &cfg);
-        let a = run_seeded(&engine, &NPlus, 5);
-        let b = run_seeded(&engine, &NPlus, 5);
-        let c = run_seeded(&SimEngine::new(&topo, &scenario, &cfg), &NPlus, 5);
+        let a = run_seeded(&engine, NPlus, 5);
+        let b = run_seeded(&engine, NPlus, 5);
+        let c = run_seeded(&SimEngine::new(&topo, &scenario, &cfg), NPlus, 5);
         let identity = RunIdentity {
             seed: 21,
             environment: "sigcomm11".to_string(),
             canonical_key: None,
         };
         let d = engine.run(
-            &NPlus,
+            NPlus,
             &mut StdRng::seed_from_u64(5),
             &mut GoodputAccumulator::new(),
             Some(identity),
@@ -2169,12 +2151,12 @@ mod tests {
             ..SimConfig::default()
         };
         let engine = SimEngine::new(&topo, &scenario, &cfg);
-        let a = run_seeded(&engine, &Oracle, 1);
-        let b = run_seeded(&engine, &Oracle, 999);
+        let a = run_seeded(&engine, Oracle, 1);
+        let b = run_seeded(&engine, Oracle, 999);
         // Different RNG seeds, identical results: no RNG consumed.
         assert_eq!(a.per_flow_mbps, b.per_flow_mbps);
         assert_eq!(a.mean_dof, b.mean_dof);
-        let np = run_seeded(&engine, &NPlus, 1);
+        let np = run_seeded(&engine, NPlus, 1);
         assert!(
             a.total_mbps >= np.total_mbps,
             "oracle {:.2} below n+ {:.2}",
@@ -2202,8 +2184,8 @@ mod tests {
             ..SimConfig::default()
         };
         let engine = SimEngine::new(&topo, &scenario, &cfg);
-        let g = run_seeded(&engine, &GreedyJoin, 4);
-        let d = run_seeded(&engine, &Dot11n, 4);
+        let g = run_seeded(&engine, GreedyJoin, 4);
+        let d = run_seeded(&engine, Dot11n, 4);
         assert!(g.total_mbps.is_finite() && g.total_mbps > 0.0);
         assert!(g.mean_dof > d.mean_dof, "greedy join must still join");
     }
@@ -2260,14 +2242,14 @@ mod tests {
         };
         let mut sat = BitsTally::default();
         SimEngine::new(&topo, &scenario, &sat_cfg).run(
-            &NPlus,
+            NPlus,
             &mut StdRng::seed_from_u64(2),
             &mut sat,
             None,
         );
         let mut poi = BitsTally::default();
         let a = SimEngine::new(&topo, &scenario, &poi_cfg).run(
-            &NPlus,
+            NPlus,
             &mut StdRng::seed_from_u64(2),
             &mut poi,
             None,
@@ -2284,7 +2266,7 @@ mod tests {
         );
         // Same seed, same arrivals, same result — bit-for-bit.
         let b = SimEngine::new(&topo, &scenario, &poi_cfg).run(
-            &NPlus,
+            NPlus,
             &mut StdRng::seed_from_u64(2),
             &mut NullObserver,
             None,
@@ -2314,14 +2296,14 @@ mod tests {
         };
         let mut sat = BitsTally::default();
         SimEngine::new(&topo, &scenario, &sat_cfg).run(
-            &NPlus,
+            NPlus,
             &mut StdRng::seed_from_u64(9),
             &mut sat,
             None,
         );
         let mut bur = BitsTally::default();
         let r = SimEngine::new(&topo, &scenario, &bur_cfg).run(
-            &NPlus,
+            NPlus,
             &mut StdRng::seed_from_u64(9),
             &mut bur,
             None,
@@ -2355,13 +2337,13 @@ mod tests {
             ..SimConfig::default()
         };
         let still = SimEngine::new(&topo, &scenario, &still_cfg).run(
-            &NPlus,
+            NPlus,
             &mut StdRng::seed_from_u64(6),
             &mut NullObserver,
             None,
         );
         let moved = SimEngine::new(&topo, &scenario, &move_cfg).run(
-            &NPlus,
+            NPlus,
             &mut StdRng::seed_from_u64(6),
             &mut NullObserver,
             None,
@@ -2371,7 +2353,7 @@ mod tests {
             "8 m steps every 2 rounds left every flow untouched"
         );
         let moved_again = SimEngine::new(&topo, &scenario, &move_cfg).run(
-            &NPlus,
+            NPlus,
             &mut StdRng::seed_from_u64(6),
             &mut NullObserver,
             None,
@@ -2397,7 +2379,7 @@ mod tests {
             ..SimConfig::default()
         };
         let engine = SimEngine::new(&topo, &scenario, &cfg);
-        let first = run_seeded(&engine, &NPlus, 6);
+        let first = run_seeded(&engine, NPlus, 6);
         let fresh = ChannelCache::build(&topo, &engine.occ, cfg.ofdm.fft_len);
         let keys: Vec<_> = fresh.links().collect();
         assert_eq!(engine.cache.links().collect::<Vec<_>>(), keys);
@@ -2420,7 +2402,7 @@ mod tests {
                 }
             }
         }
-        let second = run_seeded(&engine, &NPlus, 6);
+        let second = run_seeded(&engine, NPlus, 6);
         assert_eq!(first.per_flow_mbps, second.per_flow_mbps);
         assert_eq!(first.total_mbps.to_bits(), second.total_mbps.to_bits());
     }
@@ -2459,7 +2441,7 @@ mod tests {
             ..SimConfig::default()
         };
         let engine = SimEngine::new(&topo, &scenario, &cfg);
-        for policy in [&NPlus as &dyn MacPolicy, &Dot11n, &Oracle] {
+        for policy in [NPlus, Dot11n, Oracle] {
             let r = run_seeded(&engine, policy, 3);
             assert!(
                 r.per_flow_mbps[0] > 0.0,
@@ -2515,13 +2497,13 @@ mod tests {
             ..full_cfg.clone()
         };
         let full = SimEngine::new(&topo, &scenario, &full_cfg).run(
-            &NPlus,
+            NPlus,
             &mut StdRng::seed_from_u64(8),
             &mut NullObserver,
             None,
         );
         let dec = SimEngine::new(&topo, &scenario, &dec_cfg).run(
-            &NPlus,
+            NPlus,
             &mut StdRng::seed_from_u64(8),
             &mut NullObserver,
             None,
@@ -2537,7 +2519,7 @@ mod tests {
         );
         // Decimated runs are themselves deterministic.
         let again = SimEngine::new(&topo, &scenario, &dec_cfg).run(
-            &NPlus,
+            NPlus,
             &mut StdRng::seed_from_u64(8),
             &mut NullObserver,
             None,

@@ -19,12 +19,12 @@
 //! * [`SimEngine`] owns the physics and the round
 //!   machinery: channels (cached via `ChannelCache`), precoding, SINR
 //!   settlement, handshake and airtime accounting.
-//! * [`MacPolicy`](crate::policy::MacPolicy) implementations make every
-//!   protocol decision. The built-ins — [`NPlus`](crate::policy::NPlus),
+//! * A [`Policy`](crate::policy::Policy) makes every protocol
+//!   decision. The closed set — [`NPlus`](crate::policy::NPlus),
 //!   [`Dot11n`](crate::policy::Dot11n),
 //!   [`Beamforming`](crate::policy::Beamforming),
 //!   [`Oracle`](crate::policy::Oracle),
-//!   [`GreedyJoin`](crate::policy::GreedyJoin) — live in
+//!   [`GreedyJoin`](crate::policy::GreedyJoin) — lives in
 //!   [`crate::policy`], resolvable by name through
 //!   [`policy_from_name`](crate::policy::policy_from_name).
 //! * [`RoundObserver`](crate::observer::RoundObserver) taps the round

@@ -18,7 +18,7 @@
 
 use super::{MobilityModel, RunResult, Scenario, SimConfig, SimEngine, SinrGrid, TrafficModel};
 use crate::observer::{NullObserver, RoundObserver, RunIdentity};
-use crate::policy::{policy_from_name, MacPolicy};
+use crate::policy::{Beamforming, Dot11n, NPlus, Policy};
 use nplus_channel::environment::{
     environment_from_name, ChannelEnvironment, EnvironmentError, SIGCOMM11_INDOOR,
 };
@@ -32,7 +32,7 @@ use std::fmt;
 #[derive(Debug, Clone)]
 pub struct SweepStats {
     /// Name of the policy these statistics describe (see
-    /// [`MacPolicy::name`]; the paper's protocols report `"nplus"`,
+    /// [`Policy::name`]; the paper's protocols report `"nplus"`,
     /// `"dot11n"`, `"beamforming"`).
     pub policy: String,
     /// Number of seeded topologies simulated.
@@ -329,16 +329,15 @@ pub struct SeedResults {
 
 // A threaded sweep shares the scenario/config/testbed/policies across
 // scoped worker threads and sends per-seed results back; all of it must
-// be thread-safe by construction (`MacPolicy` has `Send + Sync`
-// supertraits, and the medium-side types carry their own assertions
-// next to their definitions).
+// be thread-safe by construction (policies are plain `Copy` values, and
+// the medium-side types carry their own assertions next to their
+// definitions).
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Scenario>();
     assert_send_sync::<SimConfig>();
     assert_send_sync::<RunResult>();
     assert_send_sync::<SeedResults>();
-    assert_send_sync::<&dyn MacPolicy>();
 };
 
 /// Folds per-seed results (already in seed order) into per-policy
@@ -432,30 +431,13 @@ pub struct SweepSpec {
     environment: EnvEntry,
     testbed: Option<Testbed>,
     cfg: SimConfig,
-    policies: Vec<PolicyEntry>,
+    policies: Vec<Policy>,
     seeds: Vec<u64>,
     threads: usize,
 }
 
-/// One policy in a [`SweepSpec`]: the built-ins are zero-sized statics
-/// (no boxing), caller-supplied policies are owned.
-enum PolicyEntry {
-    Static(&'static dyn MacPolicy),
-    Owned(Box<dyn MacPolicy>),
-}
-
-impl PolicyEntry {
-    fn as_dyn(&self) -> &dyn MacPolicy {
-        match self {
-            PolicyEntry::Static(p) => *p,
-            PolicyEntry::Owned(b) => b.as_ref(),
-        }
-    }
-}
-
 /// The spec's environment: the built-ins are statics (no boxing),
-/// caller-supplied environments are owned — the same shape as
-/// [`PolicyEntry`].
+/// caller-supplied environments are owned.
 enum EnvEntry {
     Static(&'static dyn ChannelEnvironment),
     Owned(Box<dyn ChannelEnvironment>),
@@ -473,11 +455,7 @@ impl EnvEntry {
 /// The default comparison set (the paper's head-to-head trio), applied
 /// when a spec names no policies. Front-ends that want the same default
 /// should leave the spec empty rather than re-listing these.
-pub const DEFAULT_POLICIES: [&dyn MacPolicy; 3] = [
-    &crate::policy::Dot11n,
-    &crate::policy::Beamforming,
-    &crate::policy::NPlus,
-];
+pub const DEFAULT_POLICIES: [Policy; 3] = [Dot11n, Beamforming, NPlus];
 
 /// Mirrors the environment hooks the engine reads from the config —
 /// the one place the `hardware`/`L` coupling lives, shared by by-value
@@ -585,8 +563,8 @@ impl SweepSpec {
     }
 
     /// Adds one policy to the comparison, in call order.
-    pub fn policy(mut self, policy: impl MacPolicy + 'static) -> Self {
-        self.policies.push(PolicyEntry::Owned(Box::new(policy)));
+    pub fn policy(mut self, policy: Policy) -> Self {
+        self.policies.push(policy);
         self
     }
 
@@ -596,12 +574,9 @@ impl SweepSpec {
     ///
     /// # Errors
     /// Returns the unknown name back.
-    pub fn policy_named(mut self, name: &str) -> Result<Self, String> {
+    pub fn policy_named(self, name: &str) -> Result<Self, String> {
         match crate::policy::policy_from_name(name) {
-            Some(p) => {
-                self.policies.push(PolicyEntry::Static(p));
-                Ok(self)
-            }
+            Some(p) => Ok(self.policy(p)),
             None => Err(name.to_string()),
         }
     }
@@ -675,7 +650,7 @@ impl SweepSpec {
                     .iter_mut()
                     .map(|o| o as &mut dyn RoundObserver)
                     .collect();
-                self.run_one_seed(&testbed, &policies, self.seeds[i], canonical_key, &mut taps)?
+                self.run_one_seed(&testbed, policies, self.seeds[i], canonical_key, &mut taps)?
             };
             Ok((results, observers))
         })
@@ -718,7 +693,7 @@ impl SweepSpec {
             )));
         }
         let canonical_key = self.canonical().ok().map(|c| c.key());
-        self.run_one_seed(&testbed, &policies, seed, canonical_key, observers)
+        self.run_one_seed(&testbed, policies, seed, canonical_key, observers)
     }
 
     /// The resolved policy names, in job order — the paper's default
@@ -726,7 +701,7 @@ impl SweepSpec {
     /// [`SeedResults::per_policy`] and the sweep statistics follow, and
     /// what labels per-policy recordings.
     pub fn policy_names(&self) -> Vec<String> {
-        self.policy_refs()
+        self.resolved_policies()
             .iter()
             .map(|p| p.name().to_string())
             .collect()
@@ -742,12 +717,12 @@ impl SweepSpec {
     /// [`CanonicalSpec`] for exactly what it encodes.
     ///
     /// Canonicalization requires the spec to be reconstructible from its
-    /// canonical form alone: the environment and every policy must carry
-    /// registry names (custom implementations must pick names the
-    /// registries don't — a collision would alias someone else's cache
-    /// entries), there must be no [`testbed`](SweepSpec::testbed)
-    /// override, and the config may deviate from the environment's
-    /// defaults only in [`rounds`](SweepSpec::rounds),
+    /// canonical form alone: the environment must carry a registry name
+    /// (a custom environment must pick a name the registry doesn't — a
+    /// collision would alias someone else's cache entries), there must
+    /// be no [`testbed`](SweepSpec::testbed) override, and the config
+    /// may deviate from the environment's defaults only in
+    /// [`rounds`](SweepSpec::rounds),
     /// [`traffic`](SweepSpec::traffic), [`mobility`](SweepSpec::mobility)
     /// and the [`sinr_grid`](SweepSpec::sinr_grid).
     ///
@@ -791,13 +766,6 @@ impl SweepSpec {
         // An empty policy list resolves to the default trio here, so
         // "no policies named" and the trio named explicitly share a key.
         let policies = self.policy_names();
-        for name in &policies {
-            if policy_from_name(name).is_none() {
-                return Err(SweepError::NotCanonical(format!(
-                    "policy {name:?} is not in the registry"
-                )));
-            }
-        }
         Ok(CanonicalSpec {
             antennas: self.scenario.antennas.clone(),
             flows: self.scenario.flows.iter().map(|f| (f.tx, f.rx)).collect(),
@@ -813,9 +781,10 @@ impl SweepSpec {
 
     /// The one spec validator every entry point runs before anything
     /// else: a structurally sound scenario, a non-empty seed list, at
-    /// least one round, and valid traffic/mobility/SINR-grid parameters
-    /// (a NaN Poisson mean would hang the arrival sampler; better a
-    /// typed error than an engine misbehaving).
+    /// least one round, no policy named twice, and valid
+    /// traffic/mobility/SINR-grid parameters (a NaN Poisson mean would
+    /// hang the arrival sampler; better a typed error than an engine
+    /// misbehaving).
     fn validate(&self) -> Result<(), SweepError> {
         let check = || {
             self.scenario.validate()?;
@@ -824,6 +793,14 @@ impl SweepSpec {
             }
             if self.cfg.rounds == 0 {
                 return Err("zero rounds".to_string());
+            }
+            // A repeated policy would run twice under one name: its
+            // per-policy recordings and result rows would collide.
+            let policies = self.resolved_policies();
+            for (i, p) in policies.iter().enumerate() {
+                if policies[..i].contains(p) {
+                    return Err(format!("duplicate policy {:?}", p.name()));
+                }
             }
             self.cfg.traffic.validate()?;
             self.cfg.mobility.validate()?;
@@ -834,9 +811,9 @@ impl SweepSpec {
 
     /// The validator, then what a job needs: the resolved testbed and
     /// the policies in job order.
-    fn prepare(&self) -> Result<(Testbed, Vec<&dyn MacPolicy>), SweepError> {
+    fn prepare(&self) -> Result<(Testbed, &[Policy]), SweepError> {
         self.validate()?;
-        Ok((self.resolved_testbed()?, self.policy_refs()))
+        Ok((self.resolved_testbed()?, self.resolved_policies()))
     }
 
     /// One seed-indexed unit of sweep work: draw the topology for
@@ -853,7 +830,7 @@ impl SweepSpec {
     fn run_one_seed(
         &self,
         testbed: &Testbed,
-        policies: &[&dyn MacPolicy],
+        policies: &[Policy],
         seed: u64,
         canonical_key: Option<u128>,
         observers: &mut [&mut dyn RoundObserver],
@@ -896,11 +873,11 @@ impl SweepSpec {
         }
     }
 
-    fn policy_refs(&self) -> Vec<&dyn MacPolicy> {
+    fn resolved_policies(&self) -> &[Policy] {
         if self.policies.is_empty() {
-            DEFAULT_POLICIES.to_vec()
+            &DEFAULT_POLICIES
         } else {
-            self.policies.iter().map(|p| p.as_dyn()).collect()
+            &self.policies
         }
     }
 }
@@ -1306,8 +1283,10 @@ mod tests {
 
     /// Regression: zero rounds and an empty seed list ran to `NaN` /
     /// `-0.00` statistics through `try_run` while the canonical form
-    /// rejected them. The one validator now refuses both on every
-    /// entry point, with the wire protocol's error text.
+    /// rejected them, and a repeated policy ran twice under one name
+    /// (its recordings overwrote each other). The one validator now
+    /// refuses all three on every entry point, with the wire protocol's
+    /// error text.
     #[test]
     fn degenerate_specs_are_invalid_everywhere() {
         for (spec, want) in [
@@ -1322,6 +1301,15 @@ mod tests {
                     .rounds(5)
                     .seed_count(0),
                 "invalid spec: empty seed list",
+            ),
+            (
+                SweepSpec::new(Scenario::three_pairs())
+                    .rounds(5)
+                    .seed_count(3)
+                    .policy(NPlus)
+                    .policy(Dot11n)
+                    .policy(NPlus),
+                "invalid spec: duplicate policy \"nplus\"",
             ),
         ] {
             let errs = [

@@ -107,9 +107,10 @@ pub fn effective_snr(m: Modulation, subcarrier_snrs: &[f64]) -> f64 {
     snr_for_ber(m, mean_ber)
 }
 
-/// Effective SNR in dB.
+/// Effective SNR in dB (a zero ESNR is clamped to −3000 dB rather than
+/// `-inf`).
 pub fn effective_snr_db(m: Modulation, subcarrier_snrs: &[f64]) -> f64 {
-    10.0 * effective_snr(m, subcarrier_snrs).log10()
+    10.0 * effective_snr(m, subcarrier_snrs).max(1e-300).log10()
 }
 
 /// Minimum ESNR (dB) at which each [`RATE_TABLE`] entry delivers roughly a
@@ -131,13 +132,21 @@ pub const RATE_ESNR_THRESHOLDS_DB: [f64; 8] = [
 /// Picks the fastest rate whose ESNR threshold the channel satisfies.
 ///
 /// `subcarrier_snrs` are the post-projection per-subcarrier SNRs (linear)
-/// measured from the light-weight RTS. Returns `None` when even the most
-/// robust rate is below threshold (the receiver should then refuse the
-/// exchange).
+/// measured from the light-weight RTS. Returns `None` when the track is
+/// empty or even the most robust rate is below threshold (the receiver
+/// should then refuse the exchange).
 pub fn select_rate(subcarrier_snrs: &[f64]) -> Option<RateIndex> {
+    if subcarrier_snrs.is_empty() {
+        return None;
+    }
     let mut best = None;
+    // The 8 rate entries share 4 modulations, and the ESNR is a pure
+    // function of (modulation, SNR track) — evaluate each modulation's
+    // BER fold and inversion once and reuse it for both coding rates.
+    let mut esnr_db_by_mod: [Option<f64>; 4] = [None; 4];
     for (idx, mcs) in RATE_TABLE.iter().enumerate() {
-        let esnr_db = effective_snr_db(mcs.modulation, subcarrier_snrs);
+        let esnr_db = *esnr_db_by_mod[mcs.modulation as usize]
+            .get_or_insert_with(|| effective_snr_db(mcs.modulation, subcarrier_snrs));
         if esnr_db >= RATE_ESNR_THRESHOLDS_DB[idx] {
             best = Some(idx);
         }

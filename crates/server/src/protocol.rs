@@ -619,6 +619,10 @@ mod tests {
         );
         assert_eq!(err(&|r| r.seeds.clear()), "invalid spec: empty seed list");
         assert_eq!(err(&|r| r.rounds = 0), "invalid spec: zero rounds");
+        assert_eq!(
+            err(&|r| r.policies = vec!["nplus".to_string(), "nplus".to_string()]),
+            "invalid spec: duplicate policy \"nplus\""
+        );
     }
 
     /// Equal canonical keys mean bitwise-equal statistics, however the

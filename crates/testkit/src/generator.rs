@@ -321,7 +321,7 @@ mod tests {
             rounds: 1,
             ..Default::default()
         };
-        let r = built.run(&nplus::policy::Dot11n, &cfg, 3);
+        let r = built.run(nplus::policy::Dot11n, &cfg, 3);
         assert!(r.total_mbps.is_finite());
     }
 
@@ -442,7 +442,7 @@ mod tests {
             rounds: 2,
             ..Default::default()
         };
-        let r = built.run(&nplus::policy::NPlus, &cfg, 11);
+        let r = built.run(nplus::policy::NPlus, &cfg, 11);
         assert!(r.total_mbps.is_finite());
     }
 }

@@ -2,7 +2,7 @@
 
 use nplus::carrier_sense::MultiDimCarrierSense;
 use nplus::observer::NullObserver;
-use nplus::policy::MacPolicy;
+use nplus::policy::Policy;
 use nplus::sim::{RunResult, Scenario, SimConfig, SimEngine};
 use nplus_channel::environment::{ChannelEnvironment, EnvironmentError};
 use nplus_channel::fading::DelayProfile;
@@ -33,9 +33,9 @@ pub struct BuiltScenario {
 }
 
 impl BuiltScenario {
-    /// Simulates `policy` (a built-in such as `&NPlus`, or a custom
-    /// one) under `cfg`, with the run RNG seeded by `sim_seed`.
-    pub fn run(&self, policy: &dyn MacPolicy, cfg: &SimConfig, sim_seed: u64) -> RunResult {
+    /// Simulates `policy` (such as `NPlus`) under `cfg`, with the run
+    /// RNG seeded by `sim_seed`.
+    pub fn run(&self, policy: Policy, cfg: &SimConfig, sim_seed: u64) -> RunResult {
         let mut rng = StdRng::seed_from_u64(sim_seed);
         SimEngine::new(&self.topology, &self.scenario, cfg).run(
             policy,

@@ -49,7 +49,7 @@ fn main() {
     println!("\nsimulating {} rounds per protocol...\n", cfg.rounds);
     let mut results = Vec::new();
     let engine = SimEngine::new(&topo, &scenario, &cfg);
-    for policy in [&Dot11n as &dyn MacPolicy, &NPlus] {
+    for policy in [Dot11n, NPlus] {
         let mut rng = StdRng::seed_from_u64(seed);
         let r = engine.run(policy, &mut rng, &mut NullObserver, None);
         println!(

@@ -29,8 +29,8 @@ pub use nplus_mac as mac;
 pub use nplus_medium as medium;
 pub use nplus_phy as phy;
 
-/// The simulation prelude: `SweepSpec`, scenarios, every built-in
-/// [`MacPolicy`](crate::core::policy::MacPolicy), the observer API, and
+/// The simulation prelude: `SweepSpec`, scenarios, every
+/// [`Policy`](crate::core::policy::Policy), the observer API, and
 /// the testbed map — one import for the whole public simulation
 /// surface.
 pub mod prelude {

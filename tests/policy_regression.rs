@@ -1,5 +1,5 @@
 //! Seed-for-seed bitwise identity between the enum-era engine and the
-//! `MacPolicy` redesign.
+//! policy-layer redesign.
 //!
 //! Every golden number below was recorded by running the **pre-refactor
 //! implementation** (the `Protocol` match arms hard-coded in
@@ -17,7 +17,7 @@
 use nplus::observer::{
     ContentionKind, ContentionRecord, JoinRecord, NullObserver, RoundObserver, RoundRecord, RunMeta,
 };
-use nplus::policy::{Beamforming, Dot11n, GreedyJoin, MacPolicy, NPlus, Oracle};
+use nplus::policy::{Beamforming, Dot11n, GreedyJoin, NPlus, Oracle, Policy};
 use nplus::sim::{aggregate_results, Scenario, SimConfig, SimEngine, SweepSpec, SweepStats};
 use nplus_channel::environment::environment_from_name;
 use nplus_medium::topology::{build_topology, TopologyConfig};
@@ -195,7 +195,7 @@ fn assert_stats_match_goldens(label: &str, stats: &[SweepStats], context: &str) 
 }
 
 /// The policy redesign's acceptance criterion: `NPlus`, `Dot11n` and
-/// `Beamforming` as `MacPolicy` implementations reproduce the enum-era
+/// `Beamforming` as policy-layer rules reproduce the enum-era
 /// sweep statistics bit-for-bit at every recorded seed — serially and
 /// at 2 worker threads.
 #[test]
@@ -265,7 +265,7 @@ fn greedy_join_reproduces_the_power_control_ablation_bitwise() {
             rounds: 10,
             ..SimConfig::default()
         };
-        let r = built.run(&GreedyJoin, &cfg, seed ^ 0x55);
+        let r = built.run(GreedyJoin, &cfg, seed ^ 0x55);
         assert_eq!(r.total_mbps, total, "seed {seed} total");
         assert_eq!(r.mean_dof, dof, "seed {seed} DoF");
         assert_eq!(r.per_flow_mbps.as_slice(), per_flow, "seed {seed} per-flow");
@@ -277,21 +277,21 @@ fn greedy_join_reproduces_the_power_control_ablation_bitwise() {
 /// entry point itself, not just the sweep wrappers.
 #[test]
 fn simulate_entry_point_matches_enum_era_bitwise() {
-    let goldens: [(&dyn MacPolicy, f64, f64, &[f64]); 3] = [
+    let goldens: [(Policy, f64, f64, &[f64]); 3] = [
         (
-            &NPlus,
+            NPlus,
             17.30373001776199,
             2.339578454332553,
             &[3.580817051509769, 5.371225577264654, 8.351687388987566],
         ),
         (
-            &Dot11n,
+            Dot11n,
             13.64467005076142,
             2.1379310344827585,
             &[3.411167512690355, 3.411167512690355, 6.82233502538071],
         ),
         (
-            &Beamforming,
+            Beamforming,
             13.64467005076142,
             2.1379310344827585,
             &[3.411167512690355, 3.411167512690355, 6.82233502538071],

@@ -2,7 +2,7 @@
 //! random topologies.
 
 use nplus::observer::{RoundObserver, RoundRecord};
-use nplus::policy::{Beamforming, Dot11n, GreedyJoin, MacPolicy, NPlus, Oracle};
+use nplus::policy::{Beamforming, Dot11n, GreedyJoin, NPlus, Oracle, Policy};
 use nplus::sim::{Scenario, SimConfig, SweepSpec};
 use nplus_channel::environment::BUILTIN_ENVIRONMENT_NAMES;
 use nplus_channel::impairments::HardwareProfile;
@@ -15,7 +15,7 @@ use proptest::{proptest, ProptestConfig};
 
 fn run(
     scenario: &Scenario,
-    policy: &dyn MacPolicy,
+    policy: Policy,
     seed: u64,
     hardware: HardwareProfile,
     rounds: usize,
@@ -37,7 +37,7 @@ fn run(
 fn dof_never_exceeds_max_antennas() {
     let scenario = Scenario::three_pairs();
     for seed in 0..8 {
-        let r = run(&scenario, &NPlus, seed, HardwareProfile::default(), 10);
+        let r = run(&scenario, NPlus, seed, HardwareProfile::default(), 10);
         assert!(
             r.mean_dof <= 3.0 + 1e-9,
             "seed {seed}: mean DoF {} exceeds the 3-antenna budget",
@@ -57,8 +57,8 @@ fn ideal_hardware_protects_first_winner_perfectly() {
     // A mean over few placements sits close to the 0.75 bound; a dozen
     // keeps the average clear of it across RNG streams.
     for seed in 0..12 {
-        flow0_nplus += run(&scenario, &NPlus, seed, IDEAL_HARDWARE, 14).per_flow_mbps[0];
-        flow0_dot11n += run(&scenario, &Dot11n, seed, IDEAL_HARDWARE, 14).per_flow_mbps[0];
+        flow0_nplus += run(&scenario, NPlus, seed, IDEAL_HARDWARE, 14).per_flow_mbps[0];
+        flow0_dot11n += run(&scenario, Dot11n, seed, IDEAL_HARDWARE, 14).per_flow_mbps[0];
     }
     // The single-antenna flow's throughput under n+ must stay within 25%
     // of its 802.11n share (it keeps its contention share; only round
@@ -78,8 +78,8 @@ fn concurrency_is_the_mechanism() {
     let mut tput_gain = 0.0;
     let n = 6;
     for seed in 0..n {
-        let np = run(&scenario, &NPlus, seed, HardwareProfile::default(), 12);
-        let dn = run(&scenario, &Dot11n, seed, HardwareProfile::default(), 12);
+        let np = run(&scenario, NPlus, seed, HardwareProfile::default(), 12);
+        let dn = run(&scenario, Dot11n, seed, HardwareProfile::default(), 12);
         dof_gain += np.mean_dof / dn.mean_dof.max(1e-9) / n as f64;
         tput_gain += np.total_mbps / dn.total_mbps.max(1e-9) / n as f64;
     }
@@ -95,8 +95,8 @@ fn gains_grow_with_antenna_count() {
     let mut gains = [0.0f64; 3];
     let n = 8;
     for seed in 0..n {
-        let np = run(&scenario, &NPlus, seed, HardwareProfile::default(), 12);
-        let dn = run(&scenario, &Dot11n, seed, HardwareProfile::default(), 12);
+        let np = run(&scenario, NPlus, seed, HardwareProfile::default(), 12);
+        let dn = run(&scenario, Dot11n, seed, HardwareProfile::default(), 12);
         for f in 0..3 {
             gains[f] += np.per_flow_mbps[f] / dn.per_flow_mbps[f].max(1e-9) / n as f64;
         }
@@ -130,8 +130,8 @@ fn power_control_protects_ongoing_receivers() {
             rounds: 12,
             ..SimConfig::default()
         };
-        with_pc += built.run(&NPlus, &cfg, seed ^ 0x55).per_flow_mbps[0];
-        without_pc += built.run(&GreedyJoin, &cfg, seed ^ 0x55).per_flow_mbps[0];
+        with_pc += built.run(NPlus, &cfg, seed ^ 0x55).per_flow_mbps[0];
+        without_pc += built.run(GreedyJoin, &cfg, seed ^ 0x55).per_flow_mbps[0];
     }
     assert!(
         with_pc >= 0.9 * without_pc,
@@ -257,8 +257,8 @@ fn oracle_rates_always_deliver() {
 #[test]
 fn simulation_is_deterministic() {
     let scenario = Scenario::three_pairs();
-    let a = run(&scenario, &NPlus, 33, HardwareProfile::default(), 8);
-    let b = run(&scenario, &NPlus, 33, HardwareProfile::default(), 8);
+    let a = run(&scenario, NPlus, 33, HardwareProfile::default(), 8);
+    let b = run(&scenario, NPlus, 33, HardwareProfile::default(), 8);
     assert_eq!(a.per_flow_mbps, b.per_flow_mbps);
     assert_eq!(a.total_mbps, b.total_mbps);
 }
@@ -279,8 +279,8 @@ fn monte_carlo_throughput_headline() {
     let (mut np_total, mut dn_total, mut np_flow0, mut dn_flow0) = (0.0, 0.0, 0.0, 0.0);
     for seed in 0..30 {
         let built = build_scenario(scenario.clone(), seed);
-        let np = built.run(&NPlus, &cfg, seed ^ 0xC0FFEE);
-        let dn = built.run(&Dot11n, &cfg, seed ^ 0xC0FFEE);
+        let np = built.run(NPlus, &cfg, seed ^ 0xC0FFEE);
+        let dn = built.run(Dot11n, &cfg, seed ^ 0xC0FFEE);
         np_total += np.total_mbps;
         dn_total += dn.total_mbps;
         np_flow0 += np.per_flow_mbps[0];
@@ -430,16 +430,9 @@ fn ap_scenario_protocol_ordering() {
     // streams (16 was inside the Monte-Carlo noise). The cached engine
     // covers the extra placements with runtime to spare.
     for seed in 0..32 {
-        np += run(&scenario, &NPlus, seed, HardwareProfile::default(), 12).total_mbps;
-        bf += run(
-            &scenario,
-            &Beamforming,
-            seed,
-            HardwareProfile::default(),
-            12,
-        )
-        .total_mbps;
-        dn += run(&scenario, &Dot11n, seed, HardwareProfile::default(), 12).total_mbps;
+        np += run(&scenario, NPlus, seed, HardwareProfile::default(), 12).total_mbps;
+        bf += run(&scenario, Beamforming, seed, HardwareProfile::default(), 12).total_mbps;
+        dn += run(&scenario, Dot11n, seed, HardwareProfile::default(), 12).total_mbps;
     }
     assert!(np > bf, "n+ {np:.1} not above beamforming {bf:.1}");
     assert!(bf > dn, "beamforming {bf:.1} not above 802.11n {dn:.1}");
