@@ -15,8 +15,8 @@ use nplus::power_control::expected_interference_power;
 use nplus::precoder::{compute_precoders, OwnReceiver, PrecoderError, ProtectedReceiver};
 use nplus_channel::HardwareProfile;
 use nplus_linalg::{
-    c64, null_space_into, pinv, rank, CMatrix, CMatrixSoA, CVector, Complex64, LinalgError,
-    NullspaceWorkspace, Subspace,
+    c64, null_space_into, pinv, pinv_into, rank, CMatrix, CMatrixSoA, CVector, Complex64,
+    LinalgError, NullspaceWorkspace, PinvWorkspace, Subspace,
 };
 use nplus_mac::backoff::resolve_contention_in;
 use rand::rngs::StdRng;
@@ -163,6 +163,57 @@ fn pinv_is_pinned() {
     }
     assert!(singular > 0, "corpus must reach the singular branch");
     assert_eq!(h.0, 0x7408_cd85_0067_d04e, "pinv digest {:#x}", h.0);
+}
+
+/// Every shape a receiver's zero-forcing matrix can take: `rows × cols`
+/// with `1 ≤ cols ≤ rows ≤ 8` (8 is the scenario antenna cap). Each
+/// shape gets two corpus matrices and three rank-deficient variants of a
+/// third (last column zero, a copy of the first, twice the first), all
+/// through one reused workspace so stale pool contents would show.
+#[test]
+fn pinv_engine_shapes_are_pinned() {
+    let mut corpus = Corpus(0x5EED_8A8A);
+    let mut ws = PinvWorkspace::default();
+    let mut h = Fnv::new();
+    let (mut ok, mut singular) = (0, 0);
+    for rows in 1..=8usize {
+        for cols in 1..=rows {
+            let mut inputs = vec![corpus.matrix(rows, cols), corpus.matrix(rows, cols)];
+            let base = corpus.matrix(rows, cols);
+            for variant in 0..3 {
+                if variant > 0 && cols < 2 {
+                    continue;
+                }
+                let mut a = base.clone();
+                for i in 0..rows {
+                    a[(i, cols - 1)] = match variant {
+                        0 => Complex64::ZERO,
+                        1 => base[(i, 0)],
+                        _ => base[(i, 0)].scale(2.0),
+                    };
+                }
+                inputs.push(a);
+            }
+            for a in inputs {
+                match pinv_into(&CMatrixSoA::from_aos(&a), &mut ws) {
+                    Ok(()) => {
+                        ok += 1;
+                        h.matrix(&ws.out.to_aos());
+                    }
+                    Err(e) => {
+                        singular += 1;
+                        h.usize(linalg_error_tag(&e));
+                    }
+                }
+            }
+        }
+    }
+    assert!(ok > 0 && singular > 0, "{ok}/{singular}");
+    assert_eq!(
+        h.0, 0x8054_2726_481d_34db,
+        "pinv engine shapes digest {:#x}",
+        h.0
+    );
 }
 
 /// The corpus rows span a subspace of `C^cols`; its complement and the

@@ -18,7 +18,7 @@ use nplus::observer::{
     ContentionKind, ContentionRecord, JoinRecord, NullObserver, RoundObserver, RoundRecord, RunMeta,
 };
 use nplus::policy::{Beamforming, Dot11n, GreedyJoin, NPlus, Oracle, Policy};
-use nplus::sim::{aggregate_results, Scenario, SimConfig, SimEngine, SweepSpec, SweepStats};
+use nplus::sim::{aggregate_results, Flow, Scenario, SimConfig, SimEngine, SweepSpec, SweepStats};
 use nplus_channel::environment::environment_from_name;
 use nplus_medium::topology::{build_topology, TopologyConfig};
 use nplus_testkit::generator::ScenarioGenerator;
@@ -617,4 +617,88 @@ fn oracle_results_and_event_streams_are_pinned() {
             );
         }
     }
+}
+
+/// A hand-built scenario of 5–8-antenna nodes: 5→6, 6→7 and 8→8
+/// pairs, plus an 8-antenna AP serving a 5- and a 7-antenna client. Its
+/// receivers zero-force over every receive-space size from 5 to 8, and
+/// under n+ it reaches accepted joins, refused joins and two-receiver
+/// openings, so every planning and settlement path runs at these shapes.
+fn wide_array_scenario() -> Scenario {
+    Scenario {
+        antennas: vec![5, 6, 6, 7, 8, 8, 8, 5, 7],
+        flows: vec![
+            Flow { tx: 0, rx: 1 },
+            Flow { tx: 2, rx: 3 },
+            Flow { tx: 4, rx: 5 },
+            Flow { tx: 6, rx: 7 },
+            Flow { tx: 6, rx: 8 },
+        ],
+    }
+}
+
+/// Wide-array goldens, one per policy in the sweep's order: mean
+/// total Mb/s, mean DoF, and one [`StreamDigest`] folded over every run's
+/// event stream in seed order. Recorded before per-bin kernels were
+/// specialized by shape, so shapes beyond four antennas are pinned too.
+const WIDE_ARRAY_GOLDENS: [(&str, f64, f64, u64); 5] = [
+    (
+        "nplus",
+        13.320161136800882,
+        5.816546184738956,
+        0xf191_b5a7_537f_3344,
+    ),
+    (
+        "dot11n",
+        15.503738519990051,
+        5.559960983557357,
+        0x9e79_db26_a013_2242,
+    ),
+    (
+        "beamforming",
+        15.375039089486771,
+        5.623686974789916,
+        0x2134_8815_4386_ba75,
+    ),
+    (
+        "greedy_join",
+        13.320161136800882,
+        5.816546184738956,
+        0x5db4_70f1_f0a5_2ff5,
+    ),
+    (
+        "oracle",
+        26.68237582043594,
+        7.333333333333333,
+        0x75b9_29d9_d424_b8bc,
+    ),
+];
+
+/// Every policy reproduces its recorded statistics and event streams on
+/// [`wide_array_scenario`].
+#[test]
+fn wide_array_scenario_is_pinned_under_every_policy() {
+    let mut sweep = SweepSpec::new(wide_array_scenario())
+        .rounds(8)
+        .seed_count(3);
+    for policy in [NPlus, Dot11n, Beamforming, GreedyJoin, Oracle] {
+        sweep = sweep.policy(policy);
+    }
+    let runs = sweep
+        .try_run_observed(|_, _| StreamDigest(0xcbf2_9ce4_8422_2325))
+        .expect("wide-array sweep runs");
+    let results: Vec<_> = runs.iter().map(|(r, _)| r.clone()).collect();
+    let stats = aggregate_results(5, &sweep.policy_names(), &results);
+    let got: Vec<(&str, f64, f64, u64)> = stats
+        .iter()
+        .enumerate()
+        .map(|(p, s)| {
+            let mut folded = StreamDigest(0xcbf2_9ce4_8422_2325);
+            for (_, observers) in &runs {
+                folded.eat_u64(observers[p].0);
+            }
+            (s.policy.as_str(), s.mean_total_mbps, s.mean_dof, folded.0)
+        })
+        .collect();
+    assert_eq!(got, WIDE_ARRAY_GOLDENS, "wide-array results drifted");
 }
