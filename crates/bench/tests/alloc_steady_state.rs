@@ -4,8 +4,10 @@
 //!
 //! * the per-run arena: after the warm-up rounds have grown the
 //!   `Scratch` pools and the round buffers to their high-water marks, a
-//!   steady-state round performs **zero** heap allocations — the
-//!   oracle's memoized schedules included;
+//!   steady-state round performs **zero** heap allocations — under n+,
+//!   under 802.11n and beamforming (whose rounds settle from the
+//!   receivers' stored zero-forcing filters), and in the oracle's
+//!   memoized schedules;
 //! * copy-on-write channel tables: a waypoint-mobility run's set-up
 //!   shares the engine's tables instead of copying them, so it
 //!   allocates per *moved* link, not per link.
@@ -22,7 +24,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use nplus::observer::{RoundObserver, RoundRecord, RunMeta};
-use nplus::policy::{NPlus, Oracle};
+use nplus::policy::{Beamforming, Dot11n, NPlus, Oracle};
 use nplus::sim::{MobilityModel, SimConfig, SimEngine};
 use nplus_channel::environment::{ChannelEnvironment, MULTI_CELL};
 use nplus_channel::placement::Testbed;
@@ -112,7 +114,10 @@ fn steady_state_rounds_allocate_nothing() {
     // join bookkeeping) exercised each round. Warm-up must outlast the
     // opening-plan memo's fill — every transmitter has to win primary
     // contention at least once (coupon collector over 16 contenders)
-    // before the last first-win stops populating it.
+    // before the last first-win stops populating it. 802.11n and
+    // beamforming rounds plan and settle through the same pools, with
+    // every receiver's zero-forcing filters in one flat buffer per
+    // receiver state.
     let scenario = ScenarioGenerator::new(7).dense(32);
     let testbed = Testbed::try_fitting(scenario.antennas.len()).unwrap_or_else(|e| panic!("{e}"));
     let cfg = SimConfig {
@@ -129,23 +134,26 @@ fn steady_state_rounds_allocate_nothing() {
     );
     let engine = SimEngine::new(&topo, &scenario, &cfg);
 
-    let mut ledger = AllocLedger::with_rounds(ROUNDS);
-    let mut rng = StdRng::seed_from_u64(11);
-    let result = engine.run(NPlus, &mut rng, &mut ledger, None);
-    assert!(result.total_mbps.is_finite());
-    assert_eq!(ledger.counts.len(), ROUNDS);
+    for policy in [NPlus, Dot11n, Beamforming] {
+        let name = policy.name();
+        let mut ledger = AllocLedger::with_rounds(ROUNDS);
+        let mut rng = StdRng::seed_from_u64(11);
+        let result = engine.run(policy, &mut rng, &mut ledger, None);
+        assert!(result.total_mbps.is_finite(), "{name}");
+        assert_eq!(ledger.counts.len(), ROUNDS, "{name}");
 
-    // Every round after warm-up must leave the counter untouched.
-    let steady = ledger.counts[WARMUP - 1];
-    for (round, &count) in ledger.counts.iter().enumerate().skip(WARMUP) {
-        assert_eq!(
-            count,
-            steady,
-            "round {round} allocated {} time(s) after warm-up (round {} -> {})",
-            count - steady,
-            WARMUP - 1,
-            round,
-        );
+        // Every round after warm-up must leave the counter untouched.
+        let steady = ledger.counts[WARMUP - 1];
+        for (round, &count) in ledger.counts.iter().enumerate().skip(WARMUP) {
+            assert_eq!(
+                count,
+                steady,
+                "{name} round {round} allocated {} time(s) after warm-up (round {} -> {})",
+                count - steady,
+                WARMUP - 1,
+                round,
+            );
+        }
     }
 }
 

@@ -45,8 +45,8 @@ pub struct SubcarrierObservation {
 /// degenerate). Allocating wrapper over [`zf_sinr_slices_into`].
 ///
 /// # Panics
-/// When the wanted and known-interference vectors do not all have the
-/// same length (ragged columns).
+/// When the wanted, known-interference and residual vectors do not all
+/// have the same length (ragged columns).
 pub fn zf_sinr(obs: &SubcarrierObservation) -> Vec<f64> {
     let mut out = Vec::new();
     zf_sinr_slices_into(
@@ -60,22 +60,24 @@ pub fn zf_sinr(obs: &SubcarrierObservation) -> Vec<f64> {
     out
 }
 
-/// Reusable buffers for [`zf_sinr_slices_into`] — one per engine, reused
-/// across every (round × receiver × subcarrier) evaluation.
+/// Reusable buffers for [`zf_sinr_slices_into`] and [`ZfFilters::push`]
+/// — one per engine, reused across every (round × receiver × subcarrier)
+/// evaluation.
 #[derive(Debug, Clone, Default)]
 pub struct ZfWorkspace {
     a: CMatrixSoA,
     pinv: PinvWorkspace,
+    one: ZfFilters,
 }
 
-/// Slice form of [`zf_sinr`] into pooled buffers: the ZF matrix is
-/// assembled into `ws`, inverted by the split-storage pseudo-inverse
-/// kernel, and the SINRs are written into `out`. The simulator's hot path
-/// passes its per-round scratch buffers and cached subspace bases here
-/// directly.
+/// Slice form of [`zf_sinr`] into pooled buffers: one [`ZfFilters::push`]
+/// (the ZF matrix assembled and inverted by the split-storage
+/// pseudo-inverse kernel) and one [`ZfFilters::apply`] writing the SINRs
+/// into `out`.
 ///
 /// # Panics
-/// As [`zf_sinr`].
+/// As [`zf_sinr`], before any other check: a ragged input panics even
+/// when the receiver is over-subscribed.
 pub fn zf_sinr_slices_into(
     wanted: &[CVector],
     known_interference: &[CVector],
@@ -84,47 +86,179 @@ pub fn zf_sinr_slices_into(
     ws: &mut ZfWorkspace,
     out: &mut Vec<f64>,
 ) {
-    out.clear();
-    let n_wanted = wanted.len();
-    if n_wanted == 0 {
-        return;
-    }
-    let n_ant = wanted[0].len();
-    let n_cols = n_wanted + known_interference.len();
-    if n_cols > n_ant {
-        // Over-subscribed receive space: undecodable.
-        out.resize(n_wanted, 0.0);
-        return;
-    }
-    // Assemble the ZF matrix column by column (wanted, then known
-    // interference).
-    ws.a.reset(n_ant, n_cols);
-    for (j, v) in wanted.iter().chain(known_interference).enumerate() {
+    let all = || {
+        wanted
+            .iter()
+            .chain(known_interference)
+            .chain(residual_interference)
+    };
+    assert_same_length(all().next().map_or(0, CVector::len), all());
+    let ZfWorkspace { a, pinv, one } = ws;
+    one.clear();
+    one.build(wanted, known_interference, a, pinv);
+    one.apply(0, residual_interference, noise_power, out);
+}
+
+fn assert_same_length<'v>(n_ant: usize, columns: impl Iterator<Item = &'v CVector>) {
+    for v in columns {
         assert_eq!(v.len(), n_ant, "ragged column lengths");
-        for (i, z) in v.iter().enumerate() {
-            ws.a.set(i, j, *z);
+    }
+}
+
+/// The zero-forcing filters of one receiver, one per subcarrier, in flat
+/// storage.
+///
+/// §3.3's receiver zero-forces over `[wanted | known interference]`.
+/// Both are fixed once the receiver is registered, so the solve splits
+/// in two: [`push`](ZfFilters::push) (*build*) inverts the matrix once
+/// and keeps the wanted rows of its pseudo-inverse with each row's noise
+/// gain `Σ_j |w_ij|²`; [`apply`](ZfFilters::apply) folds the residual
+/// interference of a particular round through a stored filter. Build
+/// then apply is [`zf_sinr_slices_into`] bit for bit, whatever the
+/// residuals.
+///
+/// Every filter in one set has the same shape (wanted count and antenna
+/// count, fixed by the first push after [`clear`](ZfFilters::clear)),
+/// so the set is three flat buffers that a pooled owner reuses without
+/// reallocating.
+#[derive(Debug, Clone, Default)]
+pub struct ZfFilters {
+    n_wanted: usize,
+    n_ant: usize,
+    /// Per filter: `false` when the receiver cannot decode (over-
+    /// subscribed or singular), so every wanted stream gets SINR zero.
+    decodable: Vec<bool>,
+    /// Wanted rows of each filter's pseudo-inverse, flat
+    /// `[filter][row][antenna]`.
+    rows: Vec<Complex64>,
+    /// Noise gain of each wanted row, flat `[filter][row]`.
+    noise_gain: Vec<f64>,
+}
+
+impl ZfFilters {
+    /// Empties the set, keeping its buffers.
+    pub fn clear(&mut self) {
+        self.n_wanted = 0;
+        self.n_ant = 0;
+        self.decodable.clear();
+        self.rows.clear();
+        self.noise_gain.clear();
+    }
+
+    /// Reuses `self`'s buffers to become a copy of `src`.
+    pub fn assign_from(&mut self, src: &ZfFilters) {
+        self.n_wanted = src.n_wanted;
+        self.n_ant = src.n_ant;
+        self.decodable.clone_from(&src.decodable);
+        self.rows.clone_from(&src.rows);
+        self.noise_gain.clone_from(&src.noise_gain);
+    }
+
+    /// Builds the filter of one more subcarrier from the receiver's
+    /// wanted columns and known-interference directions.
+    ///
+    /// # Panics
+    /// When the columns have different lengths (checked first), or when
+    /// their shape differs from the filters already in the set.
+    pub fn push(
+        &mut self,
+        wanted: &[CVector],
+        known_interference: &[CVector],
+        ws: &mut ZfWorkspace,
+    ) {
+        self.build(wanted, known_interference, &mut ws.a, &mut ws.pinv);
+    }
+
+    fn build(
+        &mut self,
+        wanted: &[CVector],
+        known_interference: &[CVector],
+        a: &mut CMatrixSoA,
+        pinv: &mut PinvWorkspace,
+    ) {
+        let columns = || wanted.iter().chain(known_interference);
+        let n_ant = columns().next().map_or(0, CVector::len);
+        assert_same_length(n_ant, columns());
+        let n_wanted = wanted.len();
+        if self.decodable.is_empty() {
+            self.n_wanted = n_wanted;
+            self.n_ant = n_ant;
+        } else {
+            assert_eq!(
+                (n_wanted, n_ant),
+                (self.n_wanted, self.n_ant),
+                "ZF filter shape changed within one set"
+            );
         }
-    }
-    if pinv_into(&ws.a, &mut ws.pinv).is_err() {
-        out.resize(n_wanted, 0.0);
-        return;
-    }
-    let w = &ws.pinv.out;
-    for i in 0..n_wanted {
-        // ZF: row · wanted_i = 1 by construction; noise and residual
-        // interference pass through the filter. Work directly on the
-        // i-th row of W — `row_i · conj(conj(r)) = Σ_j w_ij · r_j` — so
-        // no per-row or per-residual vectors are materialized.
-        let noise: f64 = (0..n_ant).map(|j| w.get(i, j).norm_sqr()).sum::<f64>() * noise_power;
-        let mut resid = 0.0f64;
-        for r in residual_interference {
-            let mut acc = Complex64::ZERO;
-            for j in 0..n_ant {
-                acc += w.get(i, j) * r[j];
+        let n_cols = n_wanted + known_interference.len();
+        // Over-subscribed receive space: undecodable.
+        let mut decodable = n_wanted > 0 && n_cols <= n_ant;
+        if decodable {
+            // Assemble the ZF matrix column by column (wanted, then known
+            // interference).
+            a.reset(n_ant, n_cols);
+            for (j, v) in columns().enumerate() {
+                for (i, z) in v.iter().enumerate() {
+                    a.set(i, j, *z);
+                }
             }
-            resid += acc.norm_sqr();
+            decodable = pinv_into(a, pinv).is_ok();
         }
-        out.push(1.0 / (noise + resid).max(1e-300));
+        self.decodable.push(decodable);
+        let w = &pinv.out;
+        for i in 0..n_wanted {
+            if decodable {
+                self.rows.extend((0..n_ant).map(|j| w.get(i, j)));
+                self.noise_gain
+                    .push((0..n_ant).map(|j| w.get(i, j).norm_sqr()).sum::<f64>());
+            } else {
+                self.rows.extend((0..n_ant).map(|_| Complex64::ZERO));
+                self.noise_gain.push(0.0);
+            }
+        }
+    }
+
+    /// Post-ZF SINR of each wanted stream through filter `f` into `out`
+    /// (zeros when that subcarrier is undecodable), with
+    /// `residual_interference` the leaks the receiver does not know.
+    ///
+    /// # Panics
+    /// When a residual's length differs from the filters' antenna count
+    /// (checked first), or `f` is out of range.
+    pub fn apply(
+        &self,
+        f: usize,
+        residual_interference: &[CVector],
+        noise_power: f64,
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
+        let (n_wanted, n_ant) = (self.n_wanted, self.n_ant);
+        if n_wanted == 0 {
+            return;
+        }
+        assert_same_length(n_ant, residual_interference.iter());
+        if !self.decodable[f] {
+            out.resize(n_wanted, 0.0);
+            return;
+        }
+        let rows = &self.rows[f * n_wanted * n_ant..(f + 1) * n_wanted * n_ant];
+        let gains = &self.noise_gain[f * n_wanted..(f + 1) * n_wanted];
+        for (w, &gain) in rows.chunks_exact(n_ant).zip(gains) {
+            // ZF: row · wanted_i = 1 by construction; noise and residual
+            // interference pass through the filter:
+            // `row_i · conj(conj(r)) = Σ_j w_ij · r_j`.
+            let noise = gain * noise_power;
+            let mut resid = 0.0f64;
+            for r in residual_interference {
+                let mut acc = Complex64::ZERO;
+                for j in 0..n_ant {
+                    acc += w[j] * r[j];
+                }
+                resid += acc.norm_sqr();
+            }
+            out.push(1.0 / (noise + resid).max(1e-300));
+        }
     }
 }
 
@@ -264,6 +398,33 @@ mod tests {
             wanted: vec![v(&[(1.0, 0.0), (0.5, 0.0)])],
             known_interference: vec![v(&[(0.3, 0.0)])],
             residual_interference: vec![],
+            noise_power: 1.0,
+        };
+        zf_sinr(&obs);
+    }
+
+    /// The length check runs before the over-subscription shortcut, so
+    /// a ragged input cannot pass as an undecodable one.
+    #[test]
+    #[should_panic(expected = "ragged column lengths")]
+    fn ragged_oversubscribed_input_panics() {
+        let obs = SubcarrierObservation {
+            wanted: vec![v(&[(1.0, 0.0), (0.5, 0.0)])],
+            known_interference: vec![v(&[(0.3, 0.0)]), v(&[(0.0, 0.0), (1.0, 0.0)])],
+            residual_interference: vec![],
+            noise_power: 1.0,
+        };
+        zf_sinr(&obs);
+    }
+
+    /// A residual longer than the receive space is not truncated.
+    #[test]
+    #[should_panic(expected = "ragged column lengths")]
+    fn residual_of_wrong_length_panics() {
+        let obs = SubcarrierObservation {
+            wanted: vec![v(&[(1.0, 0.0), (0.5, 0.0)])],
+            known_interference: vec![],
+            residual_interference: vec![v(&[(0.1, 0.0), (0.0, 0.0), (0.2, 0.0)])],
             noise_power: 1.0,
         };
         zf_sinr(&obs);

@@ -23,7 +23,7 @@
 use super::{
     MobilityModel, RunResult, Scenario, SimConfig, SinrGrid, TrafficModel, BURST_ARRIVALS_PER_ROUND,
 };
-use crate::link::{select_stream_rate, zf_sinr_slices_into, ZfWorkspace};
+use crate::link::{select_stream_rate, ZfFilters, ZfWorkspace};
 use crate::observer::{
     ContentionKind, ContentionRecord, GoodputAccumulator, JoinRecord, RoundObserver, RoundRecord,
     RunIdentity, RunMeta, StreamRecord, Tee,
@@ -74,36 +74,37 @@ struct PlannedStream {
 /// (`stream_ids`); the other transmission's arrivals land in this
 /// state's unwanted space (it was constructed to contain them) or leak
 /// as residual interference.
-/// Pooled like [`PlannedStream`]: `unwanted`/`wanted` grow once to the
-/// engine's evaluated-bin count and are then reassigned in place every
-/// round, so the steady state allocates nothing.
+///
+/// `unwanted` and `filters` are written only while the state is
+/// registered (planned) and never afterwards, so the filters built
+/// against the unwanted space stay valid through settlement.
+/// Pooled like [`PlannedStream`]: `unwanted` grows once to the engine's
+/// evaluated-bin count and `filters` to its high-water size, and both
+/// are then reassigned in place every round, so the steady state
+/// allocates nothing.
 #[derive(Default)]
 struct ReceiverState {
     node: usize,
     /// Ids (into the round's stream list) of the streams this state
-    /// decodes: exactly the columns of `wanted`, in order.
+    /// decodes: exactly the wanted rows of `filters`, in order.
     stream_ids: Vec<usize>,
     /// Advertised unwanted space per evaluated bin.
     unwanted: Vec<Subspace>,
-    /// Wanted effective channels per evaluated bin (columns appended as
-    /// this receiver's streams are planned).
-    wanted: Vec<VecPool<CVector>>,
+    /// Joint-ZF filter per evaluated bin over the state's wanted arrival
+    /// columns and its unwanted-space basis, built once at registration.
+    filters: ZfFilters,
 }
 
 impl ReceiverState {
-    /// Ensures the per-bin vectors cover `n_eval` slots (allocating only
-    /// on first growth — never shrinking, so slot buffers survive) and
-    /// clears the wanted columns for the round being planned.
+    /// Ensures the per-bin unwanted spaces cover `n_eval` slots
+    /// (allocating only on first growth — never shrinking, so slot
+    /// buffers survive) and empties the filters for the round being
+    /// planned.
     fn reset_bins(&mut self, n_eval: usize) {
         while self.unwanted.len() < n_eval {
             self.unwanted.push(Subspace::default());
         }
-        while self.wanted.len() < n_eval {
-            self.wanted.push(VecPool::default());
-        }
-        for w in &mut self.wanted[..n_eval] {
-            w.clear();
-        }
+        self.filters.clear();
     }
 }
 
@@ -121,8 +122,8 @@ struct FirstPlan {
     rates: Vec<RateIndex>,
     /// The receiver's advertised unwanted space per subcarrier.
     unwanted: Vec<Subspace>,
-    /// The receiver's wanted arrival columns per subcarrier.
-    wanted: Vec<Vec<CVector>>,
+    /// The receiver's joint-ZF filter per subcarrier.
+    filters: ZfFilters,
 }
 
 /// Reusable buffers for [`extend_unwanted_into`]: the base span, its
@@ -147,6 +148,8 @@ struct Scratch {
     arrivals: VecPool<CVector>,
     /// Residual (unknown) interference leaks.
     residual: VecPool<CVector>,
+    /// Wanted arrival columns of the receiver being registered, one bin.
+    wanted: VecPool<CVector>,
     /// Secondary-contention eligible transmitters.
     eligible: Vec<usize>,
     /// Stream counts per receiver for handshake sizing.
@@ -554,15 +557,15 @@ impl<'a> SimEngine<'a> {
         // interference, no residuals — the receiver decodes its own
         // streams against its unwanted-space basis).
         let mut per_stream_sinrs: Vec<Vec<f64>> = vec![Vec::with_capacity(n_eval); n_streams];
-        let mut wanted: Vec<Vec<CVector>> = Vec::with_capacity(n_eval);
+        let mut filters = ZfFilters::default();
         for (e, &k) in self.eval_pos.iter().enumerate() {
             let h = self.true_channel(cache, tx, rx, k)?;
             let cols: Vec<CVector> = precoders.iter().map(|pc| h.mul_vec(&pc[e])).collect();
-            zf_sinr_slices_into(&cols, unwanted[e].basis(), &[], 1.0, &mut zf_ws, &mut sinrs);
+            filters.push(&cols, unwanted[e].basis(), &mut zf_ws);
+            filters.apply(e, &[], 1.0, &mut sinrs);
             for (s, &v) in sinrs.iter().enumerate() {
                 per_stream_sinrs[s].push(v);
             }
-            wanted.push(cols);
         }
         let mut interp = Vec::new();
         let mut rates = Vec::with_capacity(n_streams);
@@ -573,7 +576,7 @@ impl<'a> SimEngine<'a> {
             precoders,
             rates,
             unwanted,
-            wanted,
+            filters,
         })
     }
 
@@ -642,10 +645,8 @@ impl<'a> SimEngine<'a> {
             rs.reset_bins(n_eval);
             for e in 0..n_eval {
                 rs.unwanted[e].assign_from(&plan.unwanted[e]);
-                for c in &plan.wanted[e] {
-                    rs.wanted[e].push_slot().copy_from(c);
-                }
             }
+            rs.filters.assign_from(&plan.filters);
             return Some((stream_base, stream_base + n_streams));
         }
 
@@ -724,8 +725,8 @@ impl<'a> SimEngine<'a> {
         // count. (The receiver estimates these from overheard headers;
         // estimation is near-exact and the codec round-trip is tested
         // separately.) The receiver states are pushed as pooled shells
-        // now — their unwanted spaces assigned in place, wanted columns
-        // and stream ids filled during rate selection below — and rolled
+        // now — their unwanted spaces assigned in place, filters and
+        // stream ids filled during rate selection below — and rolled
         // back wholesale on any failure. Only pre-existing streams are
         // live in `streams` at this point, exactly the set the old code
         // iterated as `ongoing_streams`.
@@ -834,12 +835,13 @@ impl<'a> SimEngine<'a> {
         // into the unwanted space (covered by its basis) or nulled, and
         // whatever leaks outside is residual interference the receiver
         // cannot cancel.
-        // The wanted arrival columns land directly in the pooled
-        // receiver states (exactly the true-channel products the old
-        // code kept in `wanted_cols` for registration), and the rates in
-        // the already-pushed stream slots — a failure truncates both
-        // pools back to the entry state, leaving the caller's view
-        // untouched just like the old early `return None`.
+        // Each bin's filter is built here, once, from the wanted arrival
+        // columns and the unwanted-space basis, straight into the pooled
+        // receiver state; settlement applies it to the round's residuals
+        // and never inverts again. The rates land in the already-pushed
+        // stream slots — a failure truncates both pools back to the entry
+        // state, leaving the caller's view untouched just like the old
+        // early `return None`.
         let mut lo = 0usize;
         for (i, &(f, n_streams)) in allocation.iter().enumerate() {
             let rx = self.scenario.flows[f].rx;
@@ -858,6 +860,7 @@ impl<'a> SimEngine<'a> {
                     return None;
                 };
                 scratch.residual.clear();
+                scratch.wanted.clear();
                 for other in 0..total_new {
                     h_true.mul_vec_into(
                         &streams[stream_base + other].precoders[e],
@@ -866,9 +869,7 @@ impl<'a> SimEngine<'a> {
                     if other >= lo && other < hi {
                         // Sibling destined to this receiver: a wanted
                         // ZF column (jointly decoded).
-                        protected[rs_base + i].wanted[e]
-                            .push_slot()
-                            .copy_from(&scratch.arr_tmp);
+                        scratch.wanted.push_slot().copy_from(&scratch.arr_tmp);
                     } else {
                         // Destined elsewhere: aligned part lives inside
                         // the unwanted space (already a column); only the
@@ -882,15 +883,14 @@ impl<'a> SimEngine<'a> {
                     }
                 }
                 {
-                    let rs = &protected[rs_base + i];
-                    zf_sinr_slices_into(
-                        rs.wanted[e].as_slice(),
+                    let rs = &mut protected[rs_base + i];
+                    rs.filters.push(
+                        scratch.wanted.as_slice(),
                         rs.unwanted[e].basis(),
-                        scratch.residual.as_slice(),
-                        1.0,
                         &mut scratch.zf_ws,
-                        &mut scratch.sinr_tmp,
                     );
+                    rs.filters
+                        .apply(e, scratch.residual.as_slice(), 1.0, &mut scratch.sinr_tmp);
                 }
                 for (s, &v) in scratch.sinr_tmp.iter().enumerate() {
                     scratch.sinr_acc[s].push(v);
@@ -918,7 +918,9 @@ impl<'a> SimEngine<'a> {
 
     /// Evaluates the realized per-stream ESNRs at every receiver,
     /// including the residual interference the precoding failed to
-    /// cancel, and returns delivered bits per flow.
+    /// cancel, and returns delivered bits per flow. Each receiver state's
+    /// filters were built at registration and its unwanted spaces have
+    /// not changed since, so settlement only applies them.
     fn settle_round_into(
         &self,
         cache: &ChannelCache,
@@ -933,8 +935,8 @@ impl<'a> SimEngine<'a> {
             // Streams this state decodes: exactly the ones registered
             // with it. Matching by receiver *node* here would break the
             // hidden-terminal shape — two transmitters serving the same
-            // node register two states, and each state's `wanted`
-            // columns cover only its own streams (the other
+            // node register two states, and each state's filters
+            // decode only its own streams (the other
             // transmission's arrivals live in this state's unwanted
             // space, or leak as residual below).
             scratch.my_streams.clear();
@@ -974,14 +976,9 @@ impl<'a> SimEngine<'a> {
                         scratch.residual.pop_slot();
                     }
                 }
-                zf_sinr_slices_into(
-                    rx_state.wanted[e].as_slice(),
-                    rx_state.unwanted[e].basis(),
-                    scratch.residual.as_slice(),
-                    1.0,
-                    &mut scratch.zf_ws,
-                    &mut scratch.sinr_tmp,
-                );
+                rx_state
+                    .filters
+                    .apply(e, scratch.residual.as_slice(), 1.0, &mut scratch.sinr_tmp);
                 for (si, &v) in scratch.sinr_tmp.iter().enumerate() {
                     scratch.sinr_acc[si].push(v);
                 }

@@ -42,8 +42,8 @@ pub use matrix::CMatrix;
 pub use pool::VecPool;
 pub use qr::{orthonormalize, orthonormalize_into};
 pub use soa::{
-    hermitian_into, mul_into, null_space_into, pinv_into, row_echelon_into, soa_default_tolerance,
-    CMatrixSoA, NullspaceWorkspace, PinvWorkspace,
+    mul_into, null_space_into, pinv_into, row_echelon_into, soa_default_tolerance, CMatrixSoA,
+    NullspaceWorkspace, PinvWorkspace,
 };
 pub use solve::{pinv, rank, LinalgError};
 pub use subspace::{Subspace, SubspaceWorkspace};

@@ -12,8 +12,9 @@
 //! exist only here (`row_echelon_into`, [`pinv_into`],
 //! [`null_space_into`]); the allocating `rank`, `pinv` and `null_space`
 //! are thin wrappers that convert with [`CMatrixSoA::from_aos`] and call
-//! these with a fresh workspace. The products ([`mul_into`],
-//! [`CMatrixSoA::mul_vec_into`], [`hermitian_into`]) execute the *exact
+//! these with a fresh workspace. [`pinv_into`] is instantiated per column
+//! count up to eight on stack arrays, all from one source. The products
+//! ([`mul_into`], [`CMatrixSoA::mul_vec_into`]) execute the *exact
 //! same floating-point operation sequence* as the `CMatrix` arithmetic the
 //! sample-level PHY uses: the same complex-multiply expansion
 //! `(ar·br − ai·bi, ar·bi + ai·br)`, the same accumulation order and the
@@ -327,24 +328,15 @@ pub fn mul_into(a: &CMatrixSoA, b: &CMatrixSoA, out: &mut CMatrixSoA) {
     }
 }
 
-/// `out = a^H` with the same traversal as [`CMatrix::hermitian`].
-pub fn hermitian_into(a: &CMatrixSoA, out: &mut CMatrixSoA) {
-    out.reset(a.cols, a.rows);
-    for i in 0..a.rows {
-        for j in 0..a.cols {
-            let idx = i * a.cols + j;
-            out.re[j * a.rows + i] = a.re[idx];
-            out.im[j * a.rows + i] = -a.im[idx];
-        }
-    }
-}
-
 /// Rank tolerance `eps * max(rows, cols) * max|a|`, with the
 /// `hypot`-based [`CMatrixSoA::max_abs`].
 pub fn soa_default_tolerance(a: &CMatrixSoA) -> f64 {
-    let scale = a.max_abs();
-    let dim = a.rows().max(a.cols()) as f64;
-    (f64::EPSILON * dim * scale).max(1e-300)
+    tolerance(a.max_abs(), a.rows().max(a.cols()))
+}
+
+/// `eps * dim * scale`, floored away from zero.
+fn tolerance(scale: f64, dim: usize) -> f64 {
+    (f64::EPSILON * dim as f64 * scale).max(1e-300)
 }
 
 /// Reduces `a` to row echelon form into the pooled `out`, returning the
@@ -406,10 +398,10 @@ pub fn row_echelon_into(a: &CMatrixSoA, tol: f64, out: &mut CMatrixSoA) -> usize
 /// call reuses the high-water allocations.
 #[derive(Debug, Clone, Default)]
 pub struct PinvWorkspace {
-    ah: CMatrixSoA,
-    gram: CMatrixSoA,
-    aug: CMatrixSoA,
-    inv: CMatrixSoA,
+    /// Left and right halves of the augmented elimination `[A^H A | I]`
+    /// for shapes past the stack-resident ones.
+    gram: Vec<Complex64>,
+    inv: Vec<Complex64>,
     /// The pseudo-inverse `(A^H A)^{-1} A^H` after a successful
     /// [`pinv_into`] call.
     pub out: CMatrixSoA,
@@ -420,64 +412,168 @@ pub struct PinvWorkspace {
 /// Gaussian elimination against the identity (partial pivoting), then
 /// the final product.
 ///
+/// Up to eight columns (every receive-space size a scenario node can
+/// have) the Gram matrix and its inverse live in fixed-size stack
+/// arrays, one instantiation per column count; wider operands take the
+/// same arithmetic on `ws`'s heap buffers. Both run one source, so the
+/// result does not depend on the path.
+///
 /// # Errors
 /// [`LinalgError::Singular`] when a pivot magnitude falls below the
 /// Gram matrix's default tolerance.
 pub fn pinv_into(a: &CMatrixSoA, ws: &mut PinvWorkspace) -> Result<(), LinalgError> {
-    hermitian_into(a, &mut ws.ah);
-    mul_into(&ws.ah, a, &mut ws.gram);
-    let n = ws.gram.rows();
-    let tol = soa_default_tolerance(&ws.gram);
-    // Augmented elimination [gram | I].
-    ws.aug.reset(n, 2 * n);
-    for i in 0..n {
-        for j in 0..n {
-            ws.aug.set(i, j, ws.gram.get(i, j));
+    let out = &mut ws.out;
+    match a.cols() {
+        1 => pinv_fixed::<1>(a, out),
+        2 => pinv_fixed::<2>(a, out),
+        3 => pinv_fixed::<3>(a, out),
+        4 => pinv_fixed::<4>(a, out),
+        5 => pinv_fixed::<5>(a, out),
+        6 => pinv_fixed::<6>(a, out),
+        7 => pinv_fixed::<7>(a, out),
+        8 => pinv_fixed::<8>(a, out),
+        n => {
+            ws.gram.clear();
+            ws.gram.resize(n * n, Complex64::ZERO);
+            ws.inv.clear();
+            ws.inv.resize(n * n, Complex64::ZERO);
+            pinv_core(a, n, &mut ws.gram, &mut ws.inv, out)
         }
-        ws.aug.set(i, n + i, Complex64::ONE);
     }
-    let total_cols = ws.aug.cols();
-    for k in 0..n {
-        let mut pivot_row = k;
-        let mut pivot_mag = ws.aug.get(k, k).abs();
-        for i in (k + 1)..n {
-            let mag = ws.aug.get(i, k).abs();
-            if mag > pivot_mag {
-                pivot_mag = mag;
-                pivot_row = i;
+}
+
+/// [`pinv_core`] on stack arrays for an `N`-column operand.
+fn pinv_fixed<const N: usize>(a: &CMatrixSoA, out: &mut CMatrixSoA) -> Result<(), LinalgError> {
+    let mut gram = [[Complex64::ZERO; N]; N];
+    let mut inv = [[Complex64::ZERO; N]; N];
+    pinv_core(a, N, gram.as_flattened_mut(), inv.as_flattened_mut(), out)
+}
+
+/// The pseudo-inverse arithmetic of [`pinv_into`] for an `n`-column
+/// `a`, with the augmented matrix `[gram | inv]` in two zeroed row-major
+/// `n × n` slices. Always inlined, so each fixed-shape caller compiles
+/// it with `n` a constant.
+///
+/// The operation sequence is that of the plain composition: `A^H`,
+/// `mul_into(A^H, A)`, elimination of `[A^H A | I]` over columns
+/// `k..2n`, then `mul_into(inv, A^H)`. `A^H` is read straight out of `a`
+/// (`conj` is a sign flip, exact); the elimination visits the two halves
+/// of each row separately, which changes no entry's own sequence of
+/// operations; and the first column's pivot magnitudes are the ones the
+/// tolerance fold already computed, not recomputed.
+#[inline(always)]
+fn pinv_core(
+    a: &CMatrixSoA,
+    n: usize,
+    gram: &mut [Complex64],
+    inv: &mut [Complex64],
+    out: &mut CMatrixSoA,
+) -> Result<(), LinalgError> {
+    let m = a.rows();
+    let (are, aim) = (&a.re[..m * n], &a.im[..m * n]);
+    let (gram, inv) = (&mut gram[..n * n], &mut inv[..n * n]);
+
+    // gram = A^H A, i-k-j with the zero-skip on A^H's (i, k) entry.
+    for i in 0..n {
+        let grow = &mut gram[i * n..(i + 1) * n];
+        for k in 0..m {
+            let ar = are[k * n + i];
+            let ai = -aim[k * n + i];
+            if ar == 0.0 && ai == 0.0 {
+                continue;
+            }
+            let br = &are[k * n..(k + 1) * n];
+            let bi = &aim[k * n..(k + 1) * n];
+            for j in 0..n {
+                grow[j].re += ar * br[j] - ai * bi[j];
+                grow[j].im += ar * bi[j] + ai * br[j];
             }
         }
+    }
+    // The tolerance's row-major magnitude fold also runs the first
+    // column's pivot search, which would otherwise recompute the same
+    // magnitudes.
+    let mut scale = 0.0;
+    let mut first_pivot = (0, 0.0);
+    for (idx, z) in gram.iter().enumerate() {
+        let mag = z.abs();
+        scale = f64::max(scale, mag);
+        if idx % n == 0 && (idx == 0 || mag > first_pivot.1) {
+            first_pivot = (idx / n, mag);
+        }
+    }
+    let tol = tolerance(scale, n);
+
+    for i in 0..n {
+        inv[i * n + i] = Complex64::ONE;
+    }
+    for k in 0..n {
+        let (pivot_row, pivot_mag) = if k == 0 {
+            first_pivot
+        } else {
+            let mut best = (k, gram[k * n + k].abs());
+            for i in (k + 1)..n {
+                let mag = gram[i * n + k].abs();
+                if mag > best.1 {
+                    best = (i, mag);
+                }
+            }
+            best
+        };
         if pivot_mag <= tol {
             return Err(LinalgError::Singular);
         }
-        ws.aug.swap_rows(k, pivot_row);
-        let pivot = ws.aug.get(k, k);
-        let pinv = pivot.inv();
-        for j in k..total_cols {
-            let v = ws.aug.get(k, j) * pinv;
-            ws.aug.set(k, j, v);
+        if pivot_row != k {
+            for j in 0..n {
+                gram.swap(k * n + j, pivot_row * n + j);
+                inv.swap(k * n + j, pivot_row * n + j);
+            }
+        }
+        let pinv = gram[k * n + k].inv();
+        for j in k..n {
+            gram[k * n + j] *= pinv;
+        }
+        for j in 0..n {
+            inv[k * n + j] *= pinv;
         }
         for i in 0..n {
             if i == k {
                 continue;
             }
-            let factor = ws.aug.get(i, k);
+            let factor = gram[i * n + k];
             if factor == Complex64::ZERO {
                 continue;
             }
-            for j in k..total_cols {
-                let sub = factor * ws.aug.get(k, j);
-                ws.aug.set(i, j, ws.aug.get(i, j) - sub);
+            for j in k..n {
+                let sub = factor * gram[k * n + j];
+                gram[i * n + j] -= sub;
+            }
+            for j in 0..n {
+                let sub = factor * inv[k * n + j];
+                inv[i * n + j] -= sub;
             }
         }
     }
-    ws.inv.reset(n, n);
+
+    // out = inv · A^H, i-k-j with the zero-skip on inv's (i, k) entry.
+    out.reset(n, m);
     for i in 0..n {
-        for j in 0..n {
-            ws.inv.set(i, j, ws.aug.get(i, n + j));
+        let or = &mut out.re[i * m..(i + 1) * m];
+        let oi = &mut out.im[i * m..(i + 1) * m];
+        for k in 0..n {
+            let ar = inv[i * n + k].re;
+            let ai = inv[i * n + k].im;
+            if ar == 0.0 && ai == 0.0 {
+                continue;
+            }
+            for j in 0..m {
+                let br = are[j * n + k];
+                let bi = -aim[j * n + k];
+                or[j] += ar * br - ai * bi;
+                oi[j] += ar * bi + ai * br;
+            }
         }
     }
-    mul_into(&ws.inv, &ws.ah, &mut ws.out);
     Ok(())
 }
 
@@ -661,19 +757,50 @@ mod tests {
     }
 
     #[test]
-    fn hermitian_and_norms_are_bit_identical() {
+    fn norms_are_bit_identical() {
         let mut seed = 0x5EED_0004u64;
         let a = gen_matrix(3, 4, &mut seed);
         let s = CMatrixSoA::from_aos(&a);
-        let mut h = CMatrixSoA::default();
-        hermitian_into(&s, &mut h);
-        assert_bitwise_eq(&h, &a.hermitian(), "hermitian");
         assert_eq!(s.max_abs().to_bits(), a.max_abs().to_bits(), "max_abs");
         assert_eq!(
             s.frobenius_norm().to_bits(),
             a.frobenius_norm().to_bits(),
             "frobenius"
         );
+    }
+
+    /// Every stack-resident instantiation is the heap path bit for bit,
+    /// on tall, square and rank-deficient operands.
+    #[test]
+    fn fixed_shape_pinv_matches_the_heap_path() {
+        let mut seed = 0x5EED_000Bu64;
+        let mut ws = PinvWorkspace::default();
+        let mut singular = 0;
+        for cols in 1..=8 {
+            for rows in [cols, cols + 2] {
+                let mut a = gen_matrix(rows, cols, &mut seed);
+                if rows == cols {
+                    for i in 0..rows {
+                        a[(i, cols - 1)] = a[(i, 0)].scale(2.0);
+                    }
+                }
+                let a = CMatrixSoA::from_aos(&a);
+                let fixed = pinv_into(&a, &mut ws).map(|()| ws.out.to_aos());
+                let mut gram = vec![Complex64::ZERO; cols * cols];
+                let mut inv = vec![Complex64::ZERO; cols * cols];
+                let mut out = CMatrixSoA::default();
+                let heap = pinv_core(&a, cols, &mut gram, &mut inv, &mut out);
+                match (fixed, heap) {
+                    (Ok(p), Ok(())) => assert_bitwise_eq(&out, &p, "pinv"),
+                    (Err(e), Err(f)) => {
+                        assert_eq!(e, f);
+                        singular += 1;
+                    }
+                    (p, q) => panic!("{rows}x{cols}: fixed {p:?}, heap {q:?}"),
+                }
+            }
+        }
+        assert!(singular > 0);
     }
 
     #[test]

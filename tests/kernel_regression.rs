@@ -10,7 +10,7 @@
 //! Every output bit (`f64::to_bits`), every length and every error kind is
 //! folded in, so no tolerance can hide a divergence.
 
-use nplus::link::{zf_sinr, SubcarrierObservation};
+use nplus::link::{zf_sinr, SubcarrierObservation, ZfFilters, ZfWorkspace};
 use nplus::power_control::expected_interference_power;
 use nplus::precoder::{compute_precoders, OwnReceiver, PrecoderError, ProtectedReceiver};
 use nplus_channel::HardwareProfile;
@@ -354,41 +354,61 @@ fn compute_precoders_is_pinned() {
     );
 }
 
-/// Random observations over 1–4 receive antennas (including empty and
-/// oversubscribed ones), plus a duplicated wanted column that makes the
-/// Gram matrix singular.
+fn random_cvector(n: usize, rng: &mut StdRng) -> CVector {
+    CVector::from_vec(
+        (0..n)
+            .map(|_| c64(rng.gen::<f64>() - 0.5, rng.gen()))
+            .collect(),
+    )
+}
+
+/// 200 random observations over 1–4 receive antennas (including empty
+/// and oversubscribed ones), each with its antenna count, and the RNG
+/// that drew them.
+fn zf_corpus() -> (Vec<(usize, SubcarrierObservation)>, StdRng) {
+    let mut rng = StdRng::seed_from_u64(9);
+    let corpus = (0..200)
+        .map(|_| {
+            let n_ant = rng.gen_range(1..=4usize);
+            let n_wanted = rng.gen_range(0..=n_ant + 1);
+            let n_known = rng.gen_range(0..=2usize);
+            let n_resid = rng.gen_range(0..=2usize);
+            let obs = SubcarrierObservation {
+                wanted: (0..n_wanted)
+                    .map(|_| random_cvector(n_ant, &mut rng))
+                    .collect(),
+                known_interference: (0..n_known)
+                    .map(|_| random_cvector(n_ant, &mut rng))
+                    .collect(),
+                residual_interference: (0..n_resid)
+                    .map(|_| random_cvector(n_ant, &mut rng))
+                    .collect(),
+                noise_power: 1.0,
+            };
+            (n_ant, obs)
+        })
+        .collect();
+    (corpus, rng)
+}
+
+/// [`zf_corpus`], plus a duplicated wanted column that makes the Gram
+/// matrix singular.
 #[test]
 fn zf_sinr_is_pinned() {
-    let mut rng = StdRng::seed_from_u64(9);
-    let rv = |n: usize, rng: &mut StdRng| {
-        CVector::from_vec(
-            (0..n)
-                .map(|_| c64(rng.gen::<f64>() - 0.5, rng.gen()))
-                .collect(),
-        )
-    };
+    let (corpus, mut rng) = zf_corpus();
     let mut h = Fnv::new();
     let (mut empty, mut oversubscribed) = (0, 0);
-    for _ in 0..200 {
-        let n_ant = rng.gen_range(1..=4usize);
-        let n_wanted = rng.gen_range(0..=n_ant + 1);
-        let n_known = rng.gen_range(0..=2usize);
-        let n_resid = rng.gen_range(0..=2usize);
-        let obs = SubcarrierObservation {
-            wanted: (0..n_wanted).map(|_| rv(n_ant, &mut rng)).collect(),
-            known_interference: (0..n_known).map(|_| rv(n_ant, &mut rng)).collect(),
-            residual_interference: (0..n_resid).map(|_| rv(n_ant, &mut rng)).collect(),
-            noise_power: 1.0,
-        };
+    for (n_ant, obs) in &corpus {
+        let n_wanted = obs.wanted.len();
         empty += usize::from(n_wanted == 0);
-        oversubscribed += usize::from(n_wanted + n_known > n_ant);
-        let sinr = zf_sinr(&obs);
+        oversubscribed += usize::from(n_wanted + obs.known_interference.len() > *n_ant);
+        let sinr = zf_sinr(obs);
         h.usize(sinr.len());
         for s in sinr {
             h.f64(s);
         }
     }
-    let v = rv(3, &mut rng);
+    let v = random_cvector(3, &mut rng);
     let dup = SubcarrierObservation {
         wanted: vec![v.clone(), v],
         known_interference: vec![],
@@ -398,6 +418,41 @@ fn zf_sinr_is_pinned() {
     assert_eq!(zf_sinr(&dup), vec![0.0, 0.0]);
     assert!(empty > 0 && oversubscribed > 0, "{empty}/{oversubscribed}");
     assert_eq!(h.0, 0xab60_f22c_cfb1_7dbb, "zf_sinr digest {:#x}", h.0);
+}
+
+/// A filter built once and applied to any residuals is the fresh
+/// zero-forcing solve bit for bit: over [`zf_corpus`], each
+/// observation's filter is applied to its own residuals and to two more
+/// seeded residual sets, all through one reused filter set.
+#[test]
+fn zf_filter_reuse_matches_recompute() {
+    let (corpus, _) = zf_corpus();
+    let mut rng = StdRng::seed_from_u64(10);
+    let mut ws = ZfWorkspace::default();
+    let mut filters = ZfFilters::default();
+    let mut reused = Vec::new();
+    for (n_ant, obs) in &corpus {
+        filters.clear();
+        filters.push(&obs.wanted, &obs.known_interference, &mut ws);
+        let mut residual_sets = vec![obs.residual_interference.clone()];
+        for _ in 0..2 {
+            let n_resid = rng.gen_range(0..=3usize);
+            residual_sets.push(
+                (0..n_resid)
+                    .map(|_| random_cvector(*n_ant, &mut rng))
+                    .collect(),
+            );
+        }
+        for residual_interference in residual_sets {
+            filters.apply(0, &residual_interference, obs.noise_power, &mut reused);
+            let fresh = zf_sinr(&SubcarrierObservation {
+                residual_interference,
+                ..obs.clone()
+            });
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&reused), bits(&fresh), "{obs:?}");
+        }
+    }
 }
 
 /// Outcomes and draws of 2000 contention rounds among 1–5 contenders.
