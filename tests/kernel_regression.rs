@@ -1,5 +1,6 @@
-//! Kernel regression pins: the linear-algebra, precoder, zero-forcing and
-//! contention kernels folded into FNV-1a digests over seeded corpora.
+//! Kernel regression pins: the linear-algebra, precoder, zero-forcing,
+//! ESNR and contention kernels folded into FNV-1a digests over seeded
+//! corpora.
 //!
 //! Each kernel has one implementation (the pooled split-storage kernels);
 //! the allocating entry points exercised here are thin wrappers over it.
@@ -19,8 +20,11 @@ use nplus_linalg::{
     LinalgError, NullspaceWorkspace, PinvWorkspace, Subspace,
 };
 use nplus_mac::backoff::resolve_contention_in;
+use nplus_phy::esnr::{effective_snr_db, select_rate, RATE_ESNR_THRESHOLDS_DB};
+use nplus_phy::Modulation;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::f64::consts::TAU;
 
 /// FNV-1a accumulator.
 struct Fnv(u64);
@@ -453,6 +457,93 @@ fn zf_filter_reuse_matches_recompute() {
             assert_eq!(bits(&reused), bits(&fresh), "{obs:?}");
         }
     }
+}
+
+const MODULATIONS: [Modulation; 4] = [
+    Modulation::Bpsk,
+    Modulation::Qpsk,
+    Modulation::Qam16,
+    Modulation::Qam64,
+];
+
+/// SNR tracks (linear) covering every branch of the ESNR inversion:
+/// - 120 seeded frequency-selective tracks of 13 or 52 subcarriers: a
+///   level in [-5, 35] dB, a two-tone ripple and sometimes a deep notch;
+/// - flat tracks at each rate threshold, and 1 and 2 ulps either side;
+/// - saturated tracks (mean BER at or below 1e-12 for every modulation);
+/// - an all-zero track, which takes the inversion's floor branch.
+fn esnr_corpus() -> Vec<Vec<f64>> {
+    let mut rng = StdRng::seed_from_u64(23);
+    let mut corpus: Vec<Vec<f64>> = (0..120)
+        .map(|i| {
+            let n = if i % 4 == 3 { 13 } else { 52 };
+            let level: f64 = rng.gen_range(-5.0..35.0);
+            let (depth, period, phase) = (
+                rng.gen_range(0.0..12.0f64),
+                rng.gen_range(4.0..30.0f64),
+                rng.gen_range(0.0..6.3f64),
+            );
+            let notch = (rng.gen::<f64>() < 0.3).then(|| rng.gen_range(0..n));
+            (0..n)
+                .map(|k| {
+                    let mut db = level + depth * ((k as f64 / period) * TAU + phase).sin();
+                    if notch == Some(k) {
+                        db -= 25.0;
+                    }
+                    10f64.powf(db / 10.0)
+                })
+                .collect()
+        })
+        .collect();
+    for thr in RATE_ESNR_THRESHOLDS_DB {
+        let bits = 10f64.powf(thr / 10.0).to_bits();
+        for ulps in [-2i64, -1, 0, 1, 2] {
+            corpus.push(vec![f64::from_bits(bits.wrapping_add_signed(ulps)); 52]);
+        }
+    }
+    corpus.push(vec![1e4; 52]);
+    corpus.push(
+        (0..52)
+            .map(|k| 10f64.powf(3.5 + (k % 7) as f64 * 0.15))
+            .collect(),
+    );
+    corpus.push(vec![0.0; 52]);
+    corpus
+}
+
+/// `effective_snr_db` bits for every modulation over [`esnr_corpus`].
+#[test]
+fn esnr_is_pinned() {
+    let mut h = Fnv::new();
+    for track in esnr_corpus() {
+        for m in MODULATIONS {
+            h.f64(effective_snr_db(m, &track));
+        }
+    }
+    assert_eq!(
+        h.0, 0x93fb_fe12_b22a_ca2d,
+        "effective_snr_db digest {:#x}",
+        h.0
+    );
+}
+
+/// `select_rate` decisions over [`esnr_corpus`] plus an empty track.
+#[test]
+fn select_rate_is_pinned() {
+    let mut h = Fnv::new();
+    let mut corpus = esnr_corpus();
+    corpus.push(Vec::new());
+    let mut seen = [false; 9];
+    for track in &corpus {
+        let pick = select_rate(track).unwrap_or(RATE_ESNR_THRESHOLDS_DB.len());
+        seen[pick] = true;
+        h.usize(pick);
+    }
+    assert!(
+        seen.iter().all(|&s| s),
+        "corpus misses a decision: {seen:?}"
+    );
+    assert_eq!(h.0, 0xcee7_2d41_3024_2b4a, "select_rate digest {:#x}", h.0);
 }
 
 /// Outcomes and draws of 2000 contention rounds among 1–5 contenders.

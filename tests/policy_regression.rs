@@ -702,3 +702,127 @@ fn wide_array_scenario_is_pinned_under_every_policy() {
         .collect();
     assert_eq!(got, WIDE_ARRAY_GOLDENS, "wide-array results drifted");
 }
+
+/// Decimated-grid goldens, one per (scenario, policy) in the sweep's
+/// order: scenario, policy, mean total Mb/s, mean DoF, and the
+/// [`StreamDigest`]s of every run folded in seed order, at
+/// `decimated:4` in `sigcomm11` (12 rounds, 3 seeds). Every rate
+/// decision and every settlement here runs on an interpolated SINR
+/// track; `three_pairs` reaches joins, `ap_downlink` two-receiver
+/// openings whose sibling streams leak residuals.
+const DECIMATED_GOLDENS: [(&str, &str, f64, f64, u64); 10] = [
+    (
+        "three_pairs",
+        "nplus",
+        18.970228249431354,
+        2.1653269585681314,
+        0x946b_0b91_62a8_6c74,
+    ),
+    (
+        "three_pairs",
+        "dot11n",
+        8.623627562785568,
+        1.3594275397368356,
+        0x85e5_3331_05e3_278a,
+    ),
+    (
+        "three_pairs",
+        "beamforming",
+        8.623627562785568,
+        1.3594275397368356,
+        0x7e02_0db8_9b87_dcce,
+    ),
+    (
+        "three_pairs",
+        "greedy_join",
+        18.970228249431354,
+        2.1653269585681314,
+        0xd727_6837_5b63_35d5,
+    ),
+    (
+        "three_pairs",
+        "oracle",
+        26.95861649007429,
+        2.0946666666666665,
+        0x5c3d_656f_3300_6e3c,
+    ),
+    (
+        "ap_downlink",
+        "nplus",
+        11.87678210864533,
+        1.1121673003802282,
+        0xdde8_0793_7bd2_2587,
+    ),
+    (
+        "ap_downlink",
+        "dot11n",
+        12.010250052176326,
+        1.306633187986381,
+        0x4027_27ad_7e9b_eb1c,
+    ),
+    (
+        "ap_downlink",
+        "beamforming",
+        11.075947916457473,
+        1.0703637447823493,
+        0x7f79_c2bd_e7ab_9fcf,
+    ),
+    (
+        "ap_downlink",
+        "greedy_join",
+        11.87678210864533,
+        1.1121673003802282,
+        0xf139_afae_73fe_84a3,
+    ),
+    (
+        "ap_downlink",
+        "oracle",
+        14.650895140664963,
+        1.213768115942029,
+        0xfeaf_9b69_5f92_5227,
+    ),
+];
+
+/// Every policy reproduces its recorded statistics and event streams on
+/// the decimated SINR grid.
+#[test]
+fn decimated_grid_is_pinned_under_every_policy() {
+    let capacity = environment_from_name("sigcomm11")
+        .expect("builtin environment")
+        .capacity();
+    let mut got = Vec::new();
+    for label in ["three_pairs", "ap_downlink"] {
+        let parsed = parse_spec(label, capacity).expect("golden spec parses");
+        let n_flows = parsed.scenario.flows.len();
+        let mut sweep = SweepSpec::new(parsed.scenario)
+            .rounds(12)
+            .sinr_grid("decimated:4".parse().expect("golden grid parses"))
+            .seed_count(3);
+        for policy in [NPlus, Dot11n, Beamforming, GreedyJoin, Oracle] {
+            sweep = sweep.policy(policy);
+        }
+        let runs = sweep
+            .try_run_observed(|_, _| StreamDigest(0xcbf2_9ce4_8422_2325))
+            .expect("decimated sweep runs");
+        let results: Vec<_> = runs.iter().map(|(r, _)| r.clone()).collect();
+        let stats = aggregate_results(n_flows, &sweep.policy_names(), &results);
+        for (p, s) in stats.iter().enumerate() {
+            let mut folded = StreamDigest(0xcbf2_9ce4_8422_2325);
+            for (_, observers) in &runs {
+                folded.eat_u64(observers[p].0);
+            }
+            got.push((
+                label,
+                s.policy.clone(),
+                s.mean_total_mbps,
+                s.mean_dof,
+                folded.0,
+            ));
+        }
+    }
+    let want: Vec<_> = DECIMATED_GOLDENS
+        .iter()
+        .map(|&(l, p, t, d, h)| (l, p.to_string(), t, d, h))
+        .collect();
+    assert_eq!(got, want, "decimated-grid results drifted");
+}
