@@ -12,7 +12,7 @@
 //! ```text
 //! cargo run --release --bin sweep -- [scenario] [n_seeds] [rounds] \
 //!     [--threads N] [--policies a,b,..] [--env name] \
-//!     [--mobility spec] [--json [path]] [--record dir]
+//!     [--mobility spec] [--sinr-grid grid] [--json [path]] [--record dir]
 //!
 //! where `scenario` is one of:
 //!   three_pairs          the Fig. 3 scenario (default)
@@ -39,6 +39,9 @@
 //!                        anything environment_from_name knows)
 //!   --mobility spec      node mobility (default static; also
 //!                        waypoint:<step_m>x<epoch_rounds>)
+//!   --sinr-grid grid     SINR evaluation grid (default full — every
+//!                        occupied subcarrier; also decimated:<k> —
+//!                        every k-th, interpolated in between)
 //!   --json [path]        machine-readable stats to `path` (default stdout)
 //!   --record dir         write one event recording per (policy, seed)
 //!                        into `dir` as `<policy>-s<seed>.rec`; stats are
@@ -49,10 +52,11 @@
 //! Generated scenarios are seeded (generator seed 42 unless `random:`
 //! gives one), so every invocation is reproducible. The operands fill a
 //! `SweepRequest` and go through the same resolver and validator as a
-//! `sweep-server` request: a bad `--env`/`--policies`/`--mobility` name,
-//! a malformed scenario, a scenario too large for the chosen
-//! environment's maps, zero placements, zero rounds or a repeated policy
-//! report one `error:` line (the server's error text) and exit 2.
+//! `sweep-server` request: a bad `--env`/`--policies`/`--mobility`/
+//! `--sinr-grid` value, a malformed scenario, a scenario too large for
+//! the chosen environment's maps, zero placements, zero rounds or a
+//! repeated policy report one `error:` line (the server's error text)
+//! and exit 2.
 
 use nplus::prelude::*;
 use nplus::sim::CanonicalSpec;
@@ -161,6 +165,13 @@ fn main() {
                     .get(i)
                     .unwrap_or_else(|| spec_error("--mobility needs a spec"));
                 request.mobility = Some(s.parse().unwrap_or_else(|e: String| spec_error(&e)));
+            }
+            "--sinr-grid" => {
+                i += 1;
+                let s = args
+                    .get(i)
+                    .unwrap_or_else(|| spec_error("--sinr-grid needs full or decimated:<k>"));
+                request.sinr_grid = Some(s.parse().unwrap_or_else(|e: String| spec_error(&e)));
             }
             "--record" => {
                 i += 1;

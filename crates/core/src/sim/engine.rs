@@ -43,6 +43,7 @@ use nplus_mac::frames::{AckHeader, DataHeader};
 use nplus_mac::timing::SampleTiming;
 use nplus_medium::chancache::ChannelCache;
 use nplus_medium::topology::Topology;
+use nplus_phy::esnr::{esnr_band, EsnrBand};
 use nplus_phy::params::occupied_subcarrier_indices;
 use nplus_phy::rates::{RateIndex, BASE_RATE, RATE_TABLE};
 use nplus_phy::RATE_ESNR_THRESHOLDS_DB;
@@ -955,6 +956,7 @@ impl<'a> SimEngine<'a> {
             for acc in &mut scratch.sinr_acc[..n_mine] {
                 acc.clear();
             }
+            let mut residual_free = true;
             for (e, &k) in self.eval_pos.iter().enumerate() {
                 // Residual interference: arrivals of *other* transmitters'
                 // streams outside the advertised unwanted space.
@@ -976,6 +978,7 @@ impl<'a> SimEngine<'a> {
                         scratch.residual.pop_slot();
                     }
                 }
+                residual_free &= scratch.residual.is_empty();
                 rx_state
                     .filters
                     .apply(e, scratch.residual.as_slice(), 1.0, &mut scratch.sinr_tmp);
@@ -986,10 +989,33 @@ impl<'a> SimEngine<'a> {
             for (si, &stream_id) in scratch.my_streams.iter().enumerate() {
                 let s = &streams[stream_id];
                 let mcs = RATE_TABLE[s.rate];
-                let track = self.rate_sinrs(&scratch.sinr_acc[si], &mut scratch.interp);
-                let esnr = nplus_phy::esnr::effective_snr(mcs.modulation, track);
-                let esnr_db = 10.0 * esnr.max(1e-300).log10();
-                let p = success_prob(esnr_db, s.rate);
+                let p = if residual_free {
+                    // No residual on any bin: the stored filters see what
+                    // planning saw — every residual planning kept is kept
+                    // here too (planning drops leaks ≤ 1e-9, settlement
+                    // only ≤ 1e-12) — so this is planning's track, whose
+                    // ESNR met the rate's threshold (DESIGN.md §6).
+                    debug_assert_eq!(
+                        success_prob(
+                            nplus_phy::esnr::effective_snr_db(
+                                mcs.modulation,
+                                self.rate_sinrs(&scratch.sinr_acc[si], &mut scratch.interp)
+                            ),
+                            s.rate
+                        ),
+                        1.0,
+                        "residual-free settlement below its planned rate"
+                    );
+                    1.0
+                } else {
+                    let track = self.rate_sinrs(&scratch.sinr_acc[si], &mut scratch.interp);
+                    let thr = RATE_ESNR_THRESHOLDS_DB[s.rate];
+                    match esnr_band(mcs.modulation, track, thr - 1.0, thr) {
+                        EsnrBand::Above => 1.0,
+                        EsnrBand::Below => 0.0,
+                        EsnrBand::Within(esnr_db) => success_prob(esnr_db, s.rate),
+                    }
+                };
                 bits[s.flow] += (s.active_symbols * mcs.data_bits_per_symbol()) as f64 * p;
             }
         }

@@ -63,8 +63,21 @@ pub fn ber_awgn(m: Modulation, snr_linear: f64) -> f64 {
 
 /// Inverts [`ber_awgn`] by bisection: the SNR (linear) at which the
 /// modulation reaches `target_ber`. BER is monotone decreasing in SNR, so
-/// bisection over a wide bracket is robust.
-pub fn snr_for_ber(m: Modulation, target_ber: f64) -> f64 {
+/// bisection over a wide bracket is robust. This is the one bisection
+/// loop behind [`effective_snr`] and [`esnr_band`].
+///
+/// It runs to convergence, unless the bracket first clears the linear
+/// band `[below, above)`: then it returns the bracket's lower end once
+/// that end is at least `above`, or its upper end once that end is
+/// below `below`. An unbounded band (`0.0`, `INFINITY`) never stops it
+/// early.
+///
+/// The early answer is on the same side of the band as the converged
+/// one, because the brackets are nested. For `1e-6 ≤ lo ≤ hi ≤ 1e8`,
+/// `sqrt(fl(lo·hi))` lies in `[lo, hi]`: rounding is monotone and
+/// `sqrt(fl(x·x)) == x`. So every midpoint, and the final
+/// `(lo·hi).sqrt()`, stays inside every earlier bracket.
+fn snr_for_ber(m: Modulation, target_ber: f64, below: f64, above: f64) -> f64 {
     let target = target_ber.clamp(1e-12, 0.5);
     let mut lo = 1e-6; // -60 dB
     let mut hi = 1e8; // +80 dB
@@ -72,13 +85,19 @@ pub fn snr_for_ber(m: Modulation, target_ber: f64) -> f64 {
         return lo;
     }
     for _ in 0..200 {
-        let mid = (lo * hi).sqrt(); // geometric bisection for dB-scale
-                                    // Once the midpoint collapses onto an endpoint the iteration is
-                                    // at its fixed point: every further pass recomputes the same
-                                    // `mid` and reassigns the same endpoint (`sqrt(x*x) == x` holds
-                                    // exactly in this bracket), so the final answer is already
-                                    // determined — apply this pass's assignment and stop. Bitwise
-                                    // identical to running out the full 200 passes.
+        if lo >= above {
+            return lo;
+        }
+        if hi < below {
+            return hi;
+        }
+        // Geometric bisection, for the dB scale. Once the midpoint
+        // collapses onto an endpoint the iteration is at its fixed
+        // point: every further pass recomputes the same `mid` and
+        // reassigns the same endpoint, so the final answer is already
+        // determined — apply this pass's assignment and stop. Bitwise
+        // identical to running out the full 200 passes.
+        let mid = (lo * hi).sqrt();
         let converged = mid == lo || mid == hi;
         if ber_awgn(m, mid) > target {
             lo = mid;
@@ -92,9 +111,9 @@ pub fn snr_for_ber(m: Modulation, target_ber: f64) -> f64 {
     (lo * hi).sqrt()
 }
 
-/// Computes the effective SNR (linear) of a set of per-subcarrier SNRs for
-/// the given modulation.
-pub fn effective_snr(m: Modulation, subcarrier_snrs: &[f64]) -> f64 {
+/// [`effective_snr`] with the inversion stopped once its bracket clears
+/// the linear band `[below, above)` (see [`snr_for_ber`]).
+fn esnr_bisect(m: Modulation, subcarrier_snrs: &[f64], below: f64, above: f64) -> f64 {
     assert!(!subcarrier_snrs.is_empty(), "no subcarrier SNRs given");
     let mean_ber =
         subcarrier_snrs.iter().map(|&s| ber_awgn(m, s)).sum::<f64>() / subcarrier_snrs.len() as f64;
@@ -104,13 +123,57 @@ pub fn effective_snr(m: Modulation, subcarrier_snrs: &[f64]) -> f64 {
         // arithmetic mean SNR — the channel is effectively flat-good.
         return subcarrier_snrs.iter().sum::<f64>() / subcarrier_snrs.len() as f64;
     }
-    snr_for_ber(m, mean_ber)
+    snr_for_ber(m, mean_ber, below, above)
+}
+
+/// Computes the effective SNR (linear) of a set of per-subcarrier SNRs for
+/// the given modulation.
+pub fn effective_snr(m: Modulation, subcarrier_snrs: &[f64]) -> f64 {
+    esnr_bisect(m, subcarrier_snrs, 0.0, f64::INFINITY)
 }
 
 /// Effective SNR in dB (a zero ESNR is clamped to −3000 dB rather than
 /// `-inf`).
 pub fn effective_snr_db(m: Modulation, subcarrier_snrs: &[f64]) -> f64 {
-    10.0 * effective_snr(m, subcarrier_snrs).max(1e-300).log10()
+    to_db(effective_snr(m, subcarrier_snrs))
+}
+
+fn to_db(snr: f64) -> f64 {
+    10.0 * snr.max(1e-300).log10()
+}
+
+/// Where an [`effective_snr_db`] lies against a band `[lo_db, hi_db)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum EsnrBand {
+    /// Below `lo_db`.
+    Below,
+    /// At or above `hi_db`.
+    Above,
+    /// Inside the band: the exact [`effective_snr_db`], bit for bit.
+    Within(f64),
+}
+
+/// Margin (dB) by which a bracket must clear a band edge before
+/// [`esnr_band`] stops the inversion: ~10⁴× the `powf`/`log10` error
+/// over the bracket's [−60, 80] dB.
+const BAND_MARGIN_DB: f64 = 1e-6;
+
+/// Places the effective SNR against `[lo_db, hi_db)` without finishing
+/// the inversion when it need not: the bisection stops as soon as its
+/// bracket lies wholly `BAND_MARGIN_DB` above `hi_db` or below `lo_db`.
+/// The answer is always that of comparing [`effective_snr_db`] with the
+/// band edges, and a [`EsnrBand::Within`] value is its exact bits.
+pub fn esnr_band(m: Modulation, subcarrier_snrs: &[f64], lo_db: f64, hi_db: f64) -> EsnrBand {
+    let below = 10f64.powf((lo_db - BAND_MARGIN_DB) / 10.0);
+    let above = 10f64.powf((hi_db + BAND_MARGIN_DB) / 10.0);
+    let esnr_db = to_db(esnr_bisect(m, subcarrier_snrs, below, above));
+    if esnr_db >= hi_db {
+        EsnrBand::Above
+    } else if esnr_db >= lo_db {
+        EsnrBand::Within(esnr_db)
+    } else {
+        EsnrBand::Below
+    }
 }
 
 /// Minimum ESNR (dB) at which each [`RATE_TABLE`] entry delivers roughly a
@@ -135,23 +198,26 @@ pub const RATE_ESNR_THRESHOLDS_DB: [f64; 8] = [
 /// measured from the light-weight RTS. Returns `None` when the track is
 /// empty or even the most robust rate is below threshold (the receiver
 /// should then refuse the exchange).
+///
+/// [`RATE_TABLE`] pairs each modulation's two code rates, slower first,
+/// so the scan runs fastest modulation first and asks each one a single
+/// question: where its ESNR lies against the band of its two
+/// thresholds. The first rate that holds is the answer. ESNR is not
+/// monotone across modulations on frequency-selective tracks, so a
+/// modulation that fails says nothing about the ones below it.
 pub fn select_rate(subcarrier_snrs: &[f64]) -> Option<RateIndex> {
     if subcarrier_snrs.is_empty() {
         return None;
     }
-    let mut best = None;
-    // The 8 rate entries share 4 modulations, and the ESNR is a pure
-    // function of (modulation, SNR track) — evaluate each modulation's
-    // BER fold and inversion once and reuse it for both coding rates.
-    let mut esnr_db_by_mod: [Option<f64>; 4] = [None; 4];
-    for (idx, mcs) in RATE_TABLE.iter().enumerate() {
-        let esnr_db = *esnr_db_by_mod[mcs.modulation as usize]
-            .get_or_insert_with(|| effective_snr_db(mcs.modulation, subcarrier_snrs));
-        if esnr_db >= RATE_ESNR_THRESHOLDS_DB[idx] {
-            best = Some(idx);
+    (0..RATE_TABLE.len()).step_by(2).rev().find_map(|slow| {
+        let fast = slow + 1;
+        let (lo_db, hi_db) = (RATE_ESNR_THRESHOLDS_DB[slow], RATE_ESNR_THRESHOLDS_DB[fast]);
+        match esnr_band(RATE_TABLE[slow].modulation, subcarrier_snrs, lo_db, hi_db) {
+            EsnrBand::Above => Some(fast),
+            EsnrBand::Within(_) => Some(slow),
+            EsnrBand::Below => None,
         }
-    }
-    best
+    })
 }
 
 #[cfg(test)]
@@ -213,7 +279,7 @@ mod tests {
     fn snr_for_ber_inverts() {
         for m in [Modulation::Bpsk, Modulation::Qam16, Modulation::Qam64] {
             for target in [1e-2, 1e-3, 1e-5] {
-                let snr = snr_for_ber(m, target);
+                let snr = snr_for_ber(m, target, 0.0, f64::INFINITY);
                 let ber = ber_awgn(m, snr);
                 assert!(
                     (ber.log10() - target.log10()).abs() < 0.01,
@@ -248,6 +314,14 @@ mod tests {
             esnr < 0.7 * mean,
             "esnr {esnr} should be well below mean {mean}"
         );
+    }
+
+    #[test]
+    fn rate_table_pairs_each_modulation_slower_first() {
+        for slow in (0..RATE_TABLE.len()).step_by(2) {
+            assert_eq!(RATE_TABLE[slow].modulation, RATE_TABLE[slow + 1].modulation);
+            assert!(RATE_ESNR_THRESHOLDS_DB[slow] < RATE_ESNR_THRESHOLDS_DB[slow + 1]);
+        }
     }
 
     #[test]

@@ -20,8 +20,10 @@ use nplus_linalg::{
     LinalgError, NullspaceWorkspace, PinvWorkspace, Subspace,
 };
 use nplus_mac::backoff::resolve_contention_in;
-use nplus_phy::esnr::{effective_snr_db, select_rate, RATE_ESNR_THRESHOLDS_DB};
-use nplus_phy::Modulation;
+use nplus_phy::esnr::{
+    effective_snr_db, esnr_band, select_rate, EsnrBand, RATE_ESNR_THRESHOLDS_DB,
+};
+use nplus_phy::{Modulation, RATE_TABLE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::f64::consts::TAU;
@@ -544,6 +546,91 @@ fn select_rate_is_pinned() {
         "corpus misses a decision: {seen:?}"
     );
     assert_eq!(h.0, 0xcee7_2d41_3024_2b4a, "select_rate digest {:#x}", h.0);
+}
+
+/// Every band the engine asks about: each modulation against its two
+/// rate thresholds (rate selection), and each rate's 1 dB ramp below its
+/// threshold (settlement).
+fn engine_bands() -> Vec<(Modulation, f64, f64)> {
+    let thr = RATE_ESNR_THRESHOLDS_DB;
+    let rate_bands = (0..thr.len())
+        .step_by(2)
+        .map(|slow| (RATE_TABLE[slow].modulation, thr[slow], thr[slow + 1]));
+    let ramps = (0..thr.len()).map(|r| (RATE_TABLE[r].modulation, thr[r] - 1.0, thr[r]));
+    rate_bands.chain(ramps).collect()
+}
+
+/// `esnr_band` is the comparison of the finished `effective_snr_db` with
+/// the band edges, and its `Within` value is that ESNR's exact bits.
+fn assert_band_matches(m: Modulation, track: &[f64], lo: f64, hi: f64) {
+    let exact = effective_snr_db(m, track);
+    let got = esnr_band(m, track, lo, hi);
+    let ok = match got {
+        EsnrBand::Above => exact >= hi,
+        EsnrBand::Below => exact < lo,
+        EsnrBand::Within(x) => x.to_bits() == exact.to_bits() && lo <= x && x < hi,
+    };
+    assert!(
+        ok,
+        "{m} [{lo}, {hi}): {got:?} but effective_snr_db is {exact}"
+    );
+}
+
+/// The banded inversion against the full one, on every engine band, over
+/// [`esnr_corpus`] and over tracks scaled to land within 1e-9 dB of each
+/// band edge, on both sides.
+#[test]
+fn esnr_band_matches_full_inversion() {
+    let corpus = esnr_corpus();
+    let bands = engine_bands();
+    assert_eq!(bands.len(), 12);
+    for track in &corpus {
+        for &(m, lo, hi) in &bands {
+            assert_band_matches(m, track, lo, hi);
+        }
+    }
+    // Scale a flat and three selective tracks onto each edge: the
+    // ESNR moves by about the scale in dB, so a few corrections land
+    // it on the edge.
+    let (mut near, mut above, mut below) = (0, 0, 0);
+    for base in [
+        &corpus[0],
+        &corpus[1],
+        &corpus[2],
+        &corpus[corpus.len() - 4],
+    ] {
+        for &(m, lo, hi) in &bands {
+            for edge in [lo, hi] {
+                let mut track = base.clone();
+                for _ in 0..60 {
+                    let off = edge - effective_snr_db(m, &track);
+                    if off.abs() <= 1e-9 {
+                        break;
+                    }
+                    let gain = 10f64.powf(off / 10.0);
+                    track.iter_mut().for_each(|s| *s *= gain);
+                }
+                let off = effective_snr_db(m, &track) - edge;
+                if off.abs() <= 1e-9 {
+                    near += 1;
+                    above += usize::from(off >= 0.0);
+                    below += usize::from(off < 0.0);
+                }
+                // Nudge across the edge by a few ulps of the linear SNR.
+                for ulps in [-3i64, -1, 0, 1, 3] {
+                    let nudged: Vec<f64> = track
+                        .iter()
+                        .map(|s| f64::from_bits(s.to_bits().wrapping_add_signed(ulps)))
+                        .collect();
+                    assert_band_matches(m, &nudged, lo, hi);
+                }
+            }
+        }
+    }
+    assert!(
+        near >= 90 && above > 0 && below > 0,
+        "{near} near, {above} at or above, {below} below"
+    );
 }
 
 /// Outcomes and draws of 2000 contention rounds among 1–5 contenders.
