@@ -17,7 +17,7 @@ use nplus::prelude::*;
 use nplus_channel::placement::Testbed;
 use nplus_medium::topology::{build_environment_topology, build_topology, TopologyConfig};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 /// Golden topology draws from the enum-era `build_topology` (testbed
 /// `sigcomm11()`, antennas `[1, 2, 3]`, 10 MHz, placement RNG seeded
@@ -418,4 +418,217 @@ fn build_scenario_in_matches_build_scenario_and_reports_oversize() {
             "{name}: unexpected error {err}"
         );
     }
+}
+
+/// FNV-1a over little-endian `u64` words: one fold for a world's
+/// topology draw or a sweep's statistics, every `f64` through its bits.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn eat(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Per built-in world, `three_pairs` drawn at seeds 5 and 12 on the
+/// world's own map: `(seed, links wired, digest)`. The digest folds each
+/// node's placement and oscillator-offset bits, each wired link's
+/// endpoints, amplitude and first `(0, 0)` tap, and the next draw of the
+/// placement RNG, so a change in the count or order of draws shows too.
+#[allow(clippy::type_complexity)]
+const WORLD_TOPOLOGY_GOLDENS: [(&str, [(u64, usize, u64); 2]); 5] = [
+    (
+        "sigcomm11",
+        [
+            (5, 15, 0x80cd_3002_736d_935b),
+            (12, 15, 0x7e92_19f6_bbba_40a9),
+        ],
+    ),
+    (
+        "outdoor",
+        [
+            (5, 15, 0xbe21_2087_7443_5c4c),
+            (12, 15, 0xfbae_f1b5_e39a_fc0a),
+        ],
+    ),
+    (
+        "rich_scatter",
+        [
+            (5, 15, 0xd731_8fbc_ecf9_069d),
+            (12, 15, 0xcec3_3279_2e5b_bd54),
+        ],
+    ),
+    (
+        "degraded_hardware",
+        [
+            (5, 15, 0x80cd_3002_736d_935b),
+            (12, 15, 0x7e92_19f6_bbba_40a9),
+        ],
+    ),
+    (
+        "multi_cell",
+        [
+            (5, 14, 0xbffa_8f21_3cf7_28cb),
+            (12, 15, 0xe94c_7268_e297_7d48),
+        ],
+    ),
+];
+
+fn world_topology(name: &str, seed: u64) -> (u64, usize, u64) {
+    let env = environment_from_name(name).expect("builtin environment");
+    let antennas = Scenario::three_pairs().antennas;
+    let testbed = env.testbed(antennas.len()).expect("three_pairs fits");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let topo = build_environment_topology(env, &testbed, &antennas, 10e6, seed, &mut rng)
+        .expect("three_pairs fits");
+    let mut digest = Fnv::new();
+    for (i, place) in topo.placements.iter().enumerate() {
+        digest.eat(place.pos.x.to_bits());
+        digest.eat(place.pos.y.to_bits());
+        digest.eat(u64::from(place.nlos));
+        digest.eat(
+            topo.medium
+                .node(topo.nodes[i])
+                .oscillator_offset_hz
+                .to_bits(),
+        );
+    }
+    let mut links = 0;
+    for i in 0..antennas.len() {
+        for j in (i + 1)..antennas.len() {
+            if let Some(link) = topo.medium.link(topo.nodes[i], topo.nodes[j]) {
+                links += 1;
+                let tap = link.pair(0, 0).taps[0];
+                for word in [i as u64, j as u64] {
+                    digest.eat(word);
+                }
+                for x in [link.amplitude(), tap.re, tap.im] {
+                    digest.eat(x.to_bits());
+                }
+            }
+        }
+    }
+    digest.eat(rng.next_u64());
+    (seed, links, digest.0)
+}
+
+/// Every built-in world draws exactly the topologies it drew when these
+/// goldens were recorded.
+#[test]
+fn every_world_reproduces_its_topology_draws() {
+    let got: Vec<_> = WORLD_TOPOLOGY_GOLDENS
+        .iter()
+        .map(|&(name, goldens)| (name, goldens.map(|(seed, _, _)| world_topology(name, seed))))
+        .collect();
+    assert_eq!(got, WORLD_TOPOLOGY_GOLDENS, "world topology draws drifted");
+}
+
+/// Per built-in world, `three_pairs` swept over 6 rounds and seeds
+/// `0..3` under every registered policy: the mean totals in registry
+/// order, and a digest over every statistic of every policy (run
+/// count, mean total, CI, DoF, fairness and per-flow means).
+const WORLD_SWEEP_GOLDENS: [(&str, [f64; 5], u64); 5] = [
+    (
+        "sigcomm11",
+        [
+            8.552999827581756,
+            8.552999827581756,
+            17.819822657018154,
+            17.819822657018154,
+            26.95861649007429,
+        ],
+        0xe001_e2ab_c96a_0f9a,
+    ),
+    (
+        "outdoor",
+        [
+            8.495078588156796,
+            8.495078588156796,
+            15.055427442689151,
+            13.75995070489782,
+            23.835956733857667,
+        ],
+        0x8385_b164_7852_b2a0,
+    ),
+    (
+        "rich_scatter",
+        [
+            9.151673427956581,
+            9.151673427956581,
+            13.39456214809018,
+            13.39456214809018,
+            16.842709006430965,
+        ],
+        0x568d_2275_997f_09f1,
+    ),
+    (
+        "degraded_hardware",
+        [
+            8.552999827581756,
+            8.552999827581756,
+            17.2717376479558,
+            17.568176277079377,
+            26.95861649007429,
+        ],
+        0xb3bd_317b_41a3_2bf4,
+    ),
+    (
+        "multi_cell",
+        [
+            14.385526640281801,
+            14.385526640281801,
+            21.229078909558144,
+            21.229078909558144,
+            26.047962853389134,
+        ],
+        0xb607_e3d8_b003_5e3d,
+    ),
+];
+
+fn world_sweep(name: &str) -> (&str, [f64; 5], u64) {
+    let mut spec = SweepSpec::new(Scenario::three_pairs())
+        .environment_named(name)
+        .expect("builtin environment")
+        .rounds(6)
+        .seed_count(3);
+    for policy in BUILTIN_POLICY_NAMES {
+        spec = spec.policy_named(policy).expect("builtin policy");
+    }
+    let stats = spec.run();
+    let mut totals = [0.0; 5];
+    let mut digest = Fnv::new();
+    for (total, s) in totals.iter_mut().zip(&stats) {
+        *total = s.mean_total_mbps;
+        digest.eat(s.n_runs as u64);
+        for x in [
+            s.mean_total_mbps,
+            s.ci95_total_mbps,
+            s.mean_dof,
+            s.mean_fairness,
+        ] {
+            digest.eat(x.to_bits());
+        }
+        for x in &s.mean_per_flow_mbps {
+            digest.eat(x.to_bits());
+        }
+    }
+    (name, totals, digest.0)
+}
+
+/// Every built-in world reproduces its recorded sweep statistics, bit
+/// for bit, under all five policies.
+#[test]
+fn every_world_reproduces_its_sweep_statistics() {
+    let got: Vec<_> = WORLD_SWEEP_GOLDENS
+        .iter()
+        .map(|&(name, _, _)| world_sweep(name))
+        .collect();
+    assert_eq!(got, WORLD_SWEEP_GOLDENS, "world sweep statistics drifted");
 }
