@@ -34,9 +34,9 @@
 //!                        dot11n,beamforming,nplus; also oracle,
 //!                        greedy_join; each at most once)
 //!   --env name           propagation environment (default sigcomm11 —
-//!                        the paper's indoor world; also outdoor,
-//!                        rich_scatter, degraded_hardware, multi_cell —
-//!                        anything environment_from_name knows)
+//!                        the paper's indoor world; the other built-in
+//!                        worlds are outdoor, rich_scatter,
+//!                        degraded_hardware and multi_cell)
 //!   --mobility spec      node mobility (default static; also
 //!                        waypoint:<step_m>x<epoch_rounds>)
 //!   --sinr-grid grid     SINR evaluation grid (default full — every

@@ -26,9 +26,8 @@ use std::cell::Cell;
 use nplus::observer::{RoundObserver, RoundRecord, RunMeta};
 use nplus::policy::{Beamforming, Dot11n, NPlus, Oracle};
 use nplus::sim::{MobilityModel, SimConfig, SimEngine};
-use nplus_channel::environment::{ChannelEnvironment, MULTI_CELL};
-use nplus_channel::placement::Testbed;
-use nplus_medium::topology::{build_environment_topology, build_topology, TopologyConfig};
+use nplus_channel::environment::{MULTI_CELL, SIGCOMM11_INDOOR};
+use nplus_medium::topology::build_environment_topology;
 use nplus_medium::ChannelCache;
 use nplus_phy::params::occupied_subcarrier_indices;
 use nplus_testkit::generator::ScenarioGenerator;
@@ -119,19 +118,23 @@ fn steady_state_rounds_allocate_nothing() {
     // every receiver's zero-forcing filters in one flat buffer per
     // receiver state.
     let scenario = ScenarioGenerator::new(7).dense(32);
-    let testbed = Testbed::try_fitting(scenario.antennas.len()).unwrap_or_else(|e| panic!("{e}"));
+    let testbed = SIGCOMM11_INDOOR
+        .testbed(scenario.antennas.len())
+        .unwrap_or_else(|e| panic!("{e}"));
     let cfg = SimConfig {
         rounds: ROUNDS,
         ..SimConfig::default()
     };
     let mut placement_rng = StdRng::seed_from_u64(3);
-    let topo = build_topology(
+    let topo = build_environment_topology(
+        &SIGCOMM11_INDOOR,
         &testbed,
-        &TopologyConfig::new(scenario.antennas.clone()),
+        &scenario.antennas,
         cfg.ofdm.bandwidth_hz,
         3,
         &mut placement_rng,
-    );
+    )
+    .expect("fits the paper map");
     let engine = SimEngine::new(&topo, &scenario, &cfg);
 
     for policy in [NPlus, Dot11n, Beamforming] {
@@ -170,19 +173,23 @@ fn oracle_memo_hit_rounds_allocate_nothing() {
     const WARMUP: usize = 10;
 
     let scenario = ScenarioGenerator::new(42).multi_ap(2, 3);
-    let testbed = Testbed::try_fitting(scenario.antennas.len()).unwrap_or_else(|e| panic!("{e}"));
+    let testbed = SIGCOMM11_INDOOR
+        .testbed(scenario.antennas.len())
+        .unwrap_or_else(|e| panic!("{e}"));
     let cfg = SimConfig {
         rounds: ROUNDS,
         ..SimConfig::default()
     };
     let mut placement_rng = StdRng::seed_from_u64(3);
-    let topo = build_topology(
+    let topo = build_environment_topology(
+        &SIGCOMM11_INDOOR,
         &testbed,
-        &TopologyConfig::new(scenario.antennas.clone()),
+        &scenario.antennas,
         cfg.ofdm.bandwidth_hz,
         3,
         &mut placement_rng,
-    );
+    )
+    .expect("fits the paper map");
     let engine = SimEngine::new(&topo, &scenario, &cfg);
 
     let mut ledger = AllocLedger::with_rounds(ROUNDS);

@@ -1,40 +1,43 @@
-//! Pluggable propagation environments.
+//! The propagation environments: one closed set of worlds.
 //!
 //! The paper's evaluation (§6) happens in exactly one world: the
 //! 20-location indoor office map of Fig. 10, LOS/NLOS delay profiles,
-//! one log-distance path-loss law, USRP2-class radio hardware. A
-//! [`ChannelEnvironment`] packages every one of those previously
-//! hard-wired choices — the placement map, the per-link large-scale
-//! loss and delay-profile selection, the per-node oscillator-offset
-//! draw, the [`HardwareProfile`] and the §4 cancellation-depth
-//! assumption — behind one trait, so a caller can supply its own
-//! propagation world.
+//! one log-distance path-loss law, USRP2-class radio hardware. An
+//! [`Environment`] names every one of those choices as a parameter —
+//! the placement [`Map`], the large-scale loss law, the link budget, the
+//! LOS and NLOS delay profiles, the per-node oscillator-offset draw, the
+//! [`HardwareProfile`] and an optional sparse-wiring floor — and derives
+//! the §4 cancellation-depth assumption `L` from the hardware.
 //!
-//! The paper's world is the [`Sigcomm11Indoor`] default implementation,
-//! pinned **bit-for-bit** against the pre-environment `build_topology`
-//! path by the `environment_regression` suite (identical RNG draws in
-//! identical order). Three environments the old closed structs could
-//! not express ship alongside it:
+//! Five worlds ship, each a value:
 //!
-//! * [`OutdoorFreeSpace`] — an open 100 m × 65 m field: every link LOS,
-//!   free-space exponent-2 loss over much longer ranges, near-flat
+//! * [`SIGCOMM11_INDOOR`] — the paper's world and the default, pinned
+//!   **bit-for-bit** by the `environment_regression` suite;
+//! * [`OUTDOOR_FREE_SPACE`] — an open 100 m × 65 m field: every link
+//!   LOS, free-space exponent-2 loss over much longer ranges, near-flat
 //!   two-tap channels;
-//! * [`RichScatter`] — a heavily cluttered all-NLOS world: pure
+//! * [`RICH_SCATTER`] — a heavily cluttered all-NLOS world: pure
 //!   Rayleigh fading with a deep 12-tap delay spread, heavier
 //!   shadowing, Gaussian oscillator offsets;
-//! * [`DegradedHardware`] — the indoor world on worn radios: EVM and
+//! * [`DEGRADED_HARDWARE`] — the indoor world on worn radios: EVM and
 //!   calibration stress that drops the achievable cancellation depth to
-//!   ~17 dB, honestly reflected in the §4 power-control threshold `L`
-//!   ([`ChannelEnvironment::join_power_l_db`]).
+//!   ~17 dB, honestly reflected in `L`
+//!   ([`Environment::join_power_l_db`]);
+//! * [`MULTI_CELL`] — a procedural city of up to 4096 nodes with a
+//!   sparse link set.
 //!
 //! Environments resolve by name through [`environment_from_name`] — as
 //! MAC policies resolve through `policy_from_name` — and plug into
 //! `SweepSpec::environment(..)` / `sweep --env` at the simulation layer.
+//! A caller's own world is a struct update of a built-in. It runs like
+//! any other, but it is not canonical: `SweepSpec::canonical` accepts
+//! only a world equal, by value, to the registry entry of its name, so
+//! a custom world can never reuse a built-in's cache key.
 
 use crate::fading::DelayProfile;
 use crate::impairments::HardwareProfile;
 use crate::pathloss::{sample_normal, LinkBudget, PathLossModel};
-use crate::placement::{Location, Testbed};
+use crate::placement::{Location, Testbed, MULTI_CELL_GROUP};
 use rand::RngCore;
 use std::fmt;
 
@@ -116,522 +119,322 @@ impl OscillatorDraw {
     }
 }
 
-/// A propagation world: every scenario-construction choice the paper's
-/// evaluation hard-wired, as one pluggable trait.
-///
-/// `nplus_medium::topology::build_environment_topology` consumes the
-/// hooks in a fixed order (placement shuffle, per-node oscillator
-/// draws, then per-link loss + fading draws), so an environment's
-/// topologies are a pure function of the seed. Implementations must be
-/// stateless (`Send + Sync`): one environment value is shared across
-/// sweep worker threads.
-pub trait ChannelEnvironment: Send + Sync {
-    /// Stable lower-case registry name (`"sigcomm11"`, `"outdoor"`, …)
-    /// — what [`environment_from_name`] resolves and the CLI
-    /// front-ends print.
-    fn name(&self) -> &str;
+/// The protocol's cancellation-depth parameter `L`, dB. The paper uses
+/// 27 dB (Fig. 11's vertical threshold); this is the one source of
+/// truth both the simulator's `SimConfig` default and
+/// [`Environment::join_power_l_db`] draw from.
+pub const DEFAULT_L_DB: f64 = 27.0;
 
-    /// The largest node count this environment can place.
-    fn capacity(&self) -> usize;
+/// A world's placement map, and the one place for every rule that
+/// depends on it: which map a scenario gets, which links are NLOS, and
+/// how nodes are assigned to the map's slots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Map {
+    /// The paper's 20-location office (Fig. 10), or its 40-location
+    /// two-wing extension when a scenario outgrows it. LOS/NLOS follows
+    /// the map's wall geometry.
+    Office,
+    /// The office geometry with every location behind clutter: every
+    /// link is NLOS.
+    ClutteredOffice,
+    /// An open 100 m × 65 m field of 40 locations: every link is LOS.
+    OutdoorField,
+    /// A procedural city grid of [`MULTI_CELL_GROUP`]-slot cells, up to
+    /// [`Map::CITY_CAPACITY`] slots, with the identity placement.
+    City,
+}
 
-    /// The smallest stock placement map with at least `n_nodes` slots.
+impl Map {
+    /// Largest node count the city map serves (512 cells × 8).
+    pub const CITY_CAPACITY: usize = 4096;
+
+    /// The largest node count this map can place.
+    pub fn capacity(self) -> usize {
+        match self {
+            Map::Office | Map::ClutteredOffice => Testbed::sigcomm11_extended().len(),
+            Map::OutdoorField => Testbed::outdoor_field().len(),
+            Map::City => Self::CITY_CAPACITY,
+        }
+    }
+
+    /// The smallest stock map with at least `n_nodes` slots.
     ///
     /// # Errors
     /// [`EnvironmentError::TooManyNodes`] when even the largest map is
     /// too small.
-    fn testbed(&self, n_nodes: usize) -> Result<Testbed, EnvironmentError>;
-
-    /// LOS/NLOS classification of one link on this environment's map.
-    /// Defaults to the map's own wall geometry.
-    fn link_is_nlos(&self, testbed: &Testbed, a: &Location, b: &Location) -> bool {
-        testbed.link_is_nlos(a, b)
-    }
-
-    /// One large-scale loss draw for a link (dB), including shadowing —
-    /// consumes whatever RNG the model needs (the indoor default: one
-    /// normal draw).
-    fn sample_loss_db(&self, distance_m: f64, nlos: bool, rng: &mut dyn RngCore) -> f64;
-
-    /// Amplitude scale (noise-floor-normalized) corresponding to a
-    /// loss, i.e. the link budget.
-    fn amplitude_scale(&self, loss_db: f64) -> f64;
-
-    /// Small-scale delay profile for a link class. Defaults to the
-    /// paper's LOS/NLOS profiles.
-    fn delay_profile(&self, nlos: bool) -> DelayProfile {
-        if nlos {
-            DelayProfile::nlos()
-        } else {
-            DelayProfile::los()
+    pub fn testbed(self, n_nodes: usize) -> Result<Testbed, EnvironmentError> {
+        match self {
+            Map::Office => Testbed::try_fitting(n_nodes),
+            Map::ClutteredOffice => {
+                let base = Testbed::try_fitting(n_nodes)?;
+                Ok(Testbed::from_locations(
+                    base.locations()
+                        .iter()
+                        .map(|l| Location {
+                            pos: l.pos,
+                            nlos: true,
+                        })
+                        .collect(),
+                ))
+            }
+            Map::OutdoorField => {
+                let tb = Testbed::outdoor_field();
+                tb.ensure_capacity(n_nodes)?;
+                Ok(tb)
+            }
+            Map::City => {
+                if n_nodes > Self::CITY_CAPACITY {
+                    return Err(EnvironmentError::TooManyNodes {
+                        requested: n_nodes,
+                        capacity: Self::CITY_CAPACITY,
+                    });
+                }
+                // Generate exactly enough whole cells to cover the request.
+                Ok(Testbed::multi_cell(
+                    n_nodes.div_ceil(MULTI_CELL_GROUP).max(1),
+                ))
+            }
         }
     }
 
-    /// One per-node oscillator-offset draw (Hz).
-    fn oscillator_offset_hz(&self, rng: &mut dyn RngCore) -> f64;
-
-    /// Radio hardware quality in this environment (bounds cancellation
-    /// depth). Defaults to the paper's USRP2/WLAN-class profile.
-    fn hardware(&self) -> HardwareProfile {
-        HardwareProfile::default()
+    /// LOS/NLOS classification of one link on `testbed`. The cluttered
+    /// and outdoor maps decide it outright, whatever `testbed` says, so
+    /// a testbed override keeps their rule; the others follow the
+    /// testbed's wall geometry.
+    pub fn link_is_nlos(self, testbed: &Testbed, a: &Location, b: &Location) -> bool {
+        match self {
+            Map::ClutteredOffice => true,
+            Map::OutdoorField => false,
+            Map::Office | Map::City => testbed.link_is_nlos(a, b),
+        }
     }
 
-    /// The §4 join-power threshold `L` (dB) appropriate to this
-    /// environment's hardware — the cancellation depth joiners may
-    /// assume. Defaults to the paper's measured [`DEFAULT_L_DB`];
-    /// environments with degraded radios must lower it to match
-    /// [`HardwareProfile::expected_cancellation_depth_db`].
-    fn join_power_l_db(&self) -> f64 {
-        DEFAULT_L_DB
-    }
-
-    /// Received-power floor (dBm) below which a link is not
-    /// materialized at all: topology construction skips the fading draw
-    /// and installs nothing, and every consumer treats the absent link
-    /// as "below the floor" (no carrier sensed, no interference, no
-    /// service). `None` — the default, and the paper's worlds — keeps
-    /// today's dense all-pairs wiring bit-for-bit. Drawn losses are
-    /// converted for the comparison via
-    /// [`received_power_dbm`](ChannelEnvironment::received_power_dbm).
-    fn link_floor_dbm(&self) -> Option<f64> {
-        None
-    }
-
-    /// Hard geometric cutoff (m) for candidate links: pairs farther
-    /// apart never even get a loss draw, and sparse construction uses a
-    /// spatial grid index at this range instead of the all-pairs scan.
-    /// Only consulted when [`link_floor_dbm`](Self::link_floor_dbm) is
-    /// set; `None` considers every pair.
-    fn max_link_range(&self) -> Option<f64> {
-        None
-    }
-
-    /// Received power (dBm) corresponding to one drawn large-scale
-    /// loss, used for the [`link_floor_dbm`](Self::link_floor_dbm)
-    /// test. Defaults to the paper's USRP2 transmit power minus the
-    /// loss; environments that set a floor and transmit at a different
-    /// power must override to their own budget.
-    fn received_power_dbm(&self, loss_db: f64) -> f64 {
-        LinkBudget::usrp2().tx_power_dbm - loss_db
-    }
-
-    /// Assigns `n_nodes` scenario nodes to concrete locations on
-    /// `testbed`. Defaults to the paper's uniform random assignment
-    /// (one shuffle — RNG consumption identical to the seed code);
-    /// structured worlds whose scenario families index the map
-    /// positionally (the `multi_cell` city grid) override with the
-    /// identity layout, which consumes no RNG.
+    /// Assigns `n_nodes` scenario nodes to slots of `testbed`. The city
+    /// uses the identity layout, which draws nothing: its scenario
+    /// family indexes cells positionally (slot 8k is cell k's AP), and
+    /// city topologies still vary by seed through shadowing and fading.
+    /// Every other map uses the paper's uniform random assignment (one
+    /// shuffle).
     ///
     /// # Errors
-    /// [`EnvironmentError::TooManyNodes`] when the map is too small.
-    fn assign_placements(
-        &self,
+    /// [`EnvironmentError::TooManyNodes`] when the map is too small
+    /// (nothing is drawn from `rng` then).
+    pub fn assign_placements(
+        self,
         testbed: &Testbed,
         n_nodes: usize,
         rng: &mut dyn RngCore,
     ) -> Result<Vec<Location>, EnvironmentError> {
-        let mut rng = rng;
-        testbed.try_random_assignment(n_nodes, &mut rng)
+        match self {
+            Map::City => {
+                testbed.ensure_capacity(n_nodes)?;
+                Ok(testbed.locations()[..n_nodes].to_vec())
+            }
+            Map::Office | Map::ClutteredOffice | Map::OutdoorField => {
+                let mut rng = rng;
+                testbed.try_random_assignment(n_nodes, &mut rng)
+            }
+        }
     }
 }
 
-/// The protocol's cancellation-depth parameter `L`, dB. The paper uses
-/// 27 dB (Fig. 11's vertical threshold); this is the one source of
-/// truth both the simulator's `SimConfig` default and
-/// [`ChannelEnvironment::join_power_l_db`] draw from.
-pub const DEFAULT_L_DB: f64 = 27.0;
+/// A propagation world: every scenario-construction choice the paper's
+/// evaluation hard-wired, as one value.
+///
+/// `nplus_medium::topology::build_environment_topology` reads the
+/// fields in a fixed order (placement, per-node oscillator draws, then
+/// per-link loss and fading draws), so a world's topologies are a pure
+/// function of the seed. Only the [`Map`] and `L`
+/// ([`join_power_l_db`](Environment::join_power_l_db)) carry rules;
+/// everything else is a parameter.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Environment {
+    /// Stable lower-case registry name (`"sigcomm11"`, `"outdoor"`, …):
+    /// what [`environment_from_name`] resolves, the CLI front-ends print
+    /// and a sweep's cache key and recordings carry.
+    pub name: &'static str,
+    /// Placement map and the map-dependent rules.
+    pub map: Map,
+    /// Large-scale loss law, shadowing included.
+    pub path_loss: PathLossModel,
+    /// Power/noise budget: the link amplitude, and the received power
+    /// (`tx_power_dbm` minus the loss) the floor is tested against.
+    pub budget: LinkBudget,
+    /// Small-scale delay profile of LOS links.
+    pub los: DelayProfile,
+    /// Small-scale delay profile of NLOS links.
+    pub nlos: DelayProfile,
+    /// Per-node oscillator-offset draw.
+    pub oscillator: OscillatorDraw,
+    /// Radio hardware quality (bounds the cancellation depth).
+    pub hardware: HardwareProfile,
+    /// Received-power floor (dBm) below which a link is not wired at
+    /// all: no fading draw, no link in the medium, so no carrier sensed,
+    /// no interference and no service. `None` keeps the dense all-pairs
+    /// wiring.
+    pub link_floor_dbm: Option<f64>,
+    /// Hard geometric cutoff (m) for candidate links: farther pairs get
+    /// no loss draw, and sparse construction queries a spatial grid at
+    /// this range. Only consulted when `link_floor_dbm` is set; `None`
+    /// considers every pair.
+    pub max_link_range: Option<f64>,
+}
+
+impl Environment {
+    /// The largest node count this world can place.
+    pub fn capacity(&self) -> usize {
+        self.map.capacity()
+    }
+
+    /// The smallest stock map of this world with at least `n_nodes`
+    /// slots.
+    ///
+    /// # Errors
+    /// [`EnvironmentError::TooManyNodes`] when even the largest map is
+    /// too small.
+    pub fn testbed(&self, n_nodes: usize) -> Result<Testbed, EnvironmentError> {
+        self.map.testbed(n_nodes)
+    }
+
+    /// The §4 join-power threshold `L` (dB): the cancellation depth
+    /// joiners may assume. On the paper's radios it is the measured
+    /// [`DEFAULT_L_DB`]; on any other hardware it follows
+    /// [`HardwareProfile::expected_cancellation_depth_db`].
+    pub fn join_power_l_db(&self) -> f64 {
+        if self.hardware == HardwareProfile::wlan_class() {
+            DEFAULT_L_DB
+        } else {
+            self.hardware.expected_cancellation_depth_db()
+        }
+    }
+}
 
 /// The paper's world (§6, Fig. 10): the 20-location indoor office map
 /// (two-wing 40-location extension for larger scenarios), log-distance
 /// loss with LOS/NLOS exponents and wall penetration, Rician/Rayleigh
 /// LOS/NLOS delay profiles, uniform `±4 kHz` oscillator offsets and
-/// USRP2-class hardware.
-///
-/// This is the **default environment** and is pinned bit-for-bit
-/// against the pre-environment `build_topology` path (the
-/// `environment_regression` suite): identical RNG draws in identical
-/// order, exact `f64` equality. The public fields let `build_topology`
-/// keep its old `TopologyConfig` surface as a thin wrapper.
-#[derive(Debug, Clone)]
-pub struct Sigcomm11Indoor {
-    /// Large-scale propagation model.
-    pub path_loss: PathLossModel,
-    /// Power/noise budget.
-    pub budget: LinkBudget,
-    /// Oscillator offset draw.
-    pub oscillator: OscillatorDraw,
-    /// Radio hardware quality.
-    pub hardware: HardwareProfile,
-    /// Explicit placement map override; `None` picks the smallest
-    /// stock map that fits ([`Testbed::try_fitting`]).
-    pub testbed: Option<Testbed>,
-}
+/// USRP2-class hardware. The default environment, pinned bit-for-bit
+/// by the `environment_regression` suite. Registry name `"sigcomm11"`.
+pub const SIGCOMM11_INDOOR: Environment = Environment {
+    name: "sigcomm11",
+    map: Map::Office,
+    path_loss: PathLossModel::indoor(),
+    budget: LinkBudget::usrp2(),
+    los: DelayProfile::los(),
+    nlos: DelayProfile::nlos(),
+    oscillator: OscillatorDraw::DEFAULT_UNIFORM,
+    hardware: HardwareProfile::wlan_class(),
+    link_floor_dbm: None,
+    max_link_range: None,
+};
 
-impl Sigcomm11Indoor {
-    /// The paper's parameters, exactly as the seed code hard-coded
-    /// them (`const` so the registry can hold a static instance).
-    pub const fn new() -> Self {
-        Sigcomm11Indoor {
-            path_loss: PathLossModel::indoor(),
-            budget: LinkBudget::usrp2(),
-            oscillator: OscillatorDraw::DEFAULT_UNIFORM,
-            hardware: HardwareProfile::wlan_class(),
-            testbed: None,
-        }
-    }
-}
-
-impl Default for Sigcomm11Indoor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ChannelEnvironment for Sigcomm11Indoor {
-    fn name(&self) -> &str {
-        "sigcomm11"
-    }
-
-    fn capacity(&self) -> usize {
-        match &self.testbed {
-            Some(tb) => tb.len(),
-            None => Testbed::sigcomm11_extended().len(),
-        }
-    }
-
-    fn testbed(&self, n_nodes: usize) -> Result<Testbed, EnvironmentError> {
-        match &self.testbed {
-            Some(tb) => {
-                tb.ensure_capacity(n_nodes)?;
-                Ok(tb.clone())
-            }
-            None => Testbed::try_fitting(n_nodes),
-        }
-    }
-
-    fn sample_loss_db(&self, distance_m: f64, nlos: bool, rng: &mut dyn RngCore) -> f64 {
-        let mut rng = rng;
-        self.path_loss.sample_loss_db(distance_m, nlos, &mut rng)
-    }
-
-    fn amplitude_scale(&self, loss_db: f64) -> f64 {
-        self.budget.amplitude_scale(loss_db)
-    }
-
-    fn oscillator_offset_hz(&self, rng: &mut dyn RngCore) -> f64 {
-        self.oscillator.sample(rng)
-    }
-
-    fn hardware(&self) -> HardwareProfile {
-        self.hardware
-    }
-}
+/// The 20 dBm budget of the outdoor and city worlds, whose radios
+/// transmit hot to span their maps.
+const HOT_BUDGET: LinkBudget = LinkBudget {
+    tx_power_dbm: 20.0,
+    noise_floor_dbm: -98.0,
+};
 
 /// An open outdoor field: all-LOS free-space propagation (exponent 2,
-/// light shadowing) over a 100 m × 65 m grid of 40 candidate locations
-/// — link ranges several times the indoor map's — with a stronger
-/// outdoor transmit budget, near-flat strongly Rician two-tap channels
-/// and stock hardware. Registry name `"outdoor"`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OutdoorFreeSpace;
-
-impl OutdoorFreeSpace {
-    /// Free-space log-distance model: exponent 2 everywhere, no walls.
-    pub const PATH_LOSS: PathLossModel = PathLossModel {
-        pl0_db: 68.0,
-        exponent_los: 2.0,
-        exponent_nlos: 2.0,
-        wall_loss_db: 0.0,
-        shadowing_sigma_db: 2.0,
-    };
-    /// Outdoor radios transmit hotter (20 dBm) to span the field.
-    pub const BUDGET: LinkBudget = LinkBudget {
-        tx_power_dbm: 20.0,
-        noise_floor_dbm: -98.0,
-    };
-    /// Near-flat strongly Rician channel: two taps, dominant direct
-    /// path.
-    pub const DELAY_PROFILE: DelayProfile = DelayProfile {
+/// light shadowing, no walls) over the 100 m × 65 m
+/// [`Map::OutdoorField`] — link ranges several times the indoor map's —
+/// with a 20 dBm budget, near-flat strongly Rician two-tap channels and
+/// stock hardware. Registry name `"outdoor"`.
+pub const OUTDOOR_FREE_SPACE: Environment = {
+    let flat = DelayProfile {
         n_taps: 2,
         decay_db_per_tap: 8.0,
         rician_k: 10.0,
     };
-}
-
-impl ChannelEnvironment for OutdoorFreeSpace {
-    fn name(&self) -> &str {
-        "outdoor"
+    Environment {
+        name: "outdoor",
+        map: Map::OutdoorField,
+        path_loss: PathLossModel {
+            pl0_db: 68.0,
+            exponent_los: 2.0,
+            exponent_nlos: 2.0,
+            wall_loss_db: 0.0,
+            shadowing_sigma_db: 2.0,
+        },
+        budget: HOT_BUDGET,
+        los: flat,
+        nlos: flat,
+        ..SIGCOMM11_INDOOR
     }
+};
 
-    fn capacity(&self) -> usize {
-        Testbed::outdoor_field().len()
-    }
-
-    fn testbed(&self, n_nodes: usize) -> Result<Testbed, EnvironmentError> {
-        let tb = Testbed::outdoor_field();
-        tb.ensure_capacity(n_nodes)?;
-        Ok(tb)
-    }
-
-    fn link_is_nlos(&self, _testbed: &Testbed, _a: &Location, _b: &Location) -> bool {
-        false // free space: nothing to stand behind
-    }
-
-    fn sample_loss_db(&self, distance_m: f64, nlos: bool, rng: &mut dyn RngCore) -> f64 {
-        let mut rng = rng;
-        Self::PATH_LOSS.sample_loss_db(distance_m, nlos, &mut rng)
-    }
-
-    fn amplitude_scale(&self, loss_db: f64) -> f64 {
-        Self::BUDGET.amplitude_scale(loss_db)
-    }
-
-    fn delay_profile(&self, _nlos: bool) -> DelayProfile {
-        Self::DELAY_PROFILE
-    }
-
-    fn oscillator_offset_hz(&self, rng: &mut dyn RngCore) -> f64 {
-        OscillatorDraw::DEFAULT_UNIFORM.sample(rng)
-    }
-}
-
-/// A heavily cluttered all-NLOS world (factory floor / dense office):
-/// every link is pure Rayleigh with a deep 12-tap delay spread, the
-/// loss law has a single obstructed exponent with heavier shadowing,
-/// and oscillator offsets are genuinely Gaussian (the draw the old
-/// `oscillator_sigma_hz` field only pretended to make). Registry name
-/// `"rich_scatter"`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RichScatter;
-
-impl RichScatter {
-    /// Obstructed log-distance model: one exponent for every link,
-    /// heavier shadowing than the office map.
-    pub const PATH_LOSS: PathLossModel = PathLossModel {
-        pl0_db: 68.0,
-        exponent_los: 2.6,
-        exponent_nlos: 2.6,
-        wall_loss_db: 3.0,
-        shadowing_sigma_db: 4.0,
-    };
-    /// Deep delay spread, no direct path anywhere.
-    pub const DELAY_PROFILE: DelayProfile = DelayProfile {
+/// A heavily cluttered all-NLOS world (factory floor, dense office) on
+/// the [`Map::ClutteredOffice`]: every link is pure Rayleigh with a deep
+/// 12-tap delay spread, the loss law has one obstructed exponent with
+/// heavier shadowing, and oscillator offsets are Gaussian (σ = 2 kHz).
+/// Registry name `"rich_scatter"`.
+pub const RICH_SCATTER: Environment = {
+    let deep = DelayProfile {
         n_taps: 12,
         decay_db_per_tap: 1.2,
         rician_k: 0.0,
     };
-    /// Gaussian oscillator draw (σ = 2 kHz).
-    pub const OSCILLATOR: OscillatorDraw = OscillatorDraw::Gaussian { sigma_hz: 2_000.0 };
-}
-
-impl ChannelEnvironment for RichScatter {
-    fn name(&self) -> &str {
-        "rich_scatter"
+    Environment {
+        name: "rich_scatter",
+        map: Map::ClutteredOffice,
+        path_loss: PathLossModel {
+            pl0_db: 68.0,
+            exponent_los: 2.6,
+            exponent_nlos: 2.6,
+            wall_loss_db: 3.0,
+            shadowing_sigma_db: 4.0,
+        },
+        los: deep,
+        nlos: deep,
+        oscillator: OscillatorDraw::Gaussian { sigma_hz: 2_000.0 },
+        ..SIGCOMM11_INDOOR
     }
-
-    fn capacity(&self) -> usize {
-        Testbed::sigcomm11_extended().len()
-    }
-
-    fn testbed(&self, n_nodes: usize) -> Result<Testbed, EnvironmentError> {
-        // The office geometry with every location behind clutter.
-        let base = Testbed::try_fitting(n_nodes)?;
-        Ok(Testbed::from_locations(
-            base.locations()
-                .iter()
-                .map(|l| Location {
-                    pos: l.pos,
-                    nlos: true,
-                })
-                .collect(),
-        ))
-    }
-
-    fn link_is_nlos(&self, _testbed: &Testbed, _a: &Location, _b: &Location) -> bool {
-        true // everything scatters
-    }
-
-    fn sample_loss_db(&self, distance_m: f64, nlos: bool, rng: &mut dyn RngCore) -> f64 {
-        let mut rng = rng;
-        Self::PATH_LOSS.sample_loss_db(distance_m, nlos, &mut rng)
-    }
-
-    fn amplitude_scale(&self, loss_db: f64) -> f64 {
-        LinkBudget::usrp2().amplitude_scale(loss_db)
-    }
-
-    fn delay_profile(&self, _nlos: bool) -> DelayProfile {
-        Self::DELAY_PROFILE
-    }
-
-    fn oscillator_offset_hz(&self, rng: &mut dyn RngCore) -> f64 {
-        Self::OSCILLATOR.sample(rng)
-    }
-}
+};
 
 /// The indoor world on worn radios: placement, propagation and fading
-/// are bit-identical to [`Sigcomm11Indoor`] (same draws, same order),
-/// but the hardware carries a 10 dB-worse EVM floor, 3× the calibration
-/// residual and a 10 dB-worse channel estimator —
-/// [`HardwareProfile::degraded`] — dropping the expected cancellation
-/// depth from the paper's 25–27 dB to ~17 dB. The §4 threshold `L`
-/// follows the hardware honestly
-/// ([`join_power_l_db`](ChannelEnvironment::join_power_l_db) ≈ 17 dB),
-/// stress-testing the paper's cancellation-depth assumption. Registry
-/// name `"degraded_hardware"`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DegradedHardware;
+/// draw exactly as in [`SIGCOMM11_INDOOR`], but the hardware is
+/// [`HardwareProfile::degraded`] (10 dB worse EVM floor, 3× the
+/// calibration residual, 10 dB worse estimator). That drops the
+/// expected cancellation depth from the paper's 25–27 dB to ~17 dB,
+/// and `L` follows it ([`Environment::join_power_l_db`]), stressing
+/// the paper's cancellation-depth assumption. Registry name
+/// `"degraded_hardware"`.
+pub const DEGRADED_HARDWARE: Environment = Environment {
+    name: "degraded_hardware",
+    hardware: HardwareProfile::degraded(),
+    ..SIGCOMM11_INDOOR
+};
 
-impl ChannelEnvironment for DegradedHardware {
-    fn name(&self) -> &str {
-        "degraded_hardware"
-    }
-
-    fn capacity(&self) -> usize {
-        SIGCOMM11_INDOOR.capacity()
-    }
-
-    fn testbed(&self, n_nodes: usize) -> Result<Testbed, EnvironmentError> {
-        SIGCOMM11_INDOOR.testbed(n_nodes)
-    }
-
-    fn sample_loss_db(&self, distance_m: f64, nlos: bool, rng: &mut dyn RngCore) -> f64 {
-        SIGCOMM11_INDOOR.sample_loss_db(distance_m, nlos, rng)
-    }
-
-    fn amplitude_scale(&self, loss_db: f64) -> f64 {
-        SIGCOMM11_INDOOR.amplitude_scale(loss_db)
-    }
-
-    fn oscillator_offset_hz(&self, rng: &mut dyn RngCore) -> f64 {
-        SIGCOMM11_INDOOR.oscillator_offset_hz(rng)
-    }
-
-    fn hardware(&self) -> HardwareProfile {
-        HardwareProfile::degraded()
-    }
-
-    fn join_power_l_db(&self) -> f64 {
-        // The honest L: joiners may only assume the depth this
-        // hardware can actually deliver (~17 dB, not the paper's 27).
-        HardwareProfile::degraded().expected_cancellation_depth_db()
-    }
-}
-
-/// A procedurally generated city district: a square grid of cells 45 m
-/// apart, each one AP surrounded by seven stations 4–12 m out (the
-/// [`Testbed::multi_cell`] map, up to [`MultiCell::CAPACITY`] slots).
-/// Urban log-distance loss (exponent 3.2 LOS / 3.8 NLOS, 6 dB
-/// shadowing) over a hot 20 dBm budget, and — the point of this world —
-/// a **sparse link set**: pairs beyond [`MultiCell::MAX_LINK_RANGE_M`]
-/// are never considered, and drawn links whose received power lands
-/// below [`MultiCell::LINK_FLOOR_DBM`] are not materialized. In-cell
-/// links (≤ 12 m) always clear the floor; adjacent-cell links survive
-/// only on shadowing upswings (~1 in 6), so each node keeps a handful
-/// of neighbors instead of thousands. Placement is the identity layout
-/// (the `city:` scenario family indexes cells positionally). Registry
-/// name `"multi_cell"`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MultiCell;
-
-impl MultiCell {
-    /// Largest node count the procedural map serves (512 cells × 8).
-    pub const CAPACITY: usize = 4096;
-    /// Links farther than this never get a loss draw (two cell rings).
-    pub const MAX_LINK_RANGE_M: f64 = 100.0;
-    /// Received-power floor: links landing below are not materialized.
-    pub const LINK_FLOOR_DBM: f64 = -95.0;
-    /// Urban log-distance model: elevated exponents, heavy shadowing.
-    pub const PATH_LOSS: PathLossModel = PathLossModel {
+/// A procedurally generated city district on the [`Map::City`] grid:
+/// cells 45 m apart, each one AP ringed by seven stations 4–12 m out.
+/// Urban log-distance loss (exponent 3.2 LOS / 3.5 NLOS, 6 dB
+/// shadowing) over a 20 dBm budget, and — the point of this world — a
+/// **sparse link set**: pairs beyond 100 m are never considered, and
+/// drawn links whose received power lands below −95 dBm are not wired.
+/// In-cell links always clear the floor; adjacent-cell links survive
+/// only on shadowing upswings, so each node keeps a handful of
+/// neighbors instead of thousands. Registry name `"multi_cell"`.
+pub const MULTI_CELL: Environment = Environment {
+    name: "multi_cell",
+    map: Map::City,
+    path_loss: PathLossModel {
         pl0_db: 68.0,
         exponent_los: 3.2,
         exponent_nlos: 3.5,
         wall_loss_db: 3.0,
         shadowing_sigma_db: 6.0,
-    };
-    /// City radios transmit hot (20 dBm) over the urban noise floor.
-    pub const BUDGET: LinkBudget = LinkBudget {
-        tx_power_dbm: 20.0,
-        noise_floor_dbm: -98.0,
-    };
-}
-
-impl ChannelEnvironment for MultiCell {
-    fn name(&self) -> &str {
-        "multi_cell"
-    }
-
-    fn capacity(&self) -> usize {
-        Self::CAPACITY
-    }
-
-    fn testbed(&self, n_nodes: usize) -> Result<Testbed, EnvironmentError> {
-        if n_nodes > Self::CAPACITY {
-            return Err(EnvironmentError::TooManyNodes {
-                requested: n_nodes,
-                capacity: Self::CAPACITY,
-            });
-        }
-        // Generate exactly enough whole cells to cover the request.
-        let cells = n_nodes.div_ceil(crate::placement::MULTI_CELL_GROUP).max(1);
-        Ok(Testbed::multi_cell(cells))
-    }
-
-    fn sample_loss_db(&self, distance_m: f64, nlos: bool, rng: &mut dyn RngCore) -> f64 {
-        let mut rng = rng;
-        Self::PATH_LOSS.sample_loss_db(distance_m, nlos, &mut rng)
-    }
-
-    fn amplitude_scale(&self, loss_db: f64) -> f64 {
-        Self::BUDGET.amplitude_scale(loss_db)
-    }
-
-    fn oscillator_offset_hz(&self, rng: &mut dyn RngCore) -> f64 {
-        OscillatorDraw::DEFAULT_UNIFORM.sample(rng)
-    }
-
-    fn link_floor_dbm(&self) -> Option<f64> {
-        Some(Self::LINK_FLOOR_DBM)
-    }
-
-    fn max_link_range(&self) -> Option<f64> {
-        Some(Self::MAX_LINK_RANGE_M)
-    }
-
-    fn received_power_dbm(&self, loss_db: f64) -> f64 {
-        Self::BUDGET.tx_power_dbm - loss_db
-    }
-
-    fn assign_placements(
-        &self,
-        testbed: &Testbed,
-        n_nodes: usize,
-        _rng: &mut dyn RngCore,
-    ) -> Result<Vec<Location>, EnvironmentError> {
-        // Identity layout: scenario node i occupies map slot i, so the
-        // `city:` family's cell structure (slot 8k = cell k's AP) maps
-        // straight onto the grid. Consumes no RNG — city topologies
-        // still vary by seed through shadowing and fading draws.
-        testbed.ensure_capacity(n_nodes)?;
-        Ok(testbed.locations()[..n_nodes].to_vec())
-    }
-}
-
-/// The paper's world as a static, for registries and defaults.
-pub static SIGCOMM11_INDOOR: Sigcomm11Indoor = Sigcomm11Indoor::new();
-/// [`OutdoorFreeSpace`] as a static.
-pub static OUTDOOR_FREE_SPACE: OutdoorFreeSpace = OutdoorFreeSpace;
-/// [`RichScatter`] as a static.
-pub static RICH_SCATTER: RichScatter = RichScatter;
-/// [`DegradedHardware`] as a static.
-pub static DEGRADED_HARDWARE: DegradedHardware = DegradedHardware;
-/// [`MultiCell`] as a static.
-pub static MULTI_CELL: MultiCell = MultiCell;
+    },
+    budget: HOT_BUDGET,
+    link_floor_dbm: Some(-95.0),
+    max_link_range: Some(100.0),
+    ..SIGCOMM11_INDOOR
+};
 
 /// The built-in environments by name, for CLI front-ends and
 /// `SweepSpec::environment_named`: `"sigcomm11"` (the default),
 /// `"outdoor"`, `"rich_scatter"`, `"degraded_hardware"`,
 /// `"multi_cell"`.
-pub fn environment_from_name(name: &str) -> Option<&'static dyn ChannelEnvironment> {
+pub fn environment_from_name(name: &str) -> Option<&'static Environment> {
     Some(match name {
         "sigcomm11" => &SIGCOMM11_INDOOR,
         "outdoor" => &OUTDOOR_FREE_SPACE,
@@ -651,17 +454,6 @@ pub const BUILTIN_ENVIRONMENT_NAMES: [&str; 5] = [
     "multi_cell",
 ];
 
-// One environment value is shared by every worker thread of a sweep.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Sigcomm11Indoor>();
-    assert_send_sync::<OutdoorFreeSpace>();
-    assert_send_sync::<RichScatter>();
-    assert_send_sync::<DegradedHardware>();
-    assert_send_sync::<MultiCell>();
-    assert_send_sync::<&dyn ChannelEnvironment>();
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -672,7 +464,7 @@ mod tests {
     fn builtin_names_round_trip_through_the_registry() {
         for name in BUILTIN_ENVIRONMENT_NAMES {
             let env = environment_from_name(name).expect("builtin must resolve");
-            assert_eq!(env.name(), name);
+            assert_eq!(env.name, name);
         }
         assert!(environment_from_name("anechoic_chamber").is_none());
     }
@@ -706,10 +498,10 @@ mod tests {
 
     #[test]
     fn sigcomm11_matches_the_seed_defaults() {
-        let env = Sigcomm11Indoor::default();
-        assert_eq!(env.path_loss.pl0_db, PathLossModel::default().pl0_db);
-        assert_eq!(env.budget.tx_power_dbm, LinkBudget::default().tx_power_dbm);
-        assert_eq!(env.hardware.tx_evm_db, HardwareProfile::default().tx_evm_db);
+        let env = SIGCOMM11_INDOOR;
+        assert_eq!(env.path_loss, PathLossModel::default());
+        assert_eq!(env.budget, LinkBudget::default());
+        assert_eq!(env.hardware, HardwareProfile::default());
         assert_eq!(env.join_power_l_db(), 27.0);
         assert_eq!(env.testbed(6).unwrap().len(), 20);
         assert_eq!(env.testbed(21).unwrap().len(), 40);
@@ -724,26 +516,8 @@ mod tests {
     }
 
     #[test]
-    fn sigcomm11_testbed_override_is_respected() {
-        let small = Testbed::from_locations(Testbed::sigcomm11().locations()[..4].to_vec());
-        let env = Sigcomm11Indoor {
-            testbed: Some(small),
-            ..Sigcomm11Indoor::default()
-        };
-        assert_eq!(env.capacity(), 4);
-        assert_eq!(env.testbed(4).unwrap().len(), 4);
-        assert!(matches!(
-            env.testbed(5),
-            Err(EnvironmentError::TooManyNodes {
-                requested: 5,
-                capacity: 4
-            })
-        ));
-    }
-
-    #[test]
     fn outdoor_is_all_los_with_longer_ranges() {
-        let env = OutdoorFreeSpace;
+        let env = OUTDOOR_FREE_SPACE;
         let tb = env.testbed(32).expect("40-slot field");
         assert_eq!(tb.len(), 40);
         assert!(tb.locations().iter().all(|l| !l.nlos));
@@ -752,9 +526,19 @@ mod tests {
         for i in 0..locs.len() {
             for j in (i + 1)..locs.len() {
                 max_d = max_d.max(locs[i].pos.distance(&locs[j].pos));
-                assert!(!env.link_is_nlos(&tb, &locs[i], &locs[j]));
+                assert!(!env.map.link_is_nlos(&tb, &locs[i], &locs[j]));
             }
         }
+        // Even on a map with walls, nothing stands in the way.
+        let office = Testbed::sigcomm11();
+        let pairs = || {
+            office
+                .locations()
+                .iter()
+                .flat_map(|a| office.locations().iter().map(move |b| (a, b)))
+        };
+        assert!(pairs().any(|(a, b)| office.link_is_nlos(a, b)));
+        assert!(pairs().all(|(a, b)| !env.map.link_is_nlos(&office, a, b)));
         // Several times the indoor map's ~17 m diagonal.
         assert!(max_d > 80.0, "outdoor span only {max_d:.1} m");
         // SNRs stay in an operable band across the whole field.
@@ -765,44 +549,49 @@ mod tests {
             mean_snr_db(&env, max_d)
         );
         // Strong direct path: LOS-profile variance below NLOS's.
-        assert!(env.delay_profile(false).rician_k > DelayProfile::los().rician_k);
+        assert!(env.los.rician_k > DelayProfile::los().rician_k);
     }
 
     #[test]
     fn rich_scatter_is_all_nlos_rayleigh() {
-        let env = RichScatter;
+        let env = RICH_SCATTER;
         let tb = env.testbed(6).unwrap();
         assert!(tb.locations().iter().all(|l| l.nlos));
-        let a = tb.locations()[0];
-        let b = tb.locations()[1];
-        assert!(env.link_is_nlos(&tb, &a, &b));
-        let p = env.delay_profile(false);
-        assert_eq!(p.rician_k, 0.0, "pure Rayleigh");
-        assert!(p.n_taps > DelayProfile::nlos().n_taps, "deeper spread");
+        // Every link scatters, even where the office's wall geometry
+        // sees a line of sight.
+        let office = Testbed::sigcomm11();
+        let pairs = || {
+            office
+                .locations()
+                .iter()
+                .flat_map(|a| office.locations().iter().map(move |b| (a, b)))
+        };
+        assert!(pairs().any(|(a, b)| !office.link_is_nlos(a, b)));
+        assert!(pairs().all(|(a, b)| env.map.link_is_nlos(&office, a, b)));
+        for p in [env.los, env.nlos] {
+            assert_eq!(p.rician_k, 0.0, "pure Rayleigh");
+            assert!(p.n_taps > DelayProfile::nlos().n_taps, "deeper spread");
+        }
         // Gaussian oscillator draw consumes two uniforms (Box–Muller),
         // not one — genuinely a different distribution.
         let mut rng = StdRng::seed_from_u64(9);
-        let x = env.oscillator_offset_hz(&mut rng);
+        let x = env.oscillator.sample(&mut rng);
         assert!(x.is_finite());
     }
 
     #[test]
     fn degraded_hardware_shares_the_indoor_world() {
-        let env = DegradedHardware;
+        let env = DEGRADED_HARDWARE;
         // Identical world draws, different hardware.
-        for seed in 0..20u64 {
-            let mut a = StdRng::seed_from_u64(seed);
-            let mut b = StdRng::seed_from_u64(seed);
-            assert_eq!(
-                env.sample_loss_db(7.0, true, &mut a).to_bits(),
-                SIGCOMM11_INDOOR.sample_loss_db(7.0, true, &mut b).to_bits()
-            );
-            assert_eq!(
-                env.oscillator_offset_hz(&mut a).to_bits(),
-                SIGCOMM11_INDOOR.oscillator_offset_hz(&mut b).to_bits()
-            );
-        }
-        let depth = env.hardware().expected_cancellation_depth_db();
+        assert_eq!(
+            Environment {
+                name: SIGCOMM11_INDOOR.name,
+                hardware: SIGCOMM11_INDOOR.hardware,
+                ..env
+            },
+            SIGCOMM11_INDOOR
+        );
+        let depth = env.hardware.expected_cancellation_depth_db();
         assert!(
             (15.0..20.0).contains(&depth),
             "degraded cancellation depth {depth:.1} dB"
@@ -816,12 +605,9 @@ mod tests {
     fn dense_worlds_have_no_floor_by_default() {
         for name in ["sigcomm11", "outdoor", "rich_scatter", "degraded_hardware"] {
             let env = environment_from_name(name).unwrap();
-            assert_eq!(env.link_floor_dbm(), None, "{name}");
-            assert_eq!(env.max_link_range(), None, "{name}");
+            assert_eq!(env.link_floor_dbm, None, "{name}");
+            assert_eq!(env.max_link_range, None, "{name}");
         }
-        // Default received-power conversion uses the paper's 12 dBm
-        // USRP2 transmit power.
-        assert_eq!(SIGCOMM11_INDOOR.received_power_dbm(100.0), -88.0);
     }
 
     #[test]
@@ -831,7 +617,7 @@ mod tests {
             let mut a = StdRng::seed_from_u64(seed);
             let mut b = StdRng::seed_from_u64(seed);
             let direct = tb.try_random_assignment(6, &mut a).unwrap();
-            let hooked = SIGCOMM11_INDOOR.assign_placements(&tb, 6, &mut b).unwrap();
+            let hooked = Map::Office.assign_placements(&tb, 6, &mut b).unwrap();
             for (x, y) in direct.iter().zip(&hooked) {
                 assert_eq!(x.pos.x.to_bits(), y.pos.x.to_bits());
                 assert_eq!(x.pos.y.to_bits(), y.pos.y.to_bits());
@@ -843,11 +629,12 @@ mod tests {
 
     #[test]
     fn multi_cell_is_a_sparse_city() {
-        let env = MultiCell;
-        assert_eq!(env.name(), "multi_cell");
+        let env = MULTI_CELL;
+        assert_eq!(env.name, "multi_cell");
         assert_eq!(env.capacity(), 4096);
-        assert_eq!(env.link_floor_dbm(), Some(-95.0));
-        assert_eq!(env.max_link_range(), Some(100.0));
+        let floor = env.link_floor_dbm.expect("the city is sparse");
+        assert_eq!(floor, -95.0);
+        assert_eq!(env.max_link_range, Some(100.0));
         // Maps grow in whole cells sized to the request.
         assert_eq!(env.testbed(9).unwrap().len(), 16);
         assert_eq!(env.testbed(1024).unwrap().len(), 1024);
@@ -862,7 +649,7 @@ mod tests {
         let tb = env.testbed(16).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         let before = StdRng::seed_from_u64(5).gen::<u64>();
-        let placed = env.assign_placements(&tb, 16, &mut rng).unwrap();
+        let placed = env.map.assign_placements(&tb, 16, &mut rng).unwrap();
         assert_eq!(rng.gen::<u64>(), before, "identity layout draws nothing");
         for (i, l) in placed.iter().enumerate() {
             assert_eq!(l.pos.x.to_bits(), tb.locations()[i].pos.x.to_bits());
@@ -870,16 +657,17 @@ mod tests {
         // In-cell links (<= 10 m) clear the floor by a wide margin even
         // on shadowing downswings; a full cell spacing rarely does.
         let mut rng = StdRng::seed_from_u64(1);
+        let received = |d: f64, rng: &mut StdRng| {
+            env.budget.tx_power_dbm - env.path_loss.sample_loss_db(d, false, rng)
+        };
         let mut in_cell_ok = 0;
         let mut cross_ok = 0;
         let n = 2000;
         for _ in 0..n {
-            let near = env.sample_loss_db(10.0, false, &mut rng);
-            let far = env.sample_loss_db(45.0, false, &mut rng);
-            if env.received_power_dbm(near) >= MultiCell::LINK_FLOOR_DBM {
+            if received(10.0, &mut rng) >= floor {
                 in_cell_ok += 1;
             }
-            if env.received_power_dbm(far) >= MultiCell::LINK_FLOOR_DBM {
+            if received(45.0, &mut rng) >= floor {
                 cross_ok += 1;
             }
         }
@@ -896,13 +684,13 @@ mod tests {
 
     /// Mean link SNR (dB) at a distance under an environment, shadowing
     /// averaged out over many draws.
-    fn mean_snr_db(env: &dyn ChannelEnvironment, d: f64) -> f64 {
+    fn mean_snr_db(env: &Environment, d: f64) -> f64 {
         let mut rng = StdRng::seed_from_u64(1);
         let n = 2000;
         (0..n)
             .map(|_| {
-                let loss = env.sample_loss_db(d, false, &mut rng);
-                20.0 * env.amplitude_scale(loss).log10()
+                let loss = env.path_loss.sample_loss_db(d, false, &mut rng);
+                20.0 * env.budget.amplitude_scale(loss).log10()
             })
             .sum::<f64>()
             / n as f64

@@ -12,7 +12,7 @@ use nplus_linalg::{c64, Complex64};
 use rand::Rng;
 
 /// Power-delay profile of the small-scale channel.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayProfile {
     /// Number of taps (at one tap per sample period).
     pub n_taps: usize,
@@ -25,7 +25,7 @@ pub struct DelayProfile {
 
 impl DelayProfile {
     /// LOS profile: short delay spread, strong direct path.
-    pub fn los() -> Self {
+    pub const fn los() -> Self {
         DelayProfile {
             n_taps: 4,
             decay_db_per_tap: 4.0,
@@ -34,7 +34,7 @@ impl DelayProfile {
     }
 
     /// NLOS profile: longer delay spread, no direct path.
-    pub fn nlos() -> Self {
+    pub const fn nlos() -> Self {
         DelayProfile {
             n_taps: 8,
             decay_db_per_tap: 2.0,

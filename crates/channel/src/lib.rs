@@ -8,10 +8,10 @@
 //!
 //! * [`placement`] — the floor-plan geometry and random node placement
 //!   methodology of the paper's experiments;
-//! * [`environment`] — pluggable propagation worlds
-//!   ([`ChannelEnvironment`]): the paper's indoor testbed as the
-//!   pinned default plus outdoor, rich-scatter and degraded-hardware
-//!   environments, resolvable by name;
+//! * [`environment`] — the closed set of propagation worlds, each an
+//!   [`Environment`] value: the paper's indoor testbed as the pinned
+//!   default plus outdoor, rich-scatter, degraded-hardware and
+//!   multi-cell city environments, resolvable by name;
 //! * [`pathloss`] — log-distance large-scale loss calibrated to the
 //!   paper's 5–35 dB link-SNR operating range;
 //! * [`fading`] — Rayleigh/Rician tapped-delay-line multipath, consistent
@@ -41,9 +41,9 @@ pub mod placement;
 
 pub use cfo::apply_cfo;
 pub use environment::{
-    environment_from_name, ChannelEnvironment, DegradedHardware, EnvironmentError, OscillatorDraw,
-    OutdoorFreeSpace, RichScatter, Sigcomm11Indoor, BUILTIN_ENVIRONMENT_NAMES, DEGRADED_HARDWARE,
-    OUTDOOR_FREE_SPACE, RICH_SCATTER, SIGCOMM11_INDOOR,
+    environment_from_name, Environment, EnvironmentError, Map, OscillatorDraw,
+    BUILTIN_ENVIRONMENT_NAMES, DEGRADED_HARDWARE, MULTI_CELL, OUTDOOR_FREE_SPACE, RICH_SCATTER,
+    SIGCOMM11_INDOOR,
 };
 pub use fading::{DelayProfile, FadingChannel};
 pub use freq_table::FreqResponseTable;

@@ -9,7 +9,7 @@
 use rand::Rng;
 
 /// Log-distance path-loss model with log-normal shadowing.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathLossModel {
     /// Reference loss at 1 m (dB). ~40 dB at 2.4 GHz.
     pub pl0_db: f64,
@@ -70,7 +70,7 @@ impl PathLossModel {
 
 /// Link power budget: converts transmit power and path loss to the mean
 /// received SNR given a noise floor.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkBudget {
     /// Transmit power (dBm). Typical WLAN/USRP2 operating point.
     pub tx_power_dbm: f64,

@@ -113,8 +113,8 @@ pub mod prelude {
         SimConfig, SimEngine, SweepError, SweepSpec, SweepStats, TrafficModel,
     };
     pub use nplus_channel::environment::{
-        environment_from_name, ChannelEnvironment, DegradedHardware, EnvironmentError, MultiCell,
-        OscillatorDraw, OutdoorFreeSpace, RichScatter, Sigcomm11Indoor, BUILTIN_ENVIRONMENT_NAMES,
-        DEGRADED_HARDWARE, MULTI_CELL, OUTDOOR_FREE_SPACE, RICH_SCATTER, SIGCOMM11_INDOOR,
+        environment_from_name, Environment, EnvironmentError, OscillatorDraw,
+        BUILTIN_ENVIRONMENT_NAMES, DEGRADED_HARDWARE, MULTI_CELL, OUTDOOR_FREE_SPACE, RICH_SCATTER,
+        SIGCOMM11_INDOOR,
     };
 }

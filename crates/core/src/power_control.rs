@@ -17,7 +17,7 @@ use nplus_linalg::{CMatrix, CMatrixSoA};
 
 /// The protocol's cancellation-depth parameter, dB — re-exported from
 /// the environment layer, which owns the single definition shared with
-/// [`ChannelEnvironment::join_power_l_db`](nplus_channel::environment::ChannelEnvironment::join_power_l_db).
+/// [`Environment::join_power_l_db`](nplus_channel::environment::Environment::join_power_l_db).
 pub use nplus_channel::environment::DEFAULT_L_DB;
 
 /// Interference power (linear, relative to noise) that a unit-total-power

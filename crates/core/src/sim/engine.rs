@@ -1903,9 +1903,26 @@ mod tests {
     use super::*;
     use crate::observer::NullObserver;
     use crate::policy::{Beamforming, Dot11n, GreedyJoin, NPlus, Oracle};
+    use nplus_channel::environment::SIGCOMM11_INDOOR;
     use nplus_channel::placement::Testbed;
-    use nplus_medium::topology::{build_topology, TopologyConfig};
+    use nplus_medium::topology::build_environment_topology;
     use rand::SeedableRng;
+
+    /// `scenario` placed in the paper's world on its 20-location map,
+    /// with the placement RNG as the draw left it.
+    fn placed(scenario: &Scenario, seed: u64) -> (Topology, StdRng) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let topo = build_environment_topology(
+            &SIGCOMM11_INDOOR,
+            &Testbed::sigcomm11(),
+            &scenario.antennas,
+            10e6,
+            seed,
+            &mut rng,
+        )
+        .expect("fits the paper map");
+        (topo, rng)
+    }
 
     /// One unobserved run of `policy` with a fresh RNG seeded by `seed`.
     fn run_seeded(engine: &SimEngine<'_>, policy: Policy, seed: u64) -> RunResult {
@@ -1919,15 +1936,7 @@ mod tests {
 
     fn run(policy: Policy, seed: u64) -> RunResult {
         let scenario = Scenario::three_pairs();
-        let tb = Testbed::sigcomm11();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let topo = build_topology(
-            &tb,
-            &TopologyConfig::new(scenario.antennas.clone()),
-            10e6,
-            seed,
-            &mut rng,
-        );
+        let (topo, mut rng) = placed(&scenario, seed);
         let cfg = SimConfig {
             rounds: 12,
             ..SimConfig::default()
@@ -1982,16 +1991,8 @@ mod tests {
     #[test]
     fn ap_downlink_scenario_runs_all_protocols() {
         let scenario = Scenario::ap_downlink();
-        let tb = Testbed::sigcomm11();
         for policy in [NPlus, Dot11n, Beamforming] {
-            let mut rng = StdRng::seed_from_u64(9);
-            let topo = build_topology(
-                &tb,
-                &TopologyConfig::new(scenario.antennas.clone()),
-                10e6,
-                9,
-                &mut rng,
-            );
+            let (topo, mut rng) = placed(&scenario, 9);
             let cfg = SimConfig {
                 rounds: 8,
                 ..SimConfig::default()
@@ -2011,17 +2012,9 @@ mod tests {
         // MU beamforming serves both clients at once when AP2 wins, so it
         // must outperform single-user 802.11n in this scenario.
         let scenario = Scenario::ap_downlink();
-        let tb = Testbed::sigcomm11();
         let (mut bf, mut dn) = (0.0, 0.0);
         for seed in 0..6 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let topo = build_topology(
-                &tb,
-                &TopologyConfig::new(scenario.antennas.clone()),
-                10e6,
-                seed,
-                &mut rng,
-            );
+            let (topo, mut rng) = placed(&scenario, seed);
             let cfg = SimConfig {
                 rounds: 10,
                 ..SimConfig::default()
@@ -2121,15 +2114,7 @@ mod tests {
     #[test]
     fn engine_reuse_is_deterministic() {
         let scenario = Scenario::three_pairs();
-        let tb = Testbed::sigcomm11();
-        let mut rng = StdRng::seed_from_u64(21);
-        let topo = build_topology(
-            &tb,
-            &TopologyConfig::new(scenario.antennas.clone()),
-            10e6,
-            21,
-            &mut rng,
-        );
+        let topo = placed(&scenario, 21).0;
         let cfg = SimConfig {
             rounds: 6,
             ..SimConfig::default()
@@ -2160,15 +2145,7 @@ mod tests {
     #[test]
     fn oracle_is_deterministic_and_dominates_here() {
         let scenario = Scenario::three_pairs();
-        let tb = Testbed::sigcomm11();
-        let mut rng = StdRng::seed_from_u64(3);
-        let topo = build_topology(
-            &tb,
-            &TopologyConfig::new(scenario.antennas.clone()),
-            10e6,
-            3,
-            &mut rng,
-        );
+        let topo = placed(&scenario, 3).0;
         let cfg = SimConfig {
             rounds: 6,
             ..SimConfig::default()
@@ -2193,15 +2170,7 @@ mod tests {
     #[test]
     fn greedy_join_runs_and_uses_concurrency() {
         let scenario = Scenario::three_pairs();
-        let tb = Testbed::sigcomm11();
-        let mut rng = StdRng::seed_from_u64(0);
-        let topo = build_topology(
-            &tb,
-            &TopologyConfig::new(scenario.antennas.clone()),
-            10e6,
-            0,
-            &mut rng,
-        );
+        let topo = placed(&scenario, 0).0;
         let cfg = SimConfig {
             rounds: 10,
             ..SimConfig::default()
@@ -2232,16 +2201,7 @@ mod tests {
     }
 
     fn three_pairs_topo(seed: u64) -> Topology {
-        let scenario = Scenario::three_pairs();
-        let tb = Testbed::sigcomm11();
-        let mut rng = StdRng::seed_from_u64(seed);
-        build_topology(
-            &tb,
-            &TopologyConfig::new(scenario.antennas.clone()),
-            10e6,
-            seed,
-            &mut rng,
-        )
+        placed(&Scenario::three_pairs(), seed).0
     }
 
     /// Low-load Poisson arrivals idle most rounds and deliver strictly
@@ -2436,8 +2396,7 @@ mod tests {
     #[test]
     fn sparse_world_absent_link_flows_idle_instead_of_panicking() {
         use crate::sim::Flow;
-        use nplus_channel::environment::{ChannelEnvironment, MULTI_CELL};
-        use nplus_medium::topology::build_environment_topology;
+        use nplus_channel::environment::MULTI_CELL;
 
         // Four cells 45 m apart: cell 0 and cell 3 are 135 m apart,
         // past the 100 m link range — no link is installed between them.

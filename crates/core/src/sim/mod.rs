@@ -31,13 +31,13 @@
 //!   event stream; the engine's own accounting is the
 //!   [`GoodputAccumulator`](crate::observer::GoodputAccumulator)
 //!   observer.
-//! * [`ChannelEnvironment`](nplus_channel::environment::ChannelEnvironment)
-//!   implementations supply the propagation world the topologies are
-//!   drawn from — testbed map, path loss, delay profiles, oscillator
-//!   draw and hardware profile. The paper's indoor office is the
-//!   [`Sigcomm11Indoor`](nplus_channel::environment::Sigcomm11Indoor)
-//!   default; outdoor/rich-scatter/degraded-hardware worlds ship
-//!   alongside it and are selectable by name.
+//! * An [`Environment`](nplus_channel::environment::Environment) value
+//!   supplies the propagation world the topologies are drawn from —
+//!   placement map, path loss, delay profiles, oscillator draw and
+//!   hardware profile. The paper's indoor office is the
+//!   [`SIGCOMM11_INDOOR`](nplus_channel::environment::SIGCOMM11_INDOOR)
+//!   default; outdoor, rich-scatter, degraded-hardware and multi-cell
+//!   worlds ship alongside it and are selectable by name.
 //! * [`SweepSpec`] ([`sweep`](mod@crate::sim)) is the one batch entry
 //!   point: it builds seeded topologies in the chosen environment,
 //!   shares one channel-cached engine per seed across all policies, and

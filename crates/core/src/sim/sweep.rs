@@ -20,7 +20,7 @@ use super::{MobilityModel, RunResult, Scenario, SimConfig, SimEngine, SinrGrid, 
 use crate::observer::{NullObserver, RoundObserver, RunIdentity};
 use crate::policy::{Beamforming, Dot11n, NPlus, Policy};
 use nplus_channel::environment::{
-    environment_from_name, ChannelEnvironment, EnvironmentError, SIGCOMM11_INDOOR,
+    environment_from_name, Environment, EnvironmentError, SIGCOMM11_INDOOR,
 };
 use nplus_channel::placement::Testbed;
 use nplus_medium::topology::build_environment_topology;
@@ -428,7 +428,7 @@ pub fn aggregate_results(
 /// comparison set (802.11n, beamforming, n+), and execution is serial.
 pub struct SweepSpec {
     scenario: Scenario,
-    environment: EnvEntry,
+    environment: Environment,
     testbed: Option<Testbed>,
     cfg: SimConfig,
     policies: Vec<Policy>,
@@ -436,32 +436,16 @@ pub struct SweepSpec {
     threads: usize,
 }
 
-/// The spec's environment: the built-ins are statics (no boxing),
-/// caller-supplied environments are owned.
-enum EnvEntry {
-    Static(&'static dyn ChannelEnvironment),
-    Owned(Box<dyn ChannelEnvironment>),
-}
-
-impl EnvEntry {
-    fn as_dyn(&self) -> &dyn ChannelEnvironment {
-        match self {
-            EnvEntry::Static(e) => *e,
-            EnvEntry::Owned(b) => b.as_ref(),
-        }
-    }
-}
-
 /// The default comparison set (the paper's head-to-head trio), applied
 /// when a spec names no policies. Front-ends that want the same default
 /// should leave the spec empty rather than re-listing these.
 pub const DEFAULT_POLICIES: [Policy; 3] = [Dot11n, Beamforming, NPlus];
 
-/// Mirrors the environment hooks the engine reads from the config —
+/// Mirrors the environment fields the engine reads from the config —
 /// the one place the `hardware`/`L` coupling lives, shared by by-value
 /// and by-name environment selection.
-fn apply_environment_config(cfg: &mut SimConfig, env: &dyn ChannelEnvironment) {
-    cfg.hardware = env.hardware();
+fn apply_environment_config(cfg: &mut SimConfig, env: &Environment) {
+    cfg.hardware = env.hardware;
     cfg.l_db = env.join_power_l_db();
 }
 
@@ -470,7 +454,7 @@ impl SweepSpec {
     pub fn new(scenario: Scenario) -> Self {
         SweepSpec {
             scenario,
-            environment: EnvEntry::Static(&SIGCOMM11_INDOOR),
+            environment: SIGCOMM11_INDOOR,
             testbed: None,
             cfg: SimConfig::default(),
             policies: Vec::new(),
@@ -488,15 +472,15 @@ impl SweepSpec {
 
     /// Runs the sweep in `environment` instead of the paper's indoor
     /// world: the placement map, loss law, delay profiles and
-    /// oscillator draws all come from its hooks, and — like
+    /// oscillator draws all come from it, and — like
     /// [`rounds`](SweepSpec::rounds) — the call updates the config in
     /// place with the environment's [`HardwareProfile`](
     /// nplus_channel::impairments::HardwareProfile) and §4 threshold
-    /// `L` (a later [`config`](SweepSpec::config) call overrides both
-    /// again).
-    pub fn environment(mut self, environment: impl ChannelEnvironment + 'static) -> Self {
+    /// `L`. A world that differs from the registry entry of its name
+    /// runs, but is not [`canonical`](SweepSpec::canonical).
+    pub fn environment(mut self, environment: Environment) -> Self {
         apply_environment_config(&mut self.cfg, &environment);
-        self.environment = EnvEntry::Owned(Box::new(environment));
+        self.environment = environment;
         self
     }
 
@@ -513,22 +497,11 @@ impl SweepSpec {
         match environment_from_name(name) {
             Some(env) => {
                 apply_environment_config(&mut self.cfg, env);
-                self.environment = EnvEntry::Static(env);
+                self.environment = *env;
                 Ok(self)
             }
             None => Err(name.to_string()),
         }
-    }
-
-    /// Replaces the whole simulation config — including the hardware
-    /// profile and `L` a prior [`environment`](SweepSpec::environment)
-    /// call installed (last call wins). To combine a non-default
-    /// environment with config tweaks, call `config` first (or use the
-    /// single-field setters like [`rounds`](SweepSpec::rounds), which
-    /// leave the environment's fields alone).
-    pub fn config(mut self, cfg: SimConfig) -> Self {
-        self.cfg = cfg;
-        self
     }
 
     /// Sets just the round count (the most common config tweak).
@@ -717,10 +690,10 @@ impl SweepSpec {
     /// [`CanonicalSpec`] for exactly what it encodes.
     ///
     /// Canonicalization requires the spec to be reconstructible from its
-    /// canonical form alone: the environment must carry a registry name
-    /// (a custom environment must pick a name the registry doesn't — a
-    /// collision would alias someone else's cache entries), there must
-    /// be no [`testbed`](SweepSpec::testbed) override, and the config
+    /// canonical form alone: the environment must equal, by value, the
+    /// registry entry of its name (a custom world keyed by a built-in's
+    /// name would alias that world's cache entries), there must be no
+    /// [`testbed`](SweepSpec::testbed) override, and the config
     /// may deviate from the environment's defaults only in
     /// [`rounds`](SweepSpec::rounds),
     /// [`traffic`](SweepSpec::traffic), [`mobility`](SweepSpec::mobility)
@@ -740,11 +713,11 @@ impl SweepSpec {
                 "explicit testbed override".to_string(),
             ));
         }
-        let env = self.environment.as_dyn();
-        let env_name = env.name().to_string();
-        if environment_from_name(&env_name).is_none() {
+        let env = &self.environment;
+        if environment_from_name(env.name) != Some(env) {
             return Err(SweepError::NotCanonical(format!(
-                "environment {env_name:?} is not in the registry"
+                "environment {:?} is not the registry world of that name",
+                env.name
             )));
         }
         // Everything the engine reads from the config besides the round
@@ -769,7 +742,7 @@ impl SweepSpec {
         Ok(CanonicalSpec {
             antennas: self.scenario.antennas.clone(),
             flows: self.scenario.flows.iter().map(|f| (f.tx, f.rx)).collect(),
-            environment: env_name,
+            environment: env.name.to_string(),
             policies,
             seeds: self.seeds.clone(),
             rounds: self.cfg.rounds,
@@ -835,10 +808,9 @@ impl SweepSpec {
         canonical_key: Option<u128>,
         observers: &mut [&mut dyn RoundObserver],
     ) -> Result<SeedResults, SweepError> {
-        let environment = self.environment.as_dyn();
         let mut placement_rng = StdRng::seed_from_u64(seed);
         let topo = build_environment_topology(
-            environment,
+            &self.environment,
             testbed,
             &self.scenario.antennas,
             self.cfg.ofdm.bandwidth_hz,
@@ -853,7 +825,7 @@ impl SweepSpec {
                 let mut run_rng = StdRng::seed_from_u64(seed ^ 0x5EED_CAFE);
                 let identity = RunIdentity {
                     seed,
-                    environment: environment.name().to_string(),
+                    environment: self.environment.name.to_string(),
                     canonical_key,
                 };
                 engine.run(policy, &mut run_rng, &mut **observer, Some(identity))
@@ -869,7 +841,7 @@ impl SweepSpec {
                 tb.ensure_capacity(n)?;
                 Ok(tb.clone())
             }
-            None => self.environment.as_dyn().testbed(n),
+            None => self.environment.testbed(n),
         }
     }
 
@@ -995,13 +967,9 @@ mod tests {
                 super::super::Flow { tx: 3, rx: 0 },
             ],
         };
-        let cfg = SimConfig {
-            rounds: 8,
-            ..SimConfig::default()
-        };
         let stats = SweepSpec::new(scenario)
             .testbed(Testbed::sigcomm11())
-            .config(cfg)
+            .rounds(8)
             .policy(NPlus)
             .policy(Dot11n)
             .seed_count(4)
@@ -1018,13 +986,9 @@ mod tests {
     #[test]
     fn sweep_aggregates_all_protocols() {
         let scenario = Scenario::three_pairs();
-        let cfg = SimConfig {
-            rounds: 6,
-            ..SimConfig::default()
-        };
         let stats = SweepSpec::new(scenario)
             .testbed(Testbed::sigcomm11())
-            .config(cfg)
+            .rounds(6)
             .policy(NPlus)
             .policy(Dot11n)
             .seeds([1, 2, 3])
@@ -1129,7 +1093,6 @@ mod tests {
     /// are bit-for-bit the defaults', by value and by name.
     #[test]
     fn default_environment_is_a_bitwise_noop() {
-        use nplus_channel::environment::Sigcomm11Indoor;
         let base = SweepSpec::new(Scenario::three_pairs())
             .rounds(3)
             .seed_count(2)
@@ -1139,7 +1102,7 @@ mod tests {
             .rounds(3)
             .seed_count(2)
             .policy(NPlus)
-            .environment(Sigcomm11Indoor::default())
+            .environment(SIGCOMM11_INDOOR)
             .run();
         let by_name = SweepSpec::new(Scenario::three_pairs())
             .rounds(3)
@@ -1553,13 +1516,16 @@ mod tests {
             &SweepSpec::new(Scenario::three_pairs()).testbed(Testbed::sigcomm11()),
             "testbed",
         );
-        let tweaked_cfg = SimConfig {
-            packet_bytes: 900,
-            ..SimConfig::default()
+        let mut tweaked_cfg = SweepSpec::new(Scenario::three_pairs());
+        tweaked_cfg.cfg.packet_bytes = 900;
+        not_canonical(&tweaked_cfg, "config deviates");
+        let renamed = Environment {
+            name: "anechoic_chamber",
+            ..SIGCOMM11_INDOOR
         };
         not_canonical(
-            &SweepSpec::new(Scenario::three_pairs()).config(tweaked_cfg),
-            "config deviates",
+            &SweepSpec::new(Scenario::three_pairs()).environment(renamed),
+            "registry",
         );
     }
 
@@ -1644,7 +1610,7 @@ mod tests {
             n_seeds in 1u64..6,
             rounds in 1usize..10,
             policy_pick in 0usize..3,
-            env_pick in 0usize..4,
+            env_pick in 0usize..BUILTIN_ENVIRONMENT_NAMES.len(),
         ) {
             let policies: &[&str] = match policy_pick {
                 0 => &["nplus"],
@@ -1695,7 +1661,8 @@ mod tests {
             )
             .policy(Oracle);
             proptest::prop_assert_ne!(extra_policy.canonical().unwrap().key(), key);
-            let other_env = BUILTIN_ENVIRONMENT_NAMES[(env_pick + 1) % 4];
+            let other_env =
+                BUILTIN_ENVIRONMENT_NAMES[(env_pick + 1) % BUILTIN_ENVIRONMENT_NAMES.len()];
             let moved_env = with_policies(
                 SweepSpec::new(Scenario::three_pairs())
                     .environment_named(other_env).unwrap()

@@ -154,8 +154,8 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{build_environment_topology, build_topology, TopologyConfig};
-    use nplus_channel::environment::{ChannelEnvironment, MULTI_CELL};
+    use crate::topology::build_environment_topology;
+    use nplus_channel::environment::{MULTI_CELL, SIGCOMM11_INDOOR};
     use nplus_channel::placement::Testbed;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -163,7 +163,8 @@ mod tests {
     fn built() -> Topology {
         let tb = Testbed::sigcomm11();
         let mut rng = StdRng::seed_from_u64(5);
-        build_topology(&tb, &TopologyConfig::new(vec![1, 2, 3]), 10e6, 5, &mut rng)
+        build_environment_topology(&SIGCOMM11_INDOOR, &tb, &[1, 2, 3], 10e6, 5, &mut rng)
+            .expect("fits the paper map")
     }
 
     /// Every cached matrix equals the medium's direct evaluation bit

@@ -25,4 +25,4 @@ pub mod topology;
 pub use chancache::ChannelCache;
 pub use medium::{Medium, Transmission};
 pub use node::{NodeId, NodeInfo};
-pub use topology::{build_environment_topology, build_topology, Topology, TopologyConfig};
+pub use topology::{build_environment_topology, Topology};

@@ -5,98 +5,61 @@
 //! pairwise link with large-scale gain from the environment's path-loss
 //! law and small-scale fading matched to the link's LOS/NLOS class — the
 //! full "random assignment of nodes to locations in Fig. 10" methodology
-//! the paper's experiments repeat per run. The world itself is a
-//! pluggable [`ChannelEnvironment`]: [`build_environment_topology`] is
-//! the general entry point, and [`build_topology`] survives as a thin
-//! wrapper that runs the paper's [`Sigcomm11Indoor`] world with the
-//! classic `TopologyConfig` knobs (bit-for-bit identical to the
-//! pre-environment implementation — pinned by the
-//! `environment_regression` suite).
+//! the paper's experiments repeat per run. [`build_environment_topology`]
+//! is the one entry point; the paper's world is
+//! [`SIGCOMM11_INDOOR`](nplus_channel::environment::SIGCOMM11_INDOOR).
 
 use crate::medium::Medium;
 use crate::node::NodeId;
-use nplus_channel::environment::{
-    ChannelEnvironment, EnvironmentError, OscillatorDraw, Sigcomm11Indoor,
-};
+use nplus_channel::environment::{Environment, EnvironmentError};
 use nplus_channel::mimo::MimoLink;
-use nplus_channel::pathloss::{LinkBudget, PathLossModel};
 use nplus_channel::placement::{Location, Point, SpatialGrid, Testbed};
-use rand::{Rng, RngCore};
-
-/// Configuration of a topology draw under the paper's indoor world —
-/// the classic knobs [`build_topology`] feeds into a
-/// [`Sigcomm11Indoor`] environment.
-#[derive(Debug, Clone)]
-pub struct TopologyConfig {
-    /// Antenna count per node, in node order.
-    pub antennas: Vec<usize>,
-    /// Large-scale propagation model.
-    pub path_loss: PathLossModel,
-    /// Power/noise budget.
-    pub budget: LinkBudget,
-    /// Per-node oscillator-offset draw. The default is the seed code's
-    /// draw under its honest name: uniform in ±4 kHz (the old
-    /// `oscillator_sigma_hz: σ = 2 kHz` field was consumed by a uniform
-    /// `±2σ` draw, never a Gaussian — [`OscillatorDraw::Gaussian`] is
-    /// now available for environments that want the real thing).
-    pub oscillator: OscillatorDraw,
-}
-
-impl TopologyConfig {
-    /// A config for `antennas.len()` nodes with default propagation.
-    pub fn new(antennas: Vec<usize>) -> Self {
-        TopologyConfig {
-            antennas,
-            path_loss: PathLossModel::default(),
-            budget: LinkBudget::default(),
-            oscillator: OscillatorDraw::DEFAULT_UNIFORM,
-        }
-    }
-}
+use rand::RngCore;
 
 /// A built topology: the medium plus the placement that produced it.
 #[derive(Debug)]
 pub struct Topology {
     /// The wired medium.
     pub medium: Medium,
-    /// Node ids in the same order as `config.antennas`.
+    /// Node ids in the same order as the antenna counts.
     pub nodes: Vec<NodeId>,
     /// The drawn locations per node.
     pub placements: Vec<Location>,
 }
 
-/// Draws a placement on `testbed` and wires links through the
-/// environment's hooks: placement assignment
-/// ([`ChannelEnvironment::assign_placements`] — the paper's shuffle by
-/// default), one oscillator draw per node, then one loss draw (plus one
-/// fading draw for every materialized link) per pair `(i, j)`, `i < j`
-/// ascending — a fixed consumption order, so topologies are a pure
-/// function of `(environment, testbed, antennas, seed, rng state)`.
+/// Draws a placement on `testbed` and wires links from the
+/// environment's parameters: placement assignment
+/// ([`Map::assign_placements`](nplus_channel::environment::Map::assign_placements),
+/// the paper's shuffle outside the city), one oscillator draw per node,
+/// then one loss draw (plus one fading draw for every materialized link)
+/// per pair `(i, j)`, `i < j` ascending — a fixed consumption order, so
+/// topologies are a pure function of `(environment, testbed, antennas,
+/// seed, rng state)`.
 ///
 /// Link storage is **sparse**: when the environment sets
-/// [`link_floor_dbm`](ChannelEnvironment::link_floor_dbm), candidate
-/// pairs come from a [`SpatialGrid`] at
-/// [`max_link_range`](ChannelEnvironment::max_link_range) (all pairs
-/// when `None`), each candidate gets its loss draw in the same
-/// ascending order the dense loop uses, and only links whose received
-/// power clears the floor get a fading draw and a slot in the medium.
-/// The default `link_floor_dbm() == None` runs the dense all-pairs loop
-/// unchanged — bit-for-bit the pre-sparse wiring — and a floor set
-/// below every link budget (with no range cutoff) reproduces it
-/// exactly too, since the candidate set and draw order coincide.
+/// [`link_floor_dbm`](Environment::link_floor_dbm), candidate pairs come
+/// from a [`SpatialGrid`] at
+/// [`max_link_range`](Environment::max_link_range) (all pairs when
+/// `None`), each candidate gets its loss draw in the same ascending
+/// order the dense loop uses, and only links whose received power
+/// (`budget.tx_power_dbm` minus the loss) clears the floor get a fading
+/// draw and a slot in the medium. With no floor the dense all-pairs
+/// loop runs — bit-for-bit the pre-sparse wiring — and a floor set
+/// below every link budget (with no range cutoff) reproduces it exactly
+/// too, since the candidate set and draw order coincide.
 ///
 /// `testbed` is passed explicitly (rather than taken from
-/// [`ChannelEnvironment::testbed`]) so callers can override the map;
-/// resolve it via the environment when no override is wanted.
-/// `sample_rate_hz` sets the medium clock (10 MHz for the paper's
-/// profile); `seed` makes the medium's noise draw reproducible.
+/// [`Environment::testbed`]) so callers can override the map; resolve
+/// it via the environment when no override is wanted. `sample_rate_hz`
+/// sets the medium clock (10 MHz for the paper's profile); `seed` makes
+/// the medium's noise draw reproducible.
 ///
 /// # Errors
 /// [`EnvironmentError::TooManyNodes`] when `testbed` has fewer
 /// locations than `antennas.len()` (nothing is drawn from `rng` in
 /// that case).
 pub fn build_environment_topology(
-    env: &dyn ChannelEnvironment,
+    env: &Environment,
     testbed: &Testbed,
     antennas: &[usize],
     sample_rate_hz: f64,
@@ -104,32 +67,34 @@ pub fn build_environment_topology(
     rng: &mut dyn RngCore,
 ) -> Result<Topology, EnvironmentError> {
     let n = antennas.len();
-    let placements = env.assign_placements(testbed, n, rng)?;
+    let placements = env.map.assign_placements(testbed, n, rng)?;
     let mut medium = Medium::new(sample_rate_hz, seed);
     let nodes: Vec<NodeId> = antennas
         .iter()
         .map(|&ants| {
-            let offset = env.oscillator_offset_hz(rng);
+            let offset = env.oscillator.sample(rng);
             medium.add_node(ants, offset)
         })
         .collect();
 
     let wire = |i: usize, j: usize, medium: &mut Medium, rng: &mut dyn RngCore| {
         let d = placements[i].pos.distance(&placements[j].pos);
-        let nlos = env.link_is_nlos(testbed, &placements[i], &placements[j]);
-        let loss = env.sample_loss_db(d, nlos, rng);
-        if let Some(floor) = env.link_floor_dbm() {
-            if env.received_power_dbm(loss) < floor {
+        let nlos = env
+            .map
+            .link_is_nlos(testbed, &placements[i], &placements[j]);
+        let loss = env.path_loss.sample_loss_db(d, nlos, &mut &mut *rng);
+        if let Some(floor) = env.link_floor_dbm {
+            if env.budget.tx_power_dbm - loss < floor {
                 return; // below the floor: no fading draw, no link
             }
         }
-        let amp = env.amplitude_scale(loss);
-        let profile = env.delay_profile(nlos);
-        let link = MimoLink::sample(antennas[i], antennas[j], amp, &profile, &mut &mut *rng);
+        let amp = env.budget.amplitude_scale(loss);
+        let profile = if nlos { &env.nlos } else { &env.los };
+        let link = MimoLink::sample(antennas[i], antennas[j], amp, profile, &mut &mut *rng);
         medium.set_link(nodes[i], nodes[j], link);
     };
 
-    match env.link_floor_dbm().and(env.max_link_range()) {
+    match env.link_floor_dbm.and(env.max_link_range) {
         Some(range) => {
             // Sparse construction: a grid index answers "who is within
             // range of i", ascending — same draw order as the dense
@@ -159,58 +124,32 @@ pub fn build_environment_topology(
     })
 }
 
-/// Draws a placement on the testbed and wires all pairwise links under
-/// the paper's indoor world — a thin wrapper over
-/// [`build_environment_topology`] with a [`Sigcomm11Indoor`] built from
-/// `config`, bit-for-bit identical to the pre-environment
-/// implementation. Panics when the testbed is too small (use the
-/// environment path for a `Result`).
-pub fn build_topology<R: Rng>(
-    testbed: &Testbed,
-    config: &TopologyConfig,
-    sample_rate_hz: f64,
-    seed: u64,
-    rng: &mut R,
-) -> Topology {
-    let env = Sigcomm11Indoor {
-        path_loss: config.path_loss,
-        budget: config.budget,
-        oscillator: config.oscillator,
-        ..Sigcomm11Indoor::new()
-    };
-    build_environment_topology(&env, testbed, &config.antennas, sample_rate_hz, seed, rng)
-        .unwrap_or_else(|e| {
-            panic!(
-                "build_topology: cannot place {} nodes on the {}-slot {} testbed: {e}",
-                config.antennas.len(),
-                testbed.len(),
-                env.name()
-            )
-        })
-}
-
 // The parallel sweep engine builds and consumes topologies on scoped
 // worker threads; keep the type thread-safe by construction (no interior
 // mutability, no shared handles).
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Topology>();
-    assert_send_sync::<TopologyConfig>();
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nplus_channel::environment::{OutdoorFreeSpace, RichScatter, SIGCOMM11_INDOOR};
+    use nplus_channel::environment::{OUTDOOR_FREE_SPACE, RICH_SCATTER, SIGCOMM11_INDOOR};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// `antennas` placed in the paper's world on its 20-location map.
+    fn indoor(antennas: &[usize], seed: u64) -> Topology {
+        let tb = Testbed::sigcomm11();
+        let mut rng = StdRng::seed_from_u64(seed);
+        build_environment_topology(&SIGCOMM11_INDOOR, &tb, antennas, 10e6, seed, &mut rng)
+            .expect("fits the paper map")
+    }
+
     #[test]
     fn builds_fully_connected_topology() {
-        let tb = Testbed::sigcomm11();
-        let cfg = TopologyConfig::new(vec![1, 2, 3, 1]);
-        let mut rng = StdRng::seed_from_u64(5);
-        let topo = build_topology(&tb, &cfg, 10e6, 5, &mut rng);
+        let topo = indoor(&[1, 2, 3, 1], 5);
         assert_eq!(topo.nodes.len(), 4);
         assert_eq!(topo.placements.len(), 4);
         for i in 0..4 {
@@ -227,11 +166,9 @@ mod tests {
 
     #[test]
     fn antenna_counts_respected() {
-        let tb = Testbed::sigcomm11();
-        let cfg = TopologyConfig::new(vec![1, 2, 3]);
-        let mut rng = StdRng::seed_from_u64(9);
-        let topo = build_topology(&tb, &cfg, 10e6, 9, &mut rng);
-        for (i, &ants) in cfg.antennas.iter().enumerate() {
+        let antennas = [1, 2, 3];
+        let topo = indoor(&antennas, 9);
+        for (i, &ants) in antennas.iter().enumerate() {
             assert_eq!(topo.medium.node(topo.nodes[i]).n_antennas, ants);
         }
         let l = topo.medium.link(topo.nodes[0], topo.nodes[2]).unwrap();
@@ -241,10 +178,8 @@ mod tests {
 
     #[test]
     fn different_seeds_different_topologies() {
-        let tb = Testbed::sigcomm11();
-        let cfg = TopologyConfig::new(vec![1, 1]);
-        let t1 = build_topology(&tb, &cfg, 10e6, 1, &mut StdRng::seed_from_u64(1));
-        let t2 = build_topology(&tb, &cfg, 10e6, 2, &mut StdRng::seed_from_u64(2));
+        let t1 = indoor(&[1, 1], 1);
+        let t2 = indoor(&[1, 1], 2);
         let h1 = t1
             .medium
             .link(t1.nodes[0], t1.nodes[1])
@@ -258,61 +193,18 @@ mod tests {
         assert!(!h1.approx_eq(&h2, 1e-9));
     }
 
-    /// `build_topology` is exactly the default environment: the wrapper
-    /// and the explicit [`SIGCOMM11_INDOOR`] path produce bit-identical
-    /// placements, offsets and channels at every seed.
-    #[test]
-    fn wrapper_equals_default_environment_bitwise() {
-        let antennas = vec![1, 2, 3, 2];
-        let tb = Testbed::sigcomm11();
-        for seed in 0..10u64 {
-            let cfg = TopologyConfig::new(antennas.clone());
-            let a = build_topology(&tb, &cfg, 10e6, seed, &mut StdRng::seed_from_u64(seed));
-            let mut rng = StdRng::seed_from_u64(seed);
-            let b =
-                build_environment_topology(&SIGCOMM11_INDOOR, &tb, &antennas, 10e6, seed, &mut rng)
-                    .unwrap();
-            for i in 0..antennas.len() {
-                assert_eq!(
-                    a.placements[i].pos.x.to_bits(),
-                    b.placements[i].pos.x.to_bits()
-                );
-                assert_eq!(
-                    a.medium.node(a.nodes[i]).oscillator_offset_hz.to_bits(),
-                    b.medium.node(b.nodes[i]).oscillator_offset_hz.to_bits()
-                );
-                for j in 0..antennas.len() {
-                    if i == j {
-                        continue;
-                    }
-                    let ha = a
-                        .medium
-                        .link(a.nodes[i], a.nodes[j])
-                        .unwrap()
-                        .channel_matrix(7, 64);
-                    let hb = b
-                        .medium
-                        .link(b.nodes[i], b.nodes[j])
-                        .unwrap()
-                        .channel_matrix(7, 64);
-                    assert!(ha.approx_eq(&hb, 0.0), "seed {seed} link {i}->{j}");
-                }
-            }
-        }
-    }
-
     /// Distinct environments on the same seed draw distinct worlds.
     #[test]
     fn environments_change_the_world() {
         let antennas = vec![1, 2];
-        let build = |env: &dyn ChannelEnvironment| {
+        let build = |env: &Environment| {
             let tb = env.testbed(antennas.len()).unwrap();
             let mut rng = StdRng::seed_from_u64(3);
             build_environment_topology(env, &tb, &antennas, 10e6, 3, &mut rng).unwrap()
         };
         let indoor = build(&SIGCOMM11_INDOOR);
-        let outdoor = build(&OutdoorFreeSpace);
-        let scatter = build(&RichScatter);
+        let outdoor = build(&OUTDOOR_FREE_SPACE);
+        let scatter = build(&RICH_SCATTER);
         let h = |t: &Topology| {
             t.medium
                 .link(t.nodes[0], t.nodes[1])
@@ -365,13 +257,10 @@ mod tests {
     fn link_snrs_in_operating_range() {
         // Mean per-antenna SNR (|amplitude|² × unit fading energy) should
         // mostly fall in the paper's experimental range.
-        let tb = Testbed::sigcomm11();
-        let cfg = TopologyConfig::new(vec![1, 1, 1, 1, 1, 1]);
         let mut in_range = 0;
         let mut total = 0;
         for seed in 0..20u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let topo = build_topology(&tb, &cfg, 10e6, seed, &mut rng);
+            let topo = indoor(&[1; 6], seed);
             for i in 0..6 {
                 for j in (i + 1)..6 {
                     let amp = topo
@@ -395,35 +284,11 @@ mod tests {
 
     /// The indoor world with a received-power floor bolted on — the
     /// test double for the sparse≡dense identity contract.
-    struct FlooredIndoor {
-        floor_dbm: f64,
-        max_range: Option<f64>,
-    }
-
-    impl ChannelEnvironment for FlooredIndoor {
-        fn name(&self) -> &str {
-            "floored_indoor"
-        }
-        fn capacity(&self) -> usize {
-            SIGCOMM11_INDOOR.capacity()
-        }
-        fn testbed(&self, n: usize) -> Result<Testbed, EnvironmentError> {
-            SIGCOMM11_INDOOR.testbed(n)
-        }
-        fn sample_loss_db(&self, d: f64, nlos: bool, rng: &mut dyn RngCore) -> f64 {
-            SIGCOMM11_INDOOR.sample_loss_db(d, nlos, rng)
-        }
-        fn amplitude_scale(&self, loss_db: f64) -> f64 {
-            SIGCOMM11_INDOOR.amplitude_scale(loss_db)
-        }
-        fn oscillator_offset_hz(&self, rng: &mut dyn RngCore) -> f64 {
-            SIGCOMM11_INDOOR.oscillator_offset_hz(rng)
-        }
-        fn link_floor_dbm(&self) -> Option<f64> {
-            Some(self.floor_dbm)
-        }
-        fn max_link_range(&self) -> Option<f64> {
-            self.max_range
+    fn floored_indoor(floor_dbm: f64) -> Environment {
+        Environment {
+            name: "floored_indoor",
+            link_floor_dbm: Some(floor_dbm),
+            ..SIGCOMM11_INDOOR
         }
     }
 
@@ -435,10 +300,7 @@ mod tests {
     fn floor_below_every_budget_is_dense_bitwise() {
         let antennas = vec![1, 2, 3, 2, 1, 2];
         let tb = Testbed::sigcomm11();
-        let sparse_env = FlooredIndoor {
-            floor_dbm: -1e9,
-            max_range: None,
-        };
+        let sparse_env = floored_indoor(-1e9);
         for seed in 0..8u64 {
             let mut ra = StdRng::seed_from_u64(seed);
             let mut rb = StdRng::seed_from_u64(seed);
@@ -483,10 +345,7 @@ mod tests {
         let antennas = vec![1; 12];
         let tb = Testbed::sigcomm11();
         // 12 dBm tx - ~55 dB near-field loss keeps only short links.
-        let env = FlooredIndoor {
-            floor_dbm: -68.0,
-            max_range: None,
-        };
+        let env = floored_indoor(-68.0);
         let mut rng = StdRng::seed_from_u64(2);
         let topo = build_environment_topology(&env, &tb, &antennas, 10e6, 2, &mut rng).unwrap();
         let n_links = count_links(&topo);
@@ -559,7 +418,7 @@ mod tests {
     /// The new environments keep link SNRs in an operable band too.
     #[test]
     fn new_environment_snrs_in_operating_range() {
-        for env in [&OutdoorFreeSpace as &dyn ChannelEnvironment, &RichScatter] {
+        for env in [&OUTDOOR_FREE_SPACE, &RICH_SCATTER] {
             let antennas = vec![1; 8];
             let tb = env.testbed(8).unwrap();
             let mut in_range = 0;
@@ -586,7 +445,7 @@ mod tests {
             assert!(
                 in_range as f64 / total as f64 > 0.8,
                 "{}: only {in_range}/{total} links in range",
-                env.name()
+                env.name
             );
         }
     }

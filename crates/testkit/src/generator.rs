@@ -184,8 +184,8 @@ impl ScenarioGenerator {
     /// [`random`](Self::random) sized for an environment with
     /// `capacity` placement slots: every family's node count stays
     /// within `capacity`, so the draw places on any
-    /// [`ChannelEnvironment`](nplus_channel::environment::ChannelEnvironment)
-    /// whose [`capacity()`](nplus_channel::environment::ChannelEnvironment::capacity)
+    /// [`Environment`](nplus_channel::environment::Environment)
+    /// whose [`capacity()`](nplus_channel::environment::Environment::capacity)
     /// is at least that. Needs `capacity >= 6` (the smallest family
     /// shapes). At `capacity = MAX_DENSE_NODES` the draws are
     /// bit-identical to the classic [`random`](Self::random) stream.
@@ -228,10 +228,7 @@ impl ScenarioGenerator {
 
     /// [`random_for_capacity`](Self::random_for_capacity) sized for a
     /// propagation environment's own placement capacity.
-    pub fn random_for(
-        &mut self,
-        env: &dyn nplus_channel::environment::ChannelEnvironment,
-    ) -> Scenario {
+    pub fn random_for(&mut self, env: &nplus_channel::environment::Environment) -> Scenario {
         self.random_for_capacity(env.capacity())
     }
 }

@@ -4,14 +4,12 @@ use nplus::carrier_sense::MultiDimCarrierSense;
 use nplus::observer::NullObserver;
 use nplus::policy::Policy;
 use nplus::sim::{RunResult, Scenario, SimConfig, SimEngine};
-use nplus_channel::environment::{ChannelEnvironment, EnvironmentError};
+use nplus_channel::environment::{Environment, EnvironmentError, SIGCOMM11_INDOOR};
 use nplus_channel::fading::DelayProfile;
 use nplus_channel::mimo::MimoLink;
-use nplus_channel::placement::Testbed;
 use nplus_linalg::{CMatrix, Complex64};
 use nplus_medium::medium::{Medium, Transmission};
-use nplus_medium::topology::build_environment_topology;
-use nplus_medium::topology::{build_topology, Topology, TopologyConfig};
+use nplus_medium::topology::{build_environment_topology, Topology};
 use nplus_medium::NodeId;
 use nplus_phy::params::OfdmConfig;
 use nplus_phy::preamble::stf_time;
@@ -53,30 +51,22 @@ impl BuiltScenario {
 /// the generator's dense family goes to 32 nodes — place on the
 /// two-wing extended map.
 pub fn build_scenario(scenario: Scenario, placement_seed: u64) -> BuiltScenario {
-    let testbed = Testbed::try_fitting(scenario.antennas.len()).unwrap_or_else(|e| panic!("{e}"));
-    let mut rng = StdRng::seed_from_u64(placement_seed);
-    let topology = build_topology(
-        &testbed,
-        &TopologyConfig::new(scenario.antennas.clone()),
-        BANDWIDTH_HZ,
-        placement_seed,
-        &mut rng,
-    );
-    BuiltScenario { scenario, topology }
+    build_scenario_in(&SIGCOMM11_INDOOR, scenario, placement_seed)
+        .expect("scenario fits the paper's maps")
 }
 
 /// [`build_scenario`] in an arbitrary propagation environment: the map
-/// comes from the environment's own
-/// [`testbed`](ChannelEnvironment::testbed) hook, the links from its
-/// loss/fading draws. Note the returned topology does *not* carry the
-/// environment's [`hardware`](ChannelEnvironment::hardware) — set it on
-/// the `SimConfig` (as `SweepSpec::environment` does) when simulating.
+/// comes from the environment's own [`testbed`](Environment::testbed),
+/// the links from its loss/fading draws. Note the returned topology
+/// does *not* carry the environment's
+/// [`hardware`](Environment::hardware) — set it on the `SimConfig` (as
+/// `SweepSpec::environment` does) when simulating.
 ///
 /// # Errors
 /// [`EnvironmentError::TooManyNodes`] when the scenario outsizes the
 /// environment's largest map.
 pub fn build_scenario_in(
-    env: &dyn ChannelEnvironment,
+    env: &Environment,
     scenario: Scenario,
     placement_seed: u64,
 ) -> Result<BuiltScenario, EnvironmentError> {

@@ -5,13 +5,14 @@
 
 use nplus::handshake::{decode_alignment_space, encode_alignment_space, max_space_error};
 use nplus::precoder::{compute_precoders, residual_interference, OwnReceiver, ProtectedReceiver};
+use nplus_channel::environment::SIGCOMM11_INDOOR;
 use nplus_channel::fading::DelayProfile;
 use nplus_channel::freq_table::FreqResponseTable;
 use nplus_channel::mimo::MimoLink;
 use nplus_channel::placement::Testbed;
 use nplus_linalg::{rank, CMatrix, Subspace};
 use nplus_medium::chancache::ChannelCache;
-use nplus_medium::topology::{build_topology, TopologyConfig};
+use nplus_medium::topology::build_environment_topology;
 use nplus_phy::params::occupied_subcarrier_indices;
 use nplus_testkit::strategies::{complex_matrix, complex_vector};
 use proptest::prelude::*;
@@ -140,7 +141,8 @@ proptest! {
         let tb = Testbed::sigcomm11();
         let mut rng = StdRng::seed_from_u64(seed);
         let antennas = vec![1, 2, 3];
-        let topo = build_topology(&tb, &TopologyConfig::new(antennas.clone()), 10e6, seed, &mut rng);
+        let topo = build_environment_topology(&SIGCOMM11_INDOOR, &tb, &antennas, 10e6, seed, &mut rng)
+            .expect("fits the paper map");
         let bins = occupied_subcarrier_indices();
         let cache = ChannelCache::build(&topo, &bins, 64);
         for from in 0..antennas.len() {

@@ -1,12 +1,13 @@
-//! One scenario, four worlds: runs the paper's Fig. 3 comparison in
+//! One scenario, five worlds: runs the paper's Fig. 3 comparison in
 //! every registered propagation environment.
 //!
-//! The paper evaluates in a single indoor office (Fig. 10). With the
-//! `ChannelEnvironment` seam the same protocols sweep unchanged across
-//! an outdoor free-space field, a rich-scattering all-NLOS world, and
-//! the indoor map on degraded radios (where the §4 power-control
-//! threshold honestly tracks the worse cancellation depth) — and the
-//! n+ > 802.11n concurrency win survives in all of them.
+//! The paper evaluates in a single indoor office (Fig. 10). Each world
+//! here is one `Environment` value, and the same protocols sweep
+//! unchanged across an outdoor free-space field, a rich-scattering
+//! all-NLOS world, the indoor map on degraded radios (where the §4
+//! power-control threshold honestly tracks the worse cancellation
+//! depth) and a sparse multi-cell city — and the n+ > 802.11n
+//! concurrency win survives in all of them.
 //!
 //! ```console
 //! $ cargo run --release --example environments
@@ -42,11 +43,12 @@ fn main() {
         );
     }
 
-    // A custom world is one impl away — here, the indoor map with a
-    // genuinely Gaussian oscillator draw.
-    let custom = Sigcomm11Indoor {
+    // A custom world is a parameter change — here, the indoor map with
+    // a genuinely Gaussian oscillator draw. It runs like any other world
+    // but has no cache key: only the registry's own worlds do.
+    let custom = Environment {
         oscillator: OscillatorDraw::Gaussian { sigma_hz: 1_000.0 },
-        ..Sigcomm11Indoor::default()
+        ..SIGCOMM11_INDOOR
     };
     let stats = SweepSpec::new(Scenario::three_pairs())
         .rounds(12)

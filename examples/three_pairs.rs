@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example three_pairs`
 
-use nplus_medium::topology::{build_topology, TopologyConfig};
+use nplus_medium::topology::build_environment_topology;
 use nplus_sim::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,13 +17,15 @@ fn main() {
     let testbed = Testbed::sigcomm11();
     let seed = 11; // a placement whose gains sit near the paper's reported averages
     let mut rng = StdRng::seed_from_u64(seed);
-    let topo = build_topology(
+    let topo = build_environment_topology(
+        &SIGCOMM11_INDOOR,
         &testbed,
-        &TopologyConfig::new(scenario.antennas.clone()),
+        &scenario.antennas,
         10e6,
         seed,
         &mut rng,
-    );
+    )
+    .expect("fits the paper map");
 
     println!("== Fig. 3 scenario: tx1-rx1 (1 ant), tx2-rx2 (2 ant), tx3-rx3 (3 ant) ==\n");
     println!("placements:");

@@ -5,61 +5,22 @@
 //! serial ≡ parallel determinism contract.
 
 use nplus::prelude::*;
-use nplus_channel::environment::{EnvironmentError, Sigcomm11Indoor};
-use nplus_channel::fading::DelayProfile;
-use nplus_channel::impairments::HardwareProfile;
-use nplus_channel::placement::{Location, Testbed};
 use nplus_testkit::city_scenario;
 use nplus_testkit::generator::ScenarioGenerator;
 use proptest::{proptest, ProptestConfig};
-use rand::RngCore;
 
-/// The paper's indoor world with the sparse-wiring hooks force-enabled
-/// but set below/above every physical budget: the received-power floor
-/// admits every link a real radio could ever see, and the range cap is
-/// far beyond the 40-slot map. Every propagation decision delegates to
-/// the stock [`Sigcomm11Indoor`], so any result difference against the
-/// dense default isolates the sparse storage path itself.
-struct FlooredIndoor(Sigcomm11Indoor);
-
-impl ChannelEnvironment for FlooredIndoor {
-    fn name(&self) -> &str {
-        "floored_sigcomm11"
-    }
-    fn capacity(&self) -> usize {
-        self.0.capacity()
-    }
-    fn testbed(&self, n_nodes: usize) -> Result<Testbed, EnvironmentError> {
-        self.0.testbed(n_nodes)
-    }
-    fn link_is_nlos(&self, testbed: &Testbed, a: &Location, b: &Location) -> bool {
-        self.0.link_is_nlos(testbed, a, b)
-    }
-    fn sample_loss_db(&self, distance_m: f64, nlos: bool, rng: &mut dyn RngCore) -> f64 {
-        self.0.sample_loss_db(distance_m, nlos, rng)
-    }
-    fn amplitude_scale(&self, loss_db: f64) -> f64 {
-        self.0.amplitude_scale(loss_db)
-    }
-    fn delay_profile(&self, nlos: bool) -> DelayProfile {
-        self.0.delay_profile(nlos)
-    }
-    fn oscillator_offset_hz(&self, rng: &mut dyn RngCore) -> f64 {
-        self.0.oscillator_offset_hz(rng)
-    }
-    fn hardware(&self) -> HardwareProfile {
-        self.0.hardware()
-    }
-    fn join_power_l_db(&self) -> f64 {
-        self.0.join_power_l_db()
-    }
-    fn link_floor_dbm(&self) -> Option<f64> {
-        Some(-1e9)
-    }
-    fn max_link_range(&self) -> Option<f64> {
-        Some(1e9)
-    }
-}
+/// The paper's indoor world with sparse wiring force-enabled but set
+/// below/above every physical budget: the received-power floor admits
+/// every link a real radio could ever see, and the range cap is far
+/// beyond the 40-slot map. Every other parameter is the stock
+/// [`SIGCOMM11_INDOOR`]'s, so any result difference against the dense
+/// default isolates the sparse storage path itself.
+const FLOORED_INDOOR: Environment = Environment {
+    name: "floored_sigcomm11",
+    link_floor_dbm: Some(-1e9),
+    max_link_range: Some(1e9),
+    ..SIGCOMM11_INDOOR
+};
 
 /// Bitwise equality of sweep statistics — `to_bits` on every float, so
 /// NaN fairness compares equal to itself and no tolerance can hide a
@@ -110,7 +71,7 @@ proptest! {
         let dense = fresh().threads(1).run();
         for threads in [1, 2] {
             let sparse = fresh()
-                .environment(FlooredIndoor(Sigcomm11Indoor::new()))
+                .environment(FLOORED_INDOOR)
                 .threads(threads)
                 .run();
             proptest::prop_assert!(

@@ -1,25 +1,26 @@
-//! Seed-for-seed bitwise identity between the pre-environment
-//! `build_topology` world and the pluggable `ChannelEnvironment`
-//! redesign.
+//! Seed-for-seed bitwise identity of every propagation world across
+//! redesigns of the environment layer.
 //!
-//! Every golden number below was recorded by running the
-//! **pre-refactor implementation** (the hard-wired testbed draw, path
-//! loss, LOS/NLOS profiles and uniform oscillator draw inside
-//! `build_topology`) at the exact seeds listed, printed with Rust's
+//! The paper-world goldens below were recorded by running the
+//! **pre-environment implementation** (the hard-wired testbed draw,
+//! path loss, LOS/NLOS profiles and uniform oscillator draw of the old
+//! topology builder) at the exact seeds listed, printed with Rust's
 //! shortest-round-trip float formatting — so parsing the literals
 //! reproduces the original `f64` bits exactly and every comparison
-//! below is `==`, no tolerance anywhere. If routing the world through
-//! the `Sigcomm11Indoor` environment perturbs even the last mantissa
-//! bit of a placement, oscillator offset, channel tap DFT or sweep
-//! statistic, this suite fails.
+//! below is `==`, no tolerance anywhere. The per-world goldens pin all
+//! five built-in worlds the same way, through digests of their
+//! topology draws and sweep statistics. If routing a world through its
+//! `Environment` value perturbs even the last mantissa bit of a
+//! placement, oscillator offset, channel tap or sweep statistic, this
+//! suite fails.
 
 use nplus::prelude::*;
 use nplus_channel::placement::Testbed;
-use nplus_medium::topology::{build_environment_topology, build_topology, TopologyConfig};
+use nplus_medium::topology::build_environment_topology;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-/// Golden topology draws from the enum-era `build_topology` (testbed
+/// Golden topology draws from the pre-environment builder (testbed
 /// `sigcomm11()`, antennas `[1, 2, 3]`, 10 MHz, placement RNG seeded
 /// with the seed itself): per-node `(x, y, nlos, oscillator_offset_hz)`
 /// and per-link `(i, j, amplitude, Re h[0,0], Im h[0,0])` at FFT bin 5
@@ -133,23 +134,13 @@ fn assert_topology_matches_goldens(topo: &nplus_medium::Topology, seed: u64, con
     }
 }
 
-/// The tentpole acceptance criterion at the topology level: both the
-/// surviving `build_topology` wrapper and the explicit
-/// [`SIGCOMM11_INDOOR`] environment path reproduce the pre-refactor
+/// The [`SIGCOMM11_INDOOR`] environment reproduces the pre-environment
 /// placements, oscillator offsets and channel responses bit-for-bit.
 #[test]
 fn sigcomm11_environment_reproduces_pre_refactor_topologies_bitwise() {
     let antennas = vec![1usize, 2, 3];
     let tb = Testbed::sigcomm11();
     for &(seed, _, _) in &TOPOLOGY_GOLDENS {
-        let wrapper = build_topology(
-            &tb,
-            &TopologyConfig::new(antennas.clone()),
-            10e6,
-            seed,
-            &mut StdRng::seed_from_u64(seed),
-        );
-        assert_topology_matches_goldens(&wrapper, seed, "build_topology wrapper");
         let mut rng = StdRng::seed_from_u64(seed);
         let env_path =
             build_environment_topology(&SIGCOMM11_INDOOR, &tb, &antennas, 10e6, seed, &mut rng)
@@ -242,7 +233,7 @@ fn sigcomm11_sweep_statistics_survive_the_environment_redesign_bitwise() {
             ("default env, serial", golden_spec()),
             (
                 "explicit value, serial",
-                golden_spec().environment(Sigcomm11Indoor::default()),
+                golden_spec().environment(SIGCOMM11_INDOOR),
             ),
             (
                 "registry name, serial",
@@ -345,7 +336,7 @@ fn every_environment_passes_parallel_determinism() {
     }
 }
 
-/// The environments genuinely differ: same scenario, same seeds, four
+/// The environments genuinely differ: same scenario, same seeds, five
 /// distinct worlds (no two environments share a mean total).
 #[test]
 fn shipped_environments_are_distinct_worlds() {
@@ -372,7 +363,7 @@ fn shipped_environments_are_distinct_worlds() {
 }
 
 /// `build_scenario_in` (the testkit's environment-aware builder) draws
-/// through the same hooks as the engine: in the paper's world it
+/// through the same entry point as the engine: in the paper's world it
 /// reproduces `build_scenario` exactly, in every other world it builds
 /// a placeable topology, and an outsized scenario surfaces
 /// `TooManyNodes` instead of panicking.
@@ -631,4 +622,43 @@ fn every_world_reproduces_its_sweep_statistics() {
         .map(|&(name, _, _)| world_sweep(name))
         .collect();
     assert_eq!(got, WORLD_SWEEP_GOLDENS, "world sweep statistics drifted");
+}
+
+/// A custom world cannot reuse a built-in's cache key. The indoor world
+/// with Gaussian oscillators (the `environments` example's custom
+/// world) keeps the name `"sigcomm11"` but draws different topologies,
+/// so `canonical()` refuses it while `run()` still runs it. A value
+/// equal to [`SIGCOMM11_INDOOR`] keys exactly like the registry name.
+#[test]
+fn custom_world_cannot_reuse_a_builtin_key() {
+    let spec = || {
+        SweepSpec::new(Scenario::three_pairs())
+            .rounds(12)
+            .seed_count(10)
+            .policy(NPlus)
+    };
+    let gaussian = Environment {
+        oscillator: OscillatorDraw::Gaussian { sigma_hz: 1_000.0 },
+        ..SIGCOMM11_INDOOR
+    };
+    let custom = spec().environment(gaussian);
+    assert!(
+        matches!(custom.canonical(), Err(SweepError::NotCanonical(_))),
+        "a custom world took a canonical key"
+    );
+    let stock = spec().run();
+    let ran = custom.run();
+    assert_ne!(ran[0].mean_total_mbps, stock[0].mean_total_mbps);
+
+    let by_name = spec()
+        .environment_named("sigcomm11")
+        .expect("builtin")
+        .canonical()
+        .expect("registry world is canonical");
+    let by_value = spec()
+        .environment(SIGCOMM11_INDOOR)
+        .canonical()
+        .expect("registry world is canonical");
+    assert_eq!(by_value.key(), by_name.key());
+    assert_eq!(by_value.key_hex(), "3bd2494333043a937fbed63a5dffe7cc");
 }

@@ -19,8 +19,8 @@ use nplus::observer::{
 };
 use nplus::policy::{Beamforming, Dot11n, GreedyJoin, NPlus, Oracle, Policy};
 use nplus::sim::{aggregate_results, Flow, Scenario, SimConfig, SimEngine, SweepSpec, SweepStats};
-use nplus_channel::environment::environment_from_name;
-use nplus_medium::topology::{build_topology, TopologyConfig};
+use nplus_channel::environment::{environment_from_name, SIGCOMM11_INDOOR};
+use nplus_medium::topology::build_environment_topology;
 use nplus_testkit::generator::ScenarioGenerator;
 use nplus_testkit::parse_spec;
 use nplus_testkit::scenario::build_scenario;
@@ -300,13 +300,15 @@ fn simulate_entry_point_matches_enum_era_bitwise() {
     let scenario = Scenario::three_pairs();
     let tb = nplus_channel::placement::Testbed::sigcomm11();
     let mut rng = StdRng::seed_from_u64(11);
-    let topo = build_topology(
+    let topo = build_environment_topology(
+        &SIGCOMM11_INDOOR,
         &tb,
-        &TopologyConfig::new(scenario.antennas.clone()),
+        &scenario.antennas,
         10e6,
         11,
         &mut rng,
-    );
+    )
+    .expect("fits the paper map");
     let cfg = SimConfig {
         rounds: 8,
         ..SimConfig::default()

@@ -313,11 +313,10 @@ proptest! {
             _ => generator.asymmetric_antenna(2),
         };
         let testbed = Testbed::try_fitting(scenario.antennas.len()).unwrap_or_else(|e| panic!("{e}"));
-        let cfg = SimConfig { rounds: 2, ..SimConfig::default() };
         let spec = |threads: usize| {
             SweepSpec::new(scenario.clone())
                 .testbed(testbed.clone())
-                .config(cfg.clone())
+                .rounds(2)
                 .policy(NPlus)
                 .policy(Dot11n)
                 .seeds(gen_seed..gen_seed + 2)
