@@ -21,7 +21,7 @@
 //! our model reproduces this because the alignment constraint composes
 //! *two* estimated quantities (`U^⊥` and `H`).
 
-use crate::pathloss::sample_normal;
+use crate::pathloss::{sample_normal, skip_normal};
 use nplus_linalg::{c64, CMatrix, CMatrixSoA, Complex64};
 use rand::Rng;
 
@@ -150,6 +150,24 @@ impl HardwareProfile {
         self.apply_calibration_error_soa_in_place(out, rng);
     }
 
+    /// Advances `rng` past exactly the draws
+    /// [`HardwareProfile::reciprocal_channel_knowledge_into`] makes for a
+    /// matrix of `entries` entries, computing none of them: two normals
+    /// per entry for estimation, plus two for calibration unless the
+    /// residual is zero. Consumption is a concatenation of normal draws,
+    /// so their order does not matter. For a believed channel whose
+    /// values nothing reads.
+    pub fn skip_channel_knowledge<R: Rng>(&self, entries: usize, rng: &mut R) {
+        let per_entry = if self.calibration_error_std == 0.0 {
+            2
+        } else {
+            4
+        };
+        for _ in 0..entries * per_entry {
+            skip_normal(rng);
+        }
+    }
+
     /// The expected cancellation depth (dB) this profile can achieve:
     /// interference is suppressed until limited by the *sum* of the
     /// estimation error power and EVM floor. Used by n+'s join-power
@@ -167,7 +185,7 @@ impl HardwareProfile {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn corrupt(p: &HardwareProfile, h: &CMatrix, rng: &mut StdRng) -> CMatrix {
         let mut out = CMatrixSoA::default();
@@ -276,6 +294,47 @@ mod tests {
             sample_normal(&mut r3).to_bits(),
             sample_normal(&mut r4).to_bits()
         );
+    }
+
+    #[test]
+    fn skip_channel_knowledge_consumes_what_the_draw_consumes() {
+        let ideal = HardwareProfile {
+            tx_evm_db: -300.0,
+            calibration_error_std: 0.0,
+            estimation_snr_db: 300.0,
+        };
+        let uncalibrated = HardwareProfile {
+            calibration_error_std: 0.0,
+            ..HardwareProfile::wlan_class()
+        };
+        let profiles = [
+            HardwareProfile::wlan_class(),
+            HardwareProfile::degraded(),
+            ideal,
+            uncalibrated,
+        ];
+        let mut src = StdRng::seed_from_u64(31);
+        let mut out = CMatrixSoA::default();
+        for (pi, p) in profiles.iter().enumerate() {
+            for rows in 1..=8 {
+                for cols in 1..=8 {
+                    let data: Vec<Complex64> = (0..rows * cols)
+                        .map(|_| c64(sample_normal(&mut src), sample_normal(&mut src)))
+                        .collect();
+                    let h = CMatrixSoA::from_aos(&CMatrix::from_vec(rows, cols, data));
+                    let seed = (pi * 100 + rows * 10 + cols) as u64;
+                    let mut drawn = StdRng::seed_from_u64(seed);
+                    let mut skipped = StdRng::seed_from_u64(seed);
+                    p.reciprocal_channel_knowledge_into(&h, &mut drawn, &mut out);
+                    p.skip_channel_knowledge(rows * cols, &mut skipped);
+                    assert_eq!(
+                        drawn.next_u64(),
+                        skipped.next_u64(),
+                        "profile {pi}, {rows}x{cols}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -113,24 +113,41 @@ impl LinkBudget {
     }
 }
 
-/// Draws one standard normal sample (Box–Muller). Embedded here so the
-/// crate does not need `rand_distr`. Mean 0, standard deviation 1.
-pub fn sample_normal<R: Rng>(rng: &mut R) -> f64 {
+/// The one consumption rule of a standard normal: pulls `u64` pairs
+/// until the pair's first uniform `u1` is positive, and returns the
+/// accepted `(u1, u2)`. [`sample_normal`] and [`skip_normal`] both go
+/// through it, so skipping a normal leaves the RNG exactly where drawing
+/// it would.
+#[inline(always)]
+fn accepted_uniform_pair<R: Rng>(rng: &mut R) -> (f64, f64) {
     loop {
         let u1: f64 = rng.gen::<f64>();
         let u2: f64 = rng.gen::<f64>();
         if u1 > f64::MIN_POSITIVE {
-            let r = (-2.0 * u1.ln()).sqrt();
-            return r * (2.0 * std::f64::consts::PI * u2).cos();
+            return (u1, u2);
         }
     }
+}
+
+/// Draws one standard normal sample (Box–Muller). Embedded here so the
+/// crate does not need `rand_distr`. Mean 0, standard deviation 1.
+pub fn sample_normal<R: Rng>(rng: &mut R) -> f64 {
+    let (u1, u2) = accepted_uniform_pair(rng);
+    let r = (-2.0 * u1.ln()).sqrt();
+    r * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// Advances `rng` past one [`sample_normal`] draw without computing it:
+/// the same `u64`s are consumed, and no `ln`, `sqrt` or `cos` is paid.
+pub(crate) fn skip_normal<R: Rng>(rng: &mut R) {
+    accepted_uniform_pair(rng);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn loss_grows_with_distance() {
@@ -214,6 +231,49 @@ mod tests {
         let var: f64 = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.03, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
+    }
+
+    /// Replays a fixed `u64` script and counts what it hands out.
+    struct Scripted {
+        words: Vec<u64>,
+        next: usize,
+    }
+
+    impl RngCore for Scripted {
+        fn next_u64(&mut self) -> u64 {
+            let w = self.words[self.next];
+            self.next += 1;
+            w
+        }
+    }
+
+    #[test]
+    fn skip_normal_consumes_what_sample_normal_consumes() {
+        // `x >> 11 == 0` makes `u1` exactly 0: the pair is rejected and
+        // a second pair is pulled, by both paths alike.
+        let script = vec![0x7ff, 0x1234_5678, u64::MAX / 3, u64::MAX / 5, 42];
+        let mut drawn = Scripted {
+            words: script.clone(),
+            next: 0,
+        };
+        let mut skipped = Scripted {
+            words: script,
+            next: 0,
+        };
+        assert!(sample_normal(&mut drawn).is_finite());
+        skip_normal(&mut skipped);
+        assert_eq!((drawn.next, skipped.next), (4, 4));
+
+        // The accepting branch, along a real stream.
+        for seed in 0..64 {
+            let mut drawn = StdRng::seed_from_u64(seed);
+            let mut skipped = StdRng::seed_from_u64(seed);
+            for _ in 0..=seed {
+                sample_normal(&mut drawn);
+                skip_normal(&mut skipped);
+            }
+            assert_eq!(drawn.next_u64(), skipped.next_u64(), "seed {seed}");
+        }
     }
 
     #[test]

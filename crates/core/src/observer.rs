@@ -93,8 +93,9 @@ pub struct JoinRecord {
     /// empty).
     pub n_streams: usize,
     /// Whether the join went through: `false` when the allocation was
-    /// empty, the body had no air time left, power control declined, or
-    /// the precoder/rate plan failed.
+    /// empty, the body had no air time left, or the precoder/rate plan
+    /// failed. (Power control only lowers a joiner's power; it never
+    /// declines.)
     pub accepted: bool,
 }
 

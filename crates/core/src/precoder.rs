@@ -185,6 +185,12 @@ impl ProtectedReceiverSoARef<'_> {
 #[derive(Debug, Clone, Copy)]
 pub struct OwnReceiverSoARef<'a> {
     /// Forward channel to this receiver (`N × M`), split storage.
+    ///
+    /// The kernel reads its values only to align this receiver against
+    /// the joiner's *other* own receivers (Claim 3.5). With one own
+    /// receiver only its shape is read (its column count must equal the
+    /// transmit antennas), so a caller may pass a shape-only view: the
+    /// engine hands a zeroed matrix instead of a believed draw.
     pub channel: &'a CMatrixSoA,
     /// Streams destined to this receiver.
     pub n_streams: usize,
@@ -592,6 +598,60 @@ mod tests {
         // Total power across streams is 1.
         let total: f64 = p.vectors.iter().map(|v| v.norm_sqr()).sum();
         assert!((total - 1.0).abs() < 1e-9);
+    }
+
+    /// The [`OwnReceiverSoARef::channel`] contract: a lone own
+    /// receiver's channel values are never read, so a zero channel of
+    /// the same shape gives the same precoders bit for bit, under both
+    /// nulling and aligning protected receivers. With two own receivers
+    /// each one's channel aligns the other's streams, and it matters.
+    #[test]
+    fn lone_own_receiver_channel_is_shape_only() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let h_prot = CMatrixSoA::from_aos(&random_channel(2, 3, &mut rng));
+        let aligning = Subspace::span(2, &[random_channel(2, 1, &mut rng).col(0)]);
+        let nulling = Subspace::zero(2);
+        let h_own = CMatrixSoA::from_aos(&random_channel(2, 3, &mut rng));
+        let h_other = CMatrixSoA::from_aos(&random_channel(2, 3, &mut rng));
+        let zero = CMatrixSoA::zeros(2, 3);
+        let u_own = Subspace::span(2, &[random_channel(2, 1, &mut rng).col(0)]);
+        let u_other = Subspace::span(2, &[random_channel(2, 1, &mut rng).col(0)]);
+        let bits = |ws: &PrecoderWorkspace| -> Vec<u64> {
+            ws.out
+                .iter()
+                .flat_map(|v| v.iter().flat_map(|z| [z.re.to_bits(), z.im.to_bits()]))
+                .collect()
+        };
+        let solve = |unwanted: &Subspace, own: &[OwnReceiverSoARef]| {
+            let mut ws = PrecoderWorkspace::default();
+            let protected = [ProtectedReceiverSoARef {
+                channel: &h_prot,
+                unwanted,
+            }];
+            compute_precoders_into(3, &protected, own, &mut ws).unwrap();
+            bits(&ws)
+        };
+        let own = |channel| OwnReceiverSoARef {
+            channel,
+            n_streams: 1,
+            unwanted: &u_own,
+        };
+        let other = OwnReceiverSoARef {
+            channel: &h_other,
+            n_streams: 1,
+            unwanted: &u_other,
+        };
+        for unwanted in [&nulling, &aligning] {
+            let drawn = solve(unwanted, &[own(&h_own)]);
+            assert!(!drawn.is_empty());
+            assert_eq!(drawn, solve(unwanted, &[own(&zero)]));
+        }
+        // Two own receivers, each aligning the other's stream into a
+        // 1-dimensional unwanted space: one constraint row apiece.
+        assert_ne!(
+            solve(&aligning, &[own(&h_own), other]),
+            solve(&aligning, &[own(&zero), other])
+        );
     }
 
     /// Residual metric is monotone in channel-knowledge error.
