@@ -10,6 +10,7 @@ use nplus::policy::NPlus;
 use nplus::precoder::{
     compute_precoders_into, OwnReceiverSoARef, PrecoderWorkspace, ProtectedReceiverSoARef,
 };
+use nplus::scenario::three_pairs;
 use nplus::sim::{SimConfig, SinrGrid};
 use nplus_linalg::{
     null_space_into, CMatrix, CMatrixSoA, CVector, Complex64, NullspaceWorkspace, Subspace,
@@ -18,7 +19,6 @@ use nplus_phy::convolutional::{encode, viterbi_decode};
 use nplus_phy::fft::{fft_in_place, ifft};
 use nplus_phy::params::OfdmConfig;
 use nplus_testkit::fixtures::{random_bits, random_complex, random_matrix};
-use nplus_testkit::scenario::three_pairs;
 
 fn bench_fft(c: &mut Criterion) {
     let mut rng = nplus_testkit::rng(1);

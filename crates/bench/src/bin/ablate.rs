@@ -13,14 +13,15 @@
 
 use nplus::policy::{GreedyJoin, NPlus, Policy};
 use nplus::precoder::{compute_precoders, OwnReceiver, PrecoderError, ProtectedReceiver};
+use nplus::scenario::three_pairs;
 use nplus::sim::SimConfig;
 use nplus_bench::support::mean;
 use nplus_channel::fading::DelayProfile;
 use nplus_channel::mimo::MimoLink;
 use nplus_linalg::Subspace;
 use nplus_phy::params::OfdmConfig;
-use nplus_testkit::scenario::three_pairs;
 use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Ablation 1: how often can a 3-antenna node join two ongoing
 /// transmissions (one 1-antenna, one 2-antenna receiver) with
@@ -134,7 +135,7 @@ fn ablate_threshold() {
 }
 
 fn main() {
-    let mut rng = nplus_testkit::rng(77);
+    let mut rng = StdRng::seed_from_u64(77);
     ablate_alignment(&mut rng);
     ablate_threshold();
 }

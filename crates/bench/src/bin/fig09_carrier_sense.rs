@@ -16,10 +16,95 @@
 
 use nplus::carrier_sense::MultiDimCarrierSense;
 use nplus_bench::support::print_cdf;
+use nplus_channel::fading::DelayProfile;
+use nplus_channel::mimo::MimoLink;
+use nplus_linalg::{c64, CMatrix, Complex64};
+use nplus_medium::medium::{Medium, Transmission};
+use nplus_medium::NodeId;
 use nplus_phy::params::OfdmConfig;
 use nplus_phy::preamble::stf_time;
-use nplus_testkit::scenario::{sensing_trio, SensingTrio, JOINER_START};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Fig. 6/9: a strong single-antenna tx1 occupying the medium, a weak
+/// 2-antenna tx2 that may join, and a 3-antenna tx3 sensing through a
+/// projection orthogonal to tx1's signal.
+struct SensingTrio {
+    /// The sample-level medium holding all three transmitters.
+    medium: Medium,
+    /// tx3's carrier-sense front end, pre-loaded with tx1's direction.
+    sensor: MultiDimCarrierSense,
+    /// Three-antenna node doing the sensing.
+    tx3: NodeId,
+}
+
+/// Sample at which [`sensing_trio`]'s joiner starts transmitting.
+const JOINER_START: u64 = 3000;
+
+/// A complex white waveform of the given length and per-sample power.
+fn random_waveform(len: usize, power: f64, rng: &mut StdRng) -> Vec<Complex64> {
+    // Entries uniform in the unit square have E|z|^2 = 1/6; rescale to
+    // the requested power.
+    let scale = (6.0 * power).sqrt();
+    (0..len)
+        .map(|_| c64(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5).scale(scale))
+        .collect()
+}
+
+/// Builds one sensing experiment: tx1 transmits a 6000-sample white
+/// waveform from t=0; if `tx2_transmits`, tx2 sends an STF followed by
+/// payload from [`JOINER_START`]. The sensor projects tx1's true
+/// channel away (estimation accuracy is tested elsewhere).
+fn sensing_trio(seed: u64, tx1_amp: f64, tx2_amp: f64, tx2_transmits: bool) -> SensingTrio {
+    let cfg = OfdmConfig::usrp2();
+    let mut medium = Medium::new(cfg.bandwidth_hz, seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xF00D);
+    let tx1 = medium.add_node(1, 0.0);
+    let tx2 = medium.add_node(2, 0.0);
+    let tx3 = medium.add_node(3, 0.0);
+    medium.set_link(
+        tx1,
+        tx3,
+        MimoLink::sample(1, 3, tx1_amp, &DelayProfile::los(), &mut rng),
+    );
+    medium.set_link(
+        tx2,
+        tx3,
+        MimoLink::sample(2, 3, tx2_amp, &DelayProfile::nlos(), &mut rng),
+    );
+
+    // tx1: continuous random payload (per-sample power 2.0) from t=0.
+    let wave = random_waveform(6000, 2.0, &mut rng);
+    medium.transmit(Transmission {
+        from: tx1,
+        start: 0,
+        streams: vec![wave],
+        cfo_precompensation_hz: 0.0,
+    });
+
+    if tx2_transmits {
+        let stf = stf_time(&cfg);
+        let mut streams = vec![stf.clone(), vec![Complex64::ZERO; stf.len()]];
+        // Fill after the preamble with payload on both antennas.
+        for s in streams.iter_mut() {
+            s.extend(random_waveform(2000, 1.0, &mut rng));
+        }
+        medium.transmit(Transmission {
+            from: tx2,
+            start: JOINER_START,
+            streams,
+            cfo_precompensation_hz: 0.0,
+        });
+    }
+
+    let h: Vec<CMatrix> = medium.link(tx1, tx3).unwrap().channel_matrices(cfg.fft_len);
+    let sensor = MultiDimCarrierSense::from_ongoing(3, cfg, &[h]);
+    SensingTrio {
+        medium,
+        sensor,
+        tx3,
+    }
+}
 
 fn main() {
     let cfg = OfdmConfig::usrp2();
@@ -32,7 +117,6 @@ fn main() {
         medium,
         sensor,
         tx3,
-        ..
     } = sensing_trio(42, 12.0, 2.5, true);
     println!(
         "{:>10} {:>14} {:>14}",
@@ -69,7 +153,7 @@ fn main() {
     let mut raw_tx = Vec::with_capacity(trials);
     let mut proj_silent = Vec::with_capacity(trials);
     let mut proj_tx = Vec::with_capacity(trials);
-    let mut rng = nplus_testkit::rng(9);
+    let mut rng = StdRng::seed_from_u64(9);
     for t in 0..trials as u64 {
         // tx2 amplitude: SNR uniform in [0, 3] dB.
         let snr_db = rng.gen::<f64>() * 3.0;

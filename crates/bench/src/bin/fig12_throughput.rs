@@ -11,9 +11,9 @@
 //! Run with: `cargo run --release --bin fig12_throughput`
 
 use nplus::policy::{Dot11n, NPlus};
+use nplus::scenario::three_pairs;
 use nplus::sim::SimConfig;
 use nplus_bench::support::{mean, print_cdf};
-use nplus_testkit::scenario::three_pairs;
 
 fn main() {
     let n_placements: u64 = std::env::args()

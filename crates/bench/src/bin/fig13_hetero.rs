@@ -11,9 +11,9 @@
 //!
 //! Run with: `cargo run --release --bin fig13_hetero`
 
+use nplus::scenario::ap_downlink;
 use nplus::sim::{SimConfig, DEFAULT_POLICIES};
 use nplus_bench::support::{mean, print_cdf};
-use nplus_testkit::scenario::ap_downlink;
 
 fn main() {
     let n_placements: u64 = std::env::args()

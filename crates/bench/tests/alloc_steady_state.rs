@@ -25,13 +25,12 @@ use std::cell::Cell;
 
 use nplus::observer::{RoundObserver, RoundRecord, RunMeta};
 use nplus::policy::{Beamforming, Dot11n, NPlus, Oracle};
+use nplus::scenario::{parse_spec, ScenarioGenerator};
 use nplus::sim::{MobilityModel, SimConfig, SimEngine};
 use nplus_channel::environment::{MULTI_CELL, SIGCOMM11_INDOOR};
 use nplus_medium::topology::build_environment_topology;
 use nplus_medium::ChannelCache;
 use nplus_phy::params::occupied_subcarrier_indices;
-use nplus_testkit::generator::ScenarioGenerator;
-use nplus_testkit::parse_spec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

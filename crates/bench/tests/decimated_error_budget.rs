@@ -15,9 +15,8 @@
 //! (a broken interpolation or a mis-keyed cache shows up as 30%+).
 //! DESIGN.md §10 records the measured bias alongside this bound.
 
+use nplus::scenario::{city_scenario, ScenarioGenerator};
 use nplus::sim::{SinrGrid, SweepSpec};
-use nplus_testkit::generator::ScenarioGenerator;
-use nplus_testkit::spec::city_scenario;
 use proptest::prelude::*;
 
 const DECIMATION: usize = 4;

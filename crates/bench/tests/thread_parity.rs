@@ -6,9 +6,8 @@
 //! down, by the `nplus-medium` chancache tests.)
 
 use nplus::policy::BUILTIN_POLICY_NAMES;
+use nplus::scenario::{city_scenario, ScenarioGenerator};
 use nplus::sim::{SweepSpec, SweepStats};
-use nplus_testkit::generator::ScenarioGenerator;
-use nplus_testkit::spec::city_scenario;
 use proptest::prelude::*;
 
 /// Bitwise equality of two sweep-stat lists: every float must match

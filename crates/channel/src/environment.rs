@@ -199,7 +199,7 @@ impl Map {
 
     /// LOS/NLOS classification of one link on `testbed`. The cluttered
     /// and outdoor maps decide it outright, whatever `testbed` says, so
-    /// a testbed override keeps their rule; the others follow the
+    /// a caller-chosen testbed keeps their rule; the others follow the
     /// testbed's wall geometry.
     pub fn link_is_nlos(self, testbed: &Testbed, a: &Location, b: &Location) -> bool {
         match self {

@@ -6,8 +6,8 @@
 #![allow(dead_code)]
 
 use nplus::prelude::*;
+use nplus::scenario::parse_spec;
 use nplus_codec::{RecordingContext, RecordingObserver};
-use nplus_testkit::parse_spec;
 
 /// One recorded sweep: the encoded recordings in seed-major,
 /// policy-within-seed order, plus everything the live run produced.

@@ -10,9 +10,10 @@
 //! Families up to [`MAX_NODES`] nodes fit the paper's 20-location
 //! testbed map; the dense family goes up to [`MAX_DENSE_NODES`] nodes
 //! and places on `Testbed::sigcomm11_extended()` (which
-//! `scenario::build_scenario` selects automatically by node count).
+//! [`build_scenario`](crate::scenario::build_scenario) selects
+//! automatically by node count).
 
-use nplus::sim::{Flow, Scenario};
+use crate::sim::{Flow, Scenario};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -22,8 +23,8 @@ pub const MAX_NODES: usize = 16;
 
 /// Largest node count of the dense family (placed on the 40-location
 /// `Testbed::sigcomm11_extended()` map, which
-/// `scenario::build_scenario` selects automatically by node count; 32
-/// leaves placement diversity there).
+/// [`build_scenario`](crate::scenario::build_scenario) selects
+/// automatically by node count; 32 leaves placement diversity there).
 pub const MAX_DENSE_NODES: usize = 32;
 
 /// Largest antenna count the generator draws per node.
@@ -64,12 +65,6 @@ impl ScenarioGenerator {
             });
         }
         Scenario { antennas, flows }
-    }
-
-    /// A random pair scenario: 2–8 pairs, random antenna mix.
-    pub fn random_pairs(&mut self) -> Scenario {
-        let n_pairs = self.rng.gen_range(2..=MAX_NODES / 2);
-        self.n_pairs(n_pairs)
     }
 
     /// `n_aps` downlink cells: each AP (2–4 antennas) serves
@@ -171,24 +166,16 @@ impl ScenarioGenerator {
         Scenario { antennas, flows }
     }
 
-    /// A random scenario of any family: contending pairs, multi-AP
+    /// A random scenario of any family — contending pairs, multi-AP
     /// downlink cells, hidden-terminal stars, asymmetric pairs or a
-    /// dense mesh — the diversity the parallel sweep engine is fed.
-    /// Sized for the stock maps (up to [`MAX_DENSE_NODES`] nodes);
-    /// identical draws to
-    /// [`random_for_capacity(MAX_DENSE_NODES)`](Self::random_for_capacity).
-    pub fn random(&mut self) -> Scenario {
-        self.random_for_capacity(MAX_DENSE_NODES)
-    }
-
-    /// [`random`](Self::random) sized for an environment with
-    /// `capacity` placement slots: every family's node count stays
-    /// within `capacity`, so the draw places on any
+    /// dense mesh — sized for an environment with `capacity` placement
+    /// slots: every family's node count stays within `capacity`, so the
+    /// draw places on any
     /// [`Environment`](nplus_channel::environment::Environment)
     /// whose [`capacity()`](nplus_channel::environment::Environment::capacity)
     /// is at least that. Needs `capacity >= 6` (the smallest family
-    /// shapes). At `capacity = MAX_DENSE_NODES` the draws are
-    /// bit-identical to the classic [`random`](Self::random) stream.
+    /// shapes); above [`MAX_DENSE_NODES`] the draws no longer depend on
+    /// `capacity`.
     pub fn random_for_capacity(&mut self, capacity: usize) -> Scenario {
         assert!(capacity >= 6, "need at least 6 placement slots");
         let std_cap = capacity.min(MAX_NODES);
@@ -224,12 +211,6 @@ impl ScenarioGenerator {
                 self.dense(2 * n_pairs)
             }
         }
-    }
-
-    /// [`random_for_capacity`](Self::random_for_capacity) sized for a
-    /// propagation environment's own placement capacity.
-    pub fn random_for(&mut self, env: &nplus_channel::environment::Environment) -> Scenario {
-        self.random_for_capacity(env.capacity())
     }
 }
 
@@ -314,21 +295,19 @@ mod tests {
         // And it actually places + simulates on the extended testbed.
         let built = crate::scenario::build_scenario(g.dense(24), 13);
         assert_eq!(built.topology.nodes.len(), 24);
-        let cfg = nplus::sim::SimConfig {
+        let cfg = crate::sim::SimConfig {
             rounds: 1,
             ..Default::default()
         };
-        let r = built.run(nplus::policy::Dot11n, &cfg, 3);
+        let r = built.run(crate::policy::Dot11n, &cfg, 3);
         assert!(r.total_mbps.is_finite());
     }
 
     #[test]
-    fn random_for_capacity_respects_the_cap_and_matches_random() {
-        // random() is *defined* as random_for_capacity(MAX_DENSE_NODES),
-        // so comparing the two streams alone would be tautological: the
-        // real pin is the golden draws below — the first three seed-11
-        // scenarios of the classic stream. Any change to the family
-        // dispatch or gen_range bounds breaks these literals.
+    fn random_for_capacity_respects_the_cap_and_keeps_its_golden_draws() {
+        // The first three seed-11 draws at the stock dense cap. Any
+        // change to the family dispatch or gen_range bounds breaks these
+        // literals.
         type Golden = (&'static [usize], &'static [(usize, usize)]);
         let goldens: [Golden; 3] = [
             (
@@ -374,21 +353,12 @@ mod tests {
                 ],
             ),
         ];
-        let mut a = ScenarioGenerator::new(11);
-        let mut b = ScenarioGenerator::new(11);
-        for i in 0..12 {
-            let x = a.random();
-            let y = b.random_for_capacity(MAX_DENSE_NODES);
-            if let Some((antennas, flows)) = goldens.get(i) {
-                assert_eq!(
-                    &x.antennas, antennas,
-                    "draw {i} diverged from the classic stream"
-                );
-                let got: Vec<(usize, usize)> = x.flows.iter().map(|f| (f.tx, f.rx)).collect();
-                assert_eq!(&got, flows, "draw {i} diverged from the classic stream");
-            }
-            assert_eq!(x.antennas, y.antennas);
-            assert_eq!(x.flows, y.flows);
+        let mut g = ScenarioGenerator::new(11);
+        for (i, (antennas, flows)) in goldens.iter().enumerate() {
+            let x = g.random_for_capacity(MAX_DENSE_NODES);
+            assert_eq!(&x.antennas, antennas, "draw {i} diverged");
+            let got: Vec<(usize, usize)> = x.flows.iter().map(|f| (f.tx, f.rx)).collect();
+            assert_eq!(&got, flows, "draw {i} diverged");
         }
         // Every capped draw fits the cap.
         for capacity in [6usize, 8, 12, 20, 40] {
@@ -403,13 +373,6 @@ mod tests {
                 );
             }
         }
-        // And the environment-aware form sizes to the environment.
-        use nplus_channel::environment::OUTDOOR_FREE_SPACE;
-        let mut g = ScenarioGenerator::new(3);
-        for _ in 0..10 {
-            let s = g.random_for(&OUTDOOR_FREE_SPACE);
-            assert!(s.antennas.len() <= 40);
-        }
     }
 
     #[test]
@@ -417,8 +380,8 @@ mod tests {
         let mut g1 = ScenarioGenerator::new(9);
         let mut g2 = ScenarioGenerator::new(9);
         for _ in 0..10 {
-            let a = g1.random();
-            let b = g2.random();
+            let a = g1.random_for_capacity(MAX_DENSE_NODES);
+            let b = g2.random_for_capacity(MAX_DENSE_NODES);
             assert_eq!(a.antennas, b.antennas);
             assert_eq!(a.flows, b.flows);
         }
@@ -427,19 +390,17 @@ mod tests {
     #[test]
     fn random_scenarios_fit_and_simulate() {
         let mut g = ScenarioGenerator::new(33);
-        for i in 0..20 {
-            let s = g.random();
-            check_valid(&s);
-            let _ = i;
+        for _ in 0..20 {
+            check_valid(&g.random_for_capacity(MAX_DENSE_NODES));
         }
         // Smoke: a small generated scenario actually runs end to end.
         let s = ScenarioGenerator::new(4).n_pairs(2);
         let built = crate::scenario::build_scenario(s, 4);
-        let cfg = nplus::sim::SimConfig {
+        let cfg = crate::sim::SimConfig {
             rounds: 2,
             ..Default::default()
         };
-        let r = built.run(nplus::policy::NPlus, &cfg, 11);
+        let r = built.run(crate::policy::NPlus, &cfg, 11);
         assert!(r.total_mbps.is_finite());
     }
 }

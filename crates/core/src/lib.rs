@@ -21,6 +21,7 @@
 //! | [`power_control`] | §4 | the join-power threshold `L` |
 //! | [`policy`] | §6 | the closed set of MAC policies: n+, 802.11n, beamforming, oracle, greedy-join |
 //! | [`observer`] | §6 | round-level event tap over simulation runs |
+//! | [`scenario`] | §6 | the spec grammar, seeded scenario families and world placement |
 //! | [`sim`] | §6 | the round engine, sweeps and the [`sim::SweepSpec`] facade |
 //!
 //! The PHY, channel, medium, and MAC substrates live in their own crates
@@ -54,6 +55,7 @@
 
 pub mod carrier_sense;
 pub mod executor;
+mod generator;
 pub mod handshake;
 pub mod link;
 pub mod node;
@@ -61,7 +63,9 @@ pub mod observer;
 pub mod policy;
 pub mod power_control;
 pub mod precoder;
+pub mod scenario;
 pub mod sim;
+mod spec;
 
 pub use carrier_sense::MultiDimCarrierSense;
 pub use handshake::{decode_alignment_space, encode_alignment_space};

@@ -32,8 +32,8 @@ pub struct RunIdentity {
     /// drawn in.
     pub environment: String,
     /// The sweep's `CanonicalSpec` v3 content key, when the spec
-    /// canonicalizes (`None` for ad-hoc specs — custom policies,
-    /// testbed overrides, non-canonical configs).
+    /// canonicalizes (`None` for ad-hoc specs — a custom world, a
+    /// config beyond the canonical fields).
     pub canonical_key: Option<u128>,
 }
 

@@ -23,7 +23,6 @@ use nplus_channel::environment::{
     environment_from_name, Environment, EnvironmentError, SIGCOMM11_INDOOR,
 };
 use nplus_channel::placement::Testbed;
-use nplus_medium::topology::build_environment_topology;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -70,14 +69,14 @@ pub struct SweepStats {
 #[derive(Debug, Clone, PartialEq)]
 pub enum SweepError {
     /// The scenario needs more placement slots than the environment's
-    /// maps (or an explicit testbed override) offer.
+    /// maps offer.
     Environment(EnvironmentError),
     /// A structurally invalid spec: bad flow indices, zero antennas,
     /// an empty seed list, zero rounds — see [`Scenario::validate`].
     InvalidSpec(String),
     /// The spec cannot be canonicalized for content-addressing (custom
-    /// non-registry parts, a testbed override, or config fields beyond
-    /// the canonical surface) — see [`SweepSpec::canonical`].
+    /// non-registry parts, or config fields beyond the canonical
+    /// surface) — see [`SweepSpec::canonical`].
     NotCanonical(String),
 }
 
@@ -429,7 +428,6 @@ pub fn aggregate_results(
 pub struct SweepSpec {
     scenario: Scenario,
     environment: Environment,
-    testbed: Option<Testbed>,
     cfg: SimConfig,
     policies: Vec<Policy>,
     seeds: Vec<u64>,
@@ -455,19 +453,11 @@ impl SweepSpec {
         SweepSpec {
             scenario,
             environment: SIGCOMM11_INDOOR,
-            testbed: None,
             cfg: SimConfig::default(),
             policies: Vec::new(),
             seeds: (0..20).collect(),
             threads: 1,
         }
-    }
-
-    /// Places topologies on `testbed` instead of the environment's
-    /// auto-fitted map.
-    pub fn testbed(mut self, testbed: Testbed) -> Self {
-        self.testbed = Some(testbed);
-        self
     }
 
     /// Runs the sweep in `environment` instead of the paper's indoor
@@ -580,8 +570,7 @@ impl SweepSpec {
     /// [`SweepError::InvalidSpec`] for a structurally invalid scenario
     /// ([`Scenario::validate`]) or model, an empty seed list or zero
     /// rounds; [`SweepError::Environment`] when the scenario needs more
-    /// placement slots than the environment's largest map (or the
-    /// explicit [`testbed`](SweepSpec::testbed) override) offers — all
+    /// placement slots than the environment's largest map offers — all
     /// detected before any job runs, so a malformed spec can never panic
     /// inside the engine.
     pub fn try_run(&self) -> Result<Vec<SweepStats>, SweepError> {
@@ -692,9 +681,8 @@ impl SweepSpec {
     /// Canonicalization requires the spec to be reconstructible from its
     /// canonical form alone: the environment must equal, by value, the
     /// registry entry of its name (a custom world keyed by a built-in's
-    /// name would alias that world's cache entries), there must be no
-    /// [`testbed`](SweepSpec::testbed) override, and the config
-    /// may deviate from the environment's defaults only in
+    /// name would alias that world's cache entries), and the config may
+    /// deviate from the environment's defaults only in
     /// [`rounds`](SweepSpec::rounds),
     /// [`traffic`](SweepSpec::traffic), [`mobility`](SweepSpec::mobility)
     /// and the [`sinr_grid`](SweepSpec::sinr_grid).
@@ -708,11 +696,6 @@ impl SweepSpec {
         // config-equality check below (NaN != NaN) and misreport an
         // invalid spec as merely non-canonical.
         self.validate()?;
-        if self.testbed.is_some() {
-            return Err(SweepError::NotCanonical(
-                "explicit testbed override".to_string(),
-            ));
-        }
         let env = &self.environment;
         if environment_from_name(env.name) != Some(env) {
             return Err(SweepError::NotCanonical(format!(
@@ -782,11 +765,13 @@ impl SweepSpec {
         check().map_err(SweepError::InvalidSpec)
     }
 
-    /// The validator, then what a job needs: the resolved testbed and
-    /// the policies in job order.
+    /// The validator, then what a job needs: the environment's smallest
+    /// map that fits the scenario, resolved once for every seed, and the
+    /// policies in job order.
     fn prepare(&self) -> Result<(Testbed, &[Policy]), SweepError> {
         self.validate()?;
-        Ok((self.resolved_testbed()?, self.resolved_policies()))
+        let testbed = self.environment.testbed(self.scenario.antennas.len())?;
+        Ok((testbed, self.resolved_policies()))
     }
 
     /// One seed-indexed unit of sweep work: draw the topology for
@@ -794,9 +779,10 @@ impl SweepSpec {
     /// policy against it, narrating policy `i`'s run to `observers[i]`.
     ///
     /// The RNG derivations are the sweep's determinism contract: the
-    /// placement stream is seeded by the seed itself, and each policy's
-    /// run stream by `seed ^ 0x5EED_CAFE` — both fixed functions of the
-    /// seed alone, never of execution order. That is what lets
+    /// placement is [`place`](crate::scenario::place)'s, seeded by the
+    /// seed itself, and each policy's run stream is seeded by
+    /// `seed ^ 0x5EED_CAFE` — both fixed functions of the seed alone,
+    /// never of execution order. That is what lets
     /// [`try_run_observed`](SweepSpec::try_run_observed) run seeds on
     /// any number of threads and still merge results bit-for-bit
     /// identical to the serial run.
@@ -808,15 +794,8 @@ impl SweepSpec {
         canonical_key: Option<u128>,
         observers: &mut [&mut dyn RoundObserver],
     ) -> Result<SeedResults, SweepError> {
-        let mut placement_rng = StdRng::seed_from_u64(seed);
-        let topo = build_environment_topology(
-            &self.environment,
-            testbed,
-            &self.scenario.antennas,
-            self.cfg.ofdm.bandwidth_hz,
-            seed,
-            &mut placement_rng,
-        )?;
+        let topo =
+            crate::scenario::place(&self.environment, testbed, &self.scenario.antennas, seed)?;
         let engine = SimEngine::new(&topo, &self.scenario, &self.cfg);
         let per_policy = policies
             .iter()
@@ -834,17 +813,6 @@ impl SweepSpec {
         Ok(SeedResults { seed, per_policy })
     }
 
-    fn resolved_testbed(&self) -> Result<Testbed, EnvironmentError> {
-        let n = self.scenario.antennas.len();
-        match &self.testbed {
-            Some(tb) => {
-                tb.ensure_capacity(n)?;
-                Ok(tb.clone())
-            }
-            None => self.environment.testbed(n),
-        }
-    }
-
     fn resolved_policies(&self) -> &[Policy] {
         if self.policies.is_empty() {
             &DEFAULT_POLICIES
@@ -859,7 +827,6 @@ mod tests {
     use super::*;
     use crate::policy::{Beamforming, Dot11n, NPlus, Oracle};
     use nplus_channel::environment::BUILTIN_ENVIRONMENT_NAMES;
-    use nplus_channel::placement::Testbed;
 
     /// Regression: `ci95_total_mbps` used the z = 1.96 normal
     /// approximation at every sample size; at n = 5 the correct
@@ -905,7 +872,6 @@ mod tests {
     fn sweep_threads_match_serial_bitwise() {
         let spec = |threads: usize| {
             SweepSpec::new(Scenario::ap_downlink())
-                .testbed(Testbed::sigcomm11())
                 .rounds(5)
                 .policy(NPlus)
                 .policy(Dot11n)
@@ -937,7 +903,6 @@ mod tests {
     #[test]
     fn sweep_job_is_pure_in_its_seed() {
         let spec = SweepSpec::new(Scenario::three_pairs())
-            .testbed(Testbed::sigcomm11())
             .rounds(4)
             .policy(NPlus);
         let a = seed_results(&spec, 7).unwrap();
@@ -955,20 +920,8 @@ mod tests {
     /// the exact generated configuration that crashed the sweep binary.
     #[test]
     fn hidden_terminal_concurrent_service_settles() {
-        // The generator's `hidden_terminal(3)` at seed 42, written out
-        // (testkit's `Scenario` is a separate crate instance inside this
-        // crate's own test harness): three transmitters, one shared
-        // 2-antenna receiver.
-        let scenario = Scenario {
-            antennas: vec![2, 1, 3, 4],
-            flows: vec![
-                super::super::Flow { tx: 1, rx: 0 },
-                super::super::Flow { tx: 2, rx: 0 },
-                super::super::Flow { tx: 3, rx: 0 },
-            ],
-        };
+        let scenario = crate::scenario::ScenarioGenerator::new(42).hidden_terminal(3);
         let stats = SweepSpec::new(scenario)
-            .testbed(Testbed::sigcomm11())
             .rounds(8)
             .policy(NPlus)
             .policy(Dot11n)
@@ -987,7 +940,6 @@ mod tests {
     fn sweep_aggregates_all_protocols() {
         let scenario = Scenario::three_pairs();
         let stats = SweepSpec::new(scenario)
-            .testbed(Testbed::sigcomm11())
             .rounds(6)
             .policy(NPlus)
             .policy(Dot11n)
@@ -1151,17 +1103,16 @@ mod tests {
             .is_err());
     }
 
-    /// A scenario too large for the environment's maps — or for an
-    /// explicit testbed override — is a clean `Err`, not a panic.
+    /// A scenario too large for the environment's maps is a clean
+    /// `Err`, not a panic.
     #[test]
     fn oversized_scenarios_error_cleanly() {
-        let antennas = vec![1usize; 41];
-        let flows = vec![super::super::Flow { tx: 0, rx: 1 }];
         let scenario = Scenario {
-            antennas,
-            flows: flows.clone(),
+            antennas: vec![1usize; 41],
+            flows: vec![super::super::Flow { tx: 0, rx: 1 }],
         };
-        let err = SweepSpec::new(scenario).try_run().unwrap_err();
+        let spec = SweepSpec::new(scenario);
+        let err = spec.try_run().unwrap_err();
         assert_eq!(
             err,
             SweepError::Environment(nplus_channel::environment::EnvironmentError::TooManyNodes {
@@ -1170,11 +1121,7 @@ mod tests {
             })
         );
         assert_eq!(err.to_string(), "cannot place 41 nodes on 40 locations");
-        // Explicit override smaller than the scenario.
-        let small = Testbed::from_locations(Testbed::sigcomm11().locations()[..2].to_vec());
-        let spec = SweepSpec::new(Scenario::three_pairs()).testbed(small);
-        assert!(spec.try_run().is_err());
-        assert!(seed_results(&spec, 0).is_err());
+        assert_eq!(seed_results(&spec, 0).unwrap_err(), err);
     }
 
     /// A structurally invalid scenario — out-of-range flow endpoints,
@@ -1512,10 +1459,6 @@ mod tests {
             }
             other => panic!("expected NotCanonical({needle}), got {other:?}"),
         };
-        not_canonical(
-            &SweepSpec::new(Scenario::three_pairs()).testbed(Testbed::sigcomm11()),
-            "testbed",
-        );
         let mut tweaked_cfg = SweepSpec::new(Scenario::three_pairs());
         tweaked_cfg.cfg.packet_bytes = 900;
         not_canonical(&tweaked_cfg, "config deviates");

@@ -12,22 +12,8 @@
 //! a CLI with a clean exit 2.
 
 use crate::generator::{ScenarioGenerator, MAX_DENSE_NODES, MAX_NODES};
-use nplus::sim::{Flow, Scenario, TrafficModel};
+use crate::sim::{Flow, Scenario, TrafficModel};
 use nplus_channel::placement::MULTI_CELL_GROUP;
-
-/// The scenario grammar, one line per form — interpolated into CLI
-/// usage text and server error messages.
-pub const SCENARIO_SPEC_HELP: &str = "  three_pairs          the Fig. 3 scenario
-  ap_downlink          the Fig. 4 scenario
-  pairs:<n>            n generated tx->rx pairs, random 1-4 antennas
-  multi_ap:<a>x<c>     a generated cells of one AP + c clients
-  hidden:<n>           n generated transmitters sharing one receiver
-  asym:<n>             n generated maximally antenna-asymmetric pairs
-  dense:<n>            n-node generated mesh (even, <=32; extended map)
-  random:<seed>        a random family draw from the generator
-  city:<n>             n-node procedural city (multiple of 8; multi_cell env)
-  load:<model>/<spec>  any form above under a traffic model
-                       (saturated | poisson:<mean> | bursty:<on>x<off>)";
 
 /// A fully parsed scenario spec: the scenario itself plus the traffic
 /// model a `load:` prefix requested (`None` = the caller's default,
@@ -83,9 +69,7 @@ pub fn city_scenario(n_nodes: usize) -> Scenario {
 /// supplies one), so equal specs parse to equal scenarios everywhere —
 /// the property the server's content-addressed cache keys rely on.
 /// `env_capacity` sizes the `random:` family draw to the chosen
-/// environment's map ([`ScenarioGenerator::random_for_capacity`]); at
-/// the stock 40-slot maps the draw is bit-identical to the classic
-/// `random()` stream.
+/// environment's map ([`ScenarioGenerator::random_for_capacity`]).
 ///
 /// # Errors
 /// A one-line description of the malformed spec (unknown form, number

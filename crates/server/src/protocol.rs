@@ -23,9 +23,9 @@
 //! {"cmd": "shutdown"}
 //! ```
 //!
-//! For `"sweep"`, `scenario` (the testkit grammar — see
-//! [`SCENARIO_SPEC_HELP`](nplus_testkit::SCENARIO_SPEC_HELP), including
-//! `city:<n>` and the `load:<model>/` traffic prefix) and `rounds` are
+//! For `"sweep"`, `scenario` (the scenario grammar — see
+//! [`parse_spec`], including `city:<n>` and the `load:<model>/`
+//! traffic prefix) and `rounds` are
 //! required; `environment` defaults to `"sigcomm11"`, `policies` to
 //! the default comparison trio, `threads` to `0` (all cores — an
 //! execution detail, never part of the cache key), and the seed list
@@ -54,12 +54,12 @@
 
 use crate::json::{self, Json};
 use nplus::policy::BUILTIN_POLICY_NAMES;
+use nplus::scenario::parse_spec;
 use nplus::sim::{CanonicalSpec, MobilityModel, SinrGrid, SweepSpec, SweepStats, TrafficModel};
 use nplus_channel::environment::environment_from_name;
 /// The statistics serializer, shared with the sweep report; re-exported
 /// here so response consumers keep one import path.
 pub use nplus_codec::export::stats_to_json;
-use nplus_testkit::parse_spec;
 use std::io::{self, Read, Write};
 
 /// Largest frame either side accepts (1 MiB) — far above any real
@@ -137,7 +137,7 @@ pub enum Request {
 /// The body of a `"sweep"` request, field defaults already applied.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepRequest {
-    /// Scenario spec in the testkit grammar (`"pairs:4"`, …).
+    /// Scenario spec in the [`parse_spec`] grammar (`"pairs:4"`, …).
     pub scenario: String,
     /// Registry name of the propagation environment.
     pub environment: String,

@@ -1,33 +1,18 @@
-//! Test support for the n+ workspace: seeded scenario builders,
-//! channel/medium fixtures, proptest strategies and tolerance-aware
-//! assertions.
+//! Test support for the n+ workspace: channel/medium fixtures,
+//! proptest strategies and tolerance-aware assertions.
 //!
-//! Everything here is deterministic given a seed. The builders mirror
-//! the paper's canonical setups so integration tests, figure binaries
-//! and benchmarks all run the *same* scenarios instead of hand-rolling
-//! their own copies:
-//!
-//! * [`scenario::two_pair_medium`] — Fig. 2: a 1-antenna pair plus a
-//!   2-antenna pair on a sample-level medium;
-//! * [`scenario::three_pairs`] — Fig. 3: contending pairs with 1, 2 and
-//!   3 antennas on a random testbed placement;
-//! * [`scenario::ap_downlink`] — Fig. 4: heterogeneous AP topology;
-//! * [`scenario::sensing_trio`] — Fig. 6/9: a 3-antenna node sensing
-//!   past an ongoing strong transmission;
-//! * [`generator::ScenarioGenerator`] — seeded random N-pair and
-//!   multi-AP scenario families (1–4 antennas, ≤16 nodes) for the
-//!   Monte-Carlo sweep binaries.
+//! Everything here is deterministic given a seed, and nothing here is
+//! production code: the scenario grammar, the seeded scenario families
+//! and the paper's placed scenarios live in `nplus::scenario`, which the
+//! suites import directly. [`parse_spec`] is re-exported for the
+//! `perfbench` harness, which resolves its workload specs through it.
 
 #![forbid(unsafe_code)]
 
 pub mod fixtures;
-pub mod generator;
-pub mod scenario;
-pub mod spec;
 pub mod strategies;
 
-pub use generator::ScenarioGenerator;
-pub use spec::{city_scenario, parse_scenario_spec, parse_spec, ParsedSpec, SCENARIO_SPEC_HELP};
+pub use nplus::scenario::parse_spec;
 
 use nplus_linalg::Complex64;
 

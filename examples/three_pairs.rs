@@ -7,29 +7,16 @@
 //!
 //! Run with: `cargo run --release --example three_pairs`
 
-use nplus_medium::topology::build_environment_topology;
+use nplus::scenario::three_pairs;
 use nplus_sim::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() {
-    let scenario = Scenario::three_pairs();
-    let testbed = Testbed::sigcomm11();
     let seed = 11; // a placement whose gains sit near the paper's reported averages
-    let mut rng = StdRng::seed_from_u64(seed);
-    let topo = build_environment_topology(
-        &SIGCOMM11_INDOOR,
-        &testbed,
-        &scenario.antennas,
-        10e6,
-        seed,
-        &mut rng,
-    )
-    .expect("fits the paper map");
+    let built = three_pairs(seed);
 
     println!("== Fig. 3 scenario: tx1-rx1 (1 ant), tx2-rx2 (2 ant), tx3-rx3 (3 ant) ==\n");
     println!("placements:");
-    for (i, loc) in topo.placements.iter().enumerate() {
+    for (i, loc) in built.topology.placements.iter().enumerate() {
         let name = ["tx1", "rx1", "tx2", "rx2", "tx3", "rx3"][i];
         println!(
             "  {name}: ({:>4.1}, {:>4.1}) m  {}",
@@ -50,10 +37,8 @@ fn main() {
 
     println!("\nsimulating {} rounds per protocol...\n", cfg.rounds);
     let mut results = Vec::new();
-    let engine = SimEngine::new(&topo, &scenario, &cfg);
     for policy in [Dot11n, NPlus] {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let r = engine.run(policy, &mut rng, &mut NullObserver, None);
+        let r = built.run(policy, &cfg, seed);
         println!(
             "{:12} total {:5.1} Mb/s | tx1-rx1 {:5.2} | tx2-rx2 {:5.2} | tx3-rx3 {:5.2} | mean DoF {:.2}",
             policy.name(),

@@ -5,8 +5,7 @@
 //! serial ≡ parallel determinism contract.
 
 use nplus::prelude::*;
-use nplus_testkit::city_scenario;
-use nplus_testkit::generator::ScenarioGenerator;
+use nplus::scenario::{city_scenario, ScenarioGenerator};
 use proptest::{proptest, ProptestConfig};
 
 /// The paper's indoor world with sparse wiring force-enabled but set

@@ -15,7 +15,7 @@ use nplus_phy::ofdm::{assemble_symbol, disassemble_symbol};
 use nplus_phy::params::{data_subcarrier_indices, occupied_subcarrier_indices, OfdmConfig};
 use nplus_phy::preamble::{mimo_preamble, preamble_len};
 use nplus_testkit::fixtures::random_bits;
-use nplus_testkit::scenario::two_pair_medium;
+use nplus_testkit::fixtures::two_pair_medium;
 
 /// rx estimates tx's per-antenna channels from an on-air MIMO preamble.
 #[test]

@@ -369,7 +369,7 @@ fn shipped_environments_are_distinct_worlds() {
 /// `TooManyNodes` instead of panicking.
 #[test]
 fn build_scenario_in_matches_build_scenario_and_reports_oversize() {
-    use nplus_testkit::scenario::{build_scenario, build_scenario_in};
+    use nplus::scenario::{build_scenario, build_scenario_in};
 
     for seed in [3u64, 17] {
         let classic = build_scenario(Scenario::three_pairs(), seed);

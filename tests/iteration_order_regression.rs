@@ -13,7 +13,7 @@
 //! tolerance can hide a divergence and NaN fairness still pins.
 
 use nplus::prelude::*;
-use nplus_testkit::city_scenario;
+use nplus::scenario::city_scenario;
 
 /// FNV-1a over the bit patterns of every field of every stat.
 fn digest(stats: &[SweepStats]) -> u64 {

@@ -13,9 +13,8 @@ use nplus::observer::{
     ContentionRecord, JoinRecord, NullObserver, RoundObserver, RoundRecord, RunMeta,
 };
 use nplus::policy::{policy_from_name, BUILTIN_POLICY_NAMES};
+use nplus::scenario::{build_scenario, ScenarioGenerator};
 use nplus::sim::{RunResult, SimConfig, SimEngine};
-use nplus_testkit::generator::ScenarioGenerator;
-use nplus_testkit::scenario::build_scenario;
 use proptest::{proptest, ProptestConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

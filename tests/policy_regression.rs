@@ -18,12 +18,10 @@ use nplus::observer::{
     ContentionKind, ContentionRecord, JoinRecord, NullObserver, RoundObserver, RoundRecord, RunMeta,
 };
 use nplus::policy::{Beamforming, Dot11n, GreedyJoin, NPlus, Oracle, Policy};
+use nplus::scenario::{build_scenario, parse_spec, ScenarioGenerator};
 use nplus::sim::{aggregate_results, Flow, Scenario, SimConfig, SimEngine, SweepSpec, SweepStats};
 use nplus_channel::environment::{environment_from_name, SIGCOMM11_INDOOR};
 use nplus_medium::topology::build_environment_topology;
-use nplus_testkit::generator::ScenarioGenerator;
-use nplus_testkit::parse_spec;
-use nplus_testkit::scenario::build_scenario;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -3,14 +3,12 @@
 
 use nplus::observer::{RoundObserver, RoundRecord};
 use nplus::policy::{Beamforming, Dot11n, GreedyJoin, NPlus, Oracle, Policy};
+use nplus::scenario::{build_scenario, ScenarioGenerator};
 use nplus::sim::{Scenario, SimConfig, SweepSpec};
 use nplus_channel::environment::BUILTIN_ENVIRONMENT_NAMES;
 use nplus_channel::impairments::HardwareProfile;
-use nplus_channel::placement::Testbed;
 use nplus_phy::rates::RATE_TABLE;
 use nplus_testkit::fixtures::IDEAL_HARDWARE;
-use nplus_testkit::generator::ScenarioGenerator;
-use nplus_testkit::scenario::build_scenario;
 use proptest::{proptest, ProptestConfig};
 
 fn run(
@@ -312,10 +310,8 @@ proptest! {
             1 => generator.hidden_terminal(2),
             _ => generator.asymmetric_antenna(2),
         };
-        let testbed = Testbed::try_fitting(scenario.antennas.len()).unwrap_or_else(|e| panic!("{e}"));
         let spec = |threads: usize| {
             SweepSpec::new(scenario.clone())
-                .testbed(testbed.clone())
                 .rounds(2)
                 .policy(NPlus)
                 .policy(Dot11n)

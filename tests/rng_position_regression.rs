@@ -20,10 +20,10 @@
 
 use nplus::observer::NullObserver;
 use nplus::policy::{GreedyJoin, NPlus, Policy};
+use nplus::scenario::{city_scenario, parse_scenario_spec};
 use nplus::sim::{Scenario, SimConfig, SimEngine};
 use nplus_channel::environment::{environment_from_name, Environment};
 use nplus_medium::topology::build_environment_topology;
-use nplus_testkit::{city_scenario, parse_scenario_spec};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 

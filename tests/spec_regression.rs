@@ -9,8 +9,8 @@
 //! procedural cities and `load:` wrappers — so a change to the grammar,
 //! the generator's families or their RNG draws fails here by name.
 
+use nplus::scenario::parse_spec;
 use nplus::sim::TrafficModel;
-use nplus_testkit::parse_spec;
 
 /// FNV-1a over 64-bit words.
 struct Fnv(u64);
