@@ -12,7 +12,9 @@
 //!
 //! The oracle goldens at the end follow the same rule and were recorded
 //! before the engine began memoizing the oracle's schedule; they also
-//! pin each run's whole observer event stream through a digest.
+//! pin each run's whole observer event stream through a digest. The
+//! contended goldens after them pin the other four policies' streams on
+//! the same inputs.
 
 use nplus::observer::{
     ContentionKind, ContentionRecord, JoinRecord, NullObserver, RoundObserver, RoundRecord, RunMeta,
@@ -415,10 +417,10 @@ const ORACLE_CASES: [&str; 8] = [
     "load:poisson:1.5/city:64 multi_cell static full 4 2",
 ];
 
-/// Runs one [`ORACLE_CASES`] line with the oracle alone on `threads`
-/// workers: its sweep statistics, and one [`StreamDigest`] per run in
-/// seed order.
-fn run_oracle_case(case: &str, threads: usize) -> (SweepStats, Vec<u64>) {
+/// Runs one [`ORACLE_CASES`] line under `policies` on `threads`
+/// workers: per policy, in list order, its sweep statistics and one
+/// [`StreamDigest`] per run in seed order.
+fn run_case(case: &str, policies: &[Policy], threads: usize) -> Vec<(SweepStats, Vec<u64>)> {
     let f: Vec<&str> = case.split_whitespace().collect();
     let [spec, env, mobility, grid, rounds, seeds] = f[..] else {
         panic!("malformed golden case {case:?}");
@@ -434,19 +436,24 @@ fn run_oracle_case(case: &str, threads: usize) -> (SweepStats, Vec<u64>) {
         .mobility(mobility.parse().expect("golden mobility parses"))
         .sinr_grid(grid.parse().expect("golden grid parses"))
         .seed_count(seeds.parse().expect("golden seed count parses"))
-        .policy(Oracle)
         .threads(threads);
+    for &policy in policies {
+        sweep = sweep.policy(policy);
+    }
     if let Some(traffic) = parsed.traffic {
         sweep = sweep.traffic(traffic);
     }
     let runs = sweep
         .try_run_observed(|_, _| StreamDigest(0xcbf2_9ce4_8422_2325))
         .expect("golden sweep runs");
-    let digests = runs.iter().map(|(_, obs)| obs[0].0).collect();
-    let results: Vec<_> = runs.into_iter().map(|(r, _)| r).collect();
+    let results: Vec<_> = runs.iter().map(|(r, _)| r.clone()).collect();
     let n_flows = results[0].per_policy[0].per_flow_mbps.len();
-    let mut stats = aggregate_results(n_flows, &sweep.policy_names(), &results);
-    (stats.remove(0), digests)
+    let stats = aggregate_results(n_flows, &sweep.policy_names(), &results);
+    stats
+        .into_iter()
+        .enumerate()
+        .map(|(p, s)| (s, runs.iter().map(|(_, obs)| obs[p].0).collect()))
+        .collect()
 }
 
 /// Oracle goldens, one per [`ORACLE_CASES`] entry in the same order:
@@ -598,7 +605,7 @@ fn oracle_results_and_event_streams_are_pinned() {
     for (&label, golden) in ORACLE_CASES.iter().zip(&ORACLE_GOLDENS) {
         let &(total, ci, dof, fairness, per_flow, digests) = golden;
         for threads in [1, 2] {
-            let (s, d) = run_oracle_case(label, threads);
+            let (s, d) = run_case(label, &[Oracle], threads).remove(0);
             assert_eq!(s.policy, "oracle", "{label}");
             assert_eq!(s.n_runs, digests.len(), "{label}");
             assert_eq!(s.mean_total_mbps, total, "{label}: mean total drifted");
@@ -825,4 +832,110 @@ fn decimated_grid_is_pinned_under_every_policy() {
         .map(|&(l, p, t, d, h)| (l, p.to_string(), t, d, h))
         .collect();
     assert_eq!(got, want, "decimated-grid results drifted");
+}
+
+/// FNV-1a over every field of one policy's sweep statistics, each
+/// `f64` through its bits.
+fn stats_digest(s: &SweepStats) -> u64 {
+    let mut d = StreamDigest(0xcbf2_9ce4_8422_2325);
+    d.eat(s.policy.as_bytes());
+    d.eat_u64(s.n_runs as u64);
+    let scalars = [
+        s.mean_total_mbps,
+        s.ci95_total_mbps,
+        s.mean_dof,
+        s.mean_fairness,
+    ];
+    for v in scalars.iter().chain(&s.mean_per_flow_mbps) {
+        d.eat_u64(v.to_bits());
+    }
+    d.0
+}
+
+/// The contended policies, in [`CONTENDED_GOLDENS`] row order.
+const CONTENDED: [Policy; 4] = [NPlus, GreedyJoin, Dot11n, Beamforming];
+
+/// Contended goldens, one block per [`ORACLE_CASES`] input in the same
+/// order and one row per [`CONTENDED`] policy: the [`stats_digest`] of
+/// its sweep statistics, and its per-run [`StreamDigest`]s in seed
+/// order. Recorded before contended and scheduled rounds shared one
+/// round pipeline. Across these inputs n+ and greedy join reach every
+/// join outcome: accepted, plan failed, no airtime and empty
+/// allocation.
+#[allow(clippy::type_complexity)]
+#[rustfmt::skip]
+const CONTENDED_GOLDENS: [[(u64, &[u64]); 4]; 8] = [
+    // three_pairs sigcomm11 static full 12 3
+    [
+        (0x9c7f0260f19b4fed, &[0x96d9a791052f1874, 0x863e5a0aebaf3bac, 0x10fe34834f9e0696]),
+        (0xf3ce488d53a620e2, &[0x9e4f45f610d83801, 0xdf4611c570c38b31, 0x541cae865a61bf4f]),
+        (0xc00a9f306fecbb64, &[0x94ad55a87868fcb7, 0x4fe835b1823726e9, 0xb7f46b89ddd2da19]),
+        (0x50235e5e674d50a8, &[0x9e18eae0548ba7b9, 0xaa4743c00b01e7e3, 0x65f308743c1ae98b]),
+    ],
+    // ap_downlink sigcomm11 static full 12 3
+    [
+        (0x3d470e96b82fcc1d, &[0xad6909e2bea12e36, 0x76635018cb314f25, 0x2b622f5330cd2dbd]),
+        (0xcf11d05001be0ba2, &[0x12a39e94f4f930df, 0x7fc7db52e66a9e9c, 0x86b7584844e17f20]),
+        (0x308242291cf2afe8, &[0x0a9a33cf7fbb8618, 0x0323e02dde89772c, 0xc33ff498abe80319]),
+        (0x717ef1acd0b86375, &[0x0dabde22af64b349, 0x892220737ae3b1d8, 0xf6d4328a9b0c34f5]),
+    ],
+    // load:poisson:0.5/three_pairs sigcomm11 static full 12 3
+    [
+        (0xe059214711265881, &[0x48c81eedfca4b9a8, 0xcc211fe094597974, 0x412446c573cae17c]),
+        (0x32d02160e37056da, &[0x129e30a8352d888d, 0x2a82a379356df0d1, 0x2b33c24815f5ae71]),
+        (0x4a2055c3a29d4d08, &[0x4c38fc84080eab11, 0xcf72fcc9888c67bc, 0x75656419a55f1523]),
+        (0x9c7ce8b44257919c, &[0x3764f0b0ccea03a3, 0x43905d174189b26a, 0x6097616f06ad58ed]),
+    ],
+    // load:bursty:3x2/ap_downlink sigcomm11 static full 12 3
+    [
+        (0x930180d0ea719c0c, &[0x9d9dffb06623d7ea, 0x93432d46fbe10914, 0x24f23808aebc26b0]),
+        (0x2cf2ec3337fa284b, &[0x287303f3e63aa5c7, 0x0da71ba786cf3dd1, 0x2c2de18e28b2bb55]),
+        (0xe53e64e81dbbe8d0, &[0x3a83e5f34e92022b, 0xb407cef924c53194, 0x0ab81a9364eafbd7]),
+        (0xbb2c424f868cd4d2, &[0x9e384f44b32fe89c, 0xe715127a8d16d00d, 0x281bbf9e4c9cdf0a]),
+    ],
+    // load:poisson:0.5/ap_downlink sigcomm11 static full 12 3
+    [
+        (0x44af7d1ff876c3d4, &[0x1bcb8ddfd478a82c, 0xd9fca4b84973bdf8, 0x097f745b97c7013d]),
+        (0x2fb71bdfe5ca4b9a, &[0x8b4cfc0fa49e6c41, 0x01a1df3a5d41f3dd, 0xcabbe1260a14ba98]),
+        (0x469f480a691cb4ed, &[0x4a131e04652ce7c0, 0xd21699c6f99ac299, 0xd145078a71a1ba23]),
+        (0x03f6be03e3b1f347, &[0xb967f565c5833ccb, 0x98bf89406ceec1f9, 0x683ee31548cdb58c]),
+    ],
+    // three_pairs sigcomm11 waypoint:2x4 full 12 3
+    [
+        (0x30b2bd7e901dc5dd, &[0xe476a811e976e046, 0x1a536ff0a8daf460, 0x71a2299fcaf72bf5]),
+        (0xe34de419db534b4a, &[0xe8cb17f0413a6a2f, 0xb0ab935b4f03de51, 0xa448b8bfac3c93ec]),
+        (0x1b415e651d82cc23, &[0xe205f94c7a5b7c1f, 0xff0a0ba70bf3a0b9, 0x1be544fa8551faeb]),
+        (0x8c7016aea151dfdf, &[0xa96db6d09034b7a1, 0xb80a1f034cbf6f53, 0x1b486c5711f4caf1]),
+    ],
+    // random:7 sigcomm11 static decimated:4 12 3
+    [
+        (0xfe05a91a1c2039fb, &[0x170cd2f2708979b5, 0x8d982a7fb5b2a5ea, 0x041a86aba8a09296]),
+        (0xdc2a3a143d129f9c, &[0xb17736c7c59df28c, 0x752ac3d82428c953, 0x22d4c99c91faee9f]),
+        (0xa89167e8617836d1, &[0x4b0c15866a1ab70d, 0x2027db47da43de23, 0x2ffb7aad1a50e53d]),
+        (0x222a06bca0405fa5, &[0xf02e2824306f7bc3, 0x30e660e89703f855, 0xc78336b4d60c0cd3]),
+    ],
+    // load:poisson:1.5/city:64 multi_cell static full 4 2
+    [
+        (0x5595e080fb95ca28, &[0x03edca2dea7c04ed, 0x288e0298767c30c9]),
+        (0x3fdbb619658c6a83, &[0x6eeea0236aa5880e, 0x93f1b608d6a54a3e]),
+        (0xf11876ad61ba568e, &[0x753ff24bff78f9f9, 0x9188a3db1d88ce6c]),
+        (0x1e87be46f8b64269, &[0xbacf1dd62c4a26db, 0x84bd84060eb47641]),
+    ],
+];
+
+/// Every contended policy reproduces its recorded statistics and event
+/// streams bit for bit on every [`ORACLE_CASES`] input, serially and at
+/// 2 threads: queued traffic, mobility and a sparse world included.
+#[test]
+fn contended_results_and_event_streams_are_pinned() {
+    for (&label, golden) in ORACLE_CASES.iter().zip(&CONTENDED_GOLDENS) {
+        let want: Vec<(u64, Vec<u64>)> = golden.iter().map(|&(s, d)| (s, d.to_vec())).collect();
+        for threads in [1, 2] {
+            let got: Vec<(u64, Vec<u64>)> = run_case(label, &CONTENDED, threads)
+                .iter()
+                .map(|(s, d)| (stats_digest(s), d.clone()))
+                .collect();
+            assert_eq!(got, want, "{label}: results drifted ({threads} threads)");
+        }
+    }
 }
