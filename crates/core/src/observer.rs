@@ -82,7 +82,17 @@ pub struct ContentionRecord {
     pub slots: u64,
 }
 
-/// One secondary-contention join attempt.
+/// One join attempt.
+///
+/// Which attempts are recorded depends on how the round reached the
+/// medium:
+/// - a contended round records every attempt. A refusal carries the
+///   streams the joiner asked for, or 0 when its allocation came up
+///   empty (an empty allocation also ends the round's joins). A joiner
+///   whose plan failed has spent its backoff and handshake, and may
+///   contend again in the same round;
+/// - a scheduled round ([`ContentionKind::Scheduled`]) records only
+///   accepted joins: the scheduler never attempts a join it cannot plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinRecord {
     /// Round index.

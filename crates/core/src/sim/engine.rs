@@ -153,10 +153,10 @@ struct Scratch {
     residual: VecPool<CVector>,
     /// Wanted arrival columns of the receiver being registered, one bin.
     wanted: VecPool<CVector>,
-    /// Secondary-contention eligible transmitters.
+    /// Transmitters eligible to join the round being planned.
     eligible: Vec<usize>,
-    /// Stream counts per receiver for handshake sizing.
-    streams_per_rx: Vec<usize>,
+    /// Joiners a scheduled round has barred (see [`Access::Scheduled`]).
+    barred: Vec<usize>,
     /// Stream ids destined to the receiver being settled.
     my_streams: Vec<usize>,
     /// Memoized opening plans keyed by `(tx, flow, n_streams)`; `None`
@@ -166,9 +166,9 @@ struct Scratch {
     /// [`SimEngine::schedule_key_into`]), built in place every round.
     schedule_key: Vec<usize>,
     /// Memoized omniscient rounds keyed by schedule state, at most
-    /// [`MAX_SCHEDULES`] of them; `None` records a round no candidate
-    /// could transmit in.
-    schedules: Vec<(Vec<usize>, Option<CandidateRound>)>,
+    /// [`MAX_SCHEDULES`] of them; an idle plan records a round no
+    /// candidate could transmit in.
+    schedules: Vec<(Vec<usize>, RoundPlan)>,
     /// Believed channels to protected receivers, flat `[p * n_eval + e]`.
     bp: Vec<CMatrixSoA>,
     /// Audibility per protected receiver (`false`: below the floor, no
@@ -191,17 +191,23 @@ struct Scratch {
     zf_ws: ZfWorkspace,
 }
 
-/// Round-lifetime pools owned by [`SimEngine::run`]: the stream and
-/// receiver-state lists plus the contention, allocation and settlement
+/// The streams a round has planned so far and the receiver states
+/// protecting them, pooled across rounds.
+#[derive(Default)]
+struct Planned {
+    protected: VecPool<ReceiverState>,
+    streams: VecPool<PlannedStream>,
+}
+
+/// Round-lifetime pools owned by [`SimEngine::run`]: the planned
+/// streams, the plan being narrated, and the allocation and contention
 /// buffers, reused across rounds instead of allocated fresh each round.
 #[derive(Default)]
 struct RoundBufs {
-    protected: VecPool<ReceiverState>,
-    streams: VecPool<PlannedStream>,
+    planned: Planned,
+    plan: RoundPlan,
     first_alloc: Vec<(usize, usize)>,
     join_alloc: Vec<(usize, usize)>,
-    round_bits: Vec<f64>,
-    records: Vec<StreamRecord>,
     /// Contention windows / backoff draws for [`contend`].
     cws: Vec<u32>,
     draws: Vec<u32>,
@@ -213,17 +219,99 @@ struct RoundBufs {
 /// only caps memory and lookup time on a run whose queues keep changing.
 const MAX_SCHEDULES: usize = 64;
 
-/// One fully evaluated omniscient-scheduler candidate: the outcome of
-/// forcing a particular primary transmitter for the round.
-struct CandidateRound {
-    primary: usize,
-    /// `(joiner, streams granted)` in join order.
-    joins: Vec<(usize, usize)>,
-    flow_bits: Vec<f64>,
-    bits_total: f64,
+/// The borrowed inputs every step of one round reads. A round reads the
+/// traffic queues but never drains them: [`SimEngine::run`] does, once
+/// the round is narrated.
+struct RoundCtx<'r> {
+    policy: Policy,
+    round: usize,
+    /// The channels in force: the engine's, or a mobility run's copy.
+    cache: &'r ChannelCache,
+    /// The backlogged transmitters (every transmitter under saturated
+    /// traffic).
+    active: &'r [usize],
+    traffic: &'r TrafficState,
+}
+
+/// How a round's transmitters reach the medium, the one thing n+'s
+/// random-access round (§3) and the oracle's forced-primary round (§6.3)
+/// do differently.
+#[derive(Clone, Copy)]
+enum Access {
+    /// The primary and every joiner win CSMA contention. A join costs
+    /// its backoff slots plus its handshake. A joiner whose plan fails
+    /// has spent that delay and may contend again; an empty join
+    /// allocation ends the joins. Every contention and join attempt is
+    /// narrated.
+    Contended,
+    /// `primary` opens the round and the eligible joiner with the most
+    /// antennas, ties to the lowest index, joins next. A join costs its
+    /// handshake only. The scheduler never attempts a join it cannot
+    /// plan, so a joiner whose plan fails or whose allocation is empty
+    /// is barred for the round at no cost. Only accepted joins are
+    /// narrated.
+    Scheduled { primary: usize },
+}
+
+/// What became of one join attempt, decided by [`SimEngine::join_step`].
+#[derive(Clone, Copy)]
+enum JoinOutcome {
+    /// Planned: the joiner sends this many streams.
+    Accepted(usize),
+    /// The joiner's allocation, pruned to backlogged flows, was empty.
+    EmptyAllocation,
+    /// The join's delay reaches the end of the body.
+    NoAirtime { requested: usize },
+    /// No rate survived rate selection, the precoder had no room, or the
+    /// joiner's own link is below the floor. Power control never
+    /// declines a join, it only lowers power. Rate selection is the
+    /// usual cause: in a 20-seed x 40-round three_pairs n+ sweep all 295
+    /// failures of 548 planned joins were rate failures, none a
+    /// precoder's.
+    PlanFailed { requested: usize },
+}
+
+/// One narrated step of a planned round; [`SimEngine::emit_round`]
+/// turns it into an observer event under the round it narrates.
+#[derive(Clone, Copy)]
+enum Event {
+    Contention {
+        kind: ContentionKind,
+        n_contenders: usize,
+        winner: usize,
+        slots: u64,
+    },
+    Join {
+        tx: usize,
+        outcome: JoinOutcome,
+    },
+}
+
+/// A planned round as it is narrated: its events in planning order,
+/// then what its [`RoundRecord`] carries. A contended round fills the
+/// run's pooled plan and is narrated at once; the oracle keeps its best
+/// candidate's plan in the schedule memo and narrates it again on every
+/// round with the same schedule key.
+#[derive(Default)]
+struct RoundPlan {
+    events: Vec<Event>,
     body_symbols: usize,
     duration_samples: u64,
+    flow_bits: Vec<f64>,
     streams: Vec<StreamRecord>,
+}
+
+impl RoundPlan {
+    /// Closes the plan as a round nobody transmitted in: it charges
+    /// `duration_samples` of airtime and settles nothing. The events
+    /// are left as they are.
+    fn close_idle(&mut self, n_flows: usize, duration_samples: u64) {
+        self.body_symbols = 0;
+        self.duration_samples = duration_samples;
+        self.flow_bits.clear();
+        self.flow_bits.resize(n_flows, 0.0);
+        self.streams.clear();
+    }
 }
 
 /// Extends the span of `existing` with directions orthogonal to it, up
@@ -343,35 +431,32 @@ fn contend(
 
 /// Typical alignment-blob size in bytes (CP¹ codec over 52 subcarriers:
 /// header + first angles + escape mask + ~1 byte/subcarrier).
-pub const TYPICAL_BLOB_BYTES: usize = 62;
+const TYPICAL_BLOB_BYTES: usize = 62;
 
 /// Header exchange cost in OFDM symbols: data header + SIFS + per-receiver
 /// ACK headers (each with an alignment blob of `blob_bytes`) + SIFS, all
 /// at base rate.
 ///
-/// `streams_per_rx` holds the actual stream allocation, one entry per
-/// receiver. Both frame sizes come from the real codecs in `nplus-mac`:
-/// the data header lists the real per-receiver stream counts, each ACK
-/// carries one rate index per stream (§3.4 selects rates per stream),
-/// and — since every receiver transmits its own ACK frame — each ACK is
-/// padded to a whole OFDM symbol individually rather than rounding once
-/// across the summed total.
-fn handshake_symbols(cfg: &SimConfig, streams_per_rx: &[usize], blob_bytes: usize) -> usize {
-    let one = [1usize];
-    let per_rx: &[usize] = if streams_per_rx.is_empty() {
-        &one
-    } else {
-        streams_per_rx
-    };
+/// `alloc` is the actual `(flow, streams)` allocation, one entry per
+/// receiver; an empty one is sized as one receiver of one stream. Both
+/// frame sizes come from the real codecs in `nplus-mac`: the data header
+/// lists the real per-receiver stream counts, each ACK carries one rate
+/// index per stream (§3.4 selects rates per stream), and — since every
+/// receiver transmits its own ACK frame — each ACK is padded to a whole
+/// OFDM symbol individually rather than rounding once across the summed
+/// total.
+fn handshake_symbols(cfg: &SimConfig, alloc: &[(usize, usize)], blob_bytes: usize) -> usize {
     // Frame sizes via the codecs' closed forms (`encoded_len` is pinned
     // bit-for-bit against `to_bytes().len()` by the frames tests), so the
     // hot path never materializes header byte vectors.
-    let hdr_bits = DataHeader::encoded_len(per_rx.len()) * 8;
     let base = BASE_RATE.data_bits_per_symbol();
-    let ack_symbols: usize = per_rx
-        .iter()
-        .map(|&n| (AckHeader::encoded_len(n.max(1), blob_bytes) * 8).div_ceil(base))
-        .sum();
+    let ack = |n: usize| (AckHeader::encoded_len(n.max(1), blob_bytes) * 8).div_ceil(base);
+    let (n_rx, ack_symbols) = if alloc.is_empty() {
+        (1, ack(1))
+    } else {
+        (alloc.len(), alloc.iter().map(|&(_, n)| ack(n)).sum())
+    };
+    let hdr_bits = DataHeader::encoded_len(n_rx) * 8;
     let sifs_syms = (cfg.timing.sifs as usize).div_ceil(cfg.timing.symbol as usize);
     hdr_bits.div_ceil(base) + ack_symbols + 2 * sifs_syms
 }
@@ -473,21 +558,19 @@ impl<'a> SimEngine<'a> {
     /// same draws and computes none. An absent link returns `false` (and
     /// leaves `out` untouched) and consumes no RNG either — below the
     /// floor there is no reverse channel to estimate from.
-    #[allow(clippy::too_many_arguments)]
     fn believed_channel_into(
         &self,
-        policy: Policy,
-        cache: &ChannelCache,
+        ctx: &RoundCtx<'_>,
         from: usize,
         to: usize,
         k_occ: usize,
         rng: &mut StdRng,
         out: &mut CMatrixSoA,
     ) -> bool {
-        let Some(h) = self.true_channel(cache, from, to, k_occ) else {
+        let Some(h) = self.true_channel(ctx.cache, from, to, k_occ) else {
             return false;
         };
-        if policy.perfect_knowledge() {
+        if ctx.policy.perfect_knowledge() {
             out.assign_from(h);
         } else {
             self.cfg
@@ -505,21 +588,19 @@ impl<'a> SimEngine<'a> {
     /// a shape-only view and never a believed draw. Debug builds redraw
     /// the channel on a clone of `rng` and assert that both streams end
     /// where the other does.
-    #[allow(clippy::too_many_arguments)]
     fn skip_believed_channel(
         &self,
-        policy: Policy,
-        cache: &ChannelCache,
+        ctx: &RoundCtx<'_>,
         from: usize,
         to: usize,
         k_occ: usize,
         rng: &mut StdRng,
         out: &mut CMatrixSoA,
     ) -> bool {
-        let Some(h) = self.true_channel(cache, from, to, k_occ) else {
+        let Some(h) = self.true_channel(ctx.cache, from, to, k_occ) else {
             return false;
         };
-        if !policy.perfect_knowledge() {
+        if !ctx.policy.perfect_knowledge() {
             let hw = &self.cfg.hardware;
             #[cfg(debug_assertions)]
             let mut drawn = {
@@ -630,23 +711,22 @@ impl<'a> SimEngine<'a> {
     /// Plans the transmission of one winner: computes precoders against
     /// the currently protected receivers, registers the new receiver
     /// state, and returns the planned streams as the contiguous id range
-    /// `[start, end)` they occupy in `streams` (ids are always appended
-    /// sequentially). Returns `None` — with `protected`/`streams` rolled
-    /// back to their entry state — if the winner cannot join (no DoF,
-    /// rate selection failure, or precoder degeneracy).
-    #[allow(clippy::too_many_arguments)]
+    /// `[start, end)` they occupy in `planned.streams` (ids are always
+    /// appended sequentially). The caller sets their `active_symbols`
+    /// once it knows the body. Returns `None` — with `planned` rolled
+    /// back to its entry state — if the winner cannot join (no DoF, rate
+    /// selection failure, or precoder degeneracy).
     fn plan_winner(
         &self,
-        policy: Policy,
-        cache: &ChannelCache,
+        ctx: &RoundCtx<'_>,
         tx: usize,
         allocation: &[(usize, usize)],
-        protected: &mut VecPool<ReceiverState>,
-        streams: &mut VecPool<PlannedStream>,
-        body_symbols_left: usize,
+        planned: &mut Planned,
         scratch: &mut Scratch,
         rng: &mut StdRng,
     ) -> Option<(usize, usize)> {
+        let Planned { protected, streams } = planned;
+        let cache = ctx.cache;
         let n_eval = self.n_eval();
         let m_tx = self.n_ant(tx);
         let total_new: usize = allocation.iter().map(|(_, n)| n).sum();
@@ -679,7 +759,7 @@ impl<'a> SimEngine<'a> {
                 slot.flow = f;
                 slot.rate = plan.rates[s];
                 slot.tx_node = tx;
-                slot.active_symbols = body_symbols_left;
+                slot.active_symbols = 0;
                 slot.precoders.clear();
                 for pc in &plan.precoders[s] {
                     slot.precoders.push_slot().copy_from(pc);
@@ -717,7 +797,7 @@ impl<'a> SimEngine<'a> {
             for e in 0..n_eval {
                 let k = self.eval_pos[e];
                 let out = &mut scratch.bp[p * n_eval + e];
-                if !self.believed_channel_into(policy, cache, tx, node, k, rng, out) {
+                if !self.believed_channel_into(ctx, tx, node, k, rng, out) {
                     ok = false;
                     break;
                 }
@@ -738,9 +818,9 @@ impl<'a> SimEngine<'a> {
                 let k = self.eval_pos[e];
                 let out = &mut scratch.bo[i * n_eval + e];
                 let present = if lone {
-                    self.skip_believed_channel(policy, cache, tx, rx, k, rng, out)
+                    self.skip_believed_channel(ctx, tx, rx, k, rng, out)
                 } else {
-                    self.believed_channel_into(policy, cache, tx, rx, k, rng, out)
+                    self.believed_channel_into(ctx, tx, rx, k, rng, out)
                 };
                 if !present {
                     return None;
@@ -757,7 +837,7 @@ impl<'a> SimEngine<'a> {
         // §4 rule is a policy decision now: n+ runs it, `GreedyJoin` and
         // the oracle (whose nulls are exact) bypass it. Only audible
         // protected receivers enter the decision.
-        let decision = if policy.join_power_control() {
+        let decision = if ctx.policy.join_power_control() {
             let mid = n_eval / 2;
             if scratch.audible.is_empty() {
                 JoinPowerDecision::FullPower
@@ -822,7 +902,7 @@ impl<'a> SimEngine<'a> {
                 slot.flow = f;
                 slot.rate = 0;
                 slot.tx_node = tx;
-                slot.active_symbols = body_symbols_left;
+                slot.active_symbols = 0;
                 slot.precoders.clear();
             }
         }
@@ -981,11 +1061,11 @@ impl<'a> SimEngine<'a> {
     fn settle_round_into(
         &self,
         cache: &ChannelCache,
-        protected: &[ReceiverState],
-        streams: &[PlannedStream],
+        planned: &Planned,
         scratch: &mut Scratch,
         bits: &mut Vec<f64>,
     ) {
+        let (protected, streams) = (planned.protected.as_slice(), planned.streams.as_slice());
         bits.clear();
         bits.resize(self.scenario.flows.len(), 0.0);
         for rx_state in protected {
@@ -1142,613 +1222,385 @@ impl<'a> SimEngine<'a> {
                     .copied()
                     .filter(|&t| self.flows_of[t].iter().any(|&f| traffic.has_backlog(f))),
             );
-            if active.is_empty() {
+            let ctx = RoundCtx {
+                policy,
+                round,
+                cache,
+                active: &active,
+                traffic: &traffic,
+            };
+            let plan = if active.is_empty() {
                 // Nothing queued anywhere: the medium idles one DIFS.
-                self.emit_idle_round(round, self.cfg.timing.difs, &mut bufs.round_bits, &mut tee);
-                continue;
-            }
-            if policy.omniscient() {
-                self.omniscient_round(
-                    policy,
-                    round,
-                    cache,
-                    &active,
-                    &mut traffic,
-                    &mut scratch,
-                    &mut bufs,
-                    rng,
-                    &mut tee,
-                );
+                bufs.plan.events.clear();
+                bufs.plan
+                    .close_idle(self.scenario.flows.len(), self.cfg.timing.difs);
+                &bufs.plan
+            } else if policy.omniscient() {
+                self.omniscient_round(&ctx, &mut scratch, &mut bufs, rng)
             } else {
-                self.contended_round(
-                    policy,
-                    round,
-                    cache,
-                    &active,
-                    &mut traffic,
-                    &mut scratch,
-                    &mut bufs,
-                    rng,
-                    &mut tee,
-                );
-            }
+                self.plan_round(&ctx, Access::Contended, &mut scratch, &mut bufs, rng);
+                &bufs.plan
+            };
+            Self::emit_round(round, plan, &mut tee);
+            traffic.note_serviced(plan.streams.iter().map(|s| s.flow));
         }
         acc.finish()
     }
 
-    /// A round nobody managed to use: charge the airtime, settle nothing.
-    /// `bits` is the caller's pooled per-flow buffer (zeroed here).
-    fn emit_idle_round(
-        &self,
-        round: usize,
-        duration_samples: u64,
-        bits: &mut Vec<f64>,
-        obs: &mut dyn RoundObserver,
-    ) {
-        bits.clear();
-        bits.resize(self.scenario.flows.len(), 0.0);
+    /// Narrates a planned round under `round`: its contention and join
+    /// events in planning order, then its settlement. This is the one
+    /// place a round's events are built, for a live round and for a
+    /// schedule memo replay alike.
+    fn emit_round(round: usize, plan: &RoundPlan, obs: &mut dyn RoundObserver) {
+        for &event in &plan.events {
+            match event {
+                Event::Contention {
+                    kind,
+                    n_contenders,
+                    winner,
+                    slots,
+                } => obs.on_contention(&ContentionRecord {
+                    round,
+                    kind,
+                    n_contenders,
+                    winner,
+                    slots,
+                }),
+                Event::Join { tx, outcome } => {
+                    let (n_streams, accepted) = match outcome {
+                        JoinOutcome::Accepted(n) => (n, true),
+                        JoinOutcome::EmptyAllocation => (0, false),
+                        JoinOutcome::NoAirtime { requested }
+                        | JoinOutcome::PlanFailed { requested } => (requested, false),
+                    };
+                    obs.on_join(&JoinRecord {
+                        round,
+                        tx,
+                        n_streams,
+                        accepted,
+                    });
+                }
+            }
+        }
         obs.on_round_end(&RoundRecord {
             round,
-            body_symbols: 0,
-            duration_samples,
-            flow_bits: bits,
-            streams: &[],
+            body_symbols: plan.body_symbols,
+            duration_samples: plan.duration_samples,
+            flow_bits: &plan.flow_bits,
+            streams: &plan.streams,
         });
     }
 
-    /// Opens a round for the planned primary winner: handshake airtime
-    /// from the real allocation, body length from the winner's aggregate
-    /// rate (one packet per serviced flow), and the winner's streams
-    /// patched to span the whole body. Shared by the contended and
-    /// omniscient access paths so the accounting can never drift apart.
-    fn open_body(
+    /// Plans one round under `access` into `bufs.plan`: the primary's
+    /// allocation pruned to backlogged flows, its plan and the body it
+    /// opens, joins until the body's airtime runs out (joining policies
+    /// only), then settlement and airtime accounting. Returns `false`
+    /// when even the primary could not transmit (degenerate channels);
+    /// the plan is then an idle round charged its overhead plus a DIFS.
+    fn plan_round(
         &self,
-        first_alloc: &[(usize, usize)],
-        first_range: (usize, usize),
-        streams: &mut VecPool<PlannedStream>,
-        scratch: &mut Scratch,
-    ) -> (u64, usize) {
-        let cfg = self.cfg;
-        scratch.streams_per_rx.clear();
-        scratch
-            .streams_per_rx
-            .extend(first_alloc.iter().map(|&(_, n)| n));
-        let handshake_samples = cfg.timing.symbol
-            * handshake_symbols(cfg, &scratch.streams_per_rx, TYPICAL_BLOB_BYTES) as u64;
-        let first_rate_sum: usize = (first_range.0..first_range.1)
-            .map(|i| RATE_TABLE[streams[i].rate].data_bits_per_symbol())
-            .sum();
-        let packet_bits = cfg.packet_bytes * 8 * first_alloc.len();
-        let body_symbols = packet_bits.div_ceil(first_rate_sum.max(1));
-        for i in first_range.0..first_range.1 {
-            streams[i].active_symbols = body_symbols;
-        }
-        (handshake_samples, body_symbols)
-    }
-
-    /// Total round airtime: everything in `overhead` (contention,
-    /// handshakes) plus the data body, the ACK exchange and the closing
-    /// DIFS.
-    fn round_airtime(&self, overhead: u64, body_symbols: usize) -> u64 {
-        let cfg = self.cfg;
-        let ack_syms = 2 + (cfg.timing.sifs as usize).div_ceil(cfg.timing.symbol as usize);
-        overhead + cfg.timing.symbol * (body_symbols + ack_syms) as u64 + cfg.timing.difs
-    }
-
-    /// The round's final per-stream ledger, in planning order, into the
-    /// caller's pooled buffer.
-    fn stream_records_into(streams: &[PlannedStream], out: &mut Vec<StreamRecord>) {
-        out.clear();
-        out.extend(streams.iter().map(|s| StreamRecord {
-            flow: s.flow,
-            tx: s.tx_node,
-            rate: s.rate,
-            active_symbols: s.active_symbols,
-        }));
-    }
-
-    /// Owning form of [`stream_records_into`] for the omniscient path,
-    /// whose candidate rounds outlive the pooled buffers.
-    fn stream_records(streams: &[PlannedStream]) -> Vec<StreamRecord> {
-        let mut out = Vec::new();
-        Self::stream_records_into(streams, &mut out);
-        out
-    }
-
-    /// One random-access round: primary CSMA contention, the winner's
-    /// policy-chosen allocation, optional secondary-contention joins,
-    /// settlement and airtime accounting, with the protocol decisions
-    /// delegated to the policy. `active` is the round's
-    /// backlogged-transmitter set (every transmitter under saturated
-    /// traffic).
-    #[allow(clippy::too_many_arguments)]
-    fn contended_round(
-        &self,
-        policy: Policy,
-        round: usize,
-        cache: &ChannelCache,
-        active: &[usize],
-        traffic: &mut TrafficState,
+        ctx: &RoundCtx<'_>,
+        access: Access,
         scratch: &mut Scratch,
         bufs: &mut RoundBufs,
         rng: &mut StdRng,
-        obs: &mut dyn RoundObserver,
-    ) {
-        let cfg = self.cfg;
-        bufs.protected.clear();
-        bufs.streams.clear();
-
-        // Primary contention among the transmitters with traffic.
-        let (first, slots) = contend(active, &cfg.timing, &mut bufs.cws, &mut bufs.draws, rng);
-        obs.on_contention(&ContentionRecord {
-            round,
-            kind: ContentionKind::Primary,
-            n_contenders: active.len(),
-            winner: first,
+    ) -> bool {
+        let timing = &self.cfg.timing;
+        bufs.planned.protected.clear();
+        bufs.planned.streams.clear();
+        bufs.plan.events.clear();
+        let (primary, slots, kind) = match access {
+            Access::Contended => {
+                let (winner, slots) =
+                    contend(ctx.active, timing, &mut bufs.cws, &mut bufs.draws, rng);
+                (winner, slots, ContentionKind::Primary)
+            }
+            Access::Scheduled { primary } => (primary, 0, ContentionKind::Scheduled),
+        };
+        bufs.plan.events.push(Event::Contention {
+            kind,
+            n_contenders: ctx.active.len(),
+            winner: primary,
             slots,
         });
-        let mut overhead = cfg.timing.difs + slots * cfg.timing.slot;
+        let mut overhead = timing.difs + slots * timing.slot;
 
-        // First winner's allocation, pruned to flows with queued
-        // packets (a no-op under saturated traffic).
-        policy.primary_allocation_into(
+        ctx.policy.primary_allocation_into(
             self.scenario,
             &self.flows_of,
-            first,
-            round,
+            primary,
+            ctx.round,
             &mut bufs.first_alloc,
         );
-        traffic.retain_backlogged(&mut bufs.first_alloc);
-
-        // Plan the first winner with a provisional body length;
-        // patched below once its rates are known.
+        ctx.traffic.retain_backlogged(&mut bufs.first_alloc);
         let planned = self.plan_winner(
-            policy,
-            cache,
-            first,
+            ctx,
+            primary,
             &bufs.first_alloc,
-            &mut bufs.protected,
-            &mut bufs.streams,
-            usize::MAX,
+            &mut bufs.planned,
             scratch,
             rng,
         );
-        let Some(first_range) = planned else {
-            // Even the first winner could not transmit (degenerate
-            // channels): charge the overhead and move on.
-            self.emit_idle_round(round, overhead + cfg.timing.difs, &mut bufs.round_bits, obs);
-            return;
+        let Some((p0, p1)) = planned else {
+            bufs.plan
+                .close_idle(self.scenario.flows.len(), overhead + timing.difs);
+            return false;
         };
-        let (handshake_samples, body_symbols) =
-            self.open_body(&bufs.first_alloc, first_range, &mut bufs.streams, scratch);
-        overhead += handshake_samples;
+        // The body: handshake airtime from the real allocation, length
+        // from the primary's aggregate rate (one packet per serviced
+        // flow), and the primary's streams span all of it.
+        let handshake = handshake_symbols(self.cfg, &bufs.first_alloc, TYPICAL_BLOB_BYTES);
+        overhead += timing.symbol * handshake as u64;
+        let streams = &mut bufs.planned.streams;
+        let rate_sum: usize = (p0..p1)
+            .map(|i| RATE_TABLE[streams[i].rate].data_bits_per_symbol())
+            .sum();
+        let packet_bits = self.cfg.packet_bytes * 8 * bufs.first_alloc.len();
+        let body_symbols = packet_bits.div_ceil(rate_sum.max(1));
+        for i in p0..p1 {
+            streams[i].active_symbols = body_symbols;
+        }
+        bufs.plan.body_symbols = body_symbols;
 
-        // Secondary contention (joining policies only): remaining
-        // transmitters join through the precoder.
-        if policy.allows_join() {
-            let mut k_used: usize = bufs.streams.len();
-            let mut elapsed_body: usize = 0;
-            loop {
-                scratch.eligible.clear();
-                scratch.eligible.extend(active.iter().copied().filter(|&t| {
-                    t != first
-                        && bufs.streams.iter().all(|s| s.tx_node != t)
-                        && self.n_ant(t) > k_used
-                }));
-                if scratch.eligible.is_empty() {
-                    break;
-                }
-                let n_contenders = scratch.eligible.len();
-                let (joiner, join_slots) = contend(
-                    &scratch.eligible,
-                    &cfg.timing,
-                    &mut bufs.cws,
-                    &mut bufs.draws,
-                    rng,
-                );
-                obs.on_contention(&ContentionRecord {
-                    round,
-                    kind: ContentionKind::Join,
-                    n_contenders,
-                    winner: joiner,
-                    slots: join_slots,
-                });
-                policy.join_allocation_into(
-                    self.scenario,
-                    &self.flows_of,
-                    joiner,
-                    k_used,
-                    round,
-                    &mut bufs.join_alloc,
-                );
-                traffic.retain_backlogged(&mut bufs.join_alloc);
-                if bufs.join_alloc.is_empty() {
-                    obs.on_join(&JoinRecord {
-                        round,
+        if ctx.policy.allows_join() {
+            let mut elapsed = 0;
+            scratch.barred.clear();
+            while let Some((joiner, outcome)) =
+                self.join_step(ctx, access, &mut elapsed, scratch, bufs, rng)
+            {
+                if matches!(access, Access::Contended)
+                    || matches!(outcome, JoinOutcome::Accepted(_))
+                {
+                    bufs.plan.events.push(Event::Join {
                         tx: joiner,
-                        n_streams: 0,
-                        accepted: false,
+                        outcome,
                     });
-                    break;
                 }
-                let requested: usize = bufs.join_alloc.iter().map(|&(_, n)| n).sum();
-                // The join consumes body time: contention + its
-                // handshake, sized by the actual allocation.
-                scratch.streams_per_rx.clear();
-                scratch
-                    .streams_per_rx
-                    .extend(bufs.join_alloc.iter().map(|&(_, n)| n));
-                let hs = handshake_symbols(cfg, &scratch.streams_per_rx, TYPICAL_BLOB_BYTES);
-                let join_delay = ((join_slots * cfg.timing.slot) as usize)
-                    .div_ceil(cfg.timing.symbol as usize)
-                    + hs;
-                elapsed_body += join_delay;
-                if elapsed_body >= body_symbols {
-                    obs.on_join(&JoinRecord {
-                        round,
-                        tx: joiner,
-                        n_streams: requested,
-                        accepted: false,
-                    });
-                    break; // no air time left this round
-                }
-                let remaining = body_symbols - elapsed_body;
-                let planned = self.plan_winner(
-                    policy,
-                    cache,
-                    joiner,
-                    &bufs.join_alloc,
-                    &mut bufs.protected,
-                    &mut bufs.streams,
-                    remaining,
-                    scratch,
-                    rng,
-                );
-                match planned {
-                    Some((j0, j1)) => {
-                        obs.on_join(&JoinRecord {
-                            round,
-                            tx: joiner,
-                            n_streams: j1 - j0,
-                            accepted: true,
-                        });
-                        k_used += j1 - j0;
-                    }
-                    None => {
-                        // The joiner could not plan: no rate survived
-                        // rate selection, the precoder had no room, or
-                        // its own link is below the floor. Power control
-                        // never declines a join, it only lowers power.
-                        // Rate selection is the usual cause: in a
-                        // 20-seed x 40-round three_pairs n+ sweep all
-                        // 295 failures of 548 planned joins were rate
-                        // failures, none a precoder's. Others may still
-                        // try.
-                        obs.on_join(&JoinRecord {
-                            round,
-                            tx: joiner,
-                            n_streams: requested,
-                            accepted: false,
-                        });
-                        continue;
-                    }
+                match (outcome, access) {
+                    (JoinOutcome::Accepted(_), _)
+                    | (JoinOutcome::PlanFailed { .. }, Access::Contended) => {}
+                    (JoinOutcome::NoAirtime { .. }, _)
+                    | (JoinOutcome::EmptyAllocation, Access::Contended) => break,
+                    (
+                        JoinOutcome::EmptyAllocation | JoinOutcome::PlanFailed { .. },
+                        Access::Scheduled { .. },
+                    ) => scratch.barred.push(joiner),
                 }
             }
         }
 
         // Settle: realized SINRs including residuals.
-        self.settle_round_into(
-            cache,
-            bufs.protected.as_slice(),
-            bufs.streams.as_slice(),
-            scratch,
-            &mut bufs.round_bits,
-        );
-        traffic.note_serviced(bufs.streams.iter().map(|s| s.flow));
-
-        // Time accounting.
-        let round_samples = self.round_airtime(overhead, body_symbols);
-        Self::stream_records_into(bufs.streams.as_slice(), &mut bufs.records);
-        obs.on_round_end(&RoundRecord {
-            round,
-            body_symbols,
-            duration_samples: round_samples,
-            flow_bits: &bufs.round_bits,
-            streams: &bufs.records,
-        });
+        self.settle_round_into(ctx.cache, &bufs.planned, scratch, &mut bufs.plan.flow_bits);
+        // Airtime: the overhead (contention, handshakes), the body, the
+        // ACK exchange and the closing DIFS.
+        let ack_syms = 2 + (timing.sifs as usize).div_ceil(timing.symbol as usize);
+        bufs.plan.duration_samples =
+            overhead + timing.symbol * (body_symbols + ack_syms) as u64 + timing.difs;
+        // The round's final per-stream ledger, in planning order.
+        bufs.plan.streams.clear();
+        bufs.plan
+            .streams
+            .extend(bufs.planned.streams.iter().map(|s| StreamRecord {
+                flow: s.flow,
+                tx: s.tx_node,
+                rate: s.rate,
+                active_symbols: s.active_symbols,
+            }));
+        true
     }
 
-    /// One omniscient-scheduler round: evaluate every transmitter as the
-    /// forced primary (no contention, perfect knowledge — no RNG is
-    /// consumed) and keep the schedule delivering the most bits per unit
-    /// airtime. Ties keep the earlier transmitter, so the search is
-    /// fully deterministic.
-    ///
-    /// An omniscient policy plans with perfect knowledge, which makes
-    /// the winning schedule a pure function of the round's schedule key
-    /// (see [`schedule_key_into`](SimEngine::schedule_key_into)) and the
-    /// run's channels: it is planned once per distinct key and
-    /// replayed from `scratch.schedules` afterwards: a hit re-emits the
-    /// stored events under the current round and allocates nothing.
-    #[allow(clippy::too_many_arguments)]
-    fn omniscient_round(
+    /// One join attempt in a round whose body is open: picks the joiner
+    /// under `access` among the transmitters that send nothing yet, are
+    /// not barred and have an antenna beyond the streams in flight;
+    /// sizes its allocation and delay; checks the delay against the
+    /// body's remaining airtime; and plans it. `elapsed` is the body
+    /// time joins have spent so far. Returns `None` when nobody is
+    /// eligible.
+    fn join_step(
         &self,
-        policy: Policy,
-        round: usize,
-        cache: &ChannelCache,
-        active: &[usize],
-        traffic: &mut TrafficState,
+        ctx: &RoundCtx<'_>,
+        access: Access,
+        elapsed: &mut usize,
         scratch: &mut Scratch,
         bufs: &mut RoundBufs,
         rng: &mut StdRng,
-        obs: &mut dyn RoundObserver,
-    ) {
-        self.schedule_key_into(
-            policy,
-            round,
-            active,
-            traffic,
-            bufs,
-            &mut scratch.schedule_key,
-        );
-        let key = scratch.schedule_key.as_slice();
-        if let Some((_, best)) = scratch.schedules.iter().find(|(k, _)| k == key) {
-            self.emit_schedule(
-                round,
-                active.len(),
-                best.as_ref(),
-                traffic,
-                &mut bufs.round_bits,
-                obs,
-            );
-            return;
+    ) -> Option<(usize, JoinOutcome)> {
+        let timing = &self.cfg.timing;
+        let k_used = bufs.planned.streams.len();
+        let streams = &bufs.planned.streams;
+        let barred = &scratch.barred;
+        scratch.eligible.clear();
+        scratch
+            .eligible
+            .extend(ctx.active.iter().copied().filter(|&t| {
+                !barred.contains(&t)
+                    && streams.iter().all(|s| s.tx_node != t)
+                    && self.n_ant(t) > k_used
+            }));
+        if scratch.eligible.is_empty() {
+            return None;
         }
-        let mut best: Option<CandidateRound> = None;
-        for &t in active {
-            if let Some(cand) =
-                self.forced_round(policy, t, round, cache, active, traffic, scratch, bufs, rng)
-            {
-                // Compare bits-per-sample by cross-multiplication (both
-                // sides non-negative, durations positive) — strictly
-                // greater replaces, so ties keep the earlier primary.
-                let replace = match &best {
-                    None => true,
-                    Some(b) => {
-                        cand.bits_total * b.duration_samples as f64
-                            > b.bits_total * cand.duration_samples as f64
-                    }
-                };
-                if replace {
-                    best = Some(cand);
+        let (joiner, slots) = match access {
+            Access::Contended => {
+                let (winner, slots) = contend(
+                    &scratch.eligible,
+                    timing,
+                    &mut bufs.cws,
+                    &mut bufs.draws,
+                    rng,
+                );
+                bufs.plan.events.push(Event::Contention {
+                    kind: ContentionKind::Join,
+                    n_contenders: scratch.eligible.len(),
+                    winner,
+                    slots,
+                });
+                (winner, slots)
+            }
+            Access::Scheduled { .. } => {
+                let most_capable = scratch
+                    .eligible
+                    .iter()
+                    .copied()
+                    .max_by_key(|&t| (self.n_ant(t), std::cmp::Reverse(t)))?;
+                (most_capable, 0)
+            }
+        };
+        ctx.policy.join_allocation_into(
+            self.scenario,
+            &self.flows_of,
+            joiner,
+            k_used,
+            ctx.round,
+            &mut bufs.join_alloc,
+        );
+        ctx.traffic.retain_backlogged(&mut bufs.join_alloc);
+        if bufs.join_alloc.is_empty() {
+            return Some((joiner, JoinOutcome::EmptyAllocation));
+        }
+        let requested = bufs.join_alloc.iter().map(|&(_, n)| n).sum();
+        // The join consumes body time: its backoff (none when
+        // scheduled) plus its handshake, sized by the actual allocation.
+        let delay = ((slots * timing.slot) as usize).div_ceil(timing.symbol as usize)
+            + handshake_symbols(self.cfg, &bufs.join_alloc, TYPICAL_BLOB_BYTES);
+        let end = *elapsed + delay;
+        if end >= bufs.plan.body_symbols {
+            return Some((joiner, JoinOutcome::NoAirtime { requested }));
+        }
+        let planned = self.plan_winner(
+            ctx,
+            joiner,
+            &bufs.join_alloc,
+            &mut bufs.planned,
+            scratch,
+            rng,
+        );
+        // A contended joiner has spent its delay whether or not its plan
+        // holds; the scheduler only spends it on a join that happens.
+        if planned.is_some() || matches!(access, Access::Contended) {
+            *elapsed = end;
+        }
+        let Some((j0, j1)) = planned else {
+            return Some((joiner, JoinOutcome::PlanFailed { requested }));
+        };
+        for i in j0..j1 {
+            bufs.planned.streams[i].active_symbols = bufs.plan.body_symbols - end;
+        }
+        Some((joiner, JoinOutcome::Accepted(j1 - j0)))
+    }
+
+    /// One omniscient-scheduler round: plan the round with every
+    /// backlogged transmitter as the [`Access::Scheduled`] primary (no
+    /// contention, perfect knowledge — no RNG is consumed) and keep the
+    /// plan delivering the most bits per unit airtime. Ties keep the
+    /// earlier transmitter, so the search is fully deterministic.
+    ///
+    /// An omniscient policy plans with perfect knowledge, which makes
+    /// the winning plan a pure function of the round's schedule key
+    /// (see [`schedule_key_into`](SimEngine::schedule_key_into)) and the
+    /// run's channels: it is planned once per distinct key and kept in
+    /// `scratch.schedules`, from which a later round with the same key
+    /// narrates it again and allocates nothing.
+    fn omniscient_round<'s>(
+        &self,
+        ctx: &RoundCtx<'_>,
+        scratch: &'s mut Scratch,
+        bufs: &mut RoundBufs,
+        rng: &mut StdRng,
+    ) -> &'s RoundPlan {
+        self.schedule_key_into(ctx, &mut bufs.first_alloc, &mut scratch.schedule_key);
+        let key = scratch.schedule_key.as_slice();
+        if let Some(i) = scratch.schedules.iter().position(|(k, _)| k == key) {
+            return &scratch.schedules[i].1;
+        }
+        let bits = |plan: &RoundPlan| plan.flow_bits.iter().sum::<f64>();
+        let mut best: Option<RoundPlan> = None;
+        for &primary in ctx.active {
+            if !self.plan_round(ctx, Access::Scheduled { primary }, scratch, bufs, rng) {
+                continue;
+            }
+            // Compare bits-per-sample by cross-multiplication (both
+            // sides non-negative, durations positive) — strictly
+            // greater replaces, so ties keep the earlier primary.
+            let cand = &bufs.plan;
+            let replace = match &best {
+                None => true,
+                Some(b) => {
+                    bits(cand) * b.duration_samples as f64 > bits(b) * cand.duration_samples as f64
                 }
+            };
+            if replace {
+                best = Some(std::mem::take(&mut bufs.plan));
             }
         }
+        let best = best.unwrap_or_else(|| {
+            // Nobody could transmit: the failed opening's charge,
+            // without a backoff.
+            let mut idle = RoundPlan::default();
+            let difs = self.cfg.timing.difs;
+            idle.close_idle(self.scenario.flows.len(), difs + difs);
+            idle
+        });
         if scratch.schedules.len() >= MAX_SCHEDULES {
             scratch.schedules.clear();
         }
         scratch.schedules.push((scratch.schedule_key.clone(), best));
-        self.emit_schedule(
-            round,
-            active.len(),
-            scratch.schedules[scratch.schedules.len() - 1].1.as_ref(),
-            traffic,
-            &mut bufs.round_bits,
-            obs,
-        );
+        &scratch.schedules[scratch.schedules.len() - 1].1
     }
 
-    /// Writes the omniscient schedule key of `round` into `key`: the
+    /// Writes the omniscient schedule key of the round into `key`: the
     /// backlogged transmitters, then for each of them its primary
     /// allocation and its join allocation at every `k_used < n_ant`,
     /// each pruned to backlogged flows and prefixed by its length.
-    /// These are all the inputs [`forced_round`](SimEngine::forced_round)
-    /// reads besides the channels — a joiner always has `n_ant > k_used`
-    /// — so two rounds with equal keys plan the same schedule. Taking
-    /// the allocations themselves, not `round`, keys a rotating
-    /// allocator by its rotation period whatever the period is.
+    /// `alloc` is a scratch buffer. These are all the inputs a
+    /// [`plan_round`](SimEngine::plan_round) under
+    /// [`Access::Scheduled`] reads besides the channels — a joiner
+    /// always has `n_ant > k_used` — so two rounds with equal keys plan
+    /// the same schedule. Taking the allocations themselves, not the
+    /// round index, keys a rotating allocator by its rotation period
+    /// whatever the period is.
     fn schedule_key_into(
         &self,
-        policy: Policy,
-        round: usize,
-        active: &[usize],
-        traffic: &TrafficState,
-        bufs: &mut RoundBufs,
+        ctx: &RoundCtx<'_>,
+        alloc: &mut Vec<(usize, usize)>,
         key: &mut Vec<usize>,
     ) {
-        let alloc = &mut bufs.first_alloc;
+        let (policy, round) = (ctx.policy, ctx.round);
         key.clear();
-        key.push(active.len());
-        key.extend_from_slice(active);
-        for &t in active {
+        key.push(ctx.active.len());
+        key.extend_from_slice(ctx.active);
+        for &t in ctx.active {
             policy.primary_allocation_into(self.scenario, &self.flows_of, t, round, alloc);
-            traffic.retain_backlogged(alloc);
+            ctx.traffic.retain_backlogged(alloc);
             key.push(alloc.len());
             key.extend(alloc.iter().flat_map(|&(f, n)| [f, n]));
             for k in 0..self.n_ant(t) {
                 policy.join_allocation_into(self.scenario, &self.flows_of, t, k, round, alloc);
-                traffic.retain_backlogged(alloc);
+                ctx.traffic.retain_backlogged(alloc);
                 key.push(alloc.len());
                 key.extend(alloc.iter().flat_map(|&(f, n)| [f, n]));
             }
         }
-    }
-
-    /// Narrates the omniscient round's chosen schedule under `round`
-    /// and drains its flows' queues — or, when no candidate could
-    /// transmit at all, an idle DIFS-bounded round (settled into the
-    /// pooled `idle_bits`), mirroring the contended path's failure
-    /// charge.
-    fn emit_schedule(
-        &self,
-        round: usize,
-        n_contenders: usize,
-        best: Option<&CandidateRound>,
-        traffic: &mut TrafficState,
-        idle_bits: &mut Vec<f64>,
-        obs: &mut dyn RoundObserver,
-    ) {
-        let Some(c) = best else {
-            let difs = self.cfg.timing.difs;
-            self.emit_idle_round(round, difs + difs, idle_bits, obs);
-            return;
-        };
-        traffic.note_serviced(c.streams.iter().map(|s| s.flow));
-        obs.on_contention(&ContentionRecord {
-            round,
-            kind: ContentionKind::Scheduled,
-            n_contenders,
-            winner: c.primary,
-            slots: 0,
-        });
-        for &(tx, n_streams) in &c.joins {
-            obs.on_join(&JoinRecord {
-                round,
-                tx,
-                n_streams,
-                accepted: true,
-            });
-        }
-        obs.on_round_end(&RoundRecord {
-            round,
-            body_symbols: c.body_symbols,
-            duration_samples: c.duration_samples,
-            flow_bits: &c.flow_bits,
-            streams: &c.streams,
-        });
-    }
-
-    /// Evaluates one omniscient-scheduler candidate: `primary` opens the
-    /// round (zero contention slots), then the most capable remaining
-    /// transmitters greedily join — largest antenna count first, ties to
-    /// the lowest node index — paying handshake airtime but no backoff.
-    /// Joiners whose plan fails are barred rather than retried (the
-    /// scheduler knows they cannot fit).
-    #[allow(clippy::too_many_arguments)]
-    fn forced_round(
-        &self,
-        policy: Policy,
-        primary: usize,
-        round: usize,
-        cache: &ChannelCache,
-        active: &[usize],
-        traffic: &TrafficState,
-        scratch: &mut Scratch,
-        bufs: &mut RoundBufs,
-        rng: &mut StdRng,
-    ) -> Option<CandidateRound> {
-        let cfg = self.cfg;
-        bufs.protected.clear();
-        bufs.streams.clear();
-        let mut overhead = cfg.timing.difs; // scheduled: no backoff slots
-
-        policy.primary_allocation_into(
-            self.scenario,
-            &self.flows_of,
-            primary,
-            round,
-            &mut bufs.first_alloc,
-        );
-        traffic.retain_backlogged(&mut bufs.first_alloc);
-        let first_range = self.plan_winner(
-            policy,
-            cache,
-            primary,
-            &bufs.first_alloc,
-            &mut bufs.protected,
-            &mut bufs.streams,
-            usize::MAX,
-            scratch,
-            rng,
-        )?;
-        let (handshake_samples, body_symbols) =
-            self.open_body(&bufs.first_alloc, first_range, &mut bufs.streams, scratch);
-        overhead += handshake_samples;
-
-        let mut joins: Vec<(usize, usize)> = Vec::new();
-        if policy.allows_join() {
-            let mut k_used: usize = bufs.streams.len();
-            let mut elapsed_body: usize = 0;
-            let mut barred: Vec<usize> = Vec::new();
-            loop {
-                let joiner = active
-                    .iter()
-                    .copied()
-                    .filter(|&t| {
-                        t != primary
-                            && !barred.contains(&t)
-                            && bufs.streams.iter().all(|s| s.tx_node != t)
-                            && self.n_ant(t) > k_used
-                    })
-                    .max_by_key(|&t| (self.n_ant(t), std::cmp::Reverse(t)));
-                let Some(joiner) = joiner else {
-                    break;
-                };
-                policy.join_allocation_into(
-                    self.scenario,
-                    &self.flows_of,
-                    joiner,
-                    k_used,
-                    round,
-                    &mut bufs.join_alloc,
-                );
-                traffic.retain_backlogged(&mut bufs.join_alloc);
-                if bufs.join_alloc.is_empty() {
-                    barred.push(joiner);
-                    continue;
-                }
-                scratch.streams_per_rx.clear();
-                scratch
-                    .streams_per_rx
-                    .extend(bufs.join_alloc.iter().map(|&(_, n)| n));
-                let join_delay =
-                    handshake_symbols(cfg, &scratch.streams_per_rx, TYPICAL_BLOB_BYTES);
-                if elapsed_body + join_delay >= body_symbols {
-                    break; // no air time left this round
-                }
-                let remaining = body_symbols - (elapsed_body + join_delay);
-                match self.plan_winner(
-                    policy,
-                    cache,
-                    joiner,
-                    &bufs.join_alloc,
-                    &mut bufs.protected,
-                    &mut bufs.streams,
-                    remaining,
-                    scratch,
-                    rng,
-                ) {
-                    Some((j0, j1)) => {
-                        elapsed_body += join_delay;
-                        joins.push((joiner, j1 - j0));
-                        k_used += j1 - j0;
-                    }
-                    // The scheduler is omniscient: a join that cannot be
-                    // planned is never attempted, so it costs no airtime.
-                    None => barred.push(joiner),
-                }
-            }
-        }
-
-        // Candidate rounds outlive the pooled buffers (the best one is
-        // kept across the whole primary sweep), so they own their bits.
-        let mut flow_bits = Vec::new();
-        self.settle_round_into(
-            cache,
-            bufs.protected.as_slice(),
-            bufs.streams.as_slice(),
-            scratch,
-            &mut flow_bits,
-        );
-        let bits_total: f64 = flow_bits.iter().sum();
-        Some(CandidateRound {
-            primary,
-            joins,
-            bits_total,
-            flow_bits,
-            body_symbols,
-            duration_samples: self.round_airtime(overhead, body_symbols),
-            streams: Self::stream_records(bufs.streams.as_slice()),
-        })
     }
 }
 
@@ -1844,7 +1696,7 @@ impl TrafficState {
 
     /// One packet leaves each *distinct* serviced flow's queue (a flow
     /// carried by several streams still delivered one packet —
-    /// [`SimEngine::open_body`] sizes the body that way).
+    /// [`SimEngine::plan_round`] sizes the body that way).
     fn note_serviced(&mut self, flows: impl Iterator<Item = usize>) {
         let Some(b) = self.backlog.as_mut() else {
             return;
@@ -2148,7 +2000,7 @@ mod tests {
         let expected =
             hdr_bits(2).div_ceil(base) + 2 * ack_bits(1, blob).div_ceil(base) + 2 * sifs_syms;
         assert_eq!(
-            handshake_symbols(&cfg, &[1, 1], blob),
+            handshake_symbols(&cfg, &[(0, 1), (1, 1)], blob),
             expected,
             "two single-stream ACKs must be padded individually"
         );
@@ -2160,14 +2012,14 @@ mod tests {
             .find(|&b| ack_bits(2, b).div_ceil(base) > ack_bits(1, b).div_ceil(base))
             .expect("some blob size must expose the stream-count bug");
         assert!(
-            handshake_symbols(&cfg, &[2], blob2) > handshake_symbols(&cfg, &[1], blob2),
+            handshake_symbols(&cfg, &[(0, 2)], blob2) > handshake_symbols(&cfg, &[(0, 1)], blob2),
             "extra streams must be accounted in the ACK"
         );
 
         // Empty allocation falls back to the single-receiver baseline.
         assert_eq!(
             handshake_symbols(&cfg, &[], blob),
-            handshake_symbols(&cfg, &[1], blob)
+            handshake_symbols(&cfg, &[(0, 1)], blob)
         );
     }
 

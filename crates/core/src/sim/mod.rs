@@ -48,7 +48,7 @@
 mod engine;
 mod sweep;
 
-pub use engine::{SimEngine, TYPICAL_BLOB_BYTES};
+pub use engine::SimEngine;
 pub use sweep::{
     aggregate_results, CanonicalSpec, SeedResults, SweepError, SweepSpec, SweepStats,
     DEFAULT_POLICIES,
