@@ -69,9 +69,9 @@ fn main() -> ExitCode {
         }
     };
 
-    let human = render_human(&report.diagnostics, report.files_scanned, report.suppressed);
+    let human = render_human(&report);
     if json {
-        let doc = render_json(&report.diagnostics, report.files_scanned, report.suppressed);
+        let doc = render_json(&report);
         match &json_path {
             None => println!("{doc}"),
             Some(path) => {

@@ -18,20 +18,23 @@
 //!   `#![forbid(unsafe_code)]` crate-root header, `unsafe` nowhere but
 //!   the single whitelisted counting-allocator test, and no
 //!   `dbg!`/`println!` in library code.
-//! * **No dead public surface** (library `src/` of `crates/*`, testkit
-//!   excepted): every bare `pub` item is named by some non-test code
-//!   outside its own body. This one rule (`DEAD001`) is cross-file, so
-//!   [`dead`] runs it as a second pass over the whole walk; `use`
-//!   declarations, `tests/`, testkit and `#[cfg(test)]` code are not
-//!   callers, and `perfbench/src` is.
+//! * **Each library exposes only what other crates call** (library
+//!   `src/` of `crates/*`, testkit excepted): every bare `pub` item is
+//!   named by some non-test code outside its own library crate. This one
+//!   rule (`VIS001`) is cross-file, so the `dead` module runs it as a
+//!   second pass over the whole walk; `use` declarations, `tests/`,
+//!   testkit and `#[cfg(test)]` code are not callers, and the package's
+//!   own bins, `benches/` and `examples/`, the root `src/` and
+//!   `perfbench/src` are. Inside a crate, rustc's `dead_code` lint
+//!   judges the `pub(crate)` items.
 //!
 //! The engine is a small hand-rolled lexer ([`lexer`]) — comment-,
 //! string-, raw-string- and `#[cfg(test)]`-aware, never panicking on
-//! arbitrary input — plus a token-pattern rule engine ([`engine`]), the
-//! reachability pass ([`dead`]) and per-crate profiles ([`workspace`]).
+//! arbitrary input — plus a token-pattern rule engine (`engine`), the
+//! reachability pass (`dead`) and per-crate profiles ([`workspace`]).
 //! It is deliberately a *heuristic* source checker, not a type checker:
 //! the patterns are written for this workspace's house style, and every
-//! rule documents exactly what it matches ([`rules`]).
+//! rule documents exactly what it matches (the `rules` module).
 //!
 //! Findings are suppressible only by an inline annotation that names
 //! the rule **and carries a reason**:
@@ -49,11 +52,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod dead;
-pub mod engine;
+mod dead;
+mod engine;
 pub mod lexer;
-pub mod report;
-pub mod rules;
+mod report;
+mod rules;
 pub mod workspace;
 
 pub use engine::{analyze_source, FileKind};

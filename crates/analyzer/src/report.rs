@@ -8,10 +8,13 @@
 //! `(file, line, rule)` so reports diff cleanly between runs.
 
 use crate::rules::RuleId;
-use std::fmt::Write as _;
+use crate::workspace::WorkspaceReport;
+use std::fmt::{self, Write as _};
 
-/// One finding: a rule, a place, and a message.
+/// One finding: a rule, a place, and a message. Its `Display` is the
+/// canonical one-line rendering.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// nplus:allow(VIS001): the element type of the public field `WorkspaceReport::diagnostics`
 pub struct Diagnostic {
     /// The violated rule.
     pub rule: RuleId,
@@ -25,7 +28,7 @@ pub struct Diagnostic {
 
 impl Diagnostic {
     /// Builds a diagnostic (used by the engine and by tests).
-    pub fn new(rule: RuleId, file: &str, line: u32, message: String) -> Diagnostic {
+    pub(crate) fn new(rule: RuleId, file: &str, line: u32, message: String) -> Diagnostic {
         Diagnostic {
             rule,
             file: file.to_string(),
@@ -33,10 +36,12 @@ impl Diagnostic {
             message,
         }
     }
+}
 
-    /// The canonical one-line rendering.
-    pub fn render(&self) -> String {
-        format!(
+impl fmt::Display for Diagnostic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
             "{}:{}: {} {} — {}",
             self.file,
             self.line,
@@ -48,35 +53,37 @@ impl Diagnostic {
 }
 
 /// Sorts findings into report order: file, then line, then rule.
-pub fn sort_diagnostics(diags: &mut [Diagnostic]) {
+pub(crate) fn sort_diagnostics(diags: &mut [Diagnostic]) {
     diags.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
 }
 
 /// Renders the human report: one line per finding plus a summary line.
-pub fn render_human(diags: &[Diagnostic], files_scanned: usize, suppressed: usize) -> String {
+pub fn render_human(report: &WorkspaceReport) -> String {
     let mut out = String::new();
-    for d in diags {
-        let _ = writeln!(out, "{}", d.render());
+    for d in &report.diagnostics {
+        let _ = writeln!(out, "{d}");
     }
     let _ = writeln!(
         out,
-        "analyze: {} finding(s), {} suppressed, {} file(s) scanned",
-        diags.len(),
-        suppressed,
-        files_scanned
+        "analyze: {} finding(s), {} suppressed, {} pub item(s), {} file(s) scanned",
+        report.diagnostics.len(),
+        report.suppressed,
+        report.pub_items,
+        report.files_scanned
     );
     out
 }
 
 /// Renders the JSON report with a fixed member order:
-/// `{"version":…,"files_scanned":…,"suppressed":…,"findings":[…]}`.
-pub fn render_json(diags: &[Diagnostic], files_scanned: usize, suppressed: usize) -> String {
+/// `{"version":…,"files_scanned":…,"suppressed":…,"pub_items":…,"findings":[…]}`.
+pub fn render_json(report: &WorkspaceReport) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\"version\":1,\"files_scanned\":{files_scanned},\"suppressed\":{suppressed},\"findings\":["
+        "{{\"version\":1,\"files_scanned\":{},\"suppressed\":{},\"pub_items\":{},\"findings\":[",
+        report.files_scanned, report.suppressed, report.pub_items
     );
-    for (i, d) in diags.iter().enumerate() {
+    for (i, d) in report.diagnostics.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -127,9 +134,16 @@ mod tests {
         sort_diagnostics(&mut diags);
         let files: Vec<_> = diags.iter().map(|d| (d.file.as_str(), d.line)).collect();
         assert_eq!(files, [("a.rs", 3), ("a.rs", 12), ("b.rs", 9)]);
-        let human = render_human(&diags, 3, 1);
+        let (files_scanned, suppressed, pub_items) = (3, 1, 7);
+        let report = WorkspaceReport {
+            diagnostics: diags,
+            files_scanned,
+            suppressed,
+            pub_items,
+        };
+        let human = render_human(&report);
         assert!(human.contains("a.rs:3: DET001"));
-        assert!(human.ends_with("3 finding(s), 1 suppressed, 3 file(s) scanned\n"));
+        assert!(human.ends_with("3 finding(s), 1 suppressed, 7 pub item(s), 3 file(s) scanned\n"));
     }
 
     #[test]
@@ -140,8 +154,16 @@ mod tests {
             4,
             "`println!` with \"quotes\"\tand tabs".to_string(),
         )];
-        let json = render_json(&diags, 10, 0);
-        assert!(json.starts_with("{\"version\":1,\"files_scanned\":10,\"suppressed\":0,"));
+        let (files_scanned, suppressed, pub_items) = (10, 0, 5);
+        let report = WorkspaceReport {
+            diagnostics: diags,
+            files_scanned,
+            suppressed,
+            pub_items,
+        };
+        let json = render_json(&report);
+        assert!(json
+            .starts_with("{\"version\":1,\"files_scanned\":10,\"suppressed\":0,\"pub_items\":5,"));
         assert!(json.contains("\"rule\":\"HYG003\""));
         assert!(json.contains("\\\"quotes\\\""));
         assert!(json.contains("\\t"));

@@ -12,7 +12,7 @@
 //! | `HYG001` | crate roots | missing `#![forbid(unsafe_code)]` header |
 //! | `HYG002` | everywhere | the `unsafe` keyword outside the whitelist |
 //! | `HYG003` | library code | `println!`, `print!` or `dbg!` in a library |
-//! | `DEAD001` | library `src/` of `crates/*` (testkit excepted) | a bare `pub` `fn`/`struct`/`enum`/`union`/`trait`/`type`/`const`/`static` whose name no caller mentions. Callers are the non-test identifiers of every other file and of the rest of its own file: `crates/*/src` (bins included), `benches/`, `examples/`, the root `src/`, and `perfbench/src` (read as callers only). Not callers: `use` declarations (a `pub use` re-export alone keeps nothing alive; the original behind a `use … as` alias does count), definitions, `#[cfg(test)]` regions, `tests/` directories, testkit, the item's own body and, for a type, its own `impl` blocks in its file. Matching is by bare name: a same-named item anywhere hides a dead one, so the rule can only over-count liveness |
+//! | `VIS001` | library `src/` of `crates/*` (testkit excepted) | a bare `pub` `fn`/`struct`/`enum`/`union`/`trait`/`type`/`const`/`static` whose name no caller outside its own library crate mentions. Callers are the non-test identifiers of every file outside that crate's library: other crates' `src/`, its own package's `src/bin`, `benches/` and `examples/`, the root `src/`, and `perfbench/src` (read as callers only). Not callers: `use` declarations (a `pub use` re-export alone reaches nothing; the original behind a `use … as` alias does count), definitions, `#[cfg(test)]` regions, `tests/` directories and testkit. Matching is by bare name: a same-named item outside the crate hides an unreached one, so the rule can only over-count reach. Inside the crate, rustc's `dead_code` lint judges a `pub(crate)` item exactly |
 //! | `ALW001` | everywhere | a `nplus:allow` annotation without a reason |
 //! | `ALW002` | everywhere | a `nplus:allow` naming an unknown rule ID |
 //!
@@ -25,15 +25,18 @@
 //! `ALW001`/`ALW002` police the suppression mechanism itself and are
 //! deliberately **not** suppressible.
 //!
-//! `DEAD001` is the one cross-file rule: the per-file engine cannot
+//! `VIS001` is the one cross-file rule: the per-file engine cannot
 //! see callers in other files, so [`dead`](crate::dead) runs it as a
-//! second pass over the whole workspace, always on. Narrowing a live
-//! item's visibility is out of its scope.
+//! second pass over the whole workspace, always on. It replaced
+//! `DEAD001`, which counted callers inside the item's own crate too;
+//! that ID is retired and never reused, so a leftover
+//! `nplus:allow(DEAD001)` is an `ALW002` finding.
 
 /// A stable rule identifier. The numbering is append-only: IDs are
 /// written in `nplus:allow(…)` annotations across the tree, so a
 /// renumbering would silently void existing suppressions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+// nplus:allow(VIS001): the type of the public field `Diagnostic::rule`
 pub enum RuleId {
     /// Wall-clock read (`Instant::now` / `SystemTime`).
     Det001,
@@ -57,8 +60,9 @@ pub enum RuleId {
     Alw001,
     /// `nplus:allow` naming an unknown rule.
     Alw002,
-    /// A library `pub` item that no non-test code names.
-    Dead001,
+    /// A library `pub` item that no non-test code outside its crate
+    /// names.
+    Vis001,
 }
 
 impl RuleId {
@@ -75,12 +79,12 @@ impl RuleId {
         RuleId::Hyg003,
         RuleId::Alw001,
         RuleId::Alw002,
-        RuleId::Dead001,
+        RuleId::Vis001,
     ];
 
     /// The stable textual ID (`"DET001"`, …) used in reports and
     /// `nplus:allow` annotations.
-    pub fn code(self) -> &'static str {
+    pub(crate) fn code(self) -> &'static str {
         match self {
             RuleId::Det001 => "DET001",
             RuleId::Det002 => "DET002",
@@ -93,12 +97,12 @@ impl RuleId {
             RuleId::Hyg003 => "HYG003",
             RuleId::Alw001 => "ALW001",
             RuleId::Alw002 => "ALW002",
-            RuleId::Dead001 => "DEAD001",
+            RuleId::Vis001 => "VIS001",
         }
     }
 
     /// Parses a textual ID; `None` for anything unknown.
-    pub fn from_code(code: &str) -> Option<RuleId> {
+    pub(crate) fn from_code(code: &str) -> Option<RuleId> {
         RuleId::ALL.iter().copied().find(|r| r.code() == code)
     }
 
@@ -116,14 +120,14 @@ impl RuleId {
             RuleId::Hyg003 => "library code must not print to stdout or dbg!",
             RuleId::Alw001 => "every nplus:allow must carry a reason",
             RuleId::Alw002 => "nplus:allow must name a real rule",
-            RuleId::Dead001 => "every library pub item has a non-test caller",
+            RuleId::Vis001 => "a library pub item is named outside its crate",
         }
     }
 
     /// Whether a `nplus:allow(THIS)` annotation may suppress it. The
     /// meta rules policing the annotations themselves cannot be
     /// annotated away.
-    pub fn suppressible(self) -> bool {
+    pub(crate) fn suppressible(self) -> bool {
         !matches!(self, RuleId::Alw001 | RuleId::Alw002)
     }
 }
@@ -132,6 +136,7 @@ impl RuleId {
 /// profile and the file's kind by [`workspace`](crate::workspace) (or
 /// assembled directly in tests).
 #[derive(Debug, Clone, Copy, Default)]
+// nplus:allow(VIS001): a parameter type of the public `analyze_source`, and what `rules_for` returns
 pub struct RuleSet {
     /// `DET001`/`DET002`: wall-clock and entropy randomness.
     pub wall_clock_and_entropy: bool,

@@ -18,10 +18,10 @@
 //! name), skips `vendor/` and `target/` entirely, and skips any
 //! directory named `fixtures` — the analyzer's own test corpus is
 //! *intentionally* full of violations. After the per-file rules, the
-//! cross-file `DEAD001` pass ([`crate::dead`]) runs over every file
+//! cross-file `VIS001` pass (the `dead` module) runs over every file
 //! read plus `perfbench/src`.
 
-use crate::dead::find_dead;
+use crate::dead::find_unreachable;
 use crate::engine::{analyze_source, FileKind};
 use crate::report::{sort_diagnostics, Diagnostic};
 use crate::rules::{RuleId, RuleSet};
@@ -29,10 +29,11 @@ use std::path::{Path, PathBuf};
 
 /// The one place in the workspace where `unsafe` is legal: the
 /// counting global allocator behind the per-run arena proof.
-pub const UNSAFE_WHITELIST: [&str; 1] = ["crates/bench/tests/alloc_steady_state.rs"];
+pub(crate) const UNSAFE_WHITELIST: [&str; 1] = ["crates/bench/tests/alloc_steady_state.rs"];
 
 /// A crate's rule profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// nplus:allow(VIS001): the parameter type of the public `rules_for`
 pub enum Profile {
     /// Deterministic simulation core.
     DetCore,
@@ -48,7 +49,7 @@ pub enum Profile {
 /// First-party crates and their profiles. A `crates/` subdirectory not
 /// named here is analyzed under [`Profile::Hygiene`] — new crates are
 /// never silently skipped.
-pub const CRATE_PROFILES: [(&str, Profile); 11] = [
+pub(crate) const CRATE_PROFILES: [(&str, Profile); 11] = [
     ("linalg", Profile::DetCore),
     ("phy", Profile::DetCore),
     ("channel", Profile::DetCore),
@@ -63,6 +64,7 @@ pub const CRATE_PROFILES: [(&str, Profile); 11] = [
 ];
 
 /// The rules active for one file of a crate with the given profile.
+// nplus:allow(VIS001): the fixture corpus in tests/golden.rs picks each file's rules with it
 pub fn rules_for(profile: Profile, kind: FileKind) -> RuleSet {
     RuleSet {
         // Wall-clock/entropy discipline is a library-wide contract:
@@ -80,6 +82,7 @@ pub fn rules_for(profile: Profile, kind: FileKind) -> RuleSet {
 
 /// The outcome of a workspace analysis.
 #[derive(Debug, Clone)]
+// nplus:allow(VIS001): the return type of the public `analyze_workspace`
 pub struct WorkspaceReport {
     /// Unsuppressed findings, sorted by `(file, line, rule)`.
     pub diagnostics: Vec<Diagnostic>,
@@ -88,6 +91,9 @@ pub struct WorkspaceReport {
     /// Well-formed `nplus:allow` annotations across the tree — the
     /// suppression surface a reviewer should glance at.
     pub suppressed: usize,
+    /// Bare `pub` items in the library crates: the public surface
+    /// `VIS001` checks.
+    pub pub_items: usize,
 }
 
 /// Analyzes the workspace rooted at `root` (the directory holding the
@@ -150,7 +156,7 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
     }
     let scanned = sources.len();
 
-    // Second pass, DEAD001: the benchmark harness is its own workspace
+    // Second pass, VIS001: the benchmark harness is its own workspace
     // and is read only for its calls into the library crates.
     let mut perfbench = Vec::new();
     collect_rs_files(
@@ -163,13 +169,15 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
             sources.push((relative_label(root, path), src));
         }
     }
-    diagnostics.append(&mut find_dead(&sources));
+    let (mut unreachable, pub_items) = find_unreachable(&sources);
+    diagnostics.append(&mut unreachable);
 
     sort_diagnostics(&mut diagnostics);
     Ok(WorkspaceReport {
         diagnostics,
         files_scanned: scanned,
         suppressed: suppressed_total,
+        pub_items,
     })
 }
 

@@ -1,4 +1,4 @@
-//! DEAD001 fixture: a sibling crate.
+//! VIS001 fixture: a sibling crate.
 
 #![forbid(unsafe_code)]
 

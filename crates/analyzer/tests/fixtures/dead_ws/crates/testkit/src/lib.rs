@@ -1,4 +1,4 @@
-//! DEAD001 fixture: testkit defines no candidates and calls nothing.
+//! VIS001 fixture: testkit defines no candidates and calls nothing.
 
 #![forbid(unsafe_code)]
 

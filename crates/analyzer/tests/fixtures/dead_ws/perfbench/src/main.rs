@@ -1,4 +1,4 @@
-//! DEAD001 fixture: the benchmark harness is read as a caller only.
+//! VIS001 fixture: the benchmark harness is read as a caller only.
 
 fn main() {
     alpha::live_via_perfbench();

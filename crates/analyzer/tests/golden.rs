@@ -8,7 +8,7 @@
 //! regress loudly. The workspace walker skips directories named
 //! `fixtures`, so the deliberate violations here never pollute the
 //! real `analyze` run. The `dead_ws` directory is a mini-workspace for
-//! the cross-file `DEAD001` pass, with its golden in `dead_ws.golden`.
+//! the cross-file `VIS001` pass, with its golden in `dead_ws.golden`.
 
 use nplus_analyzer::workspace::{analyze_workspace, rules_for, Profile};
 use nplus_analyzer::{analyze_source, FileKind};
@@ -51,8 +51,7 @@ fn rendered_findings(path: &Path) -> String {
     let diags = analyze_source(&name, &src, kind, rules_for(profile, kind));
     let mut out = String::new();
     for d in &diags {
-        out.push_str(&d.render());
-        out.push('\n');
+        out.push_str(&format!("{d}\n"));
     }
     out
 }
@@ -104,8 +103,9 @@ fn missing_allow_reason_is_rejected_and_does_not_suppress() {
     assert!(out.contains("ALW002"), "unknown rule not flagged:\n{out}");
 }
 
-/// `DEAD001` over the `dead_ws` mini-workspace: every caller and
-/// non-caller kind the rule documents, plus its suppression.
+/// `VIS001` over the `dead_ws` mini-workspace: every caller and
+/// non-caller kind the rule documents, plus its suppression and the
+/// count of the library's bare `pub` items.
 #[test]
 fn dead_workspace_matches_its_golden() {
     let dir = fixtures_dir();
@@ -113,11 +113,12 @@ fn dead_workspace_matches_its_golden() {
     let actual: String = report
         .diagnostics
         .iter()
-        .map(|d| d.render() + "\n")
+        .map(|d| format!("{d}\n"))
         .collect();
     let golden = std::fs::read_to_string(dir.join("dead_ws.golden")).unwrap_or_default();
     assert_eq!(
         actual, golden,
         "dead_ws diverged; actual findings were:\n{actual}"
     );
+    assert_eq!(report.pub_items, 13, "alpha's bare pub items");
 }

@@ -18,7 +18,7 @@ fn the_workspace_has_zero_unsuppressed_findings() {
         "walk found only {} files — wrong root?",
         report.files_scanned
     );
-    let rendered: Vec<String> = report.diagnostics.iter().map(|d| d.render()).collect();
+    let rendered: Vec<String> = report.diagnostics.iter().map(|d| d.to_string()).collect();
     assert!(
         rendered.is_empty(),
         "the workspace must analyze clean; findings:\n{}",

@@ -2,7 +2,7 @@
 
 /// Empirical CDF points (value at each of the given percentiles).
 /// Empty input yields no points.
-pub fn percentiles(samples: &mut [f64], points: &[f64]) -> Vec<(f64, f64)> {
+pub(crate) fn percentiles(samples: &mut [f64], points: &[f64]) -> Vec<(f64, f64)> {
     if samples.is_empty() {
         return Vec::new();
     }

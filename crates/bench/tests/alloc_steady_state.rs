@@ -27,12 +27,16 @@ use nplus::observer::{RoundObserver, RoundRecord, RunMeta};
 use nplus::policy::{Beamforming, Dot11n, NPlus, Oracle};
 use nplus::scenario::{parse_spec, ScenarioGenerator};
 use nplus::sim::{MobilityModel, SimConfig, SimEngine};
-use nplus_channel::environment::{MULTI_CELL, SIGCOMM11_INDOOR};
+use nplus_channel::environment::{environment_from_name, Environment, SIGCOMM11_INDOOR};
 use nplus_medium::topology::build_environment_topology;
 use nplus_medium::ChannelCache;
 use nplus_phy::params::occupied_subcarrier_indices;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+fn multi_cell() -> &'static Environment {
+    environment_from_name("multi_cell").expect("built-in world")
+}
 
 /// Counts every `alloc`/`realloc` call of the calling thread
 /// (deallocations are free to remain — the contracts are about
@@ -222,7 +226,7 @@ fn mobility_setup_allocates_per_moved_link_not_per_link() {
     const NODES: usize = 256;
     let parsed = parse_spec(
         &format!("load:poisson:1.5/city:{NODES}"),
-        MULTI_CELL.capacity(),
+        multi_cell().capacity(),
     )
     .expect("city spec parses");
     let scenario = parsed.scenario;
@@ -238,10 +242,10 @@ fn mobility_setup_allocates_per_moved_link_not_per_link() {
         },
         ..still.clone()
     };
-    let testbed = MULTI_CELL.testbed(NODES).expect("city fits the map");
+    let testbed = multi_cell().testbed(NODES).expect("city fits the map");
     let mut rng = StdRng::seed_from_u64(1);
     let topo = build_environment_topology(
-        &MULTI_CELL,
+        multi_cell(),
         &testbed,
         &scenario.antennas,
         still.ofdm.bandwidth_hz,

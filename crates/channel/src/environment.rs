@@ -13,17 +13,17 @@
 //!
 //! * [`SIGCOMM11_INDOOR`] — the paper's world and the default, pinned
 //!   **bit-for-bit** by the `environment_regression` suite;
-//! * [`OUTDOOR_FREE_SPACE`] — an open 100 m × 65 m field: every link
+//! * `OUTDOOR_FREE_SPACE` — an open 100 m × 65 m field: every link
 //!   LOS, free-space exponent-2 loss over much longer ranges, near-flat
 //!   two-tap channels;
-//! * [`RICH_SCATTER`] — a heavily cluttered all-NLOS world: pure
+//! * `RICH_SCATTER` — a heavily cluttered all-NLOS world: pure
 //!   Rayleigh fading with a deep 12-tap delay spread, heavier
 //!   shadowing, Gaussian oscillator offsets;
-//! * [`DEGRADED_HARDWARE`] — the indoor world on worn radios: EVM and
+//! * `DEGRADED_HARDWARE` — the indoor world on worn radios: EVM and
 //!   calibration stress that drops the achievable cancellation depth to
 //!   ~17 dB, honestly reflected in `L`
 //!   ([`Environment::join_power_l_db`]);
-//! * [`MULTI_CELL`] — a procedural city of up to 4096 nodes with a
+//! * `MULTI_CELL` — a procedural city of up to 4096 nodes with a
 //!   sparse link set.
 //!
 //! Environments resolve by name through [`environment_from_name`] — as
@@ -89,7 +89,7 @@ pub enum OscillatorDraw {
         half_width_hz: f64,
     },
     /// Normal with standard deviation `sigma_hz` (Box–Muller via
-    /// [`sample_normal`]).
+    /// `sample_normal`).
     Gaussian {
         /// Standard deviation of the offset (Hz).
         sigma_hz: f64,
@@ -100,7 +100,7 @@ impl OscillatorDraw {
     /// The seed code's draw — uniform in ±4 kHz (the old
     /// `oscillator_sigma_hz: σ = 2 kHz` consumed as ±2σ) — shared by
     /// every world that keeps the paper's oscillators.
-    pub const DEFAULT_UNIFORM: OscillatorDraw = OscillatorDraw::Uniform {
+    pub(crate) const DEFAULT_UNIFORM: OscillatorDraw = OscillatorDraw::Uniform {
         half_width_hz: 4_000.0,
     };
 
@@ -129,6 +129,7 @@ pub const DEFAULT_L_DB: f64 = 27.0;
 /// depends on it: which map a scenario gets, which links are NLOS, and
 /// how nodes are assigned to the map's slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// nplus:allow(VIS001): the type of the public field `Environment::map`
 pub enum Map {
     /// The paper's 20-location office (Fig. 10), or its 40-location
     /// two-wing extension when a scenario outgrows it. LOS/NLOS follows
@@ -140,13 +141,13 @@ pub enum Map {
     /// An open 100 m × 65 m field of 40 locations: every link is LOS.
     OutdoorField,
     /// A procedural city grid of [`MULTI_CELL_GROUP`]-slot cells, up to
-    /// [`Map::CITY_CAPACITY`] slots, with the identity placement.
+    /// `Map::CITY_CAPACITY` slots, with the identity placement.
     City,
 }
 
 impl Map {
     /// Largest node count the city map serves (512 cells × 8).
-    pub const CITY_CAPACITY: usize = 4096;
+    pub(crate) const CITY_CAPACITY: usize = 4096;
 
     /// The largest node count this map can place.
     pub fn capacity(self) -> usize {
@@ -299,7 +300,7 @@ impl Environment {
     /// The §4 join-power threshold `L` (dB): the cancellation depth
     /// joiners may assume. On the paper's radios it is the measured
     /// [`DEFAULT_L_DB`]; on any other hardware it follows
-    /// [`HardwareProfile::expected_cancellation_depth_db`].
+    /// `HardwareProfile::expected_cancellation_depth_db`.
     pub fn join_power_l_db(&self) -> f64 {
         if self.hardware == HardwareProfile::wlan_class() {
             DEFAULT_L_DB
@@ -340,7 +341,7 @@ const HOT_BUDGET: LinkBudget = LinkBudget {
 /// [`Map::OutdoorField`] — link ranges several times the indoor map's —
 /// with a 20 dBm budget, near-flat strongly Rician two-tap channels and
 /// stock hardware. Registry name `"outdoor"`.
-pub const OUTDOOR_FREE_SPACE: Environment = {
+pub(crate) const OUTDOOR_FREE_SPACE: Environment = {
     let flat = DelayProfile {
         n_taps: 2,
         decay_db_per_tap: 8.0,
@@ -368,7 +369,7 @@ pub const OUTDOOR_FREE_SPACE: Environment = {
 /// 12-tap delay spread, the loss law has one obstructed exponent with
 /// heavier shadowing, and oscillator offsets are Gaussian (σ = 2 kHz).
 /// Registry name `"rich_scatter"`.
-pub const RICH_SCATTER: Environment = {
+pub(crate) const RICH_SCATTER: Environment = {
     let deep = DelayProfile {
         n_taps: 12,
         decay_db_per_tap: 1.2,
@@ -399,7 +400,7 @@ pub const RICH_SCATTER: Environment = {
 /// and `L` follows it ([`Environment::join_power_l_db`]), stressing
 /// the paper's cancellation-depth assumption. Registry name
 /// `"degraded_hardware"`.
-pub const DEGRADED_HARDWARE: Environment = Environment {
+pub(crate) const DEGRADED_HARDWARE: Environment = Environment {
     name: "degraded_hardware",
     hardware: HardwareProfile::degraded(),
     ..SIGCOMM11_INDOOR
@@ -414,7 +415,7 @@ pub const DEGRADED_HARDWARE: Environment = Environment {
 /// In-cell links always clear the floor; adjacent-cell links survive
 /// only on shadowing upswings, so each node keeps a handful of
 /// neighbors instead of thousands. Registry name `"multi_cell"`.
-pub const MULTI_CELL: Environment = Environment {
+pub(crate) const MULTI_CELL: Environment = Environment {
     name: "multi_cell",
     map: Map::City,
     path_loss: PathLossModel {

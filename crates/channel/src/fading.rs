@@ -43,7 +43,7 @@ impl DelayProfile {
     }
 
     /// Relative power of each tap, normalized to sum to 1.
-    pub fn tap_powers(&self) -> Vec<f64> {
+    pub(crate) fn tap_powers(&self) -> Vec<f64> {
         let raw: Vec<f64> = (0..self.n_taps)
             .map(|d| 10f64.powf(-(self.decay_db_per_tap * d as f64) / 10.0))
             .collect();
@@ -107,6 +107,7 @@ impl FadingChannel {
 
     /// Convolves a transmit sample stream with the channel (linear
     /// convolution, output length `input.len() + taps.len() - 1`).
+    // nplus:allow(VIS001): a stage of the sample-level PHY chain that tests/phy_chain.rs drives; the planned phy_check bin (ROADMAP.md) will call it
     pub fn convolve(&self, input: &[Complex64]) -> Vec<Complex64> {
         let n = input.len();
         let t = self.taps.len();

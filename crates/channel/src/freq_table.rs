@@ -140,11 +140,6 @@ impl FreqResponseTable {
         &self.matrices[pos]
     }
 
-    /// All matrices, in bin-request order.
-    pub fn matrices(&self) -> &[CMatrixSoA] {
-        &self.matrices
-    }
-
     /// The FFT bins the table covers, in request order.
     pub fn bins(&self) -> &[usize] {
         &self.bins
@@ -276,7 +271,7 @@ mod tests {
         assert_eq!(table.bins(), &[5, 1, 40]);
         assert_eq!(table.n_bins(), 3);
         assert_eq!(table.n_fft(), 64);
-        assert_eq!(table.matrices().len(), 3);
+        assert_eq!(table.matrices.len(), 3);
         assert_eq!(table.matrix(0).shape(), (2, 2));
     }
 

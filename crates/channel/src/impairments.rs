@@ -52,6 +52,7 @@ impl HardwareProfile {
     /// default): together with estimation error it yields the measured
     /// 25–27 dB cancellation depth. `const` so environments can hold
     /// it in statics.
+    // nplus:allow(VIS001): the golden tests/kernel_regression.rs pins calibration error under it
     pub const fn wlan_class() -> Self {
         HardwareProfile {
             tx_evm_db: -32.0,
@@ -62,9 +63,10 @@ impl HardwareProfile {
 
     /// A worn/stressed radio: 10 dB worse EVM floor, 3× the calibration
     /// residual, 10 dB worse estimator — dropping
-    /// [`expected_cancellation_depth_db`](Self::expected_cancellation_depth_db)
+    /// `expected_cancellation_depth_db`
     /// to ~17 dB. The `degraded_hardware` environment uses it to stress
     /// the §4 cancellation-depth assumption `L`.
+    // nplus:allow(VIS001): the golden tests/kernel_regression.rs pins calibration error under it
     pub const fn degraded() -> Self {
         HardwareProfile {
             tx_evm_db: -22.0,
@@ -90,7 +92,7 @@ impl HardwareProfile {
     /// In-place form of [`HardwareProfile::apply_calibration_error`]:
     /// a wrapper over
     /// [`HardwareProfile::apply_calibration_error_soa_in_place`].
-    pub fn apply_calibration_error_in_place<R: Rng>(&self, h: &mut CMatrix, rng: &mut R) {
+    pub(crate) fn apply_calibration_error_in_place<R: Rng>(&self, h: &mut CMatrix, rng: &mut R) {
         let mut soa = CMatrixSoA::from_aos(h);
         self.apply_calibration_error_soa_in_place(&mut soa, rng);
         *h = soa.to_aos();
@@ -110,7 +112,12 @@ impl HardwareProfile {
 
     /// Writes the corrupted estimate of `h` into `out` (buffers reused),
     /// drawing two normals per entry in row-major order.
-    pub fn corrupt_estimate_into<R: Rng>(&self, h: &CMatrixSoA, rng: &mut R, out: &mut CMatrixSoA) {
+    pub(crate) fn corrupt_estimate_into<R: Rng>(
+        &self,
+        h: &CMatrixSoA,
+        rng: &mut R,
+        out: &mut CMatrixSoA,
+    ) {
         let err_amp = 10f64.powf(-self.estimation_snr_db / 20.0);
         out.assign_from(h);
         for i in 0..h.rows() {
@@ -125,7 +132,11 @@ impl HardwareProfile {
     /// Perturbs an estimate in place with the calibration residual: a
     /// per-entry multiplicative complex error `(1 + ε)`,
     /// `ε ~ CN(0, calibration_error_std²)`. A zero residual draws nothing.
-    pub fn apply_calibration_error_soa_in_place<R: Rng>(&self, h: &mut CMatrixSoA, rng: &mut R) {
+    pub(crate) fn apply_calibration_error_soa_in_place<R: Rng>(
+        &self,
+        h: &mut CMatrixSoA,
+        rng: &mut R,
+    ) {
         if self.calibration_error_std == 0.0 {
             return;
         }
@@ -173,7 +184,7 @@ impl HardwareProfile {
     /// estimation error power and EVM floor. Used by n+'s join-power
     /// control as the protocol's `L` parameter when derived from hardware
     /// (the paper measures L ≈ 25–27 dB).
-    pub fn expected_cancellation_depth_db(&self) -> f64 {
+    pub(crate) fn expected_cancellation_depth_db(&self) -> f64 {
         let est = 10f64.powf(-self.estimation_snr_db / 10.0);
         let cal = self.calibration_error_std.powi(2);
         let evm = 10f64.powf(self.tx_evm_db / 10.0);

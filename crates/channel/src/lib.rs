@@ -42,13 +42,12 @@ pub mod placement;
 pub use cfo::apply_cfo;
 pub use environment::{
     environment_from_name, Environment, EnvironmentError, Map, OscillatorDraw,
-    BUILTIN_ENVIRONMENT_NAMES, DEGRADED_HARDWARE, MULTI_CELL, OUTDOOR_FREE_SPACE, RICH_SCATTER,
-    SIGCOMM11_INDOOR,
+    BUILTIN_ENVIRONMENT_NAMES, SIGCOMM11_INDOOR,
 };
 pub use fading::{DelayProfile, FadingChannel};
 pub use freq_table::FreqResponseTable;
 pub use impairments::HardwareProfile;
 pub use mimo::MimoLink;
 pub use noise::{add_noise, noise_sample, snr_db};
-pub use pathloss::{sample_normal, LinkBudget, PathLossModel};
+pub use pathloss::{LinkBudget, PathLossModel};
 pub use placement::{Location, Point, Testbed};

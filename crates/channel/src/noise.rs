@@ -17,7 +17,7 @@ pub fn noise_sample<R: Rng>(power: f64, rng: &mut R) -> Complex64 {
 }
 
 /// Adds complex AWGN of the given power to a stream in place.
-// nplus:allow(DEAD001): the receiver noise of the sample-level PHY chain that tests/phy_chain.rs drives; the planned phy_check bin (ROADMAP.md) will call it
+// nplus:allow(VIS001): the receiver noise of the sample-level PHY chain that tests/phy_chain.rs drives; the planned phy_check bin (ROADMAP.md) will call it
 pub fn add_noise<R: Rng>(stream: &mut [Complex64], power: f64, rng: &mut R) {
     if power <= 0.0 {
         return;

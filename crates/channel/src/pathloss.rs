@@ -10,6 +10,7 @@ use rand::Rng;
 
 /// Log-distance path-loss model with log-normal shadowing.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// nplus:allow(VIS001): the type of the public field `Environment::path_loss`
 pub struct PathLossModel {
     /// Reference loss at 1 m (dB). ~40 dB at 2.4 GHz.
     pub pl0_db: f64,
@@ -38,7 +39,7 @@ impl PathLossModel {
     /// sweeps (7.5–32.5 dB unwanted-signal bins). pl0 folds in antenna
     /// and front-end inefficiencies of the USRP2-class radios. `const`
     /// so environments can hold it in statics.
-    pub const fn indoor() -> Self {
+    pub(crate) const fn indoor() -> Self {
         PathLossModel {
             pl0_db: 68.0,
             exponent_los: 2.0,
@@ -51,7 +52,7 @@ impl PathLossModel {
 
 impl PathLossModel {
     /// Deterministic (median) path loss in dB at `distance_m` meters.
-    pub fn median_loss_db(&self, distance_m: f64, nlos: bool) -> f64 {
+    pub(crate) fn median_loss_db(&self, distance_m: f64, nlos: bool) -> f64 {
         let d = distance_m.max(1.0);
         let exp = if nlos {
             self.exponent_nlos
@@ -71,6 +72,7 @@ impl PathLossModel {
 /// Link power budget: converts transmit power and path loss to the mean
 /// received SNR given a noise floor.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// nplus:allow(VIS001): the type of the public field `Environment::budget`
 pub struct LinkBudget {
     /// Transmit power (dBm). Typical WLAN/USRP2 operating point.
     pub tx_power_dbm: f64,
@@ -131,7 +133,7 @@ fn accepted_uniform_pair<R: Rng>(rng: &mut R) -> (f64, f64) {
 
 /// Draws one standard normal sample (Box–Muller). Embedded here so the
 /// crate does not need `rand_distr`. Mean 0, standard deviation 1.
-pub fn sample_normal<R: Rng>(rng: &mut R) -> f64 {
+pub(crate) fn sample_normal<R: Rng>(rng: &mut R) -> f64 {
     let (u1, u2) = accepted_uniform_pair(rng);
     let r = (-2.0 * u1.ln()).sqrt();
     r * (2.0 * std::f64::consts::PI * u2).cos()

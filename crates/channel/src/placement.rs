@@ -52,6 +52,7 @@ impl Testbed {
     /// The default floor plan modeled after the paper's Fig. 10: twenty
     /// locations spread over a ~16 m × 10 m office area, six of them
     /// behind interior walls (NLOS).
+    // nplus:allow(VIS001): the paper's map; the goldens tests/environment_regression.rs and tests/policy_regression.rs place nodes on it
     pub fn sigcomm11() -> Self {
         let mut locations = Vec::new();
         // Open-plan area (LOS cluster).
@@ -102,7 +103,7 @@ impl Testbed {
     /// more placement slots than the paper's single wing offers; the
     /// first twenty locations are identical to `sigcomm11()`, so draws
     /// that fit the original map remain comparable.
-    pub fn sigcomm11_extended() -> Self {
+    pub(crate) fn sigcomm11_extended() -> Self {
         let base = Self::sigcomm11();
         let mut locations = base.locations.clone();
         locations.extend(base.locations.iter().map(|l| Location {
@@ -119,7 +120,7 @@ impl Testbed {
     /// # Errors
     /// [`EnvironmentError::TooManyNodes`] when even the extension is
     /// too small.
-    pub fn try_fitting(n: usize) -> Result<Self, EnvironmentError> {
+    pub(crate) fn try_fitting(n: usize) -> Result<Self, EnvironmentError> {
         let tb = Self::sigcomm11();
         if n <= tb.len() {
             return Ok(tb);
@@ -132,7 +133,7 @@ impl Testbed {
     /// An open 100 m × 65 m outdoor field: an 8 × 5 grid of forty
     /// candidate locations, all line-of-sight — link ranges several
     /// times the indoor map's. The map of the `outdoor` environment.
-    pub fn outdoor_field() -> Self {
+    pub(crate) fn outdoor_field() -> Self {
         let mut locations = Vec::with_capacity(40);
         for yi in 0..5u32 {
             for xi in 0..8u32 {
@@ -146,12 +147,12 @@ impl Testbed {
     }
 
     /// Builds a testbed from explicit locations.
-    pub fn from_locations(locations: Vec<Location>) -> Self {
+    pub(crate) fn from_locations(locations: Vec<Location>) -> Self {
         Testbed { locations }
     }
 
     /// All candidate locations.
-    pub fn locations(&self) -> &[Location] {
+    pub(crate) fn locations(&self) -> &[Location] {
         &self.locations
     }
 
@@ -165,7 +166,7 @@ impl Testbed {
     ///
     /// # Errors
     /// [`EnvironmentError::TooManyNodes`] otherwise.
-    pub fn ensure_capacity(&self, requested: usize) -> Result<(), EnvironmentError> {
+    pub(crate) fn ensure_capacity(&self, requested: usize) -> Result<(), EnvironmentError> {
         if requested <= self.locations.len() {
             Ok(())
         } else {
@@ -188,7 +189,7 @@ impl Testbed {
     /// # Errors
     /// [`EnvironmentError::TooManyNodes`] when the map has fewer than
     /// `n` locations (the RNG is not consumed in that case).
-    pub fn try_random_assignment<R: Rng>(
+    pub(crate) fn try_random_assignment<R: Rng>(
         &self,
         n: usize,
         rng: &mut R,
@@ -218,7 +219,7 @@ impl Testbed {
     /// the `multi_cell` environment; the `city:` scenario family indexes
     /// cells positionally, so placements use the identity assignment
     /// rather than the paper's shuffle.
-    pub fn multi_cell(n_cells: usize) -> Self {
+    pub(crate) fn multi_cell(n_cells: usize) -> Self {
         let cols = (n_cells as f64).sqrt().ceil().max(1.0) as usize;
         let mut locations = Vec::with_capacity(n_cells * MULTI_CELL_GROUP);
         for k in 0..n_cells {
@@ -247,7 +248,7 @@ impl Testbed {
 pub const MULTI_CELL_GROUP: usize = 8;
 
 /// Distance between adjacent `multi_cell` cell centers (m).
-pub const MULTI_CELL_SPACING_M: f64 = 45.0;
+pub(crate) const MULTI_CELL_SPACING_M: f64 = 45.0;
 
 /// A deterministic unit-interval hash — procedural map jitter without
 /// touching any RNG stream (topologies stay a pure function of seed).

@@ -12,6 +12,7 @@ use nplus::{ContentionKind, ContentionRecord, JoinRecord};
 
 /// The first point where two recordings disagree.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// nplus:allow(VIS001): the return type of the public `diff_recordings`
 pub struct Divergence {
     /// Where the disagreement sits: `"header"` or `"event N"` (stream
     /// position, 0-based).

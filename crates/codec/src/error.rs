@@ -12,6 +12,7 @@ use std::fmt;
 
 /// Why a byte sequence is not a decodable recording.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// nplus:allow(VIS001): the error type of the public `Recording::decode`
 pub enum DecodeError {
     /// The input does not start with the recording magic — not a
     /// recording at all (or an empty/too-short file).
@@ -94,6 +95,7 @@ impl std::error::Error for DecodeError {}
 /// `Recording` is a plain public struct, so hand-built values must fail
 /// typed rather than panic or write undecodable bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// nplus:allow(VIS001): the error type of the public `Recording::encode`
 pub enum EncodeError {
     /// An event's round index is smaller than its predecessor's — the
     /// delta encoding requires monotone rounds.

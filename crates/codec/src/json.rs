@@ -155,7 +155,7 @@ impl Json {
 /// Convenience constructor for a float member: finite values stay
 /// numbers, `NaN`/`Inf` become [`Json::Null`] *as a value* (not just at
 /// write time), so comparisons on parsed responses behave.
-pub fn json_f64(v: f64) -> Json {
+pub(crate) fn json_f64(v: f64) -> Json {
     if v.is_finite() {
         Json::Num(v)
     } else {

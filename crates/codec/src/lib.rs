@@ -50,5 +50,5 @@ mod wire;
 pub use diff::{diff_recordings, Divergence};
 pub use error::{DecodeError, EncodeError};
 pub use observer::{RecordingContext, RecordingObserver};
-pub use recording::{Event, Recording, RoundEvent, RunHeader, MAGIC, VERSION};
+pub use recording::{Event, Recording, RoundEvent, RunHeader};
 pub use replay::{replay_run, replay_sweep, ReplayError, ReplayedSweep};

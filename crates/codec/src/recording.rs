@@ -25,10 +25,10 @@ use crate::wire::{put_f64_bits, put_str, put_varint, Reader};
 use nplus::{ContentionKind, ContentionRecord, JoinRecord, StreamRecord};
 
 /// The 8-byte magic every recording starts with.
-pub const MAGIC: [u8; 8] = *b"NPLUSREC";
+pub(crate) const MAGIC: [u8; 8] = *b"NPLUSREC";
 
 /// The format version this crate writes (and the only one it reads).
-pub const VERSION: u16 = 1;
+pub(crate) const VERSION: u16 = 1;
 
 const TAG_CONTENTION: u8 = 0x01;
 const TAG_JOIN: u8 = 0x02;
@@ -42,6 +42,7 @@ const TAG_END: u8 = 0xFF;
 /// key when the spec canonicalizes, so recordings are addressable by
 /// the same key as the server's result cache.
 #[derive(Debug, Clone, PartialEq)]
+// nplus:allow(VIS001): the type of the public field `Recording::header`
 pub struct RunHeader {
     /// Registry name of the policy this run simulated.
     pub policy: String,
@@ -78,6 +79,7 @@ pub struct RunHeader {
 /// One end-of-round settlement, owned (the decoded form of the
 /// engine's borrowed `RoundRecord`).
 #[derive(Debug, Clone, PartialEq)]
+// nplus:allow(VIS001): the payload of the public `Event::Round` and the item of `Recording::round_events`
 pub struct RoundEvent {
     /// Round index.
     pub round: usize,

@@ -19,6 +19,7 @@ use std::fmt;
 
 /// Reproduces the recorded run's [`RunResult`] from its round frames
 /// alone — bit-for-bit the live result, by the observer contract.
+// nplus:allow(VIS001): the recording goldens tests/golden.rs and tests/roundtrip.rs replay single runs through it
 pub fn replay_run(rec: &Recording) -> RunResult {
     let mut acc = GoodputAccumulator::new();
     let meta = RunMeta {
@@ -48,6 +49,7 @@ pub fn replay_run(rec: &Recording) -> RunResult {
 /// A sweep reassembled from recordings: the shared identity fields and
 /// the aggregated per-policy statistics.
 #[derive(Debug, Clone)]
+// nplus:allow(VIS001): the return type of the public `replay_sweep`
 pub struct ReplayedSweep {
     /// The scenario spec label every recording agreed on.
     pub scenario: String,
@@ -69,6 +71,7 @@ pub struct ReplayedSweep {
 
 /// Why a set of recordings does not assemble into one sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// nplus:allow(VIS001): the error type of the public `replay_sweep`
 pub enum ReplayError {
     /// No recordings were given.
     Empty,

@@ -6,7 +6,12 @@
 mod common;
 
 use common::record_sweep;
-use nplus_codec::{DecodeError, Event, Recording, MAGIC, VERSION};
+use nplus_codec::{DecodeError, Event, Recording};
+
+/// The wire format's magic and version, spelled out so that changing
+/// either is a deliberate edit here too.
+const MAGIC: [u8; 8] = *b"NPLUSREC";
+const VERSION: u16 = 1;
 use proptest::prelude::*;
 
 /// One small, real recording to mutate (nplus on pairs:2 exercises

@@ -82,15 +82,10 @@ impl MultiDimCarrierSense {
             .unwrap_or(self.n_antennas)
     }
 
-    /// Number of antennas this sensor observes with.
-    pub fn n_antennas(&self) -> usize {
-        self.n_antennas
-    }
-
     /// Projects a multi-antenna capture onto the complement of the
     /// occupied space, returning the projected time-domain streams (same
     /// shape as the input, truncated to whole FFT blocks).
-    pub fn project_capture(&self, capture: &[Vec<Complex64>]) -> Vec<Vec<Complex64>> {
+    pub(crate) fn project_capture(&self, capture: &[Vec<Complex64>]) -> Vec<Vec<Complex64>> {
         assert_eq!(capture.len(), self.n_antennas, "capture antenna count");
         let n = self.cfg.fft_len;
         let len = capture[0].len() / n * n;
@@ -389,6 +384,6 @@ mod tests {
         let sensor = MultiDimCarrierSense::from_ongoing(3, c, &[per_bin]);
         // The upper median over [1, 2, 2, …] was 2; the worst bin has 1.
         assert_eq!(sensor.free_dof(), 1);
-        assert_eq!(sensor.n_antennas(), 3);
+        assert_eq!(sensor.n_antennas, 3);
     }
 }

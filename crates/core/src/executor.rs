@@ -47,7 +47,7 @@ fn resolve_threads(threads: usize) -> usize {
 /// simulations.
 ///
 /// Panics in a job are propagated to the caller after the scope joins.
-pub fn run_indexed<T, F>(n_jobs: usize, threads: usize, job: F) -> Vec<T>
+pub(crate) fn run_indexed<T, F>(n_jobs: usize, threads: usize, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,

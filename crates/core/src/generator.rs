@@ -19,16 +19,16 @@ use rand::{Rng, SeedableRng};
 
 /// Largest node count of the standard families (the paper's testbed map
 /// has 20 candidate locations; 16 leaves placement diversity).
-pub const MAX_NODES: usize = 16;
+pub(crate) const MAX_NODES: usize = 16;
 
 /// Largest node count of the dense family (placed on the 40-location
 /// `Testbed::sigcomm11_extended()` map, which
 /// [`build_scenario`](crate::scenario::build_scenario) selects
 /// automatically by node count; 32 leaves placement diversity there).
-pub const MAX_DENSE_NODES: usize = 32;
+pub(crate) const MAX_DENSE_NODES: usize = 32;
 
 /// Largest antenna count the generator draws per node.
-pub const MAX_ANTENNAS: usize = 4;
+pub(crate) const MAX_ANTENNAS: usize = 4;
 
 /// Seeded source of random [`Scenario`]s.
 ///
@@ -36,6 +36,7 @@ pub const MAX_ANTENNAS: usize = 4;
 /// reproduces the same sequence of scenarios regardless of what the
 /// caller does with them.
 #[derive(Debug)]
+// nplus:allow(VIS001): the goldens tests/policy_regression.rs and tests/observer_contract.rs draw their scenarios from it
 pub struct ScenarioGenerator {
     rng: StdRng,
 }
@@ -51,6 +52,7 @@ impl ScenarioGenerator {
     /// `n_pairs` transmitter→receiver pairs with independently drawn
     /// antenna counts in `1..=MAX_ANTENNAS` (the Fig. 3 shape at
     /// arbitrary size). Node order: tx1, rx1, tx2, rx2, …
+    // nplus:allow(VIS001): a golden draws its scenarios with it (tests/policy_regression.rs, tests/observer_contract.rs)
     pub fn n_pairs(&mut self, n_pairs: usize) -> Scenario {
         assert!(n_pairs >= 1, "need at least one pair");
         assert!(2 * n_pairs <= MAX_NODES, "too many nodes for the testbed");
@@ -72,6 +74,7 @@ impl ScenarioGenerator {
     /// client — the Fig. 4 shape generalized (multi-client APs are the
     /// traffic shape multi-user beamforming baselines are evaluated on).
     /// Node order per cell: AP, c1, …, c`clients_per_ap`.
+    // nplus:allow(VIS001): crates/bench/tests/alloc_steady_state.rs draws its multi-AP scenario with it
     pub fn multi_ap(&mut self, n_aps: usize, clients_per_ap: usize) -> Scenario {
         assert!(n_aps >= 1 && clients_per_ap >= 1, "empty cell");
         assert!(
@@ -98,6 +101,7 @@ impl ScenarioGenerator {
     /// headers while still interfering at the shared receiver — the
     /// classic hidden-terminal stress for carrier sense and the
     /// secondary-contention path. Node order: rx, tx1, …, tx`n_txs`.
+    // nplus:allow(VIS001): a golden draws its scenarios with it (tests/policy_regression.rs, tests/observer_contract.rs)
     pub fn hidden_terminal(&mut self, n_txs: usize) -> Scenario {
         assert!(n_txs >= 2, "a hidden-terminal star needs >= 2 transmitters");
         assert!(n_txs < MAX_NODES, "too many nodes for the testbed");
@@ -117,6 +121,7 @@ impl ScenarioGenerator {
     /// (1→4) — the extremes of the paper's heterogeneity axis, where
     /// stream allocation is capacity-limited on one side. Node order:
     /// tx1, rx1, tx2, rx2, …
+    // nplus:allow(VIS001): a golden draws its scenarios with it (tests/policy_regression.rs, tests/observer_contract.rs)
     pub fn asymmetric_antenna(&mut self, n_pairs: usize) -> Scenario {
         assert!(n_pairs >= 1, "need at least one pair");
         assert!(2 * n_pairs <= MAX_NODES, "too many nodes for the testbed");
@@ -139,11 +144,12 @@ impl ScenarioGenerator {
     }
 
     /// A dense mesh of `n_nodes / 2` contending pairs (`n_nodes` even,
-    /// up to [`MAX_DENSE_NODES`]): the contention-heavy regime where
+    /// up to `MAX_DENSE_NODES`): the contention-heavy regime where
     /// Monte-Carlo sweeps are the most compute-bound and the parallel
     /// sweep engine earns its keep. Scenarios above the paper map's
     /// capacity place on the extended testbed. Node order as
     /// [`n_pairs`](Self::n_pairs).
+    // nplus:allow(VIS001): the bench crate's test suites (alloc_steady_state, thread_parity, decimated_error_budget) draw dense scenarios with it
     pub fn dense(&mut self, n_nodes: usize) -> Scenario {
         assert!(
             n_nodes >= 4 && n_nodes.is_multiple_of(2),
@@ -174,8 +180,9 @@ impl ScenarioGenerator {
     /// [`Environment`](nplus_channel::environment::Environment)
     /// whose [`capacity()`](nplus_channel::environment::Environment::capacity)
     /// is at least that. Needs `capacity >= 6` (the smallest family
-    /// shapes); above [`MAX_DENSE_NODES`] the draws no longer depend on
+    /// shapes); above `MAX_DENSE_NODES` the draws no longer depend on
     /// `capacity`.
+    // nplus:allow(VIS001): the golden tests/city_scale.rs draws capacity-bounded random scenarios with it
     pub fn random_for_capacity(&mut self, capacity: usize) -> Scenario {
         assert!(capacity >= 6, "need at least 6 placement slots");
         let std_cap = capacity.min(MAX_NODES);

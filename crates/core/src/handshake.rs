@@ -43,6 +43,7 @@ const LEVEL_FULL: u8 = 2;
 
 /// Errors from decoding an alignment blob.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// nplus:allow(VIS001): the error type of the public `decode_alignment_space`
 pub enum CodecError {
     /// The blob is truncated or structurally invalid.
     Malformed,

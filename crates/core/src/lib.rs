@@ -54,7 +54,7 @@
 #![forbid(unsafe_code)]
 
 pub mod carrier_sense;
-pub mod executor;
+mod executor;
 mod generator;
 pub mod handshake;
 pub mod link;
@@ -118,7 +118,6 @@ pub mod prelude {
     };
     pub use nplus_channel::environment::{
         environment_from_name, Environment, EnvironmentError, OscillatorDraw,
-        BUILTIN_ENVIRONMENT_NAMES, DEGRADED_HARDWARE, MULTI_CELL, OUTDOOR_FREE_SPACE, RICH_SCATTER,
-        SIGCOMM11_INDOOR,
+        BUILTIN_ENVIRONMENT_NAMES, SIGCOMM11_INDOOR,
     };
 }

@@ -122,6 +122,7 @@ fn assert_same_length<'v>(n_ant: usize, columns: impl Iterator<Item = &'v CVecto
 /// so the set is three flat buffers that a pooled owner reuses without
 /// reallocating.
 #[derive(Debug, Clone, Default)]
+// nplus:allow(VIS001): the golden tests/kernel_regression.rs pins joint-ZF filters built with it
 pub struct ZfFilters {
     n_wanted: usize,
     n_ant: usize,

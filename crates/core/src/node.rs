@@ -33,6 +33,7 @@ use rand::rngs::StdRng;
 /// The channels a joiner has learned to one protected receiver, per
 /// occupied subcarrier, in the *forward* direction (joiner → receiver).
 #[derive(Debug, Clone)]
+// nplus:allow(VIS001): the return type of the public `learn_forward_channel`
 pub struct LearnedReceiver {
     /// Forward channel belief per occupied subcarrier (`N × M`).
     pub channels: Vec<CMatrix>,
@@ -48,7 +49,7 @@ pub struct LearnedReceiver {
 /// of the receiver's `n_rx_antennas`-antenna preamble (the receiver sent
 /// it as part of its own past handshake). The hardware profile adds the
 /// calibration residual that real Tx/Rx chain asymmetry leaves.
-// nplus:allow(DEAD001): learns the joiner's channels in the sample-level join chain that node.rs's tests drive; the planned phy_check bin (ROADMAP.md) will call it
+// nplus:allow(VIS001): learns the joiner's channels in the sample-level join chain that node.rs's tests drive; the planned phy_check bin (ROADMAP.md) will call it
 pub fn learn_forward_channel(
     capture: &[Vec<Complex64>],
     n_rx_antennas: usize,
@@ -80,6 +81,7 @@ pub fn learn_forward_channel(
 
 /// The complete join decision for one prospective joiner.
 #[derive(Debug)]
+// nplus:allow(VIS001): the return type of the public `plan_join`
 pub struct JoinPlan {
     /// Per-stream, per-occupied-subcarrier pre-coding vectors (already
     /// scaled by the power-control amplitude).
@@ -90,6 +92,7 @@ pub struct JoinPlan {
 
 /// Errors a joiner can hit.
 #[derive(Debug)]
+// nplus:allow(VIS001): the error type of the public `plan_join`
 pub enum JoinError {
     /// The precoder could not satisfy the constraints on some subcarrier.
     Precoder(PrecoderError),
@@ -108,7 +111,7 @@ impl std::error::Error for JoinError {}
 /// Computes a join plan: power control plus per-subcarrier precoding
 /// against the learned protected receivers, delivering `n_streams` to a
 /// receiver with learned forward channels `own`.
-// nplus:allow(DEAD001): plans the precoders in the sample-level join chain that node.rs's tests drive; the planned phy_check bin (ROADMAP.md) will call it
+// nplus:allow(VIS001): plans the precoders in the sample-level join chain that node.rs's tests drive; the planned phy_check bin (ROADMAP.md) will call it
 pub fn plan_join(
     m_antennas: usize,
     protected: &[LearnedReceiver],
@@ -157,7 +160,7 @@ pub fn plan_join(
 ///
 /// (The full coding chain lives in `nplus-phy::ofdm`; this helper maps
 /// raw constellation bits so tests can measure exact BER.)
-// nplus:allow(DEAD001): renders the precoded streams of the sample-level join chain that node.rs's tests drive; the planned phy_check bin (ROADMAP.md) will call it
+// nplus:allow(VIS001): renders the precoded streams of the sample-level join chain that node.rs's tests drive; the planned phy_check bin (ROADMAP.md) will call it
 pub fn render_precoded_stream(
     bits: &[u8],
     plan_stream: &[CVector],

@@ -24,20 +24,22 @@ pub use nplus_channel::environment::DEFAULT_L_DB;
 /// transmission from an `M`-antenna transmitter would create at a
 /// receiver with believed channel `h` (`N × M`), before any precoding:
 /// the average over transmit directions, `‖H‖_F² / M`. Allocating
-/// wrapper over [`expected_interference_power_soa`].
+/// wrapper over `expected_interference_power_soa`.
+// nplus:allow(VIS001): the golden tests/kernel_regression.rs pins its output
 pub fn expected_interference_power(h: &CMatrix) -> f64 {
     expected_interference_power_soa(&CMatrixSoA::from_aos(h))
 }
 
 /// [`expected_interference_power`] of a channel served straight from the
 /// cache's structure-of-arrays tables.
-pub fn expected_interference_power_soa(h: &CMatrixSoA) -> f64 {
+pub(crate) fn expected_interference_power_soa(h: &CMatrixSoA) -> f64 {
     let m = h.cols().max(1);
     h.frobenius_norm().powi(2) / m as f64
 }
 
 /// Decision for a prospective joiner facing one protected receiver.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// nplus:allow(VIS001): the type of the public field `JoinPlan::power`
 pub enum JoinPowerDecision {
     /// Full power is fine: pre-cancellation interference is already below
     /// `L` dB over noise.
@@ -65,6 +67,7 @@ impl JoinPowerDecision {
 /// `believed_channels` are the joiner's beliefs about its channels to the
 /// protected receivers (noise-normalized units: `|h|² = SNR`);
 /// `l_db` is the cancellation depth.
+// nplus:allow(VIS001): the property power_control_invariant in crates/core/tests/proptests.rs checks the §4 rule through it
 pub fn join_power_decision(believed_channels: &[&CMatrix], l_db: f64) -> JoinPowerDecision {
     let worst = believed_channels
         .iter()
@@ -77,7 +80,7 @@ pub fn join_power_decision(believed_channels: &[&CMatrix], l_db: f64) -> JoinPow
 /// power. Callers that fold `worst` incrementally (the engine's pooled
 /// join planner, which never materializes a channel list) share the exact
 /// threshold/scaling arithmetic of [`join_power_decision`] through this.
-pub fn join_power_decision_from_worst(worst: f64, l_db: f64) -> JoinPowerDecision {
+pub(crate) fn join_power_decision_from_worst(worst: f64, l_db: f64) -> JoinPowerDecision {
     let l_lin = 10f64.powf(l_db / 10.0);
     if worst <= l_lin {
         JoinPowerDecision::FullPower

@@ -107,6 +107,7 @@ impl std::error::Error for PrecoderError {}
 /// `M`-vector for stream `i`, streams ordered receiver-by-receiver in the
 /// order given to [`compute_precoders`].
 #[derive(Debug, Clone)]
+// nplus:allow(VIS001): the return type of the public `compute_precoders`
 pub struct Precoding {
     /// One unit-norm pre-coding vector per stream (scaled so total
     /// transmit power across streams is 1).
@@ -121,7 +122,7 @@ pub struct Precoding {
 /// are the receivers of ongoing transmissions; `own` are the joiner's
 /// receivers with their stream counts. Returns an error if the constraint
 /// set leaves fewer dimensions than requested. Allocating wrapper over
-/// [`compute_precoders_into_with`].
+/// `compute_precoders_into_with`.
 pub fn compute_precoders(
     m_antennas: usize,
     protected: &[ProtectedReceiver],
@@ -176,7 +177,7 @@ pub struct ProtectedReceiverSoARef<'a> {
 impl ProtectedReceiverSoARef<'_> {
     /// The number of independent linear constraints this receiver imposes
     /// (its wanted-stream count `n = N − dim U`).
-    pub fn n_constraints(&self) -> usize {
+    pub(crate) fn n_constraints(&self) -> usize {
         self.channel.rows() - self.unwanted.dim()
     }
 }
@@ -272,7 +273,7 @@ pub fn compute_precoders_into(
 ///
 /// # Errors
 /// As [`compute_precoders_into`].
-pub fn compute_precoders_into_with<'a>(
+pub(crate) fn compute_precoders_into_with<'a>(
     m_antennas: usize,
     n_protected: usize,
     protected: impl Fn(usize) -> ProtectedReceiverSoARef<'a>,

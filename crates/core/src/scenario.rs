@@ -4,7 +4,7 @@
 //! ([`parse_spec`]: `three_pairs`, `pairs:4`, `city:1024`,
 //! `load:poisson:0.5/…`) is what the `sweep` CLI, the `sweep-server`
 //! and the load generator accept; [`ScenarioGenerator`] draws the
-//! seeded families the grammar names; [`place`] is the one recipe that
+//! seeded families the grammar names; `place` is the one recipe that
 //! puts a scenario's nodes into a propagation world, shared by
 //! [`SweepSpec`](crate::sim::SweepSpec) and the figure binaries'
 //! [`build_scenario`].
@@ -21,11 +21,11 @@ use nplus_medium::topology::{build_environment_topology, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-pub use crate::generator::{ScenarioGenerator, MAX_ANTENNAS, MAX_DENSE_NODES, MAX_NODES};
+pub use crate::generator::ScenarioGenerator;
 pub use crate::spec::{city_scenario, parse_scenario_spec, parse_spec, ParsedSpec};
 
 /// The paper's 10 MHz USRP2 medium clock, shared by every scenario.
-pub const BANDWIDTH_HZ: f64 = 10e6;
+pub(crate) const BANDWIDTH_HZ: f64 = 10e6;
 
 /// Places `antennas` on `testbed` in `env` for `seed`: the placement
 /// RNG and the environment's per-link draws are both seeded by `seed`,
@@ -40,7 +40,7 @@ pub const BANDWIDTH_HZ: f64 = 10e6;
 /// # Errors
 /// [`EnvironmentError::TooManyNodes`] when `antennas` outsizes
 /// `testbed`.
-pub fn place(
+pub(crate) fn place(
     env: &Environment,
     testbed: &Testbed,
     antennas: &[usize],
@@ -52,6 +52,7 @@ pub fn place(
 
 /// A scenario placed on a testbed, ready to simulate.
 #[derive(Debug)]
+// nplus:allow(VIS001): the return type of the public `three_pairs`, `ap_downlink` and `build_scenario`
 pub struct BuiltScenario {
     /// The traffic/antenna description being simulated.
     pub scenario: Scenario,
@@ -79,6 +80,7 @@ impl BuiltScenario {
 /// existing seeds reproduce bit-identical placements); larger ones —
 /// the generator's dense family goes to 32 nodes — place on the
 /// two-wing extended map.
+// nplus:allow(VIS001): the goldens tests/policy_regression.rs, tests/observer_contract.rs and tests/environment_regression.rs build placed scenarios with it
 pub fn build_scenario(scenario: Scenario, placement_seed: u64) -> BuiltScenario {
     build_scenario_in(&SIGCOMM11_INDOOR, scenario, placement_seed)
         .expect("scenario fits the paper's maps")
@@ -86,7 +88,7 @@ pub fn build_scenario(scenario: Scenario, placement_seed: u64) -> BuiltScenario 
 
 /// [`build_scenario`] in an arbitrary propagation environment: the map
 /// is the environment's smallest fitting one, the links come from its
-/// loss/fading draws ([`place`]). Note the returned topology does *not*
+/// loss/fading draws (`place`). Note the returned topology does *not*
 /// carry the environment's [`hardware`](Environment::hardware) — set it
 /// on the `SimConfig` (as `SweepSpec::environment` does) when
 /// simulating.
@@ -94,6 +96,7 @@ pub fn build_scenario(scenario: Scenario, placement_seed: u64) -> BuiltScenario 
 /// # Errors
 /// [`EnvironmentError::TooManyNodes`] when the scenario outsizes the
 /// environment's largest map.
+// nplus:allow(VIS001): the golden tests/environment_regression.rs builds scenarios in every world with it
 pub fn build_scenario_in(
     env: &Environment,
     scenario: Scenario,

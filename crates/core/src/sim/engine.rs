@@ -469,6 +469,7 @@ fn handshake_symbols(cfg: &SimConfig, alloc: &[(usize, usize)], blob_bytes: usiz
 /// frequency responses. One engine can then [`run`](SimEngine::run) any
 /// number of policies/seeds against the same topology without
 /// re-evaluating channel taps.
+// nplus:allow(VIS001): the goldens tests/policy_regression.rs, tests/observer_contract.rs and tests/rng_position_regression.rs run single runs through it
 pub struct SimEngine<'a> {
     topo: &'a Topology,
     scenario: &'a Scenario,
@@ -2286,14 +2287,17 @@ mod tests {
                 engine.cache.table(f, t).unwrap(),
                 fresh.table(f, t).unwrap(),
             );
-            for (ma, mb) in a.matrices().iter().zip(b.matrices()) {
+            assert_eq!(a.n_bins(), b.n_bins());
+            for pos in 0..a.n_bins() {
+                let (ma, mb) = (a.matrix(pos), b.matrix(pos));
                 assert_eq!(ma.shape(), mb.shape());
                 for i in 0..ma.rows() {
                     let bits = |m: &CMatrixSoA| {
-                        m.row_re(i)
-                            .iter()
-                            .chain(m.row_im(i))
-                            .map(|x| x.to_bits())
+                        (0..m.cols())
+                            .flat_map(|j| {
+                                let z = m.get(i, j);
+                                [z.re.to_bits(), z.im.to_bits()]
+                            })
                             .collect::<Vec<_>>()
                     };
                     assert_eq!(bits(ma), bits(mb), "link {f}->{t} row {i}");
@@ -2311,7 +2315,7 @@ mod tests {
     #[test]
     fn sparse_world_absent_link_flows_idle_instead_of_panicking() {
         use crate::sim::Flow;
-        use nplus_channel::environment::MULTI_CELL;
+        let world = nplus_channel::environment_from_name("multi_cell").expect("built-in world");
 
         // Four cells 45 m apart: cell 0 and cell 3 are 135 m apart,
         // past the 100 m link range — no link is installed between them.
@@ -2324,11 +2328,10 @@ mod tests {
                 Flow { tx: 2, rx: 25 }, // cell 0 → cell 3, below the floor
             ],
         };
-        let tb = MULTI_CELL.testbed(n).unwrap();
+        let tb = world.testbed(n).unwrap();
         let mut rng = StdRng::seed_from_u64(17);
         let topo =
-            build_environment_topology(&MULTI_CELL, &tb, &scenario.antennas, 10e6, 17, &mut rng)
-                .unwrap();
+            build_environment_topology(world, &tb, &scenario.antennas, 10e6, 17, &mut rng).unwrap();
         assert!(
             topo.medium.link(topo.nodes[2], topo.nodes[25]).is_none(),
             "cross-map link unexpectedly installed"

@@ -108,7 +108,7 @@ impl Scenario {
     }
 
     /// Distinct transmitter node indices that have traffic.
-    pub fn transmitters(&self) -> Vec<usize> {
+    pub(crate) fn transmitters(&self) -> Vec<usize> {
         let mut txs: Vec<usize> = self.flows.iter().map(|f| f.tx).collect();
         txs.sort_unstable();
         txs.dedup();
@@ -116,7 +116,7 @@ impl Scenario {
     }
 
     /// Flow indices of a transmitter.
-    pub fn flows_of(&self, tx: usize) -> Vec<usize> {
+    pub(crate) fn flows_of(&self, tx: usize) -> Vec<usize> {
         self.flows
             .iter()
             .enumerate()
@@ -138,7 +138,7 @@ impl Scenario {
     ///
     /// # Errors
     /// A one-line human-readable description of the first violation.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let n = self.antennas.len();
         if n == 0 {
             return Err("scenario has no nodes".to_string());
@@ -172,7 +172,7 @@ impl Scenario {
 /// paper's testbed tops out at 3, the scenario generator at 4; 8 leaves
 /// headroom for synthetic arrays while bounding the matrix sizes a
 /// served request can demand.
-pub const MAX_NODE_ANTENNAS: usize = 8;
+pub(crate) const MAX_NODE_ANTENNAS: usize = 8;
 
 /// Per-flow offered-load model.
 ///
@@ -197,7 +197,7 @@ pub enum TrafficModel {
         mean_per_round: f64,
     },
     /// ON/OFF bursts: while ON a flow receives
-    /// [`BURST_ARRIVALS_PER_ROUND`] packets per round, while OFF none;
+    /// `BURST_ARRIVALS_PER_ROUND` packets per round, while OFF none;
     /// dwell times are geometric with the given means (one uniform
     /// draw per flow per round — a fixed RNG budget). Flows start ON.
     Bursty {
@@ -210,7 +210,7 @@ pub enum TrafficModel {
 
 /// Packets arriving per round to a flow in the ON phase of
 /// [`TrafficModel::Bursty`].
-pub const BURST_ARRIVALS_PER_ROUND: u64 = 3;
+pub(crate) const BURST_ARRIVALS_PER_ROUND: u64 = 3;
 
 // Parameters are validated finite (see `TrafficModel::validate`), so
 // the partial equivalence is total on every value that can reach a
@@ -224,7 +224,7 @@ impl TrafficModel {
     ///
     /// # Errors
     /// A one-line human-readable description of the violation.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         match *self {
             TrafficModel::Saturated => Ok(()),
             TrafficModel::Poisson { mean_per_round } => {
@@ -337,7 +337,7 @@ impl MobilityModel {
     ///
     /// # Errors
     /// A one-line human-readable description of the violation.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         match *self {
             MobilityModel::Static => Ok(()),
             MobilityModel::Waypoint {
@@ -429,7 +429,7 @@ impl SinrGrid {
     ///
     /// # Errors
     /// A one-line human-readable description of the violation.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         match *self {
             SinrGrid::Full => Ok(()),
             SinrGrid::Decimated(k) => {
@@ -540,7 +540,7 @@ impl RunResult {
     /// "perfectly fair", which inflated sweep averages on scenarios
     /// with dead runs.) [`SweepStats::mean_fairness`] skips undefined
     /// runs when averaging.
-    pub fn jain_fairness(&self) -> f64 {
+    pub(crate) fn jain_fairness(&self) -> f64 {
         let n = self.per_flow_mbps.len() as f64;
         let sum: f64 = self.per_flow_mbps.iter().sum();
         let sq: f64 = self.per_flow_mbps.iter().map(|x| x * x).sum();

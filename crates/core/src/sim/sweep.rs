@@ -48,7 +48,7 @@ pub struct SweepStats {
     /// Mean degrees of freedom in use during data transfer.
     pub mean_dof: f64,
     /// Mean Jain's fairness index over the runs where fairness is
-    /// defined (see [`RunResult::jain_fairness`]: empty flow lists and
+    /// defined (see `RunResult::jain_fairness`: empty flow lists and
     /// all-zero goodput are excluded as undefined); `NaN` when no run
     /// had defined fairness.
     pub mean_fairness: f64,
@@ -67,12 +67,13 @@ pub struct SweepStats {
 /// panics on bad input: front-ends map this type to a one-line exit-2
 /// (CLI) or an error response (`sweep-server`).
 #[derive(Debug, Clone, PartialEq)]
+// nplus:allow(VIS001): the error type of the public `SweepSpec::canonical` and `SweepSpec::try_run`
 pub enum SweepError {
     /// The scenario needs more placement slots than the environment's
     /// maps offer.
     Environment(EnvironmentError),
     /// A structurally invalid spec: bad flow indices, zero antennas,
-    /// an empty seed list, zero rounds — see [`Scenario::validate`].
+    /// an empty seed list, zero rounds — see `Scenario::validate`.
     InvalidSpec(String),
     /// The spec cannot be canonicalized for content-addressing (custom
     /// non-registry parts, or config fields beyond the canonical
@@ -189,7 +190,7 @@ impl CanonicalSpec {
     /// hashed over: a version magic, then every field tagged and
     /// length-prefixed (all integers little-endian u64), so no two
     /// distinct specs can encode to the same bytes.
-    pub fn canonical_bytes(&self) -> Vec<u8> {
+    pub(crate) fn canonical_bytes(&self) -> Vec<u8> {
         fn put_u64(out: &mut Vec<u8>, v: u64) {
             out.extend_from_slice(&v.to_le_bytes());
         }
@@ -267,7 +268,7 @@ impl CanonicalSpec {
     }
 
     /// The 128-bit content key: FNV-1a over
-    /// [`canonical_bytes`](CanonicalSpec::canonical_bytes). Equal specs
+    /// `canonical_bytes`. Equal specs
     /// — including across builder-call orders and thread counts — get
     /// equal keys; any change to scenario, environment, policy set,
     /// seeds or rounds changes the key.
@@ -568,7 +569,7 @@ impl SweepSpec {
     ///
     /// # Errors
     /// [`SweepError::InvalidSpec`] for a structurally invalid scenario
-    /// ([`Scenario::validate`]) or model, an empty seed list or zero
+    /// (`Scenario::validate`) or model, an empty seed list or zero
     /// rounds; [`SweepError::Environment`] when the scenario needs more
     /// placement slots than the environment's largest map offers — all
     /// detected before any job runs, so a malformed spec can never panic

@@ -19,6 +19,7 @@ use nplus_channel::placement::MULTI_CELL_GROUP;
 /// model a `load:` prefix requested (`None` = the caller's default,
 /// i.e. saturated).
 #[derive(Debug, Clone)]
+// nplus:allow(VIS001): the return type of the public `parse_spec`
 pub struct ParsedSpec {
     /// The parsed scenario.
     pub scenario: Scenario,
@@ -40,6 +41,7 @@ pub struct ParsedSpec {
 /// # Panics
 /// If `n_nodes` is zero or not a multiple of [`MULTI_CELL_GROUP`] (the
 /// spec parser validates first; direct callers must too).
+// nplus:allow(VIS001): the goldens tests/iteration_order_regression.rs and tests/rng_position_regression.rs build city scenarios with it
 pub fn city_scenario(n_nodes: usize) -> Scenario {
     assert!(
         n_nodes > 0 && n_nodes.is_multiple_of(MULTI_CELL_GROUP),
@@ -74,6 +76,7 @@ pub fn city_scenario(n_nodes: usize) -> Scenario {
 /// # Errors
 /// A one-line description of the malformed spec (unknown form, number
 /// that does not parse, family size outside its documented range).
+// nplus:allow(VIS001): the golden tests/rng_position_regression.rs parses its multi_ap scenario with it
 pub fn parse_scenario_spec(spec: &str, env_capacity: usize) -> Result<Scenario, String> {
     fn num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
         s.parse()

@@ -40,8 +40,6 @@ impl Complex64 {
     pub const ZERO: Complex64 = c64(0.0, 0.0);
     /// The multiplicative identity, `1 + 0i`.
     pub const ONE: Complex64 = c64(1.0, 0.0);
-    /// The imaginary unit, `0 + 1i`.
-    pub const I: Complex64 = c64(0.0, 1.0);
 
     /// Creates a complex number from rectangular components.
     #[inline]
@@ -92,7 +90,7 @@ impl Complex64 {
     /// Returns a value with non-finite components when `z == 0`, matching
     /// IEEE float division semantics.
     #[inline]
-    pub fn inv(self) -> Self {
+    pub(crate) fn inv(self) -> Self {
         let d = self.norm_sqr();
         c64(self.re / d, -self.im / d)
     }
@@ -125,6 +123,7 @@ impl Complex64 {
 
     /// Approximate equality within absolute tolerance `tol` on both parts.
     #[inline]
+    // nplus:allow(VIS001): the test kit's assert macros and other crates' unit tests compare through it
     pub fn approx_eq(self, other: Self, tol: f64) -> bool {
         (self.re - other.re).abs() <= tol && (self.im - other.im).abs() <= tol
     }

@@ -20,7 +20,8 @@
 //! tested for the small (≤ 4×4 per subcarrier) matrices MIMO LANs use.
 //!
 //! Each kernel has one implementation: the pooled split-storage
-//! [`null_space_into`], [`pinv_into`] and [`row_echelon_into`] in [`soa`].
+//! [`null_space_into`], [`pinv_into`] and their shared row echelon in
+//! [`soa`].
 //! The allocating [`pinv`], [`rank`] and [`Subspace::complement`] are
 //! thin wrappers over them.
 
@@ -31,7 +32,7 @@ pub mod matrix;
 #[cfg(test)]
 mod nullspace;
 pub mod pool;
-pub mod qr;
+mod qr;
 pub mod soa;
 pub mod solve;
 pub mod subspace;
@@ -40,10 +41,8 @@ pub mod vector;
 pub use complex::{c64, Complex64};
 pub use matrix::CMatrix;
 pub use pool::VecPool;
-pub use qr::{orthonormalize, orthonormalize_into};
 pub use soa::{
-    mul_into, null_space_into, pinv_into, row_echelon_into, soa_default_tolerance, CMatrixSoA,
-    NullspaceWorkspace, PinvWorkspace,
+    mul_into, null_space_into, pinv_into, CMatrixSoA, NullspaceWorkspace, PinvWorkspace,
 };
 pub use solve::{pinv, rank, LinalgError};
 pub use subspace::{Subspace, SubspaceWorkspace};

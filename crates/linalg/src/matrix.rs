@@ -29,7 +29,8 @@ impl CMatrix {
     }
 
     /// Creates the identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = Complex64::ONE;
@@ -72,6 +73,7 @@ impl CMatrix {
     }
 
     /// Creates a matrix whose columns are the given vectors.
+    // nplus:allow(VIS001): a stage of the sample-level join chain that tests/end_to_end.rs drives; the planned phy_check bin (ROADMAP.md) will call it
     pub fn from_cols(cols: &[CVector]) -> Self {
         if cols.is_empty() {
             return Self::zeros(0, 0);
@@ -140,6 +142,7 @@ impl CMatrix {
     }
 
     /// Hermitian (conjugate) transpose, written `A^H` in the paper.
+    // nplus:allow(VIS001): the golden tests/kernel_regression.rs and other crates' unit tests take conjugate transposes with it
     pub fn hermitian(&self) -> CMatrix {
         let mut t = CMatrix::zeros(self.cols, self.rows);
         for i in 0..self.rows {
@@ -204,12 +207,8 @@ impl CMatrix {
         self.data.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
     }
 
-    /// Largest entry magnitude.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().map(|z| z.abs()).fold(0.0, f64::max)
-    }
-
     /// Approximate equality within absolute tolerance on every entry.
+    // nplus:allow(VIS001): the test kit's assert macros and other crates' unit tests compare through it
     pub fn approx_eq(&self, other: &CMatrix, tol: f64) -> bool {
         self.shape() == other.shape()
             && self

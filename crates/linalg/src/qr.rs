@@ -15,7 +15,7 @@ use crate::vector::CVector;
 ///
 /// The output spans the same space as the input and is orthonormal to
 /// machine precision.
-pub fn orthonormalize(vectors: &[CVector], tol: f64) -> Vec<CVector> {
+pub(crate) fn orthonormalize(vectors: &[CVector], tol: f64) -> Vec<CVector> {
     let mut basis: Vec<CVector> = Vec::with_capacity(vectors.len());
     let mut w = CVector::default();
     let dim = orthonormalize_into(vectors, tol, &mut basis, &mut w);
@@ -32,7 +32,7 @@ pub fn orthonormalize(vectors: &[CVector], tol: f64) -> Vec<CVector> {
 /// their high-water capacity.
 ///
 /// Returns the basis dimension; `basis[..dim]` is the orthonormal basis.
-pub fn orthonormalize_into(
+pub(crate) fn orthonormalize_into(
     vectors: &[CVector],
     tol: f64,
     basis: &mut Vec<CVector>,
@@ -96,7 +96,8 @@ mod tests {
     /// Thin QR of `a` by [`orthonormalize`] on its columns: `Q` spans
     /// the column space and `R = Q^H A`.
     fn qr(a: &CMatrix) -> (CMatrix, CMatrix) {
-        let tol = a.max_abs() * (a.rows().max(a.cols()) as f64) * f64::EPSILON;
+        let max_abs = a.as_slice().iter().map(|z| z.abs()).fold(0.0, f64::max);
+        let tol = max_abs * (a.rows().max(a.cols()) as f64) * f64::EPSILON;
         let q = CMatrix::from_cols(&orthonormalize(&a.columns(), tol));
         let r = &q.hermitian() * a;
         (q, r)

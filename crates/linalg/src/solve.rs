@@ -13,6 +13,7 @@ use crate::soa::{pinv_into, row_echelon_into, soa_default_tolerance, CMatrixSoA,
 
 /// Error type for linear algebra operations that can fail.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// nplus:allow(VIS001): the error type of the public `pinv`
 pub enum LinalgError {
     /// The matrix is singular (or numerically so) and the operation
     /// requires full rank.
@@ -36,8 +37,8 @@ impl std::fmt::Display for LinalgError {
 impl std::error::Error for LinalgError {}
 
 /// Numerical rank via row echelon reduction with the given tolerance
-/// (pass `None` for [`soa_default_tolerance`]). Allocating wrapper over
-/// [`row_echelon_into`].
+/// (pass `None` for `soa_default_tolerance`). Allocating wrapper over
+/// `row_echelon_into`.
 pub fn rank(a: &CMatrix, tol: Option<f64>) -> usize {
     let a = CMatrixSoA::from_aos(a);
     let tol = tol.unwrap_or_else(|| soa_default_tolerance(&a));

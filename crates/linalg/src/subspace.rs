@@ -64,7 +64,7 @@ impl Subspace {
     }
 
     /// Pooled sibling of [`Subspace::full`]: reuses `self`'s slots.
-    pub fn assign_full(&mut self, ambient: usize) {
+    pub(crate) fn assign_full(&mut self, ambient: usize) {
         self.ambient = ambient;
         for i in 0..ambient {
             if i == self.basis.len() {
@@ -127,7 +127,7 @@ impl Subspace {
 
     /// Basis as a matrix whose *columns* are the basis vectors
     /// (`ambient × dim`).
-    pub fn basis_matrix(&self) -> CMatrix {
+    pub(crate) fn basis_matrix(&self) -> CMatrix {
         if self.dim == 0 {
             CMatrix::zeros(self.ambient, 0)
         } else {

@@ -62,12 +62,6 @@ impl CVector {
         &self.data
     }
 
-    /// Mutable view of the entries.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [Complex64] {
-        &mut self.data
-    }
-
     /// Iterator over entries.
     pub fn iter(&self) -> std::slice::Iter<'_, Complex64> {
         self.data.iter()
@@ -92,6 +86,7 @@ impl CVector {
     }
 
     /// Euclidean norm.
+    // nplus:allow(VIS001): the test kit's random_direction and the property suite crates/core/tests/proptests.rs measure vectors with it
     pub fn norm(&self) -> f64 {
         self.norm_sqr().sqrt()
     }
@@ -118,7 +113,7 @@ impl CVector {
     }
 
     /// In-place `self += k * other` (AXPY). The hot path of Gram–Schmidt.
-    pub fn axpy(&mut self, k: Complex64, other: &CVector) {
+    pub(crate) fn axpy(&mut self, k: Complex64, other: &CVector) {
         assert_eq!(self.len(), other.len(), "axpy: dimension mismatch");
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += k * *b;
@@ -142,7 +137,7 @@ impl CVector {
     }
 
     /// Reuses `self`'s buffer to become the zero vector of dimension `n`.
-    pub fn assign_zeros(&mut self, n: usize) {
+    pub(crate) fn assign_zeros(&mut self, n: usize) {
         self.data.clear();
         self.data.resize(n, Complex64::ZERO);
     }
@@ -162,6 +157,7 @@ impl CVector {
     }
 
     /// Approximate equality within absolute tolerance on every entry.
+    // nplus:allow(VIS001): the test kit's assert macros and other crates' unit tests compare through it
     pub fn approx_eq(&self, other: &CVector, tol: f64) -> bool {
         self.len() == other.len()
             && self
@@ -172,7 +168,8 @@ impl CVector {
     }
 
     /// True when every entry has magnitude below `tol`.
-    pub fn is_negligible(&self, tol: f64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_negligible(&self, tol: f64) -> bool {
         self.data.iter().all(|z| z.abs() <= tol)
     }
 }

@@ -15,11 +15,12 @@
 
 /// A node address (the simulation uses small integers; 802.11 would use
 /// 48-bit MACs — the field is 16 bits here which the sim never exhausts).
-pub type Addr = u16;
+pub(crate) type Addr = u16;
 
 /// One receiver entry in a data header: destination and how many spatial
 /// streams it will be sent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// nplus:allow(VIS001): the element type of the public field `DataHeader::receivers`
 pub struct ReceiverEntry {
     /// Destination address.
     pub dst: Addr,

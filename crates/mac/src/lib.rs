@@ -24,5 +24,5 @@ pub mod frames;
 pub mod timing;
 
 pub use backoff::{resolve_contention_in, ContentionOutcome};
-pub use frames::{AckHeader, Addr, DataHeader, ReceiverEntry};
+pub use frames::{AckHeader, DataHeader, ReceiverEntry};
 pub use timing::SampleTiming;

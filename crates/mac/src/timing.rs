@@ -33,7 +33,7 @@ impl SampleTiming {
     /// (e.g. 2.5 MHz: SIFS → 40, slot → 22.5 → 23, but 34 µs → 85 ≠ 86),
     /// and the MAC accounting assumes the identity when it charges DIFS
     /// against slot-quantized backoff.
-    pub fn from_phy(mac: &MacTiming, cfg: &OfdmConfig) -> Self {
+    pub(crate) fn from_phy(mac: &MacTiming, cfg: &OfdmConfig) -> Self {
         let to_samples = |us: f64| (us * 1e-6 * cfg.bandwidth_hz).round() as u64;
         let sifs = to_samples(mac.sifs_us);
         let slot = to_samples(mac.slot_us);

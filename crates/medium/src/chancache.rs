@@ -155,10 +155,14 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::topology::build_environment_topology;
-    use nplus_channel::environment::{MULTI_CELL, SIGCOMM11_INDOOR};
+    use nplus_channel::environment::{environment_from_name, Environment, SIGCOMM11_INDOOR};
     use nplus_channel::placement::Testbed;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn multi_cell() -> &'static Environment {
+        environment_from_name("multi_cell").expect("built-in world")
+    }
 
     fn built() -> Topology {
         let tb = Testbed::sigcomm11();
@@ -223,10 +227,10 @@ mod tests {
         // installed links, each bit for bit.
         let n = 32;
         let antennas: Vec<usize> = (0..n).map(|i| if i % 8 == 0 { 2 } else { 1 }).collect();
-        let tb = MULTI_CELL.testbed(n).unwrap();
+        let tb = multi_cell().testbed(n).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let topo =
-            build_environment_topology(&MULTI_CELL, &tb, &antennas, 10e6, 3, &mut rng).unwrap();
+            build_environment_topology(multi_cell(), &tb, &antennas, 10e6, 3, &mut rng).unwrap();
         let cache = ChannelCache::build(&topo, &bins, 64);
         assert!(
             cache.n_links() < n * (n - 1),
@@ -311,10 +315,10 @@ mod tests {
     fn sparse_world_caches_only_installed_links() {
         let n = 32; // 4 multi-cell cells
         let antennas: Vec<usize> = (0..n).map(|i| if i % 8 == 0 { 2 } else { 1 }).collect();
-        let tb = MULTI_CELL.testbed(n).unwrap();
+        let tb = multi_cell().testbed(n).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let topo =
-            build_environment_topology(&MULTI_CELL, &tb, &antennas, 10e6, 3, &mut rng).unwrap();
+            build_environment_topology(multi_cell(), &tb, &antennas, 10e6, 3, &mut rng).unwrap();
         let cache = ChannelCache::build(&topo, &[0, 7, 21], 64);
         assert_eq!(cache.n_links(), topo.medium.n_links());
         assert!(

@@ -83,14 +83,9 @@ impl Medium {
 
     /// Overrides the receiver noise power (default 1.0). Setting 0
     /// disables noise — useful for isolating precoding residuals.
-    // nplus:allow(DEAD001): sets the SNR of the sample-level reference chain that tests/end_to_end.rs drives; the planned phy_check bin (ROADMAP.md) will call it
+    // nplus:allow(VIS001): sets the SNR of the sample-level reference chain that tests/end_to_end.rs drives; the planned phy_check bin (ROADMAP.md) will call it
     pub fn set_noise_power(&mut self, power: f64) {
         self.noise_power = power;
-    }
-
-    /// Sample rate in Hz.
-    pub fn sample_rate_hz(&self) -> f64 {
-        self.sample_rate_hz
     }
 
     /// Attaches a node with `n_antennas` antennas and an oscillator
@@ -172,11 +167,6 @@ impl Medium {
             "transmit: ragged stream lengths"
         );
         self.transmissions.push(tx);
-    }
-
-    /// All scheduled transmissions.
-    pub fn transmissions(&self) -> &[Transmission] {
-        &self.transmissions
     }
 
     /// Renders what node `at` observes over the window

@@ -12,6 +12,7 @@ impl std::fmt::Display for NodeId {
 
 /// Static description of a node on the medium.
 #[derive(Debug, Clone)]
+// nplus:allow(VIS001): the return type of the public `Medium::node`
 pub struct NodeInfo {
     /// The node's identifier.
     pub id: NodeId,

@@ -135,9 +135,13 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nplus_channel::environment::{OUTDOOR_FREE_SPACE, RICH_SCATTER, SIGCOMM11_INDOOR};
+    use nplus_channel::environment::{environment_from_name, SIGCOMM11_INDOOR};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn world(name: &str) -> &'static Environment {
+        environment_from_name(name).expect("built-in world")
+    }
 
     /// `antennas` placed in the paper's world on its 20-location map.
     fn indoor(antennas: &[usize], seed: u64) -> Topology {
@@ -203,8 +207,8 @@ mod tests {
             build_environment_topology(env, &tb, &antennas, 10e6, 3, &mut rng).unwrap()
         };
         let indoor = build(&SIGCOMM11_INDOOR);
-        let outdoor = build(&OUTDOOR_FREE_SPACE);
-        let scatter = build(&RICH_SCATTER);
+        let outdoor = build(world("outdoor"));
+        let scatter = build(world("rich_scatter"));
         let h = |t: &Topology| {
             t.medium
                 .link(t.nodes[0], t.nodes[1])
@@ -237,7 +241,7 @@ mod tests {
     #[test]
     fn oversize_scenario_is_a_clean_error() {
         let antennas = vec![1; 41];
-        let tb = Testbed::sigcomm11_extended();
+        let tb = SIGCOMM11_INDOOR.map.testbed(40).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
         let err = build_environment_topology(&SIGCOMM11_INDOOR, &tb, &antennas, 10e6, 0, &mut rng)
             .unwrap_err();
@@ -360,13 +364,13 @@ mod tests {
     /// station keeps its own AP, almost nobody keeps a link across town.
     #[test]
     fn multi_cell_topology_is_sparse_with_cells_intact() {
-        use nplus_channel::environment::MULTI_CELL;
         let n = 64; // 8 cells of 1 AP + 7 stations
         let antennas: Vec<usize> = (0..n).map(|i| if i % 8 == 0 { 4 } else { 1 }).collect();
-        let tb = MULTI_CELL.testbed(n).unwrap();
+        let tb = world("multi_cell").testbed(n).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         let topo =
-            build_environment_topology(&MULTI_CELL, &tb, &antennas, 10e6, 7, &mut rng).unwrap();
+            build_environment_topology(world("multi_cell"), &tb, &antennas, 10e6, 7, &mut rng)
+                .unwrap();
         let n_links = count_links(&topo);
         assert!(
             n_links < n * (n - 1) / 4,
@@ -418,7 +422,7 @@ mod tests {
     /// The new environments keep link SNRs in an operable band too.
     #[test]
     fn new_environment_snrs_in_operating_range() {
-        for env in [&OUTDOOR_FREE_SPACE, &RICH_SCATTER] {
+        for env in [world("outdoor"), world("rich_scatter")] {
             let antennas = vec![1; 8];
             let tb = env.testbed(8).unwrap();
             let mut in_range = 0;

@@ -6,7 +6,7 @@
 //! 802.11's serialization order.
 
 /// Expands bytes into bits, LSB-first within each byte.
-pub fn bytes_to_bits(bytes: &[u8]) -> Vec<u8> {
+pub(crate) fn bytes_to_bits(bytes: &[u8]) -> Vec<u8> {
     let mut bits = Vec::with_capacity(bytes.len() * 8);
     for &b in bytes {
         for k in 0..8 {
@@ -18,7 +18,7 @@ pub fn bytes_to_bits(bytes: &[u8]) -> Vec<u8> {
 
 /// Packs bits (LSB-first) back into bytes. The bit count must be a
 /// multiple of 8.
-pub fn bits_to_bytes(bits: &[u8]) -> Vec<u8> {
+pub(crate) fn bits_to_bytes(bits: &[u8]) -> Vec<u8> {
     assert!(
         bits.len().is_multiple_of(8),
         "bits_to_bytes: {} bits is not a whole number of bytes",

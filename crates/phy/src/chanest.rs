@@ -27,6 +27,7 @@ pub struct ChannelEstimate {
 /// The two repeated long symbols are averaged before division by the known
 /// sequence, halving the estimation noise power — exactly what commodity
 /// 802.11 receivers do.
+// nplus:allow(VIS001): a stage of the sample-level PHY chain that tests/phy_chain.rs drives; the planned phy_check bin (ROADMAP.md) will call it
 pub fn estimate_from_ltf(rx: &[Complex64], cfg: &OfdmConfig) -> ChannelEstimate {
     let gi = 2 * cfg.cp_len;
     let n = cfg.fft_len;

@@ -7,17 +7,17 @@
 //! skips them in the branch metric.
 
 /// Constraint length of the 802.11 code.
-pub const CONSTRAINT: usize = 7;
+pub(crate) const CONSTRAINT: usize = 7;
 /// Number of trellis states (2^(K-1)).
-pub const NUM_STATES: usize = 64;
+pub(crate) const NUM_STATES: usize = 64;
 /// Generator polynomial A (octal 133).
-pub const GEN_A: u8 = 0o133;
+pub(crate) const GEN_A: u8 = 0o133;
 /// Generator polynomial B (octal 171).
-pub const GEN_B: u8 = 0o171;
+pub(crate) const GEN_B: u8 = 0o171;
 
 /// Sentinel bit value marking an erased (punctured) position in the coded
 /// stream handed to [`viterbi_decode`].
-pub const ERASURE: u8 = 2;
+pub(crate) const ERASURE: u8 = 2;
 
 #[inline]
 fn parity(x: u8) -> u8 {
@@ -40,14 +40,14 @@ pub fn encode(bits: &[u8]) -> Vec<u8> {
 }
 
 /// Number of coded bits produced for `n` information bits (including tail).
-pub fn coded_len(n: usize) -> usize {
+pub(crate) fn coded_len(n: usize) -> usize {
     2 * (n + CONSTRAINT - 1)
 }
 
 /// Hard-decision Viterbi decoder with erasure support.
 ///
 /// `coded` holds pairs of bits per trellis step; positions equal to
-/// [`ERASURE`] contribute nothing to the branch metric (this is how
+/// `ERASURE` contribute nothing to the branch metric (this is how
 /// punctured bits are handled). The decoder assumes the encoder was
 /// flushed (trellis ends in state 0) and returns the information bits
 /// without the tail.

@@ -20,7 +20,7 @@ use crate::rates::{RateIndex, RATE_TABLE};
 /// Complementary error function, Abramowitz & Stegun 7.1.26-style rational
 /// approximation refined for double precision (max relative error < 1.2e-7,
 /// far below anything BER mapping can notice).
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     if x < 0.0 {
         return 2.0 - erfc(-x);
     }
@@ -39,13 +39,13 @@ pub fn erfc(x: f64) -> f64 {
 }
 
 /// Gaussian tail function `Q(x) = 0.5 * erfc(x / sqrt(2))`.
-pub fn q_func(x: f64) -> f64 {
+pub(crate) fn q_func(x: f64) -> f64 {
     0.5 * erfc(x / std::f64::consts::SQRT_2)
 }
 
 /// Uncoded bit error rate of the modulation on an AWGN channel at the
 /// given *symbol* SNR (linear, Es/N0). Standard Gray-coded expressions.
-pub fn ber_awgn(m: Modulation, snr_linear: f64) -> f64 {
+pub(crate) fn ber_awgn(m: Modulation, snr_linear: f64) -> f64 {
     let snr = snr_linear.max(0.0);
     let ber = match m {
         // BPSK: Q(sqrt(2 Eb/N0)); Es == Eb.

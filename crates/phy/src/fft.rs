@@ -14,7 +14,7 @@ pub fn fft_in_place(data: &mut [Complex64]) {
 }
 
 /// In-place inverse FFT (includes the 1/N normalization).
-pub fn ifft_in_place(data: &mut [Complex64]) {
+pub(crate) fn ifft_in_place(data: &mut [Complex64]) {
     transform(data, true);
     let scale = 1.0 / data.len() as f64;
     for z in data.iter_mut() {

@@ -24,7 +24,7 @@ fn permutation(n_cbps: usize, n_bpsc: usize) -> Vec<usize> {
 
 /// A block interleaver bound to one symbol geometry.
 #[derive(Debug, Clone)]
-pub struct Interleaver {
+pub(crate) struct Interleaver {
     forward: Vec<usize>,
     inverse: Vec<usize>,
 }
@@ -33,7 +33,7 @@ impl Interleaver {
     /// Creates an interleaver for `n_cbps` coded bits per symbol with
     /// `n_bpsc` coded bits per subcarrier. `n_cbps` must be a multiple
     /// of 16 (always true for the 802.11 symbol geometries).
-    pub fn new(n_cbps: usize, n_bpsc: usize) -> Self {
+    pub(crate) fn new(n_cbps: usize, n_bpsc: usize) -> Self {
         assert!(n_cbps.is_multiple_of(16), "N_CBPS must be a multiple of 16");
         let forward = permutation(n_cbps, n_bpsc);
         let mut inverse = vec![0usize; n_cbps];
@@ -44,7 +44,7 @@ impl Interleaver {
     }
 
     /// Interleaves one block. `bits.len()` must equal the block size.
-    pub fn interleave(&self, bits: &[u8]) -> Vec<u8> {
+    pub(crate) fn interleave(&self, bits: &[u8]) -> Vec<u8> {
         assert_eq!(
             bits.len(),
             self.forward.len(),
@@ -58,7 +58,7 @@ impl Interleaver {
     }
 
     /// Inverts [`Self::interleave`].
-    pub fn deinterleave(&self, bits: &[u8]) -> Vec<u8> {
+    pub(crate) fn deinterleave(&self, bits: &[u8]) -> Vec<u8> {
         assert_eq!(
             bits.len(),
             self.inverse.len(),

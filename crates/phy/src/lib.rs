@@ -10,7 +10,7 @@
 //!
 //! * [`fft`] — radix-2 (I)FFT and the normalized cross-correlation kernel
 //!   used by preamble-based carrier sense;
-//! * [`scrambler`], [`convolutional`], [`puncture`], [`interleaver`] — the
+//! * `scrambler`, [`convolutional`], [`puncture`], `interleaver` — the
 //!   802.11 coding chain (K=7 (133,171) code, Viterbi decoding, rates
 //!   1/2, 2/3, 3/4);
 //! * [`modulation`] — Gray-coded BPSK/QPSK/16-QAM/64-QAM;
@@ -23,23 +23,25 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bits;
+mod bits;
 pub mod chanest;
 pub mod convolutional;
 pub mod esnr;
 pub mod fft;
-pub mod interleaver;
+mod interleaver;
 pub mod modulation;
 pub mod ofdm;
 pub mod params;
 pub mod preamble;
+#[cfg(test)]
+mod proptests;
 pub mod puncture;
 pub mod rates;
-pub mod scrambler;
+mod scrambler;
 
 pub use chanest::{estimate_from_ltf, estimate_mimo_from_preamble, ChannelEstimate};
-pub use esnr::{ber_awgn, effective_snr, effective_snr_db, select_rate, RATE_ESNR_THRESHOLDS_DB};
+pub use esnr::{effective_snr, effective_snr_db, select_rate, RATE_ESNR_THRESHOLDS_DB};
 pub use modulation::Modulation;
-pub use params::{MacTiming, OfdmConfig, NUM_DATA_SUBCARRIERS, NUM_SUBCARRIERS};
+pub use params::{MacTiming, OfdmConfig};
 pub use puncture::CodeRate;
 pub use rates::{Mcs, RateIndex, BASE_RATE, RATE_TABLE};

@@ -21,7 +21,7 @@ pub enum Modulation {
 
 impl Modulation {
     /// Coded bits carried per subcarrier symbol (`N_BPSC`).
-    pub fn bits_per_symbol(self) -> usize {
+    pub(crate) fn bits_per_symbol(self) -> usize {
         match self {
             Modulation::Bpsk => 1,
             Modulation::Qpsk => 2,
@@ -38,11 +38,6 @@ impl Modulation {
             Modulation::Qam16 => 1.0 / 10f64.sqrt(),
             Modulation::Qam64 => 1.0 / 42f64.sqrt(),
         }
-    }
-
-    /// Number of constellation points.
-    pub fn points(self) -> usize {
-        1 << self.bits_per_symbol()
     }
 
     /// Human-readable name.
@@ -128,7 +123,7 @@ fn gray_axis_demap(value: f64, width: usize, out: &mut Vec<u8>) {
 }
 
 /// Maps coded bits to constellation symbols. `bits.len()` must be a
-/// multiple of [`Modulation::bits_per_symbol`].
+/// multiple of `Modulation::bits_per_symbol`.
 pub fn modulate(bits: &[u8], m: Modulation) -> Vec<Complex64> {
     let bps = m.bits_per_symbol();
     assert!(
@@ -148,6 +143,7 @@ pub fn modulate(bits: &[u8], m: Modulation) -> Vec<Complex64> {
 }
 
 /// Hard-decision demapping of constellation symbols back to coded bits.
+// nplus:allow(VIS001): a stage of the sample-level join chain that tests/end_to_end.rs drives; the planned phy_check bin (ROADMAP.md) will call it
 pub fn demodulate(symbols: &[Complex64], m: Modulation) -> Vec<u8> {
     let k = m.kmod();
     let mut bits = Vec::with_capacity(symbols.len() * m.bits_per_symbol());

@@ -42,6 +42,7 @@ const PILOT_BASE: [f64; 4] = [1.0, 1.0, 1.0, -1.0];
 ///
 /// `symbol_index` selects the pilot polarity. Returns `fft_len + cp_len`
 /// time-domain samples.
+// nplus:allow(VIS001): a stage of the sample-level join chain that tests/end_to_end.rs drives; the planned phy_check bin (ROADMAP.md) will call it
 pub fn assemble_symbol(
     data: &[Complex64],
     symbol_index: usize,
@@ -117,6 +118,7 @@ pub fn assemble_symbol_with_pilot_gain(
 
 /// Recovered frequency-domain content of one OFDM symbol.
 #[derive(Debug, Clone)]
+// nplus:allow(VIS001): the return type of the public `disassemble_symbol`
 pub struct SymbolObservation {
     /// Raw FFT output per subcarrier (natural order), before equalization.
     pub freq: Vec<Complex64>,
@@ -124,7 +126,7 @@ pub struct SymbolObservation {
 
 impl SymbolObservation {
     /// Pilot observations in transmit order.
-    pub fn pilots(&self) -> [Complex64; 4] {
+    pub(crate) fn pilots(&self) -> [Complex64; 4] {
         let idx = pilot_subcarrier_indices();
         [
             self.freq[idx[0]],
@@ -137,6 +139,7 @@ impl SymbolObservation {
 
 /// Disassembles one OFDM symbol: strips the CP and FFTs. The inverse of
 /// [`assemble_symbol`] up to channel effects.
+// nplus:allow(VIS001): a stage of the sample-level join chain that tests/end_to_end.rs drives; the planned phy_check bin (ROADMAP.md) will call it
 pub fn disassemble_symbol(samples: &[Complex64], cfg: &OfdmConfig) -> SymbolObservation {
     assert_eq!(samples.len(), cfg.symbol_len(), "disassemble: wrong length");
     let body = &samples[cfg.cp_len..];
@@ -152,7 +155,7 @@ pub fn disassemble_symbol(samples: &[Complex64], cfg: &OfdmConfig) -> SymbolObse
 /// Corrects the common phase error of one symbol using its pilots and
 /// equalizes the data subcarriers against the per-subcarrier channel
 /// `chan` (natural FFT order, as estimated from the LTF).
-pub fn equalize_symbol(
+pub(crate) fn equalize_symbol(
     obs: &SymbolObservation,
     chan: &[Complex64],
     symbol_index: usize,
@@ -192,7 +195,7 @@ pub fn equalize_symbol(
 /// Encodes a byte payload into a sequence of constellation points, one
 /// entry of 48 points per OFDM symbol (the "bits on subcarriers" part of
 /// the TX chain, before IFFT).
-pub fn encode_payload_to_carriers(payload: &[u8], mcs: Mcs) -> Vec<Vec<Complex64>> {
+pub(crate) fn encode_payload_to_carriers(payload: &[u8], mcs: Mcs) -> Vec<Vec<Complex64>> {
     let mut bits = bytes_to_bits(payload);
     Scrambler::default_seed().apply_in_place(&mut bits);
     let coded = conv_encode(&bits);
@@ -213,7 +216,7 @@ pub fn encode_payload_to_carriers(payload: &[u8], mcs: Mcs) -> Vec<Vec<Complex64
 /// Inverse of [`encode_payload_to_carriers`]: demaps equalized data
 /// carriers back to the byte payload. `payload_len` is the expected byte
 /// count (known from the header).
-pub fn decode_carriers_to_payload(
+pub(crate) fn decode_carriers_to_payload(
     carriers: &[Vec<Complex64>],
     mcs: Mcs,
     payload_len: usize,
@@ -242,7 +245,7 @@ pub fn decode_carriers_to_payload(
 
 /// Full single-antenna transmit chain: payload bytes to time-domain
 /// samples (without preamble; see [`crate::preamble`]).
-// nplus:allow(DEAD001): the transmit half of the sample-level PHY chain that tests/phy_chain.rs drives; the planned phy_check bin (ROADMAP.md) will call it
+// nplus:allow(VIS001): the transmit half of the sample-level PHY chain that tests/phy_chain.rs drives; the planned phy_check bin (ROADMAP.md) will call it
 pub fn transmit_payload(payload: &[u8], mcs: Mcs, cfg: &OfdmConfig) -> Vec<Complex64> {
     let carriers = encode_payload_to_carriers(payload, mcs);
     let mut out = Vec::with_capacity(carriers.len() * cfg.symbol_len());
@@ -255,7 +258,7 @@ pub fn transmit_payload(payload: &[u8], mcs: Mcs, cfg: &OfdmConfig) -> Vec<Compl
 /// Full single-antenna receive chain: time-domain samples (aligned to the
 /// first data symbol) back to payload bytes, equalizing with the given
 /// per-subcarrier channel estimate.
-// nplus:allow(DEAD001): the receive half of the sample-level PHY chain that tests/phy_chain.rs drives; the planned phy_check bin (ROADMAP.md) will call it
+// nplus:allow(VIS001): the receive half of the sample-level PHY chain that tests/phy_chain.rs drives; the planned phy_check bin (ROADMAP.md) will call it
 pub fn receive_payload(
     samples: &[Complex64],
     chan: &[Complex64],

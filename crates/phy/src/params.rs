@@ -7,20 +7,20 @@
 //! alignment-space compressibility, §3.5).
 
 /// Number of OFDM subcarriers (FFT size), as in 802.11a/g/n 20 MHz.
-pub const NUM_SUBCARRIERS: usize = 64;
+pub(crate) const NUM_SUBCARRIERS: usize = 64;
 
 /// Number of data subcarriers per OFDM symbol.
-pub const NUM_DATA_SUBCARRIERS: usize = 48;
+pub(crate) const NUM_DATA_SUBCARRIERS: usize = 48;
 
 /// Number of pilot subcarriers per OFDM symbol.
-pub const NUM_PILOTS: usize = 4;
+pub(crate) const NUM_PILOTS: usize = 4;
 
 /// Cyclic-prefix length in samples for the standard profile.
 ///
 /// §4 of the paper notes that n+ scales both the CP and the FFT size by the
 /// same factor to give joiners timing leeway; [`OfdmConfig::scaled`]
 /// implements that.
-pub const CP_LEN: usize = 16;
+pub(crate) const CP_LEN: usize = 16;
 
 /// Indices (in natural FFT order 0..64) of the data subcarriers.
 ///
@@ -99,7 +99,7 @@ impl OfdmConfig {
 
     /// Duration of one OFDM symbol in seconds.
     #[inline]
-    pub fn symbol_duration(&self) -> f64 {
+    pub(crate) fn symbol_duration(&self) -> f64 {
         self.symbol_len() as f64 / self.bandwidth_hz
     }
 }

@@ -50,7 +50,7 @@ fn fft_bin(logical: i32, fft_len: usize) -> usize {
 
 /// STF in natural FFT order (length `fft_len`), scaled for unit average
 /// time-domain power.
-pub fn stf_freq(fft_len: usize) -> Vec<Complex64> {
+pub(crate) fn stf_freq(fft_len: usize) -> Vec<Complex64> {
     let mut f = vec![Complex64::ZERO; fft_len];
     let scale = (13.0f64 / 6.0).sqrt();
     for (i, &(re, im)) in STF_SEQ.iter().enumerate() {
@@ -61,7 +61,7 @@ pub fn stf_freq(fft_len: usize) -> Vec<Complex64> {
 }
 
 /// LTF in natural FFT order (length `fft_len`).
-pub fn ltf_freq(fft_len: usize) -> Vec<Complex64> {
+pub(crate) fn ltf_freq(fft_len: usize) -> Vec<Complex64> {
     let mut f = vec![Complex64::ZERO; fft_len];
     for (i, &v) in LTF_SEQ.iter().enumerate() {
         let logical = i as i32 - 26;
@@ -72,7 +72,7 @@ pub fn ltf_freq(fft_len: usize) -> Vec<Complex64> {
 
 /// One 16-sample period of the time-domain STF (for the standard 64-point
 /// FFT; scales with `cfg.fft_len`).
-pub fn stf_period(cfg: &OfdmConfig) -> Vec<Complex64> {
+pub(crate) fn stf_period(cfg: &OfdmConfig) -> Vec<Complex64> {
     let t = ifft(&stf_freq(cfg.fft_len));
     // The STF occupies every 4th subcarrier, so the time signal has
     // period fft_len / 4.
@@ -95,6 +95,7 @@ pub fn stf_time(cfg: &OfdmConfig) -> Vec<Complex64> {
 /// The full time-domain LTF: a double-length guard interval followed by
 /// two repetitions of the 64-sample long symbol (160 samples total at the
 /// standard geometry), normalized to unit average power.
+// nplus:allow(VIS001): a stage of the sample-level PHY chain that tests/phy_chain.rs drives; the planned phy_check bin (ROADMAP.md) will call it
 pub fn ltf_time(cfg: &OfdmConfig) -> Vec<Complex64> {
     let sym = ifft(&ltf_freq(cfg.fft_len));
     let gi = 2 * cfg.cp_len;
@@ -139,7 +140,7 @@ pub fn mimo_preamble(cfg: &OfdmConfig, n_antennas: usize) -> Vec<Vec<Complex64>>
 }
 
 /// Total preamble length in samples for an `n_antennas` transmitter.
-// nplus:allow(DEAD001): sizes captures in the sample-level chain that tests/end_to_end.rs drives; the planned phy_check bin (ROADMAP.md) will call it
+// nplus:allow(VIS001): sizes captures in the sample-level chain that tests/end_to_end.rs drives; the planned phy_check bin (ROADMAP.md) will call it
 pub fn preamble_len(cfg: &OfdmConfig, n_antennas: usize) -> usize {
     stf_time(cfg).len() + n_antennas * ltf_time(cfg).len()
 }

@@ -3,13 +3,14 @@
 //! 802.11 derives its higher code rates from the rate-1/2 mother code by
 //! deleting (puncturing) coded bits in a fixed periodic pattern
 //! (IEEE 802.11-2007 §17.3.5.6). The receiver re-inserts
-//! [`crate::convolutional::ERASURE`] marks at the deleted positions before
+//! `ERASURE` marks at the deleted positions before
 //! Viterbi decoding.
 
 use crate::convolutional::ERASURE;
 
 /// Code rate of the convolutional coding stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+// nplus:allow(VIS001): the type of the public field `Mcs::code_rate`
 pub enum CodeRate {
     /// Rate 1/2 (no puncturing).
     R12,
@@ -23,7 +24,7 @@ impl CodeRate {
     /// The puncturing pattern over one period of the *coded* (rate-1/2)
     /// stream; `true` = keep, `false` = delete. Patterns follow the
     /// standard: A bits are the even positions, B bits the odd.
-    pub fn pattern(self) -> &'static [bool] {
+    pub(crate) fn pattern(self) -> &'static [bool] {
         match self {
             CodeRate::R12 => &[true, true],
             // Period 4 (two A/B pairs): keep A1 B1 A2, drop B2.
@@ -50,11 +51,6 @@ impl CodeRate {
             CodeRate::R34 => 4,
         }
     }
-
-    /// The rate as a float (information bits per coded bit on air).
-    pub fn as_f64(self) -> f64 {
-        self.num() as f64 / self.den() as f64
-    }
 }
 
 impl std::fmt::Display for CodeRate {
@@ -64,7 +60,7 @@ impl std::fmt::Display for CodeRate {
 }
 
 /// Deletes bits from a rate-1/2 coded stream according to the pattern.
-pub fn puncture(coded: &[u8], rate: CodeRate) -> Vec<u8> {
+pub(crate) fn puncture(coded: &[u8], rate: CodeRate) -> Vec<u8> {
     let pattern = rate.pattern();
     coded
         .iter()
@@ -78,7 +74,7 @@ pub fn puncture(coded: &[u8], rate: CodeRate) -> Vec<u8> {
 /// rate-1/2 stream geometry expected by the Viterbi decoder.
 ///
 /// `original_len` is the length of the pre-puncturing coded stream.
-pub fn depuncture(punctured: &[u8], rate: CodeRate, original_len: usize) -> Vec<u8> {
+pub(crate) fn depuncture(punctured: &[u8], rate: CodeRate, original_len: usize) -> Vec<u8> {
     let pattern = rate.pattern();
     let mut out = Vec::with_capacity(original_len);
     let mut src = punctured.iter();
@@ -98,7 +94,7 @@ pub fn depuncture(punctured: &[u8], rate: CodeRate, original_len: usize) -> Vec<
 
 /// Number of on-air bits after puncturing a coded stream of `coded_len`
 /// bits.
-pub fn punctured_len(coded_len: usize, rate: CodeRate) -> usize {
+pub(crate) fn punctured_len(coded_len: usize, rate: CodeRate) -> usize {
     let pattern = rate.pattern();
     let full_periods = coded_len / pattern.len();
     let kept_per_period = pattern.iter().filter(|&&k| k).count();
@@ -131,9 +127,10 @@ mod tests {
 
     #[test]
     fn rates_as_fractions() {
-        assert_eq!(CodeRate::R12.as_f64(), 0.5);
-        assert!((CodeRate::R23.as_f64() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(CodeRate::R34.as_f64(), 0.75);
+        let fraction = |r: CodeRate| (r.num(), r.den());
+        assert_eq!(fraction(CodeRate::R12), (1, 2));
+        assert_eq!(fraction(CodeRate::R23), (2, 3));
+        assert_eq!(fraction(CodeRate::R34), (3, 4));
     }
 
     #[test]

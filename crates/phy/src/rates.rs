@@ -20,7 +20,7 @@ pub struct Mcs {
 
 impl Mcs {
     /// Coded bits per OFDM symbol (`N_CBPS`).
-    pub fn coded_bits_per_symbol(&self) -> usize {
+    pub(crate) fn coded_bits_per_symbol(&self) -> usize {
         NUM_DATA_SUBCARRIERS * self.modulation.bits_per_symbol()
     }
 
@@ -30,7 +30,7 @@ impl Mcs {
     }
 
     /// Bitrate in bits/second for the given OFDM configuration.
-    pub fn bitrate_bps(&self, cfg: &OfdmConfig) -> f64 {
+    pub(crate) fn bitrate_bps(&self, cfg: &OfdmConfig) -> f64 {
         self.data_bits_per_symbol() as f64 / cfg.symbol_duration()
     }
 

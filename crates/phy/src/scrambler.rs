@@ -8,14 +8,14 @@
 
 /// The 802.11 scrambler/descrambler.
 #[derive(Debug, Clone)]
-pub struct Scrambler {
+pub(crate) struct Scrambler {
     state: u8, // 7-bit LFSR state
 }
 
 impl Scrambler {
     /// Creates a scrambler with the given 7-bit seed (must be non-zero:
     /// the all-zero state never leaves zero).
-    pub fn new(seed: u8) -> Self {
+    pub(crate) fn new(seed: u8) -> Self {
         let state = seed & 0x7F;
         assert!(state != 0, "scrambler seed must be non-zero");
         Scrambler { state }
@@ -23,7 +23,7 @@ impl Scrambler {
 
     /// The default seed used throughout the workspace (all ones, a common
     /// 802.11 choice).
-    pub fn default_seed() -> Self {
+    pub(crate) fn default_seed() -> Self {
         Self::new(0x7F)
     }
 
@@ -36,17 +36,10 @@ impl Scrambler {
     }
 
     /// Scrambles (or descrambles) a bit sequence in place.
-    pub fn apply_in_place(&mut self, bits: &mut [u8]) {
+    pub(crate) fn apply_in_place(&mut self, bits: &mut [u8]) {
         for bit in bits {
             *bit ^= self.next_bit();
         }
-    }
-
-    /// Scrambles (or descrambles) a bit sequence.
-    pub fn apply(&mut self, bits: &[u8]) -> Vec<u8> {
-        let mut out = bits.to_vec();
-        self.apply_in_place(&mut out);
-        out
     }
 }
 
@@ -57,8 +50,10 @@ mod tests {
     #[test]
     fn scramble_descramble_round_trip() {
         let bits: Vec<u8> = (0..256).map(|i| ((i * 7) % 3 == 0) as u8).collect();
-        let scrambled = Scrambler::new(0x5B).apply(&bits);
-        let restored = Scrambler::new(0x5B).apply(&scrambled);
+        let mut scrambled = bits.clone();
+        Scrambler::new(0x5B).apply_in_place(&mut scrambled);
+        let mut restored = scrambled.clone();
+        Scrambler::new(0x5B).apply_in_place(&mut restored);
         assert_eq!(restored, bits);
         assert_ne!(scrambled, bits, "scrambler must actually change the data");
     }
@@ -85,9 +80,10 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let bits = vec![0u8; 64];
-        let a = Scrambler::new(0x7F).apply(&bits);
-        let b = Scrambler::new(0x01).apply(&bits);
+        let mut a = vec![0u8; 64];
+        let mut b = a.clone();
+        Scrambler::new(0x7F).apply_in_place(&mut a);
+        Scrambler::new(0x01).apply_in_place(&mut b);
         assert_ne!(a, b);
     }
 

@@ -77,7 +77,7 @@ impl ResultCache {
     /// The cached canonical keys in ascending order — the `stats`
     /// command reports these, and sorting makes the response
     /// byte-identical regardless of insertion order or hash layout.
-    pub fn sorted_keys(&self) -> Vec<u128> {
+    pub(crate) fn sorted_keys(&self) -> Vec<u128> {
         let mut keys: Vec<u128> = self.entries().keys().copied().collect();
         keys.sort_unstable();
         keys
@@ -94,7 +94,7 @@ impl ResultCache {
     }
 
     /// Requests that had to compute (successfully) so far.
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 }

@@ -63,6 +63,6 @@ pub mod server;
 pub use nplus_codec::json;
 
 pub use cache::ResultCache;
-pub use json::{json_f64, Json};
-pub use protocol::{Request, SweepRequest, MAX_FRAME};
+pub use json::Json;
+pub use protocol::{Request, SweepRequest};
 pub use server::SweepServer;

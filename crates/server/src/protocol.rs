@@ -4,7 +4,7 @@
 //! ## Framing
 //!
 //! Each message is one JSON document, UTF-8, prefixed by its byte
-//! length as a big-endian `u32`. Frames above [`MAX_FRAME`] are
+//! length as a big-endian `u32`. Frames above `MAX_FRAME` are
 //! rejected before allocation, so a hostile length prefix cannot OOM
 //! the server. A clean EOF *between* frames is a normal connection
 //! close ([`read_frame`] returns `Ok(None)`); EOF *inside* a frame is
@@ -64,7 +64,7 @@ use std::io::{self, Read, Write};
 
 /// Largest frame either side accepts (1 MiB) — far above any real
 /// request or response, far below anything that could hurt.
-pub const MAX_FRAME: usize = 1 << 20;
+pub(crate) const MAX_FRAME: usize = 1 << 20;
 
 /// Reads one length-prefixed frame. `Ok(None)` on clean EOF before any
 /// prefix byte; an error on EOF mid-frame or an oversized prefix.
@@ -100,7 +100,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 /// Writes one length-prefixed frame.
 ///
 /// # Errors
-/// `InvalidData` for payloads above [`MAX_FRAME`]; otherwise I/O errors.
+/// `InvalidData` for payloads above `MAX_FRAME`; otherwise I/O errors.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME {
         return Err(io::Error::new(
@@ -117,7 +117,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 }
 
 /// [`write_frame`] for a JSON value.
-pub fn write_json_frame(w: &mut impl Write, value: &Json) -> io::Result<()> {
+pub(crate) fn write_json_frame(w: &mut impl Write, value: &Json) -> io::Result<()> {
     write_frame(w, value.to_string_compact().as_bytes())
 }
 
@@ -358,7 +358,7 @@ pub fn sweep_response(
 }
 
 /// The error response: one line, no panics behind it.
-pub fn error_response(message: &str) -> Json {
+pub(crate) fn error_response(message: &str) -> Json {
     Json::Obj(vec![
         ("status".to_string(), Json::Str("error".to_string())),
         ("error".to_string(), Json::Str(message.to_string())),
@@ -366,7 +366,7 @@ pub fn error_response(message: &str) -> Json {
 }
 
 /// The `"ping"` response.
-pub fn pong_response() -> Json {
+pub(crate) fn pong_response() -> Json {
     Json::Obj(vec![
         ("status".to_string(), Json::Str("ok".to_string())),
         ("pong".to_string(), Json::Bool(true)),
@@ -381,7 +381,7 @@ const STATS_MAX_KEYS: usize = 1024;
 /// The `"stats"` (serving counters) response. `keys` must be sorted
 /// ascending; only the 1024 smallest are listed, so the reply always
 /// fits a frame.
-pub fn counters_response(entries: usize, hits: u64, misses: u64, keys: &[u128]) -> Json {
+pub(crate) fn counters_response(entries: usize, hits: u64, misses: u64, keys: &[u128]) -> Json {
     Json::Obj(vec![
         ("status".to_string(), Json::Str("ok".to_string())),
         ("entries".to_string(), Json::Int(entries as i64)),
