@@ -15,8 +15,7 @@ use crate::rules::{RuleId, RuleSet};
 
 /// How a file participates in its crate, which decides rule scope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// nplus:allow(VIS001): a parameter type of the public `analyze_source`
-pub enum FileKind {
+pub(crate) enum FileKind {
     /// The crate root (`src/lib.rs`): library code + header check.
     LibRoot,
     /// Library code under `src/` (not `src/bin/`).
@@ -47,8 +46,12 @@ impl Allow {
 
 /// Analyzes one file's source text under the given rules. `path` is
 /// only used to label diagnostics. Never panics, whatever the input.
-// nplus:allow(VIS001): the fixture corpus in tests/golden.rs runs through it, one file at a time
-pub fn analyze_source(path: &str, src: &str, kind: FileKind, rules: RuleSet) -> Vec<Diagnostic> {
+pub(crate) fn analyze_source(
+    path: &str,
+    src: &str,
+    kind: FileKind,
+    rules: RuleSet,
+) -> Vec<Diagnostic> {
     let toks = lex(src);
     let test_mask = cfg_test_mask(&toks, src);
     let mut diags = Vec::new();

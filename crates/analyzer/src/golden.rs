@@ -1,4 +1,6 @@
-//! Golden-diagnostic tests over the fixture corpus.
+//! Golden-diagnostic tests over the fixture corpus in the crate's
+//! `tests/fixtures`. They live inside the crate because the per-file
+//! engine they drive (`analyze_source`, `rules_for`) is crate-private.
 //!
 //! Every `tests/fixtures/<name>.rs` carries a first-line header
 //! `//~ kind=<lib|libroot|bin|test> profile=<detcore|serving|hygiene>`
@@ -10,8 +12,8 @@
 //! real `analyze` run. The `dead_ws` directory is a mini-workspace for
 //! the cross-file `VIS001` pass, with its golden in `dead_ws.golden`.
 
-use nplus_analyzer::workspace::{analyze_workspace, rules_for, Profile};
-use nplus_analyzer::{analyze_source, FileKind};
+use crate::engine::{analyze_source, FileKind};
+use crate::workspace::{analyze_workspace, rules_for, Profile};
 use std::path::{Path, PathBuf};
 
 fn fixtures_dir() -> PathBuf {

@@ -11,8 +11,8 @@
 //! * **No panics on arbitrary input.** The scanner walks raw bytes
 //!   with bounds-checked access only; unterminated literals, stray
 //!   continuation bytes and malformed escapes all degrade to tokens,
-//!   never to a crash (`tests/lexer_never_panics.rs` proves this with
-//!   arbitrary byte soup).
+//!   never to a crash (the never-panics properties in this module's
+//!   tests prove this with arbitrary byte soup).
 //!
 //! The lexer is intentionally lossy about things the rules never look
 //! at (numeric suffixes, operator composition): a token is a kind, a
@@ -20,8 +20,7 @@
 
 /// What a token is, at the granularity the rule engine needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// nplus:allow(VIS001): the type of the public field `Token::kind`
-pub enum TokKind {
+pub(crate) enum TokKind {
     /// An identifier or keyword (`for`, `unsafe`, `HashMap`, …).
     Ident,
     /// A numeric literal (loosely scanned; suffixes included).
@@ -40,8 +39,7 @@ pub enum TokKind {
 
 /// One lexed token: kind, byte range into the source, 1-based line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// nplus:allow(VIS001): the element type `lex` returns
-pub struct Token {
+pub(crate) struct Token {
     /// The token's classification.
     pub kind: TokKind,
     /// Byte offset of the token's first byte.
@@ -55,15 +53,14 @@ pub struct Token {
 impl Token {
     /// The token's text within `src`; empty if the range is somehow
     /// out of bounds or splits a UTF-8 scalar (never panics).
-    pub fn text<'a>(&self, src: &'a str) -> &'a str {
+    pub(crate) fn text<'a>(&self, src: &'a str) -> &'a str {
         src.get(self.start..self.end).unwrap_or("")
     }
 }
 
 /// Lexes `src` into a token stream. Total: every byte is consumed,
 /// every input produces some token list, and no input panics.
-// nplus:allow(VIS001): the never-panics property suite tests/lexer_never_panics.rs fuzzes it
-pub fn lex(src: &str) -> Vec<Token> {
+pub(crate) fn lex(src: &str) -> Vec<Token> {
     let b = src.as_bytes();
     let mut toks = Vec::new();
     let mut i = 0usize;
@@ -346,6 +343,7 @@ fn scan_raw_or_prefixed_string(b: &[u8], i: usize, line: &mut u32) -> Option<usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn kinds(src: &str) -> Vec<(TokKind, String)> {
         lex(src)
@@ -431,6 +429,55 @@ let s = "Instant::now inside a string";
             "r###",
         ] {
             let _ = lex(src); // must not panic
+        }
+    }
+
+    /// Characters that stress the lexer's tricky paths: string/char
+    /// delimiters, escapes, raw-string hashes, comment openers/closers and
+    /// multi-byte UTF-8.
+    const SPICE: &[char] = &[
+        '"', '\'', '\\', '#', 'r', 'b', '/', '*', '!', '(', ')', '\n', 'é', '∀', '𝕏', '\u{0}',
+    ];
+
+    // The lexer's only hard contract: it never panics, whatever bytes it
+    // is fed. The analyzer runs over every file in the tree — including
+    // ones mid-edit, truncated, or not Rust at all — and a lexer panic
+    // would turn a hygiene check into a build breaker.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes, lossily decoded: the lexer terminates and every
+        /// token's span is in-bounds and non-inverted.
+        #[test]
+        fn arbitrary_bytes_lex_without_panicking(
+            bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        ) {
+            let src = String::from_utf8_lossy(&bytes).into_owned();
+            for t in lex(&src) {
+                prop_assert!(t.start <= t.end && t.end <= src.len());
+            }
+        }
+
+        /// Delimiter-heavy soup: unterminated strings, half-open raw
+        /// strings, nested comment openers — the paths a uniform byte
+        /// distribution almost never reaches.
+        #[test]
+        fn delimiter_soup_lexes_without_panicking(
+            picks in proptest::collection::vec((0usize..SPICE.len(), any::<bool>()), 0..128),
+        ) {
+            let mut src = String::new();
+            for (i, pad) in picks {
+                src.push(SPICE[i]);
+                if pad {
+                    src.push('x');
+                }
+            }
+            for t in lex(&src) {
+                prop_assert!(t.start <= t.end && t.end <= src.len());
+                // Spans must also land on char boundaries, or Token::text
+                // would silently return "" for real tokens.
+                prop_assert!(src.is_char_boundary(t.start) && src.is_char_boundary(t.end));
+            }
         }
     }
 }

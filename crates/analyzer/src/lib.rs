@@ -28,7 +28,7 @@
 //!   `perfbench/src` are. Inside a crate, rustc's `dead_code` lint
 //!   judges the `pub(crate)` items.
 //!
-//! The engine is a small hand-rolled lexer ([`lexer`]) — comment-,
+//! The engine is a small hand-rolled lexer (`lexer`) — comment-,
 //! string-, raw-string- and `#[cfg(test)]`-aware, never panicking on
 //! arbitrary input — plus a token-pattern rule engine (`engine`), the
 //! reachability pass (`dead`) and per-crate profiles ([`workspace`]).
@@ -54,12 +54,13 @@
 
 mod dead;
 mod engine;
-pub mod lexer;
+#[cfg(test)]
+mod golden;
+mod lexer;
 mod report;
 mod rules;
 pub mod workspace;
 
-pub use engine::{analyze_source, FileKind};
 pub use report::{render_human, render_json, Diagnostic};
-pub use rules::{RuleId, RuleSet};
+pub use rules::RuleId;
 pub use workspace::{analyze_workspace, WorkspaceReport};

@@ -136,8 +136,7 @@ impl RuleId {
 /// profile and the file's kind by [`workspace`](crate::workspace) (or
 /// assembled directly in tests).
 #[derive(Debug, Clone, Copy, Default)]
-// nplus:allow(VIS001): a parameter type of the public `analyze_source`, and what `rules_for` returns
-pub struct RuleSet {
+pub(crate) struct RuleSet {
     /// `DET001`/`DET002`: wall-clock and entropy randomness.
     pub wall_clock_and_entropy: bool,
     /// `DET003`: unordered map iteration (deterministic core only).
@@ -155,7 +154,7 @@ pub struct RuleSet {
 impl RuleSet {
     /// Everything on — the strictest profile, used by fixtures.
     #[cfg(test)]
-    pub fn strict() -> RuleSet {
+    pub(crate) fn strict() -> RuleSet {
         RuleSet {
             wall_clock_and_entropy: true,
             map_iteration: true,

@@ -15,13 +15,22 @@
 //! (a broken interpolation or a mis-keyed cache shows up as 30%+).
 //! DESIGN.md §10 records the measured bias alongside this bound.
 
-use nplus::scenario::{city_scenario, ScenarioGenerator};
-use nplus::sim::{SinrGrid, SweepSpec};
+use nplus::prelude::environment_from_name;
+use nplus::scenario::{parse_spec, ScenarioGenerator};
+use nplus::sim::{Scenario, SinrGrid, SweepSpec};
 use proptest::prelude::*;
 
 const DECIMATION: usize = 4;
 const SEEDS_PER_BATCH: u64 = 24;
 const MAX_REL_DELTA: f64 = 0.10;
+
+/// `city:16`, parsed for the sparse `multi_cell` world.
+fn city16() -> Scenario {
+    let multi_cell = environment_from_name("multi_cell").expect("builtin environment");
+    parse_spec("city:16", multi_cell.capacity())
+        .expect("city:16 fits the multi_cell world")
+        .scenario
+}
 
 fn mean_goodput(kind: u8, gen_seed: u64, grid: SinrGrid) -> f64 {
     let mut generator = ScenarioGenerator::new(gen_seed);
@@ -30,7 +39,7 @@ fn mean_goodput(kind: u8, gen_seed: u64, grid: SinrGrid) -> f64 {
         1 => (generator.n_pairs(3), None),
         2 => (generator.hidden_terminal(3), None),
         3 => (generator.dense(8), None),
-        _ => (city_scenario(16), Some("multi_cell")),
+        _ => (city16(), Some("multi_cell")),
     };
     let mut spec = SweepSpec::new(scenario)
         .rounds(12)

@@ -6,8 +6,9 @@
 //! down, by the `nplus-medium` chancache tests.)
 
 use nplus::policy::BUILTIN_POLICY_NAMES;
-use nplus::scenario::{city_scenario, ScenarioGenerator};
-use nplus::sim::{SweepSpec, SweepStats};
+use nplus::prelude::environment_from_name;
+use nplus::scenario::{parse_spec, ScenarioGenerator};
+use nplus::sim::{Scenario, SweepSpec, SweepStats};
 use proptest::prelude::*;
 
 /// Bitwise equality of two sweep-stat lists: every float must match
@@ -29,6 +30,14 @@ fn stats_bitwise_eq(a: &[SweepStats], b: &[SweepStats]) -> bool {
         })
 }
 
+/// `city:16`, parsed for the sparse `multi_cell` world.
+fn city16() -> Scenario {
+    let multi_cell = environment_from_name("multi_cell").expect("builtin environment");
+    parse_spec("city:16", multi_cell.capacity())
+        .expect("city:16 fits the multi_cell world")
+        .scenario
+}
+
 /// Builds the all-policy spec for one generated scenario.
 fn spec_for(kind: u8, gen_seed: u64, rounds: usize) -> SweepSpec {
     let mut generator = ScenarioGenerator::new(gen_seed);
@@ -39,7 +48,7 @@ fn spec_for(kind: u8, gen_seed: u64, rounds: usize) -> SweepSpec {
         3 => (generator.dense(8), None),
         // The sparse city world: links below the power floor are absent,
         // exercising the typed no-such-link path of the channel cache.
-        _ => (city_scenario(16), Some("multi_cell")),
+        _ => (city16(), Some("multi_cell")),
     };
     let mut spec = SweepSpec::new(scenario)
         .rounds(rounds)

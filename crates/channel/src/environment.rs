@@ -27,7 +27,7 @@
 //!   sparse link set.
 //!
 //! Environments resolve by name through [`environment_from_name`] — as
-//! MAC policies resolve through `policy_from_name` — and plug into
+//! MAC policies do through `SweepSpec::policy_named` — and plug into
 //! `SweepSpec::environment(..)` / `sweep --env` at the simulation layer.
 //! A caller's own world is a struct update of a built-in. It runs like
 //! any other, but it is not canonical: `SweepSpec::canonical` accepts

@@ -52,8 +52,7 @@ impl HardwareProfile {
     /// default): together with estimation error it yields the measured
     /// 25–27 dB cancellation depth. `const` so environments can hold
     /// it in statics.
-    // nplus:allow(VIS001): the golden tests/kernel_regression.rs pins calibration error under it
-    pub const fn wlan_class() -> Self {
+    pub(crate) const fn wlan_class() -> Self {
         HardwareProfile {
             tx_evm_db: -32.0,
             calibration_error_std: 0.02,
@@ -66,8 +65,7 @@ impl HardwareProfile {
     /// `expected_cancellation_depth_db`
     /// to ~17 dB. The `degraded_hardware` environment uses it to stress
     /// the §4 cancellation-depth assumption `L`.
-    // nplus:allow(VIS001): the golden tests/kernel_regression.rs pins calibration error under it
-    pub const fn degraded() -> Self {
+    pub(crate) const fn degraded() -> Self {
         HardwareProfile {
             tx_evm_db: -22.0,
             calibration_error_std: 0.06,

@@ -1,10 +1,11 @@
 //! Large-scale path loss and shadowing.
 //!
-//! A standard indoor log-distance model calibrated so that the testbed
-//! geometry of [`crate::placement::Testbed::sigcomm11`] produces link SNRs
-//! spanning roughly 5–35 dB at 2.4 GHz — the range over which the paper's
-//! Fig. 11 sweeps the "original SNR of the unwanted signal"
-//! (7.5–32.5 dB bins).
+//! A standard indoor log-distance model calibrated so that the paper's
+//! 20-location testbed (the map
+//! [`SIGCOMM11_INDOOR`](crate::environment::SIGCOMM11_INDOOR) places
+//! on) produces link SNRs spanning roughly 5–35 dB at 2.4 GHz — the
+//! range over which the paper's Fig. 11 sweeps the "original SNR of
+//! the unwanted signal" (7.5–32.5 dB bins).
 
 use rand::Rng;
 

@@ -52,8 +52,7 @@ impl Testbed {
     /// The default floor plan modeled after the paper's Fig. 10: twenty
     /// locations spread over a ~16 m × 10 m office area, six of them
     /// behind interior walls (NLOS).
-    // nplus:allow(VIS001): the paper's map; the goldens tests/environment_regression.rs and tests/policy_regression.rs place nodes on it
-    pub fn sigcomm11() -> Self {
+    pub(crate) fn sigcomm11() -> Self {
         let mut locations = Vec::new();
         // Open-plan area (LOS cluster).
         let los = [

@@ -75,10 +75,8 @@ pub use observer::{
     ContentionKind, ContentionRecord, GoodputAccumulator, JoinRecord, NullObserver, RoundObserver,
     RoundRecord, RunIdentity, RunMeta, StreamRecord,
 };
-pub use policy::{
-    policy_from_name, Beamforming, Dot11n, GreedyJoin, NPlus, Oracle, Policy, BUILTIN_POLICY_NAMES,
-};
-pub use power_control::{join_power_decision, JoinPowerDecision, DEFAULT_L_DB};
+pub use policy::{Beamforming, Dot11n, GreedyJoin, NPlus, Oracle, Policy, BUILTIN_POLICY_NAMES};
+pub use power_control::{JoinPowerDecision, DEFAULT_L_DB};
 pub use precoder::{
     compute_precoders, residual_interference, OwnReceiver, PrecoderError, Precoding,
     ProtectedReceiver,
@@ -109,8 +107,7 @@ pub mod prelude {
         RoundObserver, RoundRecord, RunIdentity, RunMeta, StreamRecord,
     };
     pub use crate::policy::{
-        policy_from_name, Beamforming, Dot11n, GreedyJoin, NPlus, Oracle, Policy,
-        BUILTIN_POLICY_NAMES,
+        Beamforming, Dot11n, GreedyJoin, NPlus, Oracle, Policy, BUILTIN_POLICY_NAMES,
     };
     pub use crate::sim::{
         aggregate_results, CanonicalSpec, Flow, MobilityModel, RunResult, Scenario, SeedResults,

@@ -11,7 +11,8 @@
 //! paper's three protocols ([`NPlus`], [`Dot11n`], [`Beamforming`]) —
 //! bit-for-bit identical to the engine's original hard-coded behaviour
 //! at every seed — plus two more, each named by value or by its registry
-//! name ([`policy_from_name`]):
+//! name ([`BUILTIN_POLICY_NAMES`], resolved by
+//! [`SweepSpec::policy_named`](crate::sim::SweepSpec::policy_named)):
 //!
 //! * [`Oracle`] — the paper's §6.3 upper bound: a central scheduler with
 //!   perfect channel knowledge that exhaustively tries every primary
@@ -156,8 +157,7 @@ impl Policy {
 
 /// Resolves a built-in policy by its registry name: `"nplus"`,
 /// `"dot11n"`, `"beamforming"`, `"oracle"`, `"greedy_join"`.
-// nplus:allow(VIS001): the golden tests/observer_contract.rs resolves every built-in policy through it
-pub fn policy_from_name(name: &str) -> Option<Policy> {
+pub(crate) fn policy_from_name(name: &str) -> Option<Policy> {
     Policy::ALL.into_iter().find(|p| p.name() == name)
 }
 

@@ -67,8 +67,7 @@ impl JoinPowerDecision {
 /// `believed_channels` are the joiner's beliefs about its channels to the
 /// protected receivers (noise-normalized units: `|h|² = SNR`);
 /// `l_db` is the cancellation depth.
-// nplus:allow(VIS001): the property power_control_invariant in crates/core/tests/proptests.rs checks the §4 rule through it
-pub fn join_power_decision(believed_channels: &[&CMatrix], l_db: f64) -> JoinPowerDecision {
+pub(crate) fn join_power_decision(believed_channels: &[&CMatrix], l_db: f64) -> JoinPowerDecision {
     let worst = believed_channels
         .iter()
         .map(|h| expected_interference_power(h))
@@ -95,6 +94,7 @@ pub(crate) fn join_power_decision_from_worst(worst: f64, l_db: f64) -> JoinPower
 mod tests {
     use super::*;
     use nplus_linalg::c64;
+    use nplus_testkit::strategies::complex_matrix;
 
     fn channel_with_power(snr_db: f64, n: usize, m: usize) -> CMatrix {
         // Uniform-magnitude entries with total expected interference =
@@ -157,5 +157,21 @@ mod tests {
         // 2x2 all-ones channel: ‖H‖² = 4, per-stream power 1/2 → 2.
         let h = CMatrix::from_vec(2, 2, vec![c64(1.0, 0.0); 4]);
         assert!((expected_interference_power(&h) - 2.0).abs() < 1e-12);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The join-power rule always leaves post-cancellation residuals at or
+        /// below the noise floor.
+        #[test]
+        fn power_control_invariant(h in complex_matrix(2, 3), l_db in 15.0f64..35.0) {
+            let pre = expected_interference_power(&h);
+            let d = join_power_decision(&[&h], l_db);
+            // Post-cancellation residual: scaled power, suppressed by `L`.
+            let resid = pre * d.amplitude().powi(2) * 10f64.powf(-l_db / 10.0);
+            proptest::prop_assert!(resid <= 1.0 + 1e-9, "residual {resid}");
+            proptest::prop_assert!(d.amplitude() > 0.0 && d.amplitude() <= 1.0);
+        }
     }
 }

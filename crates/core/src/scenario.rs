@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 pub use crate::generator::ScenarioGenerator;
-pub use crate::spec::{city_scenario, parse_scenario_spec, parse_spec, ParsedSpec};
+pub use crate::spec::{parse_spec, ParsedSpec};
 
 /// The paper's 10 MHz USRP2 medium clock, shared by every scenario.
 pub(crate) const BANDWIDTH_HZ: f64 = 10e6;
@@ -32,7 +32,7 @@ pub(crate) const BANDWIDTH_HZ: f64 = 10e6;
 /// on the [`BANDWIDTH_HZ`] clock.
 ///
 /// This is the one placement recipe: a sweep seed and a
-/// [`build_scenario_in`] placement seed with equal values give equal
+/// [`build_scenario`] placement seed with equal values give equal
 /// topologies. Callers pick the testbed — the environment's smallest
 /// fitting map, [`Environment::testbed`] — so a sweep resolves it once
 /// for all its seeds.
@@ -80,31 +80,14 @@ impl BuiltScenario {
 /// existing seeds reproduce bit-identical placements); larger ones —
 /// the generator's dense family goes to 32 nodes — place on the
 /// two-wing extended map.
-// nplus:allow(VIS001): the goldens tests/policy_regression.rs, tests/observer_contract.rs and tests/environment_regression.rs build placed scenarios with it
+// nplus:allow(VIS001): the goldens tests/policy_regression.rs and tests/observer_contract.rs build placed scenarios with it
 pub fn build_scenario(scenario: Scenario, placement_seed: u64) -> BuiltScenario {
-    build_scenario_in(&SIGCOMM11_INDOOR, scenario, placement_seed)
-        .expect("scenario fits the paper's maps")
-}
-
-/// [`build_scenario`] in an arbitrary propagation environment: the map
-/// is the environment's smallest fitting one, the links come from its
-/// loss/fading draws (`place`). Note the returned topology does *not*
-/// carry the environment's [`hardware`](Environment::hardware) — set it
-/// on the `SimConfig` (as `SweepSpec::environment` does) when
-/// simulating.
-///
-/// # Errors
-/// [`EnvironmentError::TooManyNodes`] when the scenario outsizes the
-/// environment's largest map.
-// nplus:allow(VIS001): the golden tests/environment_regression.rs builds scenarios in every world with it
-pub fn build_scenario_in(
-    env: &Environment,
-    scenario: Scenario,
-    placement_seed: u64,
-) -> Result<BuiltScenario, EnvironmentError> {
-    let testbed = env.testbed(scenario.antennas.len())?;
-    let topology = place(env, &testbed, &scenario.antennas, placement_seed)?;
-    Ok(BuiltScenario { scenario, topology })
+    let env = &SIGCOMM11_INDOOR;
+    let topology = env
+        .testbed(scenario.antennas.len())
+        .and_then(|testbed| place(env, &testbed, &scenario.antennas, placement_seed))
+        .expect("scenario fits the paper's maps");
+    BuiltScenario { scenario, topology }
 }
 
 /// Fig. 3: contending pairs with 1, 2 and 3 antennas.

@@ -1820,7 +1820,6 @@ mod tests {
     use crate::observer::NullObserver;
     use crate::policy::{Beamforming, Dot11n, GreedyJoin, NPlus, Oracle};
     use nplus_channel::environment::SIGCOMM11_INDOOR;
-    use nplus_channel::placement::Testbed;
     use nplus_medium::topology::build_environment_topology;
     use rand::SeedableRng;
 
@@ -1830,7 +1829,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let topo = build_environment_topology(
             &SIGCOMM11_INDOOR,
-            &Testbed::sigcomm11(),
+            &SIGCOMM11_INDOOR
+                .testbed(scenario.antennas.len())
+                .expect("fits the paper map"),
             &scenario.antennas,
             10e6,
             seed,

@@ -26,7 +26,7 @@
 //!   [`Oracle`](crate::policy::Oracle),
 //!   [`GreedyJoin`](crate::policy::GreedyJoin) — lives in
 //!   [`crate::policy`], resolvable by name through
-//!   [`policy_from_name`](crate::policy::policy_from_name).
+//!   [`SweepSpec::policy_named`](crate::sim::SweepSpec::policy_named).
 //! * [`RoundObserver`](crate::observer::RoundObserver) taps the round
 //!   event stream; the engine's own accounting is the
 //!   [`GoodputAccumulator`](crate::observer::GoodputAccumulator)

@@ -533,8 +533,8 @@ impl SweepSpec {
     }
 
     /// Adds a built-in policy by name, resolved through the one
-    /// registry ([`policy_from_name`](crate::policy::policy_from_name);
-    /// see [`BUILTIN_POLICY_NAMES`](crate::policy::BUILTIN_POLICY_NAMES)).
+    /// registry (see
+    /// [`BUILTIN_POLICY_NAMES`](crate::policy::BUILTIN_POLICY_NAMES)).
     ///
     /// # Errors
     /// Returns the unknown name back.

@@ -41,8 +41,7 @@ pub struct ParsedSpec {
 /// # Panics
 /// If `n_nodes` is zero or not a multiple of [`MULTI_CELL_GROUP`] (the
 /// spec parser validates first; direct callers must too).
-// nplus:allow(VIS001): the goldens tests/iteration_order_regression.rs and tests/rng_position_regression.rs build city scenarios with it
-pub fn city_scenario(n_nodes: usize) -> Scenario {
+pub(crate) fn city_scenario(n_nodes: usize) -> Scenario {
     assert!(
         n_nodes > 0 && n_nodes.is_multiple_of(MULTI_CELL_GROUP),
         "city_scenario: n_nodes must be a positive multiple of {MULTI_CELL_GROUP}, got {n_nodes}"
@@ -76,8 +75,7 @@ pub fn city_scenario(n_nodes: usize) -> Scenario {
 /// # Errors
 /// A one-line description of the malformed spec (unknown form, number
 /// that does not parse, family size outside its documented range).
-// nplus:allow(VIS001): the golden tests/rng_position_regression.rs parses its multi_ap scenario with it
-pub fn parse_scenario_spec(spec: &str, env_capacity: usize) -> Result<Scenario, String> {
+pub(crate) fn parse_scenario_spec(spec: &str, env_capacity: usize) -> Result<Scenario, String> {
     fn num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
         s.parse()
             .map_err(|_| format!("{what} needs a number, got {s:?}"))
@@ -162,9 +160,9 @@ pub fn parse_scenario_spec(spec: &str, env_capacity: usize) -> Result<Scenario, 
     }
 }
 
-/// Parses the full spec grammar: everything [`parse_scenario_spec`]
-/// accepts, plus an optional `load:<model>/` traffic prefix
-/// (`load:poisson:0.5/city:64`, `load:bursty:3x9/pairs:4`,
+/// Parses the full spec grammar: every scenario form (`three_pairs`,
+/// `pairs:4`, `city:1024`, …), plus an optional `load:<model>/`
+/// traffic prefix (`load:poisson:0.5/city:64`, `load:bursty:3x9/pairs:4`,
 /// `load:saturated/dense:16`). The model names and parameter syntax
 /// are exactly [`TrafficModel`]'s spec strings, so the wrapped form
 /// round-trips through `CanonicalSpec` hashing unchanged.

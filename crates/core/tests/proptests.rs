@@ -5,8 +5,7 @@
 use nplus::carrier_sense::MultiDimCarrierSense;
 use nplus::handshake::{decode_alignment_space, encode_alignment_space, max_space_error};
 use nplus::link::{zf_sinr, SubcarrierObservation};
-use nplus::power_control::join_power_decision;
-use nplus::precoder::{compute_precoders, residual_interference, OwnReceiver, ProtectedReceiver};
+use nplus::precoder::{compute_precoders, OwnReceiver, ProtectedReceiver};
 use nplus_linalg::{rank, CMatrix, CVector, Complex64, Subspace};
 use nplus_phy::params::OfdmConfig;
 use nplus_testkit::strategies::{complex, complex_matrix as matrix, complex_vector as vector};
@@ -14,23 +13,6 @@ use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// With exact channel knowledge, the precoder's nulls are numerically
-    /// perfect at every protected receiver, and the own receiver still
-    /// gets signal — for any generic channel draw (the Fig. 2 join).
-    #[test]
-    fn precoder_nulls_are_exact(h1 in matrix(1, 2), h2 in matrix(2, 2)) {
-        prop_assume!(rank(&h1, Some(1e-6)) == 1);
-        prop_assume!(rank(&h2, Some(1e-6)) == 2);
-        let p = compute_precoders(
-            2,
-            &[ProtectedReceiver::nulling(h1.clone())],
-            &[OwnReceiver { channel: h2.clone(), n_streams: 1, unwanted: Subspace::zero(2) }],
-        ).unwrap();
-        let leak = residual_interference(&h1, &Subspace::zero(1), &p.vectors[0]);
-        prop_assert!(leak < 1e-16, "leak {leak}");
-        prop_assert!(h2.mul_vec(&p.vectors[0]).norm_sqr() > 1e-8);
-    }
 
     /// Alignment constraint satisfied exactly: the arriving signal lies
     /// inside the advertised unwanted space (the Fig. 3 join).
@@ -120,18 +102,6 @@ proptest! {
         let s_dirty = zf_sinr(&dirty)[0];
         prop_assert!(s_clean >= 0.0 && s_dirty >= 0.0);
         prop_assert!(s_dirty <= s_clean + 1e-12);
-    }
-
-    /// The join-power rule always leaves post-cancellation residuals at or
-    /// below the noise floor.
-    #[test]
-    fn power_control_invariant(h in matrix(2, 3), l_db in 15.0f64..35.0) {
-        let pre = nplus::power_control::expected_interference_power(&h);
-        let d = join_power_decision(&[&h], l_db);
-        // Post-cancellation residual: scaled power, suppressed by `L`.
-        let resid = pre * d.amplitude().powi(2) * 10f64.powf(-l_db / 10.0);
-        prop_assert!(resid <= 1.0 + 1e-9, "residual {resid}");
-        prop_assert!(d.amplitude() > 0.0 && d.amplitude() <= 1.0);
     }
 
     /// Carrier-sense projection annihilates any signal arriving along the

@@ -156,7 +156,6 @@ mod tests {
     use super::*;
     use crate::topology::build_environment_topology;
     use nplus_channel::environment::{environment_from_name, Environment, SIGCOMM11_INDOOR};
-    use nplus_channel::placement::Testbed;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -165,7 +164,7 @@ mod tests {
     }
 
     fn built() -> Topology {
-        let tb = Testbed::sigcomm11();
+        let tb = SIGCOMM11_INDOOR.testbed(3).expect("fits the paper map");
         let mut rng = StdRng::seed_from_u64(5);
         build_environment_topology(&SIGCOMM11_INDOOR, &tb, &[1, 2, 3], 10e6, 5, &mut rng)
             .expect("fits the paper map")

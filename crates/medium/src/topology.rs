@@ -145,7 +145,9 @@ mod tests {
 
     /// `antennas` placed in the paper's world on its 20-location map.
     fn indoor(antennas: &[usize], seed: u64) -> Topology {
-        let tb = Testbed::sigcomm11();
+        let tb = SIGCOMM11_INDOOR
+            .testbed(antennas.len())
+            .expect("fits the paper map");
         let mut rng = StdRng::seed_from_u64(seed);
         build_environment_topology(&SIGCOMM11_INDOOR, &tb, antennas, 10e6, seed, &mut rng)
             .expect("fits the paper map")
@@ -303,7 +305,7 @@ mod tests {
     #[test]
     fn floor_below_every_budget_is_dense_bitwise() {
         let antennas = vec![1, 2, 3, 2, 1, 2];
-        let tb = Testbed::sigcomm11();
+        let tb = SIGCOMM11_INDOOR.testbed(antennas.len()).unwrap();
         let sparse_env = floored_indoor(-1e9);
         for seed in 0..8u64 {
             let mut ra = StdRng::seed_from_u64(seed);
@@ -347,7 +349,7 @@ mod tests {
     #[test]
     fn floor_prunes_far_links_but_keeps_near_ones() {
         let antennas = vec![1; 12];
-        let tb = Testbed::sigcomm11();
+        let tb = SIGCOMM11_INDOOR.testbed(antennas.len()).unwrap();
         // 12 dBm tx - ~55 dB near-field loss keeps only short links.
         let env = floored_indoor(-68.0);
         let mut rng = StdRng::seed_from_u64(2);

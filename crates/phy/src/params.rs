@@ -18,8 +18,8 @@ pub(crate) const NUM_PILOTS: usize = 4;
 /// Cyclic-prefix length in samples for the standard profile.
 ///
 /// §4 of the paper notes that n+ scales both the CP and the FFT size by the
-/// same factor to give joiners timing leeway; [`OfdmConfig::scaled`]
-/// implements that.
+/// same factor to give joiners timing leeway; the simulator keeps the
+/// standard profile.
 pub(crate) const CP_LEN: usize = 16;
 
 /// Indices (in natural FFT order 0..64) of the data subcarriers.
@@ -75,19 +75,6 @@ impl OfdmConfig {
             fft_len: NUM_SUBCARRIERS,
             cp_len: CP_LEN,
             bandwidth_hz: 10e6,
-        }
-    }
-
-    /// Scales the FFT size and cyclic prefix by the same integer factor
-    /// (§4 "Time Synchronization"): a longer CP gives joining transmitters
-    /// more slack to align symbol boundaries, at constant relative
-    /// overhead.
-    pub fn scaled(&self, factor: usize) -> Self {
-        assert!(factor >= 1, "scale factor must be >= 1");
-        OfdmConfig {
-            fft_len: self.fft_len * factor,
-            cp_len: self.cp_len * factor,
-            bandwidth_hz: self.bandwidth_hz,
         }
     }
 
@@ -177,16 +164,6 @@ mod tests {
         assert_eq!(cfg.symbol_len(), 80);
         // 80 samples at 10 MHz = 8 µs per symbol (double 802.11a's 4 µs).
         assert!((cfg.symbol_duration() - 8e-6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scaled_preserves_overhead() {
-        let cfg = OfdmConfig::usrp2();
-        let big = cfg.scaled(2);
-        assert_eq!(big.fft_len, 128);
-        assert_eq!(big.cp_len, 32);
-        let overhead = |c: &OfdmConfig| c.cp_len as f64 / c.symbol_len() as f64;
-        assert!((overhead(&big) - overhead(&cfg)).abs() < 1e-12);
     }
 
     #[test]

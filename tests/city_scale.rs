@@ -5,7 +5,7 @@
 //! serial ≡ parallel determinism contract.
 
 use nplus::prelude::*;
-use nplus::scenario::{city_scenario, ScenarioGenerator};
+use nplus::scenario::{parse_spec, ScenarioGenerator};
 use proptest::{proptest, ProptestConfig};
 
 /// The paper's indoor world with sparse wiring force-enabled but set
@@ -125,7 +125,10 @@ fn nplus_matches_or_beats_dot11n_under_load() {
 /// bit-for-bit identical to the serial run.
 #[test]
 fn thousand_node_city_is_deterministic_across_threads() {
-    let scenario = city_scenario(1024);
+    let multi_cell = environment_from_name("multi_cell").expect("builtin environment");
+    let scenario = parse_spec("city:1024", multi_cell.capacity())
+        .expect("city:1024 fits the multi_cell world")
+        .scenario;
     assert_eq!(scenario.antennas.len(), 1024);
     let fresh = || {
         SweepSpec::new(scenario.clone())

@@ -15,7 +15,6 @@
 //! suite fails.
 
 use nplus::prelude::*;
-use nplus_channel::placement::Testbed;
 use nplus_medium::topology::build_environment_topology;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -139,7 +138,9 @@ fn assert_topology_matches_goldens(topo: &nplus_medium::Topology, seed: u64, con
 #[test]
 fn sigcomm11_environment_reproduces_pre_refactor_topologies_bitwise() {
     let antennas = vec![1usize, 2, 3];
-    let tb = Testbed::sigcomm11();
+    let tb = SIGCOMM11_INDOOR
+        .testbed(antennas.len())
+        .expect("fits the paper map");
     for &(seed, _, _) in &TOPOLOGY_GOLDENS {
         let mut rng = StdRng::seed_from_u64(seed);
         let env_path =
@@ -362,45 +363,24 @@ fn shipped_environments_are_distinct_worlds() {
     }
 }
 
-/// `build_scenario_in` (the testkit's environment-aware builder) draws
-/// through the same entry point as the engine: in the paper's world it
-/// reproduces `build_scenario` exactly, in every other world it builds
-/// a placeable topology, and an outsized scenario surfaces
-/// `TooManyNodes` instead of panicking.
+/// Every world places a scenario on its smallest fitting map
+/// (`Environment::testbed`) through the engine's topology builder, and
+/// an outsized scenario surfaces `TooManyNodes` instead of panicking.
 #[test]
 fn build_scenario_in_matches_build_scenario_and_reports_oversize() {
-    use nplus::scenario::{build_scenario, build_scenario_in};
-
-    for seed in [3u64, 17] {
-        let classic = build_scenario(Scenario::three_pairs(), seed);
-        let via_env = build_scenario_in(&SIGCOMM11_INDOOR, Scenario::three_pairs(), seed)
-            .expect("three_pairs fits the indoor map");
-        assert_eq!(
-            classic.topology.placements.len(),
-            via_env.topology.placements.len()
-        );
-        for (a, b) in classic
-            .topology
-            .placements
-            .iter()
-            .zip(&via_env.topology.placements)
-        {
-            assert_eq!(a.pos.x, b.pos.x, "seed {seed}: placement diverged");
-            assert_eq!(a.pos.y, b.pos.y, "seed {seed}: placement diverged");
-        }
-    }
-
     for name in BUILTIN_ENVIRONMENT_NAMES {
         let env = environment_from_name(name).expect("builtin environment");
-        let built = build_scenario_in(env, Scenario::ap_downlink(), 9)
+        let antennas = Scenario::ap_downlink().antennas;
+        let topology = env
+            .testbed(antennas.len())
+            .and_then(|tb| {
+                let mut rng = StdRng::seed_from_u64(9);
+                build_environment_topology(env, &tb, &antennas, 10e6, 9, &mut rng)
+            })
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(built.topology.nodes.len(), built.scenario.antennas.len());
+        assert_eq!(topology.nodes.len(), antennas.len());
 
-        let oversized = Scenario {
-            antennas: vec![1; env.capacity() + 1],
-            flows: vec![],
-        };
-        let err = build_scenario_in(env, oversized, 9).unwrap_err();
+        let err = env.testbed(env.capacity() + 1).unwrap_err();
         assert!(
             matches!(
                 err,

@@ -13,7 +13,7 @@
 //! tolerance can hide a divergence and NaN fairness still pins.
 
 use nplus::prelude::*;
-use nplus::scenario::city_scenario;
+use nplus::scenario::parse_spec;
 
 /// FNV-1a over the bit patterns of every field of every stat.
 fn digest(stats: &[SweepStats]) -> u64 {
@@ -46,7 +46,11 @@ fn digest(stats: &[SweepStats]) -> u64 {
 /// the pre-rework HashMap storage.
 #[test]
 fn city_sweep_statistics_are_pinned() {
-    let stats = SweepSpec::new(city_scenario(256))
+    let multi_cell = environment_from_name("multi_cell").expect("builtin environment");
+    let city = parse_spec("city:256", multi_cell.capacity())
+        .expect("city:256 fits the multi_cell world")
+        .scenario;
+    let stats = SweepSpec::new(city)
         .rounds(2)
         .seed_count(2)
         .policy(Dot11n)

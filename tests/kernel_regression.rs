@@ -14,7 +14,7 @@
 use nplus::link::{zf_sinr, SubcarrierObservation, ZfFilters, ZfWorkspace};
 use nplus::power_control::expected_interference_power;
 use nplus::precoder::{compute_precoders, OwnReceiver, PrecoderError, ProtectedReceiver};
-use nplus_channel::HardwareProfile;
+use nplus_channel::{environment_from_name, HardwareProfile, SIGCOMM11_INDOOR};
 use nplus_linalg::{
     c64, null_space_into, pinv, pinv_into, rank, CMatrix, CMatrixSoA, CVector, Complex64,
     LinalgError, NullspaceWorkspace, PinvWorkspace, Subspace,
@@ -251,16 +251,15 @@ fn channel_knowledge_and_interference_power_are_pinned() {
         calibration_error_std: 0.0,
         estimation_snr_db: 300.0,
     };
+    let wlan_class = SIGCOMM11_INDOOR.hardware;
+    let degraded = environment_from_name("degraded_hardware")
+        .expect("built-in world")
+        .hardware;
     let uncalibrated = HardwareProfile {
         calibration_error_std: 0.0,
-        ..HardwareProfile::wlan_class()
+        ..wlan_class
     };
-    let profiles = [
-        HardwareProfile::wlan_class(),
-        HardwareProfile::degraded(),
-        ideal,
-        uncalibrated,
-    ];
+    let profiles = [wlan_class, degraded, ideal, uncalibrated];
     let mut rng = StdRng::seed_from_u64(17);
     let mut h = Fnv::new();
     for a in matrix_corpus() {

@@ -12,7 +12,7 @@
 use nplus::observer::{
     ContentionRecord, JoinRecord, NullObserver, RoundObserver, RoundRecord, RunMeta,
 };
-use nplus::policy::{policy_from_name, BUILTIN_POLICY_NAMES};
+use nplus::policy::{Beamforming, Dot11n, GreedyJoin, NPlus, Oracle};
 use nplus::scenario::{build_scenario, ScenarioGenerator};
 use nplus::sim::{RunResult, SimConfig, SimEngine};
 use proptest::{proptest, ProptestConfig};
@@ -107,8 +107,9 @@ proptest! {
         let built = build_scenario(scenario, gen_seed);
         let cfg = SimConfig { rounds: 3, ..SimConfig::default() };
         let engine = SimEngine::new(&built.topology, &built.scenario, &cfg);
-        for name in BUILTIN_POLICY_NAMES {
-            let policy = policy_from_name(name).expect("builtin");
+        // Every built-in, in `BUILTIN_POLICY_NAMES` order.
+        for policy in [Dot11n, Beamforming, NPlus, GreedyJoin, Oracle] {
+            let name = policy.name();
             let mut recorder = Recorder::default();
             let observed = engine.run(
                 policy,

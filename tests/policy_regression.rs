@@ -298,7 +298,9 @@ fn simulate_entry_point_matches_enum_era_bitwise() {
         ),
     ];
     let scenario = Scenario::three_pairs();
-    let tb = nplus_channel::placement::Testbed::sigcomm11();
+    let tb = SIGCOMM11_INDOOR
+        .testbed(scenario.antennas.len())
+        .expect("fits the paper map");
     let mut rng = StdRng::seed_from_u64(11);
     let topo = build_environment_topology(
         &SIGCOMM11_INDOOR,

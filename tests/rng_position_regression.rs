@@ -20,7 +20,7 @@
 
 use nplus::observer::NullObserver;
 use nplus::policy::{GreedyJoin, NPlus, Policy};
-use nplus::scenario::{city_scenario, parse_scenario_spec};
+use nplus::scenario::parse_spec;
 use nplus::sim::{Scenario, SimConfig, SimEngine};
 use nplus_channel::environment::{environment_from_name, Environment};
 use nplus_medium::topology::build_environment_topology;
@@ -49,17 +49,18 @@ const ROUNDS: usize = 12;
 /// Case label → (scenario, propagation world).
 fn case(label: &str) -> (Scenario, &'static Environment) {
     let env = |name| environment_from_name(name).expect("builtin environment");
+    let parsed = |spec: &str, world: &'static Environment| {
+        let scenario = parse_spec(spec, world.capacity())
+            .unwrap_or_else(|e| panic!("{spec}: {e}"))
+            .scenario;
+        (scenario, world)
+    };
     match label {
         "three_pairs" => (Scenario::three_pairs(), env("sigcomm11")),
         "ap_downlink" => (Scenario::ap_downlink(), env("sigcomm11")),
-        "multi_ap:2x3" => {
-            let world = env("sigcomm11");
-            let scenario =
-                parse_scenario_spec("multi_ap:2x3", world.capacity()).expect("multi_ap:2x3 parses");
-            (scenario, world)
-        }
+        "multi_ap:2x3" => parsed("multi_ap:2x3", env("sigcomm11")),
         "three_pairs/degraded_hardware" => (Scenario::three_pairs(), env("degraded_hardware")),
-        "city:32/multi_cell" => (city_scenario(32), env("multi_cell")),
+        "city:32/multi_cell" => parsed("city:32", env("multi_cell")),
         other => panic!("unknown case {other}"),
     }
 }
