@@ -23,42 +23,9 @@
 use nplus_codec::export::{prometheus_metrics, time_series_json};
 use nplus_codec::Recording;
 
-/// One line on stderr, exit 2 — the operator-error convention.
-fn input_error(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
+mod inputs;
 
-/// Expands the operands into a sorted list of `.rec` files: explicit
-/// files pass through, directories contribute their `*.rec` entries.
-fn collect_paths(inputs: &[String]) -> Vec<String> {
-    let mut paths = Vec::new();
-    for input in inputs {
-        let meta = std::fs::metadata(input)
-            .unwrap_or_else(|e| input_error(&format!("cannot read {input}: {e}")));
-        if meta.is_dir() {
-            let entries = std::fs::read_dir(input)
-                .unwrap_or_else(|e| input_error(&format!("cannot read {input}: {e}")));
-            let mut found = Vec::new();
-            for entry in entries {
-                let entry =
-                    entry.unwrap_or_else(|e| input_error(&format!("cannot read {input}: {e}")));
-                let path = entry.path();
-                if path.extension().is_some_and(|e| e == "rec") {
-                    found.push(path.to_string_lossy().into_owned());
-                }
-            }
-            if found.is_empty() {
-                input_error(&format!("no .rec files in {input}"));
-            }
-            found.sort();
-            paths.extend(found);
-        } else {
-            paths.push(input.clone());
-        }
-    }
-    paths
-}
+use inputs::{collect_paths, input_error, load};
 
 /// Writes to the optional path, or stdout when there is none.
 fn emit(what: &str, path: &Option<String>, text: &str) {
@@ -110,14 +77,7 @@ fn main() {
         input_error("usage: export <dir|file.rec ...> [--metrics [path]] [--series [path]]");
     }
 
-    let recordings: Vec<Recording> = collect_paths(&inputs)
-        .iter()
-        .map(|path| {
-            let bytes = std::fs::read(path)
-                .unwrap_or_else(|e| input_error(&format!("cannot read {path}: {e}")));
-            Recording::decode(&bytes).unwrap_or_else(|e| input_error(&format!("{path}: {e}")))
-        })
-        .collect();
+    let recordings: Vec<Recording> = collect_paths(&inputs).iter().map(|p| load(p)).collect();
 
     // No flags at all: metrics to stdout.
     if metrics_to.is_none() && series_to.is_none() {

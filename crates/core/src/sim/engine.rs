@@ -35,8 +35,8 @@ use crate::power_control::{
     expected_interference_power_soa, join_power_decision_from_worst, JoinPowerDecision,
 };
 use crate::precoder::{
-    compute_precoders_into, compute_precoders_into_with, OwnReceiverSoARef, PrecoderError,
-    PrecoderWorkspace, ProtectedReceiverSoARef,
+    compute_precoders_into_with, OwnReceiverSoARef, PrecoderError, PrecoderWorkspace,
+    ProtectedReceiverSoARef,
 };
 use nplus_channel::placement::Point;
 use nplus_linalg::{CMatrixSoA, CVector, Subspace, SubspaceWorkspace, VecPool};
@@ -115,9 +115,10 @@ impl ReceiverState {
 /// transmitter opening a round with a single receiver and no protected
 /// receivers. In that case the precoders are an unconstrained orthonormal
 /// basis and rate selection sees only the pure true channels — nothing
-/// depends on the believed-channel draws — so the plan (or its rate
-/// failure) is a fixed function of the topology and can be computed once
-/// per run instead of once per round.
+/// reads the believed-channel draws — so the plan (or its rate failure)
+/// is a fixed function of the topology. [`SimEngine::plan_winner`] copies
+/// it out of [`SimEngine::plan_streams`]' result the first time a run
+/// meets the opening and serves every later round from it.
 struct FirstPlan {
     /// Per-stream, per-subcarrier pre-coding vectors.
     precoders: Vec<Vec<CVector>>,
@@ -625,90 +626,6 @@ impl<'a> SimEngine<'a> {
         self.scenario.antennas[node]
     }
 
-    /// Computes the memoizable opening plan of `tx` sending `n_streams`
-    /// to the receiver of `f` with no protected receivers (see
-    /// [`FirstPlan`]): unconstrained precoding basis, per-subcarrier
-    /// unwanted spaces and arrival columns, joint-ZF rate selection —
-    /// all from pure true channels, no RNG. Returns `None` when even the
-    /// most robust rate cannot be sustained, or the direct link is not
-    /// modeled at all (below the floor in a sparse world) — both pure
-    /// topology facts, memoized as failures.
-    fn plan_opening_single(
-        &self,
-        cache: &ChannelCache,
-        tx: usize,
-        f: usize,
-        n_streams: usize,
-    ) -> Option<FirstPlan> {
-        let n_eval = self.n_eval();
-        let m_tx = self.n_ant(tx);
-        let rx = self.scenario.flows[f].rx;
-        let n_rx = self.n_ant(rx);
-        let target = n_rx.saturating_sub(n_streams);
-
-        // Cold path, executed once per (tx, flow, n_streams) key per run:
-        // local workspaces and owned result vectors are fine here — the
-        // hot path only ever copies out of the memoized plan.
-        let mut unw_ws = UnwantedWorkspace::default();
-        let mut prec_ws = PrecoderWorkspace::default();
-        let mut zf_ws = ZfWorkspace::default();
-        let mut sinrs = Vec::new();
-
-        // No ongoing arrivals: the advertised unwanted space is the same
-        // construction on every bin.
-        let unwanted: Vec<Subspace> = (0..n_eval)
-            .map(|_| {
-                let mut s = Subspace::default();
-                extend_unwanted_into(n_rx, &[], target, &mut s, &mut unw_ws);
-                s
-            })
-            .collect();
-
-        let mut precoders: Vec<Vec<CVector>> = vec![Vec::with_capacity(n_eval); n_streams];
-        for (e, &k) in self.eval_pos.iter().enumerate() {
-            let h = self.true_channel(cache, tx, rx, k)?;
-            let own = [OwnReceiverSoARef {
-                channel: h,
-                n_streams,
-                unwanted: &unwanted[e],
-            }];
-            match compute_precoders_into(m_tx, &[], &own, &mut prec_ws) {
-                Ok(()) => {
-                    for (i, v) in prec_ws.out.iter().enumerate() {
-                        precoders[i].push(v.clone());
-                    }
-                }
-                Err(_) => return None,
-            }
-        }
-
-        // Joint-ZF rate selection against the pure channel (no ongoing
-        // interference, no residuals — the receiver decodes its own
-        // streams against its unwanted-space basis).
-        let mut per_stream_sinrs: Vec<Vec<f64>> = vec![Vec::with_capacity(n_eval); n_streams];
-        let mut filters = ZfFilters::default();
-        for (e, &k) in self.eval_pos.iter().enumerate() {
-            let h = self.true_channel(cache, tx, rx, k)?;
-            let cols: Vec<CVector> = precoders.iter().map(|pc| h.mul_vec(&pc[e])).collect();
-            filters.push(&cols, unwanted[e].basis(), &mut zf_ws);
-            filters.apply(e, &[], 1.0, &mut sinrs);
-            for (s, &v) in sinrs.iter().enumerate() {
-                per_stream_sinrs[s].push(v);
-            }
-        }
-        let mut interp = Vec::new();
-        let mut rates = Vec::with_capacity(n_streams);
-        for sinrs in &per_stream_sinrs {
-            rates.push(select_stream_rate(self.rate_sinrs(sinrs, &mut interp))?);
-        }
-        Some(FirstPlan {
-            precoders,
-            rates,
-            unwanted,
-            filters,
-        })
-    }
-
     /// Plans the transmission of one winner: computes precoders against
     /// the currently protected receivers, registers the new receiver
     /// state, and returns the planned streams as the contiguous id range
@@ -717,7 +634,81 @@ impl<'a> SimEngine<'a> {
     /// once it knows the body. Returns `None` — with `planned` rolled
     /// back to its entry state — if the winner cannot join (no DoF, rate
     /// selection failure, or precoder degeneracy).
+    ///
+    /// Opening a round with one receiver and nothing to protect, the
+    /// whole plan is a pure function of the topology (see [`FirstPlan`]):
+    /// it is served from the per-run memo, which a miss fills from
+    /// [`SimEngine::plan_streams`]' own result. Multi-receiver openings
+    /// and joins always run `plan_streams`, where believed channels (and
+    /// hence the RNG stream) genuinely matter.
     fn plan_winner(
+        &self,
+        ctx: &RoundCtx<'_>,
+        tx: usize,
+        allocation: &[(usize, usize)],
+        planned: &mut Planned,
+        scratch: &mut Scratch,
+        rng: &mut StdRng,
+    ) -> Option<(usize, usize)> {
+        if allocation.iter().all(|&(_, n)| n == 0) {
+            return None;
+        }
+        if !planned.protected.is_empty() || allocation.len() != 1 {
+            return self.plan_streams(ctx, tx, allocation, planned, scratch, rng);
+        }
+        let n_eval = self.n_eval();
+        let (f, n_streams) = allocation[0];
+        let key = (tx, f, n_streams);
+        let Some(idx) = scratch.first_plans.iter().position(|(k, _)| *k == key) else {
+            // A miss plans on a throwaway copy of the RNG: the lone
+            // receiver's believed channel is skipped, never read, so the
+            // plan does not depend on its draws, and an opening leaves
+            // the run's stream where it found it.
+            let got = self.plan_streams(ctx, tx, allocation, planned, scratch, &mut rng.clone());
+            let plan = got.map(|(start, end)| {
+                let rs = &planned.protected[0];
+                FirstPlan {
+                    precoders: (start..end)
+                        .map(|s| planned.streams[s].precoders.as_slice().to_vec())
+                        .collect(),
+                    rates: (start..end).map(|s| planned.streams[s].rate).collect(),
+                    unwanted: rs.unwanted[..n_eval].to_vec(),
+                    filters: rs.filters.clone(),
+                }
+            });
+            scratch.first_plans.push((key, plan));
+            return got;
+        };
+        let plan = scratch.first_plans[idx].1.as_ref()?;
+        let Planned { protected, streams } = planned;
+        let stream_base = streams.len();
+        for s in 0..n_streams {
+            let slot = streams.push_slot();
+            slot.flow = f;
+            slot.rate = plan.rates[s];
+            slot.tx_node = tx;
+            slot.active_symbols = 0;
+            slot.precoders.clear();
+            for pc in &plan.precoders[s] {
+                slot.precoders.push_slot().copy_from(pc);
+            }
+        }
+        let rs = protected.push_slot();
+        rs.node = self.scenario.flows[f].rx;
+        rs.stream_ids.clear();
+        rs.stream_ids.extend(stream_base..stream_base + n_streams);
+        rs.reset_bins(n_eval);
+        for e in 0..n_eval {
+            rs.unwanted[e].assign_from(&plan.unwanted[e]);
+        }
+        rs.filters.assign_from(&plan.filters);
+        Some((stream_base, stream_base + n_streams))
+    }
+
+    /// The one planning body behind [`SimEngine::plan_winner`]: believed
+    /// channels, join power control, unwanted spaces, per-bin precoders,
+    /// joint-ZF filters and rate selection, with the same contract.
+    fn plan_streams(
         &self,
         ctx: &RoundCtx<'_>,
         tx: usize,
@@ -731,52 +722,8 @@ impl<'a> SimEngine<'a> {
         let n_eval = self.n_eval();
         let m_tx = self.n_ant(tx);
         let total_new: usize = allocation.iter().map(|(_, n)| n).sum();
-        if total_new == 0 {
-            return None;
-        }
         let stream_base = streams.len();
         let rs_base = protected.len();
-
-        // Opening a round with one receiver and nothing to protect: the
-        // whole plan is a pure function of the topology (see
-        // [`FirstPlan`]) — serve it from the per-run memo. Multi-receiver
-        // openings and joins stay on the full path below, where believed
-        // channels (and hence the RNG stream) genuinely matter.
-        if protected.is_empty() && allocation.len() == 1 {
-            let (f, n_streams) = allocation[0];
-            let key = (tx, f, n_streams);
-            let idx = match scratch.first_plans.iter().position(|(k, _)| *k == key) {
-                Some(i) => i,
-                None => {
-                    let plan = self.plan_opening_single(cache, tx, f, n_streams);
-                    scratch.first_plans.push((key, plan));
-                    scratch.first_plans.len() - 1
-                }
-            };
-            let plan = scratch.first_plans[idx].1.as_ref()?;
-            let rx = self.scenario.flows[f].rx;
-            for s in 0..n_streams {
-                let slot = streams.push_slot();
-                slot.flow = f;
-                slot.rate = plan.rates[s];
-                slot.tx_node = tx;
-                slot.active_symbols = 0;
-                slot.precoders.clear();
-                for pc in &plan.precoders[s] {
-                    slot.precoders.push_slot().copy_from(pc);
-                }
-            }
-            let rs = protected.push_slot();
-            rs.node = rx;
-            rs.stream_ids.clear();
-            rs.stream_ids.extend(stream_base..stream_base + n_streams);
-            rs.reset_bins(n_eval);
-            for e in 0..n_eval {
-                rs.unwanted[e].assign_from(&plan.unwanted[e]);
-            }
-            rs.filters.assign_from(&plan.filters);
-            return Some((stream_base, stream_base + n_streams));
-        }
 
         // Believed channels to the protected receivers this transmitter
         // can actually reach: a protected receiver below the winner's

@@ -27,7 +27,7 @@ fn parity(x: u8) -> u8 {
 /// Encodes `bits` at rate 1/2. The encoder is flushed with `K-1 = 6` zero
 /// tail bits so the trellis terminates in state 0; the output therefore has
 /// `2 * (bits.len() + 6)` coded bits.
-pub fn encode(bits: &[u8]) -> Vec<u8> {
+pub(crate) fn encode(bits: &[u8]) -> Vec<u8> {
     let mut state = 0u8; // 6-bit shift register
     let mut out = Vec::with_capacity(2 * (bits.len() + CONSTRAINT - 1));
     for &b in bits.iter().chain(std::iter::repeat_n(&0u8, CONSTRAINT - 1)) {
@@ -51,7 +51,7 @@ pub(crate) fn coded_len(n: usize) -> usize {
 /// punctured bits are handled). The decoder assumes the encoder was
 /// flushed (trellis ends in state 0) and returns the information bits
 /// without the tail.
-pub fn viterbi_decode(coded: &[u8]) -> Vec<u8> {
+pub(crate) fn viterbi_decode(coded: &[u8]) -> Vec<u8> {
     assert!(
         coded.len().is_multiple_of(2),
         "coded stream must hold bit pairs"

@@ -2,14 +2,13 @@
 //!
 //! No FFT crate is available offline, so this is a self-contained iterative
 //! Cooley–Tukey implementation. OFDM sizes here are tiny (64–256 points),
-//! so the simple in-place radix-2 kernel is plenty fast — the criterion
-//! bench in `nplus-bench` confirms sub-microsecond 64-point transforms.
+//! so the simple in-place radix-2 kernel is plenty fast.
 
 use nplus_linalg::Complex64;
 use std::f64::consts::PI;
 
 /// In-place forward FFT. `data.len()` must be a power of two.
-pub fn fft_in_place(data: &mut [Complex64]) {
+pub(crate) fn fft_in_place(data: &mut [Complex64]) {
     transform(data, false);
 }
 

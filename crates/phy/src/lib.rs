@@ -10,7 +10,7 @@
 //!
 //! * [`fft`] — radix-2 (I)FFT and the normalized cross-correlation kernel
 //!   used by preamble-based carrier sense;
-//! * `scrambler`, [`convolutional`], [`puncture`], `interleaver` — the
+//! * `scrambler`, `convolutional`, [`puncture`], `interleaver` — the
 //!   802.11 coding chain (K=7 (133,171) code, Viterbi decoding, rates
 //!   1/2, 2/3, 3/4);
 //! * [`modulation`] — Gray-coded BPSK/QPSK/16-QAM/64-QAM;
@@ -25,7 +25,7 @@
 
 mod bits;
 pub mod chanest;
-pub mod convolutional;
+mod convolutional;
 pub mod esnr;
 pub mod fft;
 mod interleaver;

@@ -1,7 +1,7 @@
 //! Property-based tests for the crate-private stages of the coding and
-//! modulation chain: bit packing, scrambling, puncturing, erasures,
-//! interleaving and constellation geometry. The public stages keep
-//! their properties in `tests/proptests.rs`.
+//! modulation chain: bit packing, scrambling, convolutional coding,
+//! puncturing, erasures, interleaving and constellation geometry. The
+//! public stages keep their properties in `tests/proptests.rs`.
 
 use crate::bits::{bits_to_bytes, bytes_to_bits};
 use crate::convolutional::{coded_len, encode, viterbi_decode, ERASURE};
@@ -62,6 +62,16 @@ proptest! {
         let on_air = puncture(&coded, rate);
         let restored = depuncture(&on_air, rate, coded.len());
         prop_assert_eq!(viterbi_decode(&restored), bits);
+    }
+
+    /// The decoder tolerates one corrupted coded bit anywhere (the free
+    /// distance of the mother code is 10).
+    #[test]
+    fn single_error_corrected(bits in bit_vec(200), pos in any::<prop::sample::Index>()) {
+        let mut coded = encode(&bits);
+        let idx = pos.index(coded.len());
+        coded[idx] ^= 1;
+        prop_assert_eq!(viterbi_decode(&coded), bits);
     }
 
     /// Erasing any single pair position still decodes.

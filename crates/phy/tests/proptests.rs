@@ -1,17 +1,13 @@
-//! Property-based tests for the PHY's public coding and modulation
-//! chain. The crate-private stages keep theirs in `src/proptests.rs`.
+//! Property-based tests for the PHY's public transforms and its
+//! end-to-end payload chain. The crate-private stages keep theirs in
+//! `src/proptests.rs`.
 
 use nplus_linalg::{c64, Complex64};
-use nplus_phy::convolutional::{encode, viterbi_decode};
 use nplus_phy::fft::{fft, ifft};
 use nplus_phy::ofdm::{receive_payload, transmit_payload};
 use nplus_phy::params::OfdmConfig;
 use nplus_phy::rates::RATE_TABLE;
 use proptest::prelude::*;
-
-fn bit_vec(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
-    proptest::collection::vec(0u8..2, 1..max_len)
-}
 
 fn byte_vec(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), 1..max_len)
@@ -19,16 +15,6 @@ fn byte_vec(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The decoder tolerates one corrupted coded bit anywhere (the free
-    /// distance of the mother code is 10).
-    #[test]
-    fn single_error_corrected(bits in bit_vec(200), pos in any::<prop::sample::Index>()) {
-        let mut coded = encode(&bits);
-        let idx = pos.index(coded.len());
-        coded[idx] ^= 1;
-        prop_assert_eq!(viterbi_decode(&coded), bits);
-    }
 
     /// FFT/IFFT round-trip and Parseval hold for random signals.
     #[test]

@@ -45,6 +45,43 @@ pub fn bit_error_rate(a: &[u8], b: &[u8]) -> f64 {
     bit_errors(a, b) as f64 / a.len() as f64
 }
 
+/// FNV-1a, the digest every regression golden folds its pinned values
+/// through: bytes one at a time, words and floats as their
+/// little-endian bytes (a float through its bit pattern, so no
+/// tolerance can hide a divergence).
+pub struct Fnv(pub u64);
+
+impl Fnv {
+    /// The FNV-1a offset basis: the digest of nothing.
+    pub fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds `bytes` in order.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Folds a word as its eight little-endian bytes.
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// Folds a float as its bit pattern.
+    pub fn f64(&mut self, x: f64) {
+        self.u64(x.to_bits());
+    }
+}
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv::new()
+    }
+}
+
 /// Assert two `Complex64` values are within `tol` of each other,
 /// with optional extra context.
 #[macro_export]

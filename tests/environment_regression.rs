@@ -16,6 +16,7 @@
 
 use nplus::prelude::*;
 use nplus_medium::topology::build_environment_topology;
+use nplus_testkit::Fnv;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -367,7 +368,7 @@ fn shipped_environments_are_distinct_worlds() {
 /// (`Environment::testbed`) through the engine's topology builder, and
 /// an outsized scenario surfaces `TooManyNodes` instead of panicking.
 #[test]
-fn build_scenario_in_matches_build_scenario_and_reports_oversize() {
+fn every_world_places_ap_downlink_on_its_testbed_and_reports_oversize() {
     for name in BUILTIN_ENVIRONMENT_NAMES {
         let env = environment_from_name(name).expect("builtin environment");
         let antennas = Scenario::ap_downlink().antennas;
@@ -388,23 +389,6 @@ fn build_scenario_in_matches_build_scenario_and_reports_oversize() {
             ),
             "{name}: unexpected error {err}"
         );
-    }
-}
-
-/// FNV-1a over little-endian `u64` words: one fold for a world's
-/// topology draw or a sweep's statistics, every `f64` through its bits.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn eat(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
     }
 }
 
@@ -461,15 +445,10 @@ fn world_topology(name: &str, seed: u64) -> (u64, usize, u64) {
         .expect("three_pairs fits");
     let mut digest = Fnv::new();
     for (i, place) in topo.placements.iter().enumerate() {
-        digest.eat(place.pos.x.to_bits());
-        digest.eat(place.pos.y.to_bits());
-        digest.eat(u64::from(place.nlos));
-        digest.eat(
-            topo.medium
-                .node(topo.nodes[i])
-                .oscillator_offset_hz
-                .to_bits(),
-        );
+        digest.f64(place.pos.x);
+        digest.f64(place.pos.y);
+        digest.u64(u64::from(place.nlos));
+        digest.f64(topo.medium.node(topo.nodes[i]).oscillator_offset_hz);
     }
     let mut links = 0;
     for i in 0..antennas.len() {
@@ -478,15 +457,15 @@ fn world_topology(name: &str, seed: u64) -> (u64, usize, u64) {
                 links += 1;
                 let tap = link.pair(0, 0).taps[0];
                 for word in [i as u64, j as u64] {
-                    digest.eat(word);
+                    digest.u64(word);
                 }
                 for x in [link.amplitude(), tap.re, tap.im] {
-                    digest.eat(x.to_bits());
+                    digest.f64(x);
                 }
             }
         }
     }
-    digest.eat(rng.next_u64());
+    digest.u64(rng.next_u64());
     (seed, links, digest.0)
 }
 
@@ -577,17 +556,17 @@ fn world_sweep(name: &str) -> (&str, [f64; 5], u64) {
     let mut digest = Fnv::new();
     for (total, s) in totals.iter_mut().zip(&stats) {
         *total = s.mean_total_mbps;
-        digest.eat(s.n_runs as u64);
+        digest.u64(s.n_runs as u64);
         for x in [
             s.mean_total_mbps,
             s.ci95_total_mbps,
             s.mean_dof,
             s.mean_fairness,
         ] {
-            digest.eat(x.to_bits());
+            digest.f64(x);
         }
-        for x in &s.mean_per_flow_mbps {
-            digest.eat(x.to_bits());
+        for &x in &s.mean_per_flow_mbps {
+            digest.f64(x);
         }
     }
     (name, totals, digest.0)

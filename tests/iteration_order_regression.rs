@@ -14,30 +14,23 @@
 
 use nplus::prelude::*;
 use nplus::scenario::parse_spec;
+use nplus_testkit::Fnv;
 
 /// FNV-1a over the bit patterns of every field of every stat.
 fn digest(stats: &[SweepStats]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut h = Fnv::new();
     for s in stats {
-        eat(s.policy.as_bytes());
-        eat(&(s.n_runs as u64).to_le_bytes());
-        eat(&s.mean_total_mbps.to_bits().to_le_bytes());
-        eat(&s.ci95_total_mbps.to_bits().to_le_bytes());
-        eat(&s.mean_dof.to_bits().to_le_bytes());
-        eat(&s.mean_fairness.to_bits().to_le_bytes());
-        for f in &s.mean_per_flow_mbps {
-            eat(&f.to_bits().to_le_bytes());
+        h.bytes(s.policy.as_bytes());
+        h.u64(s.n_runs as u64);
+        h.f64(s.mean_total_mbps);
+        h.f64(s.ci95_total_mbps);
+        h.f64(s.mean_dof);
+        h.f64(s.mean_fairness);
+        for &f in &s.mean_per_flow_mbps {
+            h.f64(f);
         }
     }
-    h
+    h.0
 }
 
 /// 256-node procedural city on the sparse multi-cell world: the sweep

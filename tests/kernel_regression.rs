@@ -24,31 +24,25 @@ use nplus_phy::esnr::{
     effective_snr_db, esnr_band, select_rate, EsnrBand, RATE_ESNR_THRESHOLDS_DB,
 };
 use nplus_phy::{Modulation, RATE_TABLE};
+use nplus_testkit::Fnv;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::f64::consts::TAU;
 
-/// FNV-1a accumulator.
-struct Fnv(u64);
+/// The kernel shapes folded through the shared [`Fnv`] digest: counts
+/// as `u64` words, complex entries as their two parts, and every
+/// vector and matrix behind its shape.
+trait KernelFold {
+    fn usize(&mut self, n: usize);
+    fn c64(&mut self, z: Complex64);
+    fn vector(&mut self, v: &CVector);
+    fn vectors(&mut self, vs: &[CVector]);
+    fn matrix(&mut self, m: &CMatrix);
+}
 
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
+impl KernelFold for Fnv {
     fn usize(&mut self, n: usize) {
-        self.bytes(&(n as u64).to_le_bytes());
-    }
-
-    fn f64(&mut self, x: f64) {
-        self.bytes(&x.to_bits().to_le_bytes());
+        self.u64(n as u64);
     }
 
     fn c64(&mut self, z: Complex64) {

@@ -24,6 +24,7 @@ use nplus::scenario::{build_scenario, parse_spec, ScenarioGenerator};
 use nplus::sim::{aggregate_results, Flow, Scenario, SimConfig, SimEngine, SweepSpec, SweepStats};
 use nplus_channel::environment::{environment_from_name, SIGCOMM11_INDOOR};
 use nplus_medium::topology::build_environment_topology;
+use nplus_testkit::Fnv;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -335,68 +336,56 @@ fn simulate_entry_point_matches_enum_era_bitwise() {
 /// byte so no two streams can fold alike by shifting a boundary. The
 /// identity's canonical key is left out — it labels the run rather than
 /// describing it, and `canonical_keys_are_pinned` pins it on its own.
-struct StreamDigest(u64);
-
-impl StreamDigest {
-    fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn eat_u64(&mut self, v: u64) {
-        self.eat(&v.to_le_bytes());
-    }
-}
+#[derive(Default)]
+struct StreamDigest(Fnv);
 
 impl RoundObserver for StreamDigest {
     fn on_run_start(&mut self, meta: &RunMeta) {
-        self.eat(b"S");
-        self.eat(meta.policy.as_bytes());
-        self.eat_u64(meta.n_flows as u64);
-        self.eat_u64(meta.rounds as u64);
-        self.eat_u64(meta.bandwidth_hz.to_bits());
+        self.0.bytes(b"S");
+        self.0.bytes(meta.policy.as_bytes());
+        self.0.u64(meta.n_flows as u64);
+        self.0.u64(meta.rounds as u64);
+        self.0.f64(meta.bandwidth_hz);
         if let Some(id) = &meta.identity {
-            self.eat_u64(id.seed);
-            self.eat(id.environment.as_bytes());
+            self.0.u64(id.seed);
+            self.0.bytes(id.environment.as_bytes());
         }
     }
 
     fn on_contention(&mut self, ev: &ContentionRecord) {
-        self.eat(b"C");
-        self.eat_u64(ev.round as u64);
-        self.eat(match ev.kind {
+        self.0.bytes(b"C");
+        self.0.u64(ev.round as u64);
+        self.0.bytes(match ev.kind {
             ContentionKind::Primary => b"p",
             ContentionKind::Join => b"j",
             ContentionKind::Scheduled => b"s",
         });
-        self.eat_u64(ev.n_contenders as u64);
-        self.eat_u64(ev.winner as u64);
-        self.eat_u64(ev.slots);
+        self.0.u64(ev.n_contenders as u64);
+        self.0.u64(ev.winner as u64);
+        self.0.u64(ev.slots);
     }
 
     fn on_join(&mut self, ev: &JoinRecord) {
-        self.eat(b"J");
-        self.eat_u64(ev.round as u64);
-        self.eat_u64(ev.tx as u64);
-        self.eat_u64(ev.n_streams as u64);
-        self.eat(&[u8::from(ev.accepted)]);
+        self.0.bytes(b"J");
+        self.0.u64(ev.round as u64);
+        self.0.u64(ev.tx as u64);
+        self.0.u64(ev.n_streams as u64);
+        self.0.bytes(&[u8::from(ev.accepted)]);
     }
 
     fn on_round_end(&mut self, ev: &RoundRecord) {
-        self.eat(b"R");
-        self.eat_u64(ev.round as u64);
-        self.eat_u64(ev.body_symbols as u64);
-        self.eat_u64(ev.duration_samples);
+        self.0.bytes(b"R");
+        self.0.u64(ev.round as u64);
+        self.0.u64(ev.body_symbols as u64);
+        self.0.u64(ev.duration_samples);
         for b in ev.flow_bits {
-            self.eat_u64(b.to_bits());
+            self.0.f64(*b);
         }
         for s in ev.streams {
-            self.eat_u64(s.flow as u64);
-            self.eat_u64(s.tx as u64);
-            self.eat_u64(s.rate as u64);
-            self.eat_u64(s.active_symbols as u64);
+            self.0.u64(s.flow as u64);
+            self.0.u64(s.tx as u64);
+            self.0.u64(s.rate as u64);
+            self.0.u64(s.active_symbols as u64);
         }
     }
 }
@@ -446,7 +435,7 @@ fn run_case(case: &str, policies: &[Policy], threads: usize) -> Vec<(SweepStats,
         sweep = sweep.traffic(traffic);
     }
     let runs = sweep
-        .try_run_observed(|_, _| StreamDigest(0xcbf2_9ce4_8422_2325))
+        .try_run_observed(|_, _| StreamDigest::default())
         .expect("golden sweep runs");
     let results: Vec<_> = runs.iter().map(|(r, _)| r.clone()).collect();
     let n_flows = results[0].per_policy[0].per_flow_mbps.len();
@@ -454,7 +443,7 @@ fn run_case(case: &str, policies: &[Policy], threads: usize) -> Vec<(SweepStats,
     stats
         .into_iter()
         .enumerate()
-        .map(|(p, s)| (s, runs.iter().map(|(_, obs)| obs[p].0).collect()))
+        .map(|(p, s)| (s, runs.iter().map(|(_, obs)| obs[p].0 .0).collect()))
         .collect()
 }
 
@@ -694,7 +683,7 @@ fn wide_array_scenario_is_pinned_under_every_policy() {
         sweep = sweep.policy(policy);
     }
     let runs = sweep
-        .try_run_observed(|_, _| StreamDigest(0xcbf2_9ce4_8422_2325))
+        .try_run_observed(|_, _| StreamDigest::default())
         .expect("wide-array sweep runs");
     let results: Vec<_> = runs.iter().map(|(r, _)| r.clone()).collect();
     let stats = aggregate_results(5, &sweep.policy_names(), &results);
@@ -702,9 +691,9 @@ fn wide_array_scenario_is_pinned_under_every_policy() {
         .iter()
         .enumerate()
         .map(|(p, s)| {
-            let mut folded = StreamDigest(0xcbf2_9ce4_8422_2325);
+            let mut folded = Fnv::new();
             for (_, observers) in &runs {
-                folded.eat_u64(observers[p].0);
+                folded.u64(observers[p].0 .0);
             }
             (s.policy.as_str(), s.mean_total_mbps, s.mean_dof, folded.0)
         })
@@ -811,14 +800,14 @@ fn decimated_grid_is_pinned_under_every_policy() {
             sweep = sweep.policy(policy);
         }
         let runs = sweep
-            .try_run_observed(|_, _| StreamDigest(0xcbf2_9ce4_8422_2325))
+            .try_run_observed(|_, _| StreamDigest::default())
             .expect("decimated sweep runs");
         let results: Vec<_> = runs.iter().map(|(r, _)| r.clone()).collect();
         let stats = aggregate_results(n_flows, &sweep.policy_names(), &results);
         for (p, s) in stats.iter().enumerate() {
-            let mut folded = StreamDigest(0xcbf2_9ce4_8422_2325);
+            let mut folded = Fnv::new();
             for (_, observers) in &runs {
-                folded.eat_u64(observers[p].0);
+                folded.u64(observers[p].0 .0);
             }
             got.push((
                 label,
@@ -839,9 +828,9 @@ fn decimated_grid_is_pinned_under_every_policy() {
 /// FNV-1a over every field of one policy's sweep statistics, each
 /// `f64` through its bits.
 fn stats_digest(s: &SweepStats) -> u64 {
-    let mut d = StreamDigest(0xcbf2_9ce4_8422_2325);
-    d.eat(s.policy.as_bytes());
-    d.eat_u64(s.n_runs as u64);
+    let mut d = Fnv::new();
+    d.bytes(s.policy.as_bytes());
+    d.u64(s.n_runs as u64);
     let scalars = [
         s.mean_total_mbps,
         s.ci95_total_mbps,
@@ -849,7 +838,7 @@ fn stats_digest(s: &SweepStats) -> u64 {
         s.mean_fairness,
     ];
     for v in scalars.iter().chain(&s.mean_per_flow_mbps) {
-        d.eat_u64(v.to_bits());
+        d.f64(*v);
     }
     d.0
 }

@@ -24,24 +24,9 @@ use nplus::scenario::parse_spec;
 use nplus::sim::{Scenario, SimConfig, SimEngine};
 use nplus_channel::environment::{environment_from_name, Environment};
 use nplus_medium::topology::build_environment_topology;
+use nplus_testkit::Fnv;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-
-/// FNV-1a over 64-bit words.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn eat(&mut self, word: u64) {
-        for b in word.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-}
 
 const SEEDS: std::ops::Range<u64> = 0..3;
 const ROUNDS: usize = 12;
@@ -92,13 +77,13 @@ fn run_case(label: &str, policy: Policy) -> (u64, u64) {
         let engine = SimEngine::new(&topo, &scenario, &cfg);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_CAFE);
         let r = engine.run(policy, &mut rng, &mut NullObserver, None);
-        results.eat(r.per_flow_mbps.len() as u64);
-        for x in &r.per_flow_mbps {
-            results.eat(x.to_bits());
+        results.u64(r.per_flow_mbps.len() as u64);
+        for &x in &r.per_flow_mbps {
+            results.f64(x);
         }
-        results.eat(r.total_mbps.to_bits());
-        results.eat(r.mean_dof.to_bits());
-        positions.eat(rng.next_u64());
+        results.f64(r.total_mbps);
+        results.f64(r.mean_dof);
+        positions.u64(rng.next_u64());
     }
     (results.0, positions.0)
 }

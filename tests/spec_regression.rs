@@ -11,50 +11,35 @@
 
 use nplus::scenario::parse_spec;
 use nplus::sim::TrafficModel;
-
-/// FNV-1a over 64-bit words.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn eat(&mut self, word: u64) {
-        for b in word.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-}
+use nplus_testkit::Fnv;
 
 /// Digest of everything `parse_spec(spec, capacity)` returns.
 fn digest(spec: &str, capacity: usize) -> u64 {
     let parsed = parse_spec(spec, capacity).unwrap_or_else(|e| panic!("{spec}: {e}"));
     let mut h = Fnv::new();
-    h.eat(parsed.scenario.antennas.len() as u64);
+    h.u64(parsed.scenario.antennas.len() as u64);
     for &a in &parsed.scenario.antennas {
-        h.eat(a as u64);
+        h.u64(a as u64);
     }
-    h.eat(parsed.scenario.flows.len() as u64);
+    h.u64(parsed.scenario.flows.len() as u64);
     for f in &parsed.scenario.flows {
-        h.eat(f.tx as u64);
-        h.eat(f.rx as u64);
+        h.u64(f.tx as u64);
+        h.u64(f.rx as u64);
     }
     match parsed.traffic {
-        None => h.eat(0),
-        Some(TrafficModel::Saturated) => h.eat(1),
+        None => h.u64(0),
+        Some(TrafficModel::Saturated) => h.u64(1),
         Some(TrafficModel::Poisson { mean_per_round }) => {
-            h.eat(2);
-            h.eat(mean_per_round.to_bits());
+            h.u64(2);
+            h.f64(mean_per_round);
         }
         Some(TrafficModel::Bursty {
             mean_on_rounds,
             mean_off_rounds,
         }) => {
-            h.eat(3);
-            h.eat(mean_on_rounds.to_bits());
-            h.eat(mean_off_rounds.to_bits());
+            h.u64(3);
+            h.f64(mean_on_rounds);
+            h.f64(mean_off_rounds);
         }
     }
     h.0
@@ -113,7 +98,7 @@ fn random_family_draws_are_pinned_per_capacity() {
     for (capacity, want) in RANDOM_GOLDENS {
         let mut h = Fnv::new();
         for seed in 0..16 {
-            h.eat(digest(&format!("random:{seed}"), capacity));
+            h.u64(digest(&format!("random:{seed}"), capacity));
         }
         assert_eq!(
             h.0, want,
