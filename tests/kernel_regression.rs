@@ -13,8 +13,13 @@
 
 use nplus::link::{zf_sinr, SubcarrierObservation, ZfFilters, ZfWorkspace};
 use nplus::power_control::expected_interference_power;
-use nplus::precoder::{compute_precoders, OwnReceiver, PrecoderError, ProtectedReceiver};
-use nplus_channel::{environment_from_name, HardwareProfile, SIGCOMM11_INDOOR};
+use nplus::precoder::{
+    compute_precoders, residual_interference, OwnReceiver, PrecoderError, ProtectedReceiver,
+};
+use nplus::MultiDimCarrierSense;
+use nplus_channel::{
+    environment_from_name, DelayProfile, HardwareProfile, MimoLink, SIGCOMM11_INDOOR,
+};
 use nplus_linalg::{
     c64, null_space_into, pinv, pinv_into, rank, CMatrix, CMatrixSoA, CVector, Complex64,
     LinalgError, NullspaceWorkspace, PinvWorkspace, Subspace,
@@ -23,6 +28,7 @@ use nplus_mac::backoff::resolve_contention_in;
 use nplus_phy::esnr::{
     effective_snr_db, esnr_band, select_rate, EsnrBand, RATE_ESNR_THRESHOLDS_DB,
 };
+use nplus_phy::params::OfdmConfig;
 use nplus_phy::{Modulation, RATE_TABLE};
 use nplus_testkit::Fnv;
 use rand::rngs::StdRng;
@@ -351,6 +357,71 @@ fn compute_precoders_is_pinned() {
         "compute_precoders digest {:#x}",
         h.0
     );
+}
+
+/// The dense-matrix arithmetic of the sample-level chain and the figure
+/// bins: matvec, matmul, transposes, real scaling and the Frobenius norm
+/// over four corpus matrices of every shape in `0..=4 × 0..=5`, then the
+/// entry points built on them — the calibration residual, the precoder's
+/// leak metric, per-bin channel matrices and the carrier-sense
+/// projection.
+#[test]
+fn dense_matrix_arithmetic_is_pinned() {
+    let mut corpus = Corpus(0x5EED_DE05);
+    let mut rng = StdRng::seed_from_u64(30);
+    let hardware = SIGCOMM11_INDOOR.hardware;
+    let mut h = Fnv::new();
+    for rows in 0..=4usize {
+        for cols in 0..=5usize {
+            for i in 0..4 {
+                let a = corpus.matrix(rows, cols);
+                let x = corpus.matrix(cols, 1).col(0);
+                let b = corpus.matrix(cols, (rows + cols + i) % 6);
+                h.vector(&a.mul_vec(&x));
+                h.matrix(&(&a * &b));
+                h.matrix(&a.hermitian());
+                h.matrix(&a.conj());
+                h.matrix(&a.scale_re(corpus.entry().re));
+                h.f64(a.frobenius_norm());
+                h.matrix(&hardware.apply_calibration_error(&a, &mut rng));
+                let unwanted = random_unwanted(rows, &mut rng);
+                h.f64(residual_interference(&a, &unwanted, &x));
+            }
+        }
+    }
+
+    // Every bin of every link shape, and the sensor an `n_rx`-antenna
+    // node builds from one or two ongoing links: its free DoF, its
+    // projected power over two FFT blocks, and the per-bin projector
+    // onto the complement of the ongoing streams' columns.
+    let cfg = OfdmConfig::usrp2();
+    for n_tx in 1..=4usize {
+        for n_rx in 1..=4usize {
+            let link = MimoLink::sample(n_tx, n_rx, 2.5, &DelayProfile::nlos(), &mut rng);
+            let other = MimoLink::sample(1, n_rx, 0.5, &DelayProfile::nlos(), &mut rng);
+            let per_bin = link.channel_matrices(cfg.fft_len);
+            for m in &per_bin {
+                h.matrix(m);
+            }
+            let ongoing = [per_bin, other.channel_matrices(cfg.fft_len)];
+            let capture: Vec<Vec<Complex64>> = (0..n_rx)
+                .map(|_| (0..2 * cfg.fft_len).map(|_| corpus.entry()).collect())
+                .collect();
+            for n_ongoing in 1..=2 {
+                let sensor = MultiDimCarrierSense::from_ongoing(n_rx, cfg, &ongoing[..n_ongoing]);
+                h.usize(sensor.free_dof());
+                h.f64(sensor.sense_power(&capture));
+                for k in 0..cfg.fft_len {
+                    let dirs: Vec<CVector> = ongoing[..n_ongoing]
+                        .iter()
+                        .flat_map(|tx| (0..tx[k].cols()).map(|c| tx[k].col(c)))
+                        .collect();
+                    h.matrix(&Subspace::span(n_rx, &dirs).complement().projector());
+                }
+            }
+        }
+    }
+    assert_eq!(h.0, 0x9461_b1db_8767_e773, "dense matrix digest {:#x}", h.0);
 }
 
 fn random_cvector(n: usize, rng: &mut StdRng) -> CVector {
