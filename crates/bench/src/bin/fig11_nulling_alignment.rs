@@ -85,7 +85,7 @@ fn nulling_trial(wanted_snr_db: f64, unwanted_snr_db: f64, rng: &mut StdRng) -> 
         let mut resid = residual_interference(&h21_true, &Subspace::zero(1), &p.vectors[0]);
         let evm = hw.tx_evm_amplitude().powi(2);
         resid += h21_true.frobenius_norm().powi(2) / 2.0 * evm;
-        let wanted_pow = l11.channel_matrix(k, cfg.fft_len)[(0, 0)].norm_sqr();
+        let wanted_pow = l11.channel_matrix(k, cfg.fft_len).get(0, 0).norm_sqr();
         // SNR before: wanted/1; after: wanted/(1+resid).
         let reduction_db = 10.0 * (1.0 + resid).log10();
         let _ = wanted_pow;

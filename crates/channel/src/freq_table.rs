@@ -4,7 +4,7 @@
 //! thousands of times per run (round × stream × subcarrier × interferer).
 //! [`FreqResponseTable`] performs that evaluation exactly once per
 //! occupied subcarrier — a single pass over the FIR taps — and then
-//! serves split-storage matrix lookups. The DFT twiddles
+//! serves matrix lookups. The DFT twiddles
 //! `e^{-j2πkd/N}` depend only on the bin, the delay and the grid size,
 //! so a [`Twiddles`] table computes them once and every link of a
 //! topology reads the prefix its taps need.
@@ -20,7 +20,7 @@
 //! `nplus_medium::chancache`'s `matches_direct_channel_matrix` check.
 
 use crate::mimo::MimoLink;
-use nplus_linalg::{CMatrixSoA, Complex64};
+use nplus_linalg::{CMatrix, Complex64};
 use std::sync::Arc;
 
 /// The DFT twiddles `e^{-j2πkd/N}` of a fixed bin list on an `n_fft`
@@ -71,14 +71,13 @@ impl Twiddles {
 /// Frequency responses of one [`MimoLink`], evaluated once for a fixed
 /// set of FFT bins (normally the occupied subcarriers).
 ///
-/// Matrices are stored in split (structure-of-arrays) layout so the
-/// engine's precoder/ZF-SINR hot path consumes them without conversion;
-/// the build writes each entry straight into that layout, with the same
-/// values [`MimoLink::channel_matrix`] computes.
+/// The engine's precoder/ZF-SINR hot path reads the matrices in place;
+/// the build writes each entry with the same value
+/// [`MimoLink::channel_matrix`] computes.
 #[derive(Debug, Clone)]
 pub struct FreqResponseTable {
     /// One `N_rx × M_tx` matrix per requested bin, in request order.
-    matrices: Vec<CMatrixSoA>,
+    matrices: Vec<CMatrix>,
     /// The FFT bins the table covers, in request order.
     bins: Arc<[usize]>,
     /// FFT grid size the bins index into.
@@ -113,7 +112,7 @@ impl FreqResponseTable {
         let matrices = (0..twiddles.bins.len())
             .map(|pos| {
                 let tw = twiddles.bin(pos);
-                let mut h = CMatrixSoA::zeros(n_rx, n_tx);
+                let mut h = CMatrix::zeros(n_rx, n_tx);
                 for rx in 0..n_rx {
                     for tx in 0..n_tx {
                         let mut acc = Complex64::ZERO;
@@ -135,8 +134,8 @@ impl FreqResponseTable {
 
     /// The channel matrix of the `pos`-th requested bin (position in the
     /// `bins` slice given to [`FreqResponseTable::new`], *not* the raw
-    /// FFT bin index), in split storage.
-    pub fn matrix(&self, pos: usize) -> &CMatrixSoA {
+    /// FFT bin index).
+    pub fn matrix(&self, pos: usize) -> &CMatrix {
         &self.matrices[pos]
     }
 
@@ -204,12 +203,12 @@ mod tests {
                         // path must be indistinguishable from recompute.
                         assert_eq!(
                             cached.get(r, c).re.to_bits(),
-                            direct[(r, c)].re.to_bits(),
+                            direct.get(r, c).re.to_bits(),
                             "bin {k} entry ({r},{c}) re"
                         );
                         assert_eq!(
                             cached.get(r, c).im.to_bits(),
-                            direct[(r, c)].im.to_bits(),
+                            direct.get(r, c).im.to_bits(),
                             "bin {k} entry ({r},{c}) im"
                         );
                     }
@@ -243,7 +242,7 @@ mod tests {
                 assert_eq!(cached.shape(), direct.shape());
                 for r in 0..direct.rows() {
                     for c in 0..direct.cols() {
-                        let (a, b) = (cached.get(r, c), direct[(r, c)]);
+                        let (a, b) = (cached.get(r, c), direct.get(r, c));
                         assert!(
                             a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
                             "link {i} bin {k} entry ({r},{c}): {a:?} vs {b:?}"
@@ -285,9 +284,6 @@ mod tests {
         let bins = vec![10usize];
         let t1 = FreqResponseTable::new(&link, &bins, 64);
         let t2 = FreqResponseTable::new(&half, &bins, 64);
-        assert!(t2
-            .matrix(0)
-            .to_aos()
-            .approx_eq(&t1.matrix(0).scale_re(0.5).to_aos(), 1e-12));
+        assert!(t2.matrix(0).approx_eq(&t1.matrix(0).scale_re(0.5), 1e-12));
     }
 }

@@ -22,7 +22,7 @@
 //! *two* estimated quantities (`U^⊥` and `H`).
 
 use crate::pathloss::{sample_normal, skip_normal};
-use nplus_linalg::{c64, CMatrix, CMatrixSoA, Complex64};
+use nplus_linalg::{c64, CMatrix, Complex64};
 use rand::Rng;
 
 /// Radio hardware quality knobs.
@@ -87,15 +87,6 @@ impl HardwareProfile {
         out
     }
 
-    /// In-place form of [`HardwareProfile::apply_calibration_error`]:
-    /// a wrapper over
-    /// [`HardwareProfile::apply_calibration_error_soa_in_place`].
-    pub(crate) fn apply_calibration_error_in_place<R: Rng>(&self, h: &mut CMatrix, rng: &mut R) {
-        let mut soa = CMatrixSoA::from_aos(h);
-        self.apply_calibration_error_soa_in_place(&mut soa, rng);
-        *h = soa.to_aos();
-    }
-
     /// What a joining transmitter believes the *forward* channel to a
     /// receiver is, given the true forward matrix: reciprocity reading
     /// (estimation noise on the reverse direction) plus calibration
@@ -103,18 +94,18 @@ impl HardwareProfile {
     /// Allocating wrapper over
     /// [`HardwareProfile::reciprocal_channel_knowledge_into`].
     pub fn reciprocal_channel_knowledge<R: Rng>(&self, h_true: &CMatrix, rng: &mut R) -> CMatrix {
-        let mut out = CMatrixSoA::default();
-        self.reciprocal_channel_knowledge_into(&CMatrixSoA::from_aos(h_true), rng, &mut out);
-        out.to_aos()
+        let mut out = CMatrix::default();
+        self.reciprocal_channel_knowledge_into(h_true, rng, &mut out);
+        out
     }
 
     /// Writes the corrupted estimate of `h` into `out` (buffers reused),
     /// drawing two normals per entry in row-major order.
     pub(crate) fn corrupt_estimate_into<R: Rng>(
         &self,
-        h: &CMatrixSoA,
+        h: &CMatrix,
         rng: &mut R,
-        out: &mut CMatrixSoA,
+        out: &mut CMatrix,
     ) {
         let err_amp = 10f64.powf(-self.estimation_snr_db / 20.0);
         out.assign_from(h);
@@ -127,14 +118,9 @@ impl HardwareProfile {
         }
     }
 
-    /// Perturbs an estimate in place with the calibration residual: a
-    /// per-entry multiplicative complex error `(1 + ε)`,
-    /// `ε ~ CN(0, calibration_error_std²)`. A zero residual draws nothing.
-    pub(crate) fn apply_calibration_error_soa_in_place<R: Rng>(
-        &self,
-        h: &mut CMatrixSoA,
-        rng: &mut R,
-    ) {
+    /// In-place form of [`HardwareProfile::apply_calibration_error`].
+    /// A zero residual draws nothing.
+    pub(crate) fn apply_calibration_error_in_place<R: Rng>(&self, h: &mut CMatrix, rng: &mut R) {
         if self.calibration_error_std == 0.0 {
             return;
         }
@@ -151,12 +137,12 @@ impl HardwareProfile {
     /// buffer: estimation noise, then the calibration residual.
     pub fn reciprocal_channel_knowledge_into<R: Rng>(
         &self,
-        h_true: &CMatrixSoA,
+        h_true: &CMatrix,
         rng: &mut R,
-        out: &mut CMatrixSoA,
+        out: &mut CMatrix,
     ) {
         self.corrupt_estimate_into(h_true, rng, out);
-        self.apply_calibration_error_soa_in_place(out, rng);
+        self.apply_calibration_error_in_place(out, rng);
     }
 
     /// Advances `rng` past exactly the draws
@@ -197,9 +183,20 @@ mod tests {
     use rand::{RngCore, SeedableRng};
 
     fn corrupt(p: &HardwareProfile, h: &CMatrix, rng: &mut StdRng) -> CMatrix {
-        let mut out = CMatrixSoA::default();
-        p.corrupt_estimate_into(&CMatrixSoA::from_aos(h), rng, &mut out);
-        out.to_aos()
+        let mut out = CMatrix::default();
+        p.corrupt_estimate_into(h, rng, &mut out);
+        out
+    }
+
+    /// `‖a − b‖_F²`.
+    fn distance_sqr(a: &CMatrix, b: &CMatrix) -> f64 {
+        let mut d = a.clone();
+        for i in 0..a.rows() {
+            for j in 0..a.cols() {
+                d.set(i, j, a.get(i, j) - b.get(i, j));
+            }
+        }
+        d.frobenius_norm().powi(2)
     }
 
     fn random_h(rng: &mut StdRng) -> CMatrix {
@@ -244,7 +241,7 @@ mod tests {
         for _ in 0..n {
             let h = random_h(&mut rng);
             let est = corrupt(&p, &h, &mut rng);
-            rel_err += (&est - &h).frobenius_norm().powi(2) / h.frobenius_norm().powi(2);
+            rel_err += distance_sqr(&est, &h) / h.frobenius_norm().powi(2);
         }
         rel_err /= n as f64;
         let expect = 10f64.powf(-2.0); // -20 dB
@@ -272,17 +269,17 @@ mod tests {
         let p = HardwareProfile::default();
         let mut rng_a = StdRng::seed_from_u64(77);
         let h = random_h(&mut rng_a);
-        let hs = CMatrixSoA::from_aos(&h);
-        // Same seed, two paths: the RNG streams must stay in lockstep.
+        // Same seed, allocating and pooled forms: the RNG streams must
+        // stay in lockstep.
         let mut r1 = StdRng::seed_from_u64(9);
         let mut r2 = StdRng::seed_from_u64(9);
         let expect = p.reciprocal_channel_knowledge(&h, &mut r1);
-        let mut out = CMatrixSoA::default();
-        p.reciprocal_channel_knowledge_into(&hs, &mut r2, &mut out);
+        let mut out = CMatrix::default();
+        p.reciprocal_channel_knowledge_into(&h, &mut r2, &mut out);
         for i in 0..h.rows() {
             for j in 0..h.cols() {
-                assert_eq!(out.get(i, j).re.to_bits(), expect[(i, j)].re.to_bits());
-                assert_eq!(out.get(i, j).im.to_bits(), expect[(i, j)].im.to_bits());
+                assert_eq!(out.get(i, j).re.to_bits(), expect.get(i, j).re.to_bits());
+                assert_eq!(out.get(i, j).im.to_bits(), expect.get(i, j).im.to_bits());
             }
         }
         // After both paths the RNGs must agree on the next draw.
@@ -298,7 +295,7 @@ mod tests {
         let mut r3 = StdRng::seed_from_u64(10);
         let mut r4 = StdRng::seed_from_u64(10);
         let mut copy = out.clone();
-        quiet.apply_calibration_error_soa_in_place(&mut copy, &mut r3);
+        quiet.apply_calibration_error_in_place(&mut copy, &mut r3);
         assert_eq!(
             sample_normal(&mut r3).to_bits(),
             sample_normal(&mut r4).to_bits()
@@ -323,14 +320,14 @@ mod tests {
             uncalibrated,
         ];
         let mut src = StdRng::seed_from_u64(31);
-        let mut out = CMatrixSoA::default();
+        let mut out = CMatrix::default();
         for (pi, p) in profiles.iter().enumerate() {
             for rows in 1..=8 {
                 for cols in 1..=8 {
                     let data: Vec<Complex64> = (0..rows * cols)
                         .map(|_| c64(sample_normal(&mut src), sample_normal(&mut src)))
                         .collect();
-                    let h = CMatrixSoA::from_aos(&CMatrix::from_vec(rows, cols, data));
+                    let h = CMatrix::from_vec(rows, cols, data);
                     let seed = (pi * 100 + rows * 10 + cols) as u64;
                     let mut drawn = StdRng::seed_from_u64(seed);
                     let mut skipped = StdRng::seed_from_u64(seed);
@@ -356,8 +353,8 @@ mod tests {
             let h = random_h(&mut rng);
             let e1 = corrupt(&p, &h, &mut rng);
             let e2 = p.reciprocal_channel_knowledge(&h, &mut rng);
-            est_only += (&e1 - &h).frobenius_norm().powi(2);
-            composed += (&e2 - &h).frobenius_norm().powi(2);
+            est_only += distance_sqr(&e1, &h);
+            composed += distance_sqr(&e2, &h);
         }
         assert!(
             composed > est_only,

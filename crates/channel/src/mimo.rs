@@ -104,9 +104,13 @@ impl MimoLink {
         let mut h = CMatrix::zeros(self.n_rx, self.n_tx);
         for rx in 0..self.n_rx {
             for tx in 0..self.n_tx {
-                h[(rx, tx)] = self.fading[rx][tx]
-                    .freq_response_at(k, n_fft)
-                    .scale(self.amplitude);
+                h.set(
+                    rx,
+                    tx,
+                    self.fading[rx][tx]
+                        .freq_response_at(k, n_fft)
+                        .scale(self.amplitude),
+                );
             }
         }
         h
@@ -176,7 +180,7 @@ mod tests {
         assert_eq!(h.shape(), (2, 3));
         for i in 0..2 {
             for j in 0..3 {
-                assert!(h[(i, j)].approx_eq(c64(2.0, 0.0), 1e-12));
+                assert!(h.get(i, j).approx_eq(c64(2.0, 0.0), 1e-12));
             }
         }
     }
@@ -219,7 +223,7 @@ mod tests {
         let h = link.channel_matrix(k, n_fft);
         for rx_ant in 0..2 {
             for t in 20..100 {
-                let expect = tone[t] * h[(rx_ant, 0)];
+                let expect = tone[t] * h.get(rx_ant, 0);
                 assert!(
                     rx[rx_ant][t].approx_eq(expect, 1e-9),
                     "rx {rx_ant} sample {t}"
@@ -262,7 +266,7 @@ mod tests {
         let link = MimoLink::sample(2, 2, 1.0, &DelayProfile::nlos(), &mut rng);
         let h = link.channel_matrix(0, 64);
         // All four entries should differ (independent draws).
-        let entries = [h[(0, 0)], h[(0, 1)], h[(1, 0)], h[(1, 1)]];
+        let entries = [h.get(0, 0), h.get(0, 1), h.get(1, 0), h.get(1, 1)];
         for i in 0..4 {
             for j in (i + 1)..4 {
                 assert!(

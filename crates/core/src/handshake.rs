@@ -421,7 +421,14 @@ pub fn max_space_error(a: &[Subspace], b: &[Subspace]) -> f64 {
     a.iter()
         .zip(b)
         .map(|(x, y)| {
-            let d = &x.projector() - &y.projector();
+            let (p, q) = (x.projector(), y.projector());
+            assert_eq!(p.shape(), q.shape(), "max_space_error: ambient mismatch");
+            let mut d = p.clone();
+            for i in 0..p.rows() {
+                for j in 0..p.cols() {
+                    d.set(i, j, p.get(i, j) - q.get(i, j));
+                }
+            }
             d.frobenius_norm()
         })
         .fold(0.0, f64::max)

@@ -18,7 +18,7 @@
 //! (hardware error) is *not* known to the receiver and degrades the SINR
 //! — exactly the 0.8/1.3 dB effect of Fig. 11.
 
-use nplus_linalg::{pinv_into, CMatrixSoA, CVector, Complex64, PinvWorkspace};
+use nplus_linalg::{pinv_into, CMatrix, CVector, Complex64, PinvWorkspace};
 use nplus_phy::rates::RateIndex;
 
 /// The decode environment of one receiver on one subcarrier.
@@ -65,7 +65,7 @@ pub fn zf_sinr(obs: &SubcarrierObservation) -> Vec<f64> {
 /// evaluation.
 #[derive(Debug, Clone, Default)]
 pub struct ZfWorkspace {
-    a: CMatrixSoA,
+    a: CMatrix,
     pinv: PinvWorkspace,
     one: ZfFilters,
 }
@@ -174,7 +174,7 @@ impl ZfFilters {
         &mut self,
         wanted: &[CVector],
         known_interference: &[CVector],
-        a: &mut CMatrixSoA,
+        a: &mut CMatrix,
         pinv: &mut PinvWorkspace,
     ) {
         let columns = || wanted.iter().chain(known_interference);

@@ -71,7 +71,7 @@ pub fn learn_forward_channel(
             let mut fwd = CMatrix::zeros(n_rx_antennas, m);
             for (ant, per_rx) in estimates.iter().enumerate() {
                 for (rx_ant, est) in per_rx.iter().enumerate() {
-                    fwd[(rx_ant, ant)] = est.h[k];
+                    fwd.set(rx_ant, ant, est.h[k]);
                 }
             }
             hardware.apply_calibration_error(&fwd, rng)

@@ -13,7 +13,7 @@
 //! 2. if any exceeds `L`, scaling its transmit power down so the worst
 //!    one equals `L` — it contends (and transmits) at that lower power.
 
-use nplus_linalg::{CMatrix, CMatrixSoA};
+use nplus_linalg::CMatrix;
 
 /// The protocol's cancellation-depth parameter, dB — re-exported from
 /// the environment layer, which owns the single definition shared with
@@ -23,16 +23,9 @@ pub use nplus_channel::environment::DEFAULT_L_DB;
 /// Interference power (linear, relative to noise) that a unit-total-power
 /// transmission from an `M`-antenna transmitter would create at a
 /// receiver with believed channel `h` (`N × M`), before any precoding:
-/// the average over transmit directions, `‖H‖_F² / M`. Allocating
-/// wrapper over `expected_interference_power_soa`.
+/// the average over transmit directions, `‖H‖_F² / M`.
 // nplus:allow(VIS001): the golden tests/kernel_regression.rs pins its output
 pub fn expected_interference_power(h: &CMatrix) -> f64 {
-    expected_interference_power_soa(&CMatrixSoA::from_aos(h))
-}
-
-/// [`expected_interference_power`] of a channel served straight from the
-/// cache's structure-of-arrays tables.
-pub(crate) fn expected_interference_power_soa(h: &CMatrixSoA) -> f64 {
     let m = h.cols().max(1);
     h.frobenius_norm().powi(2) / m as f64
 }

@@ -18,8 +18,8 @@
 //! of `H`), which keeps the implementation unified.
 
 use nplus_linalg::{
-    mul_into, null_space_into, CMatrix, CMatrixSoA, CVector, NullspaceWorkspace, Subspace,
-    SubspaceWorkspace, VecPool,
+    mul_into, null_space_into, CMatrix, CVector, NullspaceWorkspace, Subspace, SubspaceWorkspace,
+    VecPool,
 };
 
 /// A receiver of an *ongoing* transmission that must be protected.
@@ -122,36 +122,29 @@ pub struct Precoding {
 /// are the receivers of ongoing transmissions; `own` are the joiner's
 /// receivers with their stream counts. Returns an error if the constraint
 /// set leaves fewer dimensions than requested. Allocating wrapper over
-/// `compute_precoders_into_with`.
+/// [`compute_precoders_into`].
 pub fn compute_precoders(
     m_antennas: usize,
     protected: &[ProtectedReceiver],
     own: &[OwnReceiver],
 ) -> Result<Precoding, PrecoderError> {
-    let protected_ch: Vec<CMatrixSoA> = protected
+    let protected_views: Vec<ProtectedReceiverSoARef> = protected
         .iter()
-        .map(|p| CMatrixSoA::from_aos(&p.channel))
+        .map(|p| ProtectedReceiverSoARef {
+            channel: &p.channel,
+            unwanted: &p.unwanted,
+        })
         .collect();
-    let own_ch: Vec<CMatrixSoA> = own
+    let own_views: Vec<OwnReceiverSoARef> = own
         .iter()
-        .map(|r| CMatrixSoA::from_aos(&r.channel))
+        .map(|r| OwnReceiverSoARef {
+            channel: &r.channel,
+            n_streams: r.n_streams,
+            unwanted: &r.unwanted,
+        })
         .collect();
     let mut ws = PrecoderWorkspace::default();
-    compute_precoders_into_with(
-        m_antennas,
-        protected.len(),
-        |i| ProtectedReceiverSoARef {
-            channel: &protected_ch[i],
-            unwanted: &protected[i].unwanted,
-        },
-        own.len(),
-        |i| OwnReceiverSoARef {
-            channel: &own_ch[i],
-            n_streams: own[i].n_streams,
-            unwanted: &own[i].unwanted,
-        },
-        &mut ws,
-    )?;
+    compute_precoders_into(m_antennas, &protected_views, &own_views, &mut ws)?;
     let stream_owner = own
         .iter()
         .enumerate()
@@ -163,13 +156,13 @@ pub fn compute_precoders(
     })
 }
 
-/// Split-storage view of a protected receiver: the channel comes straight
-/// from the cache's structure-of-arrays tables, the unwanted space from
-/// the engine's pooled round state.
+/// Borrowed view of a protected receiver: the engine's channel comes
+/// straight from the cache's tables, the unwanted space from its pooled
+/// round state.
 #[derive(Debug, Clone, Copy)]
 pub struct ProtectedReceiverSoARef<'a> {
-    /// The believed forward channel (`N × M`), split storage.
-    pub channel: &'a CMatrixSoA,
+    /// The believed forward channel (`N × M`).
+    pub channel: &'a CMatrix,
     /// The receiver's unwanted space `U` (ambient `N`).
     pub unwanted: &'a Subspace,
 }
@@ -182,17 +175,17 @@ impl ProtectedReceiverSoARef<'_> {
     }
 }
 
-/// Split-storage view of an own receiver (see [`ProtectedReceiverSoARef`]).
+/// Borrowed view of an own receiver (see [`ProtectedReceiverSoARef`]).
 #[derive(Debug, Clone, Copy)]
 pub struct OwnReceiverSoARef<'a> {
-    /// Forward channel to this receiver (`N × M`), split storage.
+    /// Forward channel to this receiver (`N × M`).
     ///
     /// The kernel reads its values only to align this receiver against
     /// the joiner's *other* own receivers (Claim 3.5). With one own
     /// receiver only its shape is read (its column count must equal the
     /// transmit antennas), so a caller may pass a shape-only view: the
     /// engine hands a zeroed matrix instead of a believed draw.
-    pub channel: &'a CMatrixSoA,
+    pub channel: &'a CMatrix,
     /// Streams destined to this receiver.
     pub n_streams: usize,
     /// The receiver's unwanted space.
@@ -204,10 +197,10 @@ pub struct OwnReceiverSoARef<'a> {
 /// solve of a run.
 #[derive(Debug, Clone, Default)]
 pub struct PrecoderWorkspace {
-    shared: CMatrixSoA,
-    rows: CMatrixSoA,
-    cons: CMatrixSoA,
-    rowop: CMatrixSoA,
+    shared: CMatrix,
+    rows: CMatrix,
+    cons: CMatrix,
+    rowop: CMatrix,
     uperp: Subspace,
     sub_ws: SubspaceWorkspace,
     ns_ws: NullspaceWorkspace,
@@ -219,13 +212,13 @@ pub struct PrecoderWorkspace {
 
 /// The constraint rows `U^⊥ H` of Eq. 6 into a pooled buffer — or `H`
 /// itself for nulling (Eq. 5), since `U^⊥ = I` when `U` is empty.
-fn constraint_rows_into_soa(
-    channel: &CMatrixSoA,
+fn constraint_rows_into(
+    channel: &CMatrix,
     unwanted: &Subspace,
-    out: &mut CMatrixSoA,
+    out: &mut CMatrix,
     uperp: &mut Subspace,
     sub_ws: &mut SubspaceWorkspace,
-    rowop: &mut CMatrixSoA,
+    rowop: &mut CMatrix,
 ) {
     if unwanted.is_zero() {
         out.assign_from(channel);
@@ -236,7 +229,7 @@ fn constraint_rows_into_soa(
     }
 }
 
-/// Pooled split-storage form of [`compute_precoders`]: the constraint
+/// Pooled form of [`compute_precoders`]: the constraint
 /// assembly, null-space solve and power normalization, with every
 /// intermediate written into reusable `ws` buffers and the vectors left
 /// in `ws.out`. (`stream_owner` bookkeeping is omitted — the engine's hot
@@ -292,7 +285,7 @@ pub(crate) fn compute_precoders_into_with<'a>(
             m_antennas,
             "protected channel columns must equal tx antennas"
         );
-        constraint_rows_into_soa(
+        constraint_rows_into(
             p.channel,
             p.unwanted,
             &mut ws.cons,
@@ -326,7 +319,7 @@ pub(crate) fn compute_precoders_into_with<'a>(
                 continue;
             }
             let other = own(o_idx);
-            constraint_rows_into_soa(
+            constraint_rows_into(
                 other.channel,
                 other.unwanted,
                 &mut ws.cons,
@@ -609,12 +602,12 @@ mod tests {
     #[test]
     fn lone_own_receiver_channel_is_shape_only() {
         let mut rng = StdRng::seed_from_u64(7);
-        let h_prot = CMatrixSoA::from_aos(&random_channel(2, 3, &mut rng));
+        let h_prot = random_channel(2, 3, &mut rng);
         let aligning = Subspace::span(2, &[random_channel(2, 1, &mut rng).col(0)]);
         let nulling = Subspace::zero(2);
-        let h_own = CMatrixSoA::from_aos(&random_channel(2, 3, &mut rng));
-        let h_other = CMatrixSoA::from_aos(&random_channel(2, 3, &mut rng));
-        let zero = CMatrixSoA::zeros(2, 3);
+        let h_own = random_channel(2, 3, &mut rng);
+        let h_other = random_channel(2, 3, &mut rng);
+        let zero = CMatrix::zeros(2, 3);
         let u_own = Subspace::span(2, &[random_channel(2, 1, &mut rng).col(0)]);
         let u_other = Subspace::span(2, &[random_channel(2, 1, &mut rng).col(0)]);
         let bits = |ws: &PrecoderWorkspace| -> Vec<u64> {
@@ -665,7 +658,7 @@ mod tests {
         for err in [0.0, 0.01, 0.05, 0.2] {
             // The transmitter precodes against a perturbed belief.
             let mut h_believed = h_true.clone();
-            h_believed[(0, 0)] += c64(err, -err);
+            h_believed.set(0, 0, h_believed.get(0, 0) + c64(err, -err));
             let p = compute_precoders(
                 2,
                 &[ProtectedReceiver::nulling(h_believed)],

@@ -32,14 +32,14 @@ use crate::observer::{
 };
 use crate::policy::Policy;
 use crate::power_control::{
-    expected_interference_power_soa, join_power_decision_from_worst, JoinPowerDecision,
+    expected_interference_power, join_power_decision_from_worst, JoinPowerDecision,
 };
 use crate::precoder::{
     compute_precoders_into_with, OwnReceiverSoARef, PrecoderError, PrecoderWorkspace,
     ProtectedReceiverSoARef,
 };
 use nplus_channel::placement::Point;
-use nplus_linalg::{CMatrixSoA, CVector, Subspace, SubspaceWorkspace, VecPool};
+use nplus_linalg::{CMatrix, CVector, Subspace, SubspaceWorkspace, VecPool};
 use nplus_mac::backoff::{resolve_contention_in, ContentionOutcome};
 use nplus_mac::frames::{AckHeader, DataHeader};
 use nplus_mac::timing::SampleTiming;
@@ -171,14 +171,14 @@ struct Scratch {
     /// candidate could transmit in.
     schedules: Vec<(Vec<usize>, RoundPlan)>,
     /// Believed channels to protected receivers, flat `[p * n_eval + e]`.
-    bp: Vec<CMatrixSoA>,
+    bp: Vec<CMatrix>,
     /// Audibility per protected receiver (`false`: below the floor, no
     /// nulling constraint and no further believed-channel draws).
     bp_ok: Vec<bool>,
     /// Indices of the audible protected receivers.
     audible: Vec<usize>,
     /// Believed channels to own receivers, flat `[i * n_eval + e]`.
-    bo: Vec<CMatrixSoA>,
+    bo: Vec<CMatrix>,
     /// One arrival vector (`H · v`) being inspected.
     arr_tmp: CVector,
     /// Per-bin SINRs out of one joint-ZF solve.
@@ -546,7 +546,7 @@ impl<'a> SimEngine<'a> {
         from: usize,
         to: usize,
         k_occ: usize,
-    ) -> Option<&'c CMatrixSoA> {
+    ) -> Option<&'c CMatrix> {
         cache.matrix(from, to, k_occ)
     }
 
@@ -567,7 +567,7 @@ impl<'a> SimEngine<'a> {
         to: usize,
         k_occ: usize,
         rng: &mut StdRng,
-        out: &mut CMatrixSoA,
+        out: &mut CMatrix,
     ) -> bool {
         let Some(h) = self.true_channel(ctx.cache, from, to, k_occ) else {
             return false;
@@ -597,7 +597,7 @@ impl<'a> SimEngine<'a> {
         to: usize,
         k_occ: usize,
         rng: &mut StdRng,
-        out: &mut CMatrixSoA,
+        out: &mut CMatrix,
     ) -> bool {
         let Some(h) = self.true_channel(ctx.cache, from, to, k_occ) else {
             return false;
@@ -736,7 +736,7 @@ impl<'a> SimEngine<'a> {
         // serve a flow whose link is below the floor.
         let n_prot = protected.len();
         while scratch.bp.len() < n_prot * n_eval {
-            scratch.bp.push(CMatrixSoA::default());
+            scratch.bp.push(CMatrix::default());
         }
         scratch.bp_ok.clear();
         for p in 0..n_prot {
@@ -757,7 +757,7 @@ impl<'a> SimEngine<'a> {
         // own receiver's is never read: its draws are skipped, not
         // computed, and the RNG ends the plan exactly where it would.
         while scratch.bo.len() < allocation.len() * n_eval {
-            scratch.bo.push(CMatrixSoA::default());
+            scratch.bo.push(CMatrix::default());
         }
         let lone = allocation.len() == 1;
         for (i, &(f, _)) in allocation.iter().enumerate() {
@@ -795,7 +795,7 @@ impl<'a> SimEngine<'a> {
                 // fold) instead of materializing a matrix list.
                 let mut worst = 0.0f64;
                 for &p in &scratch.audible {
-                    let pow = expected_interference_power_soa(&scratch.bp[p * n_eval + mid]);
+                    let pow = expected_interference_power(&scratch.bp[p * n_eval + mid]);
                     worst = f64::max(worst, pow);
                 }
                 join_power_decision_from_worst(worst, self.cfg.l_db)
@@ -867,8 +867,8 @@ impl<'a> SimEngine<'a> {
                     prec_ws,
                     ..
                 } = &mut *scratch;
-                let bp: &[CMatrixSoA] = bp;
-                let bo: &[CMatrixSoA] = bo;
+                let bp: &[CMatrix] = bp;
+                let bo: &[CMatrix] = bo;
                 let audible: &[usize] = audible;
                 let (prot_states, own_states) = protected.as_slice().split_at(rs_base);
                 compute_precoders_into_with(
@@ -2240,7 +2240,7 @@ mod tests {
                 let (ma, mb) = (a.matrix(pos), b.matrix(pos));
                 assert_eq!(ma.shape(), mb.shape());
                 for i in 0..ma.rows() {
-                    let bits = |m: &CMatrixSoA| {
+                    let bits = |m: &CMatrix| {
                         (0..m.cols())
                             .flat_map(|j| {
                                 let z = m.get(i, j);

@@ -19,11 +19,12 @@
 //! so the substrate is implemented here from first principles, sized and
 //! tested for the small (≤ 4×4 per subcarrier) matrices MIMO LANs use.
 //!
-//! Each kernel has one implementation: the pooled split-storage
-//! [`null_space_into`], [`pinv_into`] and their shared row echelon in
-//! [`soa`].
-//! The allocating [`pinv`], [`rank`] and [`Subspace::complement`] are
-//! thin wrappers over them.
+//! There is one dense matrix type, [`CMatrix`], in split (real/imaginary)
+//! storage, and each kernel has one implementation: [`mul_into`],
+//! [`CMatrix::mul_vec_into`], and the pooled [`null_space_into`],
+//! [`pinv_into`] and their shared row echelon in [`soa`]. The allocating
+//! [`pinv`], [`rank`], [`CMatrix::mul_vec`] and [`Subspace::complement`]
+//! are thin wrappers over them.
 
 #![forbid(unsafe_code)]
 
@@ -41,9 +42,11 @@ pub mod vector;
 pub use complex::{c64, Complex64};
 pub use matrix::CMatrix;
 pub use pool::VecPool;
-pub use soa::{
-    mul_into, null_space_into, pinv_into, CMatrixSoA, NullspaceWorkspace, PinvWorkspace,
-};
+pub use soa::{mul_into, null_space_into, pinv_into, NullspaceWorkspace, PinvWorkspace};
 pub use solve::{pinv, rank, LinalgError};
 pub use subspace::{Subspace, SubspaceWorkspace};
 pub use vector::CVector;
+
+/// The former name of [`CMatrix`], kept only for perfbench (with
+/// [`CMatrix::from_aos`]), which changes only together with the benchmark.
+pub type CMatrixSoA = CMatrix;

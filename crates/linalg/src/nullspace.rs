@@ -9,7 +9,7 @@
 //! allocating form.
 
 use crate::matrix::CMatrix;
-use crate::soa::{null_space_into, CMatrixSoA, NullspaceWorkspace};
+use crate::soa::{null_space_into, NullspaceWorkspace};
 use crate::vector::CVector;
 
 /// Computes an orthonormal basis of the (right) null space of `a`, i.e.
@@ -20,11 +20,7 @@ use crate::vector::CVector;
 /// trivially orthonormal). Allocating wrapper over [`null_space_into`].
 fn null_space(a: &CMatrix) -> Vec<CVector> {
     let mut basis = Vec::new();
-    let dim = null_space_into(
-        &CMatrixSoA::from_aos(a),
-        &mut NullspaceWorkspace::default(),
-        &mut basis,
-    );
+    let dim = null_space_into(a, &mut NullspaceWorkspace::default(), &mut basis);
     basis.truncate(dim);
     basis
 }

@@ -90,16 +90,16 @@ mod tests {
     use super::*;
     use crate::complex::c64;
     use crate::matrix::CMatrix;
+    use crate::soa::matmul;
 
     const TOL: f64 = 1e-10;
 
     /// Thin QR of `a` by [`orthonormalize`] on its columns: `Q` spans
     /// the column space and `R = Q^H A`.
     fn qr(a: &CMatrix) -> (CMatrix, CMatrix) {
-        let max_abs = a.as_slice().iter().map(|z| z.abs()).fold(0.0, f64::max);
-        let tol = max_abs * (a.rows().max(a.cols()) as f64) * f64::EPSILON;
+        let tol = a.max_abs() * (a.rows().max(a.cols()) as f64) * f64::EPSILON;
         let q = CMatrix::from_cols(&orthonormalize(&a.columns(), tol));
-        let r = &q.hermitian() * a;
+        let r = matmul(&q.hermitian(), a);
         (q, r)
     }
 
@@ -155,9 +155,9 @@ mod tests {
         );
         let (q, r) = qr(&a);
         assert_eq!(q.cols(), 3);
-        assert!((&q * &r).approx_eq(&a, TOL));
+        assert!(matmul(&q, &r).approx_eq(&a, TOL));
         // Q^H Q = I
-        assert!((&q.hermitian() * &q).approx_eq(&CMatrix::identity(3), TOL));
+        assert!(matmul(&q.hermitian(), &q).approx_eq(&CMatrix::identity(3), TOL));
     }
 
     #[test]
@@ -166,7 +166,7 @@ mod tests {
         let a = CMatrix::from_reals(3, 3, &[1.0, 0.0, 2.0, 2.0, 1.0, 4.0, 0.0, 1.0, 0.0]);
         let (q, r) = qr(&a);
         assert_eq!(q.cols(), 2);
-        assert!((&q * &r).approx_eq(&a, TOL));
+        assert!(matmul(&q, &r).approx_eq(&a, TOL));
     }
 
     #[test]
@@ -192,7 +192,7 @@ mod tests {
         let (_, r) = qr(&a);
         for i in 0..r.rows() {
             for j in 0..i.min(r.cols()) {
-                assert!(r[(i, j)].abs() < TOL, "R[{i},{j}] not zero");
+                assert!(r.get(i, j).abs() < TOL, "R[{i},{j}] not zero");
             }
         }
     }

@@ -1,290 +1,36 @@
-//! Structure-of-arrays complex matrices and the kernel set built on them.
+//! The kernel set built on split-storage [`CMatrix`].
 //!
-//! [`CMatrixSoA`] stores the real and imaginary parts of a row-major
-//! complex matrix in two separate `f64` arrays. Split storage keeps each
-//! part contiguous, so the hot kernels (matrix–vector products, matmul
-//! row updates, Gaussian elimination row operations) compile to straight
-//! slice loops over `f64` that the auto-vectorizer handles well, and the
-//! layout is FMA-friendly: each partial product is a chain of independent
-//! mul/adds on separate lanes rather than interleaved re/im pairs.
+//! **One implementation per kernel.** Matrix products, rank,
+//! pseudo-inverse and null space exist only here (`mul_into`,
+//! `row_echelon_into`, [`pinv_into`], [`null_space_into`]), together
+//! with [`CMatrix::mul_vec_into`] on the type itself; the allocating
+//! `rank`, `pinv`, `mul_vec` and [`Subspace::complement`] are thin
+//! wrappers that call these with a fresh workspace. [`pinv_into`] is
+//! instantiated per column count up to eight on stack arrays, all from
+//! one source.
 //!
-//! **One implementation per kernel.** Rank, pseudo-inverse and null space
-//! exist only here (`row_echelon_into`, [`pinv_into`],
-//! [`null_space_into`]); the allocating `rank`, `pinv` and `null_space`
-//! are thin wrappers that convert with [`CMatrixSoA::from_aos`] and call
-//! these with a fresh workspace. [`pinv_into`] is instantiated per column
-//! count up to eight on stack arrays, all from one source. The products
-//! ([`mul_into`], [`CMatrixSoA::mul_vec_into`]) execute the *exact
-//! same floating-point operation sequence* as the `CMatrix` arithmetic the
-//! sample-level PHY uses: the same complex-multiply expansion
-//! `(ar·br − ai·bi, ar·bi + ai·br)`, the same accumulation order and the
-//! same zero-skip tests. No operations are fused or re-associated — the
-//! speedup comes from layout and allocation discipline, not from changed
-//! arithmetic. The tests at the bottom pin the products with `to_bits`
-//! comparisons; the kernel digest suite and the simulation-level golden
-//! suites pin the rest end to end.
+//! The products replay the operation order of plain complex arithmetic
+//! on row-major entries: the complex-multiply expansion
+//! `(ar·br − ai·bi, ar·bi + ai·br)`, accumulation in ascending index
+//! order, and [`mul_into`]'s zero-skip on an exactly zero left entry. No
+//! operations are fused or re-associated — the speed comes from layout
+//! and allocation discipline, not from changed arithmetic — so results
+//! are the ones the goldens captured before storage was split. The kernel
+//! digest suite and the simulation-level golden suites pin them end to
+//! end.
+//!
+//! [`Subspace::complement`]: crate::Subspace::complement
 
-use crate::complex::{c64, Complex64};
+use crate::complex::Complex64;
 use crate::matrix::CMatrix;
 use crate::qr::orthonormalize_into;
 use crate::solve::LinalgError;
 use crate::vector::CVector;
 
-/// A dense complex matrix in split (structure-of-arrays) storage.
-///
-/// Entries are row-major, with real parts in one contiguous array and
-/// imaginary parts in another. See the module docs for the bit-identity
-/// contract with [`CMatrix`].
-#[derive(Clone, Default, PartialEq)]
-pub struct CMatrixSoA {
-    rows: usize,
-    cols: usize,
-    re: Vec<f64>,
-    im: Vec<f64>,
-}
-
-impl CMatrixSoA {
-    /// Creates a matrix of zeros.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        CMatrixSoA {
-            rows,
-            cols,
-            re: vec![0.0; rows * cols],
-            im: vec![0.0; rows * cols],
-        }
-    }
-
-    /// Converts from interleaved storage. The conversion is a pure value
-    /// copy — every entry keeps its exact bit pattern.
-    pub fn from_aos(a: &CMatrix) -> Self {
-        let mut m = CMatrixSoA {
-            rows: a.rows(),
-            cols: a.cols(),
-            re: Vec::with_capacity(a.rows() * a.cols()),
-            im: Vec::with_capacity(a.rows() * a.cols()),
-        };
-        for z in a.as_slice() {
-            m.re.push(z.re);
-            m.im.push(z.im);
-        }
-        m
-    }
-
-    /// Converts to interleaved storage (exact value copy).
-    pub fn to_aos(&self) -> CMatrix {
-        CMatrix::from_vec(
-            self.rows,
-            self.cols,
-            self.re
-                .iter()
-                .zip(&self.im)
-                .map(|(&r, &i)| c64(r, i))
-                .collect(),
-        )
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// `(rows, cols)`.
-    #[inline]
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// True for a matrix with no entries.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0 || self.cols == 0
-    }
-
-    /// Entry `(i, j)` as a complex value.
-    #[inline]
-    pub fn get(&self, i: usize, j: usize) -> Complex64 {
-        debug_assert!(i < self.rows && j < self.cols);
-        let idx = i * self.cols + j;
-        c64(self.re[idx], self.im[idx])
-    }
-
-    /// Sets entry `(i, j)`.
-    #[inline]
-    pub fn set(&mut self, i: usize, j: usize, z: Complex64) {
-        debug_assert!(i < self.rows && j < self.cols);
-        let idx = i * self.cols + j;
-        self.re[idx] = z.re;
-        self.im[idx] = z.im;
-    }
-
-    /// Real parts of row `i` as a contiguous slice (borrowed view — no
-    /// copy).
-    #[inline]
-    pub(crate) fn row_re(&self, i: usize) -> &[f64] {
-        &self.re[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Imaginary parts of row `i` as a contiguous slice (borrowed view —
-    /// no copy).
-    #[inline]
-    pub(crate) fn row_im(&self, i: usize) -> &[f64] {
-        &self.im[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Extracts column `j` as an owned vector (cold-path helper).
-    pub fn col(&self, j: usize) -> CVector {
-        assert!(j < self.cols, "col {j} out of range ({} cols)", self.cols);
-        (0..self.rows).map(|i| self.get(i, j)).collect()
-    }
-
-    /// Reshapes `self` to `rows × cols` filled with zeros, reusing the
-    /// buffers. Allocation-free once grown to high-water capacity.
-    pub fn reset(&mut self, rows: usize, cols: usize) {
-        self.rows = rows;
-        self.cols = cols;
-        self.re.clear();
-        self.re.resize(rows * cols, 0.0);
-        self.im.clear();
-        self.im.resize(rows * cols, 0.0);
-    }
-
-    /// Reuses `self`'s buffers to become a copy of `src` — the pooled
-    /// sibling of `clone()`.
-    pub fn assign_from(&mut self, src: &CMatrixSoA) {
-        self.rows = src.rows;
-        self.cols = src.cols;
-        self.re.clear();
-        self.re.extend_from_slice(&src.re);
-        self.im.clear();
-        self.im.extend_from_slice(&src.im);
-    }
-
-    /// Appends the rows of `other` below `self` (in-place row concatenation).
-    /// An empty `self` (zero rows) adopts `other`'s column count.
-    pub fn append_rows(&mut self, other: &CMatrixSoA) {
-        if other.rows == 0 {
-            return;
-        }
-        if self.rows == 0 {
-            self.cols = other.cols;
-            self.re.clear();
-            self.im.clear();
-        }
-        assert_eq!(self.cols, other.cols, "append_rows: column count mismatch");
-        self.re.extend_from_slice(&other.re);
-        self.im.extend_from_slice(&other.im);
-        self.rows += other.rows;
-    }
-
-    /// Swaps two rows in place.
-    pub(crate) fn swap_rows(&mut self, a: usize, b: usize) {
-        if a == b {
-            return;
-        }
-        for j in 0..self.cols {
-            self.re.swap(a * self.cols + j, b * self.cols + j);
-            self.im.swap(a * self.cols + j, b * self.cols + j);
-        }
-    }
-
-    /// Matrix–vector product `A x` into a pooled output vector.
-    ///
-    /// Same accumulation order as [`CMatrix::mul_vec`] (ascending `j`
-    /// per row), decomposed onto split accumulators — bit-identical.
-    pub fn mul_vec_into(&self, x: &CVector, out: &mut CVector) {
-        assert_eq!(
-            x.len(),
-            self.cols,
-            "mul_vec: {}x{} matrix times {}-vector",
-            self.rows,
-            self.cols,
-            x.len()
-        );
-        out.assign_zeros(self.rows);
-        let xs = x.as_slice();
-        for i in 0..self.rows {
-            let re_row = self.row_re(i);
-            let im_row = self.row_im(i);
-            let mut acc_re = 0.0f64;
-            let mut acc_im = 0.0f64;
-            for (j, xv) in xs.iter().enumerate() {
-                let ar = re_row[j];
-                let ai = im_row[j];
-                // (ar + i·ai)(xr + i·xi), expanded exactly as Complex64's
-                // Mul, then accumulated exactly as its AddAssign.
-                acc_re += ar * xv.re - ai * xv.im;
-                acc_im += ar * xv.im + ai * xv.re;
-            }
-            out[i] = c64(acc_re, acc_im);
-        }
-    }
-
-    /// Allocating convenience wrapper over [`CMatrixSoA::mul_vec_into`].
-    pub fn mul_vec(&self, x: &CVector) -> CVector {
-        let mut out = CVector::default();
-        self.mul_vec_into(x, &mut out);
-        out
-    }
-
-    /// Scales every entry by a real factor (same per-entry arithmetic as
-    /// [`CMatrix::scale_re`]).
-    pub fn scale_re(&self, k: f64) -> CMatrixSoA {
-        CMatrixSoA {
-            rows: self.rows,
-            cols: self.cols,
-            re: self.re.iter().map(|&r| r * k).collect(),
-            im: self.im.iter().map(|&i| i * k).collect(),
-        }
-    }
-
-    /// Frobenius norm — row-major `norm_sqr` sum then square root,
-    /// matching [`CMatrix::frobenius_norm`]'s fold order exactly.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.re
-            .iter()
-            .zip(&self.im)
-            .map(|(&r, &i)| r * r + i * i)
-            .sum::<f64>()
-            .sqrt()
-    }
-
-    /// Largest entry magnitude — row-major `hypot` fold from `0.0`,
-    /// matching a scan of the [`CMatrix`] entries exactly.
-    pub(crate) fn max_abs(&self) -> f64 {
-        self.re
-            .iter()
-            .zip(&self.im)
-            .map(|(&r, &i)| r.hypot(i))
-            .fold(0.0, f64::max)
-    }
-}
-
-impl std::fmt::Debug for CMatrixSoA {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "CMatrixSoA {}x{} [", self.rows, self.cols)?;
-        for i in 0..self.rows {
-            write!(f, "  ")?;
-            for j in 0..self.cols {
-                write!(f, "{:?}  ", self.get(i, j))?;
-            }
-            writeln!(f)?;
-        }
-        write!(f, "]")
-    }
-}
-
-/// `out = a * b` with the exact loop structure of `&CMatrix * &CMatrix`:
-/// `i-k-j` order with the zero-skip on the left operand's `(i, k)` entry
-/// (the test `re == 0.0 && im == 0.0` is the same comparison as
-/// `a == Complex64::ZERO`). Bit-identical to the interleaved product.
-pub fn mul_into(a: &CMatrixSoA, b: &CMatrixSoA, out: &mut CMatrixSoA) {
+/// `out = a * b` in `i-k-j` order, skipping a left operand entry `(i, k)`
+/// that is exactly zero (`re == 0.0 && im == 0.0`, the comparison
+/// `a == Complex64::ZERO` makes).
+pub fn mul_into(a: &CMatrix, b: &CMatrix, out: &mut CMatrix) {
     assert_eq!(
         a.cols, b.rows,
         "matmul: {}x{} times {}x{}",
@@ -312,9 +58,17 @@ pub fn mul_into(a: &CMatrixSoA, b: &CMatrixSoA, out: &mut CMatrixSoA) {
     }
 }
 
+/// Allocating [`mul_into`], for tests.
+#[cfg(test)]
+pub(crate) fn matmul(a: &CMatrix, b: &CMatrix) -> CMatrix {
+    let mut out = CMatrix::default();
+    mul_into(a, b, &mut out);
+    out
+}
+
 /// Rank tolerance `eps * max(rows, cols) * max|a|`, with the
-/// `hypot`-based [`CMatrixSoA::max_abs`].
-pub(crate) fn soa_default_tolerance(a: &CMatrixSoA) -> f64 {
+/// `hypot`-based [`CMatrix::max_abs`].
+pub(crate) fn soa_default_tolerance(a: &CMatrix) -> f64 {
     tolerance(a.max_abs(), a.rows().max(a.cols()))
 }
 
@@ -328,7 +82,7 @@ fn tolerance(scale: f64, dim: usize) -> f64 {
 /// backbone of the null-space computation). Pivots are the largest
 /// `hypot` magnitude in their column (first wins on ties); entries at or
 /// below `tol` are zeroed.
-pub(crate) fn row_echelon_into(a: &CMatrixSoA, tol: f64, out: &mut CMatrixSoA) -> usize {
+pub(crate) fn row_echelon_into(a: &CMatrix, tol: f64, out: &mut CMatrix) -> usize {
     out.assign_from(a);
     let rows = out.rows();
     let cols = out.cols();
@@ -388,7 +142,7 @@ pub struct PinvWorkspace {
     inv: Vec<Complex64>,
     /// The pseudo-inverse `(A^H A)^{-1} A^H` after a successful
     /// [`pinv_into`] call.
-    pub out: CMatrixSoA,
+    pub out: CMatrix,
 }
 
 /// Moore–Penrose style pseudo-inverse `(A^H A)^{-1} A^H` into `ws.out`:
@@ -405,7 +159,7 @@ pub struct PinvWorkspace {
 /// # Errors
 /// [`LinalgError::Singular`] when a pivot magnitude falls below the
 /// Gram matrix's default tolerance.
-pub fn pinv_into(a: &CMatrixSoA, ws: &mut PinvWorkspace) -> Result<(), LinalgError> {
+pub fn pinv_into(a: &CMatrix, ws: &mut PinvWorkspace) -> Result<(), LinalgError> {
     let out = &mut ws.out;
     match a.cols() {
         1 => pinv_fixed::<1>(a, out),
@@ -427,7 +181,7 @@ pub fn pinv_into(a: &CMatrixSoA, ws: &mut PinvWorkspace) -> Result<(), LinalgErr
 }
 
 /// [`pinv_core`] on stack arrays for an `N`-column operand.
-fn pinv_fixed<const N: usize>(a: &CMatrixSoA, out: &mut CMatrixSoA) -> Result<(), LinalgError> {
+fn pinv_fixed<const N: usize>(a: &CMatrix, out: &mut CMatrix) -> Result<(), LinalgError> {
     let mut gram = [[Complex64::ZERO; N]; N];
     let mut inv = [[Complex64::ZERO; N]; N];
     pinv_core(a, N, gram.as_flattened_mut(), inv.as_flattened_mut(), out)
@@ -447,11 +201,11 @@ fn pinv_fixed<const N: usize>(a: &CMatrixSoA, out: &mut CMatrixSoA) -> Result<()
 /// tolerance fold already computed, not recomputed.
 #[inline(always)]
 fn pinv_core(
-    a: &CMatrixSoA,
+    a: &CMatrix,
     n: usize,
     gram: &mut [Complex64],
     inv: &mut [Complex64],
-    out: &mut CMatrixSoA,
+    out: &mut CMatrix,
 ) -> Result<(), LinalgError> {
     let m = a.rows();
     let (are, aim) = (&a.re[..m * n], &a.im[..m * n]);
@@ -564,7 +318,7 @@ fn pinv_core(
 /// Reusable buffers for [`null_space_into`].
 #[derive(Debug, Clone, Default)]
 pub struct NullspaceWorkspace {
-    ech: CMatrixSoA,
+    ech: CMatrix,
     pivot_cols: Vec<usize>,
     is_pivot: Vec<bool>,
     cand: Vec<CVector>,
@@ -589,7 +343,7 @@ fn assign_units(n: usize, basis: &mut Vec<CVector>) -> usize {
 /// Gram–Schmidt pass. A matrix with no rows or rank 0 yields the
 /// standard basis.
 pub fn null_space_into(
-    a: &CMatrixSoA,
+    a: &CMatrix,
     ws: &mut NullspaceWorkspace,
     basis: &mut Vec<CVector>,
 ) -> usize {
@@ -647,6 +401,7 @@ pub fn null_space_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complex::c64;
 
     /// Deterministic pseudo-random matrix with some exact zeros (to
     /// exercise the zero-skip branches).
@@ -673,15 +428,14 @@ mod tests {
         CMatrix::from_vec(rows, cols, data)
     }
 
-    fn assert_bitwise_eq(soa: &CMatrixSoA, aos: &CMatrix, what: &str) {
-        assert_eq!(soa.shape(), aos.shape(), "{what}: shape");
-        for i in 0..aos.rows() {
-            for j in 0..aos.cols() {
-                let a = soa.get(i, j);
-                let b = aos[(i, j)];
+    fn assert_bitwise_eq(a: &CMatrix, b: &CMatrix, what: &str) {
+        assert_eq!(a.shape(), b.shape(), "{what}: shape");
+        for i in 0..a.rows() {
+            for j in 0..a.cols() {
+                let (x, y) = (a.get(i, j), b.get(i, j));
                 assert!(
-                    a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
-                    "{what}: entry ({i},{j}) differs: {a:?} vs {b:?}"
+                    x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                    "{what}: entry ({i},{j}) differs: {x:?} vs {y:?}"
                 );
             }
         }
@@ -697,63 +451,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn round_trip_is_exact() {
-        let mut seed = 0x5EED_0001u64;
-        let a = gen_matrix(3, 5, &mut seed);
-        let s = CMatrixSoA::from_aos(&a);
-        assert_bitwise_eq(&s, &a, "from_aos");
-        let back = s.to_aos();
-        for (x, y) in a.as_slice().iter().zip(back.as_slice()) {
-            assert_eq!(x.re.to_bits(), y.re.to_bits());
-            assert_eq!(x.im.to_bits(), y.im.to_bits());
-        }
-    }
-
-    #[test]
-    fn matmul_is_bit_identical() {
-        let mut seed = 0x5EED_0002u64;
-        for (r, k, c) in [(2usize, 3usize, 4usize), (4, 4, 4), (1, 5, 2), (3, 1, 3)] {
-            let a = gen_matrix(r, k, &mut seed);
-            let b = gen_matrix(k, c, &mut seed);
-            let expect = &a * &b;
-            let mut out = CMatrixSoA::default();
-            mul_into(
-                &CMatrixSoA::from_aos(&a),
-                &CMatrixSoA::from_aos(&b),
-                &mut out,
-            );
-            assert_bitwise_eq(&out, &expect, "matmul");
-        }
-    }
-
-    #[test]
-    fn mul_vec_is_bit_identical() {
-        let mut seed = 0x5EED_0003u64;
-        for (r, c) in [(2usize, 3usize), (4, 4), (1, 6), (5, 2)] {
-            let a = gen_matrix(r, c, &mut seed);
-            let x: CVector = gen_matrix(c, 1, &mut seed).col(0);
-            let expect = a.mul_vec(&x);
-            let mut out = CVector::default();
-            CMatrixSoA::from_aos(&a).mul_vec_into(&x, &mut out);
-            assert_vec_bitwise_eq(&out, &expect, "mul_vec");
-        }
-    }
-
-    #[test]
-    fn norms_are_bit_identical() {
-        let mut seed = 0x5EED_0004u64;
-        let a = gen_matrix(3, 4, &mut seed);
-        let s = CMatrixSoA::from_aos(&a);
-        let max_abs = a.as_slice().iter().map(|z| z.abs()).fold(0.0, f64::max);
-        assert_eq!(s.max_abs().to_bits(), max_abs.to_bits(), "max_abs");
-        assert_eq!(
-            s.frobenius_norm().to_bits(),
-            a.frobenius_norm().to_bits(),
-            "frobenius"
-        );
-    }
-
     /// Every stack-resident instantiation is the heap path bit for bit,
     /// on tall, square and rank-deficient operands.
     #[test]
@@ -766,14 +463,13 @@ mod tests {
                 let mut a = gen_matrix(rows, cols, &mut seed);
                 if rows == cols {
                     for i in 0..rows {
-                        a[(i, cols - 1)] = a[(i, 0)].scale(2.0);
+                        a.set(i, cols - 1, a.get(i, 0).scale(2.0));
                     }
                 }
-                let a = CMatrixSoA::from_aos(&a);
-                let fixed = pinv_into(&a, &mut ws).map(|()| ws.out.to_aos());
+                let fixed = pinv_into(&a, &mut ws).map(|()| ws.out.clone());
                 let mut gram = vec![Complex64::ZERO; cols * cols];
                 let mut inv = vec![Complex64::ZERO; cols * cols];
-                let mut out = CMatrixSoA::default();
+                let mut out = CMatrix::default();
                 let heap = pinv_core(&a, cols, &mut gram, &mut inv, &mut out);
                 match (fixed, heap) {
                     (Ok(p), Ok(())) => assert_bitwise_eq(&out, &p, "pinv"),
@@ -794,8 +490,8 @@ mod tests {
         // give the fresh-workspace answer (stale slot contents must not
         // leak in).
         let mut seed = 0x5EED_0008u64;
-        let big = CMatrixSoA::from_aos(&gen_matrix(3, 6, &mut seed));
-        let small = CMatrixSoA::from_aos(&gen_matrix(1, 3, &mut seed));
+        let big = gen_matrix(3, 6, &mut seed);
+        let small = gen_matrix(1, 3, &mut seed);
         let mut expect = Vec::new();
         let dim_expect = null_space_into(&small, &mut NullspaceWorkspace::default(), &mut expect);
         let mut ws = NullspaceWorkspace::default();
@@ -809,19 +505,48 @@ mod tests {
         }
     }
 
+    /// A product into an output left over from a larger product is the
+    /// fresh-output product bit for bit: the pooled kernels reshape and
+    /// zero what they write into.
+    #[test]
+    fn pooled_products_ignore_stale_output() {
+        let mut seed = 0x5EED_0002u64;
+        let (mut stale, mut stale_v) = (CMatrix::default(), CVector::default());
+        mul_into(
+            &gen_matrix(4, 4, &mut seed),
+            &gen_matrix(4, 5, &mut seed),
+            &mut stale,
+        );
+        gen_matrix(5, 5, &mut seed).mul_vec_into(&gen_matrix(5, 1, &mut seed).col(0), &mut stale_v);
+        for (r, k, c) in [(2usize, 3usize, 4usize), (1, 5, 2), (3, 1, 3)] {
+            let a = gen_matrix(r, k, &mut seed);
+            let b = gen_matrix(k, c, &mut seed);
+            mul_into(&a, &b, &mut stale);
+            assert_bitwise_eq(&stale, &matmul(&a, &b), "matmul");
+            let x = b.col(0);
+            a.mul_vec_into(&x, &mut stale_v);
+            assert_vec_bitwise_eq(&stale_v, &a.mul_vec(&x), "mul_vec");
+        }
+    }
+
+    /// Appending rows is `from_vec` of the stacked row-major entries.
     #[test]
     fn append_rows_matches_vstack() {
         let mut seed = 0x5EED_000Au64;
         let a = gen_matrix(2, 3, &mut seed);
         let b = gen_matrix(3, 3, &mut seed);
-        let mut s = CMatrixSoA::default();
+        let mut s = CMatrix::default();
         s.reset(0, 3);
-        s.append_rows(&CMatrixSoA::from_aos(&a));
-        s.append_rows(&CMatrixSoA::from_aos(&b));
-        let stacked = CMatrix::from_vec(5, 3, [a.as_slice(), b.as_slice()].concat());
+        s.append_rows(&a);
+        s.append_rows(&b);
+        let entries: Vec<Complex64> = [a.row(0), a.row(1), b.row(0), b.row(1), b.row(2)]
+            .iter()
+            .flat_map(|r| r.iter().copied())
+            .collect();
+        let stacked = CMatrix::from_vec(5, 3, entries);
         assert_bitwise_eq(&s, &stacked, "stacked rows");
         // Empty other is a no-op.
-        s.append_rows(&CMatrixSoA::zeros(0, 3));
+        s.append_rows(&CMatrix::zeros(0, 3));
         assert_eq!(s.rows(), 5);
     }
 }

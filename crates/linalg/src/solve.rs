@@ -9,7 +9,7 @@
 //! allocating wrappers over them.
 
 use crate::matrix::CMatrix;
-use crate::soa::{pinv_into, row_echelon_into, soa_default_tolerance, CMatrixSoA, PinvWorkspace};
+use crate::soa::{pinv_into, row_echelon_into, soa_default_tolerance, PinvWorkspace};
 
 /// Error type for linear algebra operations that can fail.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,9 +40,8 @@ impl std::error::Error for LinalgError {}
 /// (pass `None` for `soa_default_tolerance`). Allocating wrapper over
 /// `row_echelon_into`.
 pub fn rank(a: &CMatrix, tol: Option<f64>) -> usize {
-    let a = CMatrixSoA::from_aos(a);
-    let tol = tol.unwrap_or_else(|| soa_default_tolerance(&a));
-    row_echelon_into(&a, tol, &mut CMatrixSoA::default())
+    let tol = tol.unwrap_or_else(|| soa_default_tolerance(a));
+    row_echelon_into(a, tol, &mut CMatrix::default())
 }
 
 /// Moore–Penrose style pseudo-inverse for full-column-rank matrices:
@@ -54,14 +53,15 @@ pub fn rank(a: &CMatrix, tol: Option<f64>) -> usize {
 /// [`LinalgError::Singular`] when `A^H A` is numerically singular.
 pub fn pinv(a: &CMatrix) -> Result<CMatrix, LinalgError> {
     let mut ws = PinvWorkspace::default();
-    pinv_into(&CMatrixSoA::from_aos(a), &mut ws)?;
-    Ok(ws.out.to_aos())
+    pinv_into(a, &mut ws)?;
+    Ok(ws.out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::complex::c64;
+    use crate::soa::matmul;
     use crate::vector::CVector;
 
     const TOL: f64 = 1e-9;
@@ -90,8 +90,8 @@ mod tests {
         // two-sided inverse.
         let a = well_conditioned_3x3();
         let inv = pinv(&a).unwrap();
-        assert!((&a * &inv).approx_eq(&CMatrix::identity(3), TOL));
-        assert!((&inv * &a).approx_eq(&CMatrix::identity(3), TOL));
+        assert!(matmul(&a, &inv).approx_eq(&CMatrix::identity(3), TOL));
+        assert!(matmul(&inv, &a).approx_eq(&CMatrix::identity(3), TOL));
     }
 
     #[test]
@@ -141,6 +141,6 @@ mod tests {
     fn pinv_is_left_inverse_for_tall_full_rank() {
         let a = CMatrix::from_reals(3, 2, &[1.0, 2.0, 0.0, 1.0, 1.0, 0.0]);
         let p = pinv(&a).unwrap();
-        assert!((&p * &a).approx_eq(&CMatrix::identity(2), TOL));
+        assert!(matmul(&p, &a).approx_eq(&CMatrix::identity(2), TOL));
     }
 }

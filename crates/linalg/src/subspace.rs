@@ -9,7 +9,7 @@
 
 use crate::matrix::CMatrix;
 use crate::qr::{orthonormalize, orthonormalize_into};
-use crate::soa::{null_space_into, CMatrixSoA, NullspaceWorkspace};
+use crate::soa::{mul_into, null_space_into, NullspaceWorkspace};
 use crate::vector::CVector;
 
 /// A linear subspace of `C^n`, stored as an orthonormal basis.
@@ -139,7 +139,7 @@ impl Subspace {
     /// vectors (`dim × ambient`) into `out` — the `U^⊥` row operator of
     /// the paper's Eq. 6: applying it to a received vector extracts the
     /// coordinates along the subspace.
-    pub fn row_operator_into(&self, out: &mut CMatrixSoA) {
+    pub fn row_operator_into(&self, out: &mut CMatrix) {
         out.reset(self.dim, self.ambient);
         for (i, b) in self.basis().iter().enumerate() {
             for (j, z) in b.iter().enumerate() {
@@ -213,7 +213,9 @@ impl Subspace {
     /// Projection matrix `P = B B^H` onto the subspace (`ambient × ambient`).
     pub fn projector(&self) -> CMatrix {
         let b = self.basis_matrix();
-        &b * &b.hermitian()
+        let mut p = CMatrix::default();
+        mul_into(&b, &b.hermitian(), &mut p);
+        p
     }
 
     /// True when `v` lies in the subspace within tolerance `tol`
@@ -247,7 +249,7 @@ fn span_tolerance(ambient: usize, vectors: &[CVector]) -> f64 {
 /// Reusable buffers for [`Subspace::complement_into`].
 #[derive(Debug, Clone, Default)]
 pub struct SubspaceWorkspace {
-    rowop: CMatrixSoA,
+    rowop: CMatrix,
     ns: NullspaceWorkspace,
 }
 
@@ -255,6 +257,7 @@ pub struct SubspaceWorkspace {
 mod tests {
     use super::*;
     use crate::complex::c64;
+    use crate::soa::matmul;
 
     const TOL: f64 = 1e-10;
 
@@ -334,7 +337,7 @@ mod tests {
         assert!(via_matrix.approx_eq(&s.project(&v), TOL));
         // Projector is idempotent: P^2 = P.
         let p = s.projector();
-        assert!((&p * &p).approx_eq(&p, TOL));
+        assert!(matmul(&p, &p).approx_eq(&p, TOL));
     }
 
     #[test]
@@ -402,13 +405,13 @@ mod tests {
         let vs = [v3((1.0, 0.0), (1.0, 1.0), (0.0, 0.0))];
         let s = Subspace::span(3, &vs);
         let expect = s.basis_matrix().hermitian();
-        let mut out = CMatrixSoA::default();
+        let mut out = CMatrix::default();
         s.row_operator_into(&mut out);
         assert_eq!(out.shape(), (expect.rows(), expect.cols()));
         for i in 0..expect.rows() {
             for j in 0..expect.cols() {
-                assert_eq!(out.get(i, j).re.to_bits(), expect[(i, j)].re.to_bits());
-                assert_eq!(out.get(i, j).im.to_bits(), expect[(i, j)].im.to_bits());
+                assert_eq!(out.get(i, j).re.to_bits(), expect.get(i, j).re.to_bits());
+                assert_eq!(out.get(i, j).im.to_bits(), expect.get(i, j).im.to_bits());
             }
         }
     }

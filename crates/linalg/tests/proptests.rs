@@ -5,8 +5,7 @@
 //! uses (dimensions 1..=5).
 
 use nplus_linalg::{
-    c64, null_space_into, pinv, rank, CMatrix, CMatrixSoA, CVector, Complex64, NullspaceWorkspace,
-    Subspace,
+    c64, null_space_into, pinv, rank, CMatrix, CVector, Complex64, NullspaceWorkspace, Subspace,
 };
 use proptest::prelude::*;
 
@@ -15,11 +14,7 @@ const TOL: f64 = 1e-8;
 /// An orthonormal basis of the null space of `a`, through the pooled kernel.
 fn null_space(a: &CMatrix) -> Vec<CVector> {
     let mut basis = Vec::new();
-    let dim = null_space_into(
-        &CMatrixSoA::from_aos(a),
-        &mut NullspaceWorkspace::default(),
-        &mut basis,
-    );
+    let dim = null_space_into(a, &mut NullspaceWorkspace::default(), &mut basis);
     basis.truncate(dim);
     basis
 }

@@ -27,7 +27,7 @@
 
 use crate::topology::Topology;
 use nplus_channel::freq_table::{FreqResponseTable, Twiddles};
-use nplus_linalg::CMatrixSoA;
+use nplus_linalg::CMatrix;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -100,9 +100,8 @@ impl ChannelCache {
     ///
     /// `None` when the link is not modeled — in sparse worlds that
     /// means "below the environment's power floor", and consumers skip
-    /// the link instead of panicking. Matrices are served in split
-    /// (structure-of-arrays) storage, ready for the engine's kernels.
-    pub fn matrix(&self, from: usize, to: usize, pos: usize) -> Option<&CMatrixSoA> {
+    /// the link instead of panicking.
+    pub fn matrix(&self, from: usize, to: usize, pos: usize) -> Option<&CMatrix> {
         self.table(from, to).map(|t| t.matrix(pos))
     }
 
@@ -200,7 +199,7 @@ mod tests {
                     assert_eq!(cached.shape(), (direct.rows(), direct.cols()));
                     for i in 0..direct.rows() {
                         for j in 0..direct.cols() {
-                            let (c, d) = (cached.get(i, j), direct[(i, j)]);
+                            let (c, d) = (cached.get(i, j), direct.get(i, j));
                             assert!(
                                 c.re.to_bits() == d.re.to_bits()
                                     && c.im.to_bits() == d.im.to_bits(),

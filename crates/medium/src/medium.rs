@@ -264,7 +264,7 @@ mod tests {
             rician_k: 0.0,
         };
         let link = MimoLink::sample(1, 1, amp, &one_tap, &mut StdRng::seed_from_u64(seed));
-        let gain = link.channel_matrix(0, 64)[(0, 0)];
+        let gain = link.channel_matrix(0, 64).get(0, 0);
         (link, gain)
     }
 

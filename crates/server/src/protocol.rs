@@ -156,7 +156,8 @@ pub struct SweepRequest {
     /// the exact full grid.
     pub sinr_grid: Option<SinrGrid>,
     /// Worker threads (`0` = all cores). Execution detail only: not
-    /// part of the canonical key, does not change results.
+    /// part of the canonical key, does not change results. The resolver
+    /// caps it at the machine's cores.
     pub threads: usize,
 }
 
@@ -164,7 +165,8 @@ impl SweepRequest {
     /// The one resolver from a textual sweep to a runnable [`SweepSpec`]
     /// — shared by the server and the `sweep` CLI: looks up the
     /// environment (whose capacity sizes `random:`/`city:` draws),
-    /// parses the scenario grammar, and resolves the policies by name.
+    /// parses the scenario grammar, resolves the policies by name, and
+    /// caps the worker count at the machine's cores.
     /// Structural checks (empty seeds, zero rounds, invalid models) are
     /// the spec's own validator's, run by [`SweepSpec::canonical`] and
     /// every run entry point.
@@ -192,7 +194,10 @@ impl SweepRequest {
             .mobility(self.mobility.unwrap_or_default())
             .sinr_grid(self.sinr_grid.unwrap_or_default())
             .seeds(self.seeds.iter().copied())
-            .threads(self.threads);
+            .threads(clamp_threads(
+                self.threads,
+                std::thread::available_parallelism().map_or(1, usize::from),
+            ));
         for name in &self.policies {
             spec = spec.policy_named(name).map_err(|unknown| {
                 format!("unknown policy {unknown:?} (try {BUILTIN_POLICY_NAMES:?})")
@@ -211,6 +216,14 @@ impl SweepRequest {
     pub fn to_canonical(&self) -> Result<CanonicalSpec, String> {
         self.to_spec()?.canonical().map_err(|e| e.to_string())
     }
+}
+
+/// A requested worker count capped at `cores`, so a peer cannot make
+/// one request start more OS threads than the machine has cores. `0`
+/// (all cores) stays `0`. Results do not depend on the thread count, so
+/// the cap changes no output.
+fn clamp_threads(requested: usize, cores: usize) -> usize {
+    requested.min(cores)
 }
 
 /// Parses one request frame.
@@ -541,6 +554,18 @@ mod tests {
             let err = parse_request(bad).unwrap_err();
             assert!(!err.is_empty() && !err.contains('\n'), "{bad:?}: {err:?}");
         }
+    }
+
+    /// A peer's thread request is capped at the cores (checked on the
+    /// pure cap: nothing here starts a thread); `0` keeps meaning all
+    /// cores, and smaller requests pass through.
+    #[test]
+    fn thread_requests_are_capped_at_the_cores() {
+        assert_eq!(clamp_threads(100_000, 4), 4);
+        assert_eq!(clamp_threads(usize::MAX, 2), 2);
+        assert_eq!(clamp_threads(0, 4), 0);
+        assert_eq!(clamp_threads(3, 4), 3);
+        assert_eq!(clamp_threads(1, 1), 1);
     }
 
     #[test]

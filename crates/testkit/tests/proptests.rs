@@ -23,7 +23,9 @@ fn top_left(a: &CMatrix, rows: usize, cols: usize) -> CMatrix {
     CMatrix::from_vec(
         rows,
         cols,
-        (0..rows * cols).map(|k| a[(k / cols, k % cols)]).collect(),
+        (0..rows * cols)
+            .map(|k| a.get(k / cols, k % cols))
+            .collect(),
     )
 }
 
@@ -107,7 +109,7 @@ proptest! {
         for (pos, &k) in bins.iter().enumerate() {
             let direct = link.channel_matrix(k, 64);
             prop_assert!(
-                table.matrix(pos).to_aos().approx_eq(&direct, 1e-12),
+                table.matrix(pos).approx_eq(&direct, 1e-12),
                 "bin {} mismatch", k
             );
         }
@@ -132,7 +134,7 @@ proptest! {
                     let cached = cache.matrix(from, to, pos);
                     prop_assert!(cached.is_some(), "dense link {}->{} missing from cache", from, to);
                     prop_assert!(
-                        cached.unwrap().to_aos().approx_eq(&link.channel_matrix(k, 64), 1e-12),
+                        cached.unwrap().approx_eq(&link.channel_matrix(k, 64), 1e-12),
                         "link {}->{} bin {}", from, to, k
                     );
                 }

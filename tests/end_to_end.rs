@@ -38,7 +38,7 @@ fn over_the_air_channel_estimation_matches_truth() {
         let ests = estimate_mimo_from_preamble(&capture[rx_ant], 2, &cfg);
         for (tx_ant, est) in ests.iter().enumerate() {
             for &k in &occupied_subcarrier_indices() {
-                let h_true = truth.channel_matrix(k, cfg.fft_len)[(rx_ant, tx_ant)];
+                let h_true = truth.channel_matrix(k, cfg.fft_len).get(rx_ant, tx_ant);
                 // Multipath spreads the preamble slightly across symbol
                 // boundaries; the estimate is very close but not exact.
                 nplus_testkit::assert_c64_close!(
@@ -133,7 +133,7 @@ fn fig2_concurrent_transmission_sample_level() {
         let eq: Vec<Complex64> = data_subcarrier_indices()
             .iter()
             .map(|&bin| {
-                let h = h11[bin][(0, 0)];
+                let h = h11[bin].get(0, 0);
                 obs.freq[bin] / h
             })
             .collect();
@@ -204,7 +204,7 @@ fn medium_is_consistent_across_domains() {
     let rx_freq = fft(&capture[0][cfg.cp_len..]);
     let tx_freq = fft(&wave[cfg.cp_len..]);
     for &k in &occupied_subcarrier_indices() {
-        let expect = tx_freq[k] * h[k][(0, 0)];
+        let expect = tx_freq[k] * h[k].get(0, 0);
         nplus_testkit::assert_c64_close!(
             rx_freq[k],
             expect,

@@ -122,12 +122,12 @@ fn assert_topology_matches_goldens(topo: &nplus_medium::Topology, seed: u64, con
         );
         let h = link.channel_matrix(5, 64);
         assert_eq!(
-            h[(0, 0)].re,
+            h.get(0, 0).re,
             re,
             "seed {seed} link {i}->{j} Re h00 drifted ({context})"
         );
         assert_eq!(
-            h[(0, 0)].im,
+            h.get(0, 0).im,
             im,
             "seed {seed} link {i}->{j} Im h00 drifted ({context})"
         );

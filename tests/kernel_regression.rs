@@ -21,7 +21,7 @@ use nplus_channel::{
     environment_from_name, DelayProfile, HardwareProfile, MimoLink, SIGCOMM11_INDOOR,
 };
 use nplus_linalg::{
-    c64, null_space_into, pinv, pinv_into, rank, CMatrix, CMatrixSoA, CVector, Complex64,
+    c64, mul_into, null_space_into, pinv, pinv_into, rank, CMatrix, CVector, Complex64,
     LinalgError, NullspaceWorkspace, PinvWorkspace, Subspace,
 };
 use nplus_mac::backoff::resolve_contention_in;
@@ -73,8 +73,10 @@ impl KernelFold for Fnv {
     fn matrix(&mut self, m: &CMatrix) {
         self.usize(m.rows());
         self.usize(m.cols());
-        for &z in m.as_slice() {
-            self.c64(z);
+        for i in 0..m.rows() {
+            for j in 0..m.cols() {
+                self.c64(m.get(i, j));
+            }
         }
     }
 }
@@ -129,11 +131,7 @@ fn null_space_is_pinned() {
     let mut h = Fnv::new();
     for a in matrix_corpus() {
         let mut basis = Vec::new();
-        let dim = null_space_into(
-            &CMatrixSoA::from_aos(&a),
-            &mut NullspaceWorkspace::default(),
-            &mut basis,
-        );
+        let dim = null_space_into(&a, &mut NullspaceWorkspace::default(), &mut basis);
         h.vectors(&basis[..dim]);
     }
     assert_eq!(h.0, 0x8421_5df2_4200_6f69, "null_space digest {:#x}", h.0);
@@ -192,19 +190,20 @@ fn pinv_engine_shapes_are_pinned() {
                 }
                 let mut a = base.clone();
                 for i in 0..rows {
-                    a[(i, cols - 1)] = match variant {
+                    let z = match variant {
                         0 => Complex64::ZERO,
-                        1 => base[(i, 0)],
-                        _ => base[(i, 0)].scale(2.0),
+                        1 => base.get(i, 0),
+                        _ => base.get(i, 0).scale(2.0),
                     };
+                    a.set(i, cols - 1, z);
                 }
                 inputs.push(a);
             }
             for a in inputs {
-                match pinv_into(&CMatrixSoA::from_aos(&a), &mut ws) {
+                match pinv_into(&a, &mut ws) {
                     Ok(()) => {
                         ok += 1;
-                        h.matrix(&ws.out.to_aos());
+                        h.matrix(&ws.out);
                     }
                     Err(e) => {
                         singular += 1;
@@ -378,7 +377,9 @@ fn dense_matrix_arithmetic_is_pinned() {
                 let x = corpus.matrix(cols, 1).col(0);
                 let b = corpus.matrix(cols, (rows + cols + i) % 6);
                 h.vector(&a.mul_vec(&x));
-                h.matrix(&(&a * &b));
+                let mut ab = CMatrix::default();
+                mul_into(&a, &b, &mut ab);
+                h.matrix(&ab);
                 h.matrix(&a.hermitian());
                 h.matrix(&a.conj());
                 h.matrix(&a.scale_re(corpus.entry().re));
