@@ -13,9 +13,8 @@
 
 use nplus::policy::{GreedyJoin, NPlus, Policy};
 use nplus::precoder::{compute_precoders, OwnReceiver, PrecoderError, ProtectedReceiver};
-use nplus::scenario::three_pairs;
-use nplus::sim::SimConfig;
-use nplus_bench::support::mean;
+use nplus::sim::{Scenario, SweepSpec};
+use nplus_bench::support::{mean, seed_runs};
 use nplus_channel::fading::DelayProfile;
 use nplus_channel::mimo::MimoLink;
 use nplus_linalg::Subspace;
@@ -100,7 +99,7 @@ fn ablate_threshold() {
     );
     // Turning power control off is a *policy* ablation now: `GreedyJoin`
     // is n+ with the §4 decision bypassed at the policy layer (the old
-    // `SimConfig::power_control = false` knob, bit-for-bit).
+    // `power_control = false` config knob, bit-for-bit).
     let rows: [(&str, f64, Policy); 5] = [
         ("15", 15.0, NPlus),
         ("21", 21.0, NPlus),
@@ -109,17 +108,17 @@ fn ablate_threshold() {
         ("off (greedy_join)", 27.0, GreedyJoin),
     ];
     for (label, l_db, policy) in rows {
+        let spec = SweepSpec::new(Scenario::three_pairs())
+            .rounds(20)
+            .join_power_l_db(l_db)
+            .seed_count(placements)
+            .run_seed_xor(0xA11)
+            .policy(policy);
         let mut totals = Vec::new();
         let mut flow0 = Vec::new();
         let mut dof = Vec::new();
-        for seed in 0..placements {
-            let built = three_pairs(seed);
-            let cfg = SimConfig {
-                rounds: 20,
-                l_db,
-                ..SimConfig::default()
-            };
-            let r = built.run(policy, &cfg, seed ^ 0xA11);
+        for runs in seed_runs(&spec) {
+            let r = &runs[0];
             totals.push(r.total_mbps);
             flow0.push(r.per_flow_mbps[0]);
             dof.push(r.mean_dof);

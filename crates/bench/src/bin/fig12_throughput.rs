@@ -11,19 +11,20 @@
 //! Run with: `cargo run --release --bin fig12_throughput`
 
 use nplus::policy::{Dot11n, NPlus};
-use nplus::scenario::three_pairs;
-use nplus::sim::SimConfig;
-use nplus_bench::support::{mean, print_cdf};
+use nplus::sim::{Scenario, SweepSpec};
+use nplus_bench::support::{mean, print_cdf, seed_runs};
 
 fn main() {
     let n_placements: u64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(30);
-    let cfg = SimConfig {
-        rounds: 25,
-        ..SimConfig::default()
-    };
+    let spec = SweepSpec::new(Scenario::three_pairs())
+        .rounds(25)
+        .seed_count(n_placements)
+        .run_seed_xor(0xC0FFEE)
+        .policy(Dot11n)
+        .policy(NPlus);
 
     println!("== Fig. 12: three pairs (1/2/3 antennas), {n_placements} random placements ==");
     let mut totals = [Vec::new(), Vec::new()]; // [dot11n, nplus]
@@ -32,10 +33,8 @@ fn main() {
         [Vec::new(), Vec::new(), Vec::new()],
     ];
 
-    for seed in 0..n_placements {
-        let built = three_pairs(seed);
-        for (p, policy) in [Dot11n, NPlus].into_iter().enumerate() {
-            let r = built.run(policy, &cfg, seed ^ 0xC0FFEE);
+    for runs in seed_runs(&spec) {
+        for (p, r) in runs.iter().enumerate() {
             totals[p].push(r.total_mbps);
             for f in 0..3 {
                 flows[p][f].push(r.per_flow_mbps[f]);

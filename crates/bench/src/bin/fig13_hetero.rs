@@ -11,28 +11,26 @@
 //!
 //! Run with: `cargo run --release --bin fig13_hetero`
 
-use nplus::scenario::ap_downlink;
-use nplus::sim::{SimConfig, DEFAULT_POLICIES};
-use nplus_bench::support::{mean, print_cdf};
+use nplus::sim::{Scenario, SweepSpec};
+use nplus_bench::support::{mean, print_cdf, seed_runs};
 
 fn main() {
     let n_placements: u64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(30);
-    let cfg = SimConfig {
-        rounds: 25,
-        ..SimConfig::default()
-    };
+    // No policies named: the spec runs the default comparison trio.
+    let spec = SweepSpec::new(Scenario::ap_downlink())
+        .rounds(25)
+        .seed_count(n_placements)
+        .run_seed_xor(0xBEEF);
 
     println!("== Fig. 13: AP scenario, {n_placements} random placements ==");
     // results[policy][flow or 3=total] -> per-placement Mb/s, policies
-    // in DEFAULT_POLICIES order: 802.11n, beamforming, n+.
+    // in the default order: 802.11n, beamforming, n+.
     let mut results = vec![vec![Vec::new(); 4]; 3];
-    for seed in 0..n_placements {
-        let built = ap_downlink(seed);
-        for (p, &policy) in DEFAULT_POLICIES.iter().enumerate() {
-            let r = built.run(policy, &cfg, seed ^ 0xBEEF);
+    for runs in seed_runs(&spec) {
+        for (p, r) in runs.iter().enumerate() {
             for f in 0..3 {
                 results[p][f].push(r.per_flow_mbps[f]);
             }

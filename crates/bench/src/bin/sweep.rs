@@ -1,7 +1,7 @@
 //! Batch Monte-Carlo sweeps over canonical or generated scenarios.
 //!
 //! Runs `nplus::sim::SweepSpec` — one freshly drawn topology per seed,
-//! one shared channel-cached `SimEngine` per topology, seeds executed
+//! one shared channel-cached engine per topology, seeds executed
 //! as independent jobs on a scoped-thread pool — and prints mean ±95%
 //! CI total goodput per policy, plus per-flow means and mean Jain
 //! fairness. Results are bit-for-bit identical for every `--threads`
@@ -215,7 +215,8 @@ fn main() {
     let canon = sweep_spec
         .canonical()
         .unwrap_or_else(|e| spec_error(&e.to_string()));
-    let (spec, env_name, threads) = (&request.scenario, &request.environment, request.threads);
+    let (spec, env_name) = (&request.scenario, &request.environment);
+    let threads = request.resolved_threads();
     let (n_seeds, rounds) = (canon.seeds.len(), canon.rounds);
 
     eprintln!(

@@ -1,4 +1,16 @@
-//! CDF/percentile helpers shared by the figure binaries.
+//! Run, CDF and percentile helpers shared by the figure binaries.
+
+use nplus::observer::NullObserver;
+use nplus::sim::{RunResult, SweepSpec};
+
+/// Every seed's per-policy run results, in seed and policy order;
+/// panics on a spec the sweep refuses.
+pub fn seed_runs(spec: &SweepSpec) -> Vec<Vec<RunResult>> {
+    let runs = spec
+        .try_run_observed(|_, _| NullObserver)
+        .unwrap_or_else(|e| panic!("{e}"));
+    runs.into_iter().map(|(seed, _)| seed.per_policy).collect()
+}
 
 /// Empirical CDF points (value at each of the given percentiles).
 /// Empty input yields no points.

@@ -26,11 +26,11 @@ use std::cell::Cell;
 use nplus::observer::{RoundObserver, RoundRecord, RunMeta};
 use nplus::policy::{Beamforming, Dot11n, NPlus, Oracle};
 use nplus::scenario::{parse_spec, ScenarioGenerator};
-use nplus::sim::{MobilityModel, SimConfig, SimEngine};
-use nplus_channel::environment::{environment_from_name, Environment, SIGCOMM11_INDOOR};
+use nplus::sim::{MobilityModel, RunResult, SweepSpec};
+use nplus_channel::environment::{environment_from_name, Environment};
 use nplus_medium::topology::build_environment_topology;
 use nplus_medium::ChannelCache;
-use nplus_phy::params::occupied_subcarrier_indices;
+use nplus_phy::params::{occupied_subcarrier_indices, OfdmConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -106,6 +106,25 @@ impl RoundObserver for AllocLedger {
     }
 }
 
+/// Runs `spec`'s one seed on this thread, one ledger per policy, and
+/// returns each policy's result with its ledger.
+fn run_with_ledgers(spec: &SweepSpec, rounds: usize) -> Vec<(RunResult, AllocLedger)> {
+    let seed = spec.seed_list()[0];
+    let mut ledgers: Vec<AllocLedger> = spec
+        .policy_names()
+        .iter()
+        .map(|_| AllocLedger::with_rounds(rounds))
+        .collect();
+    let mut taps: Vec<&mut dyn RoundObserver> = ledgers
+        .iter_mut()
+        .map(|l| l as &mut dyn RoundObserver)
+        .collect();
+    let results = spec
+        .try_run_seed_observed(seed, &mut taps)
+        .unwrap_or_else(|e| panic!("{e}"));
+    results.per_policy.into_iter().zip(ledgers).collect()
+}
+
 #[test]
 fn steady_state_rounds_allocate_nothing() {
     const ROUNDS: usize = 400;
@@ -120,31 +139,20 @@ fn steady_state_rounds_allocate_nothing() {
     // beamforming rounds plan and settle through the same pools, with
     // every receiver's zero-forcing filters in one flat buffer per
     // receiver state.
-    let scenario = ScenarioGenerator::new(7).dense(32);
-    let testbed = SIGCOMM11_INDOOR
-        .testbed(scenario.antennas.len())
-        .unwrap_or_else(|e| panic!("{e}"));
-    let cfg = SimConfig {
-        rounds: ROUNDS,
-        ..SimConfig::default()
-    };
-    let mut placement_rng = StdRng::seed_from_u64(3);
-    let topo = build_environment_topology(
-        &SIGCOMM11_INDOOR,
-        &testbed,
-        &scenario.antennas,
-        cfg.ofdm.bandwidth_hz,
-        3,
-        &mut placement_rng,
-    )
-    .expect("fits the paper map");
-    let engine = SimEngine::new(&topo, &scenario, &cfg);
+    // Placement seed 3, run seed 11.
+    let spec = SweepSpec::new(ScenarioGenerator::new(7).dense(32))
+        .rounds(ROUNDS)
+        .seeds([3])
+        .run_seed_xor(3 ^ 11)
+        .policy(NPlus)
+        .policy(Dot11n)
+        .policy(Beamforming);
 
-    for policy in [NPlus, Dot11n, Beamforming] {
-        let name = policy.name();
-        let mut ledger = AllocLedger::with_rounds(ROUNDS);
-        let mut rng = StdRng::seed_from_u64(11);
-        let result = engine.run(policy, &mut rng, &mut ledger, None);
+    for (name, (result, ledger)) in spec
+        .policy_names()
+        .iter()
+        .zip(run_with_ledgers(&spec, ROUNDS))
+    {
         assert!(result.total_mbps.is_finite(), "{name}");
         assert_eq!(ledger.counts.len(), ROUNDS, "{name}");
 
@@ -175,29 +183,13 @@ fn oracle_memo_hit_rounds_allocate_nothing() {
     const ROUNDS: usize = 40;
     const WARMUP: usize = 10;
 
-    let scenario = ScenarioGenerator::new(42).multi_ap(2, 3);
-    let testbed = SIGCOMM11_INDOOR
-        .testbed(scenario.antennas.len())
-        .unwrap_or_else(|e| panic!("{e}"));
-    let cfg = SimConfig {
-        rounds: ROUNDS,
-        ..SimConfig::default()
-    };
-    let mut placement_rng = StdRng::seed_from_u64(3);
-    let topo = build_environment_topology(
-        &SIGCOMM11_INDOOR,
-        &testbed,
-        &scenario.antennas,
-        cfg.ofdm.bandwidth_hz,
-        3,
-        &mut placement_rng,
-    )
-    .expect("fits the paper map");
-    let engine = SimEngine::new(&topo, &scenario, &cfg);
-
-    let mut ledger = AllocLedger::with_rounds(ROUNDS);
-    let mut rng = StdRng::seed_from_u64(11);
-    let result = engine.run(Oracle, &mut rng, &mut ledger, None);
+    // Placement seed 3, run seed 11.
+    let spec = SweepSpec::new(ScenarioGenerator::new(42).multi_ap(2, 3))
+        .rounds(ROUNDS)
+        .seeds([3])
+        .run_seed_xor(3 ^ 11)
+        .policy(Oracle);
+    let (result, ledger) = run_with_ledgers(&spec, ROUNDS).remove(0);
     assert!(result.total_mbps > 0.0);
     assert_eq!(ledger.counts.len(), ROUNDS);
 
@@ -229,44 +221,42 @@ fn mobility_setup_allocates_per_moved_link_not_per_link() {
         multi_cell().capacity(),
     )
     .expect("city spec parses");
-    let scenario = parsed.scenario;
-    let still = SimConfig {
-        rounds: 4,
-        traffic: parsed.traffic.expect("load prefix carries a traffic model"),
-        ..SimConfig::default()
-    };
-    let moving = SimConfig {
-        mobility: MobilityModel::Waypoint {
-            step_m: 2.0,
-            epoch_rounds: 3,
-        },
-        ..still.clone()
-    };
+    let ofdm = OfdmConfig::usrp2();
     let testbed = multi_cell().testbed(NODES).expect("city fits the map");
     let mut rng = StdRng::seed_from_u64(1);
     let topo = build_environment_topology(
         multi_cell(),
         &testbed,
-        &scenario.antennas,
-        still.ofdm.bandwidth_hz,
+        &parsed.scenario.antennas,
+        ofdm.bandwidth_hz,
         1,
         &mut rng,
     )
     .expect("city topology builds");
     let n_links =
-        ChannelCache::build(&topo, &occupied_subcarrier_indices(), still.ofdm.fft_len).n_links();
+        ChannelCache::build(&topo, &occupied_subcarrier_indices(), ofdm.fft_len).n_links();
     assert!(n_links >= 1000, "city world too sparse: {n_links} links");
 
+    // Placement seed 1, run seed 11.
+    let still = SweepSpec::new(parsed.scenario)
+        .environment(*multi_cell())
+        .rounds(4)
+        .traffic(parsed.traffic.expect("load prefix carries a traffic model"))
+        .seeds([1])
+        .run_seed_xor(1 ^ 11)
+        .policy(NPlus);
     // Allocations from run start to the first round end.
-    let first_round = |cfg: &SimConfig| {
-        let engine = SimEngine::new(&topo, &scenario, cfg);
-        let mut ledger = AllocLedger::with_rounds(cfg.rounds);
-        let mut rng = StdRng::seed_from_u64(11);
-        let result = engine.run(NPlus, &mut rng, &mut ledger, None);
+    let first_round = |spec: &SweepSpec| {
+        let (result, ledger) = run_with_ledgers(spec, 4).remove(0);
         assert!(result.total_mbps.is_finite());
         ledger.counts[0] - ledger.start
     };
-    let (static_allocs, mobility_allocs) = (first_round(&still), first_round(&moving));
+    let static_allocs = first_round(&still);
+    let moving = still.mobility(MobilityModel::Waypoint {
+        step_m: 2.0,
+        epoch_rounds: 3,
+    });
+    let mobility_allocs = first_round(&moving);
     let setup = mobility_allocs.saturating_sub(static_allocs);
     assert!(
         setup < (n_links / 4) as u64,

@@ -121,7 +121,7 @@ impl OscillatorDraw {
 
 /// The protocol's cancellation-depth parameter `L`, dB. The paper uses
 /// 27 dB (Fig. 11's vertical threshold); this is the one source of
-/// truth both the simulator's `SimConfig` default and
+/// truth both the simulator's default config and
 /// [`Environment::join_power_l_db`] draw from.
 pub const DEFAULT_L_DB: f64 = 27.0;
 

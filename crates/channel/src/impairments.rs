@@ -264,8 +264,11 @@ mod tests {
         assert!(out.approx_eq(&zero, 1e-12));
     }
 
+    /// The allocating and `_into` forms of the believed-channel draw
+    /// agree bit for bit and leave the RNG at the same place, and a
+    /// zero calibration residual draws nothing.
     #[test]
-    fn soa_impairments_match_interleaved_bitwise() {
+    fn knowledge_into_matches_allocating_and_zero_residual_draws_nothing() {
         let p = HardwareProfile::default();
         let mut rng_a = StdRng::seed_from_u64(77);
         let h = random_h(&mut rng_a);

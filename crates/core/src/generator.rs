@@ -9,9 +9,9 @@
 //! pairs and dense many-pair meshes, with 1–4 antennas per node.
 //! Families up to [`MAX_NODES`] nodes fit the paper's 20-location
 //! testbed map; the dense family goes up to [`MAX_DENSE_NODES`] nodes
-//! and places on `Testbed::sigcomm11_extended()` (which
-//! [`build_scenario`](crate::scenario::build_scenario) selects
-//! automatically by node count).
+//! and places on `Testbed::sigcomm11_extended()` (which a
+//! [`SweepSpec`](crate::sim::SweepSpec) selects automatically by node
+//! count).
 
 use crate::sim::{Flow, Scenario};
 use rand::rngs::StdRng;
@@ -22,8 +22,7 @@ use rand::{Rng, SeedableRng};
 pub(crate) const MAX_NODES: usize = 16;
 
 /// Largest node count of the dense family (placed on the 40-location
-/// `Testbed::sigcomm11_extended()` map, which
-/// [`build_scenario`](crate::scenario::build_scenario) selects
+/// `Testbed::sigcomm11_extended()` map, which a sweep selects
 /// automatically by node count; 32 leaves placement diversity there).
 pub(crate) const MAX_DENSE_NODES: usize = 32;
 
@@ -300,14 +299,13 @@ mod tests {
         check_valid(&s);
         assert_eq!(s.transmitters().len(), 16);
         // And it actually places + simulates on the extended testbed.
-        let built = crate::scenario::build_scenario(g.dense(24), 13);
-        assert_eq!(built.topology.nodes.len(), 24);
-        let cfg = crate::sim::SimConfig {
-            rounds: 1,
-            ..Default::default()
-        };
-        let r = built.run(crate::policy::Dot11n, &cfg, 3);
-        assert!(r.total_mbps.is_finite());
+        let stats = crate::sim::SweepSpec::new(g.dense(24))
+            .rounds(1)
+            .seeds([13])
+            .run_seed_xor(13 ^ 3)
+            .policy(crate::policy::Dot11n)
+            .run();
+        assert!(stats[0].mean_total_mbps.is_finite());
     }
 
     #[test]
@@ -401,13 +399,12 @@ mod tests {
             check_valid(&g.random_for_capacity(MAX_DENSE_NODES));
         }
         // Smoke: a small generated scenario actually runs end to end.
-        let s = ScenarioGenerator::new(4).n_pairs(2);
-        let built = crate::scenario::build_scenario(s, 4);
-        let cfg = crate::sim::SimConfig {
-            rounds: 2,
-            ..Default::default()
-        };
-        let r = built.run(crate::policy::NPlus, &cfg, 11);
-        assert!(r.total_mbps.is_finite());
+        let stats = crate::sim::SweepSpec::new(ScenarioGenerator::new(4).n_pairs(2))
+            .rounds(2)
+            .seeds([4])
+            .run_seed_xor(4 ^ 11)
+            .policy(crate::policy::NPlus)
+            .run();
+        assert!(stats[0].mean_total_mbps.is_finite());
     }
 }

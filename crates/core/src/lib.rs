@@ -83,7 +83,7 @@ pub use precoder::{
 };
 pub use sim::{
     aggregate_results, CanonicalSpec, Flow, MobilityModel, RunResult, Scenario, SeedResults,
-    SimConfig, SimEngine, SweepError, SweepSpec, SweepStats, TrafficModel,
+    SweepError, SweepSpec, SweepStats, TrafficModel,
 };
 
 /// One-import surface for simulation users: the builder facade, the
@@ -111,7 +111,7 @@ pub mod prelude {
     };
     pub use crate::sim::{
         aggregate_results, CanonicalSpec, Flow, MobilityModel, RunResult, Scenario, SeedResults,
-        SimConfig, SimEngine, SweepError, SweepSpec, SweepStats, TrafficModel,
+        SweepError, SweepSpec, SweepStats, TrafficModel,
     };
     pub use nplus_channel::environment::{
         environment_from_name, Environment, EnvironmentError, OscillatorDraw,

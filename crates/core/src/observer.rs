@@ -1,7 +1,8 @@
 //! Round-level event tap for the simulation engine.
 //!
-//! [`SimEngine`](crate::sim::SimEngine) narrates every run through a
-//! [`RoundObserver`]: one [`ContentionRecord`] per medium acquisition,
+//! The round engine behind [`SweepSpec`](crate::sim::SweepSpec)
+//! narrates every run through a [`RoundObserver`]: one
+//! [`ContentionRecord`] per medium acquisition,
 //! one [`JoinRecord`] per secondary-contention attempt, and one
 //! [`RoundRecord`] per round carrying the settled per-flow bits, the
 //! round's airtime and the final per-stream ledger. The engine's own
@@ -21,9 +22,8 @@ use nplus_phy::rates::RateIndex;
 /// Delivered through [`RunMeta::identity`] by the sweep layer
 /// ([`SweepSpec::try_run_observed`](crate::sim::SweepSpec::try_run_observed)
 /// and [`SweepSpec::try_run_seed_observed`](
-/// crate::sim::SweepSpec::try_run_seed_observed)); a hand-built
-/// [`SimEngine::run`](crate::sim::SimEngine::run) usually passes `None`
-/// because a bare engine has no sweep context.
+/// crate::sim::SweepSpec::try_run_seed_observed)), which labels every
+/// run; a run replayed outside a sweep may carry `None`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunIdentity {
     /// The job's topology/run seed.

@@ -1,9 +1,10 @@
 //! The MAC policies: the rules a protocol brings to the shared round
 //! engine.
 //!
-//! [`SimEngine`](crate::sim::SimEngine) owns everything physical — true
-//! and believed channels, precoding, SINR evaluation, rate selection,
-//! handshake and time accounting — and asks the run's [`Policy`] every
+//! The round engine behind [`SweepSpec`](crate::sim::SweepSpec) owns
+//! everything physical — true and believed channels, precoding, SINR
+//! evaluation, rate selection, handshake and time accounting — and
+//! asks the run's [`Policy`] every
 //! *protocol decision*: what the primary winner transmits, whether later
 //! winners may join mid-round, whether joiners run §4 power control, and
 //! whether the medium is accessed by random contention at all (the

@@ -470,8 +470,7 @@ fn handshake_symbols(cfg: &SimConfig, alloc: &[(usize, usize)], blob_bytes: usiz
 /// frequency responses. One engine can then [`run`](SimEngine::run) any
 /// number of policies/seeds against the same topology without
 /// re-evaluating channel taps.
-// nplus:allow(VIS001): the goldens tests/policy_regression.rs, tests/observer_contract.rs and tests/rng_position_regression.rs run single runs through it
-pub struct SimEngine<'a> {
+pub(crate) struct SimEngine<'a> {
     topo: &'a Topology,
     scenario: &'a Scenario,
     cfg: &'a SimConfig,
@@ -491,7 +490,7 @@ pub struct SimEngine<'a> {
 
 impl<'a> SimEngine<'a> {
     /// Builds the engine for one topology/scenario/config triple.
-    pub fn new(topo: &'a Topology, scenario: &'a Scenario, cfg: &'a SimConfig) -> Self {
+    pub(crate) fn new(topo: &'a Topology, scenario: &'a Scenario, cfg: &'a SimConfig) -> Self {
         let occ = occupied_subcarrier_indices();
         let eval_pos: Vec<usize> = match cfg.sinr_grid {
             SinrGrid::Full => (0..occ.len()).collect(),
@@ -1118,7 +1117,7 @@ impl<'a> SimEngine<'a> {
     /// [`RunMeta`] — how the sweep layer labels each run's stream (seed,
     /// environment name, canonical key) for observers that persist what
     /// they watch.
-    pub fn run(
+    pub(crate) fn run(
         &self,
         policy: Policy,
         rng: &mut StdRng,

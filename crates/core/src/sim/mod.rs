@@ -16,7 +16,7 @@
 //!
 //! The module is layered (see `DESIGN.md` §2):
 //!
-//! * [`SimEngine`] owns the physics and the round
+//! * The crate-private `SimEngine` owns the physics and the round
 //!   machinery: channels (cached via `ChannelCache`), precoding, SINR
 //!   settlement, handshake and airtime accounting.
 //! * A [`Policy`](crate::policy::Policy) makes every protocol
@@ -38,21 +38,21 @@
 //!   [`SIGCOMM11_INDOOR`](nplus_channel::environment::SIGCOMM11_INDOOR)
 //!   default; outdoor, rich-scatter, degraded-hardware and multi-cell
 //!   worlds ship alongside it and are selectable by name.
-//! * [`SweepSpec`] ([`sweep`](mod@crate::sim)) is the one batch entry
+//! * [`SweepSpec`] ([`sweep`](mod@crate::sim)) is the one engine entry
 //!   point: it builds seeded topologies in the chosen environment,
 //!   shares one channel-cached engine per seed across all policies, and
 //!   aggregates mean/CI statistics — serially or on a scoped-thread
-//!   pool with bit-for-bit identical results. A single hand-built run
-//!   is [`SimEngine::new`] plus [`SimEngine::run`].
+//!   pool with bit-for-bit identical results. A single run is a sweep
+//!   of one seed; [`SweepSpec::try_run_seed_observed`] hands back its
+//!   per-policy [`RunResult`]s.
 
 mod engine;
+#[cfg(test)]
+mod rng_position_regression;
 mod sweep;
 
-pub use engine::SimEngine;
-pub use sweep::{
-    aggregate_results, CanonicalSpec, SeedResults, SweepError, SweepSpec, SweepStats,
-    DEFAULT_POLICIES,
-};
+pub(crate) use engine::SimEngine;
+pub use sweep::{aggregate_results, CanonicalSpec, SeedResults, SweepError, SweepSpec, SweepStats};
 
 use nplus_channel::impairments::HardwareProfile;
 use nplus_mac::timing::SampleTiming;
@@ -476,29 +476,29 @@ impl FromStr for SinrGrid {
     }
 }
 
-/// Simulation knobs.
+/// Simulation knobs: what [`SweepSpec`]'s setters fill in.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SimConfig {
+pub(crate) struct SimConfig {
     /// OFDM geometry (10 MHz USRP2 profile by default).
-    pub ofdm: OfdmConfig,
+    pub(crate) ofdm: OfdmConfig,
     /// MAC timing on the sample clock.
-    pub timing: SampleTiming,
+    pub(crate) timing: SampleTiming,
     /// Hardware impairment model (bounds cancellation depth).
-    pub hardware: HardwareProfile,
+    pub(crate) hardware: HardwareProfile,
     /// Join-power threshold `L` in dB (§4).
-    pub l_db: f64,
+    pub(crate) l_db: f64,
     /// Packet size per flow per round, bytes.
-    pub packet_bytes: usize,
+    pub(crate) packet_bytes: usize,
     /// Rounds to simulate.
-    pub rounds: usize,
+    pub(crate) rounds: usize,
     /// Per-flow offered load ([`TrafficModel::Saturated`] by default —
     /// the paper's always-backlogged assumption, zero RNG).
-    pub traffic: TrafficModel,
+    pub(crate) traffic: TrafficModel,
     /// Node mobility ([`MobilityModel::Static`] by default — zero RNG).
-    pub mobility: MobilityModel,
+    pub(crate) mobility: MobilityModel,
     /// SINR evaluation grid ([`SinrGrid::Full`] by default — the exact
     /// legacy every-bin path).
-    pub sinr_grid: SinrGrid,
+    pub(crate) sinr_grid: SinrGrid,
 }
 
 impl Default for SimConfig {

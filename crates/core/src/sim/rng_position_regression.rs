@@ -1,12 +1,13 @@
-//! Where a run leaves the caller's RNG, pinned bit for bit.
+//! Where a run leaves its RNG, pinned bit for bit.
 //!
 //! The statistics goldens elsewhere pin what a run *computes*; this
-//! suite pins how much randomness it *consumes*. Each case runs
-//! `SimEngine::run` under the two imperfect-knowledge joining policies
-//! (`nplus` and `greedy_join`) and digests every bit of the
-//! `RunResult` together with the caller RNG's next `u64` after the run.
-//! A believed-channel draw that consumes one normal too few or too many
-//! moves that next `u64` even where no result bit changes.
+//! suite pins how much randomness it *consumes*. Each case runs the
+//! engine under the two imperfect-knowledge joining policies (`nplus`
+//! and `greedy_join`) and digests every bit of the `RunResult` together
+//! with the run RNG's next `u64` after the run. A believed-channel draw
+//! that consumes one normal too few or too many moves that next `u64`
+//! even where no result bit changes. The run RNG is private to the
+//! sweep layer, so the suite lives inside the crate.
 //!
 //! The cases cover both shapes of join plan: `three_pairs` (every join
 //! serves a single receiver), `ap_downlink` (multi-receiver joins and
@@ -18,12 +19,11 @@
 //! The goldens were recorded before the engine stopped computing
 //! believed channels that no precoder reads.
 
-use nplus::observer::NullObserver;
-use nplus::policy::{GreedyJoin, NPlus, Policy};
-use nplus::scenario::parse_spec;
-use nplus::sim::{Scenario, SimConfig, SimEngine};
+use crate::observer::NullObserver;
+use crate::policy::{GreedyJoin, NPlus, Policy};
+use crate::scenario::{parse_spec, place};
+use crate::sim::{Scenario, SimConfig, SimEngine};
 use nplus_channel::environment::{environment_from_name, Environment};
-use nplus_medium::topology::build_environment_topology;
 use nplus_testkit::Fnv;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -50,9 +50,9 @@ fn case(label: &str) -> (Scenario, &'static Environment) {
     }
 }
 
-/// Runs `policy` on `label` for every seed: the digest of every
-/// `RunResult` bit, and the digest of the caller RNG's next `u64`
-/// after each run.
+/// Runs `policy` on `label` for every seed, placed and seeded as a
+/// sweep places and seeds it: the digest of every `RunResult` bit, and
+/// the digest of the run RNG's next `u64` after each run.
 fn run_case(label: &str, policy: Policy) -> (u64, u64) {
     let (scenario, env) = case(label);
     let testbed = env.testbed(scenario.antennas.len()).expect("scenario fits");
@@ -64,16 +64,7 @@ fn run_case(label: &str, policy: Policy) -> (u64, u64) {
     };
     let (mut results, mut positions) = (Fnv::new(), Fnv::new());
     for seed in SEEDS {
-        let mut placement = StdRng::seed_from_u64(seed);
-        let topo = build_environment_topology(
-            env,
-            &testbed,
-            &scenario.antennas,
-            cfg.ofdm.bandwidth_hz,
-            seed,
-            &mut placement,
-        )
-        .expect("scenario fits");
+        let topo = place(env, &testbed, &scenario.antennas, seed).expect("scenario fits");
         let engine = SimEngine::new(&topo, &scenario, &cfg);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_CAFE);
         let r = engine.run(policy, &mut rng, &mut NullObserver, None);

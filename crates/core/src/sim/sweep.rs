@@ -1,7 +1,7 @@
 //! Monte-Carlo sweeps over seeded topologies.
 //!
-//! [`SweepSpec`] is the one batch entry point: it draws one topology per
-//! seed, shares one channel-cached [`SimEngine`] per topology across all
+//! [`SweepSpec`] is the one engine entry point: it draws one topology per
+//! seed, shares one channel-cached engine per topology across all
 //! requested policies, and aggregates mean/CI statistics — serially or
 //! on the scoped-thread executor with **bit-for-bit identical** results
 //! at every thread count.
@@ -135,9 +135,11 @@ impl From<EnvironmentError> for SweepError {
 ///
 /// **What is deliberately not:** the thread count (results are
 /// bit-identical at every value).
-/// Everything else in [`SimConfig`] must sit at the environment's
-/// defaults — [`SweepSpec::canonical`] refuses otherwise rather than
-/// hash fields it does not encode.
+/// Everything else — the §4 threshold
+/// [`join_power_l_db`](SweepSpec::join_power_l_db), the
+/// [`run_seed_xor`](SweepSpec::run_seed_xor) and the rest of the
+/// engine's config — must sit at its defaults: [`SweepSpec::canonical`]
+/// refuses otherwise rather than hash fields it does not encode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CanonicalSpec {
     /// Antenna count per node.
@@ -423,22 +425,28 @@ pub fn aggregate_results(
 /// ([`SIGCOMM11_INDOOR`] — other worlds via
 /// [`environment`](SweepSpec::environment) /
 /// [`environment_named`](SweepSpec::environment_named)), the testbed
-/// map is the environment's smallest fitting map, the config is
-/// [`SimConfig::default`], seeds are `0..20`, policies are the paper's
-/// comparison set (802.11n, beamforming, n+), and execution is serial.
+/// map is the environment's smallest fitting map, runs last 40 rounds,
+/// seeds are `0..20`, each run's RNG is seeded by its seed
+/// `^ 0x5EED_CAFE`, policies are the paper's comparison set (802.11n,
+/// beamforming, n+), and execution is serial.
 pub struct SweepSpec {
     scenario: Scenario,
     environment: Environment,
     cfg: SimConfig,
     policies: Vec<Policy>,
     seeds: Vec<u64>,
+    run_seed_xor: u64,
     threads: usize,
 }
+
+/// The default [`SweepSpec::run_seed_xor`]: what a placement seed is
+/// XORed with to seed its runs' RNG.
+const DEFAULT_RUN_SEED_XOR: u64 = 0x5EED_CAFE;
 
 /// The default comparison set (the paper's head-to-head trio), applied
 /// when a spec names no policies. Front-ends that want the same default
 /// should leave the spec empty rather than re-listing these.
-pub const DEFAULT_POLICIES: [Policy; 3] = [Dot11n, Beamforming, NPlus];
+const DEFAULT_POLICIES: [Policy; 3] = [Dot11n, Beamforming, NPlus];
 
 /// Mirrors the environment fields the engine reads from the config —
 /// the one place the `hardware`/`L` coupling lives, shared by by-value
@@ -457,6 +465,7 @@ impl SweepSpec {
             cfg: SimConfig::default(),
             policies: Vec::new(),
             seeds: (0..20).collect(),
+            run_seed_xor: DEFAULT_RUN_SEED_XOR,
             threads: 1,
         }
     }
@@ -498,6 +507,24 @@ impl SweepSpec {
     /// Sets just the round count (the most common config tweak).
     pub fn rounds(mut self, rounds: usize) -> Self {
         self.cfg.rounds = rounds;
+        self
+    }
+
+    /// Sets the §4 join-power threshold `L` in dB. The environment
+    /// sets it too, so call this after
+    /// [`environment`](SweepSpec::environment). A value other than the
+    /// environment's is not [`canonical`](SweepSpec::canonical).
+    pub fn join_power_l_db(mut self, l_db: f64) -> Self {
+        self.cfg.l_db = l_db;
+        self
+    }
+
+    /// Seeds each run's RNG with its placement seed `^ k` (default
+    /// `0x5EED_CAFE`), which keeps the run stream apart from the
+    /// placement stream. A non-default `k` is not
+    /// [`canonical`](SweepSpec::canonical).
+    pub fn run_seed_xor(mut self, k: u64) -> Self {
+        self.run_seed_xor = k;
         self
     }
 
@@ -686,7 +713,8 @@ impl SweepSpec {
     /// deviate from the environment's defaults only in
     /// [`rounds`](SweepSpec::rounds),
     /// [`traffic`](SweepSpec::traffic), [`mobility`](SweepSpec::mobility)
-    /// and the [`sinr_grid`](SweepSpec::sinr_grid).
+    /// and the [`sinr_grid`](SweepSpec::sinr_grid), and the
+    /// [`run_seed_xor`](SweepSpec::run_seed_xor) must be the default.
     ///
     /// # Errors
     /// [`SweepError::InvalidSpec`] for any spec the runs would refuse
@@ -719,6 +747,12 @@ impl SweepSpec {
                  mobility and the SINR grid are canonical)"
                     .to_string(),
             ));
+        }
+        if self.run_seed_xor != DEFAULT_RUN_SEED_XOR {
+            return Err(SweepError::NotCanonical(format!(
+                "run seed xor {:#x} is not the default {DEFAULT_RUN_SEED_XOR:#x}",
+                self.run_seed_xor
+            )));
         }
         // An empty policy list resolves to the default trio here, so
         // "no policies named" and the trio named explicitly share a key.
@@ -782,7 +816,8 @@ impl SweepSpec {
     /// The RNG derivations are the sweep's determinism contract: the
     /// placement is [`place`](crate::scenario::place)'s, seeded by the
     /// seed itself, and each policy's run stream is seeded by
-    /// `seed ^ 0x5EED_CAFE` — both fixed functions of the seed alone,
+    /// `seed ^` [`run_seed_xor`](SweepSpec::run_seed_xor) — both fixed
+    /// functions of the seed alone,
     /// never of execution order. That is what lets
     /// [`try_run_observed`](SweepSpec::try_run_observed) run seeds on
     /// any number of threads and still merge results bit-for-bit
@@ -802,7 +837,7 @@ impl SweepSpec {
             .iter()
             .zip(observers.iter_mut())
             .map(|(&policy, observer)| {
-                let mut run_rng = StdRng::seed_from_u64(seed ^ 0x5EED_CAFE);
+                let mut run_rng = StdRng::seed_from_u64(seed ^ self.run_seed_xor);
                 let identity = RunIdentity {
                     seed,
                     environment: self.environment.name.to_string(),
@@ -1265,6 +1300,15 @@ mod tests {
             .rounds(7)
             .seeds([0u64, 1, 2, 3]);
         assert_eq!(by_name.canonical().unwrap().key(), key);
+        // The default run seed XOR and `L`, spelled out: same bytes.
+        let spelled = reordered
+            .run_seed_xor(0x5EED_CAFE)
+            .join_power_l_db(crate::power_control::DEFAULT_L_DB)
+            .canonical()
+            .unwrap();
+        let base_bytes = base.canonical().unwrap().canonical_bytes();
+        assert_eq!(spelled.canonical_bytes(), base_bytes);
+        assert_eq!(spelled.key(), key);
 
         // An empty policy list normalizes to the explicit default trio.
         let implicit = SweepSpec::new(Scenario::three_pairs())
@@ -1463,6 +1507,9 @@ mod tests {
         let mut tweaked_cfg = SweepSpec::new(Scenario::three_pairs());
         tweaked_cfg.cfg.packet_bytes = 900;
         not_canonical(&tweaked_cfg, "config deviates");
+        let fresh = || SweepSpec::new(Scenario::three_pairs());
+        not_canonical(&fresh().join_power_l_db(21.0), "config deviates");
+        not_canonical(&fresh().run_seed_xor(0xC0FFEE), "run seed xor");
         let renamed = Environment {
             name: "anechoic_chamber",
             ..SIGCOMM11_INDOOR

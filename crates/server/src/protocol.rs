@@ -194,16 +194,23 @@ impl SweepRequest {
             .mobility(self.mobility.unwrap_or_default())
             .sinr_grid(self.sinr_grid.unwrap_or_default())
             .seeds(self.seeds.iter().copied())
-            .threads(clamp_threads(
-                self.threads,
-                std::thread::available_parallelism().map_or(1, usize::from),
-            ));
+            .threads(self.resolved_threads());
         for name in &self.policies {
             spec = spec.policy_named(name).map_err(|unknown| {
                 format!("unknown policy {unknown:?} (try {BUILTIN_POLICY_NAMES:?})")
             })?;
         }
         Ok(spec)
+    }
+
+    /// The worker count [`to_spec`](SweepRequest::to_spec) gives the
+    /// spec: `threads` capped at the machine's cores (`0`, all cores,
+    /// stays `0`).
+    pub fn resolved_threads(&self) -> usize {
+        clamp_threads(
+            self.threads,
+            std::thread::available_parallelism().map_or(1, usize::from),
+        )
     }
 
     /// The request's content-addressable [`CanonicalSpec`]:

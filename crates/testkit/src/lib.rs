@@ -2,10 +2,10 @@
 //! proptest strategies and tolerance-aware assertions.
 //!
 //! Everything here is deterministic given a seed, and nothing here is
-//! production code: the scenario grammar, the seeded scenario families
-//! and the paper's placed scenarios live in `nplus::scenario`, which the
-//! suites import directly. [`parse_spec`] is re-exported for the
-//! `perfbench` harness, which resolves its workload specs through it.
+//! production code: the scenario grammar and the seeded scenario
+//! families live in `nplus::scenario`, which the suites import
+//! directly. [`parse_spec`] is re-exported for the `perfbench`
+//! harness, which resolves its workload specs through it.
 
 #![forbid(unsafe_code)]
 
@@ -14,7 +14,17 @@ pub mod strategies;
 
 pub use nplus::scenario::parse_spec;
 
+use nplus::observer::NullObserver;
+use nplus::sim::{RunResult, SweepSpec};
 use nplus_linalg::Complex64;
+
+/// Every seed's per-policy run results under `spec`, in seed and
+/// policy order; panics on a spec the sweep refuses.
+pub fn seed_runs(spec: &SweepSpec) -> Vec<Vec<RunResult>> {
+    let runs = spec.try_run_observed(|_, _| NullObserver);
+    let runs = runs.unwrap_or_else(|e| panic!("{e}"));
+    runs.into_iter().map(|(seed, _)| seed.per_policy).collect()
+}
 
 /// Fresh deterministic RNG for a test.
 pub fn rng(seed: u64) -> rand::rngs::StdRng {

@@ -7,16 +7,31 @@
 //!
 //! Run with: `cargo run --release --example three_pairs`
 
-use nplus::scenario::three_pairs;
+use nplus_sim::medium::topology::build_environment_topology;
 use nplus_sim::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn main() {
     let seed = 11; // a placement whose gains sit near the paper's reported averages
-    let built = three_pairs(seed);
+    let rounds = 60;
+    let scenario = Scenario::three_pairs();
+    // The placement a sweep draws for this seed, drawn here to print it.
+    let topology = build_environment_topology(
+        &SIGCOMM11_INDOOR,
+        &SIGCOMM11_INDOOR
+            .testbed(scenario.antennas.len())
+            .expect("fits"),
+        &scenario.antennas,
+        10e6,
+        seed,
+        &mut StdRng::seed_from_u64(seed),
+    )
+    .expect("fits the paper map");
 
     println!("== Fig. 3 scenario: tx1-rx1 (1 ant), tx2-rx2 (2 ant), tx3-rx3 (3 ant) ==\n");
     println!("placements:");
-    for (i, loc) in built.topology.placements.iter().enumerate() {
+    for (i, loc) in topology.placements.iter().enumerate() {
         let name = ["tx1", "rx1", "tx2", "rx2", "tx3", "rx3"][i];
         println!(
             "  {name}: ({:>4.1}, {:>4.1}) m  {}",
@@ -30,25 +45,25 @@ fn main() {
         );
     }
 
-    let cfg = SimConfig {
-        rounds: 60,
-        ..SimConfig::default()
-    };
-
-    println!("\nsimulating {} rounds per protocol...\n", cfg.rounds);
-    let mut results = Vec::new();
-    for policy in [Dot11n, NPlus] {
-        let r = built.run(policy, &cfg, seed);
+    println!("\nsimulating {rounds} rounds per protocol...\n");
+    let spec = SweepSpec::new(scenario)
+        .rounds(rounds)
+        .seeds([seed])
+        .run_seed_xor(0) // the run RNG is seeded by the placement seed itself
+        .policy(Dot11n)
+        .policy(NPlus);
+    let runs = spec.try_run_observed(|_, _| NullObserver);
+    let results = runs.expect("a valid spec").remove(0).0.per_policy;
+    for (name, r) in spec.policy_names().iter().zip(&results) {
         println!(
             "{:12} total {:5.1} Mb/s | tx1-rx1 {:5.2} | tx2-rx2 {:5.2} | tx3-rx3 {:5.2} | mean DoF {:.2}",
-            policy.name(),
+            name,
             r.total_mbps,
             r.per_flow_mbps[0],
             r.per_flow_mbps[1],
             r.per_flow_mbps[2],
             r.mean_dof,
         );
-        results.push(r);
     }
 
     let gain = results[1].total_mbps / results[0].total_mbps;

@@ -13,11 +13,9 @@ use nplus::observer::{
     ContentionRecord, JoinRecord, NullObserver, RoundObserver, RoundRecord, RunMeta,
 };
 use nplus::policy::{Beamforming, Dot11n, GreedyJoin, NPlus, Oracle};
-use nplus::scenario::{build_scenario, ScenarioGenerator};
-use nplus::sim::{RunResult, SimConfig, SimEngine};
+use nplus::scenario::ScenarioGenerator;
+use nplus::sim::{RunResult, SweepSpec};
 use proptest::{proptest, ProptestConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Records the full event stream, owning copies of the borrowed slices.
 #[derive(Default)]
@@ -104,27 +102,23 @@ proptest! {
             1 => generator.hidden_terminal(2),
             _ => generator.asymmetric_antenna(2),
         };
-        let built = build_scenario(scenario, gen_seed);
-        let cfg = SimConfig { rounds: 3, ..SimConfig::default() };
-        let engine = SimEngine::new(&built.topology, &built.scenario, &cfg);
+        let n_flows = scenario.flows.len();
+        let rounds = 3;
         // Every built-in, in `BUILTIN_POLICY_NAMES` order.
-        for policy in [Dot11n, Beamforming, NPlus, GreedyJoin, Oracle] {
-            let name = policy.name();
-            let mut recorder = Recorder::default();
-            let observed = engine.run(
-                policy,
-                &mut StdRng::seed_from_u64(gen_seed ^ 0x0B5E),
-                &mut recorder,
-                None,
-            );
-            // Observation is passive: same seed without a tap gives the
-            // identical result.
-            let plain = engine.run(
-                policy,
-                &mut StdRng::seed_from_u64(gen_seed ^ 0x0B5E),
-                &mut NullObserver,
-                None,
-            );
+        let policies = [Dot11n, Beamforming, NPlus, GreedyJoin, Oracle];
+        let spec = policies
+            .iter()
+            .fold(SweepSpec::new(scenario), |s, &p| s.policy(p))
+            .rounds(rounds)
+            .seeds([gen_seed])
+            .run_seed_xor(0x0B5E);
+        let (observed, recorders) = spec.try_run_observed(|_, _| Recorder::default()).unwrap().remove(0);
+        // Observation is passive: the same runs without a tap give the
+        // identical results.
+        let (plain, _) = spec.try_run_observed(|_, _| NullObserver).unwrap().remove(0);
+        for (p, recorder) in recorders.iter().enumerate() {
+            let name = policies[p].name();
+            let (observed, plain) = (&observed.per_policy[p], &plain.per_policy[p]);
             proptest::prop_assert_eq!(&observed.per_flow_mbps, &plain.per_flow_mbps, "{} tap changed run", name);
             proptest::prop_assert_eq!(observed.total_mbps, plain.total_mbps, "{} tap changed run", name);
             proptest::prop_assert_eq!(observed.mean_dof, plain.mean_dof, "{} tap changed run", name);
@@ -137,15 +131,15 @@ proptest! {
 
             // Stream shape: one round record and one medium acquisition
             // record per round, flow slices sized to the scenario.
-            proptest::prop_assert_eq!(recorder.rounds.len(), cfg.rounds, "{}", name);
-            proptest::prop_assert_eq!(recorder.rounds_declared, cfg.rounds, "{}", name);
+            proptest::prop_assert_eq!(recorder.rounds.len(), rounds, "{}", name);
+            proptest::prop_assert_eq!(recorder.rounds_declared, rounds, "{}", name);
             // Every round that carried data was preceded by a medium
             // acquisition (idle oracle rounds acquire nothing).
             let live_rounds = recorder.rounds.iter().filter(|r| r.0 > 0).count();
             proptest::prop_assert!(recorder.contentions.len() >= live_rounds,
                 "{}: {} contentions for {} live rounds", name, recorder.contentions.len(), live_rounds);
             for (_, _, flow_bits, _) in &recorder.rounds {
-                proptest::prop_assert_eq!(flow_bits.len(), built.scenario.flows.len(), "{}", name);
+                proptest::prop_assert_eq!(flow_bits.len(), n_flows, "{}", name);
             }
             // Accepted joins always granted at least one stream.
             for j in &recorder.joins {

@@ -2,8 +2,8 @@
 //! policy-layer redesign.
 //!
 //! Every golden number below was recorded by running the **pre-refactor
-//! implementation** (the `Protocol` match arms hard-coded in
-//! `SimEngine::run`, `SimConfig::power_control` as a bool) at the exact
+//! implementation** (the `Protocol` match arms hard-coded in the
+//! engine's run loop, `power_control` as a config bool) at the exact
 //! seeds listed, printed with Rust's shortest-round-trip float
 //! formatting — so parsing the literals reproduces the original `f64`
 //! bits exactly and every comparison below is `==`, no tolerance
@@ -17,16 +17,13 @@
 //! the same inputs.
 
 use nplus::observer::{
-    ContentionKind, ContentionRecord, JoinRecord, NullObserver, RoundObserver, RoundRecord, RunMeta,
+    ContentionKind, ContentionRecord, JoinRecord, RoundObserver, RoundRecord, RunMeta,
 };
 use nplus::policy::{Beamforming, Dot11n, GreedyJoin, NPlus, Oracle, Policy};
-use nplus::scenario::{build_scenario, parse_spec, ScenarioGenerator};
-use nplus::sim::{aggregate_results, Flow, Scenario, SimConfig, SimEngine, SweepSpec, SweepStats};
-use nplus_channel::environment::{environment_from_name, SIGCOMM11_INDOOR};
-use nplus_medium::topology::build_environment_topology;
-use nplus_testkit::Fnv;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use nplus::scenario::{parse_spec, ScenarioGenerator};
+use nplus::sim::{aggregate_results, Flow, Scenario, SweepSpec, SweepStats};
+use nplus_channel::environment::environment_from_name;
+use nplus_testkit::{seed_runs, Fnv};
 
 /// Golden sweep statistics from the enum-era engine: scenario label,
 /// policy name, mean total Mb/s, 95% CI half-width, mean DoF, mean
@@ -260,13 +257,13 @@ const GREEDY_GOLDENS: [(u64, f64, f64, &[f64]); 6] = [
 
 #[test]
 fn greedy_join_reproduces_the_power_control_ablation_bitwise() {
-    for (seed, total, dof, per_flow) in GREEDY_GOLDENS {
-        let built = build_scenario(Scenario::three_pairs(), seed);
-        let cfg = SimConfig {
-            rounds: 10,
-            ..SimConfig::default()
-        };
-        let r = built.run(GreedyJoin, &cfg, seed ^ 0x55);
+    let spec = SweepSpec::new(Scenario::three_pairs())
+        .rounds(10)
+        .seeds(GREEDY_GOLDENS.map(|g| g.0))
+        .run_seed_xor(0x55)
+        .policy(GreedyJoin);
+    for ((seed, total, dof, per_flow), runs) in GREEDY_GOLDENS.into_iter().zip(seed_runs(&spec)) {
+        let r = &runs[0];
         assert_eq!(r.total_mbps, total, "seed {seed} total");
         assert_eq!(r.mean_dof, dof, "seed {seed} DoF");
         assert_eq!(r.per_flow_mbps.as_slice(), per_flow, "seed {seed} per-flow");
@@ -274,8 +271,8 @@ fn greedy_join_reproduces_the_power_control_ablation_bitwise() {
 }
 
 /// Golden single-run results (three_pairs on placement 11, rounds = 8,
-/// run RNG seed 5) straight through `SimEngine::run` — the one-run
-/// entry point itself, not just the sweep wrappers.
+/// run RNG seed 5) through a one-seed `SweepSpec` — the one engine
+/// entry point itself, not just the aggregate statistics.
 #[test]
 fn simulate_entry_point_matches_enum_era_bitwise() {
     let goldens: [(Policy, f64, f64, &[f64]); 3] = [
@@ -298,32 +295,15 @@ fn simulate_entry_point_matches_enum_era_bitwise() {
             &[3.411167512690355, 3.411167512690355, 6.82233502538071],
         ),
     ];
-    let scenario = Scenario::three_pairs();
-    let tb = SIGCOMM11_INDOOR
-        .testbed(scenario.antennas.len())
-        .expect("fits the paper map");
-    let mut rng = StdRng::seed_from_u64(11);
-    let topo = build_environment_topology(
-        &SIGCOMM11_INDOOR,
-        &tb,
-        &scenario.antennas,
-        10e6,
-        11,
-        &mut rng,
-    )
-    .expect("fits the paper map");
-    let cfg = SimConfig {
-        rounds: 8,
-        ..SimConfig::default()
-    };
-    let engine = SimEngine::new(&topo, &scenario, &cfg);
-    for (policy, total, dof, per_flow) in goldens {
-        let r = engine.run(
-            policy,
-            &mut StdRng::seed_from_u64(5),
-            &mut NullObserver,
-            None,
-        );
+    let spec = SweepSpec::new(Scenario::three_pairs())
+        .policy(NPlus)
+        .policy(Dot11n)
+        .policy(Beamforming)
+        .rounds(8)
+        .seeds([11])
+        .run_seed_xor(11 ^ 5);
+    let runs = seed_runs(&spec).remove(0);
+    for ((policy, total, dof, per_flow), r) in goldens.into_iter().zip(&runs) {
         let name = policy.name();
         assert_eq!(r.total_mbps, total, "{name} total");
         assert_eq!(r.mean_dof, dof, "{name} DoF");

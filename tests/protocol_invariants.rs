@@ -3,30 +3,36 @@
 
 use nplus::observer::{RoundObserver, RoundRecord};
 use nplus::policy::{Beamforming, Dot11n, GreedyJoin, NPlus, Oracle, Policy};
-use nplus::scenario::{build_scenario, ScenarioGenerator};
-use nplus::sim::{Scenario, SimConfig, SweepSpec};
-use nplus_channel::environment::BUILTIN_ENVIRONMENT_NAMES;
+use nplus::power_control::DEFAULT_L_DB;
+use nplus::scenario::ScenarioGenerator;
+use nplus::sim::{RunResult, Scenario, SweepSpec};
+use nplus_channel::environment::{Environment, BUILTIN_ENVIRONMENT_NAMES, SIGCOMM11_INDOOR};
 use nplus_channel::impairments::HardwareProfile;
 use nplus_phy::rates::RATE_TABLE;
 use nplus_testkit::fixtures::IDEAL_HARDWARE;
+use nplus_testkit::seed_runs;
 use proptest::{proptest, ProptestConfig};
 
+/// One run in the paper's world on `hardware`, at the paper's `L`.
 fn run(
     scenario: &Scenario,
     policy: Policy,
     seed: u64,
     hardware: HardwareProfile,
     rounds: usize,
-) -> nplus::sim::RunResult {
-    let built = build_scenario(scenario.clone(), seed);
-    let cfg = SimConfig {
-        rounds,
-        hardware,
-        ..SimConfig::default()
-    };
-    // Decorrelate the simulation stream from the placement stream (which
-    // build_scenario seeds with `seed` itself).
-    built.run(policy, &cfg, seed ^ 0x5EED)
+) -> RunResult {
+    let spec = SweepSpec::new(scenario.clone())
+        .environment(Environment {
+            hardware,
+            ..SIGCOMM11_INDOOR
+        })
+        .join_power_l_db(DEFAULT_L_DB)
+        .rounds(rounds)
+        .seeds([seed])
+        // Decorrelate the run stream from the placement stream.
+        .run_seed_xor(0x5EED)
+        .policy(policy);
+    seed_runs(&spec).remove(0).remove(0)
 }
 
 /// n+ must never use more degrees of freedom than the largest antenna
@@ -119,17 +125,17 @@ fn gains_grow_with_antenna_count() {
 /// the `policy_regression` suite pins).
 #[test]
 fn power_control_protects_ongoing_receivers() {
-    let scenario = Scenario::three_pairs();
     let mut with_pc = 0.0;
     let mut without_pc = 0.0;
-    for seed in 0..6u64 {
-        let built = build_scenario(scenario.clone(), seed);
-        let cfg = SimConfig {
-            rounds: 12,
-            ..SimConfig::default()
-        };
-        with_pc += built.run(NPlus, &cfg, seed ^ 0x55).per_flow_mbps[0];
-        without_pc += built.run(GreedyJoin, &cfg, seed ^ 0x55).per_flow_mbps[0];
+    let spec = SweepSpec::new(Scenario::three_pairs())
+        .rounds(12)
+        .seed_count(6)
+        .run_seed_xor(0x55)
+        .policy(NPlus)
+        .policy(GreedyJoin);
+    for runs in seed_runs(&spec) {
+        with_pc += runs[0].per_flow_mbps[0];
+        without_pc += runs[1].per_flow_mbps[0];
     }
     assert!(
         with_pc >= 0.9 * without_pc,
@@ -269,16 +275,15 @@ fn simulation_is_deterministic() {
 #[test]
 #[ignore = "long-running Monte-Carlo sweep; run explicitly with --ignored"]
 fn monte_carlo_throughput_headline() {
-    let scenario = Scenario::three_pairs();
-    let cfg = SimConfig {
-        rounds: 25,
-        ..SimConfig::default()
-    };
+    let spec = SweepSpec::new(Scenario::three_pairs())
+        .rounds(25)
+        .seed_count(30)
+        .run_seed_xor(0xC0FFEE)
+        .policy(NPlus)
+        .policy(Dot11n);
     let (mut np_total, mut dn_total, mut np_flow0, mut dn_flow0) = (0.0, 0.0, 0.0, 0.0);
-    for seed in 0..30 {
-        let built = build_scenario(scenario.clone(), seed);
-        let np = built.run(NPlus, &cfg, seed ^ 0xC0FFEE);
-        let dn = built.run(Dot11n, &cfg, seed ^ 0xC0FFEE);
+    for runs in seed_runs(&spec) {
+        let (np, dn) = (&runs[0], &runs[1]);
         np_total += np.total_mbps;
         dn_total += dn.total_mbps;
         np_flow0 += np.per_flow_mbps[0];
