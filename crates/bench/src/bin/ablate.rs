@@ -12,6 +12,7 @@
 //! Run with: `cargo run --release --bin ablate`
 
 use nplus::policy::{GreedyJoin, NPlus, Policy};
+use nplus::power_control::DEFAULT_L_DB;
 use nplus::precoder::{compute_precoders, OwnReceiver, PrecoderError, ProtectedReceiver};
 use nplus::sim::{Scenario, SweepSpec};
 use nplus_bench::support::{mean, seed_runs};
@@ -103,9 +104,9 @@ fn ablate_threshold() {
     let rows: [(&str, f64, Policy); 5] = [
         ("15", 15.0, NPlus),
         ("21", 21.0, NPlus),
-        ("27 (paper)", 27.0, NPlus),
+        ("27 (paper)", DEFAULT_L_DB, NPlus),
         ("33", 33.0, NPlus),
-        ("off (greedy_join)", 27.0, GreedyJoin),
+        ("off (greedy_join)", DEFAULT_L_DB, GreedyJoin),
     ];
     for (label, l_db, policy) in rows {
         let spec = SweepSpec::new(Scenario::three_pairs())

@@ -21,7 +21,7 @@
 //!   contention overhead, and keeps the best schedule.
 //! * [`GreedyJoin`] — the n+ ablation that joins at full power (§4
 //!   power control bypassed at the policy layer; this replaces the
-//!   former `SimConfig::power_control` flag).
+//!   engine's former `power_control` flag).
 //!
 //! Every rule is a pure function of the variant and its arguments, which
 //! is what lets the engine plan an omniscient round once per distinct
@@ -47,8 +47,8 @@ pub enum Policy {
     NPlus,
     /// Ablation: n+ with §4 join power control bypassed — joiners
     /// transmit at full power however much residual interference they
-    /// leave at protected receivers. Reproduces the former
-    /// `SimConfig::power_control = false` knob bit-for-bit (the power
+    /// leave at protected receivers. Reproduces the engine's former
+    /// `power_control = false` knob bit-for-bit (the power
     /// decision was the only branch the flag guarded, and it never
     /// consumed RNG).
     GreedyJoin,

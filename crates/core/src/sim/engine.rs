@@ -23,7 +23,7 @@
 //! from.
 
 use super::{
-    MobilityModel, RunResult, Scenario, SimConfig, SinrGrid, TrafficModel, BURST_ARRIVALS_PER_ROUND,
+    MobilityModel, RunResult, SinrGrid, SweepSpec, TrafficModel, BURST_ARRIVALS_PER_ROUND,
 };
 use crate::link::{select_stream_rate, ZfFilters, ZfWorkspace};
 use crate::observer::{
@@ -46,7 +46,7 @@ use nplus_mac::timing::SampleTiming;
 use nplus_medium::chancache::ChannelCache;
 use nplus_medium::topology::Topology;
 use nplus_phy::esnr::{esnr_band, EsnrBand};
-use nplus_phy::params::occupied_subcarrier_indices;
+use nplus_phy::params::{occupied_subcarrier_indices, OfdmConfig};
 use nplus_phy::rates::{RateIndex, BASE_RATE, RATE_TABLE};
 use nplus_phy::RATE_ESNR_THRESHOLDS_DB;
 use rand::rngs::StdRng;
@@ -434,6 +434,12 @@ fn contend(
 /// header + first angles + escape mask + ~1 byte/subcarrier).
 const TYPICAL_BLOB_BYTES: usize = 62;
 
+/// OFDM geometry: the paper's 10 MHz USRP2 profile.
+const OFDM: OfdmConfig = OfdmConfig::usrp2();
+
+/// Packet size per flow per round, bytes.
+const PACKET_BYTES: usize = 1500;
+
 /// Header exchange cost in OFDM symbols: data header + SIFS + per-receiver
 /// ACK headers (each with an alignment blob of `blob_bytes`) + SIFS, all
 /// at base rate.
@@ -446,7 +452,7 @@ const TYPICAL_BLOB_BYTES: usize = 62;
 /// receiver transmits its own ACK frame — each ACK is padded to a whole
 /// OFDM symbol individually rather than rounding once across the summed
 /// total.
-fn handshake_symbols(cfg: &SimConfig, alloc: &[(usize, usize)], blob_bytes: usize) -> usize {
+fn handshake_symbols(timing: &SampleTiming, alloc: &[(usize, usize)], blob_bytes: usize) -> usize {
     // Frame sizes via the codecs' closed forms (`encoded_len` is pinned
     // bit-for-bit against `to_bytes().len()` by the frames tests), so the
     // hot path never materializes header byte vectors.
@@ -458,7 +464,7 @@ fn handshake_symbols(cfg: &SimConfig, alloc: &[(usize, usize)], blob_bytes: usiz
         (alloc.len(), alloc.iter().map(|&(_, n)| ack(n)).sum())
     };
     let hdr_bits = DataHeader::encoded_len(n_rx) * 8;
-    let sifs_syms = (cfg.timing.sifs as usize).div_ceil(cfg.timing.symbol as usize);
+    let sifs_syms = (timing.sifs as usize).div_ceil(timing.symbol as usize);
     hdr_bits.div_ceil(base) + ack_symbols + 2 * sifs_syms
 }
 
@@ -472,8 +478,14 @@ fn handshake_symbols(cfg: &SimConfig, alloc: &[(usize, usize)], blob_bytes: usiz
 /// re-evaluating channel taps.
 pub(crate) struct SimEngine<'a> {
     topo: &'a Topology,
-    scenario: &'a Scenario,
-    cfg: &'a SimConfig,
+    /// The run description: scenario, environment (whose hardware
+    /// corrupts believed channels), rounds and models.
+    spec: &'a SweepSpec,
+    /// The §4 join-power threshold `L` in dB, resolved once from the
+    /// spec.
+    l_db: f64,
+    /// MAC timing on the sample clock: always [`SampleTiming::usrp2`].
+    timing: SampleTiming,
     /// Occupied subcarrier indices (FFT bins), in order.
     occ: Vec<usize>,
     /// Positions (into `occ`) of the bins the SINR grid evaluates: the
@@ -489,18 +501,20 @@ pub(crate) struct SimEngine<'a> {
 }
 
 impl<'a> SimEngine<'a> {
-    /// Builds the engine for one topology/scenario/config triple.
-    pub(crate) fn new(topo: &'a Topology, scenario: &'a Scenario, cfg: &'a SimConfig) -> Self {
+    /// Builds the engine for one topology drawn for `spec`'s scenario.
+    pub(crate) fn new(topo: &'a Topology, spec: &'a SweepSpec) -> Self {
+        let scenario = &spec.scenario;
         let occ = occupied_subcarrier_indices();
-        let eval_pos: Vec<usize> = match cfg.sinr_grid {
+        let eval_pos: Vec<usize> = match spec.sinr_grid {
             SinrGrid::Full => (0..occ.len()).collect(),
             SinrGrid::Decimated(k) => (0..occ.len()).step_by(k.max(1)).collect(),
         };
-        let cache = ChannelCache::build(topo, &occ, cfg.ofdm.fft_len);
+        let cache = ChannelCache::build(topo, &occ, OFDM.fft_len);
         SimEngine {
             topo,
-            scenario,
-            cfg,
+            spec,
+            l_db: spec.l_db(),
+            timing: SampleTiming::usrp2(),
             transmitters: scenario.transmitters(),
             flows_of: (0..scenario.antennas.len())
                 .map(|n| scenario.flows_of(n))
@@ -521,7 +535,7 @@ impl<'a> SimEngine<'a> {
     /// path), linear interpolation across the evaluated bins under
     /// [`SinrGrid::Decimated`].
     fn rate_sinrs<'s>(&self, per_eval: &'s [f64], interp: &'s mut Vec<f64>) -> &'s [f64] {
-        match self.cfg.sinr_grid {
+        match self.spec.sinr_grid {
             SinrGrid::Full => per_eval,
             SinrGrid::Decimated(_) => {
                 interpolate_track(&self.eval_pos, per_eval, self.occ.len(), interp);
@@ -574,7 +588,8 @@ impl<'a> SimEngine<'a> {
         if ctx.policy.perfect_knowledge() {
             out.assign_from(h);
         } else {
-            self.cfg
+            self.spec
+                .environment
                 .hardware
                 .reciprocal_channel_knowledge_into(h, rng, out);
         }
@@ -602,7 +617,7 @@ impl<'a> SimEngine<'a> {
             return false;
         };
         if !ctx.policy.perfect_knowledge() {
-            let hw = &self.cfg.hardware;
+            let hw = &self.spec.environment.hardware;
             #[cfg(debug_assertions)]
             let mut drawn = {
                 let mut drawn = rng.clone();
@@ -622,7 +637,7 @@ impl<'a> SimEngine<'a> {
     }
 
     fn n_ant(&self, node: usize) -> usize {
-        self.scenario.antennas[node]
+        self.spec.scenario.antennas[node]
     }
 
     /// Plans the transmission of one winner: computes precoders against
@@ -693,7 +708,7 @@ impl<'a> SimEngine<'a> {
             }
         }
         let rs = protected.push_slot();
-        rs.node = self.scenario.flows[f].rx;
+        rs.node = self.spec.scenario.flows[f].rx;
         rs.stream_ids.clear();
         rs.stream_ids.extend(stream_base..stream_base + n_streams);
         rs.reset_bins(n_eval);
@@ -760,7 +775,7 @@ impl<'a> SimEngine<'a> {
         }
         let lone = allocation.len() == 1;
         for (i, &(f, _)) in allocation.iter().enumerate() {
-            let rx = self.scenario.flows[f].rx;
+            let rx = self.spec.scenario.flows[f].rx;
             for e in 0..n_eval {
                 let k = self.eval_pos[e];
                 let out = &mut scratch.bo[i * n_eval + e];
@@ -797,7 +812,7 @@ impl<'a> SimEngine<'a> {
                     let pow = expected_interference_power(&scratch.bp[p * n_eval + mid]);
                     worst = f64::max(worst, pow);
                 }
-                join_power_decision_from_worst(worst, self.cfg.l_db)
+                join_power_decision_from_worst(worst, self.l_db)
             }
         } else {
             JoinPowerDecision::FullPower
@@ -815,7 +830,7 @@ impl<'a> SimEngine<'a> {
         // live in `streams` at this point, exactly the set the old code
         // iterated as `ongoing_streams`.
         for &(f, n_streams) in allocation {
-            let rx = self.scenario.flows[f].rx;
+            let rx = self.spec.scenario.flows[f].rx;
             let n_rx = self.n_ant(rx);
             let target = n_rx.saturating_sub(n_streams);
             let rs = protected.push_slot();
@@ -928,7 +943,7 @@ impl<'a> SimEngine<'a> {
         // early `return None`.
         let mut lo = 0usize;
         for (i, &(f, n_streams)) in allocation.iter().enumerate() {
-            let rx = self.scenario.flows[f].rx;
+            let rx = self.spec.scenario.flows[f].rx;
             let hi = lo + n_streams;
             while scratch.sinr_acc.len() < n_streams {
                 scratch.sinr_acc.push(Vec::new());
@@ -1014,7 +1029,7 @@ impl<'a> SimEngine<'a> {
     ) {
         let (protected, streams) = (planned.protected.as_slice(), planned.streams.as_slice());
         bits.clear();
-        bits.resize(self.scenario.flows.len(), 0.0);
+        bits.resize(self.spec.scenario.flows.len(), 0.0);
         for rx_state in protected {
             // Streams this state decodes: exactly the ones registered
             // with it. Matching by receiver *node* here would break the
@@ -1104,7 +1119,7 @@ impl<'a> SimEngine<'a> {
         }
     }
 
-    /// Simulates `cfg.rounds` rounds of `policy` and returns the per-flow
+    /// Simulates the spec's rounds of `policy` and returns the per-flow
     /// goodput. Engines are reusable: each call starts a fresh
     /// accounting with the caller's RNG.
     ///
@@ -1127,9 +1142,9 @@ impl<'a> SimEngine<'a> {
         let mut acc = GoodputAccumulator::new();
         let meta = RunMeta {
             policy: policy.name(),
-            n_flows: self.scenario.flows.len(),
-            rounds: self.cfg.rounds,
-            bandwidth_hz: self.cfg.ofdm.bandwidth_hz,
+            n_flows: self.spec.scenario.flows.len(),
+            rounds: self.spec.rounds,
+            bandwidth_hz: OFDM.bandwidth_hz,
             identity,
         };
         let mut tee = Tee {
@@ -1139,10 +1154,10 @@ impl<'a> SimEngine<'a> {
         tee.on_run_start(&meta);
         let mut scratch = Scratch::default();
         let mut bufs = RoundBufs::default();
-        let mut traffic = TrafficState::new(&self.cfg.traffic, self.scenario.flows.len());
+        let mut traffic = TrafficState::new(&self.spec.traffic, self.spec.scenario.flows.len());
         let mut mobility = MobilityState::new_for(self);
         let mut active: Vec<usize> = Vec::with_capacity(self.transmitters.len());
-        for round in 0..self.cfg.rounds {
+        for round in 0..self.spec.rounds {
             if let Some(m) = mobility.as_mut() {
                 if m.advance(&self.cache, round, rng) {
                     // Channels moved: memoized opening plans and
@@ -1161,7 +1176,7 @@ impl<'a> SimEngine<'a> {
             // decided by the queues as of now. Saturated traffic keeps
             // no queues, draws nothing, and activates everyone — the
             // exact legacy path.
-            traffic.arrive(&self.cfg.traffic, rng);
+            traffic.arrive(&self.spec.traffic, rng);
             active.clear();
             active.extend(
                 self.transmitters
@@ -1180,7 +1195,7 @@ impl<'a> SimEngine<'a> {
                 // Nothing queued anywhere: the medium idles one DIFS.
                 bufs.plan.events.clear();
                 bufs.plan
-                    .close_idle(self.scenario.flows.len(), self.cfg.timing.difs);
+                    .close_idle(self.spec.scenario.flows.len(), self.timing.difs);
                 &bufs.plan
             } else if policy.omniscient() {
                 self.omniscient_round(&ctx, &mut scratch, &mut bufs, rng)
@@ -1252,7 +1267,7 @@ impl<'a> SimEngine<'a> {
         bufs: &mut RoundBufs,
         rng: &mut StdRng,
     ) -> bool {
-        let timing = &self.cfg.timing;
+        let timing = &self.timing;
         bufs.planned.protected.clear();
         bufs.planned.streams.clear();
         bufs.plan.events.clear();
@@ -1273,7 +1288,7 @@ impl<'a> SimEngine<'a> {
         let mut overhead = timing.difs + slots * timing.slot;
 
         ctx.policy.primary_allocation_into(
-            self.scenario,
+            &self.spec.scenario,
             &self.flows_of,
             primary,
             ctx.round,
@@ -1290,19 +1305,19 @@ impl<'a> SimEngine<'a> {
         );
         let Some((p0, p1)) = planned else {
             bufs.plan
-                .close_idle(self.scenario.flows.len(), overhead + timing.difs);
+                .close_idle(self.spec.scenario.flows.len(), overhead + timing.difs);
             return false;
         };
         // The body: handshake airtime from the real allocation, length
         // from the primary's aggregate rate (one packet per serviced
         // flow), and the primary's streams span all of it.
-        let handshake = handshake_symbols(self.cfg, &bufs.first_alloc, TYPICAL_BLOB_BYTES);
+        let handshake = handshake_symbols(timing, &bufs.first_alloc, TYPICAL_BLOB_BYTES);
         overhead += timing.symbol * handshake as u64;
         let streams = &mut bufs.planned.streams;
         let rate_sum: usize = (p0..p1)
             .map(|i| RATE_TABLE[streams[i].rate].data_bits_per_symbol())
             .sum();
-        let packet_bits = self.cfg.packet_bytes * 8 * bufs.first_alloc.len();
+        let packet_bits = PACKET_BYTES * 8 * bufs.first_alloc.len();
         let body_symbols = packet_bits.div_ceil(rate_sum.max(1));
         for i in p0..p1 {
             streams[i].active_symbols = body_symbols;
@@ -1372,7 +1387,7 @@ impl<'a> SimEngine<'a> {
         bufs: &mut RoundBufs,
         rng: &mut StdRng,
     ) -> Option<(usize, JoinOutcome)> {
-        let timing = &self.cfg.timing;
+        let timing = &self.timing;
         let k_used = bufs.planned.streams.len();
         let streams = &bufs.planned.streams;
         let barred = &scratch.barred;
@@ -1414,7 +1429,7 @@ impl<'a> SimEngine<'a> {
             }
         };
         ctx.policy.join_allocation_into(
-            self.scenario,
+            &self.spec.scenario,
             &self.flows_of,
             joiner,
             k_used,
@@ -1429,7 +1444,7 @@ impl<'a> SimEngine<'a> {
         // The join consumes body time: its backoff (none when
         // scheduled) plus its handshake, sized by the actual allocation.
         let delay = ((slots * timing.slot) as usize).div_ceil(timing.symbol as usize)
-            + handshake_symbols(self.cfg, &bufs.join_alloc, TYPICAL_BLOB_BYTES);
+            + handshake_symbols(timing, &bufs.join_alloc, TYPICAL_BLOB_BYTES);
         let end = *elapsed + delay;
         if end >= bufs.plan.body_symbols {
             return Some((joiner, JoinOutcome::NoAirtime { requested }));
@@ -1504,8 +1519,8 @@ impl<'a> SimEngine<'a> {
             // Nobody could transmit: the failed opening's charge,
             // without a backoff.
             let mut idle = RoundPlan::default();
-            let difs = self.cfg.timing.difs;
-            idle.close_idle(self.scenario.flows.len(), difs + difs);
+            let difs = self.timing.difs;
+            idle.close_idle(self.spec.scenario.flows.len(), difs + difs);
             idle
         });
         if scratch.schedules.len() >= MAX_SCHEDULES {
@@ -1537,12 +1552,19 @@ impl<'a> SimEngine<'a> {
         key.push(ctx.active.len());
         key.extend_from_slice(ctx.active);
         for &t in ctx.active {
-            policy.primary_allocation_into(self.scenario, &self.flows_of, t, round, alloc);
+            policy.primary_allocation_into(&self.spec.scenario, &self.flows_of, t, round, alloc);
             ctx.traffic.retain_backlogged(alloc);
             key.push(alloc.len());
             key.extend(alloc.iter().flat_map(|&(f, n)| [f, n]));
             for k in 0..self.n_ant(t) {
-                policy.join_allocation_into(self.scenario, &self.flows_of, t, k, round, alloc);
+                policy.join_allocation_into(
+                    &self.spec.scenario,
+                    &self.flows_of,
+                    t,
+                    k,
+                    round,
+                    alloc,
+                );
                 ctx.traffic.retain_backlogged(alloc);
                 key.push(alloc.len());
                 key.extend(alloc.iter().flat_map(|&(f, n)| [f, n]));
@@ -1707,7 +1729,7 @@ impl MobilityState {
         let MobilityModel::Waypoint {
             step_m,
             epoch_rounds,
-        } = engine.cfg.mobility
+        } = engine.spec.mobility
         else {
             return None;
         };
@@ -1765,6 +1787,7 @@ mod tests {
     use super::*;
     use crate::observer::NullObserver;
     use crate::policy::{Beamforming, Dot11n, GreedyJoin, NPlus, Oracle};
+    use crate::sim::Scenario;
     use nplus_channel::environment::SIGCOMM11_INDOOR;
     use nplus_medium::topology::build_environment_topology;
     use rand::SeedableRng;
@@ -1787,6 +1810,11 @@ mod tests {
         (topo, rng)
     }
 
+    /// `three_pairs` in the paper's world for `rounds` rounds.
+    fn three_pairs(rounds: usize) -> SweepSpec {
+        SweepSpec::new(Scenario::three_pairs()).rounds(rounds)
+    }
+
     /// One unobserved run of `policy` with a fresh RNG seeded by `seed`.
     fn run_seeded(engine: &SimEngine<'_>, policy: Policy, seed: u64) -> RunResult {
         engine.run(
@@ -1798,13 +1826,9 @@ mod tests {
     }
 
     fn run(policy: Policy, seed: u64) -> RunResult {
-        let scenario = Scenario::three_pairs();
-        let (topo, mut rng) = placed(&scenario, seed);
-        let cfg = SimConfig {
-            rounds: 12,
-            ..SimConfig::default()
-        };
-        SimEngine::new(&topo, &scenario, &cfg).run(policy, &mut rng, &mut NullObserver, None)
+        let spec = three_pairs(12);
+        let (topo, mut rng) = placed(&spec.scenario, seed);
+        SimEngine::new(&topo, &spec).run(policy, &mut rng, &mut NullObserver, None)
     }
 
     #[test]
@@ -1853,19 +1877,10 @@ mod tests {
 
     #[test]
     fn ap_downlink_scenario_runs_all_protocols() {
-        let scenario = Scenario::ap_downlink();
+        let spec = SweepSpec::new(Scenario::ap_downlink()).rounds(8);
         for policy in [NPlus, Dot11n, Beamforming] {
-            let (topo, mut rng) = placed(&scenario, 9);
-            let cfg = SimConfig {
-                rounds: 8,
-                ..SimConfig::default()
-            };
-            let r = SimEngine::new(&topo, &scenario, &cfg).run(
-                policy,
-                &mut rng,
-                &mut NullObserver,
-                None,
-            );
+            let (topo, mut rng) = placed(&spec.scenario, 9);
+            let r = SimEngine::new(&topo, &spec).run(policy, &mut rng, &mut NullObserver, None);
             assert!(r.total_mbps > 0.0, "{} zero throughput", policy.name());
         }
     }
@@ -1874,18 +1889,14 @@ mod tests {
     fn beamforming_beats_dot11n_on_downlink() {
         // MU beamforming serves both clients at once when AP2 wins, so it
         // must outperform single-user 802.11n in this scenario.
-        let scenario = Scenario::ap_downlink();
+        let spec = SweepSpec::new(Scenario::ap_downlink()).rounds(10);
         let (mut bf, mut dn) = (0.0, 0.0);
         for seed in 0..6 {
-            let (topo, mut rng) = placed(&scenario, seed);
-            let cfg = SimConfig {
-                rounds: 10,
-                ..SimConfig::default()
-            };
-            bf += SimEngine::new(&topo, &scenario, &cfg)
+            let (topo, mut rng) = placed(&spec.scenario, seed);
+            bf += SimEngine::new(&topo, &spec)
                 .run(Beamforming, &mut rng, &mut NullObserver, None)
                 .total_mbps;
-            dn += SimEngine::new(&topo, &scenario, &cfg)
+            dn += SimEngine::new(&topo, &spec)
                 .run(Dot11n, &mut rng, &mut NullObserver, None)
                 .total_mbps;
         }
@@ -1931,9 +1942,9 @@ mod tests {
     /// byte per stream.
     #[test]
     fn handshake_symbols_pads_each_ack_and_counts_streams() {
-        let cfg = SimConfig::default();
+        let timing = SampleTiming::usrp2();
         let base = BASE_RATE.data_bits_per_symbol();
-        let sifs_syms = (cfg.timing.sifs as usize).div_ceil(cfg.timing.symbol as usize);
+        let sifs_syms = (timing.sifs as usize).div_ceil(timing.symbol as usize);
         // Frame sizes from the nplus-mac layout arithmetic, which that
         // crate pins against the byte layout, so the accounting can never
         // drift from what the wire format encodes.
@@ -1948,7 +1959,7 @@ mod tests {
         let expected =
             hdr_bits(2).div_ceil(base) + 2 * ack_bits(1, blob).div_ceil(base) + 2 * sifs_syms;
         assert_eq!(
-            handshake_symbols(&cfg, &[(0, 1), (1, 1)], blob),
+            handshake_symbols(&timing, &[(0, 1), (1, 1)], blob),
             expected,
             "two single-stream ACKs must be padded individually"
         );
@@ -1960,14 +1971,15 @@ mod tests {
             .find(|&b| ack_bits(2, b).div_ceil(base) > ack_bits(1, b).div_ceil(base))
             .expect("some blob size must expose the stream-count bug");
         assert!(
-            handshake_symbols(&cfg, &[(0, 2)], blob2) > handshake_symbols(&cfg, &[(0, 1)], blob2),
+            handshake_symbols(&timing, &[(0, 2)], blob2)
+                > handshake_symbols(&timing, &[(0, 1)], blob2),
             "extra streams must be accounted in the ACK"
         );
 
         // Empty allocation falls back to the single-receiver baseline.
         assert_eq!(
-            handshake_symbols(&cfg, &[], blob),
-            handshake_symbols(&cfg, &[(0, 1)], blob)
+            handshake_symbols(&timing, &[], blob),
+            handshake_symbols(&timing, &[(0, 1)], blob)
         );
     }
 
@@ -1976,16 +1988,12 @@ mod tests {
     /// one; an observer and an identity only listen.
     #[test]
     fn engine_reuse_is_deterministic() {
-        let scenario = Scenario::three_pairs();
-        let topo = placed(&scenario, 21).0;
-        let cfg = SimConfig {
-            rounds: 6,
-            ..SimConfig::default()
-        };
-        let engine = SimEngine::new(&topo, &scenario, &cfg);
+        let spec = three_pairs(6);
+        let topo = placed(&spec.scenario, 21).0;
+        let engine = SimEngine::new(&topo, &spec);
         let a = run_seeded(&engine, NPlus, 5);
         let b = run_seeded(&engine, NPlus, 5);
-        let c = run_seeded(&SimEngine::new(&topo, &scenario, &cfg), NPlus, 5);
+        let c = run_seeded(&SimEngine::new(&topo, &spec), NPlus, 5);
         let identity = RunIdentity {
             seed: 21,
             environment: "sigcomm11".to_string(),
@@ -2007,13 +2015,9 @@ mod tests {
     /// contention) and beats n+ on the canonical scenario.
     #[test]
     fn oracle_is_deterministic_and_dominates_here() {
-        let scenario = Scenario::three_pairs();
-        let topo = placed(&scenario, 3).0;
-        let cfg = SimConfig {
-            rounds: 6,
-            ..SimConfig::default()
-        };
-        let engine = SimEngine::new(&topo, &scenario, &cfg);
+        let spec = three_pairs(6);
+        let topo = placed(&spec.scenario, 3).0;
+        let engine = SimEngine::new(&topo, &spec);
         let a = run_seeded(&engine, Oracle, 1);
         let b = run_seeded(&engine, Oracle, 999);
         // Different RNG seeds, identical results: no RNG consumed.
@@ -2032,13 +2036,9 @@ mod tests {
     /// the RNG streams stay aligned and runs are comparable seed-by-seed.
     #[test]
     fn greedy_join_runs_and_uses_concurrency() {
-        let scenario = Scenario::three_pairs();
-        let topo = placed(&scenario, 0).0;
-        let cfg = SimConfig {
-            rounds: 10,
-            ..SimConfig::default()
-        };
-        let engine = SimEngine::new(&topo, &scenario, &cfg);
+        let spec = three_pairs(10);
+        let topo = placed(&spec.scenario, 0).0;
+        let engine = SimEngine::new(&topo, &spec);
         let g = run_seeded(&engine, GreedyJoin, 4);
         let d = run_seeded(&engine, Dot11n, 4);
         assert!(g.total_mbps.is_finite() && g.total_mbps > 0.0);
@@ -2072,29 +2072,15 @@ mod tests {
     /// seed (arrivals come from the same RNG stream as the run).
     #[test]
     fn poisson_low_load_delivers_fewer_bits_deterministically() {
-        let scenario = Scenario::three_pairs();
         let topo = three_pairs_topo(7);
-        let rounds = 16;
-        let sat_cfg = SimConfig {
-            rounds,
-            ..SimConfig::default()
-        };
-        let poi_cfg = SimConfig {
-            rounds,
-            traffic: TrafficModel::Poisson {
-                mean_per_round: 0.2,
-            },
-            ..SimConfig::default()
-        };
+        let sat_spec = three_pairs(16);
+        let poi_spec = three_pairs(16).traffic(TrafficModel::Poisson {
+            mean_per_round: 0.2,
+        });
         let mut sat = BitsTally::default();
-        SimEngine::new(&topo, &scenario, &sat_cfg).run(
-            NPlus,
-            &mut StdRng::seed_from_u64(2),
-            &mut sat,
-            None,
-        );
+        SimEngine::new(&topo, &sat_spec).run(NPlus, &mut StdRng::seed_from_u64(2), &mut sat, None);
         let mut poi = BitsTally::default();
-        let a = SimEngine::new(&topo, &scenario, &poi_cfg).run(
+        let a = SimEngine::new(&topo, &poi_spec).run(
             NPlus,
             &mut StdRng::seed_from_u64(2),
             &mut poi,
@@ -2111,12 +2097,7 @@ mod tests {
             "low load must idle rounds"
         );
         // Same seed, same arrivals, same result — bit-for-bit.
-        let b = SimEngine::new(&topo, &scenario, &poi_cfg).run(
-            NPlus,
-            &mut StdRng::seed_from_u64(2),
-            &mut NullObserver,
-            None,
-        );
+        let b = run_seeded(&SimEngine::new(&topo, &poi_spec), NPlus, 2);
         assert_eq!(a.per_flow_mbps, b.per_flow_mbps);
         assert_eq!(a.total_mbps.to_bits(), b.total_mbps.to_bits());
     }
@@ -2125,30 +2106,16 @@ mod tests {
     /// and deliver fewer bits than saturated traffic.
     #[test]
     fn bursty_traffic_starves_between_bursts() {
-        let scenario = Scenario::three_pairs();
         let topo = three_pairs_topo(4);
-        let rounds = 16;
-        let sat_cfg = SimConfig {
-            rounds,
-            ..SimConfig::default()
-        };
-        let bur_cfg = SimConfig {
-            rounds,
-            traffic: TrafficModel::Bursty {
-                mean_on_rounds: 1.0,
-                mean_off_rounds: 1e6,
-            },
-            ..SimConfig::default()
-        };
+        let sat_spec = three_pairs(16);
+        let bur_spec = three_pairs(16).traffic(TrafficModel::Bursty {
+            mean_on_rounds: 1.0,
+            mean_off_rounds: 1e6,
+        });
         let mut sat = BitsTally::default();
-        SimEngine::new(&topo, &scenario, &sat_cfg).run(
-            NPlus,
-            &mut StdRng::seed_from_u64(9),
-            &mut sat,
-            None,
-        );
+        SimEngine::new(&topo, &sat_spec).run(NPlus, &mut StdRng::seed_from_u64(9), &mut sat, None);
         let mut bur = BitsTally::default();
-        let r = SimEngine::new(&topo, &scenario, &bur_cfg).run(
+        let r = SimEngine::new(&topo, &bur_spec).run(
             NPlus,
             &mut StdRng::seed_from_u64(9),
             &mut bur,
@@ -2167,43 +2134,19 @@ mod tests {
     /// is deterministic in the run seed.
     #[test]
     fn waypoint_mobility_changes_results_deterministically() {
-        let scenario = Scenario::three_pairs();
         let topo = three_pairs_topo(13);
-        let rounds = 10;
-        let still_cfg = SimConfig {
-            rounds,
-            ..SimConfig::default()
-        };
-        let move_cfg = SimConfig {
-            rounds,
-            mobility: MobilityModel::Waypoint {
-                step_m: 8.0,
-                epoch_rounds: 2,
-            },
-            ..SimConfig::default()
-        };
-        let still = SimEngine::new(&topo, &scenario, &still_cfg).run(
-            NPlus,
-            &mut StdRng::seed_from_u64(6),
-            &mut NullObserver,
-            None,
-        );
-        let moved = SimEngine::new(&topo, &scenario, &move_cfg).run(
-            NPlus,
-            &mut StdRng::seed_from_u64(6),
-            &mut NullObserver,
-            None,
-        );
+        let still_spec = three_pairs(10);
+        let move_spec = three_pairs(10).mobility(MobilityModel::Waypoint {
+            step_m: 8.0,
+            epoch_rounds: 2,
+        });
+        let still = run_seeded(&SimEngine::new(&topo, &still_spec), NPlus, 6);
+        let moved = run_seeded(&SimEngine::new(&topo, &move_spec), NPlus, 6);
         assert_ne!(
             still.per_flow_mbps, moved.per_flow_mbps,
             "8 m steps every 2 rounds left every flow untouched"
         );
-        let moved_again = SimEngine::new(&topo, &scenario, &move_cfg).run(
-            NPlus,
-            &mut StdRng::seed_from_u64(6),
-            &mut NullObserver,
-            None,
-        );
+        let moved_again = run_seeded(&SimEngine::new(&topo, &move_spec), NPlus, 6);
         assert_eq!(moved.per_flow_mbps, moved_again.per_flow_mbps);
         assert_eq!(moved.total_mbps.to_bits(), moved_again.total_mbps.to_bits());
     }
@@ -2214,19 +2157,14 @@ mod tests {
     /// reproduces the first.
     #[test]
     fn mobility_runs_leave_the_engine_cache_untouched() {
-        let scenario = Scenario::three_pairs();
         let topo = three_pairs_topo(13);
-        let cfg = SimConfig {
-            rounds: 10,
-            mobility: MobilityModel::Waypoint {
-                step_m: 8.0,
-                epoch_rounds: 2,
-            },
-            ..SimConfig::default()
-        };
-        let engine = SimEngine::new(&topo, &scenario, &cfg);
+        let spec = three_pairs(10).mobility(MobilityModel::Waypoint {
+            step_m: 8.0,
+            epoch_rounds: 2,
+        });
+        let engine = SimEngine::new(&topo, &spec);
         let first = run_seeded(&engine, NPlus, 6);
-        let fresh = ChannelCache::build(&topo, &engine.occ, cfg.ofdm.fft_len);
+        let fresh = ChannelCache::build(&topo, &engine.occ, OFDM.fft_len);
         let keys: Vec<_> = fresh.links().collect();
         assert_eq!(engine.cache.links().collect::<Vec<_>>(), keys);
         for (f, t) in keys {
@@ -2283,11 +2221,8 @@ mod tests {
             topo.medium.link(topo.nodes[2], topo.nodes[25]).is_none(),
             "cross-map link unexpectedly installed"
         );
-        let cfg = SimConfig {
-            rounds: 8,
-            ..SimConfig::default()
-        };
-        let engine = SimEngine::new(&topo, &scenario, &cfg);
+        let spec = SweepSpec::new(scenario).environment(*world).rounds(8);
+        let engine = SimEngine::new(&topo, &spec);
         for policy in [NPlus, Dot11n, Oracle] {
             let r = run_seeded(&engine, policy, 3);
             assert!(
@@ -2333,28 +2268,11 @@ mod tests {
     /// tracks are smooth across neighbouring OFDM bins).
     #[test]
     fn decimated_grid_tracks_full_grid() {
-        let scenario = Scenario::three_pairs();
         let topo = three_pairs_topo(11);
-        let full_cfg = SimConfig {
-            rounds: 10,
-            ..SimConfig::default()
-        };
-        let dec_cfg = SimConfig {
-            sinr_grid: SinrGrid::Decimated(4),
-            ..full_cfg.clone()
-        };
-        let full = SimEngine::new(&topo, &scenario, &full_cfg).run(
-            NPlus,
-            &mut StdRng::seed_from_u64(8),
-            &mut NullObserver,
-            None,
-        );
-        let dec = SimEngine::new(&topo, &scenario, &dec_cfg).run(
-            NPlus,
-            &mut StdRng::seed_from_u64(8),
-            &mut NullObserver,
-            None,
-        );
+        let full_spec = three_pairs(10);
+        let dec_spec = three_pairs(10).sinr_grid(SinrGrid::Decimated(4));
+        let full = run_seeded(&SimEngine::new(&topo, &full_spec), NPlus, 8);
+        let dec = run_seeded(&SimEngine::new(&topo, &dec_spec), NPlus, 8);
         assert!(dec.total_mbps.is_finite() && dec.total_mbps > 0.0);
         let rel = (dec.total_mbps - full.total_mbps).abs() / full.total_mbps;
         assert!(
@@ -2365,12 +2283,7 @@ mod tests {
             rel * 100.0
         );
         // Decimated runs are themselves deterministic.
-        let again = SimEngine::new(&topo, &scenario, &dec_cfg).run(
-            NPlus,
-            &mut StdRng::seed_from_u64(8),
-            &mut NullObserver,
-            None,
-        );
+        let again = run_seeded(&SimEngine::new(&topo, &dec_spec), NPlus, 8);
         assert_eq!(dec.total_mbps.to_bits(), again.total_mbps.to_bits());
     }
 }

@@ -54,9 +54,6 @@ mod sweep;
 pub(crate) use engine::SimEngine;
 pub use sweep::{aggregate_results, CanonicalSpec, SeedResults, SweepError, SweepSpec, SweepStats};
 
-use nplus_channel::impairments::HardwareProfile;
-use nplus_mac::timing::SampleTiming;
-use nplus_phy::params::OfdmConfig;
 use std::fmt;
 use std::str::FromStr;
 
@@ -476,47 +473,6 @@ impl FromStr for SinrGrid {
     }
 }
 
-/// Simulation knobs: what [`SweepSpec`]'s setters fill in.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SimConfig {
-    /// OFDM geometry (10 MHz USRP2 profile by default).
-    pub(crate) ofdm: OfdmConfig,
-    /// MAC timing on the sample clock.
-    pub(crate) timing: SampleTiming,
-    /// Hardware impairment model (bounds cancellation depth).
-    pub(crate) hardware: HardwareProfile,
-    /// Join-power threshold `L` in dB (§4).
-    pub(crate) l_db: f64,
-    /// Packet size per flow per round, bytes.
-    pub(crate) packet_bytes: usize,
-    /// Rounds to simulate.
-    pub(crate) rounds: usize,
-    /// Per-flow offered load ([`TrafficModel::Saturated`] by default —
-    /// the paper's always-backlogged assumption, zero RNG).
-    pub(crate) traffic: TrafficModel,
-    /// Node mobility ([`MobilityModel::Static`] by default — zero RNG).
-    pub(crate) mobility: MobilityModel,
-    /// SINR evaluation grid ([`SinrGrid::Full`] by default — the exact
-    /// legacy every-bin path).
-    pub(crate) sinr_grid: SinrGrid,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            ofdm: OfdmConfig::usrp2(),
-            timing: SampleTiming::usrp2(),
-            hardware: HardwareProfile::default(),
-            l_db: crate::power_control::DEFAULT_L_DB,
-            packet_bytes: 1500,
-            rounds: 40,
-            traffic: TrafficModel::Saturated,
-            mobility: MobilityModel::Static,
-            sinr_grid: SinrGrid::Full,
-        }
-    }
-}
-
 /// Result of one simulation run.
 #[derive(Debug, Clone)]
 pub struct RunResult {
@@ -660,10 +616,10 @@ mod tests {
         assert_eq!(TrafficModel::default(), TrafficModel::Saturated);
         assert_eq!(MobilityModel::default(), MobilityModel::Static);
         assert_eq!(SinrGrid::default(), SinrGrid::Full);
-        let cfg = SimConfig::default();
-        assert_eq!(cfg.traffic, TrafficModel::Saturated);
-        assert_eq!(cfg.mobility, MobilityModel::Static);
-        assert_eq!(cfg.sinr_grid, SinrGrid::Full);
+        let spec = SweepSpec::new(Scenario::three_pairs());
+        assert_eq!(spec.traffic, TrafficModel::Saturated);
+        assert_eq!(spec.mobility, MobilityModel::Static);
+        assert_eq!(spec.sinr_grid, SinrGrid::Full);
     }
 
     #[test]

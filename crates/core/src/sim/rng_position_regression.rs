@@ -22,7 +22,7 @@
 use crate::observer::NullObserver;
 use crate::policy::{GreedyJoin, NPlus, Policy};
 use crate::scenario::{parse_spec, place};
-use crate::sim::{Scenario, SimConfig, SimEngine};
+use crate::sim::{Scenario, SimEngine, SweepSpec};
 use nplus_channel::environment::{environment_from_name, Environment};
 use nplus_testkit::Fnv;
 use rand::rngs::StdRng;
@@ -56,16 +56,11 @@ fn case(label: &str) -> (Scenario, &'static Environment) {
 fn run_case(label: &str, policy: Policy) -> (u64, u64) {
     let (scenario, env) = case(label);
     let testbed = env.testbed(scenario.antennas.len()).expect("scenario fits");
-    let cfg = SimConfig {
-        rounds: ROUNDS,
-        hardware: env.hardware,
-        l_db: env.join_power_l_db(),
-        ..SimConfig::default()
-    };
+    let spec = SweepSpec::new(scenario).environment(*env).rounds(ROUNDS);
     let (mut results, mut positions) = (Fnv::new(), Fnv::new());
     for seed in SEEDS {
-        let topo = place(env, &testbed, &scenario.antennas, seed).expect("scenario fits");
-        let engine = SimEngine::new(&topo, &scenario, &cfg);
+        let topo = place(env, &testbed, &spec.scenario.antennas, seed).expect("scenario fits");
+        let engine = SimEngine::new(&topo, &spec);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_CAFE);
         let r = engine.run(policy, &mut rng, &mut NullObserver, None);
         results.u64(r.per_flow_mbps.len() as u64);

@@ -16,7 +16,7 @@
 //! and [`SweepError`] is the typed error surface it funnels malformed
 //! input through: no reachable panic from a bad spec.
 
-use super::{MobilityModel, RunResult, Scenario, SimConfig, SimEngine, SinrGrid, TrafficModel};
+use super::{MobilityModel, RunResult, Scenario, SimEngine, SinrGrid, TrafficModel};
 use crate::observer::{NullObserver, RoundObserver, RunIdentity};
 use crate::policy::{Beamforming, Dot11n, NPlus, Policy};
 use nplus_channel::environment::{
@@ -76,8 +76,8 @@ pub enum SweepError {
     /// an empty seed list, zero rounds — see `Scenario::validate`.
     InvalidSpec(String),
     /// The spec cannot be canonicalized for content-addressing (custom
-    /// non-registry parts, or config fields beyond the canonical
-    /// surface) — see [`SweepSpec::canonical`].
+    /// non-registry parts, or a threshold `L` or run seed XOR off its
+    /// default) — see [`SweepSpec::canonical`].
     NotCanonical(String),
 }
 
@@ -135,10 +135,10 @@ impl From<EnvironmentError> for SweepError {
 ///
 /// **What is deliberately not:** the thread count (results are
 /// bit-identical at every value).
-/// Everything else — the §4 threshold
-/// [`join_power_l_db`](SweepSpec::join_power_l_db), the
-/// [`run_seed_xor`](SweepSpec::run_seed_xor) and the rest of the
-/// engine's config — must sit at its defaults: [`SweepSpec::canonical`]
+/// The rest — the §4 threshold
+/// [`join_power_l_db`](SweepSpec::join_power_l_db) and the
+/// [`run_seed_xor`](SweepSpec::run_seed_xor) — must sit at the
+/// environment's and the default value: [`SweepSpec::canonical`]
 /// refuses otherwise rather than hash fields it does not encode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CanonicalSpec {
@@ -329,7 +329,7 @@ pub struct SeedResults {
     pub per_policy: Vec<RunResult>,
 }
 
-// A threaded sweep shares the scenario/config/testbed/policies across
+// A threaded sweep shares the spec/testbed/policies across
 // scoped worker threads and sends per-seed results back; all of it must
 // be thread-safe by construction (policies are plain `Copy` values, and
 // the medium-side types carry their own assertions next to their
@@ -337,7 +337,7 @@ pub struct SeedResults {
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Scenario>();
-    assert_send_sync::<SimConfig>();
+    assert_send_sync::<SweepSpec>();
     assert_send_sync::<RunResult>();
     assert_send_sync::<SeedResults>();
 };
@@ -403,8 +403,8 @@ pub fn aggregate_results(
 
 /// Builder facade over the whole simulation surface: scenario in,
 /// statistics out. It is the one sweep API — a single seed *is* a
-/// sweep of one — and the only place policies, seeds, testbed, config
-/// and thread count meet.
+/// sweep of one — and the only place policies, seeds, testbed, engine
+/// settings and thread count meet.
 ///
 /// ```
 /// use nplus::prelude::*;
@@ -425,14 +425,28 @@ pub fn aggregate_results(
 /// ([`SIGCOMM11_INDOOR`] — other worlds via
 /// [`environment`](SweepSpec::environment) /
 /// [`environment_named`](SweepSpec::environment_named)), the testbed
-/// map is the environment's smallest fitting map, runs last 40 rounds,
-/// seeds are `0..20`, each run's RNG is seeded by its seed
+/// map is the environment's smallest fitting map, the §4 threshold `L`
+/// is the environment's, runs last 40 rounds of saturated, static
+/// traffic on the full SINR grid, seeds are `0..20`, each run's RNG is seeded by its seed
 /// `^ 0x5EED_CAFE`, policies are the paper's comparison set (802.11n,
 /// beamforming, n+), and execution is serial.
 pub struct SweepSpec {
-    scenario: Scenario,
-    environment: Environment,
-    cfg: SimConfig,
+    pub(super) scenario: Scenario,
+    /// The propagation world, whose hardware profile the engine reads.
+    pub(super) environment: Environment,
+    /// Rounds per run.
+    pub(super) rounds: usize,
+    /// The §4 join-power threshold `L` in dB, when set apart from
+    /// [`Environment::join_power_l_db`] — see [`SweepSpec::l_db`].
+    l_db: Option<f64>,
+    /// Per-flow offered load ([`TrafficModel::Saturated`] by default:
+    /// the paper's always-backlogged assumption, zero RNG).
+    pub(super) traffic: TrafficModel,
+    /// Node mobility ([`MobilityModel::Static`] by default: zero RNG).
+    pub(super) mobility: MobilityModel,
+    /// SINR evaluation grid ([`SinrGrid::Full`] by default: the exact
+    /// every-bin path).
+    pub(super) sinr_grid: SinrGrid,
     policies: Vec<Policy>,
     seeds: Vec<u64>,
     run_seed_xor: u64,
@@ -448,21 +462,17 @@ const DEFAULT_RUN_SEED_XOR: u64 = 0x5EED_CAFE;
 /// should leave the spec empty rather than re-listing these.
 const DEFAULT_POLICIES: [Policy; 3] = [Dot11n, Beamforming, NPlus];
 
-/// Mirrors the environment fields the engine reads from the config —
-/// the one place the `hardware`/`L` coupling lives, shared by by-value
-/// and by-name environment selection.
-fn apply_environment_config(cfg: &mut SimConfig, env: &Environment) {
-    cfg.hardware = env.hardware;
-    cfg.l_db = env.join_power_l_db();
-}
-
 impl SweepSpec {
     /// Starts a spec for `scenario` with the documented defaults.
     pub fn new(scenario: Scenario) -> Self {
         SweepSpec {
             scenario,
             environment: SIGCOMM11_INDOOR,
-            cfg: SimConfig::default(),
+            rounds: 40,
+            l_db: None,
+            traffic: TrafficModel::Saturated,
+            mobility: MobilityModel::Static,
+            sinr_grid: SinrGrid::Full,
             policies: Vec::new(),
             seeds: (0..20).collect(),
             run_seed_xor: DEFAULT_RUN_SEED_XOR,
@@ -471,15 +481,14 @@ impl SweepSpec {
     }
 
     /// Runs the sweep in `environment` instead of the paper's indoor
-    /// world: the placement map, loss law, delay profiles and
-    /// oscillator draws all come from it, and — like
-    /// [`rounds`](SweepSpec::rounds) — the call updates the config in
-    /// place with the environment's [`HardwareProfile`](
-    /// nplus_channel::impairments::HardwareProfile) and §4 threshold
-    /// `L`. A world that differs from the registry entry of its name
-    /// runs, but is not [`canonical`](SweepSpec::canonical).
+    /// world: the placement map, loss law, delay profiles, oscillator
+    /// draws and the radios' [`HardwareProfile`](
+    /// nplus_channel::impairments::HardwareProfile) all come from it,
+    /// and so does the §4 threshold `L` unless
+    /// [`join_power_l_db`](SweepSpec::join_power_l_db) sets it, before
+    /// or after this call. A world that differs from the registry entry
+    /// of its name runs, but is not [`canonical`](SweepSpec::canonical).
     pub fn environment(mut self, environment: Environment) -> Self {
-        apply_environment_config(&mut self.cfg, &environment);
         self.environment = environment;
         self
     }
@@ -487,35 +496,31 @@ impl SweepSpec {
     /// Selects a built-in environment by name, resolved through the one
     /// registry ([`environment_from_name`]; see
     /// [`BUILTIN_ENVIRONMENT_NAMES`](
-    /// nplus_channel::environment::BUILTIN_ENVIRONMENT_NAMES)). Applies
-    /// the environment's hardware profile and `L` exactly like
+    /// nplus_channel::environment::BUILTIN_ENVIRONMENT_NAMES)), then
     /// [`environment`](SweepSpec::environment).
     ///
     /// # Errors
     /// Returns the unknown name back.
-    pub fn environment_named(mut self, name: &str) -> Result<Self, String> {
+    pub fn environment_named(self, name: &str) -> Result<Self, String> {
         match environment_from_name(name) {
-            Some(env) => {
-                apply_environment_config(&mut self.cfg, env);
-                self.environment = *env;
-                Ok(self)
-            }
+            Some(env) => Ok(self.environment(*env)),
             None => Err(name.to_string()),
         }
     }
 
-    /// Sets just the round count (the most common config tweak).
+    /// Sets the round count per run.
     pub fn rounds(mut self, rounds: usize) -> Self {
-        self.cfg.rounds = rounds;
+        self.rounds = rounds;
         self
     }
 
-    /// Sets the §4 join-power threshold `L` in dB. The environment
-    /// sets it too, so call this after
-    /// [`environment`](SweepSpec::environment). A value other than the
-    /// environment's is not [`canonical`](SweepSpec::canonical).
+    /// Sets the §4 join-power threshold `L` in dB, in place of the
+    /// environment's [`join_power_l_db`](Environment::join_power_l_db)
+    /// whatever the order of the builder calls. A value other than the
+    /// environment's is not [`canonical`](SweepSpec::canonical), and a
+    /// non-finite one is an invalid spec.
     pub fn join_power_l_db(mut self, l_db: f64) -> Self {
-        self.cfg.l_db = l_db;
+        self.l_db = Some(l_db);
         self
     }
 
@@ -533,14 +538,14 @@ impl SweepSpec {
     /// non-default model changes the sweep's content key rather than
     /// making the spec uncacheable.
     pub fn traffic(mut self, traffic: TrafficModel) -> Self {
-        self.cfg.traffic = traffic;
+        self.traffic = traffic;
         self
     }
 
     /// Sets the node mobility model (canonical, like
     /// [`traffic`](SweepSpec::traffic)).
     pub fn mobility(mut self, mobility: MobilityModel) -> Self {
-        self.cfg.mobility = mobility;
+        self.mobility = mobility;
         self
     }
 
@@ -549,7 +554,7 @@ impl SweepSpec {
     /// a bounded goodput error for a large planning speed-up, and keys
     /// differently in the result cache than the exact full grid.
     pub fn sinr_grid(mut self, sinr_grid: SinrGrid) -> Self {
-        self.cfg.sinr_grid = sinr_grid;
+        self.sinr_grid = sinr_grid;
         self
     }
 
@@ -709,11 +714,9 @@ impl SweepSpec {
     /// Canonicalization requires the spec to be reconstructible from its
     /// canonical form alone: the environment must equal, by value, the
     /// registry entry of its name (a custom world keyed by a built-in's
-    /// name would alias that world's cache entries), and the config may
-    /// deviate from the environment's defaults only in
-    /// [`rounds`](SweepSpec::rounds),
-    /// [`traffic`](SweepSpec::traffic), [`mobility`](SweepSpec::mobility)
-    /// and the [`sinr_grid`](SweepSpec::sinr_grid), and the
+    /// name would alias that world's cache entries), a
+    /// [`join_power_l_db`](SweepSpec::join_power_l_db) override must
+    /// equal the environment's own `L`, and the
     /// [`run_seed_xor`](SweepSpec::run_seed_xor) must be the default.
     ///
     /// # Errors
@@ -721,9 +724,9 @@ impl SweepSpec {
     /// (checked first); [`SweepError::NotCanonical`] describing the
     /// offending part.
     pub fn canonical(&self) -> Result<CanonicalSpec, SweepError> {
-        // Validate first: a NaN model parameter would otherwise trip the
-        // config-equality check below (NaN != NaN) and misreport an
-        // invalid spec as merely non-canonical.
+        // Validate first: a NaN `L` or model parameter would otherwise
+        // trip an equality check (NaN != NaN) and misreport an invalid
+        // spec as merely non-canonical.
         self.validate()?;
         let env = &self.environment;
         if environment_from_name(env.name) != Some(env) {
@@ -732,21 +735,15 @@ impl SweepSpec {
                 env.name
             )));
         }
-        // Everything the engine reads from the config besides the round
-        // count must sit at the environment's defaults — otherwise the
-        // canonical bytes would not determine the results.
-        let mut base = SimConfig::default();
-        apply_environment_config(&mut base, env);
-        base.rounds = self.cfg.rounds;
-        base.traffic = self.cfg.traffic;
-        base.mobility = self.cfg.mobility;
-        base.sinr_grid = self.cfg.sinr_grid;
-        if base != self.cfg {
-            return Err(SweepError::NotCanonical(
-                "config deviates from the environment defaults (only rounds, traffic, \
-                 mobility and the SINR grid are canonical)"
-                    .to_string(),
-            ));
+        // The canonical bytes name the environment, not `L`: an `L` of
+        // its own would leave them short of determining the results.
+        if self.l_db() != env.join_power_l_db() {
+            return Err(SweepError::NotCanonical(format!(
+                "config deviates from the environment defaults: join-power L {} dB is not \
+                 the environment's {} dB",
+                self.l_db(),
+                env.join_power_l_db()
+            )));
         }
         if self.run_seed_xor != DEFAULT_RUN_SEED_XOR {
             return Err(SweepError::NotCanonical(format!(
@@ -763,26 +760,26 @@ impl SweepSpec {
             environment: env.name.to_string(),
             policies,
             seeds: self.seeds.clone(),
-            rounds: self.cfg.rounds,
-            traffic: self.cfg.traffic,
-            mobility: self.cfg.mobility,
-            sinr_grid: self.cfg.sinr_grid,
+            rounds: self.rounds,
+            traffic: self.traffic,
+            mobility: self.mobility,
+            sinr_grid: self.sinr_grid,
         })
     }
 
     /// The one spec validator every entry point runs before anything
     /// else: a structurally sound scenario, a non-empty seed list, at
-    /// least one round, no policy named twice, and valid
+    /// least one round, no policy named twice, a finite `L`, and valid
     /// traffic/mobility/SINR-grid parameters (a NaN Poisson mean would
-    /// hang the arrival sampler; better a typed error than an engine
-    /// misbehaving).
+    /// hang the arrival sampler, a NaN `L` would hand the precoder a
+    /// zero vector; better a typed error than an engine misbehaving).
     fn validate(&self) -> Result<(), SweepError> {
         let check = || {
             self.scenario.validate()?;
             if self.seeds.is_empty() {
                 return Err("empty seed list".to_string());
             }
-            if self.cfg.rounds == 0 {
+            if self.rounds == 0 {
                 return Err("zero rounds".to_string());
             }
             // A repeated policy would run twice under one name: its
@@ -793,9 +790,12 @@ impl SweepSpec {
                     return Err(format!("duplicate policy {:?}", p.name()));
                 }
             }
-            self.cfg.traffic.validate()?;
-            self.cfg.mobility.validate()?;
-            self.cfg.sinr_grid.validate()
+            if !self.l_db().is_finite() {
+                return Err(format!("join-power L {} dB is not finite", self.l_db()));
+            }
+            self.traffic.validate()?;
+            self.mobility.validate()?;
+            self.sinr_grid.validate()
         };
         check().map_err(SweepError::InvalidSpec)
     }
@@ -832,7 +832,7 @@ impl SweepSpec {
     ) -> Result<SeedResults, SweepError> {
         let topo =
             crate::scenario::place(&self.environment, testbed, &self.scenario.antennas, seed)?;
-        let engine = SimEngine::new(&topo, &self.scenario, &self.cfg);
+        let engine = SimEngine::new(&topo, self);
         let per_policy = policies
             .iter()
             .zip(observers.iter_mut())
@@ -847,6 +847,14 @@ impl SweepSpec {
             })
             .collect();
         Ok(SeedResults { seed, per_policy })
+    }
+
+    /// The §4 threshold `L` the runs use: the
+    /// [`join_power_l_db`](SweepSpec::join_power_l_db) override, else the
+    /// environment's.
+    pub(super) fn l_db(&self) -> f64 {
+        self.l_db
+            .unwrap_or_else(|| self.environment.join_power_l_db())
     }
 
     fn resolved_policies(&self) -> &[Policy] {
@@ -1230,23 +1238,34 @@ mod tests {
     /// Regression: zero rounds and an empty seed list ran to `NaN` /
     /// `-0.00` statistics through `try_run` while the canonical form
     /// rejected them, and a repeated policy ran twice under one name
-    /// (its recordings overwrote each other). The one validator now
-    /// refuses all three on every entry point, with the wire protocol's
-    /// error text.
+    /// (its recordings overwrote each other), and a non-finite `L`
+    /// panicked inside the engine (`cannot normalize a zero vector` in
+    /// the precoder's QR). The one validator now refuses all of them on
+    /// every entry point, with the wire protocol's error text.
     #[test]
     fn degenerate_specs_are_invalid_everywhere() {
-        for (spec, want) in [
+        let non_finite_l = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY].map(|l_db| {
+            (
+                SweepSpec::new(Scenario::three_pairs())
+                    .rounds(8)
+                    .seed_count(4)
+                    .policy(NPlus)
+                    .join_power_l_db(l_db),
+                format!("invalid spec: join-power L {l_db} dB is not finite"),
+            )
+        });
+        let cases = [
             (
                 SweepSpec::new(Scenario::three_pairs())
                     .rounds(0)
                     .seed_count(3),
-                "invalid spec: zero rounds",
+                "invalid spec: zero rounds".to_string(),
             ),
             (
                 SweepSpec::new(Scenario::three_pairs())
                     .rounds(5)
                     .seed_count(0),
-                "invalid spec: empty seed list",
+                "invalid spec: empty seed list".to_string(),
             ),
             (
                 SweepSpec::new(Scenario::three_pairs())
@@ -1255,9 +1274,10 @@ mod tests {
                     .policy(NPlus)
                     .policy(Dot11n)
                     .policy(NPlus),
-                "invalid spec: duplicate policy \"nplus\"",
+                "invalid spec: duplicate policy \"nplus\"".to_string(),
             ),
-        ] {
+        ];
+        for (spec, want) in cases.into_iter().chain(non_finite_l) {
             let errs = [
                 spec.try_run().unwrap_err(),
                 seed_results(&spec, 0).unwrap_err(),
@@ -1504,9 +1524,6 @@ mod tests {
             }
             other => panic!("expected NotCanonical({needle}), got {other:?}"),
         };
-        let mut tweaked_cfg = SweepSpec::new(Scenario::three_pairs());
-        tweaked_cfg.cfg.packet_bytes = 900;
-        not_canonical(&tweaked_cfg, "config deviates");
         let fresh = || SweepSpec::new(Scenario::three_pairs());
         not_canonical(&fresh().join_power_l_db(21.0), "config deviates");
         not_canonical(&fresh().run_seed_xor(0xC0FFEE), "run seed xor");
@@ -1518,6 +1535,75 @@ mod tests {
             &SweepSpec::new(Scenario::three_pairs()).environment(renamed),
             "registry",
         );
+    }
+
+    /// Every float bit of a sweep's statistics, in field order.
+    fn stats_bits(stats: &[SweepStats]) -> Vec<u64> {
+        stats
+            .iter()
+            .flat_map(|s| {
+                let scalars = [s.mean_total_mbps, s.ci95_total_mbps, s.mean_dof];
+                scalars
+                    .into_iter()
+                    .chain(s.mean_per_flow_mbps.iter().copied())
+                    .chain([s.mean_fairness])
+                    .map(f64::to_bits)
+            })
+            .collect()
+    }
+
+    /// Regression: `environment`/`environment_named` used to overwrite
+    /// the threshold `L`, so `.join_power_l_db(21.0)` set before
+    /// `.environment_named("sigcomm11")` silently ran at 27 dB and
+    /// canonicalized as the default spec. `L` is now an override read
+    /// when the engine is built, so the builder order cannot matter.
+    #[test]
+    fn join_power_l_db_is_independent_of_builder_order() {
+        let base = || {
+            SweepSpec::new(Scenario::three_pairs())
+                .rounds(8)
+                .seed_count(4)
+                .policy(NPlus)
+        };
+        let l_first = base()
+            .join_power_l_db(21.0)
+            .environment_named("sigcomm11")
+            .unwrap();
+        let env_first = base()
+            .environment_named("sigcomm11")
+            .unwrap()
+            .join_power_l_db(21.0);
+        let (a, b) = (l_first.run(), env_first.run());
+        assert_eq!(stats_bits(&a), stats_bits(&b));
+        assert_ne!(
+            stats_bits(&a),
+            stats_bits(&base().run()),
+            "L = 21 dB ran like the default 27 dB"
+        );
+        for spec in [&l_first, &env_first] {
+            match spec.canonical() {
+                Err(SweepError::NotCanonical(msg)) => assert!(msg.contains("config deviates")),
+                other => panic!("expected NotCanonical, got {other:?}"),
+            }
+        }
+
+        // The environment's own `L`, spelled out in either order, is the
+        // default spec.
+        let key = base().canonical().unwrap().key();
+        let default_l = crate::power_control::DEFAULT_L_DB;
+        let spelled = [
+            base()
+                .join_power_l_db(default_l)
+                .environment_named("sigcomm11")
+                .unwrap(),
+            base()
+                .environment_named("sigcomm11")
+                .unwrap()
+                .join_power_l_db(default_l),
+        ];
+        for spec in spelled {
+            assert_eq!(spec.canonical().unwrap().key(), key);
+        }
     }
 
     /// Oracle plugs into sweeps like any other policy and reports under

@@ -176,8 +176,8 @@ impl SweepRequest {
     /// environment, unparseable scenario spec, a traffic model given
     /// both as a `load:` prefix and as a member, unknown policy.
     pub fn to_spec(&self) -> Result<SweepSpec, String> {
-        let unknown_env = || format!("unknown environment {:?}", self.environment);
-        let env = environment_from_name(&self.environment).ok_or_else(unknown_env)?;
+        let env = environment_from_name(&self.environment)
+            .ok_or_else(|| format!("unknown environment {:?}", self.environment))?;
         let parsed = parse_spec(&self.scenario, env.capacity())?;
         if parsed.traffic.is_some() && self.traffic.is_some() {
             return Err(
@@ -187,8 +187,7 @@ impl SweepRequest {
             );
         }
         let mut spec = SweepSpec::new(parsed.scenario)
-            .environment_named(&self.environment)
-            .map_err(|_| unknown_env())?
+            .environment(*env)
             .rounds(self.rounds)
             .traffic(parsed.traffic.or(self.traffic).unwrap_or_default())
             .mobility(self.mobility.unwrap_or_default())
