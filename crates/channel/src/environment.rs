@@ -150,7 +150,7 @@ impl Map {
     pub(crate) const CITY_CAPACITY: usize = 4096;
 
     /// The largest node count this map can place.
-    pub fn capacity(self) -> usize {
+    pub(crate) fn capacity(self) -> usize {
         match self {
             Map::Office | Map::ClutteredOffice => Testbed::sigcomm11_extended().len(),
             Map::OutdoorField => Testbed::outdoor_field().len(),

@@ -89,7 +89,8 @@ impl FadingChannel {
     }
 
     /// An ideal single-tap unit channel (for tests).
-    pub fn identity() -> Self {
+    #[cfg(test)]
+    pub(crate) fn identity() -> Self {
         FadingChannel {
             taps: vec![Complex64::ONE],
         }

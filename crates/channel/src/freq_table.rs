@@ -30,7 +30,6 @@ use std::sync::Arc;
 pub struct Twiddles {
     /// The FFT bins, in request order (shared with the tables).
     bins: Arc<[usize]>,
-    n_fft: usize,
     n_taps: usize,
     /// Row-major `bins.len() × n_taps`: entry `pos · n_taps + d` is the
     /// twiddle of bin `bins[pos]` at delay `d`.
@@ -51,14 +50,13 @@ impl Twiddles {
         }
         Twiddles {
             bins: bins.into(),
-            n_fft,
             n_taps,
             values,
         }
     }
 
     /// Longest FIR the table serves.
-    pub fn n_taps(&self) -> usize {
+    pub(crate) fn n_taps(&self) -> usize {
         self.n_taps
     }
 
@@ -80,8 +78,6 @@ pub struct FreqResponseTable {
     matrices: Vec<CMatrix>,
     /// The FFT bins the table covers, in request order.
     bins: Arc<[usize]>,
-    /// FFT grid size the bins index into.
-    n_fft: usize,
 }
 
 impl FreqResponseTable {
@@ -128,7 +124,6 @@ impl FreqResponseTable {
         FreqResponseTable {
             matrices,
             bins: Arc::clone(&twiddles.bins),
-            n_fft: twiddles.n_fft,
         }
     }
 
@@ -139,19 +134,9 @@ impl FreqResponseTable {
         &self.matrices[pos]
     }
 
-    /// The FFT bins the table covers, in request order.
-    pub fn bins(&self) -> &[usize] {
-        &self.bins
-    }
-
     /// Number of bins in the table.
     pub fn n_bins(&self) -> usize {
         self.bins.len()
-    }
-
-    /// FFT grid size the bins index into.
-    pub fn n_fft(&self) -> usize {
-        self.n_fft
     }
 
     /// The same table with every matrix entry scaled by the real
@@ -162,7 +147,6 @@ impl FreqResponseTable {
         FreqResponseTable {
             matrices: self.matrices.iter().map(|m| m.scale_re(factor)).collect(),
             bins: Arc::clone(&self.bins),
-            n_fft: self.n_fft,
         }
     }
 }
@@ -267,9 +251,8 @@ mod tests {
         let link = MimoLink::flat(2, 2, 1.0);
         let bins = vec![5usize, 1, 40];
         let table = FreqResponseTable::new(&link, &bins, 64);
-        assert_eq!(table.bins(), &[5, 1, 40]);
+        assert_eq!(&*table.bins, &[5, 1, 40]);
         assert_eq!(table.n_bins(), 3);
-        assert_eq!(table.n_fft(), 64);
         assert_eq!(table.matrices.len(), 3);
         assert_eq!(table.matrix(0).shape(), (2, 2));
     }

@@ -57,7 +57,7 @@ impl MimoLink {
 
     /// An ideal flat link with the given amplitude.
     #[cfg(test)]
-    pub fn flat(n_tx: usize, n_rx: usize, amplitude: f64) -> Self {
+    pub(crate) fn flat(n_tx: usize, n_rx: usize, amplitude: f64) -> Self {
         let fading = (0..n_rx)
             .map(|_| (0..n_tx).map(|_| FadingChannel::identity()).collect())
             .collect();

@@ -91,7 +91,7 @@ impl LinkBudget {
     /// The paper's USRP2-class budget (the crate-wide default): 12 dBm
     /// transmit, kTB at 10 MHz ≈ −104 dBm plus a 6 dB noise figure.
     /// `const` so environments can hold it in statics.
-    pub const fn usrp2() -> Self {
+    pub(crate) const fn usrp2() -> Self {
         LinkBudget {
             tx_power_dbm: 12.0,
             noise_floor_dbm: -98.0,
@@ -99,7 +99,7 @@ impl LinkBudget {
     }
 
     /// Mean received SNR (dB) across a link with the given path loss.
-    pub fn snr_db(&self, path_loss_db: f64) -> f64 {
+    pub(crate) fn snr_db(&self, path_loss_db: f64) -> f64 {
         self.tx_power_dbm - path_loss_db - self.noise_floor_dbm
     }
 

@@ -22,7 +22,7 @@ pub struct Point {
 
 impl Point {
     /// Creates a point.
-    pub const fn new(x: f64, y: f64) -> Self {
+    pub(crate) const fn new(x: f64, y: f64) -> Self {
         Point { x, y }
     }
 
@@ -156,7 +156,7 @@ impl Testbed {
     }
 
     /// Number of candidate locations.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.locations.len()
     }
 
@@ -174,11 +174,6 @@ impl Testbed {
                 capacity: self.locations.len(),
             })
         }
-    }
-
-    /// True when the testbed has no locations.
-    pub fn is_empty(&self) -> bool {
-        self.locations.is_empty()
     }
 
     /// Draws a random assignment of `n` nodes to distinct locations,
@@ -203,7 +198,7 @@ impl Testbed {
     /// True when the straight line between two locations crosses the
     /// interior wall region (a simple y = 8 m wall with doorways), used by
     /// the path-loss model to decide LOS/NLOS per *link*.
-    pub fn link_is_nlos(&self, a: &Location, b: &Location) -> bool {
+    pub(crate) fn link_is_nlos(&self, a: &Location, b: &Location) -> bool {
         // If either endpoint is in an office, the link crosses the wall
         // unless both are in offices adjacent to each other.
         a.nlos != b.nlos || (a.nlos && b.nlos && a.pos.distance(&b.pos) > 4.0)
@@ -351,16 +346,6 @@ impl SpatialGrid {
         }
         out.sort_unstable();
         out
-    }
-
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when no points are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
     }
 }
 
@@ -531,8 +516,7 @@ mod tests {
         let points: Vec<Point> = tb.locations().iter().map(|l| l.pos).collect();
         for range in [10.0, 60.0, 120.0] {
             let grid = SpatialGrid::build(&points, range);
-            assert_eq!(grid.len(), points.len());
-            assert!(!grid.is_empty());
+            assert_eq!(grid.points.len(), points.len());
             for i in 0..points.len() {
                 let got = grid.neighbors_above(i, range);
                 let want: Vec<usize> = (i + 1..points.len())
@@ -546,7 +530,7 @@ mod tests {
     #[test]
     fn spatial_grid_handles_degenerate_inputs() {
         let empty = SpatialGrid::build(&[], 10.0);
-        assert!(empty.is_empty());
+        assert!(empty.points.is_empty());
         // All points coincident, silly cell size: still well-formed.
         let pts = vec![Point::new(2.0, 2.0); 4];
         let grid = SpatialGrid::build(&pts, 0.0);

@@ -87,55 +87,3 @@ impl fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
-
-/// Why an in-memory [`Recording`](crate::Recording) cannot be encoded.
-///
-/// The engine can never produce these (its round indices are monotone
-/// and its `flow_bits` slices are sized by the scenario), but
-/// `Recording` is a plain public struct, so hand-built values must fail
-/// typed rather than panic or write undecodable bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-// nplus:allow(VIS001): the error type of the public `Recording::encode`
-pub enum EncodeError {
-    /// An event's round index is smaller than its predecessor's — the
-    /// delta encoding requires monotone rounds.
-    NonMonotoneRound {
-        /// Index of the offending event.
-        index: usize,
-        /// Its round.
-        round: usize,
-        /// The preceding event's (larger) round.
-        prev: usize,
-    },
-    /// A round event carries a `flow_bits` vector whose length differs
-    /// from the header's flow count.
-    FlowCountMismatch {
-        /// Index of the offending event.
-        index: usize,
-        /// The header's flow count.
-        expected: usize,
-        /// The event's `flow_bits` length.
-        found: usize,
-    },
-}
-
-impl fmt::Display for EncodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EncodeError::NonMonotoneRound { index, round, prev } => write!(
-                f,
-                "event {index} has round {round} after round {prev}: rounds must be monotone"
-            ),
-            EncodeError::FlowCountMismatch {
-                index,
-                expected,
-                found,
-            } => write!(
-                f,
-                "event {index} carries {found} flow_bits but the header declares {expected} flows"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for EncodeError {}

@@ -13,9 +13,9 @@
 //! On top of the codec:
 //!
 //! * [`RecordingObserver`] implements `RoundObserver` and streams
-//!   frames to any `io::Write` — wire it into a sweep with
-//!   `SweepSpec::try_run_observed` (the `sweep` bin's `--record <dir>`
-//!   does exactly that, one file per (policy, seed)).
+//!   frames to any `io::Write`; it is the one encoder. Wire it into a
+//!   sweep with `SweepSpec::try_run_observed` (the `sweep` bin's
+//!   `--record <dir>` does exactly that, one file per (policy, seed)).
 //! * [`replay_run`] / [`replay_sweep`] fold recordings back through
 //!   `GoodputAccumulator` and `aggregate_results`, reproducing
 //!   `RunResult` / `SweepStats` **bit-for-bit** without re-simulating
@@ -48,7 +48,7 @@ pub mod replay;
 mod wire;
 
 pub use diff::{diff_recordings, Divergence};
-pub use error::{DecodeError, EncodeError};
+pub use error::DecodeError;
 pub use observer::{RecordingContext, RecordingObserver};
 pub use recording::{Event, Recording, RoundEvent, RunHeader};
 pub use replay::{replay_run, replay_sweep, ReplayError, ReplayedSweep};

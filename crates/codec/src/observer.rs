@@ -1,5 +1,7 @@
 //! [`RecordingObserver`]: the `RoundObserver` that streams frames to
-//! any `io::Write` as the engine narrates them.
+//! any `io::Write` as the engine narrates them. It is the codec's one
+//! encoder: every recording, the test suites' re-encodings included,
+//! is written by it.
 //!
 //! The observer is passive by contract — it only listens — so wiring
 //! it into a sweep cannot change results; what it writes is exactly

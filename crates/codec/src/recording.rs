@@ -20,7 +20,7 @@
 //! `RunResult`s bit-for-bit. The end frame carries the event counts so
 //! a recording truncated on a frame boundary is still detected.
 
-use crate::error::{DecodeError, EncodeError};
+use crate::error::DecodeError;
 use crate::wire::{put_f64_bits, put_str, put_varint, Reader};
 use nplus::{ContentionKind, ContentionRecord, JoinRecord, StreamRecord};
 
@@ -106,7 +106,7 @@ pub enum Event {
 
 impl Event {
     /// The round index this event belongs to.
-    pub fn round(&self) -> usize {
+    pub(crate) fn round(&self) -> usize {
         match self {
             Event::Contention(ev) => ev.round,
             Event::Join(ev) => ev.round,
@@ -263,52 +263,6 @@ impl Recording {
                 }
             }
         }
-    }
-
-    /// Encodes the recording back to its exact v1 byte form.
-    /// `decode` ∘ `encode` is the identity on well-formed recordings,
-    /// and `encode` ∘ `decode` is the identity on well-formed bytes
-    /// (the golden suite pins both).
-    ///
-    /// # Errors
-    /// [`EncodeError`] when the events are not encodable: round
-    /// indices must be monotone non-decreasing and every round event
-    /// must carry exactly `header.n_flows` flow bits. (Streams
-    /// produced by [`RecordingObserver`](crate::RecordingObserver)
-    /// always are.)
-    pub fn encode(&self) -> Result<Vec<u8>, EncodeError> {
-        let mut out = Vec::new();
-        encode_header(&mut out, &self.header);
-        let mut last_round: u64 = 0;
-        let mut counts = FrameCounts::default();
-        for (index, event) in self.events.iter().enumerate() {
-            let round = event.round() as u64;
-            if round < last_round {
-                return Err(EncodeError::NonMonotoneRound {
-                    index,
-                    round: event.round(),
-                    prev: last_round as usize,
-                });
-            }
-            if let Event::Round(ev) = event {
-                if ev.flow_bits.len() != self.header.n_flows {
-                    return Err(EncodeError::FlowCountMismatch {
-                        index,
-                        expected: self.header.n_flows,
-                        found: ev.flow_bits.len(),
-                    });
-                }
-            }
-            let delta = round - last_round;
-            last_round = round;
-            match event {
-                Event::Contention(ev) => encode_contention(&mut out, delta, ev, &mut counts),
-                Event::Join(ev) => encode_join(&mut out, delta, ev, &mut counts),
-                Event::Round(ev) => encode_round(&mut out, delta, ev, &mut counts),
-            }
-        }
-        encode_end(&mut out, &counts);
-        Ok(out)
     }
 
     /// The round settlements alone, in order — what replay folds.
@@ -470,18 +424,6 @@ pub(crate) fn encode_round_parts(
         put_varint(out, s.active_symbols as u64);
     }
     counts.rounds += 1;
-}
-
-fn encode_round(out: &mut Vec<u8>, delta: u64, ev: &RoundEvent, counts: &mut FrameCounts) {
-    encode_round_parts(
-        out,
-        delta,
-        ev.body_symbols,
-        ev.duration_samples,
-        &ev.flow_bits,
-        &ev.streams,
-        counts,
-    );
 }
 
 pub(crate) fn encode_end(out: &mut Vec<u8>, counts: &FrameCounts) {

@@ -1,13 +1,16 @@
-//! Shared helper for the codec integration suites: run a sweep from a
+//! Shared helpers for the codec integration suites: run a sweep from a
 //! spec string with one [`RecordingObserver`] per (policy, seed), the
 //! way the `sweep` bin's `--record` does, and keep the live results
-//! alongside the encoded bytes for bit-for-bit comparison.
+//! alongside the encoded bytes for bit-for-bit comparison; and
+//! re-encode a decoded [`Recording`] through the same observer.
 
 #![allow(dead_code)]
 
 use nplus::prelude::*;
 use nplus::scenario::parse_spec;
-use nplus_codec::{RecordingContext, RecordingObserver};
+use nplus::{RoundRecord, RunIdentity, RunMeta};
+use nplus_codec::{Event, Recording, RecordingContext, RecordingObserver};
+use std::io;
 
 /// One recorded sweep: the encoded recordings in seed-major,
 /// policy-within-seed order, plus everything the live run produced.
@@ -78,6 +81,54 @@ pub fn record_sweep(
         live_stats,
         names,
     }
+}
+
+/// Re-encodes a decoded recording with the production encoder: its
+/// header and events are replayed, in order, into a fresh
+/// [`RecordingObserver`] over an in-memory sink.
+///
+/// # Errors
+/// Whatever [`RecordingObserver::finish`] reports; a round index that
+/// regresses is `InvalidData`.
+pub fn reencode(rec: &Recording) -> io::Result<Vec<u8>> {
+    let h = &rec.header;
+    let mut obs = RecordingObserver::new(
+        Vec::new(),
+        RecordingContext {
+            scenario: h.scenario.clone(),
+            traffic: h.traffic.clone(),
+            mobility: h.mobility.clone(),
+            seed_index: h.seed_index,
+            n_seeds: h.n_seeds,
+            policy_index: h.policy_index,
+            n_policies: h.n_policies,
+        },
+    );
+    obs.on_run_start(&RunMeta {
+        policy: &h.policy,
+        n_flows: h.n_flows,
+        rounds: h.rounds,
+        bandwidth_hz: h.bandwidth_hz,
+        identity: Some(RunIdentity {
+            seed: h.seed,
+            environment: h.environment.clone(),
+            canonical_key: h.canonical_key,
+        }),
+    });
+    for event in &rec.events {
+        match event {
+            Event::Contention(ev) => obs.on_contention(ev),
+            Event::Join(ev) => obs.on_join(ev),
+            Event::Round(ev) => obs.on_round_end(&RoundRecord {
+                round: ev.round,
+                body_symbols: ev.body_symbols,
+                duration_samples: ev.duration_samples,
+                flow_bits: &ev.flow_bits,
+                streams: &ev.streams,
+            }),
+        }
+    }
+    obs.finish()
 }
 
 /// Asserts two floats are bitwise-identical (the recording contract —

@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::record_sweep;
+use common::{record_sweep, reencode};
 use nplus_codec::{DecodeError, Event, Recording};
 
 /// The wire format's magic and version, spelled out so that changing
@@ -118,7 +118,9 @@ fn missing_end_frame_is_detected() {
         header: rec.header,
         events: Vec::new(),
     };
-    let encoded = headless.encode().expect("empty recording encodes");
+    // An observer that receives no events writes the header and an
+    // empty end frame.
+    let encoded = reencode(&headless).expect("empty recording encodes");
     // The end frame of an empty recording is exactly 4 bytes: the tag
     // and three zero counts.
     let cut = &encoded[..encoded.len() - 4];
@@ -147,7 +149,7 @@ fn declared_counts_do_not_allocate_ahead_of_bytes() {
         events: Vec::new(),
     };
     huge.header.n_flows = usize::MAX / 16;
-    let mut bytes = huge.encode().expect("header-only recording encodes");
+    let mut bytes = reencode(&huge).expect("header-only recording encodes");
     // Swap the end frame for a hand-built round frame (tag, then zero
     // varints for delta, body_symbols and duration_samples) so the
     // decoder has to face the declared flow count.
@@ -161,8 +163,9 @@ fn declared_counts_do_not_allocate_ahead_of_bytes() {
     }
 }
 
-/// Encoding rejects a non-monotone event stream instead of producing
-/// bytes that cannot round-trip.
+/// The encoder rejects a non-monotone event stream instead of
+/// producing bytes that cannot round-trip: a regressing round makes
+/// `RecordingObserver::finish` return `InvalidData`.
 #[test]
 fn encode_rejects_non_monotone_rounds() {
     let rec = Recording::decode(&valid_bytes()).expect("valid bytes decode");
@@ -175,10 +178,8 @@ fn encode_rejects_non_monotone_rounds() {
     assert!(rounds.len() >= 2, "enough rounds to reverse");
     let mut reversed = rec.clone();
     reversed.events = rounds.into_iter().rev().collect();
-    assert!(matches!(
-        reversed.encode(),
-        Err(nplus_codec::EncodeError::NonMonotoneRound { .. })
-    ));
+    let err = reencode(&reversed).expect_err("regressing round is refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 }
 
 proptest! {

@@ -1,5 +1,5 @@
-//! Roundtrip and replay-equivalence suite: encode→decode is
-//! bitwise-exact, replay reproduces live results bit-for-bit for every
+//! Roundtrip and replay-equivalence suite: decoding a recording and
+//! re-encoding it through `RecordingObserver` is bitwise-exact, replay reproduces live results bit-for-bit for every
 //! built-in policy across environments and generated families
 //! (including sparse `city:` worlds and non-saturated traffic), and
 //! the diff localizes an injected divergence to its exact round and
@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{assert_run_bitwise, assert_stats_bitwise, record_sweep};
+use common::{assert_run_bitwise, assert_stats_bitwise, record_sweep, reencode};
 use nplus_codec::{diff_recordings, replay_run, replay_sweep, Event, Recording};
 use proptest::prelude::*;
 
@@ -28,7 +28,7 @@ fn replay_reproduces_sweeps_for_all_policies_across_environments() {
             .map(|b| Recording::decode(b).expect("recorded bytes decode"))
             .collect();
         for (bytes, rec) in r.bytes.iter().zip(&recs) {
-            assert_eq!(&rec.encode().expect("decoded recording re-encodes"), bytes);
+            assert_eq!(&reencode(rec).expect("decoded recording re-encodes"), bytes);
             assert_eq!(diff_recordings(rec, rec), None);
         }
         for (i, rec) in recs.iter().enumerate() {
@@ -171,7 +171,7 @@ proptest! {
         let policy = ALL_POLICIES[policy_i];
         let r = record_sweep(spec, env, &[policy], 1, rounds);
         let rec = Recording::decode(&r.bytes[0]).expect("recorded bytes decode");
-        prop_assert_eq!(&rec.encode().expect("re-encodes"), &r.bytes[0]);
+        prop_assert_eq!(&reencode(&rec).expect("re-encodes"), &r.bytes[0]);
         prop_assert_eq!(diff_recordings(&rec, &rec), None);
         let live = &r.live[0].per_policy[0];
         let replayed = replay_run(&rec);

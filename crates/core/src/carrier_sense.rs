@@ -32,7 +32,7 @@ impl MultiDimCarrierSense {
     /// Builds the sensor for a node with `n_antennas` antennas and no
     /// ongoing transmissions (complement = full space everywhere).
     #[cfg(test)]
-    pub fn idle(n_antennas: usize, cfg: OfdmConfig) -> Self {
+    pub(crate) fn idle(n_antennas: usize, cfg: OfdmConfig) -> Self {
         MultiDimCarrierSense {
             complements: vec![Subspace::full(n_antennas); cfg.fft_len],
             n_antennas,

@@ -147,7 +147,7 @@ impl ZfFilters {
     }
 
     /// Reuses `self`'s buffers to become a copy of `src`.
-    pub fn assign_from(&mut self, src: &ZfFilters) {
+    pub(crate) fn assign_from(&mut self, src: &ZfFilters) {
         self.n_wanted = src.n_wanted;
         self.n_ant = src.n_ant;
         self.decodable.clone_from(&src.decodable);

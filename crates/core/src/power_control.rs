@@ -47,7 +47,7 @@ pub enum JoinPowerDecision {
 
 impl JoinPowerDecision {
     /// The amplitude multiplier to apply (1.0 for full power).
-    pub fn amplitude(&self) -> f64 {
+    pub(crate) fn amplitude(&self) -> f64 {
         match self {
             JoinPowerDecision::FullPower => 1.0,
             JoinPowerDecision::Reduced { amplitude_factor } => *amplitude_factor,

@@ -1684,7 +1684,9 @@ impl TrafficState {
 
 /// Knuth's product method: exact Poisson sampling with a number of
 /// uniforms that depends only on the draws themselves (never on
-/// simulation state), keeping the arrival stream reproducible.
+/// simulation state), keeping the arrival stream reproducible. Exact
+/// while `e^-mean` is a normal `f64`, which the traffic validator's
+/// mean bound guarantees.
 fn poisson_draw(mean: f64, rng: &mut StdRng) -> u64 {
     let limit = (-mean).exp();
     let mut k = 0u64;

@@ -190,7 +190,7 @@ pub enum TrafficModel {
     /// round per flow (Knuth sampling — deterministic in the RNG
     /// stream).
     Poisson {
-        /// Mean packet arrivals per round per flow (> 0, finite).
+        /// Mean packet arrivals per round per flow (> 0, at most 700).
         mean_per_round: f64,
     },
     /// ON/OFF bursts: while ON a flow receives
@@ -209,6 +209,13 @@ pub enum TrafficModel {
 /// [`TrafficModel::Bursty`].
 pub(crate) const BURST_ARRIVALS_PER_ROUND: u64 = 3;
 
+/// Largest [`TrafficModel::Poisson`] mean the engine accepts. Knuth's
+/// product method stops once the running product of uniforms reaches
+/// `e^-mean`; above about 708 that threshold is subnormal or zero, the
+/// loop ends only when the product underflows, and every draw is about
+/// 745 whatever the mean. 700 keeps `e^-mean` a normal `f64`.
+const POISSON_MEAN_MAX: f64 = 700.0;
+
 // Parameters are validated finite (see `TrafficModel::validate`), so
 // the partial equivalence is total on every value that can reach a
 // sweep — required for `CanonicalSpec`'s derived `Eq`.
@@ -225,12 +232,16 @@ impl TrafficModel {
         match *self {
             TrafficModel::Saturated => Ok(()),
             TrafficModel::Poisson { mean_per_round } => {
-                if mean_per_round.is_finite() && mean_per_round > 0.0 {
-                    Ok(())
-                } else {
+                if !(mean_per_round.is_finite() && mean_per_round > 0.0) {
                     Err(format!(
                         "poisson mean {mean_per_round} not a positive finite"
                     ))
+                } else if mean_per_round > POISSON_MEAN_MAX {
+                    Err(format!(
+                        "poisson mean {mean_per_round} above {POISSON_MEAN_MAX}"
+                    ))
+                } else {
+                    Ok(())
                 }
             }
             TrafficModel::Bursty {
@@ -441,7 +452,7 @@ impl SinrGrid {
 
     /// The grid's stable spec-string form — what [`FromStr`] parses
     /// back: `full`, `decimated:<k>`.
-    pub fn spec_string(&self) -> String {
+    pub(crate) fn spec_string(&self) -> String {
         match *self {
             SinrGrid::Full => "full".to_string(),
             SinrGrid::Decimated(k) => format!("decimated:{k}"),
@@ -586,6 +597,13 @@ mod tests {
         // Invalid parameters fail at parse time, not inside the engine.
         assert!("poisson:0".parse::<TrafficModel>().is_err());
         assert!("poisson:nan".parse::<TrafficModel>().is_err());
+        // Above the bound Knuth's threshold e^-mean is no longer a normal
+        // f64 and every draw would come out near 745.
+        assert!("poisson:700".parse::<TrafficModel>().is_ok());
+        for big in ["poisson:800", "poisson:1e300"] {
+            let err = big.parse::<TrafficModel>().unwrap_err();
+            assert!(err.contains("above 700"), "{err}");
+        }
         assert!("bursty:0.5x10".parse::<TrafficModel>().is_err());
         assert!("bursty:3".parse::<TrafficModel>().is_err());
         let err = "cbr:4".parse::<TrafficModel>().unwrap_err();

@@ -1238,10 +1238,11 @@ mod tests {
     /// Regression: zero rounds and an empty seed list ran to `NaN` /
     /// `-0.00` statistics through `try_run` while the canonical form
     /// rejected them, and a repeated policy ran twice under one name
-    /// (its recordings overwrote each other), and a non-finite `L`
+    /// (its recordings overwrote each other), a non-finite `L`
     /// panicked inside the engine (`cannot normalize a zero vector` in
-    /// the precoder's QR). The one validator now refuses all of them on
-    /// every entry point, with the wire protocol's error text.
+    /// the precoder's QR), and a Poisson mean above ~745 drew ~745
+    /// arrivals whatever the mean. The one validator now refuses all of
+    /// them on every entry point, with the wire protocol's error text.
     #[test]
     fn degenerate_specs_are_invalid_everywhere() {
         let non_finite_l = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY].map(|l_db| {
@@ -1275,6 +1276,15 @@ mod tests {
                     .policy(Dot11n)
                     .policy(NPlus),
                 "invalid spec: duplicate policy \"nplus\"".to_string(),
+            ),
+            (
+                SweepSpec::new(Scenario::three_pairs())
+                    .rounds(5)
+                    .seed_count(3)
+                    .traffic(TrafficModel::Poisson {
+                        mean_per_round: 1e6,
+                    }),
+                "invalid spec: poisson mean 1000000 above 700".to_string(),
             ),
         ];
         for (spec, want) in cases.into_iter().chain(non_finite_l) {

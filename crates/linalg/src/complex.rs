@@ -16,10 +16,10 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 /// references, so expressions read like scalar math:
 ///
 /// ```
-/// use nplus_linalg::Complex64;
-/// let a = Complex64::new(1.0, 2.0);
-/// let b = Complex64::new(3.0, -1.0);
-/// assert_eq!(a * b, Complex64::new(5.0, 5.0));
+/// use nplus_linalg::{c64, Complex64};
+/// let a: Complex64 = c64(1.0, 2.0);
+/// let b = c64(3.0, -1.0);
+/// assert_eq!(a * b, c64(5.0, 5.0));
 /// ```
 #[derive(Clone, Copy, PartialEq, Default)]
 pub struct Complex64 {
@@ -40,12 +40,6 @@ impl Complex64 {
     pub const ZERO: Complex64 = c64(0.0, 0.0);
     /// The multiplicative identity, `1 + 0i`.
     pub const ONE: Complex64 = c64(1.0, 0.0);
-
-    /// Creates a complex number from rectangular components.
-    #[inline]
-    pub const fn new(re: f64, im: f64) -> Self {
-        c64(re, im)
-    }
 
     /// Creates a complex number from polar form `r * e^{i theta}`.
     #[inline]
@@ -95,30 +89,10 @@ impl Complex64 {
         c64(self.re / d, -self.im / d)
     }
 
-    /// Complex exponential `e^z`.
-    #[inline]
-    pub fn exp(self) -> Self {
-        Self::from_polar(self.re.exp(), self.im)
-    }
-
-    /// Principal square root.
-    #[inline]
-    pub fn sqrt(self) -> Self {
-        let r = self.abs();
-        let theta = self.arg();
-        Self::from_polar(r.sqrt(), theta / 2.0)
-    }
-
     /// Scales by a real factor.
     #[inline]
     pub fn scale(self, k: f64) -> Self {
         c64(self.re * k, self.im * k)
-    }
-
-    /// True when both components are finite.
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.re.is_finite() && self.im.is_finite()
     }
 
     /// Approximate equality within absolute tolerance `tol` on both parts.
@@ -325,25 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn exp_of_imaginary_is_cis() {
-        let theta = 0.73;
-        assert!(c64(0.0, theta).exp().approx_eq(Complex64::cis(theta), TOL));
-    }
-
-    #[test]
-    fn sqrt_squares_back() {
-        for &z in &[
-            c64(4.0, 0.0),
-            c64(-1.0, 0.0),
-            c64(3.0, -4.0),
-            c64(-2.0, 5.0),
-        ] {
-            let s = z.sqrt();
-            assert!((s * s).approx_eq(z, 1e-10), "sqrt({z:?})^2 = {:?}", s * s);
-        }
-    }
-
-    #[test]
     fn real_scalar_ops() {
         let z = c64(1.0, -2.0);
         assert_eq!(z * 2.0, c64(2.0, -4.0));
@@ -361,7 +316,7 @@ mod tests {
     #[test]
     fn zero_division_is_non_finite() {
         let z = c64(1.0, 1.0) / Complex64::ZERO;
-        assert!(!z.is_finite());
+        assert!(!z.re.is_finite() && !z.im.is_finite());
     }
 
     #[test]

@@ -77,7 +77,7 @@ impl CMatrix {
     /// Creates a matrix whose rows are the given vectors (all must share a
     /// dimension).
     #[cfg(test)]
-    pub fn from_rows(rows: &[CVector]) -> Self {
+    pub(crate) fn from_rows(rows: &[CVector]) -> Self {
         if rows.is_empty() {
             return Self::zeros(0, 0);
         }
@@ -109,12 +109,8 @@ impl CMatrix {
 
     /// Creates a matrix from real entries in row-major order.
     #[cfg(test)]
-    pub fn from_reals(rows: usize, cols: usize, re: &[f64]) -> Self {
-        Self::from_vec(
-            rows,
-            cols,
-            re.iter().map(|&r| Complex64::new(r, 0.0)).collect(),
-        )
+    pub(crate) fn from_reals(rows: usize, cols: usize, re: &[f64]) -> Self {
+        Self::from_vec(rows, cols, re.iter().map(|&r| c64(r, 0.0)).collect())
     }
 
     /// Number of rows.
@@ -133,12 +129,6 @@ impl CMatrix {
     #[inline]
     pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
-    }
-
-    /// True for a matrix with no entries.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0 || self.cols == 0
     }
 
     /// Entry `(i, j)` as a complex value.
@@ -190,7 +180,7 @@ impl CMatrix {
 
     /// Returns the columns as a list of vectors.
     #[cfg(test)]
-    pub fn columns(&self) -> Vec<CVector> {
+    pub(crate) fn columns(&self) -> Vec<CVector> {
         (0..self.cols).map(|j| self.col(j)).collect()
     }
 

@@ -22,14 +22,6 @@ pub struct VecPool<T> {
 }
 
 impl<T: Default> VecPool<T> {
-    /// An empty pool.
-    pub fn new() -> Self {
-        VecPool {
-            items: Vec::new(),
-            len: 0,
-        }
-    }
-
     /// Logical length (number of live elements).
     #[inline]
     pub fn len(&self) -> usize {
@@ -118,7 +110,7 @@ mod tests {
 
     #[test]
     fn clear_retains_slot_buffers() {
-        let mut pool: VecPool<CVector> = VecPool::new();
+        let mut pool: VecPool<CVector> = VecPool::default();
         pool.push_slot().assign_zeros(8);
         pool.push_slot().assign_zeros(4);
         assert_eq!(pool.len(), 2);
@@ -134,7 +126,7 @@ mod tests {
 
     #[test]
     fn truncate_and_pop_are_logical() {
-        let mut pool: VecPool<Vec<u32>> = VecPool::new();
+        let mut pool: VecPool<Vec<u32>> = VecPool::default();
         for i in 0..4 {
             pool.push_slot().push(i);
         }
@@ -150,7 +142,7 @@ mod tests {
 
     #[test]
     fn index_and_iter_cover_live_region_only() {
-        let mut pool: VecPool<u64> = VecPool::new();
+        let mut pool: VecPool<u64> = VecPool::default();
         *pool.push_slot() = 7;
         *pool.push_slot() = 9;
         pool.truncate(1);

@@ -72,7 +72,7 @@ pub(crate) fn orthonormalize_into(
 /// Verifies that the columns of `q` are orthonormal within `tol`.
 /// Intended for tests and debug assertions.
 #[cfg(test)]
-pub fn is_orthonormal(vectors: &[CVector], tol: f64) -> bool {
+pub(crate) fn is_orthonormal(vectors: &[CVector], tol: f64) -> bool {
     for (i, a) in vectors.iter().enumerate() {
         for (j, b) in vectors.iter().enumerate() {
             let d = a.dot(b);

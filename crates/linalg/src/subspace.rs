@@ -205,7 +205,7 @@ impl Subspace {
     /// the "signal after projection" `y'` of §3.2: interference from the
     /// spanned directions is annihilated when applied to the complement.
     #[cfg(test)]
-    pub fn coordinates(&self, v: &CVector) -> CVector {
+    pub(crate) fn coordinates(&self, v: &CVector) -> CVector {
         assert_eq!(v.len(), self.ambient, "coordinates: dimension mismatch");
         self.basis().iter().map(|b| v.dot(b)).collect()
     }
@@ -223,14 +223,6 @@ impl Subspace {
     pub fn contains(&self, v: &CVector, tol: f64) -> bool {
         let resid = self.reject(v);
         resid.norm() <= tol * v.norm().max(1e-300)
-    }
-
-    /// The sum (union-span) of two subspaces of the same ambient space.
-    pub fn sum(&self, other: &Subspace) -> Subspace {
-        assert_eq!(self.ambient, other.ambient, "sum: ambient mismatch");
-        let mut all = self.basis().to_vec();
-        all.extend(other.basis().iter().cloned());
-        Subspace::span(self.ambient, &all)
     }
 }
 
@@ -359,17 +351,6 @@ mod tests {
         let v = CVector::unit(4, 2);
         assert!(z.reject(&v).approx_eq(&v, TOL));
         assert!(f.project(&v).approx_eq(&v, TOL));
-    }
-
-    #[test]
-    fn sum_of_subspaces() {
-        let a = Subspace::span(3, &[CVector::unit(3, 0)]);
-        let b = Subspace::span(3, &[CVector::unit(3, 1)]);
-        let s = a.sum(&b);
-        assert_eq!(s.dim(), 2);
-        // Sum with overlap doesn't over-count.
-        let s2 = a.sum(&a);
-        assert_eq!(s2.dim(), 1);
     }
 
     #[test]

@@ -23,9 +23,9 @@ impl CVector {
 
     /// Creates a vector from real entries (imaginary parts zero).
     #[cfg(test)]
-    pub fn from_reals(re: &[f64]) -> Self {
+    pub(crate) fn from_reals(re: &[f64]) -> Self {
         CVector {
-            data: re.iter().map(|&r| Complex64::new(r, 0.0)).collect(),
+            data: re.iter().map(|&r| crate::complex::c64(r, 0.0)).collect(),
         }
     }
 
@@ -37,7 +37,7 @@ impl CVector {
     }
 
     /// The `i`-th standard basis vector of dimension `n`.
-    pub fn unit(n: usize, i: usize) -> Self {
+    pub(crate) fn unit(n: usize, i: usize) -> Self {
         assert!(i < n, "unit index {i} out of range for dimension {n}");
         let mut v = Self::zeros(n);
         v[i] = Complex64::ONE;
@@ -58,7 +58,7 @@ impl CVector {
 
     /// Immutable view of the entries.
     #[inline]
-    pub fn as_slice(&self) -> &[Complex64] {
+    pub(crate) fn as_slice(&self) -> &[Complex64] {
         &self.data
     }
 
@@ -105,13 +105,6 @@ impl CVector {
         }
     }
 
-    /// Entry-wise complex conjugate.
-    pub fn conj(&self) -> CVector {
-        CVector {
-            data: self.data.iter().map(|z| z.conj()).collect(),
-        }
-    }
-
     /// In-place `self += k * other` (AXPY). The hot path of Gram–Schmidt.
     pub(crate) fn axpy(&mut self, k: Complex64, other: &CVector) {
         assert_eq!(self.len(), other.len(), "axpy: dimension mismatch");
@@ -148,12 +141,6 @@ impl CVector {
         for z in &mut self.data {
             *z = z.scale(k);
         }
-    }
-
-    /// Appends an entry, growing the buffer if needed.
-    #[inline]
-    pub fn push(&mut self, z: Complex64) {
-        self.data.push(z);
     }
 
     /// Approximate equality within absolute tolerance on every entry.

@@ -51,11 +51,6 @@ impl SampleTiming {
     pub fn usrp2() -> Self {
         Self::from_phy(&MacTiming::dot11a(), &OfdmConfig::usrp2())
     }
-
-    /// Duration of `n` OFDM symbols, in samples.
-    pub fn symbols(&self, n: usize) -> u64 {
-        self.symbol * n as u64
-    }
 }
 
 #[cfg(test)]
@@ -83,13 +78,6 @@ mod tests {
         );
         assert_eq!(t.sifs, 320);
         assert_eq!(t.slot, 180);
-    }
-
-    #[test]
-    fn symbols_helper() {
-        let t = SampleTiming::usrp2();
-        assert_eq!(t.symbols(0), 0);
-        assert_eq!(t.symbols(10), 800);
     }
 
     /// Regression: independent rounding broke `difs == sifs + 2*slot`

@@ -43,8 +43,6 @@ pub struct ChannelCache {
     /// iterates this, never the map, so link walks are deterministic
     /// while lookups stay O(1) on the hash map.
     keys: Vec<(usize, usize)>,
-    n_nodes: usize,
-    bins: Vec<usize>,
 }
 
 impl ChannelCache {
@@ -54,7 +52,6 @@ impl ChannelCache {
     /// medium's sparse link set directly — cost scales with links
     /// installed, not nodes squared.
     pub fn build(topo: &Topology, bins: &[usize], n_fft: usize) -> Self {
-        let n = topo.nodes.len();
         let index: HashMap<_, _> = topo
             .nodes
             .iter()
@@ -81,12 +78,7 @@ impl ChannelCache {
         // The medium iterates in NodeId order; positions may permute
         // that, so sort once here (O(E log E) at build, free afterward).
         keys.sort_unstable();
-        ChannelCache {
-            tables,
-            keys,
-            n_nodes: n,
-            bins: bins.to_vec(),
-        }
+        ChannelCache { tables, keys }
     }
 
     /// The cached table of the directed link `from → to` (node positions
@@ -103,16 +95,6 @@ impl ChannelCache {
     /// the link instead of panicking.
     pub fn matrix(&self, from: usize, to: usize, pos: usize) -> Option<&CMatrix> {
         self.table(from, to).map(|t| t.matrix(pos))
-    }
-
-    /// The FFT bins the cache covers, in request order.
-    pub fn bins(&self) -> &[usize] {
-        &self.bins
-    }
-
-    /// Number of nodes the cache spans.
-    pub fn n_nodes(&self) -> usize {
-        self.n_nodes
     }
 
     /// Number of cached directed links (both directions counted) — the
@@ -242,8 +224,7 @@ mod tests {
         let topo = built();
         let bins = vec![0usize, 10];
         let cache = ChannelCache::build(&topo, &bins, 64);
-        assert_eq!(cache.n_nodes(), 3);
-        assert_eq!(cache.bins(), &[0, 10]);
+        assert_eq!(cache.table(0, 2).unwrap().n_bins(), 2);
         // 1-antenna node 0 transmitting to 3-antenna node 2: 3×1.
         assert_eq!(cache.matrix(0, 2, 0).unwrap().shape(), (3, 1));
         assert_eq!(cache.matrix(2, 0, 0).unwrap().shape(), (1, 3));

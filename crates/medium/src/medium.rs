@@ -39,18 +39,13 @@ pub struct Transmission {
 
 impl Transmission {
     /// Length of the transmission in samples.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.streams.first().map_or(0, |s| s.len())
     }
 
     /// True when the transmission carries no samples.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Absolute end sample (exclusive).
-    pub fn end(&self) -> u64 {
-        self.start + self.len() as u64
     }
 }
 
@@ -105,11 +100,6 @@ impl Medium {
         &self.nodes[id.0]
     }
 
-    /// Number of attached nodes.
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Installs the channel between two nodes. The reverse direction is
     /// derived by reciprocity ([`MimoLink::reverse`]), so both directions
     /// stay consistent — the property n+'s distributed channel estimation
@@ -142,7 +132,7 @@ impl Medium {
     /// scan. The sort costs `O(E log E)` once per call — `links()` is a
     /// build-time walk, never on the per-sample capture path, which
     /// keeps the map itself a `HashMap` for its O(1) hot-path lookups.
-    pub fn links(&self) -> impl Iterator<Item = ((NodeId, NodeId), &MimoLink)> {
+    pub(crate) fn links(&self) -> impl Iterator<Item = ((NodeId, NodeId), &MimoLink)> {
         // nplus:allow(DET003): order is erased by the sort below.
         let mut entries: Vec<_> = self.links.iter().map(|(&k, v)| (k, v)).collect();
         entries.sort_unstable_by_key(|&(k, _)| k);
@@ -150,7 +140,7 @@ impl Medium {
     }
 
     /// Number of installed directed links (both directions counted).
-    pub fn n_links(&self) -> usize {
+    pub(crate) fn n_links(&self) -> usize {
         self.links.len()
     }
 

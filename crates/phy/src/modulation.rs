@@ -41,7 +41,7 @@ impl Modulation {
     }
 
     /// Human-readable name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Modulation::Bpsk => "BPSK",
             Modulation::Qpsk => "QPSK",

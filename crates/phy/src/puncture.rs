@@ -35,7 +35,7 @@ impl CodeRate {
     }
 
     /// Numerator of the rate fraction.
-    pub fn num(self) -> usize {
+    pub(crate) fn num(self) -> usize {
         match self {
             CodeRate::R12 => 1,
             CodeRate::R23 => 2,
@@ -44,7 +44,7 @@ impl CodeRate {
     }
 
     /// Denominator of the rate fraction.
-    pub fn den(self) -> usize {
+    pub(crate) fn den(self) -> usize {
         match self {
             CodeRate::R12 => 2,
             CodeRate::R23 => 3,

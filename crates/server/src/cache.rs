@@ -70,7 +70,7 @@ impl ResultCache {
     }
 
     /// Number of cached keys.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries().len()
     }
 
@@ -83,13 +83,8 @@ impl ResultCache {
         keys
     }
 
-    /// Whether nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Requests served from the cache so far.
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
@@ -152,7 +147,7 @@ mod tests {
         let cache = ResultCache::new();
         let err = cache.get_or_compute(1, || Err("boom")).unwrap_err();
         assert_eq!(err, "boom");
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
         assert_eq!(cache.misses(), 0);
         // The key still computes fine afterwards.
         let (_, hit) = cache

@@ -552,6 +552,7 @@ mod tests {
             b"{\"cmd\":\"sweep\",\"scenario\":\"three_pairs\",\"rounds\":3,\"threads\":\"many\"}",
             b"{\"cmd\":\"sweep\",\"scenario\":\"three_pairs\",\"rounds\":3,\"traffic\":7}",
             b"{\"cmd\":\"sweep\",\"scenario\":\"three_pairs\",\"rounds\":3,\"traffic\":\"cbr:4\"}",
+            b"{\"cmd\":\"sweep\",\"scenario\":\"three_pairs\",\"rounds\":3,\"traffic\":\"poisson:1e6\"}",
             b"{\"cmd\":\"sweep\",\"scenario\":\"three_pairs\",\"rounds\":3,\"mobility\":\"brownian\"}",
             b"{\"cmd\":\"sweep\",\"scenario\":\"three_pairs\",\"rounds\":3,\"sinr_grid\":7}",
             b"{\"cmd\":\"sweep\",\"scenario\":\"three_pairs\",\"rounds\":3,\"sinr_grid\":\"decimated:1\"}",

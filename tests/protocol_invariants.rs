@@ -5,7 +5,7 @@ use nplus::observer::{RoundObserver, RoundRecord};
 use nplus::policy::{Beamforming, Dot11n, GreedyJoin, NPlus, Oracle, Policy};
 use nplus::power_control::DEFAULT_L_DB;
 use nplus::scenario::ScenarioGenerator;
-use nplus::sim::{RunResult, Scenario, SweepSpec};
+use nplus::sim::{Flow, RunResult, Scenario, SweepSpec};
 use nplus_channel::environment::{Environment, BUILTIN_ENVIRONMENT_NAMES, SIGCOMM11_INDOOR};
 use nplus_channel::impairments::HardwareProfile;
 use nplus_phy::rates::RATE_TABLE;
@@ -414,6 +414,66 @@ fn nplus_beats_dot11n_in_every_environment() {
             oracle.mean_total_mbps,
             np.mean_total_mbps
         );
+    }
+}
+
+/// n+'s backward compatibility with 802.11n: where no transmitter can
+/// join (a lone flow, or a world where every transmitter or every
+/// receiver has one antenna), `nplus`, `greedy_join` and `beamforming`
+/// must behave exactly as `dot11n`, down to the last bit of every
+/// statistic. The oracle schedules omnisciently and differs, as it
+/// should.
+#[test]
+fn contended_policies_match_dot11n_where_nothing_can_join() {
+    let pairs = |antennas: &[(usize, usize)]| Scenario {
+        antennas: antennas.iter().flat_map(|&(t, r)| [t, r]).collect(),
+        flows: (0..antennas.len())
+            .map(|i| Flow {
+                tx: 2 * i,
+                rx: 2 * i + 1,
+            })
+            .collect(),
+    };
+    let mut cases: Vec<(String, Scenario)> = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 3)]
+        .into_iter()
+        .map(|(t, r)| (format!("lone {t}x{r}"), pairs(&[(t, r)])))
+        .collect();
+    for n in 2..=4 {
+        cases.push((format!("{n} 1x1 pairs"), pairs(&vec![(1, 1); n])));
+    }
+    cases.push(("three 1x3 pairs".to_string(), pairs(&[(1, 3); 3])));
+    for (name, scenario) in cases {
+        let stats = SweepSpec::new(scenario)
+            .rounds(20)
+            .seed_count(4)
+            .policy(Dot11n)
+            .policy(NPlus)
+            .policy(GreedyJoin)
+            .policy(Beamforming)
+            .run();
+        let base = &stats[0];
+        assert!(
+            base.mean_total_mbps > 0.0,
+            "{name}: dot11n delivered nothing"
+        );
+        for s in &stats[1..] {
+            let what = format!("{name}: {} vs {}", s.policy, base.policy);
+            assert_eq!(s.n_runs, base.n_runs, "{what}: n_runs");
+            for (field, a, b) in [
+                ("mean_total_mbps", s.mean_total_mbps, base.mean_total_mbps),
+                ("ci95_total_mbps", s.ci95_total_mbps, base.ci95_total_mbps),
+                ("mean_dof", s.mean_dof, base.mean_dof),
+                ("mean_fairness", s.mean_fairness, base.mean_fairness),
+            ] {
+                assert_eq!(a.to_bits(), b.to_bits(), "{what}: {field} {a} vs {b}");
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&s.mean_per_flow_mbps),
+                bits(&base.mean_per_flow_mbps),
+                "{what}: mean_per_flow_mbps"
+            );
+        }
     }
 }
 
