@@ -15,7 +15,11 @@
 //! suite fails.
 
 use nplus::prelude::*;
+use nplus::scenario::parse_spec;
+use nplus_channel::freq_table::FreqResponseTable;
 use nplus_medium::topology::build_environment_topology;
+use nplus_medium::ChannelCache;
+use nplus_phy::params::{occupied_subcarrier_indices, OfdmConfig};
 use nplus_testkit::Fnv;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -620,4 +624,79 @@ fn custom_world_cannot_reuse_a_builtin_key() {
         .expect("registry world is canonical");
     assert_eq!(by_value.key(), by_name.key());
     assert_eq!(by_value.key_hex(), "3bd2494333043a937fbed63a5dffe7cc");
+}
+
+/// FNV digest of every entry of every table of `cache`, as `to_bits`,
+/// in `links()` order: each key, then its bins in order, each matrix
+/// row-major with the real part before the imaginary part.
+fn cache_digest(cache: &ChannelCache) -> u64 {
+    let mut digest = Fnv::new();
+    for (from, to) in cache.links() {
+        digest.u64(from as u64);
+        digest.u64(to as u64);
+        table_bits(&mut digest, cache.table(from, to).expect("listed link"));
+    }
+    digest.0
+}
+
+fn table_bits(digest: &mut Fnv, table: &FreqResponseTable) {
+    for pos in 0..table.n_bins() {
+        let h = table.matrix(pos);
+        for i in 0..h.rows() {
+            for j in 0..h.cols() {
+                digest.f64(h.get(i, j).re);
+                digest.f64(h.get(i, j).im);
+            }
+        }
+    }
+}
+
+/// The channel cache, on the engine's bins and grid, of the topology
+/// `spec` draws in the world `env` at placement seed `seed`.
+fn world_cache(env: &str, spec: &str, seed: u64) -> ChannelCache {
+    let env = environment_from_name(env).expect("builtin environment");
+    let antennas = parse_spec(spec, env.capacity())
+        .expect("spec parses")
+        .scenario
+        .antennas;
+    let ofdm = OfdmConfig::usrp2();
+    let testbed = env.testbed(antennas.len()).expect("spec fits the map");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let topo =
+        build_environment_topology(env, &testbed, &antennas, ofdm.bandwidth_hz, seed, &mut rng)
+            .expect("topology builds");
+    ChannelCache::build(&topo, &occupied_subcarrier_indices(), ofdm.fft_len)
+}
+
+/// The channel tables the engine reads, pinned bit for bit: every entry
+/// of every cached link of `three_pairs` in the paper's world and of a
+/// loaded 256-node city, and one mobility-rescaled table. A change to
+/// how tables are stored, built or rescaled that moves a single bit of
+/// one entry fails here, before any sweep statistic could absorb it.
+#[test]
+fn channel_tables_reproduce_their_entries_bitwise() {
+    let paper = world_cache("sigcomm11", "three_pairs", 5);
+    let city = world_cache("multi_cell", "load:poisson:1.5/city:256", 1);
+    let mut rescaled = Fnv::new();
+    table_bits(
+        &mut rescaled,
+        &paper.table(0, 1).expect("dense link").scaled(0.25),
+    );
+    assert_eq!(
+        (
+            paper.n_links(),
+            cache_digest(&paper),
+            city.n_links(),
+            cache_digest(&city),
+            rescaled.0
+        ),
+        (
+            30,
+            0xc7f1_d1b7_3292_baf1,
+            2454,
+            0xc5dd_6597_9808_756d,
+            0xeaec_c9ec_b5c1_1a6c
+        ),
+        "channel table entries drifted"
+    );
 }
