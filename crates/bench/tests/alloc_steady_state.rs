@@ -8,6 +8,9 @@
 //!   under 802.11n and beamforming (whose rounds settle from the
 //!   receivers' stored zero-forcing filters), and in the oracle's
 //!   memoized schedules;
+//! * one buffer per channel table: building a city's channel cache
+//!   allocates a small constant per cached link, not one matrix per
+//!   occupied subcarrier;
 //! * copy-on-write channel tables: a waypoint-mobility run's set-up
 //!   shares the engine's tables instead of copying them, so it
 //!   allocates per *moved* link, not per link.
@@ -25,10 +28,10 @@ use std::cell::Cell;
 
 use nplus::observer::{RoundObserver, RoundRecord, RunMeta};
 use nplus::policy::{Beamforming, Dot11n, NPlus, Oracle};
-use nplus::scenario::{parse_spec, ScenarioGenerator};
+use nplus::scenario::{parse_spec, ParsedSpec, ScenarioGenerator};
 use nplus::sim::{MobilityModel, RunResult, SweepSpec};
 use nplus_channel::environment::{environment_from_name, Environment};
-use nplus_medium::topology::build_environment_topology;
+use nplus_medium::topology::{build_environment_topology, Topology};
 use nplus_medium::ChannelCache;
 use nplus_phy::params::{occupied_subcarrier_indices, OfdmConfig};
 use rand::rngs::StdRng;
@@ -204,35 +207,64 @@ fn oracle_memo_hit_rounds_allocate_nothing() {
     }
 }
 
-/// A waypoint-mobility run starts from a copy-on-write clone of the
-/// engine's channel cache, so its set-up allocates per moved link, not
-/// per link (a deep copy of the tables costs ~100 allocations per
-/// link). No node moves in round 0 and the walk draws nothing there, so
-/// up to the first round end a mobility run does exactly the work of
-/// the same run without mobility, plus the mobility set-up. Round 0
-/// itself allocates while the pools grow, so the bound applies to the
-/// mobility run's excess over the static run: below a quarter of an
-/// allocation per cached link.
-#[test]
-fn mobility_setup_allocates_per_moved_link_not_per_link() {
+/// The loaded 256-node `multi_cell` city at placement seed 1: its
+/// parsed spec and topology.
+fn city_256() -> (ParsedSpec, Topology) {
     const NODES: usize = 256;
     let parsed = parse_spec(
         &format!("load:poisson:1.5/city:{NODES}"),
         multi_cell().capacity(),
     )
     .expect("city spec parses");
-    let ofdm = OfdmConfig::usrp2();
     let testbed = multi_cell().testbed(NODES).expect("city fits the map");
     let mut rng = StdRng::seed_from_u64(1);
     let topo = build_environment_topology(
         multi_cell(),
         &testbed,
         &parsed.scenario.antennas,
-        ofdm.bandwidth_hz,
+        OfdmConfig::usrp2().bandwidth_hz,
         1,
         &mut rng,
     )
     .expect("city topology builds");
+    (parsed, topo)
+}
+
+/// Each channel table keeps its 52 bins in one split-storage buffer,
+/// so building the city's cache allocates a few times per cached link
+/// (the buffer's two halves and the table's `Arc`), plus a constant for
+/// the link walk, the twiddles and the maps. One matrix per bin would
+/// cost over a hundred per link.
+#[test]
+fn channel_cache_build_allocates_a_few_times_per_link() {
+    let (_, topo) = city_256();
+    let ofdm = OfdmConfig::usrp2();
+    let bins = occupied_subcarrier_indices();
+    let before = alloc_calls();
+    let cache = ChannelCache::build(&topo, &bins, ofdm.fft_len);
+    let allocs = alloc_calls() - before;
+    let n_links = cache.n_links();
+    assert!(n_links >= 1000, "city world too sparse: {n_links} links");
+    assert!(
+        allocs <= 4 * n_links as u64,
+        "building {n_links} tables allocated {allocs} times"
+    );
+}
+
+/// A waypoint-mobility run starts from a copy-on-write clone of the
+/// engine's channel cache, so its set-up allocates per moved link, not
+/// per link (a deep copy of the tables costs about 3 allocations per
+/// link: each table's two buffer halves and its `Arc`). No node moves
+/// in round 0 and the walk draws nothing there, so up to the first
+/// round end a mobility run does exactly the work of the same run
+/// without mobility, plus the mobility set-up. Round 0 itself allocates
+/// while the pools grow, so the bound applies to the mobility run's
+/// excess over the static run: below a quarter of an allocation per
+/// cached link.
+#[test]
+fn mobility_setup_allocates_per_moved_link_not_per_link() {
+    let (parsed, topo) = city_256();
+    let ofdm = OfdmConfig::usrp2();
     let n_links =
         ChannelCache::build(&topo, &occupied_subcarrier_indices(), ofdm.fft_len).n_links();
     assert!(n_links >= 1000, "city world too sparse: {n_links} links");

@@ -20,19 +20,18 @@
 //! `nplus_medium::chancache`'s `matches_direct_channel_matrix` check.
 
 use crate::mimo::MimoLink;
-use nplus_linalg::{CMatrix, Complex64};
-use std::sync::Arc;
+use nplus_linalg::{CMatrix, CMatrixRef, Complex64};
 
 /// The DFT twiddles `e^{-j2πkd/N}` of a fixed bin list on an `n_fft`
 /// grid, for every delay `d < n_taps` — computed once and shared by
 /// every [`FreqResponseTable`] built from it.
 #[derive(Debug, Clone)]
 pub struct Twiddles {
-    /// The FFT bins, in request order (shared with the tables).
-    bins: Arc<[usize]>,
+    /// Number of requested FFT bins.
+    n_bins: usize,
     n_taps: usize,
-    /// Row-major `bins.len() × n_taps`: entry `pos · n_taps + d` is the
-    /// twiddle of bin `bins[pos]` at delay `d`.
+    /// Row-major `n_bins × n_taps`: entry `pos · n_taps + d` is the
+    /// twiddle of the `pos`-th requested bin at delay `d`.
     values: Vec<Complex64>,
 }
 
@@ -49,7 +48,7 @@ impl Twiddles {
             }
         }
         Twiddles {
-            bins: bins.into(),
+            n_bins: bins.len(),
             n_taps,
             values,
         }
@@ -69,15 +68,20 @@ impl Twiddles {
 /// Frequency responses of one [`MimoLink`], evaluated once for a fixed
 /// set of FFT bins (normally the occupied subcarriers).
 ///
-/// The engine's precoder/ZF-SINR hot path reads the matrices in place;
-/// the build writes each entry with the same value
-/// [`MimoLink::channel_matrix`] computes.
+/// All bins live in one split-storage buffer, bin-major: entry `(i, j)`
+/// of the `pos`-th bin's `N_rx × M_tx` matrix sits at
+/// `pos·N_rx·M_tx + i·M_tx + j`, which is the row-major layout of the
+/// bins' matrices stacked into one `(n_bins·N_rx) × M_tx` [`CMatrix`].
+/// A table therefore costs two allocations however many bins it holds.
+/// The engine's precoder/ZF-SINR hot path reads each bin in place
+/// through a borrowed [`CMatrixRef`]; the build writes each entry with
+/// the same value [`MimoLink::channel_matrix`] computes.
 #[derive(Debug, Clone)]
 pub struct FreqResponseTable {
-    /// One `N_rx × M_tx` matrix per requested bin, in request order.
-    matrices: Vec<CMatrix>,
-    /// The FFT bins the table covers, in request order.
-    bins: Arc<[usize]>,
+    /// Every bin's matrix, stacked in request order.
+    stacked: CMatrix,
+    /// Rows of one bin's matrix (`N_rx`, at least one).
+    n_rx: usize,
 }
 
 impl FreqResponseTable {
@@ -105,38 +109,33 @@ impl FreqResponseTable {
         );
         let (n_rx, n_tx) = (link.n_rx(), link.n_tx());
         let amplitude = link.amplitude();
-        let matrices = (0..twiddles.bins.len())
-            .map(|pos| {
-                let tw = twiddles.bin(pos);
-                let mut h = CMatrix::zeros(n_rx, n_tx);
-                for rx in 0..n_rx {
-                    for tx in 0..n_tx {
-                        let mut acc = Complex64::ZERO;
-                        for (&t, &w) in link.pair(rx, tx).taps.iter().zip(tw) {
-                            acc += t * w;
-                        }
-                        h.set(rx, tx, acc.scale(amplitude));
+        let mut stacked = CMatrix::zeros(twiddles.n_bins * n_rx, n_tx);
+        for pos in 0..twiddles.n_bins {
+            let tw = twiddles.bin(pos);
+            for rx in 0..n_rx {
+                for tx in 0..n_tx {
+                    let mut acc = Complex64::ZERO;
+                    for (&t, &w) in link.pair(rx, tx).taps.iter().zip(tw) {
+                        acc += t * w;
                     }
+                    stacked.set(pos * n_rx + rx, tx, acc.scale(amplitude));
                 }
-                h
-            })
-            .collect();
-        FreqResponseTable {
-            matrices,
-            bins: Arc::clone(&twiddles.bins),
+            }
         }
+        FreqResponseTable { stacked, n_rx }
     }
 
     /// The channel matrix of the `pos`-th requested bin (position in the
     /// `bins` slice given to [`FreqResponseTable::new`], *not* the raw
-    /// FFT bin index).
-    pub fn matrix(&self, pos: usize) -> &CMatrix {
-        &self.matrices[pos]
+    /// FFT bin index), borrowed from the table's buffer.
+    #[inline]
+    pub fn matrix(&self, pos: usize) -> CMatrixRef<'_> {
+        self.stacked.row_block(pos * self.n_rx, self.n_rx)
     }
 
     /// Number of bins in the table.
     pub fn n_bins(&self) -> usize {
-        self.bins.len()
+        self.stacked.rows() / self.n_rx
     }
 
     /// The same table with every matrix entry scaled by the real
@@ -145,8 +144,8 @@ impl FreqResponseTable {
     /// to a moved node without re-drawing their taps.
     pub fn scaled(&self, factor: f64) -> Self {
         FreqResponseTable {
-            matrices: self.matrices.iter().map(|m| m.scale_re(factor)).collect(),
-            bins: Arc::clone(&self.bins),
+            stacked: self.stacked.scale_re(factor),
+            n_rx: self.n_rx,
         }
     }
 }
@@ -248,13 +247,22 @@ mod tests {
 
     #[test]
     fn covers_requested_bins_in_order() {
-        let link = MimoLink::flat(2, 2, 1.0);
+        let mut rng = StdRng::seed_from_u64(8);
+        let link = MimoLink::sample(2, 3, 1.0, &DelayProfile::nlos(), &mut rng);
         let bins = vec![5usize, 1, 40];
         let table = FreqResponseTable::new(&link, &bins, 64);
-        assert_eq!(&*table.bins, &[5, 1, 40]);
         assert_eq!(table.n_bins(), 3);
-        assert_eq!(table.matrices.len(), 3);
-        assert_eq!(table.matrix(0).shape(), (2, 2));
+        assert_eq!(table.stacked.shape(), (9, 2));
+        for (pos, &k) in bins.iter().enumerate() {
+            let direct = link.channel_matrix(k, 64);
+            let cached = table.matrix(pos);
+            assert_eq!(cached.shape(), (3, 2));
+            for r in 0..3 {
+                for c in 0..2 {
+                    assert_eq!(cached.get(r, c), direct.get(r, c), "bin {k} ({r},{c})");
+                }
+            }
+        }
     }
 
     #[test]
@@ -267,6 +275,6 @@ mod tests {
         let bins = vec![10usize];
         let t1 = FreqResponseTable::new(&link, &bins, 64);
         let t2 = FreqResponseTable::new(&half, &bins, 64);
-        assert!(t2.matrix(0).approx_eq(&t1.matrix(0).scale_re(0.5), 1e-12));
+        assert!(t2.stacked.approx_eq(&t1.stacked.scale_re(0.5), 1e-12));
     }
 }

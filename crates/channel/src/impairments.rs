@@ -92,28 +92,24 @@ impl HardwareProfile {
     /// (estimation noise on the reverse direction) plus calibration
     /// residual. This composed error is what bounds nulling depth.
     /// Allocating wrapper over
-    /// [`HardwareProfile::reciprocal_channel_knowledge_into`].
+    /// [`HardwareProfile::reciprocal_channel_knowledge_in_place`].
     pub fn reciprocal_channel_knowledge<R: Rng>(&self, h_true: &CMatrix, rng: &mut R) -> CMatrix {
-        let mut out = CMatrix::default();
-        self.reciprocal_channel_knowledge_into(h_true, rng, &mut out);
+        let mut out = h_true.clone();
+        self.reciprocal_channel_knowledge_in_place(&mut out, rng);
         out
     }
 
-    /// Writes the corrupted estimate of `h` into `out` (buffers reused),
-    /// drawing two normals per entry in row-major order.
-    pub(crate) fn corrupt_estimate_into<R: Rng>(
-        &self,
-        h: &CMatrix,
-        rng: &mut R,
-        out: &mut CMatrix,
-    ) {
+    /// Adds the estimation noise to `h` in place, drawing two normals
+    /// per entry in row-major order. Each entry's noise scales with
+    /// that entry's true magnitude, read before the entry is written.
+    fn apply_estimation_error_in_place<R: Rng>(&self, h: &mut CMatrix, rng: &mut R) {
         let err_amp = 10f64.powf(-self.estimation_snr_db / 20.0);
-        out.assign_from(h);
         for i in 0..h.rows() {
             for j in 0..h.cols() {
-                let scale = h.get(i, j).abs() * err_amp / 2f64.sqrt();
+                let z = h.get(i, j);
+                let scale = z.abs() * err_amp / 2f64.sqrt();
                 let e = c64(sample_normal(rng), sample_normal(rng)).scale(scale);
-                out.set(i, j, out.get(i, j) + e);
+                h.set(i, j, z + e);
             }
         }
     }
@@ -133,23 +129,19 @@ impl HardwareProfile {
         }
     }
 
-    /// [`HardwareProfile::reciprocal_channel_knowledge`] into a reusable
-    /// buffer: estimation noise, then the calibration residual.
-    pub fn reciprocal_channel_knowledge_into<R: Rng>(
-        &self,
-        h_true: &CMatrix,
-        rng: &mut R,
-        out: &mut CMatrix,
-    ) {
-        self.corrupt_estimate_into(h_true, rng, out);
-        self.apply_calibration_error_in_place(out, rng);
+    /// Turns the true channel in `h` into the believed one, in place:
+    /// estimation noise, then the calibration residual. The engine
+    /// copies a table's true matrix into a pooled buffer and calls this.
+    pub fn reciprocal_channel_knowledge_in_place<R: Rng>(&self, h: &mut CMatrix, rng: &mut R) {
+        self.apply_estimation_error_in_place(h, rng);
+        self.apply_calibration_error_in_place(h, rng);
     }
 
     /// Advances `rng` past exactly the draws
-    /// [`HardwareProfile::reciprocal_channel_knowledge_into`] makes for a
-    /// matrix of `entries` entries, computing none of them: two normals
-    /// per entry for estimation, plus two for calibration unless the
-    /// residual is zero. Consumption is a concatenation of normal draws,
+    /// [`HardwareProfile::reciprocal_channel_knowledge_in_place`] makes
+    /// for a matrix of `entries` entries, computing none of them: two
+    /// normals per entry for estimation, plus two for calibration unless
+    /// the residual is zero. Consumption is a concatenation of normal draws,
     /// so their order does not matter. For a believed channel whose
     /// values nothing reads.
     pub fn skip_channel_knowledge<R: Rng>(&self, entries: usize, rng: &mut R) {
@@ -183,8 +175,8 @@ mod tests {
     use rand::{RngCore, SeedableRng};
 
     fn corrupt(p: &HardwareProfile, h: &CMatrix, rng: &mut StdRng) -> CMatrix {
-        let mut out = CMatrix::default();
-        p.corrupt_estimate_into(h, rng, &mut out);
+        let mut out = h.clone();
+        p.apply_estimation_error_in_place(&mut out, rng);
         out
     }
 
@@ -264,11 +256,11 @@ mod tests {
         assert!(out.approx_eq(&zero, 1e-12));
     }
 
-    /// The allocating and `_into` forms of the believed-channel draw
+    /// The allocating and in-place forms of the believed-channel draw
     /// agree bit for bit and leave the RNG at the same place, and a
     /// zero calibration residual draws nothing.
     #[test]
-    fn knowledge_into_matches_allocating_and_zero_residual_draws_nothing() {
+    fn knowledge_in_place_matches_allocating_and_zero_residual_draws_nothing() {
         let p = HardwareProfile::default();
         let mut rng_a = StdRng::seed_from_u64(77);
         let h = random_h(&mut rng_a);
@@ -277,8 +269,8 @@ mod tests {
         let mut r1 = StdRng::seed_from_u64(9);
         let mut r2 = StdRng::seed_from_u64(9);
         let expect = p.reciprocal_channel_knowledge(&h, &mut r1);
-        let mut out = CMatrix::default();
-        p.reciprocal_channel_knowledge_into(&h, &mut r2, &mut out);
+        let mut out = h.clone();
+        p.reciprocal_channel_knowledge_in_place(&mut out, &mut r2);
         for i in 0..h.rows() {
             for j in 0..h.cols() {
                 assert_eq!(out.get(i, j).re.to_bits(), expect.get(i, j).re.to_bits());
@@ -323,18 +315,17 @@ mod tests {
             uncalibrated,
         ];
         let mut src = StdRng::seed_from_u64(31);
-        let mut out = CMatrix::default();
         for (pi, p) in profiles.iter().enumerate() {
             for rows in 1..=8 {
                 for cols in 1..=8 {
                     let data: Vec<Complex64> = (0..rows * cols)
                         .map(|_| c64(sample_normal(&mut src), sample_normal(&mut src)))
                         .collect();
-                    let h = CMatrix::from_vec(rows, cols, data);
+                    let mut h = CMatrix::from_vec(rows, cols, data);
                     let seed = (pi * 100 + rows * 10 + cols) as u64;
                     let mut drawn = StdRng::seed_from_u64(seed);
                     let mut skipped = StdRng::seed_from_u64(seed);
-                    p.reciprocal_channel_knowledge_into(&h, &mut drawn, &mut out);
+                    p.reciprocal_channel_knowledge_in_place(&mut h, &mut drawn);
                     p.skip_channel_knowledge(rows * cols, &mut skipped);
                     assert_eq!(
                         drawn.next_u64(),

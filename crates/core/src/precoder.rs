@@ -221,7 +221,7 @@ fn constraint_rows_into(
     rowop: &mut CMatrix,
 ) {
     if unwanted.is_zero() {
-        out.assign_from(channel);
+        out.assign_from(channel.view());
     } else {
         unwanted.complement_into(uperp, sub_ws);
         uperp.row_operator_into(rowop);
@@ -313,7 +313,7 @@ pub(crate) fn compute_precoders_into_with<'a>(
         // Per-stream constraints: the shared rows plus alignment into the
         // unwanted space of every *other* own receiver (Claim 3.5's lower
         // block).
-        ws.rows.assign_from(&ws.shared);
+        ws.rows.assign_from(ws.shared.view());
         for o_idx in 0..n_own {
             if o_idx == r_idx {
                 continue;

@@ -39,7 +39,7 @@ use crate::precoder::{
     ProtectedReceiverSoARef,
 };
 use nplus_channel::placement::Point;
-use nplus_linalg::{CMatrix, CVector, Subspace, SubspaceWorkspace, VecPool};
+use nplus_linalg::{CMatrix, CMatrixRef, CVector, Subspace, SubspaceWorkspace, VecPool};
 use nplus_mac::backoff::{resolve_contention_in, ContentionOutcome};
 use nplus_mac::frames::{AckHeader, DataHeader};
 use nplus_mac::timing::SampleTiming;
@@ -545,7 +545,7 @@ impl<'a> SimEngine<'a> {
     }
 
     /// True per-subcarrier channel matrix between two scenario nodes,
-    /// served from `cache` (the engine's own, or a run's
+    /// borrowed from `cache` (the engine's own, or a run's
     /// mobility-rescaled copy).
     ///
     /// `None` is the typed "no such link" answer: in sparse worlds it
@@ -559,7 +559,7 @@ impl<'a> SimEngine<'a> {
         from: usize,
         to: usize,
         k_occ: usize,
-    ) -> Option<&'c CMatrix> {
+    ) -> Option<CMatrixRef<'c>> {
         cache.matrix(from, to, k_occ)
     }
 
@@ -585,13 +585,12 @@ impl<'a> SimEngine<'a> {
         let Some(h) = self.true_channel(ctx.cache, from, to, k_occ) else {
             return false;
         };
-        if ctx.policy.perfect_knowledge() {
-            out.assign_from(h);
-        } else {
+        out.assign_from(h);
+        if !ctx.policy.perfect_knowledge() {
             self.spec
                 .environment
                 .hardware
-                .reciprocal_channel_knowledge_into(h, rng, out);
+                .reciprocal_channel_knowledge_in_place(out, rng);
         }
         true
     }
@@ -621,7 +620,8 @@ impl<'a> SimEngine<'a> {
             #[cfg(debug_assertions)]
             let mut drawn = {
                 let mut drawn = rng.clone();
-                hw.reciprocal_channel_knowledge_into(h, &mut drawn, out);
+                out.assign_from(h);
+                hw.reciprocal_channel_knowledge_in_place(out, &mut drawn);
                 drawn
             };
             hw.skip_channel_knowledge(h.rows() * h.cols(), rng);
@@ -2179,7 +2179,7 @@ mod tests {
                 let (ma, mb) = (a.matrix(pos), b.matrix(pos));
                 assert_eq!(ma.shape(), mb.shape());
                 for i in 0..ma.rows() {
-                    let bits = |m: &CMatrix| {
+                    let bits = |m: CMatrixRef<'_>| {
                         (0..m.cols())
                             .flat_map(|j| {
                                 let z = m.get(i, j);

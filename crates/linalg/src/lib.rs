@@ -20,11 +20,12 @@
 //! tested for the small (≤ 4×4 per subcarrier) matrices MIMO LANs use.
 //!
 //! There is one dense matrix type, [`CMatrix`], in split (real/imaginary)
-//! storage, and each kernel has one implementation: [`mul_into`],
-//! [`CMatrix::mul_vec_into`], and the pooled [`null_space_into`],
-//! [`pinv_into`] and their shared row echelon in [`soa`]. The allocating
-//! [`pinv`], [`rank`], [`CMatrix::mul_vec`] and [`Subspace::complement`]
-//! are thin wrappers over them.
+//! storage, with [`CMatrixRef`] its borrowed view, and each kernel has one
+//! implementation: [`mul_into`], [`CMatrixRef::mul_vec_into`], and the
+//! pooled [`null_space_into`], [`pinv_into`] and their shared row echelon
+//! in [`soa`]. The allocating [`pinv`], [`rank`], [`CMatrix::mul_vec`] and
+//! [`Subspace::complement`] are thin wrappers over them, and so is
+//! [`CMatrix::mul_vec_into`], which multiplies through its view.
 
 #![forbid(unsafe_code)]
 
@@ -40,7 +41,7 @@ pub mod subspace;
 pub mod vector;
 
 pub use complex::{c64, Complex64};
-pub use matrix::CMatrix;
+pub use matrix::{CMatrix, CMatrixRef};
 pub use pool::VecPool;
 pub use soa::{mul_into, null_space_into, pinv_into, NullspaceWorkspace, PinvWorkspace};
 pub use solve::{pinv, rank, LinalgError};

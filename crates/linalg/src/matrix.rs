@@ -10,6 +10,11 @@
 //!
 //! Channel matrices in the paper are small (at most a handful of antennas
 //! per node); the kernels built on this type live in [`crate::soa`].
+//!
+//! [`CMatrixRef`] is the borrowed view of the same layout: a matrix whose
+//! entries live in someone else's buffer (a channel table stores all its
+//! bins' matrices in one), read without copying. The matrix–vector
+//! product is implemented on the view alone.
 
 use crate::complex::{c64, Complex64};
 use crate::vector::CVector;
@@ -218,14 +223,32 @@ impl CMatrix {
     }
 
     /// Reuses `self`'s buffers to become a copy of `src` — the pooled
-    /// sibling of `clone()`.
-    pub fn assign_from(&mut self, src: &CMatrix) {
+    /// sibling of `clone()`. An owned source passes [`CMatrix::view`].
+    pub fn assign_from(&mut self, src: CMatrixRef<'_>) {
         self.rows = src.rows;
         self.cols = src.cols;
         self.re.clear();
-        self.re.extend_from_slice(&src.re);
+        self.re.extend_from_slice(src.re);
         self.im.clear();
-        self.im.extend_from_slice(&src.im);
+        self.im.extend_from_slice(src.im);
+    }
+
+    /// The whole matrix as a borrowed view.
+    #[inline]
+    pub fn view(&self) -> CMatrixRef<'_> {
+        self.row_block(0, self.rows)
+    }
+
+    /// Rows `first..first + rows` as a borrowed `rows × cols` view.
+    #[inline]
+    pub fn row_block(&self, first: usize, rows: usize) -> CMatrixRef<'_> {
+        let span = first * self.cols..(first + rows) * self.cols;
+        CMatrixRef {
+            rows,
+            cols: self.cols,
+            re: &self.re[span.clone()],
+            im: &self.im[span],
+        }
     }
 
     /// Appends the rows of `other` below `self` (in-place row concatenation).
@@ -256,36 +279,11 @@ impl CMatrix {
         }
     }
 
-    /// Matrix–vector product `A x` into a pooled output vector.
-    ///
-    /// Ascending `j` per row, each term the complex multiply
-    /// `(ar·xr − ai·xi, ar·xi + ai·xr)` added onto split accumulators.
+    /// Matrix–vector product `A x` into a pooled output vector: the
+    /// view's [`CMatrixRef::mul_vec_into`].
+    #[inline]
     pub fn mul_vec_into(&self, x: &CVector, out: &mut CVector) {
-        assert_eq!(
-            x.len(),
-            self.cols,
-            "mul_vec: {}x{} matrix times {}-vector",
-            self.rows,
-            self.cols,
-            x.len()
-        );
-        out.assign_zeros(self.rows);
-        let xs = x.as_slice();
-        for i in 0..self.rows {
-            let re_row = self.row_re(i);
-            let im_row = self.row_im(i);
-            let mut acc_re = 0.0f64;
-            let mut acc_im = 0.0f64;
-            for (j, xv) in xs.iter().enumerate() {
-                let ar = re_row[j];
-                let ai = im_row[j];
-                // (ar + i·ai)(xr + i·xi), expanded exactly as Complex64's
-                // Mul, then accumulated exactly as its AddAssign.
-                acc_re += ar * xv.re - ai * xv.im;
-                acc_im += ar * xv.im + ai * xv.re;
-            }
-            out[i] = c64(acc_re, acc_im);
-        }
+        self.view().mul_vec_into(x, out);
     }
 
     /// Allocating convenience wrapper over [`CMatrix::mul_vec_into`].
@@ -330,6 +328,77 @@ impl CMatrix {
         self.shape() == other.shape()
             && (0..self.re.len())
                 .all(|k| c64(self.re[k], self.im[k]).approx_eq(c64(other.re[k], other.im[k]), tol))
+    }
+}
+
+/// A borrowed, read-only `rows × cols` matrix in the split layout of
+/// [`CMatrix`]: row-major real parts in one slice, imaginary parts in
+/// another. [`CMatrix::view`] and [`CMatrix::row_block`] make one.
+#[derive(Debug, Clone, Copy)]
+pub struct CMatrixRef<'a> {
+    rows: usize,
+    cols: usize,
+    re: &'a [f64],
+    im: &'a [f64],
+}
+
+impl CMatrixRef<'_> {
+    /// Number of rows.
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    #[inline]
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// `(rows, cols)`.
+    #[inline]
+    pub fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    /// Entry `(i, j)` as a complex value.
+    #[inline]
+    pub fn get(&self, i: usize, j: usize) -> Complex64 {
+        debug_assert!(i < self.rows && j < self.cols);
+        let idx = i * self.cols + j;
+        c64(self.re[idx], self.im[idx])
+    }
+
+    /// Matrix–vector product `A x` into a pooled output vector.
+    ///
+    /// Ascending `j` per row, each term the complex multiply
+    /// `(ar·xr − ai·xi, ar·xi + ai·xr)` added onto split accumulators.
+    pub fn mul_vec_into(&self, x: &CVector, out: &mut CVector) {
+        assert_eq!(
+            x.len(),
+            self.cols,
+            "mul_vec: {}x{} matrix times {}-vector",
+            self.rows,
+            self.cols,
+            x.len()
+        );
+        out.assign_zeros(self.rows);
+        let xs = x.as_slice();
+        for i in 0..self.rows {
+            let re_row = &self.re[i * self.cols..(i + 1) * self.cols];
+            let im_row = &self.im[i * self.cols..(i + 1) * self.cols];
+            let mut acc_re = 0.0f64;
+            let mut acc_im = 0.0f64;
+            for (j, xv) in xs.iter().enumerate() {
+                let ar = re_row[j];
+                let ai = im_row[j];
+                // (ar + i·ai)(xr + i·xi), expanded exactly as Complex64's
+                // Mul, then accumulated exactly as its AddAssign.
+                acc_re += ar * xv.re - ai * xv.im;
+                acc_im += ar * xv.im + ai * xv.re;
+            }
+            out[i] = c64(acc_re, acc_im);
+        }
     }
 }
 

@@ -3,7 +3,7 @@
 //! **One implementation per kernel.** Matrix products, rank,
 //! pseudo-inverse and null space exist only here (`mul_into`,
 //! `row_echelon_into`, [`pinv_into`], [`null_space_into`]), together
-//! with [`CMatrix::mul_vec_into`] on the type itself; the allocating
+//! with [`CMatrixRef::mul_vec_into`] on the borrowed view; the allocating
 //! `rank`, `pinv`, `mul_vec` and [`Subspace::complement`] are thin
 //! wrappers that call these with a fresh workspace. [`pinv_into`] is
 //! instantiated per column count up to eight on stack arrays, all from
@@ -20,6 +20,7 @@
 //! end.
 //!
 //! [`Subspace::complement`]: crate::Subspace::complement
+//! [`CMatrixRef::mul_vec_into`]: crate::CMatrixRef::mul_vec_into
 
 use crate::complex::Complex64;
 use crate::matrix::CMatrix;
@@ -83,7 +84,7 @@ fn tolerance(scale: f64, dim: usize) -> f64 {
 /// `hypot` magnitude in their column (first wins on ties); entries at or
 /// below `tol` are zeroed.
 pub(crate) fn row_echelon_into(a: &CMatrix, tol: f64, out: &mut CMatrix) -> usize {
-    out.assign_from(a);
+    out.assign_from(a.view());
     let rows = out.rows();
     let cols = out.cols();
     let mut pivot_row = 0usize;

@@ -12,13 +12,19 @@
 //! from the caller's RNG on every lookup, so seeded simulations stay
 //! bit-for-bit identical with and without the cache.
 //!
-//! A build evaluates the DFT twiddles once ([`Twiddles`], sized to the
-//! longest FIR in the topology) and every link reads the prefix it
-//! needs. Tables are held behind [`Arc`] and are copy-on-write: a
-//! [`Clone`] of the cache shares every table, and
-//! [`ChannelCache::set_table`] swaps in a fresh one for its link without
-//! touching the table other clones still share — so a mobility run's
-//! working copy costs one pointer per link plus the links it rescales.
+//! A build walks the medium's links once, evaluates the DFT twiddles
+//! once ([`Twiddles`], sized to the longest FIR in the topology), and
+//! every link reads the prefix it needs. Each table keeps all its bins
+//! in one split-storage buffer, so a link costs three allocations: the
+//! table's real and imaginary halves and its [`Arc`]. Lookups borrow a
+//! bin's matrix from that buffer as a [`CMatrixRef`].
+//!
+//! Tables are copy-on-write. A [`Clone`] of the cache copies the key
+//! list and the map of [`Arc`] pointers and shares every table buffer;
+//! [`ChannelCache::set_table`] swaps in a fresh table for its link
+//! without touching the one other clones still share — so a mobility
+//! run's working copy costs one pointer per link plus the links it
+//! rescales.
 //!
 //! Lookups are fallible by design: [`ChannelCache::matrix`] returns
 //! `None` for an absent link instead of panicking, and the engine
@@ -27,7 +33,7 @@
 
 use crate::topology::Topology;
 use nplus_channel::freq_table::{FreqResponseTable, Twiddles};
-use nplus_linalg::CMatrix;
+use nplus_linalg::CMatrixRef;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -58,16 +64,18 @@ impl ChannelCache {
             .enumerate()
             .map(|(i, &id)| (id, i))
             .collect();
-        let n_taps = topo
-            .medium
-            .links()
+        // One walk of the medium's sorted link list serves both the
+        // twiddle size and the tables.
+        let links: Vec<_> = topo.medium.links().collect();
+        let n_taps = links
+            .iter()
             .map(|(_, link)| link.max_taps())
             .max()
             .unwrap_or(1);
         let twiddles = Twiddles::new(bins, n_fft, n_taps);
-        let mut tables = HashMap::with_capacity(topo.medium.n_links());
-        let mut keys = Vec::with_capacity(topo.medium.n_links());
-        for ((from, to), link) in topo.medium.links() {
+        let mut tables = HashMap::with_capacity(links.len());
+        let mut keys = Vec::with_capacity(links.len());
+        for &((from, to), link) in &links {
             let (Some(&fi), Some(&ti)) = (index.get(&from), index.get(&to)) else {
                 continue; // link between nodes outside this topology's list
             };
@@ -88,12 +96,13 @@ impl ChannelCache {
     }
 
     /// The cached channel matrix of link `from → to` at bin position
-    /// `pos` (index into the `bins` slice the cache was built with).
+    /// `pos` (index into the `bins` slice the cache was built with),
+    /// borrowed from the link's table.
     ///
     /// `None` when the link is not modeled — in sparse worlds that
     /// means "below the environment's power floor", and consumers skip
     /// the link instead of panicking.
-    pub fn matrix(&self, from: usize, to: usize, pos: usize) -> Option<&CMatrix> {
+    pub fn matrix(&self, from: usize, to: usize, pos: usize) -> Option<CMatrixRef<'_>> {
         self.table(from, to).map(|t| t.matrix(pos))
     }
 

@@ -140,6 +140,7 @@ impl Medium {
     }
 
     /// Number of installed directed links (both directions counted).
+    #[cfg(test)]
     pub(crate) fn n_links(&self) -> usize {
         self.links.len()
     }

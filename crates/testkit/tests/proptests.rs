@@ -1,7 +1,7 @@
 //! Property tests owned by the testkit itself: they exercise the shared
 //! strategies against the core invariants every suite leans on —
 //! precoder nulling depth, deterministic handshake encoding, and the
-//! channel-cache layer matching direct evaluation.
+//! channel-cache layer matching direct evaluation bit for bit.
 
 use nplus::handshake::encode_alignment_space;
 use nplus::precoder::{compute_precoders, residual_interference, OwnReceiver, ProtectedReceiver};
@@ -9,7 +9,7 @@ use nplus_channel::environment::SIGCOMM11_INDOOR;
 use nplus_channel::fading::DelayProfile;
 use nplus_channel::freq_table::FreqResponseTable;
 use nplus_channel::mimo::MimoLink;
-use nplus_linalg::{rank, CMatrix, Subspace};
+use nplus_linalg::{rank, CMatrix, CMatrixRef, Subspace};
 use nplus_medium::chancache::ChannelCache;
 use nplus_medium::topology::build_environment_topology;
 use nplus_phy::params::occupied_subcarrier_indices;
@@ -27,6 +27,18 @@ fn top_left(a: &CMatrix, rows: usize, cols: usize) -> CMatrix {
             .map(|k| a.get(k / cols, k % cols))
             .collect(),
     )
+}
+
+/// `cached` equals `direct` bit for bit: same shape, and every entry's
+/// real and imaginary parts have the same `to_bits`.
+fn same_bits(cached: CMatrixRef<'_>, direct: &CMatrix) -> bool {
+    cached.shape() == direct.shape()
+        && (0..direct.rows()).all(|i| {
+            (0..direct.cols()).all(|j| {
+                let (c, d) = (cached.get(i, j), direct.get(i, j));
+                c.re.to_bits() == d.re.to_bits() && c.im.to_bits() == d.im.to_bits()
+            })
+        })
 }
 
 const NULL_TOL: f64 = 1e-16;
@@ -91,8 +103,8 @@ proptest! {
         prop_assert_eq!(encode_alignment_space(&spaces), encode_alignment_space(&spaces));
     }
 
-    /// `FreqResponseTable` matches direct `channel_matrix` evaluation to
-    /// 1e-12 on random links of every antenna shape and delay profile.
+    /// `FreqResponseTable` matches direct `channel_matrix` evaluation bit
+    /// for bit on random links of every antenna shape and delay profile.
     #[test]
     fn freq_table_matches_direct_evaluation(
         seed in 0u64..1_000_000,
@@ -109,14 +121,15 @@ proptest! {
         for (pos, &k) in bins.iter().enumerate() {
             let direct = link.channel_matrix(k, 64);
             prop_assert!(
-                table.matrix(pos).approx_eq(&direct, 1e-12),
+                same_bits(table.matrix(pos), &direct),
                 "bin {} mismatch", k
             );
         }
     }
 
-    /// `ChannelCache` serves the same matrices as walking the topology's
-    /// links directly, for every directed pair and occupied subcarrier.
+    /// `ChannelCache` serves the same matrices, bit for bit, as walking
+    /// the topology's links directly, for every directed pair and
+    /// occupied subcarrier.
     #[test]
     fn channel_cache_matches_topology_links(seed in 0u64..100_000) {
         let antennas = vec![1, 2, 3];
@@ -134,7 +147,7 @@ proptest! {
                     let cached = cache.matrix(from, to, pos);
                     prop_assert!(cached.is_some(), "dense link {}->{} missing from cache", from, to);
                     prop_assert!(
-                        cached.unwrap().approx_eq(&link.channel_matrix(k, 64), 1e-12),
+                        same_bits(cached.unwrap(), &link.channel_matrix(k, 64)),
                         "link {}->{} bin {}", from, to, k
                     );
                 }
