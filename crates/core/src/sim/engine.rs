@@ -1791,6 +1791,7 @@ mod tests {
     use crate::policy::{Beamforming, Dot11n, GreedyJoin, NPlus, Oracle};
     use crate::sim::Scenario;
     use nplus_channel::environment::SIGCOMM11_INDOOR;
+    use nplus_channel::freq_table::FreqResponseTable;
     use nplus_medium::topology::build_environment_topology;
     use rand::SeedableRng;
 
@@ -2170,30 +2171,99 @@ mod tests {
         let keys: Vec<_> = fresh.links().collect();
         assert_eq!(engine.cache.links().collect::<Vec<_>>(), keys);
         for (f, t) in keys {
-            let (a, b) = (
-                engine.cache.table(f, t).unwrap(),
-                fresh.table(f, t).unwrap(),
+            assert_eq!(
+                table_bits(engine.cache.table(f, t).unwrap()),
+                table_bits(fresh.table(f, t).unwrap()),
+                "link {f}->{t}"
             );
-            assert_eq!(a.n_bins(), b.n_bins());
-            for pos in 0..a.n_bins() {
-                let (ma, mb) = (a.matrix(pos), b.matrix(pos));
-                assert_eq!(ma.shape(), mb.shape());
-                for i in 0..ma.rows() {
-                    let bits = |m: CMatrixRef<'_>| {
-                        (0..m.cols())
-                            .flat_map(|j| {
-                                let z = m.get(i, j);
-                                [z.re.to_bits(), z.im.to_bits()]
-                            })
-                            .collect::<Vec<_>>()
-                    };
-                    assert_eq!(bits(ma), bits(mb), "link {f}->{t} row {i}");
-                }
-            }
         }
         let second = run_seeded(&engine, NPlus, 6);
         assert_eq!(first.per_flow_mbps, second.per_flow_mbps);
         assert_eq!(first.total_mbps.to_bits(), second.total_mbps.to_bits());
+    }
+
+    /// A table's shape and every entry's bits, bin by bin.
+    fn table_bits(table: &FreqResponseTable) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for pos in 0..table.n_bins() {
+            let m = table.matrix(pos);
+            bits.extend([m.rows() as u64, m.cols() as u64]);
+            for i in 0..m.rows() {
+                for j in 0..m.cols() {
+                    let z = m.get(i, j);
+                    bits.extend([z.re.to_bits(), z.im.to_bits()]);
+                }
+            }
+        }
+        bits
+    }
+
+    /// Pins mobility's working copy of the cache on a sparse city:
+    /// after every epoch of a waypoint walk, each link incident to a
+    /// node that has moved equals its as-built table rescaled to the
+    /// current positions, bit for bit, and every other link is its
+    /// as-built table, bit for bit. The link set never changes.
+    #[test]
+    fn mobility_rescales_exactly_the_links_incident_to_movers() {
+        use crate::sim::Flow;
+        let world = nplus_channel::environment_from_name("multi_cell").expect("built-in world");
+        let n = 32;
+        let antennas: Vec<usize> = (0..n).map(|i| if i % 8 == 0 { 2 } else { 1 }).collect();
+        let tb = world.testbed(n).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let topo = build_environment_topology(world, &tb, &antennas, 10e6, 3, &mut rng).unwrap();
+        let epoch_rounds = 2;
+        let spec = SweepSpec::new(Scenario {
+            antennas,
+            flows: vec![Flow { tx: 1, rx: 0 }],
+        })
+        .environment(*world)
+        .rounds(12)
+        .mobility(MobilityModel::Waypoint {
+            step_m: 8.0,
+            epoch_rounds,
+        });
+        let engine = SimEngine::new(&topo, &spec);
+        let as_built = &engine.cache;
+        assert!(
+            as_built.n_links() < n * (n - 1),
+            "city world unexpectedly dense"
+        );
+        let mut m = MobilityState::new_for(&engine).expect("waypoint spec");
+        let mut moved = vec![false; n];
+        let mut rescaled = 0;
+        for round in 0..spec.rounds {
+            if !m.advance(as_built, round, &mut rng) {
+                continue;
+            }
+            moved[(round / epoch_rounds - 1) % n] = true;
+            assert_eq!(
+                m.cache.links().collect::<Vec<_>>(),
+                as_built.links().collect::<Vec<_>>()
+            );
+            for (f, t) in as_built.links() {
+                let built = as_built.table(f, t).unwrap();
+                let want = if moved[f] || moved[t] {
+                    let d0 = m.origin[f]
+                        .distance(&m.origin[t])
+                        .max(MobilityState::MIN_DISTANCE_M);
+                    let d = m.positions[f]
+                        .distance(&m.positions[t])
+                        .max(MobilityState::MIN_DISTANCE_M);
+                    rescaled += 1;
+                    built.scaled((d0 / d).powf(0.5 * MobilityState::PATH_LOSS_EXP))
+                } else {
+                    built.clone()
+                };
+                assert_eq!(
+                    table_bits(m.cache.table(f, t).unwrap()),
+                    table_bits(&want),
+                    "round {round} link {f}->{t}"
+                );
+            }
+        }
+        assert!(moved.iter().filter(|&&b| b).count() >= 5, "too few epochs");
+        assert!(rescaled > 0, "no mover had a link");
     }
 
     /// In a sparse city world an absent link is a typed miss, not a
