@@ -163,7 +163,7 @@ impl Map {
     /// # Errors
     /// [`EnvironmentError::TooManyNodes`] when even the largest map is
     /// too small.
-    pub fn testbed(self, n_nodes: usize) -> Result<Testbed, EnvironmentError> {
+    pub(crate) fn testbed(self, n_nodes: usize) -> Result<Testbed, EnvironmentError> {
         match self {
             Map::Office => Testbed::try_fitting(n_nodes),
             Map::ClutteredOffice => {

@@ -39,7 +39,7 @@ use crate::precoder::{
     ProtectedReceiverSoARef,
 };
 use nplus_channel::placement::Point;
-use nplus_linalg::{CMatrix, CMatrixRef, CVector, Subspace, SubspaceWorkspace, VecPool};
+use nplus_linalg::{CMatrix, CVector, Subspace, SubspaceWorkspace, VecPool};
 use nplus_mac::backoff::{resolve_contention_in, ContentionOutcome};
 use nplus_mac::frames::{AckHeader, DataHeader};
 use nplus_mac::timing::SampleTiming;
@@ -544,25 +544,6 @@ impl<'a> SimEngine<'a> {
         }
     }
 
-    /// True per-subcarrier channel matrix between two scenario nodes,
-    /// borrowed from `cache` (the engine's own, or a run's
-    /// mobility-rescaled copy).
-    ///
-    /// `None` is the typed "no such link" answer: in sparse worlds it
-    /// means the link sits below the environment's received-power floor,
-    /// and every caller treats it as *nothing arrives* — no interference
-    /// contribution, no nulling constraint, no flow service — instead of
-    /// panicking on a missing cache entry.
-    fn true_channel<'c>(
-        &self,
-        cache: &'c ChannelCache,
-        from: usize,
-        to: usize,
-        k_occ: usize,
-    ) -> Option<CMatrixRef<'c>> {
-        cache.matrix(from, to, k_occ)
-    }
-
     /// What a transmitter believes the channel is: reciprocity plus
     /// hardware error, per bin — or the exact true channel for a
     /// perfect-knowledge policy ([`Oracle`](crate::policy::Oracle)).
@@ -582,7 +563,7 @@ impl<'a> SimEngine<'a> {
         rng: &mut StdRng,
         out: &mut CMatrix,
     ) -> bool {
-        let Some(h) = self.true_channel(ctx.cache, from, to, k_occ) else {
+        let Some(h) = ctx.cache.matrix(from, to, k_occ) else {
             return false;
         };
         out.assign_from(h);
@@ -612,7 +593,7 @@ impl<'a> SimEngine<'a> {
         rng: &mut StdRng,
         out: &mut CMatrix,
     ) -> bool {
-        let Some(h) = self.true_channel(ctx.cache, from, to, k_occ) else {
+        let Some(h) = ctx.cache.matrix(from, to, k_occ) else {
             return false;
         };
         if !ctx.policy.perfect_knowledge() {
@@ -841,7 +822,7 @@ impl<'a> SimEngine<'a> {
                 let k = self.eval_pos[e];
                 scratch.arrivals.clear();
                 for s in streams.as_slice() {
-                    let Some(h) = self.true_channel(cache, s.tx_node, rx, k) else {
+                    let Some(h) = cache.matrix(s.tx_node, rx, k) else {
                         continue; // below the floor: arrives as nothing
                     };
                     h.mul_vec_into(&s.precoders[e], scratch.arrivals.push_slot());
@@ -953,7 +934,7 @@ impl<'a> SimEngine<'a> {
             }
             for e in 0..n_eval {
                 let k = self.eval_pos[e];
-                let Some(h_true) = self.true_channel(cache, tx, rx, k) else {
+                let Some(h_true) = cache.matrix(tx, rx, k) else {
                     streams.truncate(stream_base);
                     protected.truncate(rs_base);
                     return None;
@@ -1066,7 +1047,7 @@ impl<'a> SimEngine<'a> {
                     if s.tx_node == rx_state.node {
                         continue; // half duplex: own transmissions not heard
                     }
-                    let Some(h) = self.true_channel(cache, s.tx_node, rx_state.node, k) else {
+                    let Some(h) = cache.matrix(s.tx_node, rx_state.node, k) else {
                         continue; // below the floor: no interference here
                     };
                     h.mul_vec_into(&s.precoders[e], &mut scratch.arr_tmp);
@@ -1764,21 +1745,23 @@ impl MobilityState {
         let ang = rng.gen::<f64>() * std::f64::consts::TAU;
         self.positions[mover].x += self.step_m * ang.cos();
         self.positions[mover].y += self.step_m * ang.sin();
-        for (f, t) in as_built.links().filter(|&(f, t)| f == mover || t == mover) {
-            let d0 = self.origin[f]
-                .distance(&self.origin[t])
-                .max(Self::MIN_DISTANCE_M);
-            let d = self.positions[f]
-                .distance(&self.positions[t])
-                .max(Self::MIN_DISTANCE_M);
-            // Pure per-link arithmetic (no RNG), so the HashMap's
-            // iteration order cannot affect results.
-            let factor = (d0 / d).powf(0.5 * Self::PATH_LOSS_EXP);
-            let table = as_built
-                .table(f, t)
-                .expect("key came from as-built iteration")
-                .scaled(factor);
-            self.cache.set_table(f, t, table);
+        // Links are reciprocal: the mover's neighbors are also the
+        // senders of its incoming links.
+        for &n in as_built.neighbors(mover) {
+            for (f, t) in [(mover, n), (n, mover)] {
+                let d0 = self.origin[f]
+                    .distance(&self.origin[t])
+                    .max(Self::MIN_DISTANCE_M);
+                let d = self.positions[f]
+                    .distance(&self.positions[t])
+                    .max(Self::MIN_DISTANCE_M);
+                let factor = (d0 / d).powf(0.5 * Self::PATH_LOSS_EXP);
+                let table = as_built
+                    .table(f, t)
+                    .expect("links are reciprocal")
+                    .scaled(factor);
+                self.cache.set_table(f, t, table);
+            }
         }
         true
     }

@@ -1,30 +1,34 @@
 //! Per-topology cache of pure channel frequency responses.
 //!
 //! A [`ChannelCache`] holds one [`FreqResponseTable`] per **installed**
-//! directed node pair of a built [`Topology`], keyed by the node's
+//! directed node pair of a built [`Topology`], indexed by the node's
 //! *position* in the topology's node list (the same index the protocol
-//! simulator's scenarios use). Storage is sparse — a map over the
-//! medium's real link set — so city-scale worlds that materialize only
-//! links above their power floor pay for the links they have, not the
-//! `n²` table a dense `Vec` would allocate. Only the **pure true
-//! channels** are cached — they are deterministic functions of the
-//! drawn taps — while believed channels (hardware error) keep drawing
-//! from the caller's RNG on every lookup, so seeded simulations stay
-//! bit-for-bit identical with and without the cache.
+//! simulator's scenarios use, equal to its node id). Storage is sparse
+//! — an adjacency list over the medium's real link set — so city-scale
+//! worlds that materialize only links above their power floor pay for
+//! the links they have, not the `n²` table a dense `Vec` would
+//! allocate. Only the **pure true channels** are cached — they are
+//! deterministic functions of the drawn taps — while believed channels
+//! (hardware error) keep drawing from the caller's RNG on every lookup,
+//! so seeded simulations stay bit-for-bit identical with and without
+//! the cache.
 //!
-//! A build walks the medium's links once, evaluates the DFT twiddles
-//! once ([`Twiddles`], sized to the longest FIR in the topology), and
-//! every link reads the prefix it needs. Each table keeps all its bins
-//! in one split-storage buffer, so a link costs three allocations: the
-//! table's real and imaginary halves and its [`Arc`]. Lookups borrow a
-//! bin's matrix from that buffer as a [`CMatrixRef`].
+//! A build walks the medium's links in ascending `(from, to)` order,
+//! which is the adjacency list's own order: each sender's links fill
+//! one slice, receivers ascending, and a lookup binary-searches the
+//! sender's slice. The DFT twiddles are evaluated once ([`Twiddles`],
+//! sized to the longest FIR in the topology), and every link reads the
+//! prefix it needs. Each table keeps all its bins in one split-storage
+//! buffer, so a link costs three allocations: the table's real and
+//! imaginary halves and its [`Arc`]. Lookups borrow a bin's matrix from
+//! that buffer as a [`CMatrixRef`].
 //!
-//! Tables are copy-on-write. A [`Clone`] of the cache copies the key
-//! list and the map of [`Arc`] pointers and shares every table buffer;
-//! [`ChannelCache::set_table`] swaps in a fresh table for its link
-//! without touching the one other clones still share — so a mobility
-//! run's working copy costs one pointer per link plus the links it
-//! rescales.
+//! Tables are copy-on-write. A [`Clone`] of the cache copies the
+//! adjacency and the [`Arc`] pointers and shares every table buffer;
+//! [`ChannelCache::set_table`] swaps in a fresh table for an installed
+//! link (it never installs one) without touching the table other clones
+//! still share — so a mobility run's working copy costs an index and a
+//! pointer per link plus the links it rescales.
 //!
 //! Lookups are fallible by design: [`ChannelCache::matrix`] returns
 //! `None` for an absent link instead of panicking, and the engine
@@ -34,21 +38,22 @@
 use crate::topology::Topology;
 use nplus_channel::freq_table::{FreqResponseTable, Twiddles};
 use nplus_linalg::CMatrixRef;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Cached per-subcarrier channel matrices for every installed directed
 /// link of a topology. Cloning shares the tables (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ChannelCache {
-    /// One table per installed directed link, keyed by `(from, to)`
-    /// node positions. Absent key = link below the environment's floor
-    /// (or the diagonal). Shared between clones; never written through.
-    tables: HashMap<(usize, usize), Arc<FreqResponseTable>>,
-    /// The table keys in ascending order — [`ChannelCache::links`]
-    /// iterates this, never the map, so link walks are deterministic
-    /// while lookups stay O(1) on the hash map.
-    keys: Vec<(usize, usize)>,
+    /// Sender `i`'s links occupy `first[i]..first[i + 1]` of `to` and
+    /// `tables` (one offset per node, plus the end).
+    first: Vec<usize>,
+    /// Each link's receiver position, ascending within its sender's
+    /// slice. A pair absent here is below the environment's floor (or
+    /// the diagonal).
+    to: Vec<usize>,
+    /// Each link's table, at its receiver's index in `to`. Shared
+    /// between clones; never written through.
+    tables: Vec<Arc<FreqResponseTable>>,
 }
 
 impl ChannelCache {
@@ -58,41 +63,42 @@ impl ChannelCache {
     /// medium's sparse link set directly — cost scales with links
     /// installed, not nodes squared.
     pub fn build(topo: &Topology, bins: &[usize], n_fft: usize) -> Self {
-        let index: HashMap<_, _> = topo
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i))
-            .collect();
-        // One walk of the medium's sorted link list serves both the
-        // twiddle size and the tables.
-        let links: Vec<_> = topo.medium.links().collect();
-        let n_taps = links
-            .iter()
-            .map(|(_, link)| link.max_taps())
-            .max()
-            .unwrap_or(1);
+        let links = || topo.medium.links();
+        let n_taps = links().map(|(_, link)| link.max_taps()).max().unwrap_or(1);
         let twiddles = Twiddles::new(bins, n_fft, n_taps);
-        let mut tables = HashMap::with_capacity(links.len());
-        let mut keys = Vec::with_capacity(links.len());
-        for &((from, to), link) in &links {
-            let (Some(&fi), Some(&ti)) = (index.get(&from), index.get(&to)) else {
-                continue; // link between nodes outside this topology's list
-            };
-            let table = FreqResponseTable::with_twiddles(link, &twiddles);
-            tables.insert((fi, ti), Arc::new(table));
-            keys.push((fi, ti));
+        let mut first = Vec::with_capacity(topo.nodes.len() + 1);
+        let mut to = Vec::with_capacity(links().len());
+        let mut tables = Vec::with_capacity(links().len());
+        for ((from, rx), link) in links() {
+            // Senders up to `from` start here; those skipped have no links.
+            first.resize(from.0 + 1, to.len());
+            to.push(rx.0);
+            tables.push(Arc::new(FreqResponseTable::with_twiddles(link, &twiddles)));
         }
-        // The medium iterates in NodeId order; positions may permute
-        // that, so sort once here (O(E log E) at build, free afterward).
-        keys.sort_unstable();
-        ChannelCache { tables, keys }
+        first.resize(topo.nodes.len() + 1, to.len());
+        ChannelCache { first, to, tables }
+    }
+
+    /// The index of the directed link `from → to` in `to` and `tables`.
+    fn slot(&self, from: usize, to: usize) -> Option<usize> {
+        let at = self.neighbors(from).binary_search(&to).ok()?;
+        Some(self.first[from] + at)
+    }
+
+    /// The receivers of `from`'s installed links, ascending (empty for
+    /// a node outside the topology). Links are reciprocal, so these are
+    /// also the senders of the links into `from`.
+    pub fn neighbors(&self, from: usize) -> &[usize] {
+        match self.first.get(from..) {
+            Some(&[lo, hi, ..]) => &self.to[lo..hi],
+            _ => &[],
+        }
     }
 
     /// The cached table of the directed link `from → to` (node positions
     /// in the topology's node list), if that link is modeled.
     pub fn table(&self, from: usize, to: usize) -> Option<&FreqResponseTable> {
-        self.tables.get(&(from, to)).map(|t| &**t)
+        self.slot(from, to).map(|k| &*self.tables[k])
     }
 
     /// The cached channel matrix of link `from → to` at bin position
@@ -100,8 +106,9 @@ impl ChannelCache {
     /// borrowed from the link's table.
     ///
     /// `None` when the link is not modeled — in sparse worlds that
-    /// means "below the environment's power floor", and consumers skip
-    /// the link instead of panicking.
+    /// means "below the environment's power floor", and consumers treat
+    /// it as *nothing arrives* (no interference contribution, no
+    /// nulling constraint, no flow service) instead of panicking.
     pub fn matrix(&self, from: usize, to: usize, pos: usize) -> Option<CMatrixRef<'_>> {
         self.table(from, to).map(|t| t.matrix(pos))
     }
@@ -112,24 +119,20 @@ impl ChannelCache {
         self.tables.len()
     }
 
-    /// Iterates the cached directed link keys `(from, to)` in ascending
-    /// order. Mobility uses this to find the links incident to a moved
-    /// node without scanning `n²` pairs; the sorted key list makes the
-    /// walk deterministic regardless of hash-map layout.
+    /// Iterates the cached directed links `(from, to)` in ascending
+    /// order.
     pub fn links(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.keys.iter().copied()
+        (0..self.first.len().saturating_sub(1))
+            .flat_map(move |from| self.neighbors(from).iter().map(move |&to| (from, to)))
     }
 
-    /// Replaces (or installs) the table of the directed link
-    /// `from → to`. Mobility rescales moved links through this; a
-    /// genuinely new key binary-search-inserts into the sorted key
-    /// list, so [`ChannelCache::links`] order survives installs. The
-    /// new table goes in behind a fresh [`Arc`]: clones that shared the
-    /// old one keep it unchanged.
+    /// Replaces the table of the installed directed link `from → to`;
+    /// an absent link stays absent. Mobility rescales moved links
+    /// through this. The new table goes in behind a fresh [`Arc`]:
+    /// clones that shared the old one keep it unchanged.
     pub fn set_table(&mut self, from: usize, to: usize, table: FreqResponseTable) {
-        if self.tables.insert((from, to), Arc::new(table)).is_none() {
-            let at = self.keys.partition_point(|&k| k < (from, to));
-            self.keys.insert(at, (from, to));
+        if let Some(k) = self.slot(from, to) {
+            self.tables[k] = Arc::new(table);
         }
     }
 }
@@ -145,12 +148,22 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::topology::build_environment_topology;
-    use nplus_channel::environment::{environment_from_name, Environment, SIGCOMM11_INDOOR};
+    use nplus_channel::environment::{environment_from_name, SIGCOMM11_INDOOR};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn multi_cell() -> &'static Environment {
-        environment_from_name("multi_cell").expect("built-in world")
+    /// Nodes in [`city`]: four multi-cell cells, one 2-antenna AP each.
+    const CITY_N: usize = 32;
+
+    /// The sparse multi-cell city of [`CITY_N`] nodes (seed 3).
+    fn city() -> Topology {
+        let world = environment_from_name("multi_cell").expect("built-in world");
+        let antennas: Vec<usize> = (0..CITY_N)
+            .map(|i| if i % 8 == 0 { 2 } else { 1 })
+            .collect();
+        let tb = world.testbed(CITY_N).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        build_environment_topology(world, &tb, &antennas, 10e6, 3, &mut rng).unwrap()
     }
 
     fn built() -> Topology {
@@ -214,12 +227,7 @@ mod tests {
 
         // Sparse world: the floored multi-cell city caches exactly the
         // installed links, each bit for bit.
-        let n = 32;
-        let antennas: Vec<usize> = (0..n).map(|i| if i % 8 == 0 { 2 } else { 1 }).collect();
-        let tb = multi_cell().testbed(n).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        let topo =
-            build_environment_topology(multi_cell(), &tb, &antennas, 10e6, 3, &mut rng).unwrap();
+        let (n, topo) = (CITY_N, city());
         let cache = ChannelCache::build(&topo, &bins, 64);
         assert!(
             cache.n_links() < n * (n - 1),
@@ -239,30 +247,38 @@ mod tests {
         assert_eq!(cache.matrix(2, 0, 0).unwrap().shape(), (1, 3));
     }
 
-    /// `links()` iterates in ascending key order, and installing a new
-    /// table through `set_table` keeps that order — the walk mobility
-    /// does every epoch is deterministic by construction (DET003).
+    /// `links()` ascends; `set_table` replaces an installed link and
+    /// never installs an absent one; and in a sparse city the adjacency
+    /// lists exactly the present links, reciprocally — the incident
+    /// walk mobility does every epoch relies on both.
     #[test]
-    fn link_keys_iterate_sorted_and_survive_installs() {
+    fn adjacency_ascends_is_reciprocal_and_never_grows() {
         let topo = built();
         let bins = vec![0usize, 10];
         let mut cache = ChannelCache::build(&topo, &bins, 64);
         let keys: Vec<_> = cache.links().collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted, "build must leave keys sorted");
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
         assert_eq!(keys.len(), 6);
-        // Replacing an existing table must not duplicate its key;
-        // installing a brand-new one must land in sorted position.
-        let table = cache.table(0, 1).unwrap().clone();
-        cache.set_table(2, 1, table.clone());
-        assert_eq!(cache.links().count(), 6);
-        cache.set_table(0, 0, table);
-        let keys: Vec<_> = cache.links().collect();
-        assert_eq!(keys.first(), Some(&(0, 0)));
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted, "set_table must keep keys sorted");
+        let scaled = cache.table(0, 1).unwrap().scaled(0.25);
+        cache.set_table(2, 1, scaled.clone());
+        assert_eq!(
+            cache.matrix(2, 1, 0).unwrap().get(0, 0),
+            scaled.matrix(0).get(0, 0)
+        );
+        cache.set_table(0, 0, scaled);
+        assert!(cache.table(0, 0).is_none());
+        assert_eq!(cache.links().collect::<Vec<_>>(), keys);
+
+        let (n, topo) = (CITY_N, city());
+        let cache = ChannelCache::build(&topo, &bins, 64);
+        for i in 0..n {
+            let present: Vec<usize> = (0..n).filter(|&j| cache.table(i, j).is_some()).collect();
+            assert_eq!(cache.neighbors(i), present, "node {i}");
+            for &j in cache.neighbors(i) {
+                assert!(cache.neighbors(j).contains(&i), "{i}->{j} has no reverse");
+            }
+        }
+        assert!(cache.neighbors(n).is_empty());
     }
 
     /// Copy-on-write: a clone shares every table, and `set_table` on
@@ -274,20 +290,16 @@ mod tests {
         let bins: Vec<usize> = (1..60).step_by(7).collect();
         let original = ChannelCache::build(&topo, &bins, 64);
         let mut clone = original.clone();
-        for key in original.links() {
-            assert!(Arc::ptr_eq(&original.tables[&key], &clone.tables[&key]));
-        }
+        let shared = |clone: &ChannelCache, f, t| {
+            let k = original.slot(f, t).unwrap();
+            Arc::ptr_eq(&original.tables[k], &clone.tables[k])
+        };
+        assert!(original.links().all(|(f, t)| shared(&clone, f, t)));
         let before = original.table(0, 1).unwrap().clone();
         clone.set_table(0, 1, before.scaled(0.25));
-        assert!(!Arc::ptr_eq(
-            &original.tables[&(0, 1)],
-            &clone.tables[&(0, 1)]
-        ));
-        for key in original.links().filter(|&k| k != (0, 1)) {
-            assert!(
-                Arc::ptr_eq(&original.tables[&key], &clone.tables[&key]),
-                "link {key:?} no longer shared"
-            );
+        assert!(!shared(&clone, 0, 1));
+        for (f, t) in original.links().filter(|&k| k != (0, 1)) {
+            assert!(shared(&clone, f, t), "link {f}->{t} no longer shared");
         }
         // The original still equals direct evaluation bit for bit.
         assert_cache_matches_medium(&topo, &original, &bins);
@@ -301,14 +313,9 @@ mod tests {
     /// installed, and absent links answer `None` instead of panicking.
     #[test]
     fn sparse_world_caches_only_installed_links() {
-        let n = 32; // 4 multi-cell cells
-        let antennas: Vec<usize> = (0..n).map(|i| if i % 8 == 0 { 2 } else { 1 }).collect();
-        let tb = multi_cell().testbed(n).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        let topo =
-            build_environment_topology(multi_cell(), &tb, &antennas, 10e6, 3, &mut rng).unwrap();
+        let (n, topo) = (CITY_N, city());
         let cache = ChannelCache::build(&topo, &[0, 7, 21], 64);
-        assert_eq!(cache.n_links(), topo.medium.n_links());
+        assert_eq!(cache.n_links(), topo.medium.links().len());
         assert!(
             cache.n_links() < n * (n - 1) / 2,
             "cache not sparse: {} links",

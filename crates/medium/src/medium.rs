@@ -20,7 +20,7 @@ use nplus_channel::noise::noise_sample;
 use nplus_linalg::Complex64;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A transmission scheduled on the medium.
 #[derive(Debug, Clone)]
@@ -53,9 +53,10 @@ impl Transmission {
 #[derive(Debug)]
 pub struct Medium {
     nodes: Vec<NodeInfo>,
-    /// Directed links keyed by (from, to). The reverse direction is
-    /// always present and electromagnetically reciprocal.
-    links: HashMap<(NodeId, NodeId), MimoLink>,
+    /// Directed links keyed by (from, to), in ascending key order. The
+    /// reverse direction is always present and electromagnetically
+    /// reciprocal.
+    links: BTreeMap<(NodeId, NodeId), MimoLink>,
     transmissions: Vec<Transmission>,
     sample_rate_hz: f64,
     noise_power: f64,
@@ -68,7 +69,7 @@ impl Medium {
     pub fn new(sample_rate_hz: f64, seed: u64) -> Self {
         Medium {
             nodes: Vec::new(),
-            links: HashMap::new(),
+            links: BTreeMap::new(),
             transmissions: Vec::new(),
             sample_rate_hz,
             noise_power: 1.0,
@@ -129,20 +130,9 @@ impl Medium {
     /// in ascending `(from, to)` order. Sparse worlds install only the
     /// pairs above their power floor, so this is how consumers (the
     /// channel cache) visit the real link set without an all-pairs
-    /// scan. The sort costs `O(E log E)` once per call — `links()` is a
-    /// build-time walk, never on the per-sample capture path, which
-    /// keeps the map itself a `HashMap` for its O(1) hot-path lookups.
-    pub(crate) fn links(&self) -> impl Iterator<Item = ((NodeId, NodeId), &MimoLink)> {
-        // nplus:allow(DET003): order is erased by the sort below.
-        let mut entries: Vec<_> = self.links.iter().map(|(&k, v)| (k, v)).collect();
-        entries.sort_unstable_by_key(|&(k, _)| k);
-        entries.into_iter()
-    }
-
-    /// Number of installed directed links (both directions counted).
-    #[cfg(test)]
-    pub(crate) fn n_links(&self) -> usize {
-        self.links.len()
+    /// scan.
+    pub(crate) fn links(&self) -> impl ExactSizeIterator<Item = ((NodeId, NodeId), &MimoLink)> {
+        self.links.iter().map(|(&k, v)| (k, v))
     }
 
     /// Schedules a transmission. Streams must be one per antenna.

@@ -21,7 +21,9 @@ use rand::RngCore;
 pub struct Topology {
     /// The wired medium.
     pub medium: Medium,
-    /// Node ids in the same order as the antenna counts.
+    /// Node ids in the same order as the antenna counts: `nodes[i] ==
+    /// NodeId(i)`, so a node's position is its id (the channel cache
+    /// indexes by it).
     pub nodes: Vec<NodeId>,
     /// The drawn locations per node.
     pub placements: Vec<Location>,
@@ -243,7 +245,7 @@ mod tests {
     #[test]
     fn oversize_scenario_is_a_clean_error() {
         let antennas = vec![1; 41];
-        let tb = SIGCOMM11_INDOOR.map.testbed(40).unwrap();
+        let tb = SIGCOMM11_INDOOR.testbed(40).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
         let err = build_environment_topology(&SIGCOMM11_INDOOR, &tb, &antennas, 10e6, 0, &mut rng)
             .unwrap_err();

@@ -1,13 +1,14 @@
 //! Iteration-order regression pins (DESIGN.md §11 satellite).
 //!
-//! The determinism contract bans *observable* unordered-map iteration,
-//! and PR 9 reworks the two remaining sites — [`Medium::links`] and
-//! `ChannelCache::links` — onto sorted key lists. These tests pin the
-//! full sweep statistics of a city-scale sparse sweep and a
-//! mobility-bearing sweep (the two paths that consume those iterators)
-//! to digests captured *before* the rework, proving the sorted storage
-//! is bit-for-bit identical to the historical HashMap order, not merely
-//! self-consistent.
+//! The determinism contract bans *observable* unordered-map iteration.
+//! The two link walks that once iterated hash maps now follow ordered
+//! storage: [`Medium::links`] walks a `BTreeMap` in ascending
+//! `(from, to)` order, and the `ChannelCache` built from that walk is an
+//! adjacency list in the same order. These tests pin the full sweep
+//! statistics of a city-scale sparse sweep and a mobility-bearing sweep
+//! (the two paths that consume those walks) to digests captured on the
+//! historical HashMap storage, proving the ordered storage is
+//! bit-for-bit identical to it, not merely self-consistent.
 //!
 //! The digest folds every statistic through `f64::to_bits`, so no
 //! tolerance can hide a divergence and NaN fairness still pins.
@@ -60,9 +61,9 @@ fn city_sweep_statistics_are_pinned() {
     );
 }
 
-/// Waypoint mobility consumes `ChannelCache::links()` every epoch to
-/// find the moved node's incident links and rescale their tables.
-/// Digest captured on the pre-rework HashMap key order.
+/// Waypoint mobility walks the moved node's adjacency every epoch to
+/// find its incident links and rescale their tables. Digest captured on
+/// the pre-rework HashMap key order.
 #[test]
 fn mobility_sweep_statistics_are_pinned() {
     let stats = SweepSpec::new(Scenario::three_pairs())
